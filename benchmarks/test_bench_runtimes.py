@@ -41,8 +41,7 @@ def _setup(runtime, n_objects):
             )
         return created
 
-    result = runtime.run(setup)
-    return result.value if hasattr(result, "value") else result[1]
+    return runtime.run(setup).value
 
 
 def _run_coop(transactions, n_objects):
@@ -82,7 +81,7 @@ def _run_threaded(transactions, n_objects):
                 values.append(decode_int((yield tx.read(oid))))
             return values
 
-        __, finals = rt.run(reader)
+        finals = rt.run(reader).value
         return sum(outcomes.values()), finals, elapsed
     finally:
         rt.close()

@@ -142,7 +142,7 @@ def test_bench_parallel_vs_sequential_engine(benchmark):
                     )
                 return created
 
-            __, oids = rt.run(setup)
+            oids = rt.run(setup).value
             start = _time.perf_counter()
             result = WorkflowEngine(rt, parallel=parallel).execute(
                 build_spec(oids)

@@ -69,9 +69,7 @@ def populate_objects(runtime, count, initial=0, prefix="obj"):
             oids.append(oid)
         return oids
 
-    result = runtime.run(setup)
-    value = result.value if hasattr(result, "value") else result[1]
-    return value
+    return runtime.run(setup).value
 
 
 def body_for(ops, oids):

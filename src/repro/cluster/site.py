@@ -182,6 +182,10 @@ class Site:
         self.pending_prepares = {}
         self.prepared = {}
         self.coordinating = {}
+        # The gids whose entry is still collecting/releasing: the only
+        # ones the tick has work for (``coordinating`` keeps every group
+        # ever, as evidence).  Kept true by :meth:`_set_group_state`.
+        self.open_groups = set()
         self.in_doubt = {}
         self.durable_decisions = {}
         # Failover state.  ``group_epochs`` is the fencing epoch per gid
@@ -366,11 +370,17 @@ class Site:
             or self.in_doubt
             or self.taking_over
             or self.handoff is not None
-            or any(
-                entry["state"] in ("collecting", "releasing")
-                for entry in self.coordinating.values()
-            )
+            or self.open_groups
         )
+
+    def _set_group_state(self, gid, entry, state):
+        """Move a coordinated group to ``state``, keeping ``open_groups``
+        the set of gids still collecting votes or awaiting a witness."""
+        entry["state"] = state
+        if state in ("collecting", "releasing"):
+            self.open_groups.add(gid)
+        else:
+            self.open_groups.discard(gid)
 
     # -- fencing epochs ----------------------------------------------------
 
@@ -743,13 +753,13 @@ class Site:
             "members": members,
             "votes": {},
             "acks": set(),
-            "state": "collecting",
             "verdict": None,
             "client": (msg.src, msg.msg_id),
             "ttl": self.vote_ttl,
             "next_beat": self.ticks + self.heartbeat_interval,
         }
         self.coordinating[gid] = entry
+        self._set_group_state(gid, entry, "collecting")
         for site, tid_value in sorted(members.items()):
             if site == self.name:
                 self._accept_prepare(gid, tid_value, self.name, sites=sites)
@@ -804,10 +814,10 @@ class Site:
         epoch = self._epoch_of(gid)
         participants = sorted(s for s in entry["members"] if s != self.name)
         if verdict == "commit" and participants:
-            entry["state"] = "releasing"
+            self._set_group_state(gid, entry, "releasing")
             entry["next_release"] = self.ticks + self.heartbeat_interval
         else:
-            entry["state"] = "decided"
+            self._set_group_state(gid, entry, "decided")
         for site in participants:
             self._send(
                 site,
@@ -876,7 +886,7 @@ class Site:
         observable may claim commit while no witness exists.
         """
         entry = self.coordinating[gid]
-        entry["state"] = "decided"
+        self._set_group_state(gid, entry, "decided")
         participants = sorted(s for s in entry["members"] if s != self.name)
         self._log_commit_decision(gid, entry, participants)
         if not self.up:
@@ -901,7 +911,7 @@ class Site:
             if not self.up:
                 return
         if entry["acks"] >= {s for s in entry["members"] if s != self.name}:
-            entry["state"] = "done"
+            self._set_group_state(gid, entry, "done")
 
     def _h_status_req(self, msg):
         """Answer an in-doubt inquiry from durable truth.
@@ -1043,7 +1053,7 @@ class Site:
             # past) coordinator was still collecting votes or waiting
             # for its witness ACK.  Adopt the verdict — the usurper's
             # log is the durable truth now — and answer the client.
-            entry["state"] = "decided"
+            self._set_group_state(gid, entry, "decided")
             entry["verdict"] = verdict
         self._apply_decision_locally(gid, verdict, msg.payload.get("tid"))
         if not self.up:
@@ -1362,14 +1372,15 @@ class Site:
         self._obs_mark(gid, "takeover_decided", epoch=epoch, verdict=verdict)
         members = {site: entry["tids"].get(site) for site in entry["sites"]}
         members[self.name] = tid_value
-        self.coordinating[gid] = {
+        decided = {
             "members": members,
             "votes": {},
             "acks": set(),
-            "state": "decided",
             "verdict": verdict,
             "ttl": 0,
         }
+        self.coordinating[gid] = decided
+        self._set_group_state(gid, decided, "decided")
         self._apply_decision_locally(gid, verdict, tid_value)
         if not self.up:
             return
@@ -1588,7 +1599,7 @@ class Site:
         # Coordinator vote deadlines: silence is an abort vote.  While
         # collecting, heartbeat the members so their coordinator leases
         # stay live (a slow vote must not look like a dead coordinator).
-        for gid in sorted(self.coordinating):
+        for gid in sorted(self.open_groups):
             entry = self.coordinating[gid]
             if entry["state"] == "releasing":
                 # Un-witnessed commit: keep re-releasing to members that

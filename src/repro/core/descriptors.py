@@ -1,8 +1,9 @@
 """The descriptor structures of section 4.1 (Figure 1).
 
 * :class:`TransactionDescriptor` (TD) — tid, parent, status, and the list
-  of the transaction's lock requests.  TDs live in a chained hash table
-  keyed by tid.
+  of the transaction's lock requests.  TDs live in a hash table keyed
+  by tid (a ``dict``; the paper's chained table is kept as the measured
+  reference in :mod:`repro.common.hashtable`).
 * :class:`ObjectDescriptor` (OD) — per locked object: lists of granted and
   pending lock requests plus the list of permits on the object.  "Each
   object in the cache points to its own descriptor so no searching is
@@ -27,7 +28,6 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.common.errors import UnknownTransactionError
-from repro.common.hashtable import ChainedHashTable
 from repro.common.ids import NULL_TID
 from repro.core.status import TransactionStatus, check_transition
 
@@ -280,14 +280,15 @@ _NO_PERMITS = ()
 
 
 class TransactionTable:
-    """The chained hash table of TDs, keyed by tid (section 4.1)."""
+    """The hash table of TDs, keyed by tid (section 4.1); iterates in
+    insertion order."""
 
     def __init__(self):
-        self._table = ChainedHashTable()
+        self._table = {}
 
     def add(self, descriptor):
         """Register a new TD."""
-        self._table.put(descriptor.tid, descriptor)
+        self._table[descriptor.tid] = descriptor
 
     def get(self, tid):
         """Return the TD for ``tid``; raise if unknown."""
@@ -302,7 +303,7 @@ class TransactionTable:
 
     def remove(self, tid):
         """Forget a TD (post-termination cleanup)."""
-        self._table.remove(tid)
+        self._table.pop(tid, None)
 
     def __contains__(self, tid):
         return tid in self._table

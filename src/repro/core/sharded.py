@@ -57,7 +57,7 @@ from repro.common.events import EventKind
 from repro.common.latch import Latch, LatchMode
 from repro.core.locks import LockManager
 from repro.core.manager import TransactionManager
-from repro.core.outcomes import LockOutcome
+from repro.core.outcomes import CommitStatus, LockOutcome
 from repro.core.permits import PermitTable
 from repro.core.semantics import READ, WRITE
 from repro.core.sharding import (
@@ -341,10 +341,13 @@ class ShardedTransactionManager(TransactionManager):
             involved = set()
             for member in self.dependencies.gc_group(tid):
                 involved |= self._shards_of_transaction(member)
-            if len(involved) > 1:
-                self.stats["cross_shard_commits"] += 1
             with self._latched(involved):
-                return super().try_commit(tid)
+                outcome = super().try_commit(tid)
+            # Count commits, not attempts: a polling driver retries a
+            # blocked commit many times.
+            if len(involved) > 1 and outcome.status is CommitStatus.COMMITTED:
+                self.stats["cross_shard_commits"] += 1
+            return outcome
 
     def try_prepare(self, tid, gid=0, coordinator="", sites=()):
         with self._mutex:

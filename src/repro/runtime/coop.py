@@ -8,11 +8,13 @@ OS processes; determinism is this reproduction's substitute for wall-clock
 racing — see DESIGN.md).
 
 Blocked requests are retried every round, "starting at step 1" as the
-section 4.2 algorithms specify.  When a full round makes no progress the
-runtime asks the deadlock detector for a victim; a stall with no deadlock
-cycle raises :class:`SchedulerStalledError` — in a correct program that
-means a dependency that can never resolve, which is a bug worth surfacing
-loudly.
+section 4.2 algorithms specify — but a round visits only *live* tasks:
+a task leaves the scheduler the moment it finishes, so a round costs what
+the transactions in flight cost, not the transactions ever run.  When a
+full round makes no progress the runtime asks the deadlock detector for a
+victim; a stall with no deadlock cycle raises
+:class:`SchedulerStalledError` — in a correct program that means a
+dependency that can never resolve, which is a bug worth surfacing loudly.
 """
 
 from __future__ import annotations
@@ -78,19 +80,17 @@ class RunResult:
 class _Task:
     """One running transaction program."""
 
-    __slots__ = ("tid", "gen", "pending", "to_send", "finished", "result",
-                 "error", "abort_delivered", "blocked_on")
+    __slots__ = ("tid", "gen", "pending", "to_send", "blocked_on")
 
     def __init__(self, tid, gen):
         self.tid = tid
         self.gen = gen
         self.pending = None  # request awaiting retry
         self.to_send = None  # result to send into the generator
-        self.finished = False
-        self.result = None
-        self.error = None
-        self.abort_delivered = False
         self.blocked_on = ()  # who the last WOULD_BLOCK outcome named
+
+
+_NO_OUTCOME = (None, None)
 
 
 class CooperativeRuntime:
@@ -99,8 +99,10 @@ class CooperativeRuntime:
     def __init__(self, manager=None, seed=None, max_idle_rounds=2,
                  schedule=None, watchdog=None):
         self.manager = manager if manager is not None else TransactionManager()
+        # Unfinished tasks only, in spawn order (the round-robin basis);
+        # a finished task leaves behind just its (result, error).
         self._tasks = {}
-        self._order = []  # tids in spawn order (round-robin basis)
+        self._outcomes = {}
         self._rng = random.Random(seed) if seed is not None else None
         self._max_idle_rounds = max_idle_rounds
         # An explicit schedule controller (repro.chaos.explorer) decides
@@ -207,7 +209,7 @@ class CooperativeRuntime:
 
     def on_begun(self, tid):
         """Create the task for a transaction that just began."""
-        if tid in self._tasks:
+        if tid in self._tasks or tid in self._outcomes:
             return
         td = self.manager.table.get(tid)
         if td.function is None:
@@ -217,29 +219,28 @@ class CooperativeRuntime:
         ctx = TxnContext(tid, parent=td.parent)
         gen = td.function(ctx, *td.args)
         self._tasks[tid] = _Task(tid, gen)
-        self._order.append(tid)
+
+    def _retire(self, task, result=None, error=None):
+        """A finished task (and its generator) leaves the scheduler;
+        only its outcome stays reachable."""
+        self._outcomes[task.tid] = (result, error)
+        del self._tasks[task.tid]
 
     def result_of(self, tid):
         """The return value of ``tid``'s program (None if none)."""
-        task = self._tasks.get(tid)
-        return task.result if task is not None else None
+        return self._outcomes.get(tid, _NO_OUTCOME)[0]
 
     def error_of(self, tid):
         """The exception that aborted ``tid``'s program, if any."""
-        task = self._tasks.get(tid)
-        return task.error if task is not None else None
+        return self._outcomes.get(tid, _NO_OUTCOME)[1]
 
     def active_tasks(self):
-        """Tids of tasks that have not finished."""
-        return [t for t in self._order if not self._tasks[t].finished]
+        """Tids of tasks that have not finished, in spawn order."""
+        return list(self._tasks)
 
     # ------------------------------------------------------------------
     # the scheduler
     # ------------------------------------------------------------------
-
-    def _runnable(self):
-        return [self._tasks[t] for t in self._order
-                if not self._tasks[t].finished]
 
     def round(self):
         """Give every unfinished task one step; return whether any moved.
@@ -250,7 +251,7 @@ class CooperativeRuntime:
         """
         if self.watchdog is not None:
             self.watchdog.on_round()
-        tasks = self._runnable()
+        tasks = list(self._tasks.values())
         if self.schedule is not None and tasks:
             order = {tid: i for i, tid in
                      enumerate(self.schedule.arrange([t.tid for t in tasks]))}
@@ -306,8 +307,7 @@ class CooperativeRuntime:
     def stall_report(self):
         """Diagnostic rows for every unfinished task (who blocks on what)."""
         rows = []
-        for tid in self.active_tasks():
-            task = self._tasks[tid]
+        for tid, task in self._tasks.items():
             td = self.manager.table.maybe_get(tid)
             status = td.status.value if td is not None else "unknown"
             rows.append(
@@ -325,21 +325,17 @@ class CooperativeRuntime:
         self.steps += 1
         manager = self.manager
 
-        # Deliver an externally caused abort into the program once.
-        if (
-            not task.finished
-            and not task.abort_delivered
-            and manager.has_aborted(task.tid)
-        ):
-            task.abort_delivered = True
-            task.pending = None
+        # Deliver an externally caused abort into the program; the task
+        # retires with it, so it is delivered once.
+        if manager.has_aborted(task.tid):
+            error = None
             try:
                 task.gen.throw(TransactionAborted(task.tid))
             except (StopIteration, TransactionAborted):
                 pass
             except Exception as exc:  # program mishandled the signal
-                task.error = exc
-            task.finished = True
+                error = exc
+            self._retire(task, error=error)
             return True
 
         if task.pending is not None:
@@ -362,16 +358,14 @@ class CooperativeRuntime:
             request = task.gen.send(task.to_send)
             task.to_send = None
         except StopIteration as stop:
-            task.result = stop.value
-            task.finished = True
+            self._retire(task, result=stop.value)
             manager.note_completed(task.tid)
             return True
         except TransactionAborted:
-            task.finished = True
+            self._retire(task)
             return True
         except Exception as exc:
-            task.error = exc
-            task.finished = True
+            self._retire(task, error=exc)
             manager.abort(task.tid, reason=f"program raised {exc!r}")
             return True
 
@@ -387,9 +381,8 @@ class CooperativeRuntime:
             task.blocked_on = ()
         # Aborting oneself ends the program: nothing after the abort of
         # self should run (the paper's abort(self()) idiom).
-        if manager.has_aborted(task.tid) and not task.finished:
-            task.pending = None
-            task.finished = True
+        if manager.has_aborted(task.tid):
+            self._retire(task)
             task.gen.close()
         return True
 
@@ -397,9 +390,7 @@ class CooperativeRuntime:
         """A quarantined-object touch poisons the transaction: fail the
         task and abort it rather than propagate garbage (or crash the
         scheduler loop)."""
-        task.error = exc
-        task.pending = None
-        task.finished = True
+        self._retire(task, error=exc)
         self.manager.abort(task.tid, reason=f"poisoned: {exc}")
         task.gen.close()
         return True

@@ -20,6 +20,7 @@ from repro.common.errors import TransactionAborted
 from repro.common.ids import NULL_TID
 from repro.core.deadlock import DeadlockDetector
 from repro.core.manager import TransactionManager
+from repro.runtime.coop import RunResult
 from repro.runtime.program import BLOCKED, TxnContext, execute_request
 
 
@@ -170,14 +171,17 @@ class ThreadedRuntime:
         return True
 
     def run(self, function, args=()):
-        """``initiate`` + ``begin`` + ``commit``; returns (committed, value)."""
+        """``initiate`` + ``begin`` + ``commit``; returns a
+        :class:`~repro.runtime.coop.RunResult` like every other runtime."""
         tid = self.initiate(function, args=args)
         if not tid:
-            return False, None
+            return RunResult(tid=tid, committed=False)
         self.begin(tid)
         committed = self.commit(tid)
         self.join_all()
-        return bool(committed), self._results.get(tid)
+        return RunResult(
+            tid=tid, committed=bool(committed), value=self.result_of(tid)
+        )
 
     # ------------------------------------------------------------------
     # workers

@@ -94,8 +94,7 @@ class TravelAgency:
                 oids[name] = yield tx.create(encode_json(record), name=name)
             return oids
 
-        result = runtime.run(setup)
-        oids = result.value if hasattr(result, "value") else result[1]
+        oids = runtime.run(setup).value
         self.oids = oids
         self.flights = {name: oids[name] for name in AIRLINES}
         self.hotels = {name: oids[name] for name in HOTELS}
@@ -108,8 +107,7 @@ class TravelAgency:
             record = decode_json((yield tx.read(self.oids[name])))
             return record["available"]
 
-        result = self.runtime.run(body)
-        return result.value if hasattr(result, "value") else result[1]
+        return self.runtime.run(body).value
 
     def bookings(self, name):
         """Current bookings of a resource (via a read transaction)."""
@@ -118,8 +116,7 @@ class TravelAgency:
             record = decode_json((yield tx.read(self.oids[name])))
             return record["bookings"]
 
-        result = self.runtime.run(body)
-        return result.value if hasattr(result, "value") else result[1]
+        return self.runtime.run(body).value
 
 
 def x_conference(runtime, agency, d1=JUNE_11, d2=JUNE_14):

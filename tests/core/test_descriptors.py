@@ -159,3 +159,14 @@ class TestTransactionTable:
             table.add(TransactionDescriptor(tid=Tid(value + 1)))
         assert len(table) == 5
         assert {td.tid.value for td in table} == {1, 2, 3, 4, 5}
+
+    def test_iteration_is_insertion_order(self):
+        """A property of the table, not of the hash function or seed —
+        the chained table iterated in bucket order (here 9, 17, 1, 3)."""
+        table = TransactionTable()
+        for value in (9, 3, 17, 1):
+            table.add(TransactionDescriptor(tid=Tid(value)))
+        assert [td.tid.value for td in table] == [9, 3, 17, 1]
+        table.remove(Tid(3))
+        table.add(TransactionDescriptor(tid=Tid(3)))
+        assert [td.tid.value for td in table] == [9, 17, 1, 3]

@@ -65,15 +65,6 @@ def _noop():
 # ---------------------------------------------------------------------------
 
 
-def run_value(result):
-    """The program value of a ``runtime.run`` result (RunResult or tuple)."""
-    return result.value if hasattr(result, "value") else result[1]
-
-
-def run_committed(result):
-    return result.committed if hasattr(result, "committed") else result[0]
-
-
 def make_counters(runtime, count):
     def setup(tx):
         oids = []
@@ -83,14 +74,14 @@ def make_counters(runtime, count):
             )
         return oids
 
-    return run_value(runtime.run(setup))
+    return runtime.run(setup).value
 
 
 def read_counter(runtime, oid):
     def body(tx):
         return decode_int((yield tx.read(oid)))
 
-    return run_value(runtime.run(body))
+    return runtime.run(body).value
 
 
 def incrementer(oid, fail=False):

@@ -10,6 +10,7 @@ the same battery is reusable by the differential suite.
 
 import pytest
 
+from repro import RunResult
 from repro.models import (
     Saga,
     require_subtransaction,
@@ -32,6 +33,18 @@ def rt(request):
     runtime, closer = make_runtime(request.param, seed=77)
     yield runtime
     closer()
+
+
+class TestDriverApiConformance:
+    def test_run_returns_a_run_result_on_every_runtime(self, rt):
+        [oid] = make_counters(rt, 1)
+        ok = rt.run(incrementer(oid))
+        assert type(ok) is RunResult
+        assert ok.committed and ok.value == 1 and ok.tid
+        assert rt.result_of(ok.tid) == 1
+        failed = rt.run(incrementer(oid, fail=True))
+        assert type(failed) is RunResult
+        assert not failed.committed and failed.tid
 
 
 class TestModelConformance:

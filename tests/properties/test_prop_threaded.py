@@ -28,9 +28,9 @@ def make_counters(runtime, count, initial=0):
             )
         return oids
 
-    ok, value = runtime.run(setup)
-    assert ok
-    return value
+    result = runtime.run(setup)
+    assert result.committed
+    return result.value
 
 
 def read_all(runtime, oids):
@@ -40,9 +40,9 @@ def read_all(runtime, oids):
             values.append(decode_int((yield tx.read(oid))))
         return values
 
-    ok, value = runtime.run(body)
-    assert ok
-    return value
+    result = runtime.run(body)
+    assert result.committed
+    return result.value
 
 
 @pytest.mark.parametrize("round_number", range(3))

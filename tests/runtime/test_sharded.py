@@ -6,17 +6,18 @@ latch hygiene, cross-shard statistics, and real-thread outcomes on the
 parallel runtime.
 """
 
+import sys
+import time
+
 import pytest
 
 from repro.common.codec import decode_int, encode_int
 from repro.common.latch import LatchMode
+from repro.core.dependency import DependencyType
+from repro.core.outcomes import CommitStatus
 from repro.core.sharded import ShardedTransactionManager
 from repro.core.sharding import ShardRouter, default_shard_count, stable_hash
 from repro.runtime.sharded import ParallelShardedRuntime, ShardedRuntime
-
-
-def _value(result):
-    return result.value if hasattr(result, "value") else result[1]
 
 
 class TestRouting:
@@ -57,7 +58,7 @@ class TestRouting:
                 )
             return oids
 
-        oids = _value(rt.run(setup))
+        oids = rt.run(setup).value
         census = manager.shard_census()
         assert sum(row["router_entries"] for row in census) >= len(oids)
         for oid in oids:
@@ -129,6 +130,33 @@ class TestCrossShardStats:
         rt.commit(t2)
         rt.commit(t1)
 
+    def test_polling_a_blocked_commit_counts_the_commit_once(self):
+        """The counter is commits, not attempts (a polling driver used
+        to read 0.90 per unit where 0.30 of units were cross-shard)."""
+        manager = ShardedTransactionManager(n_shards=4)
+        rt = ShardedRuntime(manager=manager, seed=9)
+
+        def spread(tx):
+            for index in range(4):
+                yield tx.create(encode_int(index), name=f"s{index}")
+
+        def idle(tx):
+            yield from ()
+
+        blocker = rt.spawn(idle)
+        tid = rt.spawn(spread)
+        manager.form_dependency(DependencyType.CD, blocker, tid)
+        rt.run_until_quiescent()
+        for __ in range(5):
+            assert manager.try_commit(tid).status is CommitStatus.BLOCKED
+        assert manager.stats["cross_shard_commits"] == 0
+        assert rt.commit(blocker) == 1
+        assert manager.stats["cross_shard_commits"] == 0  # one shard
+        assert manager.try_commit(tid).status is CommitStatus.COMMITTED
+        assert manager.stats["cross_shard_commits"] == 1
+        assert manager.try_commit(tid).status is CommitStatus.ALREADY_COMMITTED
+        assert manager.stats["cross_shard_commits"] == 1
+
     def test_single_shard_commit_not_counted_as_cross_shard(self):
         manager = ShardedTransactionManager(n_shards=4)
         rt = ShardedRuntime(manager=manager, seed=9)
@@ -154,7 +182,7 @@ class TestParallelOutcomes:
                     )
                 return oids
 
-            oids = _value(rt.run(setup))
+            oids = rt.run(setup).value
 
             def transfer(tx, src, dst):
                 taken = decode_int((yield tx.read(src)))
@@ -175,7 +203,7 @@ class TestParallelOutcomes:
                     total += decode_int((yield tx.read(oid)))
                 return total
 
-            assert _value(rt.run(audit)) == 800  # money conserved
+            assert rt.run(audit).value == 800  # money conserved
         finally:
             rt.close()
 
@@ -186,7 +214,7 @@ class TestParallelOutcomes:
             def setup(tx):
                 return (yield tx.create(encode_int(0), name="hot"))
 
-            oid = _value(rt.run(setup))
+            oid = rt.run(setup).value
 
             def bump(tx):
                 value = decode_int((yield tx.read(oid)))
@@ -200,7 +228,7 @@ class TestParallelOutcomes:
             def read(tx):
                 return decode_int((yield tx.read(oid)))
 
-            assert _value(rt.run(read)) == committed == 6
+            assert rt.run(read).value == committed == 6
         finally:
             rt.close()
 
@@ -229,7 +257,7 @@ class TestParallelOutcomes:
                 b = yield tx.create(encode_int(0), name="db")
                 return (a, b)
 
-            a, b = _value(rt.run(setup))
+            a, b = rt.run(setup).value
 
             def locker(tx, first, second):
                 yield tx.write(first, encode_int(1))
@@ -241,4 +269,34 @@ class TestParallelOutcomes:
             assert set(outcomes) == {t1, t2}
             assert sum(outcomes.values()) >= 1  # at least one survivor
         finally:
+            rt.close()
+
+    def test_retirement_races_with_driver_reads(self):
+        """Workers retire finished tasks while the driver thread reads
+        ``active_tasks``/``result_of``: more workers than cores, a
+        shortened switch interval, and no outcome may be lost."""
+        rt = ParallelShardedRuntime(n_shards=6, poll_timeout=0.01)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+
+            def echo(tx, number):
+                yield tx.create(encode_int(number))
+                return number
+
+            tids = [
+                rt.spawn(echo, args=(number,), key=f"k{number}")
+                for number in range(300)
+            ]
+            deadline = time.monotonic() + 20.0
+            while rt.active_tasks() and time.monotonic() < deadline:
+                for tid in tids[::7]:
+                    assert rt.result_of(tid) in (None, tids.index(tid))
+            assert rt.join_all(timeout=5.0)
+            assert rt.active_tasks() == []
+            assert all(sub._tasks == {} for sub in rt._subs)
+            assert [rt.result_of(tid) for tid in tids] == list(range(300))
+            assert all(rt.commit_all(tids).values())
+        finally:
+            sys.setswitchinterval(interval)
             rt.close()

@@ -13,18 +13,18 @@ def make_counters(runtime, count, initial=0):
             oids.append(oid)
         return oids
 
-    ok, value = runtime.run(setup)
-    assert ok
-    return value
+    result = runtime.run(setup)
+    assert result.committed
+    return result.value
 
 
 def read_counter(runtime, oid):
     def body(tx):
         return decode_int((yield tx.read(oid)))
 
-    ok, value = runtime.run(body)
-    assert ok
-    return value
+    result = runtime.run(body)
+    assert result.committed
+    return result.value
 
 
 def incrementer(oid, fail=False):
@@ -41,8 +41,8 @@ def incrementer(oid, fail=False):
 class TestThreadedExecution:
     def test_run_round_trip(self, threaded_rt):
         [oid] = make_counters(threaded_rt, 1)
-        ok, value = threaded_rt.run(incrementer(oid))
-        assert ok and value == 1
+        result = threaded_rt.run(incrementer(oid))
+        assert result.committed and result.value == 1
         assert read_counter(threaded_rt, oid) == 1
 
     def test_contended_increments_stay_consistent(self, threaded_rt):
@@ -62,8 +62,7 @@ class TestThreadedExecution:
 
     def test_abort_undoes(self, threaded_rt):
         [oid] = make_counters(threaded_rt, 1)
-        ok, __ = threaded_rt.run(incrementer(oid, fail=True))
-        assert not ok
+        assert not threaded_rt.run(incrementer(oid, fail=True)).committed
         assert read_counter(threaded_rt, oid) == 0
 
     def test_wait_primitive(self, threaded_rt):

@@ -29,8 +29,9 @@ class TestThreadedSemanticOps:
         def setup(tx):
             return (yield tx.create(encode_int(0), name="hits"))
 
-        ok, oid = rt.run(setup)
-        assert ok
+        result = rt.run(setup)
+        assert result.committed
+        oid = result.value
         counter = Counter(oid)
 
         def bump(tx):
@@ -45,8 +46,8 @@ class TestThreadedSemanticOps:
         def read(tx):
             return (yield counter.get(tx))
 
-        ok, value = rt.run(read)
-        assert ok and value == 6
+        result = rt.run(read)
+        assert result.committed and result.value == 6
 
 
 class TestThreadedSavepoints:
@@ -54,8 +55,9 @@ class TestThreadedSavepoints:
         def setup(tx):
             return (yield tx.create(encode_int(1), name="x"))
 
-        ok, oid = rt.run(setup)
-        assert ok
+        result = rt.run(setup)
+        assert result.committed
+        oid = result.value
 
         def body(tx):
             savepoint = yield tx.savepoint()
@@ -64,11 +66,11 @@ class TestThreadedSavepoints:
             yield tx.write(oid, encode_int(2))
             return decode_int((yield tx.read(oid)))
 
-        ok, value = rt.run(body)
-        assert ok and value == 2
+        result = rt.run(body)
+        assert result.committed and result.value == 2
 
         def read(tx):
             return decode_int((yield tx.read(oid)))
 
-        ok, value = rt.run(read)
-        assert ok and value == 2
+        result = rt.run(read)
+        assert result.committed and result.value == 2

@@ -38,8 +38,7 @@ def _make_counter(rt):
     def setup(tx):
         return (yield tx.create(encode_int(0), name="hot"))
 
-    __, oid = rt.run(setup)
-    return oid
+    return rt.run(setup).value
 
 
 class TestEventDrivenWakeup:
@@ -121,7 +120,7 @@ class TestEventDrivenWakeup:
         def read(tx):
             return decode_int((yield tx.read(oid)))
 
-        assert rt.run(read)[1] == 2
+        assert rt.run(read).value == 2
 
     def test_driver_wait_wakes_on_abort(self, rt):
         """A driver ``wait`` on a lock-blocked transaction returns
