@@ -18,8 +18,8 @@ immediately — but every phase stays under one convergence budget.
 from repro.bench.report import print_table
 from repro.chaos.faults import FaultPlan
 from repro.cluster import Cluster
-from repro.cluster import scenarios as cluster_scenarios
-from repro.cluster.sweep import probe_message_steps, run_cluster_plan
+import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
+from repro.chaos.sweep import get, probe, run_plan
 from repro.storage.log import CommitRecord
 
 SITE_POOL = ("alpha", "beta", "gamma", "delta", "epsilon")
@@ -82,26 +82,24 @@ def test_bench_group_commit_vs_site_count(benchmark):
 
 def test_bench_recovery_convergence_after_coordinator_crash(benchmark):
     """Rounds to a settled cluster, per crashed protocol phase."""
-    spec = cluster_scenarios.get("cluster_group_commit")
+    spec = get("cluster_group_commit")
     phases = ("gc_begin", "prepare", "vote", "decision", "ack")
     steps_by_phase = {}
-    for number, detail in probe_message_steps(spec):
+    for number, detail in probe(spec).messages:
         kind = detail.split(":")[-1]
         if kind in phases:
             steps_by_phase.setdefault(kind, (number, detail))
     coordinator = sorted(spec.sites)[0]
 
     def crash_at(step):
-        return run_cluster_plan(
-            spec, FaultPlan(site_crash_at=(coordinator, step))
-        )
+        return run_plan(spec, FaultPlan(site_crash_at=(coordinator, step)))
 
     rows = []
     for phase in phases:
         step, __ = steps_by_phase[phase]
         result = crash_at(step)
         assert result.ok, result.describe()
-        rows.append([phase, step, result.cluster.rounds, result.report.ok])
+        rows.append([phase, step, result.system.rounds, result.oracle.ok])
     print_table(
         "EX18: convergence after coordinator crash, by protocol phase",
         ["crashed at", "msg step", "rounds to settle", "oracles ok"],

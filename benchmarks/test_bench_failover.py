@@ -21,8 +21,8 @@ commit verdict or the oracles.
 from repro.bench.report import print_table
 from repro.chaos.faults import FaultPlan
 from repro.cluster import Cluster
-from repro.cluster import scenarios as cluster_scenarios
-from repro.cluster.sweep import probe_message_steps, run_failover_plan
+import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
+from repro.chaos.sweep import get, probe, run_plan
 
 SITE_POOL = ("alpha", "beta", "gamma", "delta", "epsilon")
 
@@ -40,7 +40,7 @@ def _body(tag):
 
 def _phase_steps(spec):
     """The first message step of each 2PC phase in a fault-free run."""
-    steps = probe_message_steps(spec)
+    steps = probe(spec).messages
     first = {}
     for number, detail in steps:
         kind = detail.split(":")[-1]
@@ -50,12 +50,12 @@ def _phase_steps(spec):
 
 
 def _failover_rounds(spec, step):
-    result = run_failover_plan(spec, FaultPlan(kill_coordinator_at=step))
+    result = run_plan(spec, FaultPlan(kill_coordinator_at=step))
     takeovers = sum(
         site.stats["takeovers_decided"]
-        for site in result.cluster.sites.values()
+        for site in result.system.sites.values()
     )
-    return result, result.cluster.rounds, takeovers
+    return result, result.system.rounds, takeovers
 
 
 def _churned_commit(n_sites, churn):
@@ -82,7 +82,7 @@ def _churned_commit(n_sites, churn):
 
 
 def test_bench_failover_convergence_by_phase(benchmark):
-    spec = cluster_scenarios.get("cluster_group_commit")
+    spec = get("cluster_group_commit")
     phase_steps = _phase_steps(spec)
     assert [kind for kind, __ in phase_steps] == list(PHASES)
     rows = []
@@ -104,7 +104,7 @@ def test_bench_failover_convergence_by_phase(benchmark):
     assert rows[-1][2] <= rows[2][2]
     vote_step = dict(phase_steps)["vote"]
     benchmark(
-        lambda: run_failover_plan(
+        lambda: run_plan(
             spec, FaultPlan(kill_coordinator_at=vote_step)
         )
     )

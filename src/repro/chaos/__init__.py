@@ -10,10 +10,15 @@ enumerable input:
   threaded through every storage-layer I/O site;
 * :mod:`repro.chaos.stack` — one fully instrumented system under test,
   with crash/restart lifecycle and truthful acknowledgement tracking;
-* :mod:`repro.chaos.scenarios` — named deterministic workloads that
-  declare their intent as they run;
-* :mod:`repro.chaos.sweep` — exhaustive crash-point sweeps with
-  step-coverage accounting and one-command replay artifacts;
+* :mod:`repro.chaos.sweep` — the one sweep harness (probe → enumerate →
+  run → judge → replay) every single-site, workflow and cluster sweep
+  runs on: fault dimensions as generators, one ``run_plan``, one
+  ``sweep`` loop with coverage accounting, one verdict and result type,
+  one scenario registry, one-command replay artifacts;
+* :mod:`repro.chaos.scenarios` — named deterministic single-site
+  workloads that declare their intent as they run;
+* :mod:`repro.chaos.workflow` — durable-workflow scenarios and their
+  crash → restart → resume judgment;
 * :mod:`repro.chaos.explorer` — interleaving enumeration over the
   cooperative runtime, with recorded, replayable, minimized schedules;
 * :mod:`repro.chaos.oracles` — the independent invariants: durability of
@@ -52,9 +57,11 @@ from repro.chaos.oracles import (
 )
 from repro.chaos.stack import ChaosStack, RestartedSystem, read_state
 from repro.chaos.sweep import (
+    Case,
     FailureArtifact,
-    RunOutcome,
     SweepResult,
+    Trace,
+    Verdict,
     crash_sweep,
     probe,
     replay_command,
@@ -62,6 +69,7 @@ from repro.chaos.sweep import (
 )
 
 __all__ = [
+    "Case",
     "ChaosStack",
     "CrashPoint",
     "ExplorationResult",
@@ -72,12 +80,13 @@ __all__ = [
     "IoStep",
     "OracleReport",
     "RestartedSystem",
-    "RunOutcome",
     "ScheduleController",
     "ScheduleExplorer",
     "ScheduleFailure",
     "SweepResult",
     "TORN_PREFIX",
+    "Trace",
+    "Verdict",
     "analyze_log",
     "check_idempotent",
     "crash_sweep",

@@ -110,3 +110,31 @@ def delegation_unlogged():
         yield
     finally:
         StorageManager.log_delegate = original
+
+
+@contextmanager
+def commit_logged_before_witness():
+    """The coordinator force-logs COMMIT before any witness acknowledged.
+
+    Reverts witness-confirmed release: on unanimous votes the commit
+    :class:`~repro.storage.log.DecisionRecord` is sealed right after the
+    DECISION fan-out is *sent*, not after one is acknowledged.  A send
+    is not a delivery — black out the release and kill the coordinator,
+    and its log says commit while the survivors' takeover, finding no
+    witness, presumes abort.  ``release_blackout_sweep`` must report the
+    dual decision.
+    """
+    from repro.cluster.site import Site
+
+    original = Site._decide
+
+    def log_first(self, gid, verdict):
+        original(self, gid, verdict)
+        if self.up and self.coordinating[gid]["state"] == "releasing":
+            self._seal_commit(gid)
+
+    Site._decide = log_first
+    try:
+        yield
+    finally:
+        Site._decide = original

@@ -10,40 +10,39 @@ embeds a one-command recipe::
         --drop-at 34 --site-crash alpha 38
 
 which re-runs the named scenario under exactly that fault plan (and/or
-recorded schedule), prints the trace and the oracle verdict, and exits
-non-zero when the violation reproduces.  Single-site scenarios resolve
-through the chaos registry and run on a
-:class:`~repro.chaos.stack.ChaosStack`; cluster scenarios resolve
-through :data:`repro.cluster.scenarios.CLUSTER_SCENARIOS` and run on a
-full :class:`~repro.cluster.cluster.Cluster` with the recover-and-
-converge harness of :mod:`repro.cluster.sweep`; workflow scenarios
-resolve through :data:`repro.chaos.workflow.WORKFLOW_SCENARIOS` and run
-the crash → restart → ``recover()`` → resume-to-terminal protocol of
-:mod:`repro.chaos.workflow` (``--storage sharded`` swaps in the
-segmented WAL, ``--signal-at approve:qa`` overrides the signal script).
+recorded schedule), prints the trace and the verdict, and exits non-zero
+when the violation reproduces.  Scenarios of every kind — single-site,
+durable workflow, cluster — resolve through the one registry in
+:mod:`repro.chaos.sweep` and run through its one
+:func:`~repro.chaos.sweep.run_plan`, so a replayed plan is judged exactly
+as the sweep that emitted it judged it: a plan that kills the
+coordinator gets the two-phase failover judgment, ``--storage sharded
+--shards N`` puts a workflow scenario on the segmented WAL, ``--retry N``
+attaches the retry budget (``--signal-at approve:qa`` overrides a
+workflow's signal script).
 
 Flags compose with ``--plan``: explicit flags override the JSON fields,
 so ``--crash-at 41`` on an existing artifact probes the neighbouring
 step without editing JSON.  The last line of output is always a
 machine-readable JSON verdict (``{"scenario", "plan", "ok",
-"violations", ...}``) so CI and scripts can consume the result without
-scraping prose.
+"violations", "judgment", ...}``) so CI and scripts can consume the
+result without scraping prose.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from repro.chaos import scenarios
-from repro.chaos import workflow as workflow_scenarios
+# Importing the scenario modules is what fills the registry.
+import repro.chaos.workflow  # noqa: F401
+import repro.cluster.scenarios  # noqa: F401
 from repro.chaos.explorer import ScheduleController, decode_choices
 from repro.chaos.faults import FaultPlan
 from repro.chaos.scenarios import live_violations
-from repro.chaos.sweep import run_plan
-from repro.cluster import scenarios as cluster_scenarios
-from repro.cluster.sweep import run_cluster_plan
+from repro.chaos.sweep import get, names, run_plan
 from repro.obs import ObservabilityKit
 
 
@@ -102,31 +101,33 @@ def _parse_partition(text):
     return groups
 
 
+# Flags that set one plan field each: (args attribute, plan field, convert).
+_PLAN_FLAGS = (
+    ("crash_at", "crash_at", int),
+    ("torn_page_at", "torn_page_at", int),
+    ("lose_fsync", "lose_fsync_at", frozenset),
+    ("fail_flush_at", "fail_flush_at", frozenset),
+    ("failpoint", "crash_at_failpoint", lambda v: (v[0], int(v[1]))),
+    ("keep_tail", "keep_tail", bool),
+    # Network faults (cluster scenarios).
+    ("drop_at", "drop_msg_at", frozenset),
+    ("drop_kind", "drop_msg_kinds", frozenset),
+    ("dup_at", "dup_msg_at", frozenset),
+    ("delay_at", "delay_msg_at", frozenset),
+    ("site_crash", "site_crash_at", lambda v: (v[0], int(v[1]))),
+    ("kill_coordinator_at", "kill_coordinator_at", int),
+    ("join_site", "join_site_at", tuple),
+    ("leave_site", "leave_site_at", tuple),
+)
+
+
 def build_plan(args):
     base = FaultPlan.from_dict(json.loads(args.plan)) if args.plan else FaultPlan()
-    overrides = {}
-    if args.crash_at is not None:
-        overrides["crash_at"] = args.crash_at
-    if args.torn_page_at is not None:
-        overrides["torn_page_at"] = args.torn_page_at
-    if args.lose_fsync:
-        overrides["lose_fsync_at"] = frozenset(args.lose_fsync)
-    if args.fail_flush_at:
-        overrides["fail_flush_at"] = frozenset(args.fail_flush_at)
-    if args.failpoint is not None:
-        name, nth = args.failpoint
-        overrides["crash_at_failpoint"] = (name, int(nth))
-    if args.keep_tail:
-        overrides["keep_tail"] = True
-    # Network faults (cluster scenarios).
-    if args.drop_at:
-        overrides["drop_msg_at"] = frozenset(args.drop_at)
-    if args.drop_kind:
-        overrides["drop_msg_kinds"] = frozenset(args.drop_kind)
-    if args.dup_at:
-        overrides["dup_msg_at"] = frozenset(args.dup_at)
-    if args.delay_at:
-        overrides["delay_msg_at"] = frozenset(args.delay_at)
+    overrides = {
+        field: convert(getattr(args, flag))
+        for flag, field, convert in _PLAN_FLAGS
+        if getattr(args, flag)  # unset flags are None, False or []
+    }
     if args.partition is not None:
         overrides["partition_groups"] = args.partition
         overrides["partition_at"] = (
@@ -134,15 +135,6 @@ def build_plan(args):
         )
         if args.heal_at is not None:
             overrides["heal_at"] = args.heal_at
-    if args.site_crash is not None:
-        site, step = args.site_crash
-        overrides["site_crash_at"] = (site, int(step))
-    if args.kill_coordinator_at is not None:
-        overrides["kill_coordinator_at"] = args.kill_coordinator_at
-    if args.join_site is not None:
-        overrides["join_site_at"] = args.join_site
-    if args.leave_site is not None:
-        overrides["leave_site_at"] = args.leave_site
     return base.with_(**overrides) if overrides else base
 
 
@@ -166,85 +158,77 @@ def _parse_signal(text):
     return (name, payload if sep else None)
 
 
-def _run_workflow(spec, plan, args):
-    """Replay one workflow scenario: crash, restart, recover, resume."""
-    import dataclasses
-
-    if args.signal_at:
-        spec = dataclasses.replace(spec, signals=tuple(args.signal_at))
-    kit = _make_kit(args)
-    captured = {}
-
-    def capture(stack):
-        captured["stack"] = stack
-        if kit is not None:
-            kit.attach_stack(stack)
-
-    attach_engine = kit.attach_workflow if kit is not None else None
-    if args.storage == "sharded":
-        outcome = workflow_scenarios.run_sharded_workflow_plan(
-            spec, plan, n_shards=args.shards,
-            instrument_resume=attach_engine,
-        )
-    else:
-        outcome = workflow_scenarios.run_workflow_plan(
-            spec, plan, instrument=capture,
-            instrument_resume=attach_engine,
-        )
-    if args.trace and "stack" in captured:
-        for step in captured["stack"].injector.trace:
-            print(f"  {step.number:4d} {step.kind} {step.detail}")
-    print(f"plan: {plan.describe() or 'no-fault'}")
-    if outcome.crash is not None:
-        print(f"crashed: step {outcome.crash.step} ({outcome.crash.kind})")
-    else:
-        print("run completed; power cut applied at end")
-    if outcome.oracle is not None:
-        print(outcome.oracle.describe())
-    print(f"resumed: {outcome.resumed}")
-    print(f"terminal: {outcome.status.value if outcome.status else None}")
-    _write_obs(kit, args)
-    violations = list(outcome.violations)
-    if outcome.oracle is not None:
-        violations.extend(outcome.oracle.violations)
-    _verdict_line(
-        spec.name,
-        plan,
-        outcome.ok,
-        violations,
-        storage=args.storage,
-        resumed=outcome.resumed,
-        status=outcome.status.value if outcome.status else None,
-    )
-    return 0 if outcome.ok else 1
-
-
-def _run_cluster(spec, plan, args):
-    kit = _make_kit(args)
-    instrument = kit.attach_cluster if kit is not None else None
-    result = run_cluster_plan(spec, plan, instrument=instrument)
-    if args.trace:
-        for number, src, dst, kind, action in result.cluster.fabric.delivery_log:
+def _print_trace(system):
+    """The numbered step trace: fabric deliveries, or storage I/O."""
+    fabric = getattr(system, "fabric", None)
+    if fabric is not None:
+        for number, src, dst, kind, action in fabric.delivery_log:
             step = f"{number:4d}" if number is not None else "   -"
             print(f"  {step} {src}->{dst} {kind} [{action}]")
-    print(f"plan: {plan.describe() or 'no-fault'}")
-    if result.driver_error:
-        print(f"console lost contact: {result.driver_error}")
-    print(f"converged: {result.converged}")
-    print(result.report.describe())
-    violations = list(result.report.violations)
-    if not result.converged:
-        violations.append("convergence: cluster did not quiesce")
+        return
+    for step in system.injector.trace:
+        print(f"  {step.number:4d} {step.kind} {step.detail}")
+
+
+def _report(verdict, kind, args, kit):
+    """Print one judged run; returns the process exit code."""
+    if args.trace:
+        _print_trace(verdict.system)
+    print(f"plan: {verdict.plan.describe()}")
+    if verdict.crash is not None:
+        print(f"crashed: step {verdict.crash.step} ({verdict.crash.kind})")
+    elif verdict.error is not None:
+        print(f"surfaced to the client: {verdict.error!r}")
+    elif kind != "cluster":
+        print("run completed; power cut applied at end")
+    facts = {}
+    if kind == "cluster":
+        print(f"converged: {verdict.converged}")
+        facts["converged"] = verdict.converged
+        facts["driver_error"] = (
+            f"{type(verdict.error).__name__}: {verdict.error}"
+            if verdict.error is not None
+            else ""
+        )
+    else:
+        print(f"recovery: {verdict.restarted.report!r}")
+    if kind == "workflow":
+        status = verdict.status.value if verdict.status else None
+        print(f"resumed: {verdict.resumed}")
+        print(f"terminal: {status}")
+        facts.update(
+            storage=args.storage, resumed=verdict.resumed, status=status
+        )
+    print(f"judgment: {verdict.judgment}")
+    if verdict.oracle is not None:
+        print(verdict.oracle.describe())
+    for violation in verdict.violations:
+        print(f"  - {violation}")
     _write_obs(kit, args)
     _verdict_line(
-        spec.name,
-        plan,
-        result.ok,
-        violations,
-        converged=result.converged,
-        driver_error=result.driver_error,
+        verdict.scenario,
+        verdict.plan,
+        verdict.ok,
+        verdict.all_violations,
+        judgment=verdict.judgment,
+        **facts,
     )
-    return 0 if result.ok else 1
+    return 0 if verdict.ok else 1
+
+
+def _instrument(kit, kind):
+    """The ``run_plan`` instrument hook that wires ``kit`` to the system."""
+    if kit is None:
+        return None
+    if kind == "cluster":
+        return kit.attach_cluster
+
+    def attach(stack):
+        kit.attach_stack(stack)
+        # Workflow scenarios: also wire the post-restart engine.
+        stack.ctx["on_resume"] = kit.attach_workflow
+
+    return attach
 
 
 def main(argv=None):
@@ -352,87 +336,61 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.list:
-        for name in scenarios.names():
-            print(f"{name}: {scenarios.get(name).description}")
-        for name in cluster_scenarios.names():
-            print(f"{name} [cluster]: {cluster_scenarios.get(name).description}")
-        for name in workflow_scenarios.names():
-            print(
-                f"{name} [workflow]:"
-                f" {workflow_scenarios.get(name).description}"
-            )
+        for name in names():
+            spec = get(name)
+            tag = "" if spec.kind == "single-site" else f" [{spec.kind}]"
+            print(f"{name}{tag}: {spec.description}")
         return 0
     if not args.scenario:
         parser.error("a scenario name is required (or --list)")
 
     plan = build_plan(args)
-
-    if args.scenario in cluster_scenarios.CLUSTER_SCENARIOS:
-        return _run_cluster(cluster_scenarios.get(args.scenario), plan, args)
-
-    if args.scenario in workflow_scenarios.WORKFLOW_SCENARIOS:
-        return _run_workflow(workflow_scenarios.get(args.scenario), plan, args)
-
-    spec = scenarios.get(args.scenario)
-    controller = (
-        ScheduleController(choices=decode_choices(args.schedule))
-        if args.schedule is not None
-        else None
-    )
-
+    spec = get(args.scenario)
     kit = _make_kit(args)
+    options = {}
 
-    if plan.is_noop and controller is not None:
-        # Pure schedule replay: drive live, judge with the live oracle.
-        stack = spec.build_stack(schedule=controller)
-        if kit is not None:
-            kit.attach_stack(stack)
-        spec.drive(stack)
-        violations = live_violations(stack)
-        if args.trace:
-            for step in stack.injector.trace:
-                print(f"  {step.number:4d} {step.kind} {step.detail}")
-        print(f"schedule: {args.schedule}")
-        if violations:
-            print("oracle VIOLATED:")
-            for violation in violations:
-                print(f"  - {violation}")
-        else:
-            print("oracle OK")
-        _write_obs(kit, args)
-        _verdict_line(
-            spec.name, plan, not violations, violations, schedule=args.schedule
-        )
-        return 1 if violations else 0
-
-    policy_factory = None
-    if args.retry is not None:
-        from repro.resilience import RetryPolicy
-
-        def policy_factory(stack, attempts=args.retry):
-            return RetryPolicy(
-                max_attempts=attempts, clock=stack.manager.clock
+    if spec.kind == "workflow":
+        if args.signal_at:
+            spec = dataclasses.replace(spec, signals=tuple(args.signal_at))
+        if args.storage == "sharded":
+            options["n_shards"] = args.shards
+    elif spec.kind == "single-site":
+        if args.schedule is not None:
+            options["schedule"] = ScheduleController(
+                choices=decode_choices(args.schedule)
             )
+        if args.retry is not None:
+            options["retry"] = args.retry
+        if plan.is_noop and args.schedule is not None:
+            return _replay_schedule(spec, plan, options["schedule"], kit, args)
 
-    outcome = run_plan(
-        spec, plan, schedule=controller, policy_factory=policy_factory,
-        instrument=kit.attach_stack if kit is not None else None,
+    verdict = run_plan(
+        spec, plan, instrument=_instrument(kit, spec.kind), **options
     )
+    return _report(verdict, spec.kind, args, kit)
+
+
+def _replay_schedule(spec, plan, controller, kit, args):
+    """Pure schedule replay: drive live, judge with the live oracle."""
+    stack = spec.build(schedule=controller)
+    if kit is not None:
+        kit.attach_stack(stack)
+    spec.drive(stack)
+    violations = live_violations(stack)
     if args.trace:
-        for step in outcome.stack.injector.trace:
-            print(f"  {step.number:4d} {step.kind} {step.detail}")
-    print(f"plan: {plan.describe()}")
-    if outcome.crash is not None:
-        print(f"crashed: step {outcome.crash.step} ({outcome.crash.kind})")
-    elif outcome.model_error is not None:
-        print(f"transient fault surfaced: {outcome.model_error!r}")
+        _print_trace(stack)
+    print(f"schedule: {args.schedule}")
+    if violations:
+        print("oracle VIOLATED:")
+        for violation in violations:
+            print(f"  - {violation}")
     else:
-        print("run completed; power cut applied at end")
-    print(f"recovery: {outcome.system.report!r}")
-    print(outcome.oracle.describe())
+        print("oracle OK")
     _write_obs(kit, args)
-    _verdict_line(spec.name, plan, outcome.ok, outcome.oracle.violations)
-    return 0 if outcome.ok else 1
+    _verdict_line(
+        spec.name, plan, not violations, violations, schedule=args.schedule
+    )
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":

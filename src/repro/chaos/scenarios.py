@@ -14,9 +14,12 @@ expected clean-run state at the end — which is what lets the oracles
 judge a crashed, half-finished, or deliberately mutated run against what
 the scenario meant to happen.
 
-The registry maps names to :class:`ScenarioSpec`; the sweep, the
-exploration tests, and the ``repro.chaos.replay`` command line all
-resolve scenarios through it.
+Every scenario registers in the one registry of
+:mod:`repro.chaos.sweep`; the sweeps, the exploration tests, and the
+``repro.chaos.replay`` command line all resolve scenarios through it.
+:class:`ScenarioSpec` is also the harness's *single-site kind*: how a
+:class:`~repro.chaos.stack.ChaosStack` run is built, driven, probed and
+judged.
 """
 
 from __future__ import annotations
@@ -28,7 +31,16 @@ from repro.acta.checker import (
     check_commit_order,
     check_group_atomicity,
 )
-from repro.chaos.stack import ChaosStack
+from repro.chaos.stack import ChaosStack, read_state
+from repro.chaos.sweep import (
+    ScenarioBrokenError,
+    get,
+    judge_recovery,
+    names,
+    register,
+    registers,
+)
+from repro.common.errors import RetryExhausted, TransientIOError
 from repro.core.dependency import DependencyType
 from repro.storage.log import FlushCoalescer
 
@@ -46,47 +58,55 @@ class ScenarioSpec:
     # kit on ``stack.resilience``.
     resilience: object = None
 
-    def build_stack(self, plan=None, seed=None, schedule=None):
-        coalescer = self.group_commit() if self.group_commit else None
-        return ChaosStack(
+    kind = "single-site"
+    # A transient fault the model could not absorb — TransientIOError
+    # with no retry policy, RetryExhausted with a spent budget — reaches
+    # the client; the run is still power-cut, restarted and judged.
+    surfaced = (TransientIOError, RetryExhausted)
+
+    def build(self, plan=None, seed=None, schedule=None, retry=None):
+        """A fresh stack; ``retry`` is the total-attempt budget of the
+        :class:`~repro.resilience.RetryPolicy` its drivers commit under
+        (``None``: no policy, faults surface raw)."""
+        stack = ChaosStack(
             plan=plan,
-            group_commit=coalescer,
+            group_commit=self.group_commit() if self.group_commit else None,
             seed=seed,
             schedule=schedule,
             resilience=self.resilience,
         )
+        if retry is not None:
+            from repro.resilience import RetryPolicy
+
+            stack.retry_policy = RetryPolicy(
+                max_attempts=retry, clock=stack.manager.clock
+            )
+        return stack
+
+    def probed(self, verdict):
+        """A clean run must land in the state the scenario declared."""
+        stack = verdict.system
+        expected = stack.intent.expected_clean
+        if not (verdict.plan.is_noop and expected):
+            return
+        actual = read_state(stack.storage)
+        wrong = {
+            oid: (actual.get(oid), want)
+            for oid, want in expected.items()
+            if actual.get(oid) != want
+        }
+        if wrong:
+            raise ScenarioBrokenError(
+                f"{self.name}: clean run deviates from declared state:"
+                f" {wrong}"
+            )
+
+    def judge(self, verdict):
+        verdict.judgment = "recovery"
+        judge_recovery(verdict)
 
 
-SCENARIOS = {}
-
-
-def register(name, description, group_commit=None, resilience=None):
-    """Decorator: register ``drive`` under ``name``."""
-
-    def wrap(drive):
-        SCENARIOS[name] = ScenarioSpec(
-            name=name,
-            description=description,
-            drive=drive,
-            group_commit=group_commit,
-            resilience=resilience,
-        )
-        return drive
-
-    return wrap
-
-
-def get(name):
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown chaos scenario {name!r}; known: {sorted(SCENARIOS)}"
-        ) from None
-
-
-def names():
-    return sorted(SCENARIOS)
+scenario = registers(ScenarioSpec)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +133,7 @@ def _read_then_write(tx, read_oid, write_oid, value):
 # ---------------------------------------------------------------------------
 
 
-@register(
+@scenario(
     "ex10_commit_abort",
     "GC group commit, AD cascade, delegation survival, explicit abort,"
     " CD-ordered commits, and a mid-run page flush (EX10 scenario)",
@@ -217,8 +237,8 @@ def _group_commit_drive(stack):
 def make_group_commit_scenario(batch):
     """Register (or fetch) the burst scenario for one batch size."""
     name = f"group_commit_batch{batch}"
-    if name not in SCENARIOS:
-        SCENARIOS[name] = ScenarioSpec(
+    if name not in names():
+        register(ScenarioSpec(
             name=name,
             description=(
                 f"{GC_BURST_COMMITS} sequential commits through a"
@@ -227,8 +247,8 @@ def make_group_commit_scenario(batch):
             ),
             drive=_group_commit_drive,
             group_commit=lambda: FlushCoalescer(max_commits=batch),
-        )
-    return SCENARIOS[name]
+        ))
+    return get(name)
 
 
 # Default registration for the replay CLI.
@@ -241,7 +261,7 @@ for _batch in (1, 2, 3, 4):
 # ---------------------------------------------------------------------------
 
 
-@register(
+@scenario(
     "checkpoint_window",
     "a sharp (truncating) checkpoint followed by fresh updates and a"
     " mid-run page write-back: once the log is truncated, redo can no"
@@ -293,7 +313,7 @@ def checkpoint_window(stack):
 # ---------------------------------------------------------------------------
 
 
-@register(
+@scenario(
     "deadlock_cascade",
     "two transactions deadlock over x/y (GC-linked, with an AD dependent)"
     " while two more race on a third object; every interleaving must keep"
@@ -342,7 +362,7 @@ def deadlock_cascade(stack):
 # ---------------------------------------------------------------------------
 
 
-@register(
+@scenario(
     "lease_expiry_mid_delegation",
     "a delegator under a heartbeat lease hands an update to a delegatee"
     " and then crashes silently (stops heartbeating); the watchdog must"
@@ -396,7 +416,7 @@ def lease_expiry_mid_delegation(stack):
 COALESCER_DEGRADE_COMMITS = 8
 
 
-@register(
+@scenario(
     "coalescer_degrade",
     f"{COALESCER_DEGRADE_COMMITS} sequential commits through a"
     " FlushCoalescer(max_commits=2) wearing a FlushHealth breaker"
@@ -431,7 +451,7 @@ def coalescer_degrade(stack):
     }
 
 
-@register(
+@scenario(
     "retry_saga",
     "a two-component saga (with a compensation) whose every commit runs"
     " under the stack's retry policy: a transient log-flush fault is"

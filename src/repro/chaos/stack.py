@@ -9,7 +9,9 @@ when the planned fault fires (a :class:`~repro.chaos.faults.CrashPoint`
 escapes), :meth:`restart` models the process death — volatile state
 abandoned, unflushed log records gone, a *fresh* storage stack rebuilt
 over the surviving devices — and runs restart recovery, exactly the
-sequence a real crash would produce.
+sequence a real crash would produce.  ``n_shards`` picks the storage
+engine: ``None`` is the flat WAL, a count is the sharded manager over
+the segmented WAL (same injector, same lifecycle).
 
 The stack also keeps the books the oracles need:
 
@@ -31,9 +33,12 @@ from dataclasses import dataclass, field
 from repro.acta.history import HistoryRecorder
 from repro.chaos.faults import FaultInjector, FaultPlan
 from repro.core.manager import TransactionManager
+from repro.core.sharded import ShardedTransactionManager
 from repro.runtime.coop import CooperativeRuntime
+from repro.runtime.sharded import ShardedRuntime
 from repro.storage.disk import InMemoryDiskManager
 from repro.storage.log import CommitRecord, MemoryLogDevice, WriteAheadLog
+from repro.storage.segmented import ShardedStorageManager
 from repro.storage.store import StorageManager
 
 
@@ -41,19 +46,17 @@ from repro.storage.store import StorageManager
 class RestartedSystem:
     """What exists after a simulated crash + restart recovery."""
 
-    storage: StorageManager
+    storage: object  # StorageManager, or the recovered ShardedStorageManager
     report: object  # RecoveryReport
     durable_records: list  # the log exactly as the restart found it
-
-    def state(self):
-        """``{oid_value: bytes}`` of every live object after recovery."""
-        return read_state(self.storage)
 
 
 def read_state(storage):
     """``{oid_value: bytes}`` snapshot of an object store's contents."""
     from repro.common.ids import ObjectId
 
+    if isinstance(storage, ShardedStorageManager):
+        return storage.object_state()
     return {
         value: storage.objects.read(ObjectId(value))
         for value in storage.objects.object_ids()
@@ -80,21 +83,28 @@ class ChaosStack:
     """A full ASSET stack wired to one fault injector."""
 
     def __init__(self, plan=None, group_commit=None, seed=None, schedule=None,
-                 resilience=None):
+                 resilience=None, n_shards=None):
         self.plan = plan if plan is not None else FaultPlan()
         self.injector = FaultInjector(plan=self.plan)
-        self.device = MemoryLogDevice(injector=self.injector)
-        self.disk = InMemoryDiskManager(injector=self.injector)
-        log = WriteAheadLog(self.device, group_commit=group_commit)
-        self.storage = StorageManager(
-            disk=self.disk, log=log, injector=self.injector
+        self.n_shards = n_shards
+        self.seed = seed
+        if n_shards is None:
+            self.device = MemoryLogDevice(injector=self.injector)
+            self.disk = InMemoryDiskManager(injector=self.injector)
+            log = WriteAheadLog(self.device, group_commit=group_commit)
+            self.storage = StorageManager(
+                disk=self.disk, log=log, injector=self.injector
+            )
+        else:
+            self.storage = ShardedStorageManager(
+                n_shards=n_shards,
+                group_commit=group_commit,
+                injector=self.injector,
+            )
+        self.runtime = self.runtime_over(
+            self.storage, failpoint=self.injector.failpoint, schedule=schedule
         )
-        self.manager = TransactionManager(
-            storage=self.storage, failpoint=self.injector.failpoint
-        )
-        self.runtime = CooperativeRuntime(
-            self.manager, seed=seed, schedule=schedule
-        )
+        self.manager = self.runtime.manager
         self.recorder = HistoryRecorder(self.manager)
         # Resilience layer (repro.resilience): ``resilience`` is None
         # (off) or a dict of install_resilience keyword overrides.  The
@@ -110,11 +120,37 @@ class ChaosStack:
                 self.manager, self.runtime, **kwargs
             )
         self.retry_policy = None
+        # Scenario scratch space that must outlive the crash: workflow
+        # scenarios keep their oids, wid and engine here so the judge
+        # can rebuild the definition over the recovered storage.
+        self.ctx = {}
         self.intent = Intent()
         self.acks = []  # every commit the system acknowledged
         self.durable_acks = []  # the subset genuinely on stable storage
         self.absorbed_acks = []  # acks absorbed by a truncating checkpoint
         self._tail_kept = False
+
+    def runtime_over(self, storage, failpoint=None, schedule=None):
+        """A fresh manager + runtime over ``storage``, in this stack's
+        flavour (flat or sharded) and seed — the stack's own at build
+        time, and the one a judge resumes on after :meth:`restart`."""
+        if self.n_shards is None:
+            manager = TransactionManager(storage=storage, failpoint=failpoint)
+            return CooperativeRuntime(
+                manager, seed=self.seed, schedule=schedule
+            )
+        manager = ShardedTransactionManager(
+            n_shards=self.n_shards, storage=storage, failpoint=failpoint
+        )
+        return ShardedRuntime(
+            manager=manager, seed=self.seed, schedule=schedule
+        )
+
+    def _segments(self):
+        """Every write-ahead log of the stack: one when flat, one per shard."""
+        if self.n_shards is None:
+            return [self.storage.log]
+        return [shard.log for shard in self.storage.shards]
 
     # -- intent bookkeeping (called by scenarios, ahead of the primitive) --
 
@@ -145,12 +181,16 @@ class ChaosStack:
                 self.durable_acks.append(tid)
 
     def _commit_is_durable(self, tid):
-        durable = self.device.durable_count()
-        for index, record in enumerate(self.storage.log.records()):
-            if index >= durable:
-                break
-            if isinstance(record, CommitRecord) and tid in record.committed_tids():
-                return True
+        for log in self._segments():
+            durable = log.device.durable_count()
+            for index, record in enumerate(log.records()):
+                if index >= durable:
+                    break
+                if (
+                    isinstance(record, CommitRecord)
+                    and tid in record.committed_tids()
+                ):
+                    return True
         return False
 
     def commit(self, tid, *group):
@@ -197,17 +237,29 @@ class ChaosStack:
         survived, a fresh storage stack is built over the same disk, and
         restart recovery runs.
 
-        ``recovery_injector`` arms a *new* injector over the surviving
-        devices so recovery's own I/O can be crashed (the idempotence
-        tests); a :class:`~repro.chaos.faults.CrashPoint` it raises
-        propagates to the caller, who simply calls :meth:`restart` again
-        — as many times as it takes, like a machine in a reboot loop.
+        ``recovery_injector`` (flat WAL only) arms a *new* injector over
+        the surviving devices so recovery's own I/O can be crashed (the
+        idempotence tests); a :class:`~repro.chaos.faults.CrashPoint` it
+        raises propagates to the caller, who simply calls :meth:`restart`
+        again — as many times as it takes, like a machine in a reboot
+        loop.  The sharded store crashes and recovers in place (its
+        segments own their devices), so its restarted storage is the
+        same object, recovered.
         """
         self.injector.disarm()
         if self.plan.keep_tail and not self._tail_kept:
             # The OS wrote back the volatile tail before the power went.
             self._tail_kept = True
-            self.device._advance_durable()
+            for log in self._segments():
+                log.device._advance_durable()
+        if self.n_shards is not None:
+            self.storage.crash()
+            report = self.storage.recover()
+            return RestartedSystem(
+                storage=self.storage,
+                report=report,
+                durable_records=list(self.storage.log.records()),
+            )
         self.device.crash()
         if recovery_injector is not None:
             self.device.injector = recovery_injector

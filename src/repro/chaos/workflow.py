@@ -11,40 +11,40 @@ A :class:`WorkflowScenarioSpec` packages one such workload: a setup
 phase that creates the durable inventory, a definition factory (bodies
 close over the setup's oids, so the post-restart re-registration binds
 to the surviving objects — the durable log stores definition *names*,
-never code), a signal script, and a final-state check.  Scenarios are
-registered in :data:`WORKFLOW_SCENARIOS` and resolvable from the replay
-CLI (``python -m repro.chaos.replay workflow_travel_crash``).
+never code), a signal script, and a final-state check.  It is also the
+harness's *workflow kind* — the ``build`` / ``drive`` / ``judge`` the
+one driver in :mod:`repro.chaos.sweep` runs: drive on a
+:class:`~repro.chaos.stack.ChaosStack` (flat WAL, or the sharded
+segmented WAL when a shard count is given), crash, restart — judged by
+``evaluate_recovery`` + ``check_idempotent`` on the flat log — then
+rebuild a manager/runtime/engine over the recovered storage,
+``recover()``, resume to terminal, and hold the result to the terminal
+status, the scenario's checks, fold agreement and no leaked
+transactions.  Scenarios register in the shared registry and replay
+from the CLI (``python -m repro.chaos.replay workflow_travel_crash``).
 
-Two runners share the scenario vocabulary:
-
-* :func:`run_workflow_plan` — the flat-WAL path over a full
-  :class:`~repro.chaos.stack.ChaosStack`: drive, crash, restart, judge
-  with ``evaluate_recovery`` + ``check_idempotent``, then rebuild a
-  manager/runtime/engine over the recovered storage, ``recover()``, and
-  resume to terminal;
-* :func:`run_sharded_workflow_plan` — the same schedule over the
-  sharded segmented WAL (``ShardedStorageManager.crash()/recover()``
-  restart in place), judged on terminal status, scenario checks, fold
-  agreement, and no leaked transactions.
-
-:func:`workflow_crash_sweep` enumerates ``crash_at=k`` for every
-numbered I/O step of the scenario with coverage accounting, exactly like
-:func:`repro.chaos.sweep.crash_sweep`.
+:func:`workflow_crash_sweep` is :func:`~repro.chaos.sweep.crash_steps`
+over the scenario's probe: ``crash_at=k`` for every numbered I/O step,
+with the same coverage accounting as every other sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.chaos.faults import CrashPoint, FaultPlan
-from repro.chaos.oracles import analyze_log, check_idempotent, evaluate_recovery
-from repro.chaos.stack import ChaosStack
-from repro.chaos.sweep import FailureArtifact, ScenarioBrokenError
+from repro.chaos.oracles import analyze_log
+from repro.chaos.stack import ChaosStack, read_state
+from repro.chaos.sweep import (
+    ScenarioBrokenError,
+    crash_steps,
+    judge_recovery,
+    probe,
+    register,
+    sweep,
+)
 from repro.common.codec import decode_int, decode_json, encode_int, encode_json
 from repro.common.errors import AssetError
 from repro.core.descriptors import TransactionStatus
-from repro.core.manager import TransactionManager
-from repro.runtime.coop import CooperativeRuntime
 from repro.workflow.definition import (
     DefinitionRegistry,
     WorkflowDefinition,
@@ -62,7 +62,7 @@ MAX_DRIVE_ROUNDS = 64
 
 @dataclass
 class WorkflowScenarioSpec:
-    """One registered workflow chaos workload."""
+    """One registered workflow chaos workload (and the workflow kind)."""
 
     name: str
     description: str
@@ -73,40 +73,75 @@ class WorkflowScenarioSpec:
     expected_terminal: tuple = (ExecutionStatus.COMPLETED,)
     check: object = None     # (ctx, storage, execution) -> None (asserts)
 
+    kind = "workflow"
+    surfaced = ()  # a workflow drive absorbs everything but the crash
 
-WORKFLOW_SCENARIOS = {}
+    def build(self, plan=None, n_shards=None):
+        """A seeded stack: flat WAL, or ``n_shards`` segments."""
+        return ChaosStack(plan=plan, seed=0, n_shards=n_shards)
+
+    def _engine(self, runtime, ctx, note_ack=None):
+        registry = DefinitionRegistry()
+        registry.register(self.definition(ctx))
+        return DurableWorkflowEngine(runtime, registry, on_commit=note_ack)
+
+    def drive(self, stack):
+        """Setup + start + drive on a live (possibly fault-armed) stack."""
+        ctx = stack.ctx
+        setup_tids = self.setup(stack.runtime, ctx)
+        ctx["setup_done"] = True
+        stack.note_ack(*setup_tids)
+        engine = self._engine(stack.runtime, ctx, note_ack=stack.note_ack)
+        ctx["engine"] = engine
+        # Pin the wid *before* start: a crash inside start() must still
+        # let the post-restart judge find (and resume) the execution.
+        ctx["wid"] = 1
+        engine.start(self.name, wid=ctx["wid"])
+        drive_to_terminal(engine, ctx["wid"], self)
+
+    def probed(self, verdict):
+        """A clean run still restarts at the end (power cut after
+        completion) and must recover to its expected terminal status."""
+        if not verdict.plan.is_noop:
+            return
+        self.judge(verdict)
+        if not verdict.ok:
+            raise ScenarioBrokenError(
+                f"{self.name}: clean run failed its own checks:"
+                f" {verdict.all_violations}"
+            )
+        if verdict.status not in self.expected_terminal:
+            raise ScenarioBrokenError(
+                f"{self.name}: clean run ended {verdict.status}"
+            )
+
+    def judge(self, verdict):
+        """Restart, judge the recovery, then resume to terminal."""
+        stack = verdict.system
+        verdict.judgment = "workflow"
+        judge_recovery(verdict)
+        ctx = stack.ctx
+        if not ctx.get("setup_done"):
+            # Crashed inside setup: no definition can be rebuilt (its
+            # bodies bind the setup's oids) and no execution can exist
+            # durably.
+            return
+        storage = verdict.restarted.storage
+        engine = self._engine(stack.runtime_over(storage), ctx)
+        # ``on_resume`` (set by an instrument hook) sees the resumed
+        # engine before ``recover()`` runs, so an attached observability
+        # kit folds the resumed half of the record stream.
+        if "on_resume" in ctx:
+            ctx["on_resume"](engine)
+        verdict.resumed = ctx.get("wid") in engine.recover()
+        verdict.status = _judge_final(
+            self, ctx, storage, engine, verdict.violations
+        )
 
 
-def register(spec):
-    WORKFLOW_SCENARIOS[spec.name] = spec
-    return spec
-
-
-def get(name):
-    if name not in WORKFLOW_SCENARIOS:
-        known = ", ".join(sorted(WORKFLOW_SCENARIOS))
-        raise KeyError(f"unknown workflow scenario {name!r} (known: {known})")
-    return WORKFLOW_SCENARIOS[name]
-
-
-def names():
-    return sorted(WORKFLOW_SCENARIOS)
-
-
-# ---------------------------------------------------------------------------
-# driving
-# ---------------------------------------------------------------------------
-
-
-def _build_engine(runtime, spec, ctx, note_ack=None):
-    registry = DefinitionRegistry()
-    registry.register(spec.definition(ctx))
-    return DurableWorkflowEngine(runtime, registry, on_commit=note_ack)
-
-
-def drive_to_terminal(engine, wid, spec, signal_script=None):
+def drive_to_terminal(engine, wid, spec):
     """Deliver scripted signals / fire timers until the run terminates."""
-    pool = list(spec.signals if signal_script is None else signal_script)
+    pool = list(spec.signals)
     rounds = 0
     while not engine.status(wid).is_terminal:
         rounds += 1
@@ -147,35 +182,13 @@ def drive_to_terminal(engine, wid, spec, signal_script=None):
     return engine.status(wid)
 
 
-def _drive_scenario(stack, spec, ctx):
-    """Setup + start + drive on a live (possibly fault-armed) stack."""
-    setup_tids = spec.setup(stack.runtime, ctx)
-    ctx["setup_done"] = True
-    note_ack = getattr(stack, "note_ack", None)
-    if note_ack is not None:
-        for tid in setup_tids:
-            note_ack(tid)
-    engine = _build_engine(stack.runtime, spec, ctx, note_ack=note_ack)
-    ctx["engine"] = engine
-    # Pin the wid *before* start: a crash inside start() must still let
-    # the post-restart judge find (and resume) the execution.
-    ctx["wid"] = 1
-    engine.start(spec.name, wid=ctx["wid"])
-    drive_to_terminal(engine, ctx["wid"], spec)
-
-
-# ---------------------------------------------------------------------------
-# judging helpers
-# ---------------------------------------------------------------------------
-
-
 def live_transactions(manager):
     """Transactions still holding resources — must be zero at the end."""
     return sum(1 for td in manager.table if not td.status.is_terminated)
 
 
 def _judge_final(spec, ctx, storage, engine, violations):
-    """Terminal-phase checks shared by both storage paths."""
+    """The resumed run: terminal status, checks, leaks, fold agreement."""
     wid = ctx.get("wid")
     if wid is None or wid not in engine.executions():
         # The crash predated the durable ``started`` record: there is no
@@ -200,7 +213,8 @@ def _judge_final(spec, ctx, storage, engine, violations):
             " resumed run terminated"
         )
     # The fold oracle: the durable log alone must tell the same story
-    # the live engine does (status and per-step outcomes).
+    # the live engine does (status and per-step outcomes).  The winners
+    # come from the harness's own log analysis, not the engine's.
     log_records = list(storage.log.records())
     winners = {
         getattr(tid, "value", tid)
@@ -224,276 +238,13 @@ def _judge_final(spec, ctx, storage, engine, violations):
     return status
 
 
-@dataclass
-class WorkflowRunOutcome:
-    """One faulted workflow run: crash, restart, resume, judgement."""
-
-    plan: FaultPlan
-    crash: object = None          # the CrashPoint, or None (clean run)
-    oracle: object = None         # OracleReport (flat path only)
-    status: object = None         # terminal ExecutionStatus, or None
-    resumed: bool = False         # did recovery hand back an in-flight run?
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        if self.oracle is not None and not self.oracle.ok:
-            return False
-        return not self.violations
-
-
-# ---------------------------------------------------------------------------
-# the flat-WAL runner (full oracle battery)
-# ---------------------------------------------------------------------------
-
-
-def run_workflow_plan(spec, plan, seed=0, instrument=None,
-                      instrument_resume=None):
-    """Drive ``spec`` under ``plan`` on a flat-WAL ChaosStack; crash,
-    restart, judge with the standard oracles, then resume to terminal.
-
-    ``instrument`` sees the pre-crash stack; ``instrument_resume`` sees
-    the post-restart engine before ``recover()`` runs, so an attached
-    observability kit folds the resumed half of the record stream.
-    """
-    stack = ChaosStack(plan=plan, seed=seed)
-    if instrument is not None:
-        instrument(stack)
-    ctx = {}
-    crash = None
-    try:
-        _drive_scenario(stack, spec, ctx)
-    except CrashPoint as fired:
-        crash = fired
-    system = stack.restart()
-    oracle = evaluate_recovery(
-        system,
-        stack.intent,
-        stack.durable_acks,
-        label=f"{spec.name}: {plan.describe()}",
-    )
-    check_idempotent(system, oracle)
-    outcome = WorkflowRunOutcome(plan=plan, crash=crash, oracle=oracle)
-    if not ctx.get("setup_done"):
-        # Crashed inside setup: no definition can be rebuilt (its bodies
-        # bind the setup's oids) and no execution can exist durably.
-        return outcome
-    manager = TransactionManager(storage=system.storage)
-    runtime = CooperativeRuntime(manager, seed=seed)
-    engine = _build_engine(runtime, spec, ctx)
-    if instrument_resume is not None:
-        instrument_resume(engine)
-    recovered = engine.recover()
-    outcome.resumed = ctx.get("wid") in recovered
-    outcome.status = _judge_final(
-        spec, ctx, system.storage, engine, outcome.violations
-    )
-    return outcome
-
-
-# ---------------------------------------------------------------------------
-# the sharded-WAL runner (differential twin)
-# ---------------------------------------------------------------------------
-
-
-class ShardedWorkflowStack:
-    """A sharded stack with the crash/restart lifecycle sweeps need."""
-
-    def __init__(self, plan=None, n_shards=4, seed=0):
-        from repro.chaos.faults import FaultInjector
-        from repro.core.sharded import ShardedTransactionManager
-        from repro.runtime.sharded import ShardedRuntime
-        from repro.storage.segmented import ShardedStorageManager
-
-        self.plan = plan if plan is not None else FaultPlan()
-        self.injector = FaultInjector(plan=self.plan)
-        self.n_shards = n_shards
-        self.seed = seed
-        self.storage = ShardedStorageManager(
-            n_shards=n_shards, injector=self.injector
-        )
-        self.manager = ShardedTransactionManager(
-            n_shards=n_shards,
-            storage=self.storage,
-            failpoint=self.injector.failpoint,
-        )
-        self.runtime = ShardedRuntime(manager=self.manager, seed=seed)
-
-    def restart(self):
-        """Power cut + in-place segmented recovery; fresh manager/runtime."""
-        from repro.core.sharded import ShardedTransactionManager
-        from repro.runtime.sharded import ShardedRuntime
-
-        self.injector.disarm()
-        self.storage.crash()
-        self.storage.recover()
-        self.manager = ShardedTransactionManager(
-            n_shards=self.n_shards, storage=self.storage
-        )
-        self.runtime = ShardedRuntime(manager=self.manager, seed=self.seed)
-        return self.storage
-
-
-def run_sharded_workflow_plan(spec, plan, n_shards=4, seed=0,
-                              instrument_resume=None):
-    """The same scenario through the sharded segmented WAL."""
-    stack = ShardedWorkflowStack(plan=plan, n_shards=n_shards, seed=seed)
-    ctx = {}
-    crash = None
-    try:
-        _drive_scenario(stack, spec, ctx)
-    except CrashPoint as fired:
-        crash = fired
-    stack.restart()
-    outcome = WorkflowRunOutcome(plan=plan, crash=crash)
-    if not ctx.get("setup_done"):
-        return outcome
-    engine = _build_engine(stack.runtime, spec, ctx)
-    if instrument_resume is not None:
-        instrument_resume(engine)
-    recovered = engine.recover()
-    outcome.resumed = ctx.get("wid") in recovered
-    outcome.status = _judge_final(
-        spec, ctx, stack.storage, engine, outcome.violations
-    )
-    return outcome
-
-
-# ---------------------------------------------------------------------------
-# the sweep
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class WorkflowSweepResult:
-    """Coverage accounting for one workflow crash sweep."""
-
-    scenario: str
-    storage: str = "flat"
-    total_steps: int = 0
-    crash_steps_covered: set = field(default_factory=set)
-    runs: int = 0
-    resumed_runs: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    @property
-    def coverage_complete(self):
-        return self.crash_steps_covered == set(range(1, self.total_steps + 1))
-
-    def describe(self):
-        lines = [
-            f"workflow sweep of {self.scenario} ({self.storage}):"
-            f" {self.runs} runs,"
-            f" {len(self.crash_steps_covered)}/{self.total_steps} crash"
-            f" steps, {self.resumed_runs} resumed,"
-            f" {len(self.failures)} failures",
-        ]
-        for artifact in self.failures:
-            lines.append(f"  plan: {artifact.plan}")
-            lines += [f"    - {v}" for v in artifact.violations]
-            if artifact.replay:
-                lines.append(f"    replay: {artifact.replay}")
-        return "\n".join(lines)
-
-
-def probe_workflow(spec, storage="flat", n_shards=4, seed=0):
-    """Clean run; returns the run's injector (its steps are the universe).
-
-    Raises :class:`ScenarioBrokenError` when the clean run does not reach
-    the scenario's expected terminal status with its checks green.
-    """
-    runner = run_workflow_plan if storage == "flat" else (
-        lambda s, p, seed=seed: run_sharded_workflow_plan(
-            s, p, n_shards=n_shards, seed=seed
-        )
-    )
-    # A clean plan still restarts at the end (power cut after completion)
-    # and must recover to the same terminal status.
-    outcome = runner(spec, FaultPlan(label="clean"), seed=seed)
-    if outcome.crash is not None:
-        raise ScenarioBrokenError(
-            f"{spec.name}: clean run crashed: {outcome.crash}"
-        )
-    if not outcome.ok:
-        raise ScenarioBrokenError(
-            f"{spec.name}: clean run failed its own checks:"
-            f" {outcome.violations}"
-            + (
-                f" oracle: {outcome.oracle.violations}"
-                if outcome.oracle is not None and not outcome.oracle.ok
-                else ""
-            )
-        )
-    if outcome.status not in spec.expected_terminal:
-        raise ScenarioBrokenError(
-            f"{spec.name}: clean run ended {outcome.status}"
-        )
-    return outcome
-
-
-def _count_steps(spec, storage, n_shards, seed):
-    """Number the scenario's I/O universe with a no-fault drive."""
-    if storage == "flat":
-        stack = ChaosStack(plan=FaultPlan(), seed=seed)
-    else:
-        stack = ShardedWorkflowStack(
-            plan=FaultPlan(), n_shards=n_shards, seed=seed
-        )
-    ctx = {}
-    _drive_scenario(stack, spec, ctx)
-    return stack.injector.step_count
-
-
-def workflow_replay_command(scenario_name, plan):
-    from repro.chaos.sweep import replay_command
-
-    return replay_command(scenario_name, plan)
-
-
-def workflow_crash_sweep(spec, storage="flat", n_shards=4, seed=0,
-                         stop_at_first=False):
+def workflow_crash_sweep(spec, n_shards=None, stop_at_first=False):
     """Crash at every numbered I/O step; restart, recover, resume, judge."""
-    probe_workflow(spec, storage=storage, n_shards=n_shards, seed=seed)
-    total = _count_steps(spec, storage, n_shards, seed)
-    result = WorkflowSweepResult(
-        scenario=spec.name, storage=storage, total_steps=total
+    trace = probe(spec, n_shards=n_shards)
+    return sweep(
+        spec, crash_steps(trace), trace=trace,
+        stop_at_first=stop_at_first, n_shards=n_shards,
     )
-    for step in range(1, total + 1):
-        plan = FaultPlan(crash_at=step, label=f"crash@{step}")
-        if storage == "flat":
-            outcome = run_workflow_plan(spec, plan, seed=seed)
-        else:
-            outcome = run_sharded_workflow_plan(
-                spec, plan, n_shards=n_shards, seed=seed
-            )
-        result.runs += 1
-        result.crash_steps_covered.add(step)
-        if outcome.resumed:
-            result.resumed_runs += 1
-        if not outcome.ok:
-            violations = list(outcome.violations)
-            if outcome.oracle is not None:
-                violations.extend(outcome.oracle.violations)
-            result.failures.append(
-                FailureArtifact(
-                    scenario=spec.name,
-                    plan=plan.to_dict(),
-                    violations=violations,
-                    crash_step=(
-                        f"{outcome.crash.step}:{outcome.crash.kind}"
-                        if outcome.crash is not None
-                        else None
-                    ),
-                    replay=workflow_replay_command(spec.name, plan),
-                )
-            )
-            if stop_at_first:
-                return result
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -544,20 +295,14 @@ def _travel_definition(name, waits=None):
     return definition
 
 
-def _read_raw(storage, oid):
-    """Read one object's bytes from either storage engine."""
-    value = getattr(oid, "value", oid)
-    object_state = getattr(storage, "object_state", None)
-    if object_state is not None:  # ShardedStorageManager
-        return object_state()[value]
-    from repro.common.ids import ObjectId
-
-    return storage.objects.read(ObjectId(value))
+def _stored(storage, ctx, name):
+    """One named object's bytes, straight from either storage engine."""
+    return read_state(storage)[ctx["oids"][name].value]
 
 
 def _booked(storage, ctx, name):
-    """Booking count of one travel resource straight from storage."""
-    return len(decode_json(_read_raw(storage, ctx["oids"][name]))["bookings"])
+    """Booking count of one travel resource."""
+    return len(decode_json(_stored(storage, ctx, name))["bookings"])
 
 
 def _check_travel_completed(ctx, storage, execution):
@@ -630,7 +375,7 @@ def _approval_definition(name, timeout=40, on_timeout="fail"):
 
 
 def _value_of(storage, ctx, name):
-    return decode_int(_read_raw(storage, ctx["oids"][name]))
+    return decode_int(_stored(storage, ctx, name))
 
 
 def _check_signal_timeout(ctx, storage, execution):

@@ -1,30 +1,38 @@
 """Cluster chaos scenarios: deterministic multi-site workloads.
 
-The single-site chaos registry drives a :class:`~repro.chaos.stack.ChaosStack`;
+The single-site chaos scenarios drive a :class:`~repro.chaos.stack.ChaosStack`;
 these drive a whole :class:`~repro.cluster.cluster.Cluster`.  The same
 determinism contract applies — a scenario is a pure function of the
 fault plan, so a message-step sweep replays the identical workload once
 per numbered step and a failing plan is a reproduction recipe.
 
 Each spec names the sites it needs and, for the partition sweeps, the
-canonical ways to split them.  The ``repro.chaos.replay`` command line
-resolves cluster scenarios through :data:`CLUSTER_SCENARIOS` exactly as
-it resolves single-site ones through the chaos registry.
+canonical ways to split them.  :class:`ClusterScenarioSpec` is also the
+harness's *cluster kind* — the ``build`` / ``drive`` / ``judge`` the one
+driver in :mod:`repro.chaos.sweep` runs — and every scenario registers
+in that module's shared registry, which is what the
+``repro.chaos.replay`` command line resolves names against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.chaos.sweep import registers
 from repro.cluster.cluster import Cluster
+from repro.common.errors import AssetError
 from repro.core.dependency import DependencyType
 
-__all__ = ["ClusterScenarioSpec", "CLUSTER_SCENARIOS", "get", "names", "register"]
+__all__ = ["CONVERGE_ROUNDS", "ClusterScenarioSpec", "cluster_scenario"]
+
+# Rounds a repaired cluster gets to quiesce: comfortably past the lease
+# lapse plus a full takeover exchange.
+CONVERGE_ROUNDS = 240
 
 
 @dataclass(frozen=True)
 class ClusterScenarioSpec:
-    """A named deterministic multi-site workload."""
+    """A named deterministic multi-site workload (and the cluster kind)."""
 
     name: str
     description: str
@@ -33,6 +41,13 @@ class ClusterScenarioSpec:
     # Canonical splits for the partition sweep: tuples of site-name
     # groups.  Default: isolate each site in turn.
     partitions: tuple = ()
+
+    kind = "cluster"
+    # The driver (console) half is allowed to fail — a crashed
+    # coordinator or a severed link can starve its RPCs.  The oracles
+    # judge what the *sites* did, and the whole point of presumed abort
+    # is that the cluster settles without the console's help.
+    surfaced = (AssetError,)
 
     def build(self, plan=None, **options):
         return Cluster(sites=self.sites, plan=plan, **options)
@@ -45,37 +60,75 @@ class ClusterScenarioSpec:
             ((name,), tuple(s for s in rest if s != name)) for name in rest
         )
 
+    def probed(self, verdict):
+        """Let the run settle with the plan still armed, so the trace
+        carries the recovery traffic the fault provokes."""
+        verdict.system.converge(CONVERGE_ROUNDS)
 
-CLUSTER_SCENARIOS = {}
+    def judge(self, verdict):
+        """The operator repairs the world; the protocol must do the rest.
 
+        Heal the partition, disarm the plan, restart what is down, give
+        the cluster its convergence rounds, then judge the durable logs
+        with the cross-site oracles.  That is the ``"cluster"`` judgment.
 
-def register(name, description, sites=("alpha", "beta", "gamma"), partitions=()):
-    """Decorator: register ``drive`` under ``name``."""
-
-    def wrap(drive):
-        CLUSTER_SCENARIOS[name] = ClusterScenarioSpec(
-            name=name,
-            description=description,
-            drive=drive,
-            sites=tuple(sites),
-            partitions=tuple(partitions),
+        A plan that kills the coordinator (``kill_coordinator_at``) is a
+        *permanent-death* plan and gets the two-phase ``"failover"``
+        judgment instead.  Phase 1 — the killed site stays dead.  The
+        survivors' lease-paced takeover must settle every live member on
+        its own: a coordinator that will never answer must not leave a
+        participant PREPARED past the lease budget, and any live site
+        still holding prepared or in-doubt state after the convergence
+        budget is a liveness violation.  Only the plan's ``site_crash_at``
+        victim — a second death, whose logged takeover claim must resume
+        — restarts before this phase; when that victim *is* the dead
+        coordinator the restart exercises the reborn-coordinator
+        self-takeover path instead.  Demanding settlement with two
+        members permanently silent would be wrong: the silent one may be
+        a commit witness, which is exactly the blocking case 2PC cannot
+        decide safely.  Phase 2 — the operator restarts the dead sites;
+        their durable logs rejoin the judgment and the full oracles
+        (cross-site atomicity, no dual decision, convergence) run over
+        everything.
+        """
+        cluster, plan = verdict.system, verdict.plan
+        failover = plan.kill_coordinator_at is not None
+        verdict.judgment = "failover" if failover else "cluster"
+        cluster.injector.disarm()
+        cluster.heal()
+        liveness = []
+        if failover:
+            if plan.site_crash_at is not None:
+                victim = plan.site_crash_at[0]
+                if victim in cluster.sites and not cluster.sites[victim].up:
+                    cluster.restart_site(victim)
+            if not cluster.converge(CONVERGE_ROUNDS):
+                liveness.append(
+                    "survivors did not quiesce before the dead sites were"
+                    " restarted"
+                )
+            stranded = sorted(
+                name
+                for name, site in cluster.sites.items()
+                if site.up and (site.prepared or site.in_doubt)
+            )
+            if stranded:
+                liveness.append(
+                    f"sites {stranded} still hold prepared/in-doubt members"
+                    f" with the coordinator permanently dead"
+                )
+        cluster.restart_down_sites()
+        verdict.converged = cluster.converge(CONVERGE_ROUNDS)
+        verdict.oracle, verdict.analyses = cluster.evaluate(
+            label=plan.describe()
         )
-        return drive
-
-    return wrap
-
-
-def get(name):
-    try:
-        return CLUSTER_SCENARIOS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown cluster scenario {name!r}; known: {sorted(CLUSTER_SCENARIOS)}"
-        ) from None
+        for finding in liveness:
+            verdict.oracle.fail("takeover-liveness", finding)
+        if not verdict.converged:
+            verdict.violations.append("convergence: cluster did not quiesce")
 
 
-def names():
-    return sorted(CLUSTER_SCENARIOS)
+cluster_scenario = registers(ClusterScenarioSpec)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +153,7 @@ def _account_body(tag):
 # ---------------------------------------------------------------------------
 
 
-@register(
+@cluster_scenario(
     "cluster_group_commit",
     "one component per site, GC-linked across the fabric, committed by"
     " presumed-abort 2PC with the first site coordinating (EX18 happy path)",
@@ -114,7 +167,7 @@ def cluster_group_commit(cluster):
     return cluster.group_commit(refs)
 
 
-@register(
+@cluster_scenario(
     "cluster_abort_propagation",
     "a GC-linked cross-site group where the console aborts one member"
     " before the vote: the abort must propagate over the proxy web and"
@@ -131,7 +184,7 @@ def cluster_abort_propagation(cluster):
     return cluster.group_commit(refs)
 
 
-@register(
+@cluster_scenario(
     "cluster_delegation_handoff",
     "a giver delegates its account to a remote receiver (giver-site log"
     " attributes undo to the receiver's proxy), the receiver writes at"
@@ -158,7 +211,7 @@ def cluster_delegation_handoff(cluster):
 # ---------------------------------------------------------------------------
 
 
-@register(
+@cluster_scenario(
     "cluster_membership_churn",
     "a placed workload while membership churns: delta joins (epoch bump"
     " rebalances the shard ranges), beta leaves handing its in-flight"

@@ -1,340 +1,206 @@
-"""Message-step fault sweeps over cluster scenarios.
+"""Message-step fault dimensions over cluster scenarios.
 
-The cross-site analogue of :mod:`repro.chaos.sweep`: a probe run with a
-no-op plan numbers every fabric message (step kind ``net_msg``); the
-sweep then replays the scenario once per step per fault shape —
+The cluster front-end of the one sweep harness
+(:mod:`repro.chaos.sweep`): a probe numbers every fabric message (step
+kind ``net_msg``), and each fault dimension here is a generator of
+:class:`~repro.chaos.sweep.Case`\\ s over those message steps —
 
 * **drop / duplicate / delay** the message at that step;
 * **crash a site** the moment that step is sent (power cut: volatile
   state and the unflushed log tail are gone);
 * **install a partition** at that step and heal it a fixed number of
-  steps later.
+  steps later;
+* **kill the coordinator** permanently at that step;
+* a site **joins**, or **leaves** handing its ranges to a successor.
 
-After the faulted run, the harness models the operator fixing the world
-— heal the partition, disarm the plan, restart every down site — and
-gives the cluster its convergence rounds.  Then the durable logs are
-judged by the cross-site atomicity and convergence oracles.  Every
-verdict carries its plan, so a failure is a one-line reproduction
-recipe for ``repro.chaos.replay``.
+Generators that extend a ``base`` plan compose: the takeover sweep is
+site crashes over the trace of a coordinator kill, the release-blackout
+sweep is coordinator kills over the trace of a DECISION blackout.
+:func:`message_sweep` (any one dimension over the fault-free run) and
+the two composed sweeps probe, pick generators and call
+:func:`~repro.chaos.sweep.sweep`, which runs each plan through the
+cluster kind (:meth:`repro.cluster.scenarios.ClusterScenarioSpec.judge`
+models the operator fixing the world, then judges the durable logs) and
+returns the shared :class:`~repro.chaos.sweep.SweepResult`: every
+verdict carries its plan, and every failure a
+:class:`~repro.chaos.sweep.FailureArtifact` whose ``replay`` is a
+one-line reproduction recipe for ``repro.chaos.replay``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.chaos.faults import NET_MSG, FaultPlan
-from repro.common.errors import AssetError
+from repro.chaos.faults import FaultPlan
+from repro.chaos.sweep import Case, probe, sweep
 
 __all__ = [
-    "ClusterRunResult",
-    "coordinator_death_sweep",
-    "join_sweep",
-    "leave_sweep",
-    "message_fault_sweep",
-    "probe_message_steps",
-    "probe_plan_steps",
+    "coordinator_deaths",
+    "joins",
+    "leaves",
+    "message_faults",
+    "message_sweep",
+    "partitions",
     "release_blackout_sweep",
-    "run_cluster_plan",
-    "run_failover_plan",
-    "partition_sweep",
-    "site_crash_sweep",
+    "site_crashes",
     "takeover_death_sweep",
 ]
 
+# ``heal_at`` trails ``partition_at`` by this many message-step numbers:
+# retries and inquiries keep the step counter moving during the
+# partition, so the heal always fires — after which the convergence
+# oracle demands every member settle.
+HEAL_AFTER = 16
 
-@dataclass
-class ClusterRunResult:
-    """One faulted cluster run, judged."""
-
-    plan: FaultPlan
-    report: object
-    converged: bool
-    driver_error: str = ""
-    analyses: dict = field(default_factory=dict)
-    step: int = None
-    detail: str = ""
-    cluster: object = None
-
-    @property
-    def ok(self):
-        return self.converged and self.report.ok
-
-    def describe(self):
-        state = "OK" if self.ok else "FAILED"
-        step = f" step={self.step}" if self.step is not None else ""
-        extra = f" [{self.detail}]" if self.detail else ""
-        return f"{state} {self.plan.describe()}{step}{extra}"
+_MESSAGE_FAULTS = {
+    "drop": "drop_msg_at",
+    "duplicate": "dup_msg_at",
+    "delay": "delay_msg_at",
+}
 
 
-def probe_message_steps(spec, **options):
-    """Dry-run the scenario and return its message-step universe.
-
-    Returns ``[(number, detail), ...]`` — the numbered ``net_msg`` steps
-    of a fault-free run, with ``src->dst:kind`` labels.  Deterministic
-    prefix property: in a swept run, every step *before* the faulted one
-    is the same message as in this probe.
-    """
-    cluster = spec.build(plan=FaultPlan(), **options)
-    spec.drive(cluster)
-    cluster.converge()
-    return [
-        (step.number, step.detail)
-        for step in cluster.injector.trace
-        if step.kind == NET_MSG
-    ]
+# ---------------------------------------------------------------------------
+# fault dimensions: generators over ``[(message step, detail), ...]``
+# ---------------------------------------------------------------------------
 
 
-def run_cluster_plan(
-    spec, plan, converge_rounds=240, step=None, detail="",
-    instrument=None, **options,
-):
-    """Drive the scenario under ``plan``, then recover and judge.
-
-    The driver (console) half is allowed to fail — a crashed coordinator
-    or a severed link can starve its RPCs — and the error is recorded,
-    not raised: the oracles judge what the *sites* did, and the whole
-    point of presumed abort is that the cluster settles without the
-    console's help.
-
-    ``instrument`` is called with the freshly built cluster before the
-    scenario drives it — the hook ``repro.obs`` (and the replay CLI's
-    ``--metrics-out``/``--trace-out``) uses to attach observers.
-    """
-    cluster = spec.build(plan=plan, **options)
-    if instrument is not None:
-        instrument(cluster)
-    driver_error = ""
-    try:
-        spec.drive(cluster)
-    except AssetError as exc:
-        driver_error = f"{type(exc).__name__}: {exc}"
-    # The operator repairs the world; the protocol must do the rest.
-    cluster.injector.disarm()
-    cluster.heal()
-    cluster.restart_down_sites()
-    converged = cluster.converge(converge_rounds)
-    report, analyses = cluster.evaluate(label=plan.describe() or "no-fault")
-    return ClusterRunResult(
-        plan=plan,
-        report=report,
-        converged=converged,
-        driver_error=driver_error,
-        analyses=analyses,
-        step=step,
-        detail=detail,
-        cluster=cluster,
-    )
+def _under(base):
+    return "" if base.is_noop else f" under {base.describe()}"
 
 
-def probe_plan_steps(spec, plan, converge_rounds=240, **options):
-    """The message-step universe of a run under ``plan``.
-
-    Second-order sweeps need this: the steps after a coordinator kill
-    include the takeover traffic itself (heartbeat lapses, evidence
-    polls, the usurper's decision), which a fault-free probe never
-    sends.
-    """
-    cluster = spec.build(plan=plan, **options)
-    try:
-        spec.drive(cluster)
-    except AssetError:
-        pass
-    cluster.converge(converge_rounds)
-    return [
-        (step.number, step.detail)
-        for step in cluster.injector.trace
-        if step.kind == NET_MSG
-    ]
-
-
-def run_failover_plan(
-    spec, plan, converge_rounds=240, step=None, detail="",
-    instrument=None, restart_first=(), **options,
-):
-    """Judge a *permanent-death* plan in two phases.
-
-    Phase 1 — the killed site stays dead.  The survivors' lease-paced
-    takeover must settle every live member on its own: a coordinator
-    that will never answer must not leave a participant PREPARED past
-    the lease budget.  Any live site still holding prepared or
-    in-doubt state after the convergence budget is a liveness
-    violation, recorded on the report.  ``restart_first`` names sites
-    restarted *before* this phase (a second crash victim whose logged
-    takeover claim must resume) — everything else that is down stays
-    down.  Demanding settlement with two members permanently silent
-    would be wrong: the silent one may be a commit witness, which is
-    exactly the blocking case 2PC cannot decide safely.
-
-    Phase 2 — the operator restarts the dead sites; their durable logs
-    rejoin the judgment and the full oracles (cross-site atomicity, no
-    dual decision, convergence) run over everything.
-    """
-    cluster = spec.build(plan=plan, **options)
-    if instrument is not None:
-        instrument(cluster)
-    driver_error = ""
-    try:
-        spec.drive(cluster)
-    except AssetError as exc:
-        driver_error = f"{type(exc).__name__}: {exc}"
-    cluster.injector.disarm()
-    cluster.heal()
-    for name in restart_first:
-        if name in cluster.sites and not cluster.sites[name].up:
-            cluster.restart_site(name)
-    survivors_settled = cluster.converge(converge_rounds)
-    stranded = sorted(
-        name
-        for name, site in cluster.sites.items()
-        if site.up and (site.prepared or site.in_doubt)
-    )
-    cluster.restart_down_sites()
-    converged = cluster.converge(converge_rounds)
-    report, analyses = cluster.evaluate(label=plan.describe() or "no-fault")
-    if not survivors_settled:
-        report.fail(
-            "takeover-liveness",
-            "survivors did not quiesce before the dead sites were"
-            " restarted",
-        )
-    if stranded:
-        report.fail(
-            "takeover-liveness",
-            f"sites {stranded} still hold prepared/in-doubt members with"
-            f" the coordinator permanently dead",
-        )
-    return ClusterRunResult(
-        plan=plan,
-        report=report,
-        converged=converged,
-        driver_error=driver_error,
-        analyses=analyses,
-        step=step,
-        detail=detail,
-        cluster=cluster,
-    )
-
-
-def _swept(spec, steps, limit):
-    if steps is None:
-        steps = probe_message_steps(spec)
-    if limit is not None:
-        steps = steps[:limit]
-    return steps
-
-
-def message_fault_sweep(
-    spec, faults=("drop",), steps=None, limit=None, **options
-):
-    """One run per (message step, fault shape); returns the verdicts."""
-    field_of = {
-        "drop": "drop_msg_at",
-        "duplicate": "dup_msg_at",
-        "delay": "delay_msg_at",
-    }
-    results = []
-    for number, detail in _swept(spec, steps, limit):
+def message_faults(messages, faults=("drop",)):
+    """Drop, duplicate or delay each message."""
+    for number, detail in messages:
         for fault in faults:
-            plan = FaultPlan(**{field_of[fault]: {number}})
-            results.append(
-                run_cluster_plan(
-                    spec, plan, step=number, detail=f"{fault} {detail}", **options
-                )
-            )
-    return results
+            plan = FaultPlan(**{_MESSAGE_FAULTS[fault]: {number}})
+            yield Case(fault, number, plan, f"{fault} {detail}")
 
 
-def site_crash_sweep(spec, victims=None, steps=None, limit=None, **options):
-    """Power-cut each victim site at every message step.
+def site_crashes(messages, victims, base=FaultPlan()):
+    """Power-cut each victim site at each message step.
 
     The canonical victim is the coordinator — the only process whose
     loss can strand a prepared participant — but sweeping every site
     also exercises participant-crash recovery (the in-doubt path).
     """
-    victims = tuple(victims) if victims is not None else tuple(spec.sites)
-    results = []
-    for number, detail in _swept(spec, steps, limit):
+    for number, detail in messages:
         for victim in victims:
-            plan = FaultPlan(site_crash_at=(victim, number))
-            results.append(
-                run_cluster_plan(
-                    spec,
-                    plan,
-                    step=number,
-                    detail=f"crash {victim} at {detail}",
-                    **options,
-                )
+            yield Case(
+                "site-crash",
+                (victim, number),
+                base.with_(site_crash_at=(victim, number)),
+                f"crash {victim} at {detail}{_under(base)}",
             )
-    return results
 
 
-def coordinator_death_sweep(spec, steps=None, limit=None, **options):
-    """Permanently kill whichever site is coordinating, at every step.
+def partitions(messages, splits):
+    """Install each split at each message step; heal ``HEAL_AFTER`` later."""
+    for number, detail in messages:
+        for split in splits:
+            label = "|".join(",".join(group) for group in split)
+            plan = FaultPlan(
+                partition_at=number,
+                heal_at=number + HEAL_AFTER,
+                partition_groups=split,
+            )
+            yield Case(
+                "partition", (label, number), plan,
+                f"partition {label} at {detail}",
+            )
+
+
+def coordinator_deaths(messages, base=FaultPlan()):
+    """Permanently kill whichever site is coordinating, at each step.
 
     Uses the plan's ``kill_coordinator_at`` mark: the cluster installs
     the current coordinator's name on the fabric before each group
     commit, so the sweep covers scenarios where the coordinator varies
     (or is chosen mid-run) without naming it.  Marks placed before any
     coordinator exists hold their fire until one is installed — every
-    step of the sweep kills some coordinator.  Judged by the two-phase
-    failover runner: survivors must settle by takeover *before* the
+    step kills some coordinator.  The mark also selects the two-phase
+    failover judgment: survivors must settle by takeover *before* the
     dead site is restarted.
     """
-    results = []
-    for number, detail in _swept(spec, steps, limit):
-        plan = FaultPlan(kill_coordinator_at=number)
-        results.append(
-            run_failover_plan(
-                spec,
-                plan,
-                step=number,
-                detail=f"kill coordinator at {detail}",
-                **options,
-            )
+    for number, detail in messages:
+        yield Case(
+            "kill-coordinator",
+            number,
+            base.with_(kill_coordinator_at=number),
+            f"kill coordinator at {detail}{_under(base)}",
         )
-    return results
 
 
-def takeover_death_sweep(
-    spec, wedge_step, victims=None, steps=None, limit=None, **options
-):
-    """Kill the coordinator at ``wedge_step``, then each other site later.
+def joins(messages, joiner):
+    """A new site joins the cluster at each message step."""
+    for number, detail in messages:
+        yield Case(
+            "join", number, FaultPlan(join_site_at=(joiner, number)),
+            f"join {joiner} at {detail}",
+        )
+
+
+def leaves(messages, leaver, successor):
+    """``leaver`` hands its ranges to ``successor`` at each message step.
+
+    The handoff (delegation of in-flight transactions, placement-range
+    transfer, epoch bump) lands mid-protocol at every point of the
+    scenario; the oracles demand the cluster still converges with
+    atomic groups and no dual decisions.
+    """
+    for number, detail in messages:
+        yield Case(
+            "leave",
+            number,
+            FaultPlan(leave_site_at=(leaver, successor, number)),
+            f"leave {leaver}->{successor} at {detail}",
+        )
+
+
+# ---------------------------------------------------------------------------
+# entry points: probe, pick a generator, call sweep
+# ---------------------------------------------------------------------------
+
+
+def _messages(spec, limit, plan=None, start=1):
+    """The first ``limit`` message steps numbered ``start`` or later of a
+    run under ``plan`` (default: the fault-free run).
+
+    Deterministic prefix property: in a swept run, every step *before*
+    the faulted one is the same message as in this probe.
+    """
+    messages = [
+        (n, d) for n, d in probe(spec, plan).messages if n >= start
+    ]
+    return messages[:limit]
+
+
+def message_sweep(spec, dimension, *args, limit=None):
+    """Sweep one dimension over the fault-free run's message steps.
+
+    ``message_sweep(spec, site_crashes, spec.sites)`` power-cuts every
+    site at every message; ``message_sweep(spec, joins, "delta",
+    limit=12)`` lands a join on each of the first twelve.  ``args`` are
+    the generator's own (victims, splits, fault shapes, a joiner).
+    """
+    return sweep(spec, dimension(_messages(spec, limit), *args))
+
+
+def takeover_death_sweep(spec, wedge_step, limit=None):
+    """Kill the coordinator at ``wedge_step``, then each site later.
 
     The wedge forces a takeover; the second kill sweeps every message
     step *after* the wedge — including the takeover's own traffic — so
     a recovery coordinator dying before or after its force-logged
-    claim is covered.  The step universe comes from a probe run under
-    the wedge plan (fault-free probes never see takeover messages).
-    For phase 1 the second victim restarts while the old coordinator
-    stays dead: a force-logged takeover claim must resume across the
-    crash, and when the victim *is* the dead coordinator the restart
-    exercises the reborn-coordinator self-takeover path instead.
+    claim is covered.  The step universe comes from a probe under the
+    wedge plan (fault-free probes never see takeover messages).  The
+    failover judgment restarts the second victim for phase 1 while the
+    old coordinator stays dead: a force-logged takeover claim must
+    resume across the crash.
     """
-    base = FaultPlan(kill_coordinator_at=wedge_step)
-    if steps is None:
-        steps = probe_plan_steps(spec, base, **options)
-    steps = [(n, d) for n, d in steps if n > wedge_step]
-    if limit is not None:
-        steps = steps[:limit]
-    victims = tuple(victims) if victims is not None else tuple(spec.sites)
-    results = []
-    for number, detail in steps:
-        for victim in victims:
-            plan = base.with_(site_crash_at=(victim, number))
-            results.append(
-                run_failover_plan(
-                    spec,
-                    plan,
-                    step=number,
-                    detail=f"wedge@{wedge_step} then crash {victim} at {detail}",
-                    restart_first=(victim,),
-                    **options,
-                )
-            )
-    return results
+    wedge = FaultPlan(kill_coordinator_at=wedge_step)
+    messages = _messages(spec, limit, plan=wedge, start=wedge_step + 1)
+    return sweep(spec, site_crashes(messages, spec.sites, base=wedge))
 
 
-def release_blackout_sweep(spec, steps=None, limit=None, **options):
+def release_blackout_sweep(spec, limit=None):
     """Black out every DECISION message, then kill the coordinator.
 
     The window the plain sweeps never compose: sends are not
@@ -344,104 +210,15 @@ def release_blackout_sweep(spec, steps=None, limit=None, **options):
     attempt onward.  Witness-confirmed release is what makes this
     survivable: with no acknowledged witness the commit is never
     force-logged, so the survivors' presumed-abort takeover cannot
-    contradict the dead coordinator's durable log.  Judged by the
-    two-phase failover runner (takeover liveness + no dual decision).
+    contradict the dead coordinator's durable log.
     """
     blackout = FaultPlan(drop_msg_kinds=frozenset({"decision"}))
-    if steps is None:
-        steps = probe_plan_steps(spec, blackout, **options)
+    messages = _messages(spec, None, plan=blackout)
     # Kills before any release attempt are the plain death sweep's
     # territory; start the marks at the first blacked-out DECISION.
     first = next(
-        (n for n, d in steps if d.endswith(":decision")), None
+        (i for i, (__, d) in enumerate(messages) if d.endswith(":decision")),
+        len(messages),
     )
-    if first is None:
-        return []
-    steps = [(n, d) for n, d in steps if n >= first]
-    if limit is not None:
-        steps = steps[:limit]
-    results = []
-    for number, detail in steps:
-        plan = blackout.with_(kill_coordinator_at=number)
-        results.append(
-            run_failover_plan(
-                spec,
-                plan,
-                step=number,
-                detail=f"decision blackout, kill coordinator at {detail}",
-                **options,
-            )
-        )
-    return results
-
-
-def join_sweep(spec, joiner, steps=None, limit=None, **options):
-    """A new site joins the cluster at every message step."""
-    results = []
-    for number, detail in _swept(spec, steps, limit):
-        plan = FaultPlan(join_site_at=(joiner, number))
-        results.append(
-            run_cluster_plan(
-                spec,
-                plan,
-                step=number,
-                detail=f"join {joiner} at {detail}",
-                **options,
-            )
-        )
-    return results
-
-
-def leave_sweep(spec, leaver, successor, steps=None, limit=None, **options):
-    """``leaver`` hands its ranges to ``successor`` at every message step.
-
-    The handoff (delegation of in-flight transactions, placement-range
-    transfer, epoch bump) lands mid-protocol at every point of the
-    scenario; the oracles demand the cluster still converges with
-    atomic groups and no dual decisions.
-    """
-    results = []
-    for number, detail in _swept(spec, steps, limit):
-        plan = FaultPlan(leave_site_at=(leaver, successor, number))
-        results.append(
-            run_cluster_plan(
-                spec,
-                plan,
-                step=number,
-                detail=f"leave {leaver}->{successor} at {detail}",
-                **options,
-            )
-        )
-    return results
-
-
-def partition_sweep(
-    spec, splits=None, steps=None, limit=None, heal_after=16, **options
-):
-    """Install each canonical split at every message step, heal later.
-
-    ``heal_after`` is in message-step numbers: retries and inquiries
-    keep the step counter moving during the partition, so the heal
-    always fires — after which the convergence oracle demands every
-    member settle.
-    """
-    splits = tuple(splits) if splits is not None else spec.partition_splits()
-    results = []
-    for number, detail in _swept(spec, steps, limit):
-        for split in splits:
-            plan = FaultPlan(
-                partition_at=number,
-                heal_at=number + heal_after,
-                partition_groups=split,
-            )
-            label = "|".join(",".join(group) for group in split)
-            results.append(
-                run_cluster_plan(
-                    spec,
-                    plan,
-                    step=number,
-                    detail=f"partition {label} at {detail}",
-                    **options,
-                )
-            )
-    return results
+    messages = messages[first:][:limit]
+    return sweep(spec, coordinator_deaths(messages, base=blackout))

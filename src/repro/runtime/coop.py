@@ -92,19 +92,22 @@ class _Task:
 
 _NO_OUTCOME = (None, None)
 
+# Fruitless rounds (nothing advanced, no deadlock victim) a blocked
+# driver call tolerates before asking the watchdog, then raising.
+MAX_IDLE_ROUNDS = 2
+
 
 class CooperativeRuntime:
     """Deterministic scheduler over a :class:`TransactionManager`."""
 
-    def __init__(self, manager=None, seed=None, max_idle_rounds=2,
-                 schedule=None, watchdog=None):
+    def __init__(self, manager=None, seed=None, schedule=None,
+                 watchdog=None):
         self.manager = manager if manager is not None else TransactionManager()
         # Unfinished tasks only, in spawn order (the round-robin basis);
         # a finished task leaves behind just its (result, error).
         self._tasks = {}
         self._outcomes = {}
         self._rng = random.Random(seed) if seed is not None else None
-        self._max_idle_rounds = max_idle_rounds
         # An explicit schedule controller (repro.chaos.explorer) decides
         # the task order at every round — and records what it decided, so
         # any interleaving replays exactly.  It overrides the seeded rng.
@@ -296,7 +299,7 @@ class CooperativeRuntime:
         if self._detector.resolve_one() is not None:
             return
         idle = 0
-        while idle < self._max_idle_rounds:
+        while idle < MAX_IDLE_ROUNDS:
             if self.round() or self._detector.resolve_one() is not None:
                 return
             idle += 1

@@ -15,9 +15,9 @@ Two runtimes over one :class:`~repro.core.sharded.ShardedTransactionManager`:
   land on a shard by routing key (``spawn(..., key=...)``), or
   round-robin; children spawn onto their parent's shard.  Blocked
   workers park on a shared condition variable with a wake-generation
-  token (the same lost-wakeup-free discipline as the fixed
-  :class:`~repro.runtime.threaded.ThreadedRuntime`) and a daemon
-  watchdog runs the deadlock detector.  Throughput engine; per-run
+  token, and a daemon watchdog runs the deadlock detector — both
+  inherited, with the driver API, from
+  :class:`~repro.runtime.threaded.ThreadDrivenRuntime`.  Throughput engine; per-run
   interleavings are real races, so it is verified by *outcome*
   invariants, not history bytes.
 
@@ -34,9 +34,9 @@ import time
 from collections import deque
 
 from repro.common.ids import NULL_TID
-from repro.core.deadlock import DeadlockDetector
 from repro.core.sharded import ShardedTransactionManager
 from repro.runtime.coop import CooperativeRuntime, RunResult
+from repro.runtime.threaded import ThreadDrivenRuntime
 
 __all__ = ["ShardedRuntime", "ParallelShardedRuntime"]
 
@@ -49,7 +49,6 @@ class ShardedRuntime(CooperativeRuntime):
         manager=None,
         n_shards=None,
         seed=None,
-        max_idle_rounds=2,
         schedule=None,
         watchdog=None,
         group_commit=None,
@@ -64,7 +63,6 @@ class ShardedRuntime(CooperativeRuntime):
         super().__init__(
             manager=manager,
             seed=seed,
-            max_idle_rounds=max_idle_rounds,
             schedule=schedule,
             watchdog=watchdog,
         )
@@ -100,7 +98,7 @@ class _ShardWorkerRuntime(CooperativeRuntime):
         return self._parent.result_of(tid)
 
 
-class ParallelShardedRuntime:
+class ParallelShardedRuntime(ThreadDrivenRuntime):
     """Thread-per-shard execution over the sharded manager."""
 
     def __init__(
@@ -116,10 +114,8 @@ class ParallelShardedRuntime:
             manager = ShardedTransactionManager(
                 n_shards=n_shards, group_commit=group_commit
             )
-        self.manager = manager
+        super().__init__(manager, watchdog_interval, poll_timeout, watchdog)
         self.n_shards = manager.n_shards
-        self._cond = threading.Condition()
-        self._wake_gen = 0
         self._subs = [
             _ShardWorkerRuntime(self, index)
             for index in range(self.n_shards)
@@ -129,32 +125,6 @@ class ParallelShardedRuntime:
         self._pinned = {}  # tid -> shard index chosen before begin
         self._rr = 0
         self._threads = []
-        self._watchdog_thread = None
-        self._watchdog_interval = watchdog_interval
-        self._poll_timeout = poll_timeout
-        self._closing = threading.Event()
-        self._detector = DeadlockDetector(manager)
-        self.watchdog = watchdog
-        self.manager.events.subscribe(self._on_event)
-
-    # ------------------------------------------------------------------
-    # wake-ups (same generation-token discipline as ThreadedRuntime)
-    # ------------------------------------------------------------------
-
-    def _on_event(self, event):
-        with self._cond:
-            self._wake_gen += 1
-            self._cond.notify_all()
-
-    def _wake_token(self):
-        with self._cond:
-            return self._wake_gen
-
-    def _wait_a_moment(self, seen=None):
-        with self._cond:
-            if seen is not None and self._wake_gen != seen:
-                return
-            self._cond.wait(timeout=self._poll_timeout)
 
     # ------------------------------------------------------------------
     # worker and watchdog threads
@@ -171,13 +141,7 @@ class ParallelShardedRuntime:
                 )
                 self._threads.append(thread)
                 thread.start()
-        if self._watchdog_thread is None or not self._watchdog_thread.is_alive():
-            self._watchdog_thread = threading.Thread(
-                target=self._watchdog_loop,
-                name="asset-shard-watchdog",
-                daemon=True,
-            )
-            self._watchdog_thread.start()
+        super()._ensure_threads()
 
     def _worker_loop(self, shard):
         sub = self._subs[shard]
@@ -197,83 +161,12 @@ class ParallelShardedRuntime:
             if not moved:
                 self._wait_a_moment(seen=token)
 
-    def _watchdog_loop(self):
-        while not self._closing.wait(self._watchdog_interval):
-            # The detector reads lock-wait state that object ops mutate
-            # under shard latches only; take the mutex so at least every
-            # control-path structure is stable during the scan.
-            with self.manager._mutex:
-                self._detector.resolve_one()
-            if self.watchdog is not None:
-                self.watchdog.on_round()
-
-    # ------------------------------------------------------------------
-    # the paper-style driver API
-    # ------------------------------------------------------------------
-
-    def initiate(self, function, args=(), initiator=NULL_TID):
-        return self.manager.initiate(
-            function=function, args=args, initiator=initiator
-        )
-
-    def begin(self, *tids):
-        self._ensure_threads()
-        while True:
-            token = self._wake_token()
-            blockers = []
-            for tid in tids:
-                blockers.extend(self.manager.begin_blockers(tid))
-            if not blockers:
-                ok = self.manager.begin(*tids)
-                if ok:
-                    for tid in tids:
-                        self.on_begun(tid)
-                return 1 if ok else 0
-            if any(self.manager.has_aborted(tid) for tid in tids):
-                return 0
-            self._wait_a_moment(seen=token)
-
-    def commit(self, tid):
-        while True:
-            token = self._wake_token()
-            outcome = self.manager.try_commit(tid)
-            if outcome.is_final:
-                return 1 if outcome else 0
-            self._wait_a_moment(seen=token)
-
-    def wait(self, tid):
-        while True:
-            token = self._wake_token()
-            result = self.manager.wait_outcome(tid)
-            if result is not None:
-                return 1 if result else 0
-            self._wait_a_moment(seen=token)
-
-    def abort(self, tid):
-        return 1 if self.manager.abort(tid) else 0
-
-    def poll(self):
-        """Yield briefly to the shard workers; always reports progress
-        possible (the workers run on their own threads)."""
-        self._wait_a_moment()
-        return True
-
-    def commit_all(self, tids):
-        """Commit a batch in completion order, returning {tid: 0/1}."""
-        outcomes = {}
-        pending = list(tids)
-        while pending:
-            token = self._wake_token()
-            progressed = False
-            for tid in list(pending):
-                outcome = self.manager.try_commit(tid)
-                if outcome.is_final:
-                    outcomes[tid] = 1 if outcome else 0
-                    pending.remove(tid)
-                    progressed = True
-            if pending and not progressed:
-                self._wait_a_moment(seen=token)
-        return outcomes
+    def _resolve_deadlock(self):
+        # The detector reads lock-wait state that object ops mutate
+        # under shard latches only; take the mutex so at least every
+        # control-path structure is stable during the scan.
+        with self.manager._mutex:
+            self._detector.resolve_one()
 
     def run(self, function, args=(), key=None):
         tid = self.spawn(function, args=args, key=key)
@@ -352,5 +245,4 @@ class ParallelShardedRuntime:
             self._cond.notify_all()
         for thread in self._threads:
             thread.join(timeout=2.0)
-        if self._watchdog_thread is not None:
-            self._watchdog_thread.join(timeout=1.0)
+        self._stop_watchdog()

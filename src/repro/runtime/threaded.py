@@ -24,12 +24,16 @@ from repro.runtime.coop import RunResult
 from repro.runtime.program import BLOCKED, TxnContext, execute_request
 
 
-class ThreadedRuntime:
-    """Thread-per-transaction execution over the shared core."""
+class ThreadDrivenRuntime:
+    """What every thread-driven runtime shares: wake-ups, the paper-style
+    driver API, and the deadlock watchdog.
 
-    def __init__(self, manager=None, watchdog_interval=0.05, poll_timeout=0.05,
-                 watchdog=None):
-        self.manager = manager if manager is not None else TransactionManager()
+    Subclasses own how a begun transaction gets a thread (``on_begun``)
+    and start their threads from :meth:`_ensure_threads`.
+    """
+
+    def __init__(self, manager, watchdog_interval, poll_timeout, watchdog):
+        self.manager = manager
         self._cond = threading.Condition()
         # Wake generation: bumped under the condition on every manager
         # event.  Waiters capture the generation BEFORE testing their
@@ -38,12 +42,9 @@ class ThreadedRuntime:
         # generation instead of being lost (the lost-wakeup race that
         # made blocked workers sleep the full poll timeout).
         self._wake_gen = 0
-        self._threads = {}
-        self._results = {}
-        self._errors = {}
         self._poll_timeout = poll_timeout
         self._watchdog_interval = watchdog_interval
-        self._watchdog = None
+        self._watchdog_thread = None
         self._closing = threading.Event()
         self._detector = DeadlockDetector(self.manager)
         # Resilience watchdog (repro.resilience.Watchdog): driven from
@@ -79,19 +80,28 @@ class ThreadedRuntime:
                 return
             self._cond.wait(timeout=self._poll_timeout)
 
-    def _ensure_watchdog(self):
-        if self._watchdog is None or not self._watchdog.is_alive():
-            self._watchdog = threading.Thread(
+    def _ensure_threads(self):
+        """Start whatever daemon threads the runtime needs (idempotent)."""
+        if self._watchdog_thread is None or not self._watchdog_thread.is_alive():
+            self._watchdog_thread = threading.Thread(
                 target=self._watchdog_loop, daemon=True,
                 name="asset-deadlock-watchdog",
             )
-            self._watchdog.start()
+            self._watchdog_thread.start()
+
+    def _resolve_deadlock(self):
+        self._detector.resolve_one()
 
     def _watchdog_loop(self):
         while not self._closing.wait(self._watchdog_interval):
-            self._detector.resolve_one()
+            self._resolve_deadlock()
             if self.watchdog is not None:
                 self.watchdog.on_round()
+
+    def _stop_watchdog(self):
+        self._closing.set()
+        if self._watchdog_thread is not None:
+            self._watchdog_thread.join(timeout=1.0)
 
     # ------------------------------------------------------------------
     # the paper-style driver API
@@ -105,7 +115,7 @@ class ThreadedRuntime:
 
     def begin(self, *tids):
         """Start initiated transactions, blocking on begin dependencies."""
-        self._ensure_watchdog()
+        self._ensure_threads()
         while True:
             token = self._wake_token()
             blockers = []
@@ -165,10 +175,24 @@ class ThreadedRuntime:
         return outcomes
 
     def poll(self):
-        """Yield briefly to worker threads; always reports progress
+        """Yield briefly to the worker threads; always reports progress
         possible (the threads run on their own)."""
         self._wait_a_moment()
         return True
+
+
+class ThreadedRuntime(ThreadDrivenRuntime):
+    """Thread-per-transaction execution over the shared core."""
+
+    def __init__(self, manager=None, watchdog_interval=0.05, poll_timeout=0.05,
+                 watchdog=None):
+        super().__init__(
+            manager if manager is not None else TransactionManager(),
+            watchdog_interval, poll_timeout, watchdog,
+        )
+        self._threads = {}
+        self._results = {}
+        self._errors = {}
 
     def run(self, function, args=()):
         """``initiate`` + ``begin`` + ``commit``; returns a
@@ -260,5 +284,4 @@ class ThreadedRuntime:
         """Stop the watchdog and join workers."""
         self._closing.set()
         self.join_all()
-        if self._watchdog is not None:
-            self._watchdog.join(timeout=1.0)
+        self._stop_watchdog()

@@ -71,6 +71,24 @@ class RecoveryReport:
         )
 
 
+def commit_winners(records):
+    """The tids ``records`` commit: the winners of the analysis pass.
+
+    A transaction wins by a commit record naming it, or by the
+    coordinator's force-logged commit decision, which commits its local
+    members even if the usual commit record never made it to the device
+    before the crash.  Shared with the durable workflow engine, whose
+    steps are committed iff their attempt tid is one of these.
+    """
+    winners = set()
+    for record in records:
+        if isinstance(record, CommitRecord):
+            winners |= record.committed_tids()
+        elif isinstance(record, DecisionRecord) and record.verdict == "commit":
+            winners |= record.decided_tids()
+    return winners
+
+
 class RecoveryManager:
     """Runs restart recovery over a log and an object store."""
 
@@ -79,22 +97,14 @@ class RecoveryManager:
         self.store = object_store
 
     def _analyze(self, records):
-        winners = set()
+        winners = commit_winners(records)
         finished_aborts = set()
         writers = set()
         responsibility = {}
         updates = []
         prepares = []
         for record in records:
-            if isinstance(record, CommitRecord):
-                winners |= record.committed_tids()
-            elif isinstance(record, DecisionRecord):
-                # The coordinator's force-logged commit decision commits
-                # its local members even if the usual commit record never
-                # made it to the device before the crash.
-                if record.verdict == "commit":
-                    winners |= record.decided_tids()
-            elif isinstance(record, AbortRecord):
+            if isinstance(record, AbortRecord):
                 finished_aborts.add(record.tid)
             elif isinstance(record, PrepareRecord):
                 prepares.append(record)

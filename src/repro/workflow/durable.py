@@ -47,12 +47,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chaos.oracles import analyze_log
 from repro.common.clock import LogicalClock
-from repro.common.errors import AssetError, RetryExhausted, TransientError
+from repro.common.errors import AssetError
 from repro.resilience.deadlines import DeadlineTable
+from repro.storage.recovery import commit_winners
 from repro.workflow import records as wrecords
-from repro.workflow.engine import TaskStatus
+from repro.workflow.engine import StepStrategies, TaskStatus
 from repro.workflow.execution import (
     ExecutionStatus,
     fold_all,
@@ -124,18 +124,15 @@ class ExecutionLeaseBoard:
             self.table.forget(_WaitToken(wid))
 
 
-class DurableWorkflowEngine:
+class DurableWorkflowEngine(StepStrategies):
     """Runs workflow definitions with WAL-persisted execution state."""
 
     def __init__(self, runtime, registry, *, retry=None, watchdog=None,
-                 metrics=None, on_commit=None, max_compensation_retries=100,
-                 max_idle_polls=1000, owner="engine", leases=None,
+                 metrics=None, on_commit=None, owner="engine", leases=None,
                  execution_lease=32):
-        self.runtime = runtime
+        super().__init__(runtime, retry=retry, watchdog=watchdog)
         self.registry = registry
         self.storage = runtime.manager.storage
-        self.retry = retry
-        self.watchdog = watchdog
         self.metrics = metrics
         # Execution-ownership leases (None = single-engine deployment,
         # no fencing).  ``owner`` names this instance on the shared
@@ -147,15 +144,12 @@ class DurableWorkflowEngine:
         # engine successfully committed — the chaos harness's truthful
         # acknowledgement hook.
         self.on_commit = on_commit
-        self.max_compensation_retries = max_compensation_retries
-        self.max_idle_polls = max_idle_polls
         clock = getattr(runtime.manager, "clock", None)
         self.clock = clock if clock is not None else LogicalClock()
         # Engine-owned timer table: workflow wait tokens are not
         # transactions, so they must not share the resilience kit's
         # table (the watchdog would prune them as unknown tids).
         self.deadlines = DeadlineTable(self.clock)
-        self.orphaned = []  # race losers whose abort kept failing
         self.stats = {
             "started": 0,
             "completed": 0,
@@ -205,12 +199,15 @@ class DurableWorkflowEngine:
         if previous is not None and previous != self.owner:
             self._refold(wid)
 
+    def _fold(self):
+        """wid → execution image, folded from the durable log alone."""
+        log_records = list(self.storage.log.records())
+        winners = {tid.value for tid in commit_winners(log_records)}
+        return fold_all(log_records, winners)
+
     def _refold(self, wid):
         """Replace the in-memory image with the durable log's truth."""
-        log_records = list(self.storage.log.records())
-        analysis = analyze_log(log_records)
-        winners = {getattr(tid, "value", tid) for tid in analysis.winners}
-        execution = fold_all(log_records, winners).get(wid)
+        execution = self._fold().get(wid)
         if execution is not None:
             self._executions[wid] = execution
 
@@ -235,32 +232,6 @@ class DurableWorkflowEngine:
         if wid not in self._executions:
             raise AssetError(f"unknown workflow execution: wid={wid}")
         return self._executions[wid]
-
-    def _commit_step(self, tid, op):
-        if self.retry is None:
-            return self.runtime.commit(tid)
-        return self.retry.run(
-            lambda: self.runtime.commit(tid), op=op, tid=tid
-        )
-
-    def _abort_loser(self, tid, step_name):
-        """Abort a race loser; exhausted retries hand it to the watchdog."""
-        try:
-            if self.retry is None:
-                self.runtime.abort(tid)
-            else:
-                self.retry.run(
-                    lambda: self.runtime.abort(tid),
-                    op=f"workflow.{step_name}.abort_loser",
-                    tid=tid,
-                )
-        except (TransientError, RetryExhausted):
-            self.orphaned.append(tid)
-            watchdog = self.watchdog
-            if watchdog is None:
-                watchdog = getattr(self.runtime, "watchdog", None)
-            if watchdog is not None:
-                watchdog.table.set_deadline(tid, budget=0)
 
     # -- the protocol ------------------------------------------------------
 
@@ -400,11 +371,8 @@ class DurableWorkflowEngine:
         returned wid with :meth:`resume` / :meth:`signal` /
         :meth:`expire_wait`.
         """
-        log_records = list(self.storage.log.records())
-        analysis = analyze_log(log_records)
-        winners = {getattr(tid, "value", tid) for tid in analysis.winners}
         recovered = []
-        for wid, execution in sorted(fold_all(log_records, winners).items()):
+        for wid, execution in sorted(self._fold().items()):
             self._executions[wid] = execution
             self._next_wid = max(self._next_wid, wid + 1)
             if execution.status.is_terminal:
@@ -508,99 +476,34 @@ class DurableWorkflowEngine:
     # -- step execution ----------------------------------------------------
 
     def _run_step(self, execution, task):
-        if task.race:
-            status = self._run_race(execution, task)
-        else:
-            status = self._run_sequential(execution, task)
-        if status is not TaskStatus.COMMITTED:
-            self._log(execution.wid, wrecords.STEP_FAILED, {
+        """One step by the shared strategies, with durable attempt records.
+
+        The attempt is forced to the log BEFORE the commit: see the
+        module docstring.
+        """
+        wid = execution.wid
+
+        def attempt(task, alternative, tid):
+            self._log(wid, wrecords.STEP_ATTEMPT, {
                 "step": task.name,
+                "alt": alternative.label,
+                "tid": tid.value,
             })
-            execution.step(task.name).status = TaskStatus.FAILED
-        return status
 
-    def _note_commit(self, execution, task, alternative, tid):
+        strategy = self._try_race if task.race else self._try_sequential
+        outcome = strategy(task, before_commit=attempt)
         state = execution.step(task.name)
-        state.status = TaskStatus.COMMITTED
-        state.alt = alternative.label
-        state.tid_value = tid.value
-        self._count("steps_committed")
-        if self.on_commit is not None:
-            self.on_commit(tid)
-
-    def _attempt(self, wid, task, alternative, tid):
-        # Forced to the log BEFORE the commit: see the module docstring.
-        self._log(wid, wrecords.STEP_ATTEMPT, {
-            "step": task.name,
-            "alt": alternative.label,
-            "tid": tid.value,
-        })
-
-    def _run_sequential(self, execution, task):
-        """Contingent semantics with durable attempt records."""
-        for alternative in task.alternatives:
-            tid = self.runtime.initiate(
-                alternative.body, args=alternative.args
-            )
-            if not tid or not self.runtime.begin(tid):
-                continue
-            self._attempt(execution.wid, task, alternative, tid)
-            try:
-                committed = self._commit_step(
-                    tid, op=f"workflow.{task.name}.{alternative.label}"
-                )
-            except RetryExhausted:
-                continue
-            if committed:
-                self._note_commit(execution, task, alternative, tid)
-                return TaskStatus.COMMITTED
-        return TaskStatus.FAILED
-
-    def _run_race(self, execution, task):
-        """First-completion-wins with durable attempt records."""
-        entries = []
-        for alternative in task.alternatives:
-            tid = self.runtime.initiate(
-                alternative.body, args=alternative.args
-            )
-            if tid and self.runtime.begin(tid):
-                entries.append((tid, alternative))
-        manager = self.runtime.manager
-        idle = 0
-        while entries:
-            winner = None
-            still_running = []
-            for tid, alternative in entries:
-                outcome = manager.wait_outcome(tid)
-                if (
-                    outcome is True
-                    and winner is None
-                    and not alternative.pacer
-                ):
-                    winner = (tid, alternative)
-                elif outcome is None:
-                    still_running.append((tid, alternative))
-                elif outcome is True:
-                    self._abort_loser(tid, task.name)
-            if winner is not None:
-                tid, alternative = winner
-                for other_tid, __ in still_running:
-                    self._abort_loser(other_tid, task.name)
-                self._attempt(execution.wid, task, alternative, tid)
-                if self.runtime.commit(tid):
-                    self._note_commit(execution, task, alternative, tid)
-                    return TaskStatus.COMMITTED
-                entries = []
-                break
-            entries = still_running
-            if entries:
-                if not self.runtime.poll():
-                    idle += 1
-                    if idle > self.max_idle_polls:
-                        raise AssetError(
-                            f"race in step {task.name!r} made no progress"
-                        )
-        return TaskStatus.FAILED
+        if outcome.status is TaskStatus.COMMITTED:
+            state.status = TaskStatus.COMMITTED
+            state.alt = outcome.label
+            state.tid_value = outcome.tid.value
+            self._count("steps_committed")
+            if self.on_commit is not None:
+                self.on_commit(outcome.tid)
+        else:
+            self._log(wid, wrecords.STEP_FAILED, {"step": task.name})
+            state.status = TaskStatus.FAILED
+        return outcome.status
 
     # -- backward recovery -------------------------------------------------
 
@@ -619,28 +522,18 @@ class DurableWorkflowEngine:
             body, args = task.compensation_for(state.alt)
             if body is None:
                 continue
-            attempts = 0
-            while True:
-                attempts += 1
-                if attempts > self.max_compensation_retries:
-                    raise AssetError(
-                        f"compensation of step {name!r} failed"
-                        f" {self.max_compensation_retries} times"
-                    )
-                ct = self.runtime.initiate(body, args=args)
-                if not ct:
-                    continue
-                self.runtime.begin(ct)
+
+            def attempt(ct, name=name):
                 self._log(execution.wid, wrecords.COMP_ATTEMPT, {
                     "step": name, "tid": ct.value,
                 })
-                try:
-                    if self._commit_step(ct, op=f"workflow.c.{name}"):
-                        if self.on_commit is not None:
-                            self.on_commit(ct)
-                        break
-                except RetryExhausted:
-                    continue
+
+            ct = self._compensate_task(
+                name, body, args, before_commit=attempt,
+                reissue_exhausted=True,
+            )
+            if self.on_commit is not None:
+                self.on_commit(ct)
             state.status = TaskStatus.COMPENSATED
             self._count("compensations")
         self._log(execution.wid, wrecords.FINISHED, {"outcome": outcome})

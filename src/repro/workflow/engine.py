@@ -62,32 +62,31 @@ class WorkflowResult:
         return self.outcomes[task_name].status
 
 
-class WorkflowEngine:
-    """Runs workflow specs over a transaction runtime.
+# A race (or a parallel round) that polls this many times with nothing
+# moving has stalled; a compensation that fails this many times breaks
+# the saga assumption that compensations eventually commit.
+MAX_IDLE_POLLS = 1000
+MAX_COMPENSATION_RETRIES = 100
 
-    With ``parallel=True``, tasks whose dependencies are satisfied run
-    *concurrently* (alternatives stay ordered within each task); the
-    default executes tasks strictly in declaration order.  On success the
-    two modes are outcome-identical.  On failure they can differ for
-    tasks *independent* of the failing one: the sequential engine never
-    starts them (SKIPPED), while the parallel engine may have already
-    committed them — and then compensates those that carry a
-    compensation.  The equivalence boundary is pinned down by the
-    workflow property suite.
+
+class StepStrategies:
+    """The section 3 step strategies, shared by both workflow engines.
+
+    One implementation of "commit under the retry policy", "abort a
+    race loser without leaking it", the contingent and race schemes and
+    the retried compensation.  The durable engine differs from the
+    in-memory one only in what it forces to the log *before* each
+    commit, so every strategy takes a ``before_commit`` callback (the
+    in-memory engine passes none).
     """
 
-    def __init__(self, runtime, max_compensation_retries=100,
-                 max_idle_polls=1000, parallel=False, retry=None,
-                 watchdog=None):
+    def __init__(self, runtime, retry=None, watchdog=None):
         self.runtime = runtime
-        self.max_compensation_retries = max_compensation_retries
-        self.max_idle_polls = max_idle_polls
-        self.parallel = parallel
         # A repro.resilience.RetryPolicy for *transient* commit failures
         # (injected device faults) on sequential-alternative and
         # compensation commits.  ``None`` keeps classic propagate-on-error
         # behavior; an exhausted budget on an alternative moves to the
-        # next alternative, on a compensation it raises RetryExhausted.
+        # next alternative.
         self.retry = retry
         # Race losers whose abort kept failing.  They are recorded here
         # and handed to the watchdog (self.watchdog, or the runtime's if
@@ -129,14 +128,27 @@ class WorkflowEngine:
             if watchdog is not None:
                 watchdog.table.set_deadline(tid, budget=0)
 
-    # -- task strategies -----------------------------------------------------
+    def _committed(self, task, alternative, tid):
+        return TaskOutcome(
+            name=task.name,
+            status=TaskStatus.COMMITTED,
+            label=alternative.label,
+            value=self.runtime.result_of(tid),
+            tid=tid,
+        )
 
-    def _try_sequential(self, task):
-        """Contingent semantics over the task's alternatives."""
+    def _try_sequential(self, task, before_commit=None):
+        """Contingent semantics over the task's alternatives.
+
+        ``before_commit(task, alternative, tid)`` runs once the
+        alternative's transaction has begun, ahead of its commit.
+        """
         for alternative in task.alternatives:
             tid = self.runtime.initiate(alternative.body, args=alternative.args)
             if not tid or not self.runtime.begin(tid):
                 continue
+            if before_commit is not None:
+                before_commit(task, alternative, tid)
             try:
                 committed = self._commit_step(
                     tid, op=f"workflow.{task.name}.{alternative.label}"
@@ -144,61 +156,110 @@ class WorkflowEngine:
             except RetryExhausted:
                 continue  # budget spent on this alternative; try the next
             if committed:
-                return TaskOutcome(
-                    name=task.name,
-                    status=TaskStatus.COMMITTED,
-                    label=alternative.label,
-                    value=self.runtime.result_of(tid),
-                    tid=tid,
-                )
+                return self._committed(task, alternative, tid)
         return TaskOutcome(name=task.name, status=TaskStatus.FAILED)
 
-    def _try_race(self, task):
+    def _race_round(self, task, entries):
+        """One look at racing ``(tid, alternative)`` entries.
+
+        Returns ``(winner, still_running)``: the first completed entry
+        that may win (pacers may not), and the entries still in flight.
+        Completed entries barred from winning are aborted here, and so
+        is everyone still running once there is a winner; entries that
+        aborted on their own just drop out.
+        """
+        manager = self.runtime.manager
+        winner = None
+        still_running = []
+        for tid, alternative in entries:
+            outcome = manager.wait_outcome(tid)
+            if outcome is True and winner is None and not alternative.pacer:
+                winner = (tid, alternative)
+            elif outcome is None:
+                still_running.append((tid, alternative))
+            elif outcome is True:
+                # Completed but barred from winning: a pacer, or a
+                # second finisher.  Pure loser either way.
+                self._abort_loser(tid, task.name)
+        if winner is not None:
+            for other_tid, __ in still_running:
+                self._abort_loser(other_tid, task.name)
+        return winner, still_running
+
+    def _try_race(self, task, before_commit=None):
         """Race all alternatives; first completion wins, losers abort."""
         entries = []
         for alternative in task.alternatives:
             tid = self.runtime.initiate(alternative.body, args=alternative.args)
             if tid and self.runtime.begin(tid):
                 entries.append((tid, alternative))
-        manager = self.runtime.manager
         idle = 0
         while entries:
-            winner = None
-            still_running = []
-            for tid, alternative in entries:
-                outcome = manager.wait_outcome(tid)
-                if outcome is True and winner is None and not alternative.pacer:
-                    winner = (tid, alternative)
-                elif outcome is None:
-                    still_running.append((tid, alternative))
-                elif outcome is True:
-                    # Completed but barred from winning: a pacer, or a
-                    # second finisher.  Pure loser either way.
-                    self._abort_loser(tid, task.name)
-                # outcome False: that racer aborted; drop it.
+            winner, entries = self._race_round(task, entries)
             if winner is not None:
                 tid, alternative = winner
-                for other_tid, __ in still_running:
-                    self._abort_loser(other_tid, task.name)
+                if before_commit is not None:
+                    before_commit(task, alternative, tid)
                 if self.runtime.commit(tid):
-                    return TaskOutcome(
-                        name=task.name,
-                        status=TaskStatus.COMMITTED,
-                        label=alternative.label,
-                        value=self.runtime.result_of(tid),
-                        tid=tid,
+                    return self._committed(task, alternative, tid)
+                break  # winner failed to commit: everyone is gone
+            if entries and not self.runtime.poll():
+                idle += 1
+                if idle > MAX_IDLE_POLLS:
+                    raise AssetError(
+                        f"race in task {task.name!r} made no progress"
                     )
-                entries = []  # winner failed to commit: everyone is gone
-                break
-            entries = still_running
-            if entries:
-                if not self.runtime.poll():
-                    idle += 1
-                    if idle > self.max_idle_polls:
-                        raise AssetError(
-                            f"race in task {task.name!r} made no progress"
-                        )
         return TaskOutcome(name=task.name, status=TaskStatus.FAILED)
+
+    def _compensate_task(self, name, body, args, before_commit=None,
+                         reissue_exhausted=False):
+        """Run one compensation until it commits; returns its tid.
+
+        Each attempt is a fresh transaction (``before_commit(tid)`` sees
+        it ahead of its commit).  An exhausted retry budget propagates —
+        unless ``reissue_exhausted``: the durable engine has already
+        durably decided to go backward, so it spends another attempt
+        instead of leaving the execution half-compensated.
+        """
+        attempts = 0
+        while True:
+            attempts += 1
+            if attempts > MAX_COMPENSATION_RETRIES:
+                raise AssetError(
+                    f"compensation of task {name!r} failed"
+                    f" {MAX_COMPENSATION_RETRIES} times"
+                )
+            ct = self.runtime.initiate(body, args=args)
+            if not ct:
+                continue
+            self.runtime.begin(ct)
+            if before_commit is not None:
+                before_commit(ct)
+            try:
+                if self._commit_step(ct, op=f"workflow.c.{name}"):
+                    return ct
+            except RetryExhausted:
+                if not reissue_exhausted:
+                    raise
+
+
+class WorkflowEngine(StepStrategies):
+    """Runs workflow specs over a transaction runtime.
+
+    With ``parallel=True``, tasks whose dependencies are satisfied run
+    *concurrently* (alternatives stay ordered within each task); the
+    default executes tasks strictly in declaration order.  On success the
+    two modes are outcome-identical.  On failure they can differ for
+    tasks *independent* of the failing one: the sequential engine never
+    starts them (SKIPPED), while the parallel engine may have already
+    committed them — and then compensates those that carry a
+    compensation.  The equivalence boundary is pinned down by the
+    workflow property suite.
+    """
+
+    def __init__(self, runtime, parallel=False, retry=None, watchdog=None):
+        super().__init__(runtime, retry=retry, watchdog=watchdog)
+        self.parallel = parallel
 
     # -- the engine ---------------------------------------------------------------
 
@@ -273,35 +334,15 @@ class WorkflowEngine:
         def settle(run):
             """Advance a running task; True when its state changed."""
             task = run["task"]
-            still = []
-            winner = None
-            for tid, alternative in run["tids"]:
-                ready = manager.wait_outcome(tid)
-                if ready is True and winner is None and not alternative.pacer:
-                    winner = (tid, alternative)
-                elif ready is None:
-                    still.append((tid, alternative))
-                elif ready is True:
-                    # Completed but barred from winning (pacer / second
-                    # finisher): pure loser, clean it up now.
-                    self._abort_loser(tid, task.name)
-                # ready False: that alternative aborted; drop it.
+            winner, still = self._race_round(task, run["tids"])
             if winner is not None:
                 tid, alternative = winner
-                for other_tid, __ in still:
-                    self._abort_loser(other_tid, task.name)
                 outcome_obj = manager.try_commit(tid)
                 if not outcome_obj.is_final:
                     return False  # commit blocked: try again next round
                 if outcome_obj:
                     run["state"] = "committed"
-                    run["outcome"] = TaskOutcome(
-                        name=task.name,
-                        status=TaskStatus.COMMITTED,
-                        label=alternative.label,
-                        value=self.runtime.result_of(tid),
-                        tid=tid,
-                    )
+                    run["outcome"] = self._committed(task, alternative, tid)
                     return True
                 still = []  # the winner aborted at commit time
             run["tids"] = still
@@ -356,7 +397,7 @@ class WorkflowEngine:
             if not progressed:
                 if not self.runtime.poll():
                     idle += 1
-                    if idle > self.max_idle_polls:
+                    if idle > MAX_IDLE_POLLS:
                         raise AssetError(
                             f"parallel workflow {spec.name!r} stalled"
                         )
@@ -398,19 +439,6 @@ class WorkflowEngine:
             body, args = task.compensation_for(outcome.label)
             if body is None:
                 continue
-            attempts = 0
-            while True:
-                attempts += 1
-                if attempts > self.max_compensation_retries:
-                    raise AssetError(
-                        f"compensation of task {task.name!r} failed"
-                        f" {self.max_compensation_retries} times"
-                    )
-                ct = self.runtime.initiate(body, args=args)
-                if not ct:
-                    continue
-                self.runtime.begin(ct)
-                if self._commit_step(ct, op=f"workflow.c.{task.name}"):
-                    break
+            self._compensate_task(task.name, body, args)
             outcome.status = TaskStatus.COMPENSATED
             result.compensation_order.append(task.name)

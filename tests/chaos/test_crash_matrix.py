@@ -29,9 +29,9 @@ def committed_xor_loser(outcome):
     Returns the number of acknowledged commits that were recovered, for
     callers that want to assert distribution properties too.
     """
-    stack = outcome.stack
-    analysis = analyze_log(outcome.system.durable_records)
-    state = read_state(outcome.system.storage)
+    stack = outcome.system
+    analysis = analyze_log(outcome.restarted.durable_records)
+    state = read_state(outcome.restarted.storage)
     oids = stack.intent.oids
     recovered = 0
     # Writer i (acked or not) wrote b"w{i+1}" over b"w0" on object w{i}.
@@ -70,21 +70,20 @@ class TestGroupCommitCrashMatrix:
         """Batching defers flushes, so commits *enroll*; the sweep must
         actually be crashing inside that window."""
         spec = scenarios.make_group_commit_scenario(batch)
-        stack = probe(spec)
-        enrollments = stack.injector.steps_of_kind(GC_ENROLL)
+        trace = probe(spec)
+        enrollments = trace.steps_of_kind(GC_ENROLL)
         # Every burst commit enrolls (the setup commit does too).
         assert len(enrollments) >= GC_BURST_COMMITS
         # Fewer log flushes than commits once batching kicks in: the
         # coalescer is genuinely coalescing, not degenerating to one
         # flush per commit.
         if batch > 1:
-            assert stack.injector.steps_of_kind("log_flush")
+            assert trace.steps_of_kind("log_flush")
 
     @pytest.mark.parametrize("batch", BATCHES)
     def test_crash_at_every_enrollment_recovered_xor_loser(self, batch):
         spec = scenarios.make_group_commit_scenario(batch)
-        stack = probe(spec)
-        for step in stack.injector.steps_of_kind(GC_ENROLL):
+        for step in probe(spec).steps_of_kind(GC_ENROLL):
             outcome = run_plan(spec, FaultPlan(
                 crash_at=step, label=f"crash@enroll:{step}"
             ))
@@ -96,8 +95,7 @@ class TestGroupCommitCrashMatrix:
         """The explicit XOR contract at *every* crash point, not only
         the enrollment window."""
         spec = scenarios.make_group_commit_scenario(batch)
-        stack = probe(spec)
-        for step in range(1, stack.injector.step_count + 1):
+        for step in range(1, probe(spec).step_count + 1):
             outcome = run_plan(spec, FaultPlan(crash_at=step))
             assert outcome.ok, outcome.oracle.describe()
             committed_xor_loser(outcome)
@@ -108,7 +106,7 @@ class TestGroupCommitCrashMatrix:
         the stack must classify it hollow, because a crash right there
         loses it."""
         spec = scenarios.make_group_commit_scenario(4)
-        stack = probe(spec)
+        stack = probe(spec).system
         # The burst's commits were acked; with max_commits=4 at least one
         # ack was issued while its batch was still pending.
         assert len(stack.acks) > len(stack.durable_acks)

@@ -35,36 +35,35 @@ class TestEx10Sweep:
         # Exhaustiveness by accounting: all numbered steps crashed at.
         assert result.total_steps > 0
         assert result.coverage_complete
-        assert result.crash_steps_covered == set(
+        assert result.covered["crash"] == set(
             range(1, result.total_steps + 1)
         )
 
     def test_variant_families_cover_their_whole_universe(self):
         spec = scenarios.get("ex10_commit_abort")
-        stack = probe(spec)
+        trace = probe(spec)
         result = crash_sweep(spec)
         assert result.ok, result.describe()
         # Torn writes at every page write, lost fsyncs at every flush.
-        assert result.torn_steps_covered == set(
-            stack.injector.steps_of_kind(PAGE_WRITE)
-        )
-        assert result.lost_fsync_steps_covered == set(
-            stack.injector.steps_of_kind(LOG_FLUSH)
+        assert result.covered["torn"] == set(trace.steps_of_kind(PAGE_WRITE))
+        assert result.covered["lost-fsync"] == set(
+            trace.steps_of_kind(LOG_FLUSH)
         )
         # Every occurrence of every semantic failpoint was cut.
         expected_failpoints = {
             (name, nth)
-            for name, count in stack.injector.failpoint_counts.items()
+            for name, count in trace.failpoints.items()
             for nth in range(1, count + 1)
         }
         assert expected_failpoints  # the scenario does hit failpoints
-        assert result.failpoints_covered == expected_failpoints
+        assert result.covered["failpoint"] == expected_failpoints
+        assert result.covered == result.universe
 
     def test_scenario_exercises_the_full_taxonomy(self):
         """EX10's step universe spans the whole fault-point taxonomy
         except group-commit enrollment (covered by the matrix tests)."""
-        stack = probe(scenarios.get("ex10_commit_abort"))
-        kinds = {step.kind for step in stack.injector.trace}
+        trace = probe(scenarios.get("ex10_commit_abort"))
+        kinds = {step.kind for step in trace.steps}
         assert {"log_append", "log_flush", "pool_flush", "page_write",
                 "page_sync"} <= kinds
 
@@ -79,12 +78,12 @@ class TestCheckpointWindowSweep:
     def test_window_actually_contains_the_dangerous_flush(self):
         """The scenario must flush uncommitted pages *after* truncation —
         otherwise it would not be testing the write-ahead rule at all."""
-        stack = probe(scenarios.get("checkpoint_window"))
-        kinds = [step.kind for step in stack.injector.trace]
+        trace = probe(scenarios.get("checkpoint_window"))
+        kinds = [step.kind for step in trace.steps]
         last_pool_flush = len(kinds) - 1 - kinds[::-1].index("pool_flush")
         assert "page_write" in kinds[last_pool_flush:]
         # Truncation happened: the durable log is shorter than the work.
-        assert stack.intent.baseline
+        assert trace.system.intent.baseline
 
 
 class TestHarnessPlumbing:
@@ -110,14 +109,13 @@ class TestHarnessPlumbing:
         *final* flush makes the last commit's ack hollow — and the
         oracle, holding the system only to durable acks, still passes."""
         spec = scenarios.get("ex10_commit_abort")
-        stack = probe(spec)
-        final_flush = stack.injector.steps_of_kind(LOG_FLUSH)[-1]
+        final_flush = probe(spec).steps_of_kind(LOG_FLUSH)[-1]
         outcome = run_plan(
             spec, FaultPlan(lose_fsync_at=frozenset([final_flush]))
         )
         assert outcome.crash is None  # the run completed
-        assert outcome.stack.injector.lied_fsyncs == 1
-        assert len(outcome.stack.durable_acks) < len(outcome.stack.acks)
+        assert outcome.system.injector.lied_fsyncs == 1
+        assert len(outcome.system.durable_acks) < len(outcome.system.acks)
         assert outcome.ok, outcome.oracle.describe()
 
     def test_universal_fsync_lies_are_catastrophic_and_visible(self):
@@ -126,14 +124,13 @@ class TestHarnessPlumbing:
         device (the real-world fsyncgate failure).  The harness must
         surface it, not absorb it: the exact-state oracle fires."""
         spec = scenarios.get("ex10_commit_abort")
-        stack = probe(spec)
-        flush_steps = stack.injector.steps_of_kind(LOG_FLUSH)
+        flush_steps = probe(spec).steps_of_kind(LOG_FLUSH)
         outcome = run_plan(
             spec, FaultPlan(lose_fsync_at=frozenset(flush_steps))
         )
         assert outcome.crash is None
-        assert outcome.stack.injector.lied_fsyncs == len(flush_steps)
-        assert outcome.stack.durable_acks == []  # every ack was hollow
+        assert outcome.system.injector.lied_fsyncs == len(flush_steps)
+        assert outcome.system.durable_acks == []  # every ack was hollow
         assert not outcome.ok
         assert any("state" in v for v in outcome.oracle.violations)
 
@@ -145,6 +142,19 @@ class TestHarnessPlumbing:
         )
         assert '"crash_at": 12' in command
         assert '"keep_tail": true' in command
+
+    def test_replay_command_carries_the_run_options(self):
+        """A plan alone is not the recipe: the retry budget and the
+        storage engine the run was given must be on the command line."""
+        plan = FaultPlan(fail_flush_at=frozenset([10]))
+        assert replay_command("retry_saga", plan, retry=3).endswith(
+            "' --retry 3"
+        )
+        assert replay_command(
+            "workflow_travel_crash", FaultPlan(crash_at=23), n_shards=2
+        ).endswith("' --storage sharded --shards 2")
+        with pytest.raises(KeyError):
+            replay_command("retry_saga", plan, nonsense=1)
 
 
 def _run_replay(*args):

@@ -10,12 +10,15 @@ oracles.
 """
 
 import json
+import shlex
 
 import pytest
 
-from repro.chaos import scenarios
+import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
+from repro.chaos import replay, scenarios
 from repro.chaos.explorer import ScheduleExplorer
 from repro.chaos.mutations import (
+    commit_logged_before_witness,
     delegation_unlogged,
     dependency_dropped,
     undo_disabled,
@@ -23,6 +26,7 @@ from repro.chaos.mutations import (
 )
 from repro.chaos.scenarios import live_violations
 from repro.chaos.sweep import ScenarioBrokenError, crash_sweep, probe
+from repro.cluster.sweep import release_blackout_sweep
 from repro.core.dependency import DependencyType
 
 
@@ -76,6 +80,35 @@ class TestCrashSweepSensitivity:
                 probe(scenarios.get("ex10_commit_abort"))
 
 
+class TestClusterSweepSensitivity:
+    """The cluster sweeps can see a bug too: revert witness-confirmed
+    release (a PR 9 review fix) and the matching sweep must go red."""
+
+    def test_commit_logged_before_a_witness_is_a_dual_decision(self, capsys):
+        spec = scenarios.get("cluster_group_commit")
+        with commit_logged_before_witness():
+            result = release_blackout_sweep(spec, limit=6)
+            assert result.failures, (
+                "sweep passed with the commit force-logged before any"
+                " witness ack: the no-dual-decision oracle is not armed"
+            )
+            artifact = result.failures[0]
+            assert any("no-dual-decision" in v for v in artifact.violations)
+            assert artifact.judgment == "failover"
+            # The artifact's one-line recipe reproduces the violation.
+            argv = shlex.split(artifact.replay)[4:]
+            assert replay.main(argv) == 1
+            verdict = json.loads(
+                capsys.readouterr().out.strip().splitlines()[-1]
+            )
+            assert verdict["violations"] == artifact.violations
+        # Control: same sweep, same recipe, unmutated — all green.
+        clean = release_blackout_sweep(spec, limit=6)
+        assert clean.ok, clean.describe()
+        assert clean.runs == result.runs
+        assert replay.main(argv) == 0
+
+
 class TestExplorerSensitivity:
     @pytest.mark.parametrize("dep_type,expected", [
         (DependencyType.AD, "abort-dependency"),
@@ -86,7 +119,7 @@ class TestExplorerSensitivity:
         spec = scenarios.get("deadlock_cascade")
 
         def run_one(controller):
-            stack = spec.build_stack(schedule=controller)
+            stack = spec.build(schedule=controller)
             spec.drive(stack)
             return live_violations(stack)
 
@@ -120,7 +153,7 @@ class TestControl:
         spec = scenarios.get("deadlock_cascade")
 
         def run_one(controller):
-            stack = spec.build_stack(schedule=controller)
+            stack = spec.build(schedule=controller)
             spec.drive(stack)
             return live_violations(stack)
 
@@ -140,3 +173,10 @@ class TestControl:
         with wal_ordering_broken():
             assert isinstance(BufferPool.__dict__["wal_flush"], property)
         assert BufferPool.wal_flush is None
+
+        from repro.cluster.site import Site
+
+        decide_before = Site._decide
+        with commit_logged_before_witness():
+            assert Site._decide is not decide_before
+        assert Site._decide is decide_before

@@ -29,15 +29,15 @@ def crash_step_with_undo_work(spec):
     """A crash point right after the scenario's page write-back: the log
     then carries uncommitted effects already on disk — maximal recovery
     work (redo + undo + abort-record writes)."""
-    stack = probe(spec)
-    pool_flushes = stack.injector.steps_of_kind("pool_flush")
+    trace = probe(spec)
+    pool_flushes = trace.steps_of_kind("pool_flush")
     assert pool_flushes, f"{spec.name} never write-backs dirty pages"
     # Two steps past the flush boundary: the pages went out, then death.
-    return min(pool_flushes[-1] + 2, stack.injector.step_count)
+    return min(pool_flushes[-1] + 2, trace.step_count)
 
 
 def crashed_stack(spec, crash_at):
-    stack = spec.build_stack(plan=FaultPlan(crash_at=crash_at))
+    stack = spec.build(plan=FaultPlan(crash_at=crash_at))
     with pytest.raises(CrashPoint):
         spec.drive(stack)
     return stack

@@ -27,27 +27,25 @@ from repro.chaos.scenarios import live_violations
 from repro.chaos.stack import ChaosStack
 from repro.chaos.sweep import (
     crash_sweep,
+    lost_fsyncs,
     probe,
     run_plan,
     transient_fault_sweep,
 )
 from repro.common.errors import RetryExhausted, TransientIOError
-from repro.resilience import RetryPolicy
 from repro.runtime.coop import SchedulerStalledError
 
-
-def live_policy(stack):
-    return RetryPolicy(max_attempts=3, clock=stack.manager.clock)
-
-
-def zero_policy(stack):
-    return RetryPolicy.zero_budget(clock=stack.manager.clock)
+# Total-attempt budgets of the RetryPolicy a run attaches: three
+# attempts absorb one injected fault; one attempt is the zero budget
+# (``RetryPolicy.zero_budget``: exhausted on the first failure).
+LIVE_BUDGET = 3
+ZERO_BUDGET = 1
 
 
 class TestLeaseExpiryMidDelegation:
     def test_clean_run_reaps_delegator_and_orphan(self):
         spec = scenarios.get("lease_expiry_mid_delegation")
-        stack = probe(spec)
+        stack = probe(spec).system
         watchdog = stack.resilience.watchdog
         kinds = [record.kind for record in watchdog.reaped]
         assert kinds == ["lease", "orphan"]
@@ -64,55 +62,61 @@ class TestLeaseExpiryMidDelegation:
 class TestTransientFaultSweep:
     def test_retry_budget_absorbs_every_transient_flush_fault(self):
         spec = scenarios.get("retry_saga")
-        result = transient_fault_sweep(spec, policy_factory=live_policy)
+        result = transient_fault_sweep(spec, retry=LIVE_BUDGET)
+        flush_steps = set(probe(spec).steps_of_kind(LOG_FLUSH))
         assert result.coverage_complete
-        assert result.all_absorbed, result.describe()
+        assert result.covered["transient-flush"] == flush_steps
+        # Every injected fault was absorbed: none surfaced to the client.
+        assert not result.keys_where(lambda v: v.error is not None)
         assert result.ok, result.describe()
 
     def test_zero_budget_surfaces_retry_exhausted_at_every_step(self):
         spec = scenarios.get("retry_saga")
-        result = transient_fault_sweep(spec, policy_factory=zero_policy)
+        result = transient_fault_sweep(spec, retry=ZERO_BUDGET)
+        flush_steps = set(probe(spec).steps_of_kind(LOG_FLUSH))
         assert result.coverage_complete
-        assert result.exhausted_steps == set(result.flush_steps)
+        assert result.covered["transient-flush"] == flush_steps
+        assert result.keys_where(
+            lambda v: isinstance(v.error, RetryExhausted)
+        ) == flush_steps
         # Even with the error surfaced, the durable state stays correct.
         assert result.ok, result.describe()
 
     def test_zero_budget_error_is_retry_exhausted(self):
         spec = scenarios.get("retry_saga")
-        step = probe(spec).injector.steps_of_kind(LOG_FLUSH)[0]
+        step = probe(spec).steps_of_kind(LOG_FLUSH)[0]
         outcome = run_plan(
             spec,
             FaultPlan(fail_flush_at=frozenset([step])),
-            policy_factory=zero_policy,
+            retry=ZERO_BUDGET,
         )
-        assert isinstance(outcome.model_error, RetryExhausted)
-        assert isinstance(outcome.model_error.last_error, TransientIOError)
+        assert isinstance(outcome.error, RetryExhausted)
+        assert isinstance(outcome.error.last_error, TransientIOError)
 
     def test_no_policy_surfaces_the_raw_transient_error(self):
         spec = scenarios.get("retry_saga")
-        step = probe(spec).injector.steps_of_kind(LOG_FLUSH)[0]
+        step = probe(spec).steps_of_kind(LOG_FLUSH)[0]
         outcome = run_plan(spec, FaultPlan(fail_flush_at=frozenset([step])))
-        assert isinstance(outcome.model_error, TransientIOError)
+        assert isinstance(outcome.error, TransientIOError)
         assert outcome.ok, outcome.oracle.describe()
 
     def test_retry_policy_retries_the_planned_fault_exactly_once(self):
         spec = scenarios.get("retry_saga")
-        step = probe(spec).injector.steps_of_kind(LOG_FLUSH)[0]
+        step = probe(spec).steps_of_kind(LOG_FLUSH)[0]
         outcome = run_plan(
             spec,
             FaultPlan(fail_flush_at=frozenset([step])),
-            policy_factory=live_policy,
+            retry=LIVE_BUDGET,
         )
-        assert outcome.model_error is None
-        assert outcome.stack.injector.failed_flushes == 1
-        assert outcome.stack.retry_policy.stats["retries"] == 1
+        assert outcome.error is None
+        assert outcome.system.injector.failed_flushes == 1
+        assert outcome.system.retry_policy.stats["retries"] == 1
 
 
 class TestCoalescerDegrade:
     def test_healthy_run_never_degrades(self):
         spec = scenarios.get("coalescer_degrade")
-        stack = probe(spec)
-        health = stack.resilience.health
+        health = probe(spec).system.resilience.health
         assert all(kind == "ok" for kind, __ in health.outcomes)
         assert health.transitions == []
         report = check_degradation(health)
@@ -120,7 +124,7 @@ class TestCoalescerDegrade:
 
     def test_lying_fsyncs_degrade_then_healthy_window_repromotes(self):
         spec = scenarios.get("coalescer_degrade")
-        flush_steps = probe(spec).injector.steps_of_kind(LOG_FLUSH)
+        flush_steps = probe(spec).steps_of_kind(LOG_FLUSH)
         # Two consecutive flushes lie (detected by the durable-count
         # audit): degrade_after=2 trips the breaker; the later honest
         # flushes re-promote (repromote_after=2).
@@ -129,7 +133,7 @@ class TestCoalescerDegrade:
         )
         outcome = run_plan(spec, plan)
         assert outcome.ok, outcome.oracle.describe()
-        health = outcome.stack.resilience.health
+        health = outcome.system.resilience.health
         assert [(t["from"], t["to"]) for t in health.transitions] == [
             ("batching", "degraded"),
             ("degraded", "batching"),
@@ -140,14 +144,15 @@ class TestCoalescerDegrade:
 
     def test_degraded_mode_flushes_per_commit(self):
         spec = scenarios.get("coalescer_degrade")
-        probe_health = probe(spec).resilience.health
-        flush_steps = probe(spec).injector.steps_of_kind(LOG_FLUSH)
+        trace = probe(spec)
+        probe_health = trace.system.resilience.health
+        flush_steps = trace.steps_of_kind(LOG_FLUSH)
         plan = FaultPlan(
             lose_fsync_at=frozenset(flush_steps[1:3]), label="degrade-trip"
         )
         outcome = run_plan(spec, plan)
         assert outcome.ok, outcome.oracle.describe()
-        health = outcome.stack.resilience.health
+        health = outcome.system.resilience.health
         # While degraded, every enrollment demanded an immediate flush, so
         # the breaker saw strictly more flush outcomes than the batching
         # probe run (which coalesced pairs of commits throughout).
@@ -157,12 +162,14 @@ class TestCoalescerDegrade:
 
     def test_survives_the_full_crash_sweep(self, long_budget):
         spec = scenarios.get("coalescer_degrade")
-        result = crash_sweep(
-            spec,
-            include_failpoints=long_budget,
-            include_torn=long_budget,
+        # Which dimension generators are passed *is* the selection: the
+        # quick budget sweeps crashes and lost fsyncs, the long one all.
+        result = (
+            crash_sweep(spec) if long_budget
+            else crash_sweep(spec, variants=(lost_fsyncs,))
         )
         assert result.coverage_complete
+        assert set(result.covered) >= {"crash", "lost-fsync"}
         assert result.ok, result.describe()
 
 

@@ -65,7 +65,7 @@ def explore_deadlock_cascade(**kwargs):
     spec = scenarios.get("deadlock_cascade")
 
     def run_one(controller):
-        stack = spec.build_stack(schedule=controller)
+        stack = spec.build(schedule=controller)
         spec.drive(stack)
         return live_violations(stack)
 

@@ -7,15 +7,18 @@ those flushes (some segments durable, some not, commit record absent or
 present) must still recover to an atomic per-transaction outcome once
 the segments are merged by LSN.
 
-The sweep is exhaustive by accounting, in the style of the EX10 sweeps:
-a probe run counts every numbered I/O step across *all* segments (one
-shared injector), then the scenario is re-run crashing at each step,
-recovering, and checking the atomicity oracle every time.
+The sweep is exhaustive by accounting, like every other: the scenario
+plugs into the one driver (:mod:`repro.chaos.sweep`) as a fourth *kind*
+defined right here — a bare :class:`ShardedStorageManager` with no
+transaction manager above it, judged by its own atomicity oracle.  A
+probe counts every numbered I/O step across *all* segments (one shared
+injector), then ``crash_steps`` re-runs the scenario crashing at each.
 """
 
 from __future__ import annotations
 
-from repro.chaos.faults import CrashPoint, FaultInjector, FaultPlan
+from repro.chaos.faults import FaultInjector
+from repro.chaos.sweep import crash_steps, probe, sweep
 from repro.common.codec import decode_int, encode_int
 from repro.common.ids import Tid
 from repro.storage.log import CommitRecord
@@ -107,11 +110,50 @@ def _check_atomic(store, oids):
     return durable_commits
 
 
-def _probe():
-    injector = FaultInjector(plan=FaultPlan())
-    holder = {}
-    _drive(injector, holder)
-    return injector, holder
+class _BareStore:
+    """What this kind drives: one injector and whatever got built."""
+
+    def __init__(self, plan):
+        self.injector = FaultInjector(plan=plan)
+        self.holder = {}
+
+
+class BarrierScenario:
+    """The whole seam: build / drive / judge (+ the probe hook)."""
+
+    name = "sharded_parallel_group_commit"
+    kind = "bare-sharded-store"
+    surfaced = ()
+
+    def build(self, plan):
+        return _BareStore(plan)
+
+    def drive(self, system):
+        _drive(system.injector, system.holder)
+
+    def probed(self, verdict):
+        pass
+
+    def judge(self, verdict):
+        verdict.judgment = "atomic-per-transaction"
+        system = verdict.system
+        system.injector.disarm()
+        store, oids = system.holder["store"], system.holder["oids"]
+        store.crash()
+        store.recover()
+        try:
+            _check_atomic(store, oids)
+        except AssertionError as failed:
+            verdict.violations.append(f"atomicity: {failed}")
+        # Recovery is idempotent: crash/recover again, same state.
+        before = dict(store.object_state())
+        store.crash()
+        store.recover()
+        if dict(store.object_state()) != before:
+            verdict.violations.append("idempotence: second recovery differs")
+
+
+SPEC = BarrierScenario()
 
 
 class TestParallelGroupCommitSweep:
@@ -119,15 +161,16 @@ class TestParallelGroupCommitSweep:
         """The clean run must actually contain the dangerous window:
         several I/O steps between the last data append and the moment
         T_MULTI's commit record is durable (the foreign barrier flushes)."""
-        injector, holder = _probe()
-        assert injector.step_count > 0
+        trace = probe(SPEC)
+        holder = trace.system.holder
+        assert trace.step_count > 0
         window = range(
             holder["barrier_start"] + 1, holder["barrier_end"] + 1
         )
         assert len(window) >= 2, "barrier window collapsed to one step"
         flushes_in_window = [
             step
-            for step in injector.trace
+            for step in trace.steps
             if step.number in window and step.kind == "log_flush"
         ]
         # Every foreign touched segment flushes inside the barrier.
@@ -141,37 +184,23 @@ class TestParallelGroupCommitSweep:
         assert busy == set(range(N_SHARDS))
 
     def test_every_crash_point_recovers_atomically(self):
-        probe_injector, probe_holder = _probe()
-        total = probe_injector.step_count
+        trace = probe(SPEC)
+        holder = trace.system.holder
         barrier_window = set(
-            range(
-                probe_holder["barrier_start"] + 1,
-                probe_holder["barrier_end"] + 1,
-            )
+            range(holder["barrier_start"] + 1, holder["barrier_end"] + 1)
         )
-        assert total > 0 and barrier_window
+        assert trace.step_count > 0 and barrier_window
 
-        covered = set()
-        for crash_at in range(1, total + 1):
-            injector = FaultInjector(plan=FaultPlan(crash_at=crash_at))
-            holder = {}
-            try:
-                _drive(injector, holder)
-            except CrashPoint as crash:
-                covered.add(crash.step)
-            store = holder["store"]
-            oids = holder["oids"]
-            store.crash()
-            store.recover()
-            _check_atomic(store, oids)
-
-            # Recovery is idempotent: crash/recover again, same state.
-            before = dict(store.object_state())
-            store.crash()
-            store.recover()
-            assert dict(store.object_state()) == before
+        result = sweep(SPEC, crash_steps(trace), trace=trace)
+        assert result.ok, result.describe()
+        assert result.runs == trace.step_count
+        # Every run really died at its planned step.
+        assert [v.crash.step for v in result.verdicts] == list(
+            range(1, trace.step_count + 1)
+        )
 
         # Exhaustive by accounting — and therefore the sweep crashed at
         # every step of the barrier window in particular.
-        assert covered == set(range(1, total + 1))
-        assert barrier_window <= covered
+        assert result.coverage_complete
+        assert result.covered["crash"] == set(range(1, trace.step_count + 1))
+        assert barrier_window <= result.covered["crash"]

@@ -21,37 +21,35 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos.faults import FaultPlan
-from repro.chaos.workflow import (
-    WORKFLOW_SCENARIOS,
-    get,
-    names,
-    probe_workflow,
-    run_sharded_workflow_plan,
-    run_workflow_plan,
-    workflow_crash_sweep,
-)
+from repro.chaos.sweep import get, names, probe, run_plan
+from repro.chaos.workflow import workflow_crash_sweep
 
-SCENARIOS = names()
+SCENARIOS = names("workflow")
 
 
 class TestRegistry:
     def test_at_least_two_scenarios_registered(self):
-        assert len(WORKFLOW_SCENARIOS) >= 2
-        assert "workflow_travel_crash" in WORKFLOW_SCENARIOS
-        assert "workflow_signal_timeout" in WORKFLOW_SCENARIOS
+        assert len(SCENARIOS) >= 2
+        assert "workflow_travel_crash" in SCENARIOS
+        assert "workflow_signal_timeout" in SCENARIOS
+        assert all(get(name).kind == "workflow" for name in SCENARIOS)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 class TestProbes:
-    """Clean runs (power cut only at the end) on both engines."""
+    """Clean runs (power cut only at the end) on both engines: the probe
+    itself refuses a scenario whose clean run misses its terminal, and a
+    run under the empty plan is judged like any other."""
 
     def test_flat_probe(self, scenario):
-        outcome = probe_workflow(get(scenario))
+        assert probe(get(scenario)).step_count > 0
+        outcome = run_plan(get(scenario), FaultPlan())
         assert outcome.ok
         assert outcome.status in get(scenario).expected_terminal
 
     def test_sharded_probe(self, scenario):
-        outcome = probe_workflow(get(scenario), storage="sharded", n_shards=2)
+        assert probe(get(scenario), n_shards=2).step_count > 0
+        outcome = run_plan(get(scenario), FaultPlan(), n_shards=2)
         assert outcome.ok
         assert outcome.status in get(scenario).expected_terminal
 
@@ -62,9 +60,10 @@ class TestFlatSweep:
         result = workflow_crash_sweep(get(scenario))
         assert result.ok, result.describe()
         assert result.coverage_complete, result.describe()
+        assert result.runs == result.total_steps
         # The sweep must actually exercise resume: mid-workflow crashes
         # leave a started execution behind for recovery to pick up.
-        assert result.resumed_runs > 0, result.describe()
+        assert any(v.resumed for v in result.verdicts), result.describe()
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -72,12 +71,10 @@ class TestShardedSweep:
     def test_exhaustive_sharded_sweep(self, scenario, long_budget):
         shard_counts = (2, 4) if long_budget else (2,)
         for n_shards in shard_counts:
-            result = workflow_crash_sweep(
-                get(scenario), storage="sharded", n_shards=n_shards
-            )
+            result = workflow_crash_sweep(get(scenario), n_shards=n_shards)
             assert result.ok, result.describe()
             assert result.coverage_complete, result.describe()
-            assert result.resumed_runs > 0, result.describe()
+            assert any(v.resumed for v in result.verdicts), result.describe()
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -94,10 +91,10 @@ class TestDifferential:
         steps = range(1, 22) if long_budget else range(3, 22, 4)
         for step in steps:
             plan = FaultPlan(crash_at=step, label=f"diff@{step}")
-            flat = run_workflow_plan(spec, plan)
-            sharded = run_sharded_workflow_plan(spec, plan, n_shards=2)
-            assert flat.ok, (step, flat.violations)
-            assert sharded.ok, (step, sharded.violations)
+            flat = run_plan(spec, plan)
+            sharded = run_plan(spec, plan, n_shards=2)
+            assert flat.ok, (step, flat.all_violations)
+            assert sharded.ok, (step, sharded.all_violations)
             if flat.status is not None and sharded.status is not None:
                 assert flat.status is sharded.status, (
                     f"step {step}: flat ended {flat.status},"
@@ -107,7 +104,7 @@ class TestDifferential:
 
 class TestReplayObsExport:
     """``--metrics-out``/``--trace-out`` must work for workflow replays:
-    the resumed engine is attached through the ``instrument_resume``
+    the resumed engine is attached through the stack's ``on_resume``
     seam, so the artifacts carry the resumed half of the record stream
     on both storage engines."""
 

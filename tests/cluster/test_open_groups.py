@@ -10,16 +10,12 @@ drops, duplicates, delays, crashes and a takeover.
 
 import pytest
 
+import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
 from repro.chaos.faults import FaultPlan
+from repro.chaos.sweep import get, probe, run_plan
 from repro.cluster import Cluster
-from repro.cluster import scenarios as cluster_scenarios
 from repro.cluster.site import Site
-from repro.cluster.sweep import (
-    message_fault_sweep,
-    probe_message_steps,
-    run_failover_plan,
-    site_crash_sweep,
-)
+from repro.cluster.sweep import message_faults, message_sweep, site_crashes
 from tests.cluster.test_two_phase import spawn_group
 
 OPEN_STATES = ("collecting", "releasing")
@@ -57,50 +53,47 @@ def checked(monkeypatch):
     return steps
 
 
-def _failures(results):
-    return [result.describe() for result in results if not result.ok]
-
-
 def _all_closed(cluster):
     return all(not site.open_groups for site in cluster.sites.values())
 
 
 def test_invariant_holds_through_a_message_fault_sweep(checked):
-    spec = cluster_scenarios.get("cluster_group_commit")
-    results = message_fault_sweep(
-        spec, faults=("drop", "duplicate", "delay"), limit=12
+    spec = get("cluster_group_commit")
+    result = message_sweep(
+        spec, message_faults, ("drop", "duplicate", "delay"), limit=12
     )
-    assert results and not _failures(results)
+    assert result.runs and result.ok, result.describe()
     assert checked["on_message"] and checked["on_tick"]
-    for result in results:
-        assert _all_closed(result.cluster)
-        assert any(site.coordinating for site in result.cluster.sites.values())
+    for verdict in result.verdicts:
+        assert _all_closed(verdict.system)
+        assert any(site.coordinating for site in verdict.system.sites.values())
 
 
 def test_invariant_holds_through_crash_and_restart(checked):
-    spec = cluster_scenarios.get("cluster_group_commit")
-    results = site_crash_sweep(spec, limit=12)
-    assert results and not _failures(results)
+    spec = get("cluster_group_commit")
+    result = message_sweep(spec, site_crashes, spec.sites, limit=12)
+    assert result.runs and result.ok, result.describe()
     assert checked["restart"]
-    assert all(_all_closed(result.cluster) for result in results)
+    assert all(_all_closed(verdict.system) for verdict in result.verdicts)
 
 
 def test_invariant_holds_through_a_takeover(checked):
     # The usurper installs a ``decided`` entry directly: it must never
     # show up as open.
-    spec = cluster_scenarios.get("cluster_group_commit")
-    steps = probe_message_steps(spec)
+    spec = get("cluster_group_commit")
+    steps = probe(spec).messages
     vote = next(n for n, detail in steps if detail.endswith(":vote"))
-    result = run_failover_plan(spec, FaultPlan(kill_coordinator_at=vote))
+    result = run_plan(spec, FaultPlan(kill_coordinator_at=vote))
+    assert result.judgment == "failover"
     assert result.ok, result.describe()
     installed = [
         entry
-        for site in result.cluster.sites.values()
+        for site in result.system.sites.values()
         if site.stats["takeovers_decided"]
         for entry in site.coordinating.values()
     ]
     assert installed and all(e["state"] != "collecting" for e in installed)
-    assert _all_closed(result.cluster)
+    assert _all_closed(result.system)
 
 
 def test_restart_site_forgets_the_open_groups_it_was_collecting(checked):

@@ -12,32 +12,37 @@ import os
 
 import pytest
 
-from repro.cluster import scenarios as cluster_scenarios
+import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
+from repro.chaos.sweep import get, names, probe
 from repro.cluster.sweep import (
-    coordinator_death_sweep,
-    join_sweep,
-    leave_sweep,
-    message_fault_sweep,
-    partition_sweep,
-    probe_message_steps,
+    coordinator_deaths,
+    joins,
+    leaves,
+    message_faults,
+    message_sweep,
+    partitions,
     release_blackout_sweep,
-    site_crash_sweep,
+    site_crashes,
     takeover_death_sweep,
 )
 
 LONG = os.environ.get("CHAOS_BUDGET") == "long"
 STEP_LIMIT = None if LONG else 12
 
-ALL_SCENARIOS = cluster_scenarios.names()
+ALL_SCENARIOS = names("cluster")
 
 
-def _failures(results):
-    return [result.describe() for result in results if not result.ok]
+def _assert_clean(result, judgment):
+    """Every enumerated plan ran, under the expected judgment, green."""
+    assert result.runs
+    assert result.covered == result.universe
+    assert {v.judgment for v in result.verdicts} == {judgment}
+    assert result.ok, result.describe()
 
 
 def test_probe_finds_message_steps():
-    spec = cluster_scenarios.get("cluster_group_commit")
-    steps = probe_message_steps(spec)
+    spec = get("cluster_group_commit")
+    steps = probe(spec).messages
     assert steps, "the probe run must number fabric messages"
     kinds = {detail.split(":")[-1] for __, detail in steps}
     # The 2PC core must appear in the happy-path exchange.
@@ -46,28 +51,24 @@ def test_probe_finds_message_steps():
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_drop_duplicate_delay_every_message(name):
-    spec = cluster_scenarios.get(name)
-    results = message_fault_sweep(
-        spec, faults=("drop", "duplicate", "delay"), limit=STEP_LIMIT
-    )
-    assert results
-    assert not _failures(results)
+    spec = get(name)
+    _assert_clean(message_sweep(
+        spec, message_faults, ("drop", "duplicate", "delay"), limit=STEP_LIMIT
+    ), "cluster")
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_crash_every_site_at_every_message(name):
-    spec = cluster_scenarios.get(name)
-    results = site_crash_sweep(spec, limit=STEP_LIMIT)
-    assert results
-    assert not _failures(results)
+    spec = get(name)
+    _assert_clean(message_sweep(spec, site_crashes, spec.sites, limit=STEP_LIMIT), "cluster")
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_partition_at_every_message_then_heal(name):
-    spec = cluster_scenarios.get(name)
-    results = partition_sweep(spec, limit=STEP_LIMIT)
-    assert results
-    assert not _failures(results)
+    spec = get(name)
+    _assert_clean(message_sweep(
+        spec, partitions, spec.partition_splits(), limit=STEP_LIMIT
+    ), "cluster")
 
 
 @pytest.mark.parametrize(
@@ -78,10 +79,8 @@ def test_kill_coordinator_at_every_message(name):
     # must settle every live member *before* the dead site restarts
     # (the two-phase failover judgment), and the full oracles — no dual
     # decision included — must hold after it does.
-    spec = cluster_scenarios.get(name)
-    results = coordinator_death_sweep(spec, limit=STEP_LIMIT)
-    assert results
-    assert not _failures(results)
+    spec = get(name)
+    _assert_clean(message_sweep(spec, coordinator_deaths, limit=STEP_LIMIT), "failover")
 
 
 def test_takeover_traffic_survives_a_second_death():
@@ -90,14 +89,12 @@ def test_takeover_traffic_survives_a_second_death():
     # queries, evidence, and usurper decision.  The second victim
     # restarts while the coordinator stays dead: force-logged claims
     # must resume, and a reborn-coordinator victim must self-takeover.
-    spec = cluster_scenarios.get("cluster_group_commit")
-    steps = probe_message_steps(spec)
+    spec = get("cluster_group_commit")
+    steps = probe(spec).messages
     wedge = next(n for n, d in steps if d.endswith(":vote"))
-    results = takeover_death_sweep(
+    _assert_clean(takeover_death_sweep(
         spec, wedge, limit=None if LONG else 4
-    )
-    assert results
-    assert not _failures(results)
+    ), "failover")
 
 
 def test_decision_blackout_then_coordinator_death():
@@ -107,31 +104,48 @@ def test_decision_blackout_then_coordinator_death():
     # Witness-confirmed release means no commit is ever force-logged
     # without an acknowledged witness, so the takeover's presumed abort
     # can never contradict the dead coordinator's log.
-    spec = cluster_scenarios.get("cluster_group_commit")
-    results = release_blackout_sweep(spec, limit=None if LONG else 6)
-    assert results
-    assert not _failures(results)
+    spec = get("cluster_group_commit")
+    _assert_clean(
+        release_blackout_sweep(spec, limit=None if LONG else 6), "failover"
+    )
 
 
 def test_join_at_every_message():
-    spec = cluster_scenarios.get("cluster_group_commit")
-    results = join_sweep(spec, "delta", limit=STEP_LIMIT)
-    assert results
-    assert not _failures(results)
+    spec = get("cluster_group_commit")
+    _assert_clean(message_sweep(spec, joins, "delta", limit=STEP_LIMIT), "cluster")
 
 
 def test_leave_at_every_message():
-    spec = cluster_scenarios.get("cluster_group_commit")
-    results = leave_sweep(spec, "beta", "gamma", limit=STEP_LIMIT)
-    assert results
-    assert not _failures(results)
+    spec = get("cluster_group_commit")
+    _assert_clean(
+        message_sweep(spec, leaves, "beta", "gamma", limit=STEP_LIMIT), "cluster"
+    )
 
 
 def test_failing_result_carries_reproduction_plan():
-    # Any red verdict must describe a replayable plan — the contract the
-    # replay CLI depends on.
-    spec = cluster_scenarios.get("cluster_group_commit")
-    results = message_fault_sweep(spec, faults=("drop",), limit=1)
-    (result,) = results
-    assert result.plan.to_dict()
-    assert str(result.step) in result.plan.describe()
+    # Every verdict describes a replayable plan, and a red one becomes a
+    # FailureArtifact whose replay line is the CLI recipe — the contract
+    # the replay CLI depends on.  (The red run comes from reverting
+    # witness-confirmed release; tests/chaos/test_harness_sensitivity.py
+    # replays the artifact through the CLI.)
+    from repro.chaos.mutations import commit_logged_before_witness
+
+    spec = get("cluster_group_commit")
+    result = message_sweep(spec, message_faults, limit=1)
+    (verdict,) = result.verdicts
+    assert verdict.plan.to_dict()
+    assert str(verdict.key) in verdict.plan.describe()
+    assert verdict.detail.startswith("drop ")
+
+    with commit_logged_before_witness():
+        result = release_blackout_sweep(spec, limit=6)
+    artifact = result.failures[0]
+    failed = next(v for v in result.verdicts if not v.ok)
+    assert artifact.plan == failed.plan.to_dict()
+    assert artifact.violations == failed.all_violations
+    assert artifact.judgment == "failover"
+    assert artifact.replay.startswith(
+        "PYTHONPATH=src python -m repro.chaos.replay cluster_group_commit"
+        " --plan '"
+    )
+    assert f'"kill_coordinator_at": {failed.key}' in artifact.replay

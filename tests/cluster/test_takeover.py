@@ -6,15 +6,10 @@ kill points with named expectations, rather than every step with the
 generic oracles.
 """
 
+import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
 from repro.chaos.faults import FaultPlan
+from repro.chaos.sweep import get, probe, run_plan
 from repro.cluster import Cluster
-from repro.cluster import scenarios as cluster_scenarios
-from repro.cluster.sweep import (
-    probe_message_steps,
-    probe_plan_steps,
-    run_cluster_plan,
-    run_failover_plan,
-)
 from repro.storage.log import CommitRecord, DecisionRecord, TakeoverRecord
 
 
@@ -68,12 +63,13 @@ class TestTakeover:
         # the coordinator never answers another inquiry.  The survivors'
         # lease-paced takeover must re-derive presumed abort and settle
         # every live member without the operator's help.
-        spec = cluster_scenarios.get("cluster_group_commit")
-        steps = probe_message_steps(spec)
+        spec = get("cluster_group_commit")
+        steps = probe(spec).messages
         plan = FaultPlan(kill_coordinator_at=_step(steps, "vote"))
-        result = run_failover_plan(spec, plan)
+        result = run_plan(spec, plan)
+        assert result.judgment == "failover"
         assert result.ok, result.describe()
-        takeovers = _takeover_records(result.cluster)
+        takeovers = _takeover_records(result.system)
         assert takeovers, "a takeover claim must be force-logged"
         assert {t.verdict for t in takeovers} == {"abort"}
         assert all(t.epoch >= 1 for t in takeovers)
@@ -88,10 +84,11 @@ class TestTakeover:
         # commit decision is durable and released.  A permanently dead
         # coordinator must not undo it — the group stays committed with
         # a single verdict across every log.
-        spec = cluster_scenarios.get("cluster_group_commit")
-        steps = probe_message_steps(spec)
+        spec = get("cluster_group_commit")
+        steps = probe(spec).messages
         plan = FaultPlan(kill_coordinator_at=_step(steps, "ack"))
-        result = run_failover_plan(spec, plan)
+        result = run_plan(spec, plan)
+        assert result.judgment == "failover"
         assert result.ok, result.describe()
         verdicts = _merged_verdicts(result.analyses)
         assert {"commit"} in verdicts.values()
@@ -103,18 +100,19 @@ class TestTakeover:
         # prepared.  Whatever takeover runs must find the durable
         # "committed" evidence and conclude commit — never presume abort
         # over a witness.
-        spec = cluster_scenarios.get("cluster_group_commit")
-        steps = probe_message_steps(spec)
+        spec = get("cluster_group_commit")
+        steps = probe(spec).messages
         plan = FaultPlan(kill_coordinator_at=_step(steps, "decision", 1))
-        result = run_failover_plan(spec, plan)
+        result = run_plan(spec, plan)
+        assert result.judgment == "failover"
         assert result.ok, result.describe()
         for gid, verdicts in _merged_verdicts(result.analyses).items():
             assert len(verdicts) == 1, f"gid {gid} split: {verdicts}"
-        takeovers = _takeover_records(result.cluster)
+        takeovers = _takeover_records(result.system)
         assert all(t.verdict == "commit" for t in takeovers)
         commits = [
             record.tid.value
-            for site in result.cluster.sites.values()
+            for site in result.system.sites.values()
             for record in site.durable_records()
             if isinstance(record, CommitRecord)
         ]
@@ -125,15 +123,16 @@ class TestTakeover:
         # group.  Its log and the survivors' logs must agree on a single
         # verdict per gid (the no-dual-decision oracle), and the usurper
         # epoch must outrank the original epoch 0.
-        spec = cluster_scenarios.get("cluster_group_commit")
-        steps = probe_message_steps(spec)
+        spec = get("cluster_group_commit")
+        steps = probe(spec).messages
         plan = FaultPlan(kill_coordinator_at=_step(steps, "vote", 1))
-        result = run_failover_plan(spec, plan)
+        result = run_plan(spec, plan)
+        assert result.judgment == "failover"
         assert result.ok, result.describe()
-        takeovers = _takeover_records(result.cluster)
+        takeovers = _takeover_records(result.system)
         assert takeovers
         old = takeovers[0].old_coordinator
-        reborn = result.cluster.sites[old]
+        reborn = result.system.sites[old]
         assert reborn.up
         merged = _merged_verdicts(result.analyses)
         for gid, verdicts in merged.items():
@@ -170,12 +169,13 @@ class TestWitnessReconstruction:
         # commit and then resolved abort (its coordinator died before
         # deciding; the takeover presumed abort) must, after its own
         # power-cycle, still answer "aborted" — not "no trace".
-        spec = cluster_scenarios.get("cluster_group_commit")
-        steps = probe_message_steps(spec)
+        spec = get("cluster_group_commit")
+        steps = probe(spec).messages
         plan = FaultPlan(kill_coordinator_at=_step(steps, "vote"))
-        result = run_failover_plan(spec, plan)
+        result = run_plan(spec, plan)
+        assert result.judgment == "failover"
         assert result.ok, result.describe()
-        cluster = result.cluster
+        cluster = result.system
         old = _takeover_records(cluster)[0].old_coordinator
         witness = next(
             name
@@ -246,13 +246,12 @@ class TestReleaseBlackout:
         # commit gated on a witness ACK, no commit record exists
         # anywhere, so the survivors' presumed-abort takeover and the
         # reborn coordinator's log agree: abort, everywhere.
-        spec = cluster_scenarios.get("cluster_group_commit")
+        spec = get("cluster_group_commit")
         blackout = FaultPlan(drop_msg_kinds=frozenset({"decision"}))
-        steps = probe_plan_steps(spec, blackout)
+        steps = probe(spec, blackout).messages
         kill = next(n for n, d in steps if d.endswith(":decision"))
-        result = run_failover_plan(
-            spec, blackout.with_(kill_coordinator_at=kill)
-        )
+        result = run_plan(spec, blackout.with_(kill_coordinator_at=kill))
+        assert result.judgment == "failover"
         assert result.ok, result.describe()
         verdicts = _merged_verdicts(result.analyses)
         assert verdicts
@@ -264,9 +263,10 @@ class TestReleaseBlackout:
         # coordinator parks in "releasing"; once the fabric heals, a
         # heartbeat-paced resend gets through, a witness acks, and the
         # commit seals — the gate defers the decision, never loses it.
-        spec = cluster_scenarios.get("cluster_group_commit")
+        spec = get("cluster_group_commit")
         plan = FaultPlan(drop_msg_kinds=frozenset({"decision"}))
-        result = run_cluster_plan(spec, plan)
+        result = run_plan(spec, plan)
+        assert result.judgment == "cluster"
         assert result.ok, result.describe()
         verdicts = _merged_verdicts(result.analyses)
         assert {"commit"} in verdicts.values()

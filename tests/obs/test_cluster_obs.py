@@ -10,8 +10,8 @@ its group) visible across sites on the one clock.
 
 from repro.acta.history import HistoryRecorder
 from repro.chaos.faults import FaultPlan
-from repro.cluster import scenarios
-from repro.cluster.sweep import run_cluster_plan
+import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
+from repro.chaos.sweep import get, run_plan
 from repro.common.events import EventKind
 from repro.obs import ObservabilityKit
 
@@ -25,9 +25,7 @@ def _observed_run(name):
         for site_name, site in cluster.sites.items():
             histories[site_name] = HistoryRecorder(site.manager)
 
-    result = run_cluster_plan(
-        scenarios.get(name), FaultPlan(), instrument=instrument
-    )
+    result = run_plan(get(name), FaultPlan(), instrument=instrument)
     assert result.ok, result.describe()
     return kit, histories
 

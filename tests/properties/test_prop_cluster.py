@@ -17,8 +17,8 @@ import pytest
 
 from repro.chaos.faults import FaultPlan
 from repro.cluster import Cluster
-from repro.cluster import scenarios as cluster_scenarios
-from repro.cluster.sweep import probe_message_steps, run_cluster_plan
+import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
+from repro.chaos.sweep import get, probe, run_plan
 from repro.storage.log import CommitRecord
 
 SITES = ("alpha", "beta", "gamma")
@@ -72,10 +72,10 @@ def _coordinator_crash_cases():
         "gc_begin", "prepare", "vote", "decision", "ack",
         "status_req", "status_rep",
     }
-    spec = cluster_scenarios.get("cluster_group_commit")
+    spec = get("cluster_group_commit")
     steps = [
         (number, detail)
-        for number, detail in probe_message_steps(spec)
+        for number, detail in probe(spec).messages
         if detail.split(":")[-1] in protocol_kinds
     ]
     assert steps
@@ -92,12 +92,12 @@ def test_coordinator_crash_at_every_protocol_step_converges(step, detail):
     """Property 2: one global outcome per group, no permanent doubt."""
     coordinator = sorted(_SPEC.sites)[0]  # group_commit defaults to refs[0]
     plan = FaultPlan(site_crash_at=(coordinator, step))
-    result = run_cluster_plan(_SPEC, plan, step=step, detail=detail)
+    result = run_plan(_SPEC, plan)
     assert result.converged, result.describe()
-    assert result.report.ok, result.report.describe()
+    assert result.oracle.ok, result.oracle.describe()
     # And the outcome is *one* outcome: every member either appears in
     # its site's durable commits or in none — never mixed.
-    cluster = result.cluster
+    cluster = result.system
     for gid, group in cluster.groups.items():
         fates = {
             site: tid.value in _committed(cluster.sites[site])

@@ -1,0 +1,109 @@
+"""Import layering: product code does not depend on the harness.
+
+Walks the import graph of ``src/repro`` with ``ast`` (every ``import``
+and ``from ... import``, at any nesting depth, so lazy imports count):
+
+* nothing under ``repro.{common,core,storage,runtime,models,workflow,
+  lang,resilience,obs}`` imports ``repro.chaos`` or ``repro.cluster``;
+* ``repro.net`` and the ``repro.cluster`` product modules import from
+  ``repro.chaos`` only ``chaos.faults`` (the injection seam product code
+  is built around) and the one ``evaluate_cluster`` that
+  ``Cluster.evaluate`` hands its durable logs to.
+
+``repro.cluster.scenarios`` and ``repro.cluster.sweep`` are not product
+code: they are the cluster front-end of the sweep harness (the cluster
+*kind* and its fault dimensions) and import the driver by design.
+"""
+
+from __future__ import annotations
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PRODUCT = (
+    "common", "core", "storage", "runtime", "models", "workflow", "lang",
+    "resilience", "obs",
+)
+HARNESS_FRONT_END = {"repro.cluster.scenarios", "repro.cluster.sweep"}
+
+
+def _module_name(path):
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imports(path):
+    """Yield ``(module, name)`` for every import in ``path``: ``name`` is
+    the imported attribute for ``from module import name``, else None."""
+    package = _module_name(path).split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            for alias in node.names:
+                yield module, alias.name
+
+
+def _modules(*packages):
+    for package in packages:
+        yield from sorted((SRC / "repro" / package).rglob("*.py"))
+
+
+def _under(module, name, package):
+    full = f"{module}.{name}" if name else module
+    return module == package or module.startswith(package + ".") or (
+        full == package or full.startswith(package + ".")
+    )
+
+
+def test_product_code_imports_neither_chaos_nor_cluster():
+    offenders = [
+        f"{_module_name(path)} imports {module}" + (f".{name}" if name else "")
+        for path in _modules(*PRODUCT)
+        for module, name in _imports(path)
+        if _under(module, name, "repro.chaos")
+        or _under(module, name, "repro.cluster")
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_net_and_cluster_take_only_the_injection_seam_from_chaos():
+    allowed_extra = {
+        ("repro.cluster.cluster", "repro.chaos.oracles", "evaluate_cluster"),
+    }
+    offenders = []
+    for path in _modules("net", "cluster"):
+        importer = _module_name(path)
+        if importer in HARNESS_FRONT_END:
+            continue
+        for module, name in _imports(path):
+            if not _under(module, name, "repro.chaos"):
+                continue
+            if module == "repro.chaos.faults":
+                continue
+            if (importer, module, name) in allowed_extra:
+                continue
+            offenders.append(f"{importer} imports {module}.{name}")
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_durable_engine_loads_without_the_harness():
+    """The acceptance one-liner: importing the durable workflow engine
+    pulls in neither the chaos harness nor the ACTA checker."""
+    code = (
+        "import repro.workflow.durable, sys; "
+        "bad = [m for m in sys.modules"
+        " if m.startswith(('repro.chaos', 'repro.acta'))]; "
+        "assert not bad, bad"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code], check=True, env={"PYTHONPATH": str(SRC)}
+    )

@@ -446,3 +446,48 @@ class TestExecutionLeases:
             with pytest.raises(AssetError, match="live lease"):
                 second.cancel(wid)
         assert first.signal(wid, "approve") is ExecutionStatus.COMPLETED
+
+
+class TestCompensationRetryBudget:
+    """The durable engine has durably decided to go backward, so an
+    exhausted retry budget on a compensation is spent again with a fresh
+    attempt — never left half-compensated (the in-memory engine
+    propagates instead: ``test_engine.py``)."""
+
+    def test_exhausted_budget_on_a_compensation_is_reissued(self, rt):
+        from repro.common.errors import TransientIOError
+        from repro.resilience import RetryPolicy
+        from repro.workflow.records import COMP_ATTEMPT
+
+        oids = _make_oids(rt, ("order", "audit"))
+        registry = DefinitionRegistry()
+        registry.register(
+            _approval_definition("approval", oids, timeout=10)
+        )
+        engine = DurableWorkflowEngine(
+            rt, registry,
+            retry=RetryPolicy.zero_budget(clock=rt.manager.clock),
+        )
+        wid = engine.start("approval")
+        assert engine.status(wid) is ExecutionStatus.WAITING_SIGNAL
+        real_commit = rt.commit
+        glitches = []
+
+        def glitch_once(tid):
+            if not glitches:
+                # The device fails the commit and the transaction dies
+                # with it (its locks are released for the reissue).
+                glitches.append(tid)
+                rt.abort(tid)
+                raise TransientIOError("compensation commit glitches")
+            return real_commit(tid)
+
+        rt.commit = glitch_once
+        assert engine.expire_wait(wid) is ExecutionStatus.COMPENSATED
+        rt.commit = real_commit
+        assert _value(rt, oids["order"]) == 0  # place was compensated
+        attempts = [
+            record for record in workflow_records(rt.manager.storage.log.records())
+            if record.kind == COMP_ATTEMPT
+        ]
+        assert len(attempts) == 2  # the glitched attempt, then the reissue

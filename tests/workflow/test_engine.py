@@ -212,3 +212,37 @@ class TestRaceLoserLeak:
         result = engine.execute(spec)
         assert result.success
         assert not engine.orphaned  # the retry absorbed the glitch
+
+
+class TestCompensationRetryBudget:
+    """The one place the two engines' shared step strategies differ: an
+    exhausted retry budget on a *compensation*.  The in-memory engine
+    has nothing durable to fall back on and propagates it (the durable
+    engine's side is pinned in ``test_durable.py``)."""
+
+    def test_exhausted_budget_on_a_compensation_propagates(self, rt):
+        from repro.common.errors import RetryExhausted, TransientIOError
+        from repro.resilience import RetryPolicy
+
+        oids = make_counters(rt, 2)
+        spec = WorkflowSpec()
+        spec.task("a").alternative(incrementer(oids[0])).compensate_with(
+            incrementer(oids[0], delta=-1)
+        )
+        spec.task("b").alternative(incrementer(oids[1], fail=True))
+        engine = WorkflowEngine(
+            rt, retry=RetryPolicy.zero_budget(clock=rt.manager.clock)
+        )
+        real_commit = rt.commit
+        commits = []
+
+        def glitch_on_the_compensation(tid):
+            commits.append(tid)
+            if len(commits) == 3:  # a, b (aborts), then a's compensation
+                raise TransientIOError("compensation commit glitches")
+            return real_commit(tid)
+
+        rt.commit = glitch_on_the_compensation
+        with pytest.raises(RetryExhausted):
+            engine.execute(spec)
+        assert len(commits) == 3  # no second compensation attempt
