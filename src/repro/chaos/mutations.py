@@ -17,6 +17,7 @@ from contextlib import contextmanager
 
 from repro.core.manager import TransactionManager
 from repro.storage.buffer import BufferPool
+from repro.storage.log import WriteAheadLog
 from repro.storage.recovery import RecoveryManager
 
 
@@ -44,8 +45,8 @@ def wal_ordering_broken():
     """Dirty pages reach disk without forcing the log first.
 
     Breaks the write-ahead rule everywhere at once by making the pool's
-    ``wal_flush`` hook unsettable (the storage manager *thinks* it wired
-    the log force, but the pool discards it): a crash after a page
+    ``wal`` reference unsettable (the storage manager *thinks* it handed
+    the pool its log, but the pool discards it): a crash after a page
     write-back but before the next log flush leaves an effect on disk
     that the durable log cannot attribute or undo.  The sweep must catch
     the window.
@@ -57,14 +58,36 @@ def wal_ordering_broken():
     def discard(self, value):
         pass
 
-    BufferPool.wal_flush = property(read_none, discard)
+    BufferPool.wal = property(read_none, discard)
     try:
         yield
     finally:
         # Back to a plain data attribute: new pools assign their own
-        # instance value in __init__; the class default stays None.
-        del BufferPool.wal_flush
-        BufferPool.wal_flush = None
+        # instance value in __init__.
+        del BufferPool.wal
+
+
+@contextmanager
+def wal_gate_stuck():
+    """The write-ahead gate always answers "already durable".
+
+    The pool still holds its log and still asks before every write-back,
+    but :meth:`WriteAheadLog.force` never syncs — the failure a wrong
+    watermark or a stale page stamp would cause.  Commit flushes still
+    happen, so only a *stolen* page (evicted while its writer is still
+    uncommitted) reaches disk ahead of its undo record; the
+    ``steal_window`` sweep must catch it.
+    """
+    original = WriteAheadLog.force
+
+    def already_durable(self, lsn):
+        return False
+
+    WriteAheadLog.force = already_durable
+    try:
+        yield
+    finally:
+        WriteAheadLog.force = original
 
 
 @contextmanager

@@ -57,6 +57,8 @@ class ScenarioSpec:
     # the stack then carries a wired DeadlineTable/Watchdog/FlushHealth
     # kit on ``stack.resilience``.
     resilience: object = None
+    capacity: int = 256  # buffer-pool frames (per shard)
+    n_shards: int = None  # None: the flat WAL; a count: the segmented one
 
     kind = "single-site"
     # A transient fault the model could not absorb — TransientIOError
@@ -74,6 +76,8 @@ class ScenarioSpec:
             seed=seed,
             schedule=schedule,
             resilience=self.resilience,
+            n_shards=self.n_shards,
+            capacity=self.capacity,
         )
         if retry is not None:
             from repro.resilience import RetryPolicy
@@ -306,6 +310,92 @@ def checkpoint_window(stack):
     manager.abort(t2)
 
     stack.intent.expected_clean = {a.value: b"a1", b.value: b"b0"}
+
+
+# ---------------------------------------------------------------------------
+# The steal window: a pool smaller than the working set
+# ---------------------------------------------------------------------------
+
+STEAL_POOL_FRAMES = 3
+
+
+def _fat(tag):
+    """A value that fills more than half a page: one object per page."""
+    return tag * 1100
+
+
+def _large(tag):
+    """A value spanning three pages (a chunked large object)."""
+    return tag * 4500
+
+
+def _create_then_write(tx, value, oid, new_value):
+    yield tx.create(value)
+    yield tx.write(oid, new_value)
+
+
+def _steal_window_drive(stack):
+    rt, manager = stack.runtime, stack.manager
+    oids = {}
+
+    def setup(tx):
+        for name in ("a", "b", "c", "d"):
+            oids[name] = yield tx.create(_fat(name.encode() + b"0"))
+        oids["big"] = yield tx.create(_large(b"B0"))
+
+    result = rt.run(setup)
+    stack.note_ack(result.tid)
+    stack.intent.oids = dict(oids)
+    a, b, c, d, big = (oids[n] for n in ("a", "b", "c", "d", "big"))
+
+    # t2 rewrites c and the large object and stays uncommitted: the
+    # rewrite alone spans more pages than the pool has frames, so its
+    # dirty pages are stolen (evicted to disk) while it is still running.
+    t2 = rt.spawn(_double_writer, (c, _fat(b"c2"), big, _large(b"B2")))
+    rt.wait(t2)
+    # t1 completes over other pages, stealing what t2 still had cached.
+    t1 = rt.spawn(_double_writer, (a, _fat(b"a1"), b, _fat(b"b1")))
+    rt.wait(t1)
+    # t3 creates an object and overwrites d; it is never resolved — the
+    # power cut that ends every run finds it in flight.
+    t3 = rt.spawn(_create_then_write, (_fat(b"e3"), d, _fat(b"d3")))
+    rt.wait(t3)
+
+    # Undo of stolen pages: every before image is installed into a page
+    # fetched back from disk, stealing t1's and t3's uncommitted pages to
+    # make room.
+    manager.abort(t2)
+    # Last, so that the run's final flush is a commit's: a lied *final*
+    # fsync then only makes this ack hollow.
+    stack.commit(t1)
+
+    stack.intent.expected_clean = {
+        a.value: _fat(b"a1"),
+        b.value: _fat(b"b1"),
+        c.value: _fat(b"c0"),  # undone by t2's abort
+        big.value: _large(b"B0"),  # undone by t2's abort
+        # d and t3's new object hold t3's uncommitted values while the
+        # run is live and are undone by recovery: not declared here.
+    }
+
+
+for _name, _shards, _where in (
+    ("steal_window", None, "the flat WAL"),
+    ("steal_window_sharded", 2, "two WAL segments"),
+):
+    register(ScenarioSpec(
+        name=_name,
+        description=(
+            f"one-object-per-page values and a three-page large object"
+            f" through a {STEAL_POOL_FRAMES}-frame pool on {_where}: one"
+            " transaction commits, one aborts after its dirty pages were"
+            " stolen, one is in flight at the crash — every eviction of an"
+            " uncommitted page tests the page-LSN / durable-LSN gate"
+        ),
+        drive=_steal_window_drive,
+        capacity=STEAL_POOL_FRAMES,
+        n_shards=_shards,
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ abandoned, unflushed log records gone, a *fresh* storage stack rebuilt
 over the surviving devices — and runs restart recovery, exactly the
 sequence a real crash would produce.  ``n_shards`` picks the storage
 engine: ``None`` is the flat WAL, a count is the sharded manager over
-the segmented WAL (same injector, same lifecycle).
+the segmented WAL (same injector, same lifecycle).  ``capacity`` is the
+buffer pool's frame count (per shard), for scenarios that want a pool
+smaller than their working set — before and after the restart.
 
 The stack also keeps the books the oracles need:
 
@@ -83,23 +85,26 @@ class ChaosStack:
     """A full ASSET stack wired to one fault injector."""
 
     def __init__(self, plan=None, group_commit=None, seed=None, schedule=None,
-                 resilience=None, n_shards=None):
+                 resilience=None, n_shards=None, capacity=256):
         self.plan = plan if plan is not None else FaultPlan()
         self.injector = FaultInjector(plan=self.plan)
         self.n_shards = n_shards
+        self.capacity = capacity
         self.seed = seed
         if n_shards is None:
             self.device = MemoryLogDevice(injector=self.injector)
             self.disk = InMemoryDiskManager(injector=self.injector)
             log = WriteAheadLog(self.device, group_commit=group_commit)
             self.storage = StorageManager(
-                disk=self.disk, log=log, injector=self.injector
+                disk=self.disk, log=log, injector=self.injector,
+                capacity=capacity,
             )
         else:
             self.storage = ShardedStorageManager(
                 n_shards=n_shards,
                 group_commit=group_commit,
                 injector=self.injector,
+                capacity=capacity,
             )
         self.runtime = self.runtime_over(
             self.storage, failpoint=self.injector.failpoint, schedule=schedule
@@ -254,11 +259,12 @@ class ChaosStack:
                 log.device._advance_durable()
         if self.n_shards is not None:
             self.storage.crash()
+            durable_records = list(self.storage.log.records())
             report = self.storage.recover()
             return RestartedSystem(
                 storage=self.storage,
                 report=report,
-                durable_records=list(self.storage.log.records()),
+                durable_records=durable_records,
             )
         self.device.crash()
         if recovery_injector is not None:
@@ -267,7 +273,8 @@ class ChaosStack:
         log = WriteAheadLog(self.device)
         durable_records = log.records()
         storage = StorageManager(
-            disk=self.disk, log=log, injector=recovery_injector
+            disk=self.disk, log=log, injector=recovery_injector,
+            capacity=self.capacity,
         )
         report = storage.recover()
         return RestartedSystem(

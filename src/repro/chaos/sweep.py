@@ -320,19 +320,18 @@ def judge_recovery(verdict):
 
     Runs that completed (lost-fsync plans, surfaced errors) get their
     power cut here: an injected lie only matters once the unflushed tail
-    is actually lost.  The oracles read a flat log; a sharded stack is
-    restarted and left to its kind's own checks.
+    is actually lost.  A sharded stack is judged on its segments merged
+    by LSN, as the restart found them.
     """
     stack = verdict.system
     verdict.restarted = stack.restart()
-    if stack.n_shards is None:
-        verdict.oracle = evaluate_recovery(
-            verdict.restarted,
-            stack.intent,
-            stack.durable_acks,
-            label=f"{verdict.scenario}: {verdict.plan.describe()}",
-        )
-        check_idempotent(verdict.restarted, verdict.oracle)
+    verdict.oracle = evaluate_recovery(
+        verdict.restarted,
+        stack.intent,
+        stack.durable_acks,
+        label=f"{verdict.scenario}: {verdict.plan.describe()}",
+    )
+    check_idempotent(verdict.restarted, verdict.oracle)
 
 
 # How each run option is spelled on the replay command line.

@@ -24,13 +24,18 @@ from repro.storage.page import Page
 class Frame:
     """One buffer frame: a cached page plus bookkeeping."""
 
-    __slots__ = ("page", "pin_count", "dirty", "referenced", "latch")
+    __slots__ = ("page", "pin_count", "dirty", "referenced", "latch",
+                 "page_lsn")
 
     def __init__(self, page):
         self.page = page
         self.pin_count = 0
         self.dirty = False
         self.referenced = True
+        # The log's last LSN when the frame was last dirtied.  Volatile,
+        # never part of the page image: a frame evicted and fetched
+        # again is clean, so nothing on disk needs to remember it.
+        self.page_lsn = 0
         self.latch = Latch(name=f"frame:{page.page_id}")
 
 
@@ -50,10 +55,12 @@ class BufferPool:
         self.capacity = capacity
         self.injector = injector
         # The WAL rule: before a dirty page reaches disk, the log records
-        # describing its updates must be durable.  The storage manager
-        # wires this to ``log.flush``; ``None`` means no write-ahead log
-        # protects this pool (bare-pool tests).
-        self.wal_flush = None
+        # that can undo what it holds must be durable.  The storage
+        # manager sets this to its log; a write-back then asks the log to
+        # ``force`` up to the frame's ``page_lsn``, which syncs only if a
+        # record that old is still volatile.  ``None`` means no
+        # write-ahead log protects this pool (bare-pool tests).
+        self.wal = None
         self._frames = {}
         self._clock_order = []
         self._clock_hand = 0
@@ -61,6 +68,7 @@ class BufferPool:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.wal_forces = 0  # write-backs that had to sync the log first
 
     # -- pinning --------------------------------------------------------------
 
@@ -91,6 +99,8 @@ class BufferPool:
             page_id = self.disk.allocate_page()
             frame = Frame(Page(page_id, page_size=self.disk.page_size))
             frame.dirty = True
+            if self.wal is not None:
+                frame.page_lsn = self.wal.last_lsn
             self._admit(page_id, frame)
             frame.pin_count += 1
             return frame
@@ -104,6 +114,12 @@ class BufferPool:
             frame.pin_count -= 1
             if dirty:
                 frame.dirty = True
+                # The stamp the write-ahead gate reads.  Sound because
+                # every caller appends the record that can undo a
+                # modification *before* modifying the page, and unpins
+                # after: the log's last LSN is at or past that record.
+                if self.wal is not None:
+                    frame.page_lsn = self.wal.last_lsn
 
     # -- eviction -------------------------------------------------------------
 
@@ -135,10 +151,15 @@ class BufferPool:
             return
         raise StorageError("all buffer frames are pinned; cannot evict")
 
-    def _write_back(self, page_id, frame, wal_done=False):
+    def _force_log(self, lsn):
+        """WAL rule: the log is durable through ``lsn`` before a page
+        stamped with it reaches disk."""
+        if self.wal is not None and self.wal.force(lsn):
+            self.wal_forces += 1
+
+    def _write_back(self, page_id, frame):
         if frame.dirty:
-            if self.wal_flush is not None and not wal_done:
-                self.wal_flush()  # WAL rule: log reaches disk first
+            self._force_log(frame.page_lsn)
             self.disk.write_page(page_id, frame.page.to_bytes())
             frame.dirty = False
 
@@ -154,13 +175,19 @@ class BufferPool:
     def flush_all(self):
         """Write every dirty cached page back to disk."""
         with self._lock:
-            dirty = sum(1 for f in self._frames.values() if f.dirty)
+            dirty = [
+                (page_id, frame)
+                for page_id, frame in self._frames.items()
+                if frame.dirty
+            ]
             if self.injector is not None:
-                self.injector.pool_flush(dirty)
-            if dirty and self.wal_flush is not None:
-                self.wal_flush()  # one log force covers the whole pass
-            for page_id, frame in self._frames.items():
-                self._write_back(page_id, frame, wal_done=True)
+                self.injector.pool_flush(len(dirty))
+            if dirty:
+                # At most one log force covers the whole pass.
+                self._force_log(max(frame.page_lsn for __, frame in dirty))
+            for page_id, frame in dirty:
+                self.disk.write_page(page_id, frame.page.to_bytes())
+                frame.dirty = False
             self.disk.sync()
 
     def drop_all(self):

@@ -478,7 +478,14 @@ class MemoryLogDevice:
 
 
 class FileLogDevice:
-    """Log persistence in a file of length-prefixed records."""
+    """Log persistence in a file of length-prefixed records.
+
+    The device knows what is durable: the size and record count of the
+    file at its last real ``fsync`` (everything found at open counts —
+    it is what survived).  ``read_all(durable_only=True)`` stops there,
+    :meth:`crash` cuts the file back to it, and :meth:`durable_count`
+    reports it, exactly as :class:`MemoryLogDevice` does.
+    """
 
     def __init__(self, path, injector=None):
         self.path = str(path)
@@ -486,11 +493,14 @@ class FileLogDevice:
         mode = "r+b" if os.path.exists(self.path) else "w+b"
         self._file = open(self.path, mode)
         self._file.seek(0, os.SEEK_END)
+        self._durable_size = self._file.tell()
+        self._count = self._durable_count = sum(1 for __ in self.read_all())
 
     def append(self, raw):
         def do_append():
             self._file.write(_U32.pack(len(raw)))
             self._file.write(raw)
+            self._count += 1
 
         if self.injector is None:
             do_append()
@@ -498,27 +508,47 @@ class FileLogDevice:
             self.injector.log_append(len(raw), do_append)
 
     def flush(self):
+        # Runs only when the sync really happens: an injector that lies
+        # about (or fails) the flush leaves the durable marks behind.
         def do_flush():
             self._file.flush()
             os.fsync(self._file.fileno())
+            self._durable_size = self._file.tell()
+            self._durable_count = self._count
 
         if self.injector is None:
             do_flush()
         else:
             self.injector.log_flush(do_flush)
 
+    def durable_count(self):
+        """How many records a restart would actually see."""
+        return self._durable_count
+
     def read_all(self, durable_only=False):
+        """Iterate over encoded records, optionally only the synced ones."""
         self._file.flush()
+        limit = self._durable_size if durable_only else None
         with open(self.path, "rb") as reader:
+            offset = 0
             while True:
                 prefix = reader.read(_U32.size)
                 if len(prefix) < _U32.size:
                     return
                 (length,) = _U32.unpack(prefix)
+                offset += _U32.size + length
+                if limit is not None and offset > limit:
+                    return
                 raw = reader.read(length)
                 if len(raw) < length:
                     return  # torn tail write: ignore, as a real restart would
                 yield raw
+
+    def crash(self):
+        """Drop every byte not yet synced (crash simulation)."""
+        self._file.truncate(self._durable_size)
+        self._file.seek(self._durable_size)
+        self._count = self._durable_count
 
     def reset(self):
         """Discard the whole log (sharp-checkpoint truncation)."""
@@ -526,6 +556,8 @@ class FileLogDevice:
         self._file.truncate()
         self._file.flush()
         os.fsync(self._file.fileno())
+        self._durable_size = 0
+        self._count = self._durable_count = 0
 
     def close(self):
         self._file.close()
@@ -622,6 +654,12 @@ class WriteAheadLog:
     ``FlushCoalescer(max_commits=n)``) defers the per-commit flush into
     size- and count-bounded batches; ``None`` keeps the classic
     flush-every-commit durability.
+
+    ``last_lsn`` is the LSN of the newest record and ``durable_lsn`` the
+    watermark below which every record is on stable storage *as the
+    device confirms it*: :meth:`flush` advances it, :meth:`resync` and
+    :meth:`truncate` reset it.  The buffer pool stamps dirty frames with
+    the first and gates its write-backs on the second (:meth:`force`).
     """
 
     def __init__(self, device=None, group_commit=None, sequencer=None):
@@ -636,7 +674,8 @@ class WriteAheadLog:
         self._sequencer = sequencer
         self._lock = threading.Lock()
         self._next_lsn = 1
-        self._last_lsn = 0
+        self.last_lsn = 0
+        self.durable_lsn = 0
         self.flush_count = 0
         # Observability hook (repro.obs): a MetricsRegistry/ScopedMetrics
         # installed by ObservabilityKit.attach_log, or None.  The append
@@ -668,8 +707,11 @@ class WriteAheadLog:
             for record in self._decoded:
                 self._next_lsn = max(self._next_lsn, record.lsn.value + 1)
                 self._index_record(record)
-            self._last_lsn = (
+            self.last_lsn = (
                 self._decoded[-1].lsn.value if self._decoded else 0
+            )
+            self.durable_lsn = self._confirmed_lsn(
+                self.device.durable_count(), len(self._decoded), self.last_lsn
             )
             if self._sequencer is not None:
                 self._sequencer.advance_to(self._next_lsn)
@@ -722,7 +764,7 @@ class WriteAheadLog:
             else:
                 lsn = Lsn(self._sequencer.next_value())
                 self._next_lsn = lsn.value + 1
-            self._last_lsn = lsn.value
+            self.last_lsn = lsn.value
             record = build(lsn)
             encoded = encode_record(record)
             self.device.append(encoded)
@@ -892,7 +934,7 @@ class WriteAheadLog:
         """
         with self._lock:
             if self._sequencer is not None:
-                return self._last_lsn
+                return self.last_lsn
             return self._next_lsn - 1
 
     def flush(self):
@@ -909,6 +951,9 @@ class WriteAheadLog:
         success while leaving records volatile).
         """
         health = self.group_commit.health if self.group_commit is not None else None
+        with self._lock:
+            # What this sync can vouch for: records appended before it.
+            appended, last_lsn = len(self._decoded), self.last_lsn
         try:
             self.device.flush()
         except TransientIOError as exc:
@@ -927,22 +972,47 @@ class WriteAheadLog:
                 metrics.observe(
                     "wal.flush_batch_bytes", self.group_commit.pending_bytes
                 )
+        # Advance the watermark to what the device confirms.  No lock: a
+        # racing flush can only leave it lower than the truth, which
+        # costs a redundant force, never a missing one.
+        durable = self.device.durable_count()
+        confirmed = last_lsn
+        if durable < appended:  # a lied fsync: only a prefix is safe
+            with self._lock:
+                confirmed = self._confirmed_lsn(durable, appended, last_lsn)
+        if confirmed > self.durable_lsn:
+            self.durable_lsn = confirmed
         if health is not None:
-            durable_count = getattr(self.device, "durable_count", None)
-            if durable_count is not None:
-                with self._lock:
-                    appended = len(self._decoded)
-                durable = durable_count()
-                if durable < appended:
-                    health.note_failure(
-                        f"lying fsync: {durable} of {appended} records durable"
-                    )
-                else:
-                    health.note_success()
+            if durable < appended:
+                health.note_failure(
+                    f"lying fsync: {durable} of {appended} records durable"
+                )
             else:
                 health.note_success()
         if self.group_commit is not None:
             self.group_commit.note_flushed()
+
+    def _confirmed_lsn(self, durable, appended, last_lsn):
+        """The LSN through which the log is durable when the device
+        confirms ``durable`` records of the ``appended`` (the newest at
+        ``last_lsn``) it was asked about.  Called with ``_lock`` held."""
+        if durable >= appended:
+            return last_lsn
+        return self._decoded[durable - 1].lsn.value if durable else 0
+
+    def force(self, lsn):
+        """The write-ahead gate: make the log durable through ``lsn``.
+
+        Syncs the device only if a record at or below ``lsn`` is still
+        volatile; returns whether it had to.  A page stamped ``lsn`` may
+        reach disk once this returns.
+        """
+        if lsn <= self.durable_lsn:
+            return False
+        self.flush()
+        if self.metrics is not None:
+            self.metrics.inc("wal.forces")
+        return True
 
     def truncate(self):
         """Discard all records (LSNs keep counting upward).
@@ -956,6 +1026,7 @@ class WriteAheadLog:
             self._decoded = []
             self._updates_by_tid = {}
             self._max_tid = 0
+            self.durable_lsn = self.last_lsn  # nothing volatile is left
 
     def records(self, durable_only=False):
         """All records in LSN order (optionally only durable ones).

@@ -97,16 +97,24 @@ class ObjectStore:
 
     # -- lifecycle ------------------------------------------------------------
 
+    def reserve_oid(self, name=""):
+        """Allocate the next object id without storing anything yet, so
+        the creation can be logged before the page is touched."""
+        with self._lock:
+            oid = ObjectId(self._next_oid_value, name=name)
+            self._next_oid_value += 1
+            return oid
+
     def create(self, value, name="", oid=None):
         """Store ``value`` as a new object and return its id.
 
-        ``oid`` forces a specific id (used by recovery to re-create objects
-        whose creation committed); it must not already exist.
+        ``oid`` forces a specific id (a reserved one, or recovery
+        re-creating an object whose creation committed); it must not
+        already exist.
         """
         with self._lock:
             if oid is None:
-                oid = ObjectId(self._next_oid_value, name=name)
-                self._next_oid_value += 1
+                oid = self.reserve_oid(name=name)
             else:
                 if oid.value in self._locations:
                     raise StorageError(f"object already exists: {oid!r}")
@@ -145,10 +153,11 @@ class ObjectStore:
         if header is not None:
             count, __ = header
             for index in range(count):
-                cid = _chunk_id(oid_value, index)
-                chunk_page, chunk_slot = self._locations[cid]
-                self._delete_slot(chunk_page, chunk_slot)
-                del self._locations[cid]
+                # A crash can leave a header on disk whose chunk pages
+                # never got there; redo then overwrites such an object.
+                location = self._locations.pop(_chunk_id(oid_value, index), None)
+                if location is not None:
+                    self._delete_slot(*location)
 
     def _delete_slot(self, page_id, slot):
         frame = self.pool.fetch(page_id)

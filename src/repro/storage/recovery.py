@@ -179,14 +179,25 @@ class RecoveryManager:
         return report
 
     def _redo(self, records, report):
-        """Repeat history with every durable after image, in LSN order."""
+        """Repeat history with every durable after image, in LSN order.
+
+        Forces no log: nothing is appended here, so every frame redo
+        dirties is stamped with an LSN that was read from the durable
+        log, and the pool's write-ahead gate lets its eviction through.
+        """
         for record in records:
             if isinstance(record, AfterImageRecord):
                 self._install(record.oid, record.image)
                 report.redone += 1
 
     def _undo(self, updates, responsibility, losers, report):
-        """Install losers' before images, newest first, as compensation."""
+        """Install losers' before images, newest first, as compensation.
+
+        Each install precedes its compensation record.  The frame is
+        stamped at the install, past the before image of everything the
+        page holds; the compensation record is redo-only, so a page
+        evicted ahead of it needs no more of the log than that stamp.
+        """
         for record in reversed(updates):
             if responsibility[record.lsn] in losers:
                 self._install(record.oid, record.image)

@@ -286,10 +286,12 @@ class ShardedStorageManager:
         return oid, shard
 
     def create_allocated(self, tid, oid, shard, value, name=""):
-        """Materialize a pre-allocated object on its home shard."""
+        """Materialize a pre-allocated object on its home shard
+        (logged before the page is touched, as in
+        :meth:`StorageManager.create_object`)."""
         target = self.shards[shard]
-        target.objects.create(value, name=name, oid=oid)
         target.log.log_before_image(tid, oid, None)
+        target.objects.create(value, name=name, oid=oid)
         target.log.log_after_image(tid, oid, value)
         self._note_touch(tid, shard)
         return oid
@@ -543,6 +545,7 @@ class ShardedStorageManager:
                     "shard": index,
                     "appends": len(shard.log.records()),
                     "flushes": shard.log.flush_count,
+                    "wal_forces": shard.pool.wal_forces,
                     "batches_flushed": (
                         coalescer.batches_flushed if coalescer else 0
                     ),

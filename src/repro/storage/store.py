@@ -66,9 +66,14 @@ class StorageManager:
         # structural quarantine in ObjectStore._rebuild_table.
         self.quarantine = None
         # The WAL rule: no dirty page reaches disk before the log records
-        # describing its updates are durable.  Evictions and flushes force
-        # the log first (chaos crash sweeps fail without this ordering).
-        self.pool.wal_flush = self.log.flush
+        # that can undo its updates are durable.  The pool stamps each
+        # dirty frame with the log's last LSN and, before writing it
+        # back, has the log force itself that far — a device sync only
+        # when the record is still volatile (chaos crash sweeps fail
+        # without this ordering).  The pool holds the log, never this
+        # manager: lock order is pool -> log, and no cycle keeps a
+        # crashed stack's decoded log alive.
+        self.pool.wal = self.log
         self.objects = ObjectStore(self.pool)
 
     # -- object operations (latched + logged) ----------------------------------
@@ -77,10 +82,14 @@ class StorageManager:
         """Create an object on behalf of ``tid``; returns its id.
 
         Logged as an update whose before image is absent, so aborting
-        ``tid`` deletes the object again.
+        ``tid`` deletes the object again — and logged *before* the page
+        is touched, like every update: a page holding the new object can
+        be evicted before this returns, and the record that undoes it
+        must already be in the log for the write-ahead gate to force.
         """
-        oid = self.objects.create(value, name=name)
+        oid = self.objects.reserve_oid(name=name)
         self.log.log_before_image(tid, oid, None)
+        self.objects.create(value, oid=oid)
         self.log.log_after_image(tid, oid, value)
         return oid
 
@@ -246,9 +255,7 @@ class StorageManager:
     def crash(self):
         """Simulate a crash: lose the cache and all unflushed log records."""
         self.pool.drop_all()
-        device_crash = getattr(self.log.device, "crash", None)
-        if device_crash is not None:
-            device_crash()
+        self.log.device.crash()
         self.log.resync()  # the decoded cache must match the device now
 
     def recover(self):

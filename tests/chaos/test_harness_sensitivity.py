@@ -22,6 +22,7 @@ from repro.chaos.mutations import (
     delegation_unlogged,
     dependency_dropped,
     undo_disabled,
+    wal_gate_stuck,
     wal_ordering_broken,
 )
 from repro.chaos.scenarios import live_violations
@@ -171,8 +172,15 @@ class TestControl:
         assert RecoveryManager._undo is undo_before
 
         with wal_ordering_broken():
-            assert isinstance(BufferPool.__dict__["wal_flush"], property)
-        assert BufferPool.wal_flush is None
+            assert isinstance(BufferPool.__dict__["wal"], property)
+        assert "wal" not in BufferPool.__dict__
+
+        from repro.storage.log import WriteAheadLog
+
+        force_before = WriteAheadLog.force
+        with wal_gate_stuck():
+            assert WriteAheadLog.force is not force_before
+        assert WriteAheadLog.force is force_before
 
         from repro.cluster.site import Site
 

@@ -95,7 +95,12 @@ class TestRunOptionsTravelWithThePlan:
         assert line["storage"] == "sharded"
         assert line["judgment"] == failed.judgment == "workflow"
         assert line["violations"] == artifact.violations
-        assert line["status"] == failed.status.value
+        # The reference oracles judge the sharded restart too (since the
+        # steal_window scenario runs on both engines), so the first red
+        # crash point can predate the execution: no status to resume to.
+        assert line["status"] == (
+            failed.status.value if failed.status else None
+        )
         assert line["resumed"] is failed.resumed
         # Without the mutation the same command is green.
         code, line = _replay(artifact.replay, capsys)

@@ -234,3 +234,51 @@ class TestShardedWiring:
         assert rt.run(body).committed
         snap = kit.snapshot()
         assert snap["counters"]["txn.committed"] >= 1
+
+
+def _create_fat(tx, count):
+    """One object per page: a small pool steals the uncommitted pages."""
+    for index in range(count):
+        yield tx.create((b"%d" % index) * 2200)
+
+
+class TestWalForcesCounter:
+    """Eviction-forced flushes are read, not inferred: ``wal.forces``
+    sits beside ``wal.flushes`` (flat and per segment) and mirrors
+    ``BufferPool.wal_forces``."""
+
+    def test_flat_log_counts_forces_beside_flushes(self):
+        from repro.storage.store import StorageManager
+
+        manager = TransactionManager(storage=StorageManager(capacity=2))
+        kit = install_observability(manager=manager)
+        assert CooperativeRuntime(manager).run(
+            _create_fat, args=(6,)
+        ).committed
+        counters = kit.snapshot()["counters"]
+        forces = manager.storage.pool.wal_forces
+        assert forces > 0
+        assert counters["wal.forces"] == forces
+        # Every force is a flush; the commit's own flush is not a force.
+        assert counters["wal.flushes"] == forces + 1
+
+    def test_segments_count_their_own_forces(self):
+        from repro.core.sharded import ShardedTransactionManager
+        from repro.runtime.sharded import ShardedRuntime
+        from repro.storage.segmented import ShardedStorageManager
+
+        storage = ShardedStorageManager(n_shards=2, capacity=2)
+        manager = ShardedTransactionManager(n_shards=2, storage=storage)
+        kit = install_observability(manager=manager)
+        assert ShardedRuntime(manager=manager).run(
+            _create_fat, args=(12,)
+        ).committed
+        snap = kit.snapshot()
+        for index, shard in enumerate(storage.shards):
+            forces = shard.pool.wal_forces
+            assert forces > 0
+            assert snap["counters"][f"wal.forces{{shard={index}}}"] == forces
+            assert snap["gauges"][f"segment.wal_forces{{shard={index}}}"] == (
+                forces
+            )
+            assert storage.segment_stats()[index]["wal_forces"] == forces

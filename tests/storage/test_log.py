@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos.faults import FaultInjector, FaultPlan
 from repro.common.ids import Lsn, ObjectId, Tid
 from repro.storage.log import (
     AbortRecord,
@@ -18,6 +19,7 @@ from repro.storage.log import (
     decode_record,
     encode_record,
 )
+from repro.storage.segmented import ShardedStorageManager
 
 
 class TestRecordCodec:
@@ -185,3 +187,142 @@ class TestFileDevice:
             handle.write(b"\xff\xff\x00\x00partial")
         reopened = WriteAheadLog(FileLogDevice(path))
         assert len(reopened.records()) == 1
+
+    def test_unsynced_appends_are_not_durable(self, tmp_path):
+        """``records(durable_only=True)`` is what a restart would see: on
+        a file, nothing until the first real sync."""
+        log = WriteAheadLog(FileLogDevice(tmp_path / "wal.log"))
+        log.log_before_image(Tid(1), ObjectId(1), b"x")
+        log.log_after_image(Tid(1), ObjectId(1), b"y")
+        assert log.records(durable_only=True) == []
+        assert log.device.durable_count() == 0
+        log.flush()
+        assert log.records(durable_only=True) == log.records()
+        assert log.device.durable_count() == 2
+
+    def test_crash_keeps_exactly_the_synced_prefix(self, tmp_path):
+        path = tmp_path / "wal.log"
+        log = WriteAheadLog(FileLogDevice(path))
+        log.log_before_image(Tid(1), ObjectId(1), b"x")
+        log.log_commit(Tid(1))  # syncs
+        synced = log.records()
+        log.log_before_image(Tid(2), ObjectId(1), b"lost")
+        log.log_after_image(Tid(2), ObjectId(1), b"lost too")
+        assert log.records(durable_only=True) == synced
+        log.device.crash()
+        log.resync()
+        assert log.records() == synced
+        assert log.device.durable_count() == len(synced)
+        # The surviving handle appends where the cut left off...
+        log.log_commit(Tid(3))
+        log.device.close()
+        # ...and a reopen agrees, with everything it finds counted durable.
+        reopened = WriteAheadLog(FileLogDevice(path))
+        assert reopened.records() == log.records()
+        assert reopened.device.durable_count() == len(synced) + 1
+        assert reopened.records(durable_only=True) == reopened.records()
+
+    def test_a_lied_sync_leaves_the_durable_marks_behind(self, tmp_path):
+        # Steps: append 1, append 2, flush 3 (lied about), flush 4 (real).
+        injector = FaultInjector(plan=FaultPlan(lose_fsync_at={3}))
+        log = WriteAheadLog(
+            FileLogDevice(tmp_path / "wal.log", injector=injector)
+        )
+        log.log_before_image(Tid(1), ObjectId(1), b"x")
+        log.log_after_image(Tid(1), ObjectId(1), b"y")
+        log.flush()
+        assert injector.lied_fsyncs == 1
+        assert log.device.durable_count() == 0
+        assert log.records(durable_only=True) == []
+        log.flush()
+        assert log.device.durable_count() == 2
+
+    def test_reset_forgets_the_durable_marks(self, tmp_path):
+        log = WriteAheadLog(FileLogDevice(tmp_path / "wal.log"))
+        log.log_commit(Tid(1))
+        log.truncate()
+        assert log.device.durable_count() == 0
+        assert log.records(durable_only=True) == []
+        log.log_commit(Tid(2))
+        assert len(log.records(durable_only=True)) == 1
+
+
+class TestDurableWatermark:
+    """``durable_lsn``: what the device confirms, and its reset points."""
+
+    def test_flush_advances_to_the_last_appended_lsn(self):
+        log = WriteAheadLog()
+        assert (log.last_lsn, log.durable_lsn) == (0, 0)
+        log.log_before_image(Tid(1), ObjectId(1), b"a")
+        log.log_after_image(Tid(1), ObjectId(1), b"b")
+        assert (log.last_lsn, log.durable_lsn) == (2, 0)
+        log.flush()
+        assert log.durable_lsn == 2
+
+    def test_force_syncs_only_past_the_watermark(self):
+        log = WriteAheadLog()
+        log.log_before_image(Tid(1), ObjectId(1), b"a")
+        log.log_commit(Tid(1))
+        flushes = log.flush_count
+        assert log.force(2) is False  # already durable: no device sync
+        assert log.flush_count == flushes
+        log.log_before_image(Tid(2), ObjectId(1), b"b")
+        assert log.force(3) is True
+        assert log.flush_count == flushes + 1
+        assert log.force(3) is False
+
+    def test_a_lied_flush_does_not_advance_it(self):
+        # Steps: append 1, flush 2, append 3, flush 4 (lied), flush 5.
+        injector = FaultInjector(plan=FaultPlan(lose_fsync_at={4}))
+        log = WriteAheadLog(MemoryLogDevice(injector=injector))
+        log.log_before_image(Tid(1), ObjectId(1), b"a")
+        log.flush()
+        log.log_before_image(Tid(1), ObjectId(2), b"b")
+        log.flush()  # the device says yes and does nothing
+        assert (log.last_lsn, log.durable_lsn) == (2, 1)
+        assert log.force(2) is True  # so the gate forces again
+        assert log.durable_lsn == 2
+
+    def test_resync_resets_it_to_what_survived(self):
+        log = WriteAheadLog()
+        log.log_before_image(Tid(1), ObjectId(1), b"a")
+        log.flush()
+        log.log_before_image(Tid(1), ObjectId(2), b"b")
+        log.device.crash()
+        log.resync()
+        assert (log.last_lsn, log.durable_lsn) == (1, 1)
+
+    def test_reopen_counts_everything_found_as_durable(self, tmp_path):
+        path = tmp_path / "wal.log"
+        log = WriteAheadLog(FileLogDevice(path))
+        log.log_before_image(Tid(1), ObjectId(1), b"a")
+        log.log_commit(Tid(1))
+        log.device.close()
+        reopened = WriteAheadLog(FileLogDevice(path))
+        assert reopened.durable_lsn == reopened.last_lsn == 2
+
+    def test_a_second_handle_sees_the_unflushed_tail_as_volatile(self):
+        device = MemoryLogDevice()
+        log = WriteAheadLog(device)
+        log.log_commit(Tid(1))  # lsn 1, flushed
+        log.log_before_image(Tid(2), ObjectId(1), b"a")  # lsn 2, volatile
+        other = WriteAheadLog(device)
+        assert (other.last_lsn, other.durable_lsn) == (2, 1)
+
+    def test_truncate_leaves_nothing_volatile(self):
+        log = WriteAheadLog()
+        log.log_before_image(Tid(1), ObjectId(1), b"a")
+        log.truncate()
+        assert log.durable_lsn == log.last_lsn == 1
+        log.log_before_image(Tid(2), ObjectId(1), b"b")
+        assert (log.last_lsn, log.durable_lsn) == (2, 1)
+
+    def test_segments_keep_their_own_watermarks(self):
+        store = ShardedStorageManager(n_shards=2)
+        one = store.create_object(Tid(1), b"v")  # oid 1 -> shard 1
+        two = store.create_object(Tid(1), b"w")  # oid 2 -> shard 0
+        first, second = store.segment_of(one), store.segment_of(two)
+        assert first is not second
+        first.flush()
+        assert first.durable_lsn == first.last_lsn == 2
+        assert second.durable_lsn == 0 and second.last_lsn == 4
