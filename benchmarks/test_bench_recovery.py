@@ -1,12 +1,15 @@
 """EX13 (ablation) — restart recovery time vs log length.
 
-Recovery scans the whole durable log (analysis + redo + undo), so its
-cost grows with accumulated history.  The sharp checkpoint (flush all
-pages, truncate the log when quiescent) bounds it.  Sweep the number of
-committed transactions before the crash, with and without a checkpoint.
+Without a checkpoint, recovery repeats the whole durable history, so its
+cost grows with it.  A checkpoint bounds it two ways: the *sharp* one
+(flush all pages, truncate the log when quiescent) by discarding the
+history, the plain one by marking where redo may begin — its marker's
+``redo_lsn`` — while keeping every record.  Sweep the number of
+committed transactions before the crash under all three.
 
-Expected shape: recovery time linear in log length without checkpoints,
-flat with them; recovered state identical either way.
+Expected shape: redo work (and time) linear in log length without a
+checkpoint, flat with either kind — the log-keeping one without
+discarding anything; recovered state identical all three ways.
 """
 
 import time
@@ -24,39 +27,51 @@ def _workload(history_length, checkpoint, seed=27):
         tid = rt.spawn(incrementer(oids[index % 4]))
         rt.commit(tid)
     if checkpoint:
-        rt.manager.checkpoint(truncate=True)
+        rt.manager.checkpoint(truncate=checkpoint == "sharp")
     storage.log.flush()
     storage.crash()
     start = time.perf_counter()
-    storage.recover()
+    report = storage.recover()
     elapsed = (time.perf_counter() - start) * 1e3
     finals = [
         int(storage.read_object(None, oid).decode("ascii")) for oid in oids
     ]
-    return elapsed, finals, len(storage.log.records())
+    return elapsed, finals, report
 
 
 def test_bench_recovery_log_length_sweep(benchmark):
     rows = []
     for history in (8, 32, 128, 512):
-        plain_ms, plain_state, __ = _workload(history, checkpoint=False)
-        ckpt_ms, ckpt_state, __ = _workload(history, checkpoint=True)
-        assert plain_state == ckpt_state  # same recovered data
+        plain_ms, plain_state, plain = _workload(history, checkpoint=None)
+        sharp_ms, sharp_state, sharp = _workload(history, checkpoint="sharp")
+        kept_ms, kept_state, kept = _workload(history, checkpoint="kept")
+        assert plain_state == sharp_state == kept_state  # same data
         expected = [
             len([i for i in range(history) if i % 4 == slot])
             for slot in range(4)
         ]
         assert plain_state == expected
-        rows.append([history, plain_ms, ckpt_ms])
+        # Redo work, exactly: every after image without a checkpoint,
+        # none behind either kind — and the kept log is all still there.
+        assert plain.redone == history + 4 and plain.redo_from == 0
+        assert (sharp.redone, sharp.scanned) == (0, 1)
+        assert (kept.redone, kept.scanned) == (0, plain.scanned + 1)
+        assert kept.redo_from == plain.scanned
+        rows.append([history, plain_ms, sharp_ms, kept_ms, plain.redone,
+                     kept.redone, kept.scanned])
     print_table(
-        "EX13: recovery time vs history length — with/without checkpoint",
-        ["committed txns", "no checkpoint (ms)", "sharp checkpoint (ms)"],
+        "EX13: recovery time vs history length — no / sharp / log-keeping"
+        " checkpoint",
+        ["committed txns", "no checkpoint (ms)", "sharp checkpoint (ms)",
+         "checkpoint, log kept (ms)", "redone (none)", "redone (kept)",
+         "records kept"],
         rows,
     )
     # Without checkpoints recovery grows with history; with them it
     # stays (near) flat — the longest run shows a clear win.
     assert rows[-1][1] > rows[-1][2]
-    benchmark(lambda: _workload(64, checkpoint=False))
+    assert rows[-1][1] > rows[-1][3]
+    benchmark(lambda: _workload(64, checkpoint=None))
 
 
 def test_bench_recovery_loser_heavy(benchmark):

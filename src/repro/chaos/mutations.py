@@ -30,7 +30,7 @@ def undo_disabled():
     """
     original = RecoveryManager._undo
 
-    def skip_undo(self, updates, responsibility, losers, report):
+    def skip_undo(self, report):
         return None
 
     RecoveryManager._undo = skip_undo
@@ -38,6 +38,64 @@ def undo_disabled():
         yield
     finally:
         RecoveryManager._undo = original
+
+
+@contextmanager
+def redo_lwm_too_high():
+    """Redo starts above the last durable checkpoint's mark — at the
+    log's last record, as if a marker were written after every append.
+
+    Every after image whose page had not reached disk by the crash is
+    then never reinstalled: a crash sweep over any scenario that leaves
+    committed work in the cache must report exact-state violations.
+    """
+    original = WriteAheadLog.redo_records
+
+    def from_the_end(self, whole=False):
+        self.redo_lsn = self.last_lsn
+        return original(self)
+
+    WriteAheadLog.redo_records = from_the_end
+    try:
+        yield
+    finally:
+        WriteAheadLog.redo_records = original
+
+
+@contextmanager
+def redo_mark_read_after_flush():
+    """A checkpoint marker carries the log's last LSN as of *after* the
+    pool flush, not before: a commit landing in between is covered by
+    the mark although its page is dirty again.  ``checkpoint_mark`` must
+    catch it."""
+    original = WriteAheadLog.log_checkpoint
+
+    def mark_late(self, active, redo_lsn=0):
+        return original(self, active, self.last_lsn if redo_lsn else 0)
+
+    WriteAheadLog.log_checkpoint = mark_late
+    try:
+        yield
+    finally:
+        WriteAheadLog.log_checkpoint = original
+
+
+@contextmanager
+def torn_page_keeps_mark():
+    """Quarantining a torn page no longer voids the checkpoint mark: an
+    object on it last written below the mark is never rebuilt.  The
+    ``checkpoint_mark`` sweeps' torn-page dimension must catch it."""
+    original = WriteAheadLog.log_checkpoint
+
+    def never_void(self, active, redo_lsn=0):
+        if redo_lsn or not self.redo_lsn:
+            return original(self, active, redo_lsn)
+
+    WriteAheadLog.log_checkpoint = never_void
+    try:
+        yield
+    finally:
+        WriteAheadLog.log_checkpoint = original
 
 
 @contextmanager

@@ -399,6 +399,98 @@ for _name, _shards, _where in (
 
 
 # ---------------------------------------------------------------------------
+# The checkpoint mark: where restart redo may begin
+# ---------------------------------------------------------------------------
+
+
+def _after_last_pool_flush(storage, action):
+    """Run ``action`` once, between the next checkpoint's (last) pool
+    flush and its marker — the interleaving a concurrent writer could
+    produce, driven single-threaded."""
+    pool = getattr(storage, "shards", [storage])[-1].pool
+    flush_all = pool.flush_all
+
+    def flush_then_act():
+        flush_all()
+        del pool.flush_all  # one shot: back to the class's method
+        action()
+
+    pool.flush_all = flush_then_act
+
+
+def _checkpoint_mark_drive(stack):
+    rt, manager = stack.runtime, stack.manager
+    oids = {}
+
+    def setup(tx):
+        for name in ("a", "b", "c", "d", "e"):
+            oids[name] = yield tx.create(name.encode() + b"0")
+
+    result = rt.run(setup)
+    stack.note_ack(result.tid)
+    stack.intent.oids = dict(oids)
+    a, b, c, d, e = (oids[n] for n in ("a", "b", "c", "d", "e"))
+
+    # Below the mark: t1 commits (b is never written again); t2 stays
+    # active across the checkpoint, which flushes its uncommitted page —
+    # a loser to undo from a before image older than where redo starts.
+    stack.commit(rt.spawn(_double_writer, (a, b"a1", b, b"b1")))
+    t2 = rt.spawn(_writer, (e, b"e2"))
+    rt.wait(t2)
+
+    # A log-keeping checkpoint, with a commit landing after the pool
+    # flush and before the marker: its page is dirty again and only the
+    # log holds it, so the marker's mark must not cover it.
+    _after_last_pool_flush(
+        stack.storage, lambda: stack.commit(rt.spawn(_writer, (c, b"c3")))
+    )
+    manager.checkpoint()
+
+    # Above the mark: what a restart has to repeat.  The write-back in
+    # between, torn (the new object makes the tear detectable: one more
+    # slot than the old directory has), takes b with it — last written
+    # below the mark, so only redo from the start of the log brings it
+    # back.
+    def grow(tx):
+        oids["f"] = yield tx.create(b"f4")
+        yield tx.write(d, b"d4")
+
+    stack.commit(rt.spawn(grow))
+    stack.intent.oids = dict(oids)
+    for shard in getattr(stack.storage, "shards", [stack.storage]):
+        shard.pool.flush_all()
+    stack.commit(rt.spawn(_writer, (a, b"a5")))
+
+    stack.intent.expected_clean = {
+        a.value: b"a5",
+        b.value: b"b1",
+        c.value: b"c3",
+        d.value: b"d4",
+        oids["f"].value: b"f4",
+        # e holds t2's uncommitted value while the run is live and is
+        # undone by recovery: not declared here.
+    }
+
+
+for _name, _shards, _where in (
+    ("checkpoint_mark", None, "the flat WAL"),
+    ("checkpoint_mark_sharded", 2, "two WAL segments, one marker each"),
+):
+    register(ScenarioSpec(
+        name=_name,
+        description=(
+            f"a checkpoint that keeps the log ({_where}): commits below"
+            " the mark, a transaction active across it, a commit landing"
+            " between the pool flush and the marker, commits above it —"
+            " restart redoes from the last durable marker's redo_lsn,"
+            " undoes below it, and must not skip the interleaved commit"
+        ),
+        drive=_checkpoint_mark_drive,
+        n_shards=_shards,
+    ))
+
+
+# ---------------------------------------------------------------------------
 # Schedule exploration: contention, deadlock victims, and cascades
 # ---------------------------------------------------------------------------
 

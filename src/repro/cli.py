@@ -194,7 +194,9 @@ def cmd_log(args):
     try:
         records = database.storage.log.records()
         for record in records:
-            print(record)
+            mark = getattr(record, "redo_lsn", None)  # checkpoint markers
+            note = "" if mark is None else f"  <- restart redoes above LSN {mark}"
+            print(f"{record}{note}")
         print(f"({len(records)} records)")
     finally:
         database.close()

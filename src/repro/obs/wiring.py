@@ -233,18 +233,22 @@ class ObservabilityKit:
         A segmented log (the sharded engine) gets one scoped view per
         shard segment — ``wal.appends{shard=2}`` and friends — plus a
         collector mirroring per-segment census rows as gauges, so shard
-        imbalance is visible straight off the registry.
+        imbalance is visible straight off the registry.  Restart
+        recovery sets ``recovery.scanned`` / ``redone`` / ``undone`` /
+        ``redo_from`` through the same hook.
         """
         if not self._once(log, "log"):
             return self
         base_labels = {"site": trace} if trace != "local" else {}
         segments = getattr(log, "segments", None)
+        # On the log itself (flat, or the merged view): what restart
+        # recovery exports its ``recovery.*`` gauges through.
+        log.metrics = (
+            ScopedMetrics(self.metrics, **base_labels)
+            if base_labels
+            else self.metrics
+        )
         if segments is None:
-            log.metrics = (
-                ScopedMetrics(self.metrics, **base_labels)
-                if base_labels
-                else self.metrics
-            )
             return self
         for index, segment in enumerate(segments):
             segment.metrics = ScopedMetrics(

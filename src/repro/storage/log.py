@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.common.errors import StorageError, TransientIOError
@@ -95,9 +96,18 @@ class DelegateRecord(LogRecord):
 
 @dataclass(frozen=True)
 class CheckpointRecord(LogRecord):
-    """A fuzzy checkpoint marker recording the then-active transactions."""
+    """A checkpoint marker: the then-active transactions and the redo mark.
+
+    Written *after* the buffer pool was flushed, carrying the log's last
+    LSN read *before* that flush began.  A durable marker therefore
+    means every after image at or below ``redo_lsn`` is in the page
+    file, and restart redo may begin above it.  ``0`` (also what a
+    record written before the field existed decodes to) means "from the
+    start of the log".
+    """
 
     active: tuple = ()
+    redo_lsn: int = 0
 
 
 @dataclass(frozen=True)
@@ -216,6 +226,20 @@ def _unpack_str(raw, offset):
     return bytes(raw[offset : offset + length]).decode("utf-8"), offset + length
 
 
+def _pack_strs(texts):
+    return _U32.pack(len(texts)) + b"".join(_pack_str(t) for t in texts)
+
+
+def _unpack_strs(raw, offset):
+    (count,) = _U32.unpack_from(raw, offset)
+    offset += _U32.size
+    texts = []
+    for __ in range(count):
+        text, offset = _unpack_str(raw, offset)
+        texts.append(text)
+    return tuple(texts), offset
+
+
 def _pack_tids(tids):
     return _U32.pack(len(tids)) + b"".join(_U64.pack(t.value) for t in tids)
 
@@ -242,10 +266,7 @@ def encode_record(record):
             record.image
         )
     elif isinstance(record, CommitRecord):
-        body = _U32.pack(len(record.group)) + b"".join(
-            _U64.pack(t.value) for t in record.group
-        )
-        rtype = _TYPE_COMMIT
+        rtype, body = _TYPE_COMMIT, _pack_tids(record.group)
     elif isinstance(record, AbortRecord):
         rtype, body = _TYPE_ABORT, b""
     elif isinstance(record, DelegateRecord):
@@ -256,17 +277,14 @@ def encode_record(record):
         )
         rtype = _TYPE_DELEGATE
     elif isinstance(record, CheckpointRecord):
-        body = _U32.pack(len(record.active)) + b"".join(
-            _U64.pack(t.value) for t in record.active
-        )
+        body = _pack_tids(record.active) + _U64.pack(record.redo_lsn)
         rtype = _TYPE_CHECKPOINT
     elif isinstance(record, PrepareRecord):
         body = (
             _pack_tids(record.group)
             + _U64.pack(record.gid)
             + _pack_str(record.coordinator)
-            + _U32.pack(len(record.sites))
-            + b"".join(_pack_str(s) for s in record.sites)
+            + _pack_strs(record.sites)
         )
         rtype = _TYPE_PREPARE
     elif isinstance(record, DecisionRecord):
@@ -274,8 +292,7 @@ def encode_record(record):
             _U64.pack(record.gid)
             + _pack_str(record.verdict)
             + _pack_tids(record.group)
-            + _U32.pack(len(record.participants))
-            + b"".join(_pack_str(p) for p in record.participants)
+            + _pack_strs(record.participants)
         )
         rtype = _TYPE_DECISION
     elif isinstance(record, WorkflowRecord):
@@ -291,8 +308,7 @@ def encode_record(record):
             + _U64.pack(record.epoch)
             + _pack_str(record.old_coordinator)
             + _pack_str(record.verdict)
-            + _U32.pack(len(record.votes))
-            + b"".join(_pack_str(v) for v in record.votes)
+            + _pack_strs(record.votes)
         )
         rtype = _TYPE_TAKEOVER
     else:
@@ -312,14 +328,8 @@ def decode_record(raw):
         cls = BeforeImageRecord if rtype == _TYPE_BEFORE else AfterImageRecord
         return cls(lsn=lsn, tid=tid, oid=ObjectId(oid_value), image=image)
     if rtype == _TYPE_COMMIT:
-        (count,) = _U32.unpack_from(raw, offset)
-        offset += _U32.size
-        group = []
-        for __ in range(count):
-            (value,) = _U64.unpack_from(raw, offset)
-            offset += _U64.size
-            group.append(Tid(value))
-        return CommitRecord(lsn=lsn, tid=tid, group=tuple(group))
+        group, offset = _unpack_tids(raw, offset)
+        return CommitRecord(lsn=lsn, tid=tid, group=group)
     if rtype == _TYPE_ABORT:
         return AbortRecord(lsn=lsn, tid=tid)
     if rtype == _TYPE_DELEGATE:
@@ -336,51 +346,40 @@ def decode_record(raw):
             lsn=lsn, tid=tid, delegatee=Tid(delegatee_value), oids=tuple(oids)
         )
     if rtype == _TYPE_CHECKPOINT:
-        (count,) = _U32.unpack_from(raw, offset)
-        offset += _U32.size
-        active = []
-        for __ in range(count):
-            (value,) = _U64.unpack_from(raw, offset)
-            offset += _U64.size
-            active.append(Tid(value))
-        return CheckpointRecord(lsn=lsn, tid=tid, active=tuple(active))
+        active, offset = _unpack_tids(raw, offset)
+        redo_lsn = 0  # a marker from before the field: redo from the start
+        if offset < len(raw):
+            (redo_lsn,) = _U64.unpack_from(raw, offset)
+        return CheckpointRecord(
+            lsn=lsn, tid=tid, active=active, redo_lsn=redo_lsn
+        )
     if rtype == _TYPE_PREPARE:
         group, offset = _unpack_tids(raw, offset)
         (gid,) = _U64.unpack_from(raw, offset)
         offset += _U64.size
         coordinator, offset = _unpack_str(raw, offset)
-        (count,) = _U32.unpack_from(raw, offset)
-        offset += _U32.size
-        sites = []
-        for __ in range(count):
-            site, offset = _unpack_str(raw, offset)
-            sites.append(site)
+        sites, offset = _unpack_strs(raw, offset)
         return PrepareRecord(
             lsn=lsn,
             tid=tid,
             group=group,
             gid=gid,
             coordinator=coordinator,
-            sites=tuple(sites),
+            sites=sites,
         )
     if rtype == _TYPE_DECISION:
         (gid,) = _U64.unpack_from(raw, offset)
         offset += _U64.size
         verdict, offset = _unpack_str(raw, offset)
         group, offset = _unpack_tids(raw, offset)
-        (count,) = _U32.unpack_from(raw, offset)
-        offset += _U32.size
-        participants = []
-        for __ in range(count):
-            participant, offset = _unpack_str(raw, offset)
-            participants.append(participant)
+        participants, offset = _unpack_strs(raw, offset)
         return DecisionRecord(
             lsn=lsn,
             tid=tid,
             gid=gid,
             verdict=verdict,
             group=group,
-            participants=tuple(participants),
+            participants=participants,
         )
     if rtype == _TYPE_WORKFLOW:
         (wid,) = _U64.unpack_from(raw, offset)
@@ -397,12 +396,7 @@ def decode_record(raw):
         offset += _U64.size
         old_coordinator, offset = _unpack_str(raw, offset)
         verdict, offset = _unpack_str(raw, offset)
-        (count,) = _U32.unpack_from(raw, offset)
-        offset += _U32.size
-        votes = []
-        for __ in range(count):
-            vote, offset = _unpack_str(raw, offset)
-            votes.append(vote)
+        votes, offset = _unpack_strs(raw, offset)
         return TakeoverRecord(
             lsn=lsn,
             tid=tid,
@@ -410,7 +404,7 @@ def decode_record(raw):
             epoch=epoch,
             old_coordinator=old_coordinator,
             verdict=verdict,
-            votes=tuple(votes),
+            votes=votes,
         )
     raise StorageError(f"unknown record type byte: {rtype}")
 
@@ -485,6 +479,11 @@ class FileLogDevice:
     it is what survived).  ``read_all(durable_only=True)`` stops there,
     :meth:`crash` cuts the file back to it, and :meth:`durable_count`
     reports it, exactly as :class:`MemoryLogDevice` does.
+
+    Opening does not walk the file.  ``_count`` / ``_durable_count``
+    count records appended / synced *since open*; how many were
+    ``_found`` at open is learnt from the first complete
+    :meth:`read_all` — the pass the log's ``resync`` makes anyway.
     """
 
     def __init__(self, path, injector=None):
@@ -494,7 +493,8 @@ class FileLogDevice:
         self._file = open(self.path, mode)
         self._file.seek(0, os.SEEK_END)
         self._durable_size = self._file.tell()
-        self._count = self._durable_count = sum(1 for __ in self.read_all())
+        self._found = None if self._durable_size else 0
+        self._count = self._durable_count = 0
 
     def append(self, raw):
         def do_append():
@@ -523,26 +523,32 @@ class FileLogDevice:
 
     def durable_count(self):
         """How many records a restart would actually see."""
-        return self._durable_count
+        if self._found is None:
+            for __ in self.read_all():
+                pass
+        return self._found + self._durable_count
 
     def read_all(self, durable_only=False):
         """Iterate over encoded records, optionally only the synced ones."""
         self._file.flush()
         limit = self._durable_size if durable_only else None
         with open(self.path, "rb") as reader:
-            offset = 0
+            offset = seen = 0
             while True:
                 prefix = reader.read(_U32.size)
                 if len(prefix) < _U32.size:
-                    return
+                    break
                 (length,) = _U32.unpack(prefix)
                 offset += _U32.size + length
                 if limit is not None and offset > limit:
                     return
                 raw = reader.read(length)
                 if len(raw) < length:
-                    return  # torn tail write: ignore, as a real restart would
+                    break  # torn tail write: ignore, as a real restart would
+                seen += 1
                 yield raw
+        if self._found is None and limit is None:
+            self._found = seen - self._count
 
     def crash(self):
         """Drop every byte not yet synced (crash simulation)."""
@@ -557,7 +563,7 @@ class FileLogDevice:
         self._file.flush()
         os.fsync(self._file.fileno())
         self._durable_size = 0
-        self._count = self._durable_count = 0
+        self._found = self._count = self._durable_count = 0
 
     def close(self):
         self._file.close()
@@ -645,10 +651,12 @@ class WriteAheadLog:
 
     Besides the decoded-record cache, the log maintains an *attribution
     index*: per-tid lists of before-image records with delegation
-    re-attribution applied as records are appended.  ``updates_by`` and
-    ``max_tid_value`` are probes on that index — no full-log scan on
-    abort, delegation, or restart (the scan versions survive as test
-    oracles).
+    re-attribution applied as records are appended, plus what restart
+    analysis needs — who committed, who finished aborting, who voted,
+    who wrote, and the last checkpoint's redo mark.  ``updates_by``,
+    ``max_tid_value`` and :meth:`analysis` are probes on that index — no
+    full-log scan on abort, delegation, or restart (the scan versions
+    survive as test oracles).
 
     ``group_commit`` (a :class:`FlushCoalescer`, or an int shorthand for
     ``FlushCoalescer(max_commits=n)``) defers the per-commit flush into
@@ -687,9 +695,20 @@ class WriteAheadLog:
         # abort (updates_by) and at each delegation; re-decoding the whole
         # device each time would make abort cost quadratic in history.
         self._decoded = []
+        self.resync()
+
+    def _reset_index(self):
+        """An empty attribution index (``_lock`` held, or at open)."""
         self._updates_by_tid = {}
         self._max_tid = 0
-        self.resync()
+        self._winners = set()
+        self._finished_aborts = set()
+        self._prepares = []
+        # Delegatees, and delegators left with no update: with the keys
+        # of ``_updates_by_tid``, everyone who ever wrote.
+        self._delegation_parties = set()
+        self._oids = set()  # oid values with an image record here
+        self.redo_lsn = 0  # the last checkpoint marker's mark
 
     def resync(self):
         """Rebuild the decoded cache and attribution index from the device.
@@ -699,11 +718,13 @@ class WriteAheadLog:
         another handle).
         """
         with self._lock:
+            # Let go of the old cache and index first: one decoded copy
+            # of the log in memory while rebuilding, not two.
+            self._decoded = []
+            self._reset_index()
             self._decoded = [
                 decode_record(raw) for raw in self.device.read_all()
             ]
-            self._updates_by_tid = {}
-            self._max_tid = 0
             for record in self._decoded:
                 self._next_lsn = max(self._next_lsn, record.lsn.value + 1)
                 self._index_record(record)
@@ -726,11 +747,19 @@ class WriteAheadLog:
         pure dict probes — this is what keeps abort cost linear instead
         of quadratic in history length.
         """
-        self._max_tid = max(self._max_tid, record.tid.value)
+        tid = record.tid
+        if tid.value > self._max_tid:
+            self._max_tid = tid.value
+        if isinstance(record, AfterImageRecord):
+            # Nothing to fold: its tid is counted, and its oid arrived
+            # with the before image that precedes every after image.
+            return
         if isinstance(record, BeforeImageRecord):
-            self._updates_by_tid.setdefault(record.tid, []).append(record)
+            self._updates_by_tid.setdefault(tid, []).append(record)
+            self._oids.add(record.oid.value)
         elif isinstance(record, DelegateRecord):
             self._max_tid = max(self._max_tid, record.delegatee.value)
+            self._delegation_parties.add(record.delegatee)
             mine = self._updates_by_tid.get(record.tid)
             if mine:
                 oids = set(record.oids)
@@ -738,9 +767,10 @@ class WriteAheadLog:
                 if moved:
                     kept = [r for r in mine if r.oid not in oids]
                     if kept:
-                        self._updates_by_tid[record.tid] = kept
-                    else:
-                        del self._updates_by_tid[record.tid]
+                        self._updates_by_tid[tid] = kept
+                    else:  # delegated everything away: still a writer
+                        del self._updates_by_tid[tid]
+                        self._delegation_parties.add(tid)
                     theirs = self._updates_by_tid.setdefault(
                         record.delegatee, []
                     )
@@ -752,9 +782,17 @@ class WriteAheadLog:
         elif isinstance(record, (CommitRecord, PrepareRecord, DecisionRecord)):
             for member in record.group:
                 self._max_tid = max(self._max_tid, member.value)
+            if isinstance(record, PrepareRecord):
+                self._prepares.append(record)
+            elif isinstance(record, CommitRecord) or record.verdict == "commit":
+                self._winners.add(tid)
+                self._winners.update(record.group)
+        elif isinstance(record, AbortRecord):
+            self._finished_aborts.add(tid)
         elif isinstance(record, CheckpointRecord):
             for active in record.active:
                 self._max_tid = max(self._max_tid, active.value)
+            self.redo_lsn = record.redo_lsn
 
     def _append(self, build):
         with self._lock:
@@ -912,11 +950,11 @@ class WriteAheadLog:
         self.flush()
         return record
 
-    def log_checkpoint(self, active):
-        """Write a fuzzy checkpoint marker."""
+    def log_checkpoint(self, active, redo_lsn=0):
+        """Force-write a checkpoint marker carrying the redo mark."""
         record = self._append(
             lambda lsn: CheckpointRecord(
-                lsn=lsn, tid=Tid(0), active=tuple(active)
+                lsn=lsn, tid=Tid(0), active=tuple(active), redo_lsn=redo_lsn
             )
         )
         self.flush()
@@ -1024,8 +1062,7 @@ class WriteAheadLog:
         with self._lock:
             self.device.reset()
             self._decoded = []
-            self._updates_by_tid = {}
-            self._max_tid = 0
+            self._reset_index()
             self.durable_lsn = self.last_lsn  # nothing volatile is left
 
     def records(self, durable_only=False):
@@ -1041,6 +1078,54 @@ class WriteAheadLog:
             ]
         with self._lock:
             return list(self._decoded)
+
+    def __len__(self):
+        return len(self._decoded)
+
+    def drop_volatile(self):
+        """Restart's first act: cut the log back to what is durable.
+
+        After a crash simulation or a fresh open the decoded cache *is*
+        the durable view and this does nothing.  Called with the cache
+        ahead of the device (no crash first, or a lied fsync), the
+        volatile tail is dropped — device and index — so restart
+        analyses exactly the records it would find after a power cut.
+        """
+        if len(self._decoded) > self.device.durable_count():
+            self.device.crash()
+            self.resync()
+
+    def analysis(self):
+        """Restart analysis, as folded at append: ``(winners, finished
+        aborts, prepare records in LSN order, writers)`` — copies."""
+        with self._lock:
+            return (
+                set(self._winners),
+                set(self._finished_aborts),
+                list(self._prepares),
+                self._delegation_parties.union(self._updates_by_tid),
+            )
+
+    def redo_records(self, whole=False):
+        """The after images restart must reinstall, in LSN order: those
+        above the last checkpoint's mark (``redo_lsn``), or every one
+        if ``whole``."""
+        with self._lock:
+            start = 0
+            if not whole:
+                start = bisect_right(
+                    self._decoded, self.redo_lsn, key=lambda r: r.lsn.value
+                )
+            return [
+                record
+                for record in self._decoded[start:]
+                if isinstance(record, AfterImageRecord)
+            ]
+
+    def image_oids(self):
+        """Values of the object ids with an image record in this log."""
+        with self._lock:
+            return set(self._oids)
 
     def max_tid_value(self):
         """The highest transaction id appearing anywhere in the log.

@@ -57,6 +57,7 @@ class ObjectStore:
         # Conservative single-page payload bound: page size minus header
         # and slot overhead.  Values above it are chunked.
         self._max_inline = self.pool.disk.page_size - 64
+        self.damaged_pages = []  # every page quarantined since open
         self._rebuild_table()
 
     def _rebuild_table(self):
@@ -64,13 +65,12 @@ class ObjectStore:
 
         A page that fails structural validation (a torn write caught by
         :meth:`~repro.storage.page.Page.validate`) is *quarantined*:
-        reset to an empty page and skipped.  Repeat-history redo then
+        reset to an empty page and skipped.  Whole-history redo then
         re-creates every object that belongs on it from the log's after
         images — which is why torn data pages are recoverable at all.
         """
         with self._lock:
             self._locations.clear()
-            self.damaged_pages = []
             high_water = 0
             for page_id in self.pool.disk.page_ids():
                 try:
@@ -88,10 +88,19 @@ class ObjectStore:
             self._next_oid_value = high_water + 1
 
     def _quarantine(self, page_id):
-        """Replace a damaged page with a fresh empty one."""
+        """Replace a damaged page with a fresh empty one.
+
+        Resetting the page destroys the evidence that it was torn, and
+        only redo from the start of the log rebuilds what it held, so
+        the log's checkpoint mark is voided first, durably: a marker
+        with ``redo_lsn`` 0, which this restart and every later one
+        obeys until a real checkpoint has flushed the rebuilt pages.
+        """
         from repro.storage.page import Page
 
         self.damaged_pages.append(page_id)
+        if self.pool.wal is not None:
+            self.pool.wal.log_checkpoint((), redo_lsn=0)
         empty = Page(page_id, page_size=self.pool.disk.page_size)
         self.pool.disk.write_page(page_id, empty.to_bytes())
 
@@ -261,6 +270,17 @@ class ObjectStore:
         with self._lock:
             self._locate(oid)
             self._drop_value(oid.value)
+
+    def install(self, oid, image):
+        """Bring ``oid`` to ``image`` — create, overwrite or (``None``)
+        delete: how undo and redo apply a physical image."""
+        if image is None:
+            if self.exists(oid):
+                self.delete(oid)
+        elif self.exists(oid):
+            self.write(oid, image)
+        else:
+            self.create(image, oid=oid)
 
     def frame_for(self, oid):
         """Pin and return the frame caching ``oid``'s anchor page.

@@ -1,16 +1,28 @@
 """Restart recovery.
 
-The strategy is repeat-history + undo-losers over physical images:
+The strategy is repeat-history + undo-losers over physical images, in
+one pass over a log that was decoded once (at open, or by the crash
+simulation's ``resync``):
 
-1. **Analysis** — scan the durable log; winners are transactions named by
+1. **Analysis** — read off the log's attribution index, which folded
+   every record as it was decoded: winners are transactions named by
    commit records, the already-aborted are those with abort records, and
    everything else that wrote is a loser.  Delegation records re-attribute
    each update to the transaction responsible for it at the end of the log
    (if a loser delegated its updates to a winner, those updates survive —
    exactly the delegation semantics of section 2.2).
-2. **Redo** — install every after image in LSN order.  Undo performed
-   before the crash was itself logged as after-image records (compensation
-   records), so repeating history reproduces completed aborts too.
+2. **Redo** — install, in LSN order, every after image above the last
+   durable checkpoint's ``redo_lsn`` (those at or below it are in the
+   page file: the marker is written after the pool flush, the mark read
+   before it).  Undo performed before the crash was itself logged as
+   after-image records (compensation records), so repeating history
+   reproduces completed aborts too.  One exception: quarantining a torn
+   page first voids the mark (a marker with ``redo_lsn`` 0, durable
+   before the page is reset), so redo starts from the beginning of the
+   log — only whole-history redo rebuilds an object on that page whose
+   last write precedes the mark — and keeps doing so on later restarts
+   until a checkpoint has flushed the rebuilt pages.  Likewise while any
+   transaction is in doubt (see ``_redo``).
 3. **Undo** — install the before images of loser updates in reverse LSN
    order, logging each restoration as a compensation after-image and
    finishing each loser with an abort record, which makes recovery
@@ -33,15 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.storage.log import (
-    AbortRecord,
-    AfterImageRecord,
-    BeforeImageRecord,
-    CommitRecord,
-    DecisionRecord,
-    DelegateRecord,
-    PrepareRecord,
-)
+from repro.storage.log import CommitRecord, DecisionRecord
 
 
 @dataclass
@@ -53,6 +57,11 @@ class RecoveryReport:
     already_aborted: set = field(default_factory=set)
     redone: int = 0
     undone: int = 0
+    scanned: int = 0  # records in the log the analysis covers
+    # The LSN redo started above (0 = the whole log) and, when a torn
+    # page overrode the checkpoint's mark, why.
+    redo_from: int = 0
+    redo_reason: str = ""
     # Prepared-but-undecided transactions: kept, not undone.  ``in_doubt``
     # holds their tids; ``in_doubt_votes`` maps each unresolved global id
     # to its (last) durable PrepareRecord so the cluster layer knows the
@@ -67,6 +76,8 @@ class RecoveryReport:
         return (
             f"RecoveryReport(winners={sorted(t.value for t in self.winners)},"
             f" losers={sorted(t.value for t in self.losers)},"
+            f" scanned={self.scanned}, redo_from={self.redo_from}"
+            f"{self.redo_reason and f' ({self.redo_reason})'},"
             f" redone={self.redone}, undone={self.undone}{doubt})"
         )
 
@@ -89,6 +100,19 @@ def commit_winners(records):
     return winners
 
 
+def undo_updates(log, install, tids):
+    """Undo every update ``log`` attributes to ``tids`` in one pass:
+    before images installed in global reverse-LSN order, each logged as
+    a compensation after image.  Live aborts and restart's undo-losers
+    both run this.  Returns how many updates were undone."""
+    updates = [record for tid in set(tids) for record in log.updates_by(tid)]
+    updates.sort(key=lambda record: record.lsn.value, reverse=True)
+    for record in updates:
+        install(record.oid, record.image)
+        log.log_after_image(record.tid, record.oid, record.image)
+    return len(updates)
+
+
 class RecoveryManager:
     """Runs restart recovery over a log and an object store."""
 
@@ -96,101 +120,64 @@ class RecoveryManager:
         self.log = log
         self.store = object_store
 
-    def _analyze(self, records):
-        winners = commit_winners(records)
-        finished_aborts = set()
-        writers = set()
-        responsibility = {}
-        updates = []
-        prepares = []
-        for record in records:
-            if isinstance(record, AbortRecord):
-                finished_aborts.add(record.tid)
-            elif isinstance(record, PrepareRecord):
-                prepares.append(record)
-            elif isinstance(record, BeforeImageRecord):
-                writers.add(record.tid)
-                responsibility[record.lsn] = record.tid
-                updates.append(record)
-            elif isinstance(record, DelegateRecord):
-                for update in updates:
-                    if (
-                        responsibility[update.lsn] == record.tid
-                        and update.oid in record.oids
-                    ):
-                        responsibility[update.lsn] = record.delegatee
-                writers.add(record.delegatee)
-        responsible_writers = set(responsibility.values()) | writers
-        in_doubt = set()
-        in_doubt_votes = {}
-        for record in prepares:
-            undecided = record.prepared_tids() - winners - finished_aborts
-            if undecided:
-                in_doubt |= undecided
-                in_doubt_votes[record.gid] = record
-        losers = responsible_writers - winners - finished_aborts - in_doubt
-        return (
-            winners,
-            losers,
-            finished_aborts,
-            updates,
-            responsibility,
-            in_doubt,
-            in_doubt_votes,
-        )
-
-    def _install(self, oid, image):
-        """Bring ``oid`` to ``image`` (create / overwrite / delete)."""
-        if image is None:
-            if self.store.exists(oid):
-                self.store.delete(oid)
-            return
-        if self.store.exists(oid):
-            self.store.write(oid, image)
-        else:
-            self.store.create(image, oid=oid)
-
     def recover(self):
         """Run analysis, redo, and undo; return a :class:`RecoveryReport`.
 
-        The three phases are separate methods so the chaos harness can
-        crash recovery between (and inside) them and so mutation tests
-        can knock one phase out to prove the oracles notice.
+        Analysis reads the log's index and decodes nothing: the decoded
+        cache is the durable view (``drop_volatile`` makes it so if the
+        caller skipped the crash).  Redo and undo are separate methods
+        so the chaos harness can crash recovery between (and inside)
+        them and so mutation tests can knock one phase out to prove the
+        oracles notice.
         """
-        records = self.log.records(durable_only=True)
-        (
-            winners,
-            losers,
-            finished,
-            updates,
-            responsibility,
-            in_doubt,
-            in_doubt_votes,
-        ) = self._analyze(records)
+        self.log.drop_volatile()
+        winners, finished, prepares, writers = self.log.analysis()
+        in_doubt = set()
+        in_doubt_votes = {}
+        for record in prepares:
+            undecided = record.prepared_tids() - winners - finished
+            if undecided:
+                in_doubt |= undecided
+                in_doubt_votes[record.gid] = record
         report = RecoveryReport(
             winners=winners,
-            losers=losers,
+            losers=writers - winners - finished - in_doubt,
             already_aborted=finished,
             in_doubt=in_doubt,
             in_doubt_votes=in_doubt_votes,
+            scanned=len(self.log),
         )
-        self._redo(records, report)
-        self._undo(updates, responsibility, losers, report)
+        self._redo(report)
+        self._undo(report)
+        metrics = self.log.metrics
+        if metrics is not None:
+            for name in ("scanned", "redone", "undone", "redo_from"):
+                metrics.set_gauge(f"recovery.{name}", getattr(report, name))
         return report
 
-    def _redo(self, records, report):
-        """Repeat history with every durable after image, in LSN order.
+    def _redo(self, report):
+        """Repeat history above the last durable checkpoint's mark.
 
         Forces no log: nothing is appended here, so every frame redo
         dirties is stamped with an LSN that was read from the durable
         log, and the pool's write-ahead gate lets its eviction through.
         """
-        for record in records:
-            if isinstance(record, AfterImageRecord):
-                self._install(record.oid, record.image)
-                report.redone += 1
+        if report.in_doubt:
+            # An in-doubt transaction may have been cut down mid-abort:
+            # undo installs first and logs after, so a page holding its
+            # before image can be on disk with the compensation record
+            # lost — and restart keeps, not undoes, the in doubt.  Only
+            # history from the start puts its after images back.
+            report.redo_reason = "transactions in doubt"
+        else:
+            report.redo_from = self.log.redo_lsn
+            if not report.redo_from and self.store.damaged_pages:
+                report.redo_reason = f"torn pages {self.store.damaged_pages}"
+        for record in self.log.redo_records(whole=bool(report.in_doubt)):
+            self.store.install(record.oid, record.image)
+            report.redone += 1
 
-    def _undo(self, updates, responsibility, losers, report):
+    def _undo(self, report):
         """Install losers' before images, newest first, as compensation.
 
         Each install precedes its compensation record.  The frame is
@@ -198,12 +185,10 @@ class RecoveryManager:
         page holds; the compensation record is redo-only, so a page
         evicted ahead of it needs no more of the log than that stamp.
         """
-        for record in reversed(updates):
-            if responsibility[record.lsn] in losers:
-                self._install(record.oid, record.image)
-                self.log.log_after_image(record.tid, record.oid, record.image)
-                report.undone += 1
-        for loser in sorted(losers, key=lambda t: t.value):
+        report.undone = undo_updates(
+            self.log, self.store.install, report.losers
+        )
+        for loser in sorted(report.losers, key=lambda t: t.value):
             self.log.log_abort(loser)
-        if losers:
+        if report.losers:
             self.log.flush()

@@ -37,15 +37,9 @@ import threading
 
 from repro.common.ids import ObjectId
 from repro.core.sharding import ShardRouter, default_shard_count
-from repro.storage.log import (
-    AfterImageRecord,
-    BeforeImageRecord,
-    FlushCoalescer,
-    MemoryLogDevice,
-    WriteAheadLog,
-)
+from repro.storage.log import FlushCoalescer, MemoryLogDevice, WriteAheadLog
 from repro.storage.recovery import RecoveryManager
-from repro.storage.store import StorageManager
+from repro.storage.store import LoggedUndo, StorageManager
 
 
 class LsnSequencer:
@@ -79,42 +73,71 @@ class SegmentedLog:
     Presents exactly the :class:`~repro.storage.log.WriteAheadLog`
     surface the transaction manager and :class:`RecoveryManager`
     consume: ``records``, ``updates_by``, ``max_tid_value``,
-    ``last_lsn_value``, ``flush``, and the compensation writers
-    ``log_after_image`` / ``log_abort`` (routed to the owning segment).
+    ``last_lsn_value``, ``flush``, the restart readers
+    (``drop_volatile``, ``analysis``, ``redo_records``, ``redo_lsn``),
+    and the compensation writers ``log_after_image`` / ``log_abort``
+    (routed to the owning segment).
     """
 
     def __init__(self, storage):
         self._storage = storage
-        # Observability hook parity with WriteAheadLog: the kit attaches
-        # per-segment metrics instead, but callers may still probe this.
+        # Observability hook parity with WriteAheadLog: appends are
+        # counted per segment; recovery's gauges go through this one.
         self.metrics = None
 
     @property
     def segments(self):
         return [shard.log for shard in self._storage.shards]
 
-    def records(self, durable_only=False):
-        """All segments' records merged into global LSN order."""
+    def _merged(self, per_segment):
+        """``per_segment(segment)``'s records, in global LSN order."""
         merged = [
             record
             for segment in self.segments
-            for record in segment.records(durable_only=durable_only)
+            for record in per_segment(segment)
         ]
         merged.sort(key=lambda record: record.lsn.value)
         return merged
+
+    def records(self, durable_only=False):
+        """All segments' records merged into global LSN order."""
+        return self._merged(lambda segment: segment.records(durable_only))
 
     def updates_by(self, tid):
         """Attributed before-images across segments, in global LSN order."""
-        merged = [
-            record
-            for segment in self.segments
-            for record in segment.updates_by(tid)
-        ]
-        merged.sort(key=lambda record: record.lsn.value)
-        return merged
+        return self._merged(lambda segment: segment.updates_by(tid))
 
     def max_tid_value(self):
         return max(segment.max_tid_value() for segment in self.segments)
+
+    def __len__(self):
+        return sum(len(segment) for segment in self.segments)
+
+    def drop_volatile(self):
+        for segment in self.segments:
+            segment.drop_volatile()
+
+    def analysis(self):
+        """The segments' analyses merged: sets united, votes by LSN."""
+        winners, finished, prepares, writers = set(), set(), [], set()
+        for segment in self.segments:
+            won, done, voted, wrote = segment.analysis()
+            winners |= won
+            finished |= done
+            prepares += voted
+            writers |= wrote
+        prepares.sort(key=lambda record: record.lsn.value)
+        return winners, finished, prepares, writers
+
+    @property
+    def redo_lsn(self):
+        """The lowest segment mark (each segment redoes from its own)."""
+        return min(segment.redo_lsn for segment in self.segments)
+
+    def redo_records(self, whole=False):
+        """Each segment's after images above its own checkpoint mark
+        (or all of them), merged."""
+        return self._merged(lambda segment: segment.redo_records(whole))
 
     @property
     def last_lsn_value(self):
@@ -163,8 +186,8 @@ class _RoutedObjectStore:
     """Recovery's object-store view: routes installs to shard stores.
 
     The route source is the log itself: each object's image records live
-    in its owning shard's segment, so a per-segment scan rebuilds the
-    oid → shard directory even when the stores lost the pages.
+    in its owning shard's segment, so the oids each segment's index saw
+    rebuild the oid → shard directory even when the stores lost the pages.
     """
 
     def __init__(self, storage, directory):
@@ -177,20 +200,16 @@ class _RoutedObjectStore:
             shard = self._storage.router.shard_of(oid)
         return self._storage.shards[shard].objects
 
-    def exists(self, oid):
-        return self._store(oid).exists(oid)
+    def install(self, oid, image):
+        self._store(oid).install(oid, image)
 
-    def read(self, oid):
-        return self._store(oid).read(oid)
-
-    def write(self, oid, image):
-        return self._store(oid).write(oid, image)
-
-    def delete(self, oid):
-        return self._store(oid).delete(oid)
-
-    def create(self, image, oid=None):
-        return self._store(oid).create(image, oid=oid)
+    @property
+    def damaged_pages(self):
+        return [
+            page_id
+            for shard in self._storage.shards
+            for page_id in shard.objects.damaged_pages
+        ]
 
 
 def _clone_group_commit(group_commit, injector):
@@ -207,7 +226,7 @@ def _clone_group_commit(group_commit, injector):
     )
 
 
-class ShardedStorageManager:
+class ShardedStorageManager(LoggedUndo):
     """A :class:`~repro.storage.store.StorageManager`-shaped facade over
     N per-shard storage stacks with a segmented WAL.
 
@@ -315,47 +334,8 @@ class ShardedStorageManager:
 
     # -- transaction-manager hooks -----------------------------------------
 
-    def undo(self, tid):
-        return self.undo_many([tid])
-
-    def undo_many(self, tids):
-        """Coordinated undo in *global* reverse-LSN order across segments."""
-        wanted = set(tids)
-        updates = [
-            record
-            for tid in wanted
-            for record in self.log.updates_by(tid)
-        ]
-        updates.sort(key=lambda record: record.lsn.value, reverse=True)
-        for record in updates:
-            self._install(record.oid, record.image)
-            self.segment_of(record.oid).log_after_image(
-                record.tid, record.oid, record.image
-            )
-        return len(updates)
-
-    def undo_to(self, tid, savepoint_lsn_value):
-        undone = 0
-        for record in reversed(self.log.updates_by(tid)):
-            if record.lsn.value <= savepoint_lsn_value:
-                continue
-            self._install(record.oid, record.image)
-            self.segment_of(record.oid).log_after_image(
-                tid, record.oid, record.image
-            )
-            undone += 1
-        return undone
-
     def _install(self, oid, image):
-        store = self.shards[self.router.shard_of(oid)].objects
-        if image is None:
-            if store.exists(oid):
-                store.delete(oid)
-            return
-        if store.exists(oid):
-            store.write(oid, image)
-        else:
-            store.create(image, oid=oid)
+        self.shards[self.router.shard_of(oid)].objects.install(oid, image)
 
     def _home_and_touched(self, tid, group=()):
         with self._footprint_lock:
@@ -442,12 +422,22 @@ class ShardedStorageManager:
             shard.log.flush()
 
     def checkpoint(self, active=(), truncate=False):
+        """Flush every pool, then one marker per segment, each carrying
+        that segment's own redo mark (read before any flush, as in
+        :meth:`StorageManager.checkpoint`).  No log is truncated before
+        every pool is flushed: a cross-shard winner's commit record may
+        live in another segment than its images."""
+        marks = [shard.log.last_lsn for shard in self.shards]
         for shard in self.shards:
             shard.pool.flush_all()
         if truncate and not active:
             for shard in self.shards:
                 shard.log.truncate()
-        return self.shards[0].log.log_checkpoint(active)
+        markers = [
+            shard.log.log_checkpoint(active, mark)
+            for shard, mark in zip(self.shards, marks)
+        ]
+        return markers[0]
 
     def crash(self):
         """Crash every shard: volatile pages and unflushed records gone."""
@@ -464,6 +454,7 @@ class ShardedStorageManager:
         segment), then run the standard repeat-history + undo-losers
         pass over the LSN-merged view with a routed store.
         """
+        self.log.drop_volatile()
         for shard in self.shards:
             shard.objects._rebuild_table()
         directory = self._directory_from_segments()
@@ -482,13 +473,12 @@ class ShardedStorageManager:
         return report
 
     def _directory_from_segments(self):
+        """oid value → shard, from the oids each segment's index saw
+        (first segment wins, as in a scan of the segments in order)."""
         directory = {}
         for index, shard in enumerate(self.shards):
-            for record in shard.log.records():
-                if isinstance(
-                    record, (BeforeImageRecord, AfterImageRecord)
-                ):
-                    directory.setdefault(record.oid.value, index)
+            for oid_value in shard.log.image_oids():
+                directory.setdefault(oid_value, index)
         return directory
 
     def _restore_from_segments(self):

@@ -15,7 +15,8 @@ transaction manager's section 4.2 algorithms need:
 * ``log_commit`` / ``log_delegate`` — the log entries ``commit`` step 4 and
   ``delegate`` require;
 * ``crash`` / ``recover`` — crash simulation and restart recovery;
-* ``checkpoint`` — flush pages and, when quiescent, reset the log.
+* ``checkpoint`` — flush pages, mark where restart redo may begin and,
+  when quiescent, reset the log.
 """
 
 from __future__ import annotations
@@ -25,10 +26,56 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDiskManager
 from repro.storage.log import WriteAheadLog
 from repro.storage.objects import ObjectStore
-from repro.storage.recovery import RecoveryManager
+from repro.storage.recovery import RecoveryManager, undo_updates
 
 
-class StorageManager:
+class LoggedUndo:
+    """The undo half of a storage facade: before images read from
+    ``self.log`` (one log, or the merged view of several segments),
+    applied with ``self._install`` and compensated through the log."""
+
+    def undo(self, tid):
+        """Install before images for every update ``tid`` is responsible for.
+
+        Scans the log (as the paper's abort step 2 does), honouring
+        delegation, installs images newest-first, and logs each restoration
+        as a compensation after-image.  Returns the number of undone
+        updates.
+        """
+        return self.undo_many([tid])
+
+    def undo_many(self, tids):
+        """Undo several transactions' updates in one coordinated pass.
+
+        An abort cascade (AD chains, GC groups) takes down transactions
+        whose updates interleave on shared objects; undoing each member
+        separately could re-install one member's aborted values over
+        another's undo.  Merging all their updates and installing before
+        images in global reverse-LSN order restores exactly the state the
+        group found.  Returns the number of undone updates.
+        """
+        return undo_updates(self.log, self._install, tids)
+
+    def undo_to(self, tid, savepoint_lsn_value):
+        """Partial rollback: undo ``tid``'s updates newer than a savepoint.
+
+        Installs before images (newest first) for updates ``tid`` is
+        responsible for whose LSN exceeds ``savepoint_lsn_value``,
+        logging each restoration as a compensation after-image.  Locks
+        are untouched — savepoint semantics, not abort.  Returns the
+        number of undone updates.
+        """
+        undone = 0
+        for record in reversed(self.log.updates_by(tid)):
+            if record.lsn.value <= savepoint_lsn_value:
+                continue
+            self._install(record.oid, record.image)
+            self.log.log_after_image(tid, record.oid, record.image)
+            undone += 1
+        return undone
+
+
+class StorageManager(LoggedUndo):
     """Facade over pages, cache, objects, and the log.
 
     ``group_commit`` (an int batch size or a
@@ -134,65 +181,8 @@ class StorageManager:
 
     # -- transaction-manager hooks ----------------------------------------------
 
-    def undo(self, tid):
-        """Install before images for every update ``tid`` is responsible for.
-
-        Scans the log (as the paper's abort step 2 does), honouring
-        delegation, installs images newest-first, and logs each restoration
-        as a compensation after-image.  Returns the number of undone
-        updates.
-        """
-        return self.undo_many([tid])
-
-    def undo_many(self, tids):
-        """Undo several transactions' updates in one coordinated pass.
-
-        An abort cascade (AD chains, GC groups) takes down transactions
-        whose updates interleave on shared objects; undoing each member
-        separately could re-install one member's aborted values over
-        another's undo.  Merging all their updates and installing before
-        images in global reverse-LSN order restores exactly the state the
-        group found.  Returns the number of undone updates.
-        """
-        wanted = set(tids)
-        updates = [
-            record
-            for tid in wanted
-            for record in self.log.updates_by(tid)
-        ]
-        updates.sort(key=lambda record: record.lsn.value, reverse=True)
-        for record in updates:
-            self._install(record.oid, record.image)
-            self.log.log_after_image(record.tid, record.oid, record.image)
-        return len(updates)
-
-    def undo_to(self, tid, savepoint_lsn_value):
-        """Partial rollback: undo ``tid``'s updates newer than a savepoint.
-
-        Installs before images (newest first) for updates ``tid`` is
-        responsible for whose LSN exceeds ``savepoint_lsn_value``,
-        logging each restoration as a compensation after-image.  Locks
-        are untouched — savepoint semantics, not abort.  Returns the
-        number of undone updates.
-        """
-        undone = 0
-        for record in reversed(self.log.updates_by(tid)):
-            if record.lsn.value <= savepoint_lsn_value:
-                continue
-            self._install(record.oid, record.image)
-            self.log.log_after_image(tid, record.oid, record.image)
-            undone += 1
-        return undone
-
     def _install(self, oid, image):
-        if image is None:
-            if self.objects.exists(oid):
-                self.objects.delete(oid)
-            return
-        if self.objects.exists(oid):
-            self.objects.write(oid, image)
-        else:
-            self.objects.create(image, oid=oid)
+        self.objects.install(oid, image)
 
     def log_commit(self, tid, group=()):
         """Durably log the commit of ``tid`` (plus group members)."""
@@ -242,18 +232,30 @@ class StorageManager:
     def checkpoint(self, active=(), truncate=False):
         """Flush all dirty pages and write a checkpoint marker.
 
+        The marker carries the log's last LSN as it was *before* the
+        flush: every after image at or below it is in the page file once
+        the marker is durable, so restart redo begins above it.  (Read
+        after the flush, the mark would cover a record appended while
+        the flush ran, whose page the flush may have missed.)  The log
+        itself is kept.
+
         With ``truncate=True`` and no active transactions, this is a
         *sharp* checkpoint: every effect in the log is already on disk,
-        so the log is discarded — bounding restart-recovery time (the
-        EX13 ablation benchmark measures the effect).
+        so the log is discarded as well (the EX13 ablation benchmark
+        measures both effects).
         """
+        redo_lsn = self.log.last_lsn
         self.pool.flush_all()
         if truncate and not active:
             self.log.truncate()
-        return self.log.log_checkpoint(active)
+        return self.log.log_checkpoint(active, redo_lsn)
 
     def crash(self):
-        """Simulate a crash: lose the cache and all unflushed log records."""
+        """Simulate a crash: lose the cache and all unflushed log records.
+
+        The resync decodes what survived, once; :meth:`recover` then
+        works from that decoded cache and its index.
+        """
         self.pool.drop_all()
         self.log.device.crash()
         self.log.resync()  # the decoded cache must match the device now

@@ -1,0 +1,155 @@
+"""The checkpoint mark: restart redo bounded by the last durable marker.
+
+No other registered scenario takes a checkpoint that *keeps* the log
+(``checkpoint_window``'s truncates it, so every surviving record is above
+its mark anyway).  ``checkpoint_mark`` (flat WAL) and
+``checkpoint_mark_sharded`` (two segments, one marker each) do: commits
+below the mark, a transaction active across it, a commit landing between
+the pool flush and the marker, commits and a page write-back above it.
+This file holds them to 0 failures with complete coverage under every
+fault dimension, and shows the sweeps go red when the bound is wrong any
+of three ways: redo starting too high (``redo_lwm_too_high`` — which the
+older ``checkpoint_window`` and ``steal_window`` sweeps must see too),
+the mark read after the flush instead of before it
+(``redo_mark_read_after_flush``), or a torn page reset without voiding
+the mark (``torn_page_keeps_mark``).
+"""
+
+import pytest
+
+from repro.chaos import scenarios
+from repro.chaos.faults import LOG_FLUSH, PAGE_WRITE, FaultPlan
+from repro.chaos.mutations import (
+    redo_lwm_too_high,
+    redo_mark_read_after_flush,
+    torn_page_keeps_mark,
+)
+from repro.chaos.sweep import (
+    crash_sweep,
+    probe,
+    run_plan,
+    transient_fault_sweep,
+)
+from repro.storage.log import (
+    AfterImageRecord,
+    CheckpointRecord,
+    CommitRecord,
+)
+
+ENGINES = pytest.mark.parametrize(
+    "name", ["checkpoint_mark", "checkpoint_mark_sharded"]
+)
+
+
+def _segments(storage):
+    shards = getattr(storage, "shards", None)
+    return [storage.log] if shards is None else [s.log for s in shards]
+
+
+@ENGINES
+class TestCheckpointMarkSweeps:
+    def test_the_probe_lands_a_commit_between_flush_and_marker(self, name):
+        """In every segment: a marker whose mark is below it, and — in
+        the segment the interleaved transaction committed in — a commit
+        record above the mark and below the marker."""
+        trace = probe(scenarios.get(name))
+        between = 0
+        for log in _segments(trace.system.storage):
+            records = log.records()
+            (marker,) = [
+                r for r in records if isinstance(r, CheckpointRecord)
+            ]
+            assert 0 < marker.redo_lsn < marker.lsn.value
+            assert log.redo_lsn == marker.redo_lsn
+            between += sum(
+                isinstance(r, CommitRecord)
+                and marker.redo_lsn < r.lsn.value < marker.lsn.value
+                for r in records
+            )
+        assert between == 1
+        # A page write-back after the marker: the torn dimension reaches
+        # pages whose contents the mark vouches for.
+        writes = trace.steps_of_kind(PAGE_WRITE)
+        marker_flush = max(
+            step for step in trace.steps_of_kind(LOG_FLUSH)
+            if step < writes[-1]
+        )
+        assert writes[0] < marker_flush < writes[-1]
+
+    def test_every_crash_point_survived(self, name, keep_tail_modes):
+        result = crash_sweep(
+            scenarios.get(name), keep_tail_modes=keep_tail_modes
+        )
+        assert result.ok, result.describe()
+        assert result.coverage_complete
+        assert result.covered["crash"] == set(
+            range(1, result.total_steps + 1)
+        )
+        assert {"torn", "lost-fsync", "failpoint"} <= set(result.covered)
+
+    @pytest.mark.parametrize("retry", [None, 3])
+    def test_every_transient_flush_fault_survived(self, name, retry):
+        spec = scenarios.get(name)
+        result = transient_fault_sweep(spec, retry=retry)
+        assert result.ok, result.describe()
+        assert result.coverage_complete
+
+    def test_restart_redoes_from_the_mark_and_undoes_below_it(self, name):
+        """The clean run, power-cut at the end: redo installs only what
+        lies above the marks; the loser's before image lies below."""
+        verdict = run_plan(scenarios.get(name), FaultPlan())
+        assert verdict.ok, verdict.all_violations
+        report = verdict.restarted.report
+        assert report.redo_from > 0 and not report.redo_reason
+        logged = sum(
+            isinstance(r, AfterImageRecord)
+            for r in verdict.restarted.durable_records
+        )
+        assert 0 < report.redone < logged
+        assert report.undone == 1
+
+
+class TestCheckpointMarkSensitivity:
+    @pytest.mark.parametrize("name", [
+        "checkpoint_window",
+        "steal_window",
+        "steal_window_sharded",
+        "checkpoint_mark",
+        "checkpoint_mark_sharded",
+    ])
+    def test_redo_starting_too_high_is_caught(self, name):
+        with redo_lwm_too_high():
+            result = crash_sweep(scenarios.get(name), stop_at_first=True)
+        assert result.failures, (
+            f"sweep passed with redo starting at the log's end: {name}"
+            " leaves nothing for restart to repeat"
+        )
+        artifact = result.failures[0]
+        assert any(v.startswith("state") for v in artifact.violations)
+        assert f"repro.chaos.replay {name}" in artifact.replay
+
+    @ENGINES
+    def test_a_mark_read_after_the_flush_is_caught(self, name):
+        """Why ``redo_lsn`` is read before ``flush_all``: read after, it
+        covers the interleaved commit, whose page only the log holds."""
+        with redo_mark_read_after_flush():
+            result = crash_sweep(scenarios.get(name))
+        assert result.failures
+        assert all(
+            any(v.startswith("state") for v in artifact.violations)
+            for artifact in result.failures
+        )
+
+    @ENGINES
+    def test_a_torn_page_that_keeps_the_mark_is_caught(self, name):
+        with torn_page_keeps_mark():
+            result = crash_sweep(scenarios.get(name))
+        assert result.failures
+        assert {a.plan["label"].split("@")[0] for a in result.failures} == {
+            "torn"
+        }
+
+    @ENGINES
+    def test_clean_without_mutations(self, name):
+        result = crash_sweep(scenarios.get(name), stop_at_first=True)
+        assert result.ok, result.describe()

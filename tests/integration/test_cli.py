@@ -149,6 +149,19 @@ class TestMaintenance:
         code, out = run_cli(capsys, "recover", "--db", db)
         assert code == 0
         assert "RecoveryReport" in out
+        assert "scanned=" in out and "redo_from=0, redone=" in out
+
+    def test_recover_and_log_show_the_checkpoint_mark(self, db, capsys):
+        run_cli(capsys, "create", "--db", db, "x", "1")
+        run_cli(capsys, "checkpoint", "--db", db)
+        __, out = run_cli(capsys, "log", "--db", db)
+        (marker,) = [
+            line for line in out.splitlines() if "CheckpointRecord" in line
+        ]
+        mark = int(marker.rsplit("LSN ", 1)[1])
+        assert mark > 0 and f"redo_lsn={mark}" in marker
+        __, out = run_cli(capsys, "recover", "--db", db)
+        assert f"redo_from={mark}, redone=0, undone=0" in out
 
     def test_data_survives_reopen(self, db, capsys):
         run_cli(capsys, "create", "--db", db, "x", "42")

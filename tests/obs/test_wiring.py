@@ -185,6 +185,53 @@ class TestFabricAndCollectors:
         assert snap["counters"]["txn.committed{site=alpha}"] == 1
 
 
+class TestRecoveryGauges:
+    def _crash_with_a_loser(self, rt):
+        def setup(tx):
+            created = []
+            for i in range(3):
+                created.append((yield tx.create(encode_int(i))))
+            return created
+
+        oids = rt.run(setup).value
+        rt.manager.checkpoint()
+
+        def bump(tx):
+            yield tx.write(oids[0], encode_int(7))
+
+        assert rt.run(bump).committed
+        loser = rt.spawn(bump)
+        rt.wait(loser)
+        rt.manager.storage.sync_log()
+        rt.manager.storage.crash()
+        return rt.manager.storage.recover()
+
+    def test_flat_restart_exports_what_the_report_says(self):
+        rt = CooperativeRuntime(TransactionManager(), seed=3)
+        kit = install_observability(manager=rt.manager)
+        report = self._crash_with_a_loser(rt)
+        gauges = kit.snapshot()["gauges"]
+        assert report.redo_from > 0 and report.redone and report.undone == 1
+        for name in ("scanned", "redone", "undone", "redo_from"):
+            assert gauges[f"recovery.{name}"] == getattr(report, name)
+
+    def test_sharded_restart_exports_through_the_merged_view(self):
+        from repro.runtime.sharded import ShardedRuntime
+
+        rt = ShardedRuntime(n_shards=2, seed=3)
+        kit = install_observability(manager=rt.manager)
+        report = self._crash_with_a_loser(rt)
+        gauges = kit.snapshot()["gauges"]
+        assert gauges["recovery.scanned"] == report.scanned > 0
+        assert gauges["recovery.redone"] == report.redone
+        assert gauges["recovery.undone"] == report.undone == 1
+
+    def test_detached_restart_exports_nothing(self):
+        rt = CooperativeRuntime(TransactionManager(), seed=3)
+        assert self._crash_with_a_loser(rt).undone == 1
+        assert rt.manager.storage.log.metrics is None
+
+
 class TestShardedWiring:
     def test_per_shard_wal_metrics_and_census_gauges(self):
         from repro.runtime.sharded import ShardedRuntime

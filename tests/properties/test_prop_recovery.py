@@ -1,11 +1,17 @@
 """Property: crash anywhere — committed effects survive, losers vanish."""
 
+import os
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos.oracles import expected_state
+from repro.chaos.stack import read_state
 from repro.common.codec import decode_int, encode_int
-from repro.common.ids import Tid
+from repro.common.ids import ObjectId, Tid
+from repro.storage.segmented import ShardedStorageManager
 from repro.storage.store import StorageManager
+from tests.storage.scan_oracle import assert_analysis_matches
 
 # Each step: (transaction index, object index, new value, commit?)
 step = st.tuples(
@@ -104,3 +110,210 @@ class TestRecoveryProperty:
         store.recover()
         second = [decode_int(store.read_object(Tid(0), oid)) for oid in oids]
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Restart from the index, bounded by the checkpoint mark
+# ---------------------------------------------------------------------------
+#
+# Random histories of writes / creates / deletes / delegation chains /
+# group commits / prepares / aborts / checkpoints, power-cut wherever the
+# "crash" steps fall (so the durable prefix ends at whatever the commits,
+# checkpoints, write-ahead forces and explicit flushes had made durable),
+# on the flat log and on two segments.  At every restart the analysis
+# read off the log's index must be what the scan oracle derives from the
+# same records, and the recovered store — redone from the last durable
+# checkpoint marker's ``redo_lsn`` only — must be the harness's own pure
+# replay of the whole durable log.
+
+_N_SLOTS = 4
+_SIZES = (4, 2200, 9000)  # in-page, one per page, a three-page large object
+_MAX_EXAMPLES = 1500 if os.environ.get("CHAOS_BUDGET") == "long" else 80
+
+_value = st.tuples(st.integers(0, 9), st.sampled_from(_SIZES)).map(
+    lambda pair: (b"%d" % pair[0]) * pair[1]
+)
+_slot = st.integers(0, _N_SLOTS - 1)
+_pick = st.integers(0, 7)
+
+_op = st.one_of(
+    st.tuples(st.just("write"), _slot, _pick, _value),
+    st.tuples(st.just("write"), _slot, _pick, _value),
+    st.tuples(st.just("create"), _slot, _value),
+    st.tuples(st.just("delete"), _slot, _pick),
+    st.tuples(st.just("delegate"), _slot, _slot, st.integers(1, 255)),
+    st.tuples(st.just("commit"), _slot, st.one_of(st.none(), _slot)),
+    st.tuples(st.just("prepare"), _slot),
+    st.tuples(st.just("abort"), _slot),
+    st.tuples(st.just("checkpoint"), st.booleans()),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("crash"), st.booleans()),
+)
+
+
+class _History:
+    """Applies ops under a one-writer-per-object discipline (the lock
+    manager's job, absent at this level; delegation hands the object on)
+    and checks every restart."""
+
+    def __init__(self, n_shards, group_commit):
+        if n_shards is None:
+            self.storage = StorageManager(
+                capacity=3, group_commit=group_commit
+            )
+        else:
+            self.storage = ShardedStorageManager(
+                n_shards=n_shards, capacity=3, group_commit=group_commit
+            )
+        self.next_tid = 1
+        self.tids = {}  # slot -> Tid of its active transaction
+        self.prepared = set()  # slots that voted: only an outcome is left
+        self.owner = {}  # oid value -> slot responsible for it
+        self.baseline = {}  # committed state at the last truncation
+        setup = self._begin(0)
+        for size in _SIZES:
+            self.storage.create_object(setup, b"s" * size)
+        self._resolve(0, commit=True)
+
+    def _segments(self):
+        shards = getattr(self.storage, "shards", None)
+        return [self.storage.log] if shards is None else [
+            shard.log for shard in shards
+        ]
+
+    def _begin(self, slot):
+        if slot not in self.tids:
+            self.tids[slot] = Tid(self.next_tid)
+            self.next_tid += 1
+        return self.tids[slot]
+
+    def _resolve(self, slot, commit, group=()):
+        tid = self.tids.pop(slot, None)
+        if tid is None:
+            return
+        members = [self.tids.pop(other) for other in group]
+        if not commit:
+            self.storage.undo(tid)
+            self.storage.log_abort(tid)
+        elif slot in self.prepared:  # the coordinator said commit
+            self.storage.log_decision(tid, tid.value, "commit")
+        else:
+            self.storage.log_commit(tid, group=members)
+        done = {slot, *group}
+        self.prepared -= done
+        self.owner = {
+            oid: holder for oid, holder in self.owner.items()
+            if holder not in done
+        }
+
+    def _target(self, slot, choice):
+        """An existing object this slot may write, or ``None``."""
+        existing = sorted(read_state(self.storage))
+        if not existing or slot in self.prepared:
+            return None
+        oid_value = existing[choice % len(existing)]
+        if self.owner.get(oid_value, slot) != slot:
+            return None
+        self.owner[oid_value] = slot
+        return ObjectId(oid_value)
+
+    def apply(self, op):
+        kind = op[0]
+        storage = self.storage
+        if kind == "write":
+            oid = self._target(op[1], op[2])
+            if oid is not None:
+                storage.write_object(self._begin(op[1]), oid, op[3])
+        elif kind == "create":
+            if op[1] not in self.prepared:
+                oid = storage.create_object(self._begin(op[1]), op[2])
+                self.owner[oid.value] = op[1]
+        elif kind == "delete":
+            oid = self._target(op[1], op[2])
+            if oid is not None:
+                storage.delete_object(self._begin(op[1]), oid)
+        elif kind == "delegate":
+            source, target, mask = op[1], op[2], op[3]
+            mine = sorted(o for o, s in self.owner.items() if s == source)
+            moved = [o for i, o in enumerate(mine) if mask & (1 << (i % 8))]
+            if (
+                source != target
+                and source in self.tids
+                and moved
+                and not {source, target} & self.prepared
+            ):
+                storage.log_delegate(
+                    self.tids[source],
+                    self._begin(target),
+                    [ObjectId(o) for o in moved],
+                )
+                for oid_value in moved:
+                    self.owner[oid_value] = target
+        elif kind == "commit":
+            partner = op[2]
+            group = ()
+            if (
+                partner is not None
+                and partner != op[1]
+                and partner in self.tids
+                and not {op[1], partner} & self.prepared
+            ):
+                group = (partner,)
+            self._resolve(op[1], commit=True, group=group)
+        elif kind == "prepare":
+            tid = self.tids.get(op[1])
+            if tid is not None and op[1] not in self.prepared:
+                storage.log_prepare(
+                    tid, gid=tid.value, coordinator="c", sites=("c", "p")
+                )
+                self.prepared.add(op[1])
+        elif kind == "abort":
+            self._resolve(op[1], commit=False)
+        elif kind == "checkpoint":
+            active = sorted(self.tids.values(), key=lambda tid: tid.value)
+            sharp = op[1] and not active
+            if sharp:
+                self.baseline = read_state(storage)
+            storage.checkpoint(active=active, truncate=sharp)
+        elif kind == "flush":
+            storage.sync_log()
+        else:
+            self.crash(keep_tail=op[1])
+
+    def crash(self, keep_tail=False):
+        if keep_tail:  # the OS wrote the volatile tail back in time
+            for segment in self._segments():
+                segment.device._advance_durable()
+        self.storage.crash()
+        durable = self.storage.log.records()
+        marks = [segment.redo_lsn for segment in self._segments()]
+        report = self.storage.recover()
+        self.tids.clear()
+        self.prepared.clear()
+        self.owner.clear()
+        assert_analysis_matches(report, durable)
+        assert report.scanned == len(durable)
+        assert report.redo_from == (0 if report.in_doubt else min(marks))
+        assert read_state(self.storage) == expected_state(
+            durable, baseline=self.baseline
+        )
+
+
+class TestIndexDrivenRestartProperty:
+    @given(
+        ops=st.lists(_op, min_size=1, max_size=40),
+        n_shards=st.sampled_from([None, 2]),
+        group_commit=st.sampled_from([None, 2]),
+    )
+    @settings(max_examples=_MAX_EXAMPLES, deadline=None)
+    def test_index_analysis_is_the_scan_and_state_is_the_replay(
+        self, ops, n_shards, group_commit
+    ):
+        history = _History(n_shards, group_commit)
+        for op in ops:
+            history.apply(op)
+        history.crash()
+        # A second power cut right after recovery changes nothing.
+        state = read_state(history.storage)
+        history.crash()
+        assert read_state(history.storage) == state

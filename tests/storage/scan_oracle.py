@@ -1,0 +1,80 @@
+"""Scan oracles for what restart reads off the log's index.
+
+Until PR 16 restart analysis walked every durable record — and, for each
+``DelegateRecord``, every update seen so far — and the sharded manager
+rebuilt its oid → shard directory by walking every segment.  Both walks
+are kept here, verbatim, as the references the index-driven versions are
+checked against (beside ``WriteAheadLog.updates_by_scan``).
+"""
+
+from repro.storage.log import (
+    AbortRecord,
+    AfterImageRecord,
+    BeforeImageRecord,
+    DelegateRecord,
+    PrepareRecord,
+)
+from repro.storage.recovery import RecoveryReport, commit_winners
+
+ANALYSIS_FIELDS = (
+    "winners", "losers", "already_aborted", "in_doubt", "in_doubt_votes",
+)
+
+
+def analyze_scan(records):
+    """The analysis half of a :class:`RecoveryReport`, by full scan."""
+    winners = commit_winners(records)
+    finished_aborts = set()
+    writers = set()
+    responsibility = {}
+    updates = []
+    prepares = []
+    for record in records:
+        if isinstance(record, AbortRecord):
+            finished_aborts.add(record.tid)
+        elif isinstance(record, PrepareRecord):
+            prepares.append(record)
+        elif isinstance(record, BeforeImageRecord):
+            writers.add(record.tid)
+            responsibility[record.lsn] = record.tid
+            updates.append(record)
+        elif isinstance(record, DelegateRecord):
+            for update in updates:
+                if (
+                    responsibility[update.lsn] == record.tid
+                    and update.oid in record.oids
+                ):
+                    responsibility[update.lsn] = record.delegatee
+            writers.add(record.delegatee)
+    responsible_writers = set(responsibility.values()) | writers
+    in_doubt = set()
+    in_doubt_votes = {}
+    for record in prepares:
+        undecided = record.prepared_tids() - winners - finished_aborts
+        if undecided:
+            in_doubt |= undecided
+            in_doubt_votes[record.gid] = record
+    return RecoveryReport(
+        winners=winners,
+        losers=responsible_writers - winners - finished_aborts - in_doubt,
+        already_aborted=finished_aborts,
+        in_doubt=in_doubt,
+        in_doubt_votes=in_doubt_votes,
+    )
+
+
+def assert_analysis_matches(report, records):
+    """``report`` (from the index) says what a scan of ``records`` says."""
+    oracle = analyze_scan(records)
+    for name in ANALYSIS_FIELDS:
+        assert getattr(report, name) == getattr(oracle, name), name
+
+
+def directory_scan(segments):
+    """oid value → index of the first segment holding an image of it."""
+    directory = {}
+    for index, segment in enumerate(segments):
+        for record in segment.records():
+            if isinstance(record, (BeforeImageRecord, AfterImageRecord)):
+                directory.setdefault(record.oid.value, index)
+    return directory

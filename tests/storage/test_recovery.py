@@ -1,13 +1,25 @@
 """Restart recovery: winners redone, losers undone, delegation honoured."""
 
+import sys
+
 import pytest
 
-from repro.common.ids import ObjectId, Tid
+from repro.chaos.faults import FaultInjector, FaultPlan
+from repro.common.ids import Lsn, ObjectId, Tid
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDiskManager
-from repro.storage.log import WriteAheadLog
+from repro.storage.log import (
+    CheckpointRecord,
+    FileLogDevice,
+    MemoryLogDevice,
+    WriteAheadLog,
+    decode_record,
+    encode_record,
+)
 from repro.storage.objects import ObjectStore
 from repro.storage.recovery import RecoveryManager
+from repro.storage.store import StorageManager
+from tests.storage.scan_oracle import analyze_scan, assert_analysis_matches
 
 
 @pytest.fixture
@@ -153,3 +165,256 @@ class TestDelegationAtRecovery:
         RecoveryManager(log, store).recover()
         # ... but responsibility had moved to Tid(2), which never did.
         assert store.read(oid) == b"base"
+
+
+def _storage(tmp_path, device, injector=None, capacity=16):
+    """A storage manager over a memory or file log device."""
+    if device == "file":
+        log_device = FileLogDevice(tmp_path / "wal.log", injector=injector)
+    else:
+        log_device = MemoryLogDevice(injector=injector)
+    return StorageManager(log=WriteAheadLog(log_device), capacity=capacity)
+
+
+DEVICES = pytest.mark.parametrize("device", ["memory", "file"])
+
+
+class TestRecoverWithoutACrash:
+    """``recover()`` with the decoded cache ahead of the device: restart
+    sees what is durable, so the volatile tail is dropped first and the
+    analysis, the index and the device all describe one record set."""
+
+    @DEVICES
+    def test_the_volatile_tail_is_dropped_not_half_analysed(
+        self, tmp_path, device
+    ):
+        storage = _storage(tmp_path, device)
+        oid = storage.create_object(Tid(1), b"v0")
+        storage.log_commit(Tid(1))
+        storage.write_object(Tid(2), oid, b"durable loser")
+        storage.sync_log()
+        durable = storage.log.records()
+        storage.write_object(Tid(3), oid, b"volatile")
+        storage.log.log_abort(Tid(2))  # would hide the loser, if it counted
+        assert len(storage.log) > storage.log.device.durable_count()
+
+        storage.pool.drop_all()
+        report = storage.recover()  # no crash() first
+
+        assert report.scanned == len(durable)
+        assert_analysis_matches(report, durable)
+        assert report.losers == {Tid(2)}
+        assert storage.read_object(Tid(0), oid) == b"v0"
+        # One record set everywhere: the durable prefix, then recovery's
+        # own compensation and abort records.
+        assert storage.log.records()[: len(durable)] == durable
+        assert storage.log.records() == storage.log.records(durable_only=True)
+        assert storage.log.updates_by(Tid(3)) == []
+
+    @DEVICES
+    def test_nothing_is_resynced_when_the_cache_is_the_durable_view(
+        self, tmp_path, device, monkeypatch
+    ):
+        storage = _storage(tmp_path, device)
+        storage.create_object(Tid(1), b"v0")
+        storage.log_commit(Tid(1))
+        storage.crash()
+        monkeypatch.setattr(
+            storage.log, "resync", lambda: pytest.fail("decoded twice")
+        )
+        monkeypatch.setattr(
+            storage.log, "records", lambda *a, **k: pytest.fail("rescanned")
+        )
+        assert storage.recover().winners == {Tid(1)}
+
+    @DEVICES
+    @pytest.mark.parametrize("crash_first", [False, True])
+    def test_a_lied_checkpoint_is_not_a_redo_mark(
+        self, tmp_path, device, crash_first
+    ):
+        """The second checkpoint's marker is appended but its flush is
+        lied about: the marker is not durable, so redo falls back to the
+        first checkpoint's mark — never to the lost one."""
+        injector = FaultInjector()
+        storage = _storage(tmp_path, device, injector=injector)
+        oid = storage.create_object(Tid(1), b"v0")
+        storage.log_commit(Tid(1))
+        first = storage.checkpoint()
+        storage.write_object(Tid(2), oid, b"v2")
+        storage.log_commit(Tid(2))
+        durable = storage.log.records()
+        # Only the log device is numbered: the marker's append, then
+        # its flush — the one lied about.
+        injector.plan = FaultPlan(lose_fsync_at={injector.step_count + 2})
+        second = storage.checkpoint()
+        assert injector.lied_fsyncs == 1
+        assert storage.log.redo_lsn == second.redo_lsn > first.redo_lsn
+
+        injector.disarm()
+        if crash_first:
+            storage.crash()
+        else:
+            storage.pool.drop_all()
+        report = storage.recover()
+        assert report.scanned == len(durable)
+        assert report.redo_from == first.redo_lsn
+        assert report.redone == 1  # Tid(2)'s after image, above the mark
+        assert storage.read_object(Tid(0), oid) == b"v2"
+
+    def test_no_durable_checkpoint_means_the_whole_log(self, tmp_path):
+        injector = FaultInjector()
+        storage = _storage(tmp_path, "memory", injector=injector)
+        oid = storage.create_object(Tid(1), b"v0")
+        storage.log_commit(Tid(1))
+        injector.plan = FaultPlan(lose_fsync_at={injector.step_count + 2})
+        storage.checkpoint()
+        injector.disarm()
+        storage.crash()
+        report = storage.recover()
+        assert (report.redo_from, report.redone) == (0, 1)
+        assert storage.read_object(Tid(0), oid) == b"v0"
+
+
+class TestCheckpointRecordCompatibility:
+    def test_a_marker_without_the_field_decodes_to_zero(self):
+        new = CheckpointRecord(
+            lsn=Lsn(7), tid=Tid(0), active=(Tid(3), Tid(4)), redo_lsn=6
+        )
+        raw = encode_record(new)
+        assert decode_record(raw) == new
+        old = raw[:-8]  # as written before the trailing field existed
+        assert decode_record(old) == CheckpointRecord(
+            lsn=Lsn(7), tid=Tid(0), active=(Tid(3), Tid(4)), redo_lsn=0
+        )
+
+    def test_recovery_redoes_from_the_start_behind_an_old_marker(self):
+        """A log whose only checkpoint marker predates ``redo_lsn``."""
+        device = MemoryLogDevice()
+        log = WriteAheadLog(device)
+        oid = ObjectId(5)
+        log.log_before_image(Tid(1), oid, None)
+        log.log_after_image(Tid(1), oid, b"v1")
+        log.log_commit(Tid(1))
+        marker = CheckpointRecord(lsn=Lsn(4), tid=Tid(0), active=())
+        device.append(encode_record(marker)[:-8])
+        device.flush()
+        log.log_before_image(Tid(2), oid, b"v1")  # draws LSN 4 again: moot
+        reopened = WriteAheadLog(device)
+        assert reopened.redo_lsn == 0
+        store = ObjectStore(BufferPool(InMemoryDiskManager(), capacity=16))
+        report = RecoveryManager(reopened, store).recover()
+        assert (report.redo_from, report.redone) == (0, 1)
+        assert store.read(oid) == b"v1"
+
+
+class TestTornPageVoidsTheMark:
+    def test_quarantine_logs_a_void_marker_before_resetting_the_page(self):
+        """Objects last written below the mark live on a page torn after
+        it: the quarantine voids the mark durably, so this restart and —
+        the torn image now gone — the next both redo the whole log."""
+        storage = StorageManager(capacity=16)
+        keep = storage.create_object(Tid(1), b"k" * 2200)  # its own page
+        storage.log_commit(Tid(1))
+        mark = storage.checkpoint().redo_lsn
+        assert mark > 0
+        page_id = storage.objects._locations[keep.value][0]
+        image = storage.disk.read_page(page_id)
+        storage.disk._pages[page_id] = image[:8] + bytes(len(image) - 8)
+        storage.crash()
+        report = storage.recover()
+        assert storage.objects.damaged_pages == [page_id]
+        assert report.redo_from == 0 and "torn" in report.redo_reason
+        assert storage.read_object(Tid(0), keep) == b"k" * 2200
+        void = [
+            r for r in storage.log.records(durable_only=True)
+            if isinstance(r, CheckpointRecord)
+        ][-1]
+        assert void.redo_lsn == 0
+        # Power cut again before any checkpoint flushed the rebuilt page.
+        storage.crash()
+        again = storage.recover()
+        assert again.redo_from == 0
+        assert storage.read_object(Tid(0), keep) == b"k" * 2200
+        # A real checkpoint re-establishes a mark.
+        assert storage.checkpoint().redo_lsn > mark
+        storage.crash()
+        assert storage.recover().redone == 0
+        assert storage.read_object(Tid(0), keep) == b"k" * 2200
+
+
+class TestAnalysisIsLinear:
+    def test_restart_visits_each_record_a_bounded_number_of_times(self):
+        """2,000 updates and 200 delegations.  The scan analysis looped
+        over every update seen so far for every delegate record (here
+        ~200,000 update visits); decode + index + analysis now make a
+        number of calls proportional to the log's length.  Calls are
+        counted, not timed."""
+        device = MemoryLogDevice()
+        log = WriteAheadLog(device)
+        for pair in range(200):
+            source, heir = Tid(2 * pair + 1), Tid(2 * pair + 2)
+            oids = [ObjectId(10 * pair + i + 1) for i in range(10)]
+            for oid in oids:
+                log.log_before_image(source, oid, b"b")
+                log.log_after_image(source, oid, b"a")
+            log.log_delegate(source, heir, oids)
+            if pair % 2:
+                log.log_commit(heir)
+        log.flush()
+
+        def calls_of(function, *args):
+            count = 0
+
+            def profiler(frame, event, arg):
+                nonlocal count
+                if event in ("call", "c_call"):
+                    count += 1
+
+            sys.setprofile(profiler)
+            try:
+                result = function(*args)
+            finally:
+                sys.setprofile(None)
+            return count, result
+
+        def open_and_analyse():
+            reopened = WriteAheadLog(device)
+            return reopened, reopened.analysis()
+
+        records = len(log)
+        assert records == 2000 * 2 + 200 + 100
+        visits, (reopened, analysis) = calls_of(open_and_analyse)
+        assert visits < 40 * records
+        oracle_visits, oracle = calls_of(analyze_scan, reopened.records())
+        assert oracle_visits > 3 * visits  # the quadratic loop it replaces
+        winners, finished, prepares, writers = analysis
+        assert winners == oracle.winners
+        assert writers - winners - finished == oracle.losers
+
+
+class TestInDoubtRedoesTheWholeLog:
+    def test_a_prepared_transaction_cut_down_mid_abort_keeps_its_updates(self):
+        """Found by the restart property.  Undo installs, then logs: the
+        abort of a prepared transaction put its before image on disk
+        (a three-frame pool evicts it) and lost the compensation record
+        with the power.  Restart keeps the in doubt rather than undoing
+        them, so only redo from the start — below the checkpoint's mark
+        — puts the after image back."""
+        storage = StorageManager(capacity=3)
+        small = storage.create_object(Tid(1), b"s" * 4)
+        fat = storage.create_object(Tid(1), b"s" * 2200)
+        storage.create_object(Tid(1), b"s" * 9000)
+        storage.log_commit(Tid(1))
+        storage.delete_object(Tid(2), small)
+        storage.write_object(Tid(3), fat, b"0000")
+        storage.log_prepare(Tid(3), gid=3, coordinator="c", sites=("c", "p"))
+        mark = storage.checkpoint(active=(Tid(2), Tid(3))).redo_lsn
+        storage.undo(Tid(3))  # the coordinator said abort...
+        storage.log_abort(Tid(3))  # ...and none of it was flushed
+        storage.crash()
+        assert storage.log.redo_lsn == mark > 0
+        report = storage.recover()
+        assert report.in_doubt == {Tid(3)} and report.losers == {Tid(2)}
+        assert report.redo_from == 0 and "in doubt" in report.redo_reason
+        assert storage.read_object(Tid(0), fat) == b"0000"
+        assert storage.read_object(Tid(0), small) == b"s" * 4

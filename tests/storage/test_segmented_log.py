@@ -5,10 +5,12 @@ from repro.common.codec import decode_int, encode_int
 from repro.common.ids import Tid
 from repro.storage.log import (
     AfterImageRecord,
+    CheckpointRecord,
     CommitRecord,
     DelegateRecord,
 )
 from repro.storage.segmented import LsnSequencer, ShardedStorageManager
+from tests.storage.scan_oracle import directory_scan
 
 SETUP = Tid(50)
 
@@ -160,6 +162,76 @@ class TestSegmentedRecovery:
         state = store.object_state()
         for index, oid in enumerate(oids):
             assert decode_int(state[oid.value]) == index + 20
+
+    def test_directory_from_the_index_is_the_scan_and_scans_nothing(
+        self, monkeypatch
+    ):
+        """Creates, deletes, cross-shard transactions and a delegated
+        update: the oid → shard directory built from each segment's
+        first-seen-oid set is the one a walk over every record builds,
+        and a sharded restart no longer makes that walk."""
+        store, oids = _store()
+        writer, heir, dropper = Tid(1), Tid(2), Tid(3)
+        for oid in oids[:5]:  # cross-shard
+            store.write_object(writer, oid, encode_int(5))
+        store.log_delegate(writer, heir, oids[:2])
+        store.log_commit(heir)
+        store.delete_object(dropper, oids[6])
+        late = store.create_object(dropper, encode_int(9), name="late")
+        store.log_commit(dropper)
+        store.create_object(Tid(4), encode_int(1), name="lost")  # a loser
+        store.sync_log()
+        store.checkpoint()
+        store.write_object(Tid(5), late, encode_int(10))
+        store.sync_log()
+
+        def check():
+            segments = [shard.log for shard in store.shards]
+            directory = store._directory_from_segments()
+            assert directory == directory_scan(segments)
+            assert len({*directory.values()}) > 1
+            assert set(directory) >= {oid.value for oid in oids} | {late.value}
+
+        check()
+        store.crash()
+        walks = []
+        for shard in store.shards:
+            monkeypatch.setattr(
+                shard.log, "records",
+                lambda *a, _log=shard.log, **k: walks.append(_log) or [],
+            )
+        store.recover()
+        assert walks == []
+        monkeypatch.undo()
+        check()
+        assert store.router.shard_of(late) == store._directory_from_segments()[
+            late.value
+        ]
+
+    def test_each_segment_logs_its_own_marker_and_redoes_from_it(self):
+        store, oids = _store()
+        tid = Tid(1)
+        for oid in oids:
+            store.write_object(tid, oid, encode_int(7))
+        store.log_commit(tid)
+        lasts = [shard.log.last_lsn for shard in store.shards]
+        marker = store.checkpoint(active=(Tid(9),))
+        assert marker is store.shards[0].log.records()[-1]
+        for shard, last in zip(store.shards, lasts):
+            own = shard.log.records()[-1]
+            assert isinstance(own, CheckpointRecord)
+            assert (own.active, own.redo_lsn) == ((Tid(9),), last)
+            assert shard.log.redo_lsn == last
+        assert store.log.redo_lsn == min(lasts)
+        after = Tid(2)
+        store.write_object(after, oids[0], encode_int(8))
+        store.log_commit(after)
+        store.crash()
+        report = store.recover()
+        assert (report.redo_from, report.redone) == (min(lasts), 1)
+        state = store.object_state()
+        assert decode_int(state[oids[0].value]) == 8
+        assert decode_int(state[oids[1].value]) == 7
 
     def test_oid_counter_restored_past_all_segments(self):
         store, oids = _store()
