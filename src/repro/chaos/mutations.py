@@ -14,10 +14,11 @@ classes at test time and restore them on exit, even on error.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
 
 from repro.core.manager import TransactionManager
 from repro.storage.buffer import BufferPool
-from repro.storage.log import WriteAheadLog
+from repro.storage.log import CheckpointRecord, WriteAheadLog
 from repro.storage.recovery import RecoveryManager
 
 
@@ -96,6 +97,51 @@ def torn_page_keeps_mark():
         yield
     finally:
         WriteAheadLog.log_checkpoint = original
+
+
+class _Everyone:
+    """A set that holds every transaction."""
+
+    def __contains__(self, tid):
+        return True
+
+
+@contextmanager
+def restart_point_ignores_active():
+    """The restart point is the redo mark alone, as if every transaction
+    had finished: one still active at the checkpoint no longer holds it
+    down, so its before images below the mark are gone from every later
+    open and restart cannot undo it.  The ``checkpoint_mark`` sweeps
+    must catch it."""
+    original = WriteAheadLog.restart_point
+
+    def mark_only(self, marker, finished=frozenset()):
+        return original(self, marker, _Everyone())
+
+    WriteAheadLog.restart_point = mark_only
+    try:
+        yield
+    finally:
+        WriteAheadLog.restart_point = original
+
+
+@contextmanager
+def restart_point_forgets_max_tid():
+    """What a marker says about the highest tid below it is ignored: a
+    log opened at its restart point knows only its tail's tids, and a
+    restarted manager hands out one that the prefix already holds."""
+    original = WriteAheadLog._index_record
+
+    def tail_only(self, record):
+        if isinstance(record, CheckpointRecord):
+            record = replace(record, max_tid=0)
+        original(self, record)
+
+    WriteAheadLog._index_record = tail_only
+    try:
+        yield
+    finally:
+        WriteAheadLog._index_record = original
 
 
 @contextmanager

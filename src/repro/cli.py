@@ -101,6 +101,14 @@ class Database:
         return self.runtime.run(body).value
 
     def close(self):
+        """Clean shutdown: a checkpoint (``close`` flushes the pool
+        anyway), so the next invocation opens the log at its restart
+        point instead of decoding the database's whole history — unless
+        the tail is still nothing but the last checkpoint's marker: an
+        invocation that logged nothing leaves the log as it found it."""
+        log = self.storage.log
+        if not (len(log) == 1 and log.redo_lsn):
+            self.storage.checkpoint()
         self.storage.close()
 
 
@@ -192,10 +200,13 @@ def cmd_log(args):
     """Dump every write-ahead-log record."""
     database = Database(args.db)
     try:
-        records = database.storage.log.records()
+        log = database.storage.log
+        records = log.records()
         for record in records:
             mark = getattr(record, "redo_lsn", None)  # checkpoint markers
             note = "" if mark is None else f"  <- restart redoes above LSN {mark}"
+            if record.lsn.value == log.restart_from:
+                note += "  <- restart point: this open decoded from here"
             print(f"{record}{note}")
         print(f"({len(records)} records)")
     finally:

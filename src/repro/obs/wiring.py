@@ -235,7 +235,7 @@ class ObservabilityKit:
         collector mirroring per-segment census rows as gauges, so shard
         imbalance is visible straight off the registry.  Restart
         recovery sets ``recovery.scanned`` / ``redone`` / ``undone`` /
-        ``redo_from`` through the same hook.
+        ``redo_from`` / ``restart_from`` through the same hook.
         """
         if not self._once(log, "log"):
             return self

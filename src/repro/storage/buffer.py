@@ -69,6 +69,9 @@ class BufferPool:
         self.misses = 0
         self.evictions = 0
         self.wal_forces = 0  # write-backs that had to sync the log first
+        # Set by ``drop_all``: whatever was derived from the cached pages
+        # (the object table) is stale.  Its owner clears it.
+        self.dropped = False
 
     # -- pinning --------------------------------------------------------------
 
@@ -196,6 +199,7 @@ class BufferPool:
             self._frames.clear()
             self._clock_order.clear()
             self._clock_hand = 0
+            self.dropped = True
 
     # -- introspection ----------------------------------------------------------
 

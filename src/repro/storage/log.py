@@ -18,7 +18,8 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from bisect import bisect_right
+import zlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from repro.common.errors import StorageError, TransientIOError
@@ -27,6 +28,7 @@ from repro.common.ids import Lsn, ObjectId, Tid
 _HEADER = struct.Struct("<BQQ")  # record type, lsn, tid
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_HINT = struct.Struct("<QQQ")  # sidecar: byte offset, record ordinal, lsn
 
 _TYPE_BEFORE = 1
 _TYPE_AFTER = 2
@@ -104,10 +106,17 @@ class CheckpointRecord(LogRecord):
     file, and restart redo may begin above it.  ``0`` (also what a
     record written before the field existed decodes to) means "from the
     start of the log".
+
+    ``max_tid`` is the highest transaction id in any record below the
+    marker: the one fact about the prefix that a log opened at its
+    restart point — above most of that prefix — cannot re-derive.
+    ``None`` (a marker from before the field) means "unknown", and a
+    log that finds no better marker in its tail opens at the start.
     """
 
     active: tuple = ()
     redo_lsn: int = 0
+    max_tid: int = None
 
 
 @dataclass(frozen=True)
@@ -278,6 +287,8 @@ def encode_record(record):
         rtype = _TYPE_DELEGATE
     elif isinstance(record, CheckpointRecord):
         body = _pack_tids(record.active) + _U64.pack(record.redo_lsn)
+        if record.max_tid is not None:
+            body += _U64.pack(record.max_tid)
         rtype = _TYPE_CHECKPOINT
     elif isinstance(record, PrepareRecord):
         body = (
@@ -347,11 +358,16 @@ def decode_record(raw):
         )
     if rtype == _TYPE_CHECKPOINT:
         active, offset = _unpack_tids(raw, offset)
-        redo_lsn = 0  # a marker from before the field: redo from the start
+        # Markers from before either trailing field: redo from the
+        # start; highest tid unknown.
+        redo_lsn, max_tid = 0, None
         if offset < len(raw):
             (redo_lsn,) = _U64.unpack_from(raw, offset)
+            offset += _U64.size
+        if offset < len(raw):
+            (max_tid,) = _U64.unpack_from(raw, offset)
         return CheckpointRecord(
-            lsn=lsn, tid=tid, active=active, redo_lsn=redo_lsn
+            lsn=lsn, tid=tid, active=active, redo_lsn=redo_lsn, max_tid=max_tid
         )
     if rtype == _TYPE_PREPARE:
         group, offset = _unpack_tids(raw, offset)
@@ -416,12 +432,19 @@ class MemoryLogDevice:
     and flush as an I/O step; the flush step can be *lied about* (lost
     fsync), leaving ``_durable_count`` behind while the caller believes
     the records are safe.
+
+    ``hint`` is the restart hint (see :class:`WriteAheadLog`),
+    ``(record ordinal, LSN there)`` or ``None`` — the ordinal is the
+    list index.  Like a file log's sidecar it survives :meth:`crash`,
+    travels with :meth:`snapshot` / :meth:`restore`, and is discarded by
+    :meth:`reset`; setting it is no I/O step.
     """
 
     def __init__(self, injector=None):
         self.injector = injector
         self._records = []
         self._durable_count = 0
+        self.hint = None
 
     def append(self, raw):
         if self.injector is None:
@@ -444,19 +467,33 @@ class MemoryLogDevice:
         """How many records a restart would actually see (harness peek)."""
         return self._durable_count
 
+    def set_hint(self, ordinal=None, lsn=0):
+        """Name record number ``ordinal`` (its LSN ``lsn``) as where a
+        reopen may start decoding; ``None`` forgets the hint."""
+        self.hint = None if ordinal is None else (ordinal, lsn)
+
     def snapshot(self):
         """Capture the complete device state (for reference replays)."""
-        return list(self._records), self._durable_count
+        return list(self._records), self._durable_count, self.hint
 
     def restore(self, snapshot):
         """Reset the device to a previously captured snapshot."""
         self._records = list(snapshot[0])
-        self._durable_count = snapshot[1]
+        self._durable_count, self.hint = snapshot[1:]
 
     def read_all(self, durable_only=False):
         """Iterate over encoded records, optionally only the flushed ones."""
         upto = self._durable_count if durable_only else len(self._records)
         return iter(self._records[:upto])
+
+    def read_tail(self):
+        """Iterate over the encoded records from the hint on (from the
+        start without one)."""
+        return iter(self._records[self.hint[0] if self.hint else 0 :])
+
+    def read_prefix(self):
+        """Iterate over the encoded records below the hint."""
+        return iter(self._records[: self.hint[0] if self.hint else 0])
 
     def crash(self):
         """Drop every record not yet flushed (crash simulation)."""
@@ -466,6 +503,7 @@ class MemoryLogDevice:
         """Discard the whole log (sharp-checkpoint truncation)."""
         self._records.clear()
         self._durable_count = 0
+        self.hint = None
 
     def close(self):
         """Nothing to release for the in-memory device."""
@@ -474,16 +512,27 @@ class MemoryLogDevice:
 class FileLogDevice:
     """Log persistence in a file of length-prefixed records.
 
-    The device knows what is durable: the size and record count of the
-    file at its last real ``fsync`` (everything found at open counts —
-    it is what survived).  ``read_all(durable_only=True)`` stops there,
+    The device knows what is durable: the size of the file at its last
+    real ``fsync`` (everything found at open counts — it is what
+    survived).  ``read_all(durable_only=True)`` stops there,
     :meth:`crash` cuts the file back to it, and :meth:`durable_count`
     reports it, exactly as :class:`MemoryLogDevice` does.
 
-    Opening does not walk the file.  ``_count`` / ``_durable_count``
-    count records appended / synced *since open*; how many were
-    ``_found`` at open is learnt from the first complete
-    :meth:`read_all` — the pass the log's ``resync`` makes anyway.
+    Opening does not walk the file.  The pass the log's ``resync`` makes
+    anyway, :meth:`read_tail`, starts at the **restart hint** — ``(byte
+    offset, record ordinal, LSN there)``, kept in a small sidecar beside
+    the log (``<path>.restart``) — and teaches the device where every
+    record from there on begins (``_starts``; appends extend it), which
+    is all it needs to count records, to find what is durable, and to
+    turn the next hint's ordinal into an offset.  The sidecar is
+    replaced by write-new + rename and never synced: it is written only
+    after the records it names are durable, so whichever version
+    survives a power cut names a true record boundary or fails the
+    check at open, and a version that is merely old names an earlier
+    restart point, which is only slower.  A log file created here, or
+    :meth:`reset`, discards it.  The same pass ends at the last complete
+    record and cuts a torn tail off the file, so the next append lands
+    where a restart will look for it.
     """
 
     def __init__(self, path, injector=None):
@@ -492,15 +541,65 @@ class FileLogDevice:
         mode = "r+b" if os.path.exists(self.path) else "w+b"
         self._file = open(self.path, mode)
         self._file.seek(0, os.SEEK_END)
-        self._durable_size = self._file.tell()
-        self._found = None if self._durable_size else 0
-        self._count = self._durable_count = 0
+        self._end = self._durable_size = self._file.tell()
+        # Byte offsets of the records numbered ``_first`` and up; not
+        # known (``None``) until ``read_tail`` has walked a file that
+        # was not empty at open.
+        self._first = 0
+        self._starts = None if self._end else []
+        self._sidecar = self.path + ".restart"
+        self.hint = self._load_hint()
+        if self.hint is None:
+            # No sidecar outlives the check it failed — and one found
+            # beside a new log describes some other file.
+            self.set_hint()
+
+    def _load_hint(self):
+        """The sidecar's hint, if it is whole and a complete record with
+        the LSN it names is framed at its offset.  Nothing here counts
+        the records below that offset: past a bound on how many can fit
+        there, the ordinal is the checksummed sidecar's word, held to
+        account when the prefix is next read (``WriteAheadLog.records``).
+        """
+        try:
+            with open(self._sidecar, "rb") as sidecar:
+                raw = sidecar.read()
+        except OSError:
+            return None
+        if len(raw) != _HINT.size + _U32.size:
+            return None
+        if _U32.unpack_from(raw, _HINT.size)[0] != zlib.crc32(raw[: _HINT.size]):
+            return None
+        hint = _HINT.unpack_from(raw)
+        if hint[1] * (_U32.size + _HEADER.size) > hint[0]:
+            return None  # more records below the offset than fit there
+        __, record = next(self._read(hint[0]), (0, b""))
+        if len(record) < _HEADER.size or _HEADER.unpack_from(record)[1] != hint[2]:
+            return None
+        return hint
+
+    def set_hint(self, ordinal=None, lsn=0):
+        """Name record number ``ordinal`` (its LSN ``lsn``) as where a
+        reopen may start decoding; ``None`` forgets the hint."""
+        if ordinal is None:
+            self.hint = None
+            if os.path.exists(self._sidecar):
+                os.remove(self._sidecar)
+            return
+        del self._starts[: ordinal - self._first]
+        self._first = ordinal
+        self.hint = (self._starts[0], ordinal, lsn)
+        raw = _HINT.pack(*self.hint)
+        with open(self._sidecar + ".new", "wb") as fresh:
+            fresh.write(raw + _U32.pack(zlib.crc32(raw)))
+        os.replace(self._sidecar + ".new", self._sidecar)
 
     def append(self, raw):
         def do_append():
+            self._starts.append(self._end)
             self._file.write(_U32.pack(len(raw)))
             self._file.write(raw)
-            self._count += 1
+            self._end += _U32.size + len(raw)
 
         if self.injector is None:
             do_append()
@@ -509,12 +608,11 @@ class FileLogDevice:
 
     def flush(self):
         # Runs only when the sync really happens: an injector that lies
-        # about (or fails) the flush leaves the durable marks behind.
+        # about (or fails) the flush leaves the durable mark behind.
         def do_flush():
             self._file.flush()
             os.fsync(self._file.fileno())
-            self._durable_size = self._file.tell()
-            self._durable_count = self._count
+            self._durable_size = self._end
 
         if self.injector is None:
             do_flush()
@@ -523,38 +621,61 @@ class FileLogDevice:
 
     def durable_count(self):
         """How many records a restart would actually see."""
-        if self._found is None:
-            for __ in self.read_all():
+        if self._starts is None:
+            for __ in self.read_tail():
                 pass
-        return self._found + self._durable_count
+        return self._first + bisect_left(self._starts, self._durable_size)
+
+    def _read(self, offset, limit=None):
+        """``(offset, encoded record)`` for each record framed from
+        ``offset`` on that ends within ``limit`` (default: the file)."""
+        self._file.flush()
+        if limit is None:
+            limit = os.path.getsize(self.path)
+        with open(self.path, "rb") as reader:
+            reader.seek(offset)
+            while offset + _U32.size <= limit:
+                (length,) = _U32.unpack(reader.read(_U32.size))
+                end = offset + _U32.size + length
+                if end > limit:
+                    return  # torn tail write: ignore, as a real restart would
+                yield offset, reader.read(length)
+                offset = end
 
     def read_all(self, durable_only=False):
         """Iterate over encoded records, optionally only the synced ones."""
-        self._file.flush()
         limit = self._durable_size if durable_only else None
-        with open(self.path, "rb") as reader:
-            offset = seen = 0
-            while True:
-                prefix = reader.read(_U32.size)
-                if len(prefix) < _U32.size:
-                    break
-                (length,) = _U32.unpack(prefix)
-                offset += _U32.size + length
-                if limit is not None and offset > limit:
-                    return
-                raw = reader.read(length)
-                if len(raw) < length:
-                    break  # torn tail write: ignore, as a real restart would
-                seen += 1
-                yield raw
-        if self._found is None and limit is None:
-            self._found = seen - self._count
+        return (raw for __, raw in self._read(0, limit))
+
+    def read_tail(self):
+        """Iterate over the encoded records from the hint on (from the
+        start without one), learning where each begins; run to the end,
+        it cuts whatever follows the last complete record off the file."""
+        offset, first, __ = self.hint or (0, 0, 0)
+        starts = []
+        for start, raw in self._read(offset):
+            starts.append(start)
+            offset = start + _U32.size + len(raw)
+            yield raw
+        self._first, self._starts = first, starts
+        if offset < os.path.getsize(self.path):
+            self._file.truncate(offset)
+            self._file.seek(offset)
+            self._durable_size = min(self._durable_size, offset)
+        self._end = offset
+
+    def read_prefix(self):
+        """Iterate over the encoded records framed below the hint."""
+        limit = self.hint[0] if self.hint else 0
+        return (raw for __, raw in self._read(0, limit))
 
     def crash(self):
         """Drop every byte not yet synced (crash simulation)."""
         self._file.truncate(self._durable_size)
         self._file.seek(self._durable_size)
-        self._count = self._durable_count
+        self._end = self._durable_size
+        if self._starts is not None:
+            del self._starts[bisect_left(self._starts, self._end) :]
 
     def reset(self):
         """Discard the whole log (sharp-checkpoint truncation)."""
@@ -562,8 +683,9 @@ class FileLogDevice:
         self._file.truncate()
         self._file.flush()
         os.fsync(self._file.fileno())
-        self._durable_size = 0
-        self._found = self._count = self._durable_count = 0
+        self._end = self._durable_size = self._first = 0
+        self._starts = []
+        self.set_hint()
 
     def close(self):
         self._file.close()
@@ -649,14 +771,29 @@ class FlushCoalescer:
 class WriteAheadLog:
     """Appends records, assigns LSNs, and replays for abort/recovery.
 
-    Besides the decoded-record cache, the log maintains an *attribution
-    index*: per-tid lists of before-image records with delegation
-    re-attribution applied as records are appended, plus what restart
-    analysis needs — who committed, who finished aborting, who voted,
-    who wrote, and the last checkpoint's redo mark.  ``updates_by``,
-    ``max_tid_value`` and :meth:`analysis` are probes on that index — no
-    full-log scan on abort, delegation, or restart (the scan versions
-    survive as test oracles).
+    In memory the log is its **tail**: the decoded records from the
+    *restart point* on (``base`` counts the records below it), plus an
+    *attribution index* over them — per-tid lists of before-image
+    records with delegation re-attribution applied as records are
+    appended, and what restart analysis needs: who committed, who
+    finished aborting, who voted, who wrote, the last checkpoint's redo
+    mark.  ``updates_by``, ``max_tid_value`` and :meth:`analysis` are
+    probes on that index — no full-log scan on abort, delegation, or
+    restart (the scan versions survive as test oracles).
+
+    The restart point is the lowest LSN restart can still need
+    (:meth:`restart_point`).  Each checkpoint whose marker is durable
+    moves it up (:meth:`open_at`): the device is handed a *hint* naming
+    the record there, and the records and index entries below it are
+    dropped — so a running log holds exactly what :meth:`resync` builds
+    at open, and neither grows with history.  The hint is a bound, never
+    evidence: open checks it (``_load_tail``) and otherwise decodes from
+    the start through the same code; a hint that is merely old is safe,
+    because the point only ever moves up.  What lies below the tail is
+    re-read from the device only when asked for: :meth:`records`
+    (uncached), and a redo that has to start from the beginning of the
+    log (a torn page voided the mark, or a transaction is in doubt),
+    which discards the hint and decodes everything again.
 
     ``group_commit`` (a :class:`FlushCoalescer`, or an int shorthand for
     ``FlushCoalescer(max_commits=n)``) defers the per-commit flush into
@@ -691,10 +828,12 @@ class WriteAheadLog:
         # per-record cost is two attribute bumps, not registry lookups.
         self.metrics = None
         self._obs_bound = None
-        # Decoded-record cache: the live system reads the log on every
-        # abort (updates_by) and at each delegation; re-decoding the whole
-        # device each time would make abort cost quadratic in history.
+        # The decoded tail: the live system reads the log on every abort
+        # (updates_by) and at each delegation; re-decoding the device
+        # each time would make abort cost quadratic in history.
+        # ``_decoded[i]`` is the device's record number ``base + i``.
         self._decoded = []
+        self.base = 0
         self.resync()
 
     def _reset_index(self):
@@ -711,33 +850,71 @@ class WriteAheadLog:
         self.redo_lsn = 0  # the last checkpoint marker's mark
 
     def resync(self):
-        """Rebuild the decoded cache and attribution index from the device.
+        """Rebuild the decoded tail and attribution index from the device.
 
         Called at open and after anything changes the device underneath
         us (crash simulation dropping unflushed records, truncation by
-        another handle).
+        another handle).  Decoding starts at the device's restart hint;
+        one that does not hold up is discarded and the same pass runs
+        again from the start of the log.
         """
         with self._lock:
-            # Let go of the old cache and index first: one decoded copy
-            # of the log in memory while rebuilding, not two.
-            self._decoded = []
-            self._reset_index()
-            self._decoded = [
-                decode_record(raw) for raw in self.device.read_all()
-            ]
-            for record in self._decoded:
-                self._next_lsn = max(self._next_lsn, record.lsn.value + 1)
-                self._index_record(record)
+            while not self._load_tail():
+                self.device.set_hint()
             self.last_lsn = (
                 self._decoded[-1].lsn.value if self._decoded else 0
             )
+            self._next_lsn = max(self._next_lsn, self.last_lsn + 1)
             self.durable_lsn = self._confirmed_lsn(
-                self.device.durable_count(), len(self._decoded), self.last_lsn
+                self.device.durable_count(),
+                self.base + len(self._decoded),
+                self.last_lsn,
             )
             if self._sequencer is not None:
                 self._sequencer.advance_to(self._next_lsn)
             if self.group_commit is not None:
                 self.group_commit.abandon()
+
+    def _load_tail(self):
+        """Decode the device from its hint on into the cache and index
+        (``_lock`` held); whether the result may stand.
+
+        Without a hint that is the whole log, and it stands.  With one,
+        the record it names must be there under the LSN it names, no
+        more records may lie below it than the device confirms durable
+        (a memory device counts them; a file device has only the
+        sidecar's word for the ordinal — see ``FileLogDevice._load_hint``
+        — and :meth:`records` checks it when it reads the prefix), and
+        — unless it names the log's first record, so that the tail *is*
+        the log — the tail must hold a marker that vouches for the
+        highest tid below it, and end with a mark that is not void, or
+        redo would need the prefix anyway.
+        """
+        hint = self.device.hint
+        # Either device's hint ends (record ordinal, LSN there).
+        *__, self.base, lsn = hint or (0, 0)
+        # Let go of the old cache and index first: one decoded copy of
+        # the log in memory while rebuilding, not two.
+        self._decoded = []
+        self._reset_index()
+        self._decoded = [
+            decode_record(raw) for raw in self.device.read_tail()
+        ]
+        for record in self._decoded:
+            self._index_record(record)
+        return hint is None or bool(
+            self._decoded
+            and self._decoded[0].lsn.value == lsn
+            and self.base <= self.device.durable_count()
+            and (
+                not self.base
+                or self.redo_lsn
+                and any(
+                    getattr(record, "max_tid", None) is not None
+                    for record in self._decoded
+                )
+            )
+        )
 
     def _index_record(self, record):
         """Fold one appended record into the attribution index.
@@ -790,6 +967,7 @@ class WriteAheadLog:
         elif isinstance(record, AbortRecord):
             self._finished_aborts.add(tid)
         elif isinstance(record, CheckpointRecord):
+            self._max_tid = max(self._max_tid, record.max_tid or 0)
             for active in record.active:
                 self._max_tid = max(self._max_tid, active.value)
             self.redo_lsn = record.redo_lsn
@@ -951,14 +1129,113 @@ class WriteAheadLog:
         return record
 
     def log_checkpoint(self, active, redo_lsn=0):
-        """Force-write a checkpoint marker carrying the redo mark."""
+        """Force-write a checkpoint marker carrying the redo mark.
+
+        A durable marker also moves the restart point up — of a log
+        that stands alone; the segments of one log move together, as
+        :class:`~repro.storage.segmented.SegmentedLog` decides.  A mark
+        of 0 (a torn page) voids the restart point with it: only the
+        whole history rebuilds the page.  (A segment rewinds alone
+        here, in the middle of a restart; the segmented log has the
+        others follow before it analyses anything.)
+        """
         record = self._append(
             lambda lsn: CheckpointRecord(
-                lsn=lsn, tid=Tid(0), active=tuple(active), redo_lsn=redo_lsn
+                lsn=lsn,
+                tid=Tid(0),
+                active=tuple(active),
+                redo_lsn=redo_lsn,
+                max_tid=self._max_tid,
             )
         )
         self.flush()
+        if not redo_lsn:
+            self.rewind()
+        elif self._sequencer is None:
+            self.open_at(self.restart_point(record))
         return record
+
+    # -- the restart point -------------------------------------------------
+
+    def restart_point(self, marker, finished=frozenset()):
+        """The LSN below which restart needs no record of this log.
+
+        The lowest of: the first record above the last checkpoint's
+        redo mark (redo starts there); the first update, after
+        delegation, of every writer without an outcome (undo installs
+        its before image); and every vote still undecided (restart must
+        report it in doubt).  ``finished`` names transactions whose
+        outcome another segment recorded.  Read off the index, not taken
+        from the caller's list of active transactions.  0 — keep
+        everything — unless the device confirms ``marker``, the
+        checkpoint's own, durable.
+        """
+        with self._lock:
+            if self.durable_lsn < marker.lsn.value:
+                return 0
+
+            def pending(tid):
+                return not (
+                    tid in self._winners
+                    or tid in self._finished_aborts
+                    or tid in finished
+                )
+
+            # The first record above the mark: ``redo_lsn + 1`` when
+            # this is the whole log, and no lower than it has to be for
+            # a segment, whose LSNs are sparse.  The marker is one.
+            point = self._decoded[self._first_above(self.redo_lsn)].lsn.value
+            for tid, updates in self._updates_by_tid.items():
+                if updates[0].lsn.value < point and pending(tid):
+                    point = updates[0].lsn.value
+            for vote in self._prepares:
+                if vote.lsn.value < point and any(
+                    map(pending, vote.prepared_tids())
+                ):
+                    point = vote.lsn.value
+            return point
+
+    def open_at(self, point):
+        """Make ``point`` (from :meth:`restart_point`; 0 moves nothing)
+        where a reopen starts: hand the device the hint, then forget the
+        records below it and fold the index again from the rest — what
+        :meth:`resync` would now build.  The highest tid is carried
+        over; the marker carries it for the reopen.  A log that has a
+        restart point has a hint, even one naming its first record:
+        that is how the segments of one log tell an agreed point from a
+        segment that gave its up."""
+        if not point:
+            return
+        with self._lock:
+            cut = self._first_above(point - 1)
+            if cut or self.device.hint is None:
+                self.base += cut
+                self.device.set_hint(self.base, self._decoded[cut].lsn.value)
+            if not cut:
+                return
+            max_tid = self._max_tid
+            self._decoded = self._decoded[cut:]
+            self._reset_index()
+            self._max_tid = max_tid
+            for record in self._decoded:
+                self._index_record(record)
+
+    def _first_above(self, lsn):
+        """Index in the tail of the first record above ``lsn``."""
+        return bisect_right(self._decoded, lsn, key=lambda r: r.lsn.value)
+
+    def rewind(self):
+        """Give up the restart point — redo needs the log from its
+        start, or this is a segment of a log that does: discard the
+        hint and decode everything again (nothing to do without one)."""
+        if self.device.hint is not None:
+            self.device.set_hint()
+            self.resync()
+
+    @property
+    def restart_from(self):
+        """The LSN the decoded tail starts at; 0 = the whole log."""
+        return self._decoded[0].lsn.value if self.base else 0
 
     # -- reading ----------------------------------------------------------------
 
@@ -991,7 +1268,8 @@ class WriteAheadLog:
         health = self.group_commit.health if self.group_commit is not None else None
         with self._lock:
             # What this sync can vouch for: records appended before it.
-            appended, last_lsn = len(self._decoded), self.last_lsn
+            appended = self.base + len(self._decoded)
+            last_lsn = self.last_lsn
         try:
             self.device.flush()
         except TransientIOError as exc:
@@ -1036,7 +1314,8 @@ class WriteAheadLog:
         ``last_lsn``) it was asked about.  Called with ``_lock`` held."""
         if durable >= appended:
             return last_lsn
-        return self._decoded[durable - 1].lsn.value if durable else 0
+        durable -= self.base  # everything below the tail is durable
+        return self._decoded[durable - 1].lsn.value if durable > 0 else 0
 
     def force(self, lsn):
         """The write-ahead gate: make the log durable through ``lsn``.
@@ -1060,8 +1339,9 @@ class WriteAheadLog:
         redo or undo.  The storage manager enforces that precondition.
         """
         with self._lock:
-            self.device.reset()
+            self.device.reset()  # the restart hint goes with the records
             self._decoded = []
+            self.base = 0
             self._reset_index()
             self.durable_lsn = self.last_lsn  # nothing volatile is left
 
@@ -1069,17 +1349,31 @@ class WriteAheadLog:
         """All records in LSN order (optionally only durable ones).
 
         The durable view always re-reads the device (that is the whole
-        point — it is what a restart would see); the live view is served
-        from the decoded cache.
+        point — it is what a restart would see).  The live view is the
+        decoded tail behind whatever lies below the restart point, and
+        that prefix is re-read from the device on every call: nothing
+        on a hot path asks for it, and keeping it would be keeping the
+        history in memory after all.
         """
         if durable_only:
             return [
                 decode_record(raw) for raw in self.device.read_all(True)
             ]
         with self._lock:
-            return list(self._decoded)
+            if not self.base:
+                return list(self._decoded)
+            prefix = [
+                decode_record(raw) for raw in self.device.read_prefix()
+            ]
+            if len(prefix) != self.base:
+                raise StorageError(
+                    f"restart hint counts {self.base} records below it;"
+                    f" the device holds {len(prefix)}"
+                )
+            return prefix + self._decoded
 
     def __len__(self):
+        """Records in the decoded tail (all of them when ``base`` is 0)."""
         return len(self._decoded)
 
     def drop_volatile(self):
@@ -1091,7 +1385,7 @@ class WriteAheadLog:
         volatile tail is dropped — device and index — so restart
         analyses exactly the records it would find after a power cut.
         """
-        if len(self._decoded) > self.device.durable_count():
+        if self.base + len(self._decoded) > self.device.durable_count():
             self.device.crash()
             self.resync()
 
@@ -1109,13 +1403,11 @@ class WriteAheadLog:
     def redo_records(self, whole=False):
         """The after images restart must reinstall, in LSN order: those
         above the last checkpoint's mark (``redo_lsn``), or every one
-        if ``whole``."""
+        in the log if ``whole`` — which gives up the restart point."""
+        if whole:
+            self.rewind()
         with self._lock:
-            start = 0
-            if not whole:
-                start = bisect_right(
-                    self._decoded, self.redo_lsn, key=lambda r: r.lsn.value
-                )
+            start = 0 if whole else self._first_above(self.redo_lsn)
             return [
                 record
                 for record in self._decoded[start:]
@@ -1123,7 +1415,7 @@ class WriteAheadLog:
             ]
 
     def image_oids(self):
-        """Values of the object ids with an image record in this log."""
+        """Values of the object ids with an image record in the tail."""
         with self._lock:
             return set(self._oids)
 

@@ -70,6 +70,7 @@ class ObjectStore:
         images — which is why torn data pages are recoverable at all.
         """
         with self._lock:
+            self.pool.dropped = False
             self._locations.clear()
             high_water = 0
             for page_id in self.pool.disk.page_ids():
@@ -86,6 +87,12 @@ class ObjectStore:
                 finally:
                     self.pool.unpin(page_id)
             self._next_oid_value = high_water + 1
+
+    def refresh_table(self):
+        """Restart's table: rebuilt only if the cache it was built from
+        has been dropped since (a crash) — a fresh open just built it."""
+        if self.pool.dropped:
+            self._rebuild_table()
 
     def _quarantine(self, page_id):
         """Replace a damaged page with a fresh empty one.

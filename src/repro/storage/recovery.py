@@ -57,7 +57,11 @@ class RecoveryReport:
     already_aborted: set = field(default_factory=set)
     redone: int = 0
     undone: int = 0
-    scanned: int = 0  # records in the log the analysis covers
+    scanned: int = 0  # records decoded for this restart
+    # The LSN the log's decoded tail starts at — its restart point — or
+    # 0: the whole log, by default or (see ``redo_reason``) because redo
+    # needed the prefix after all.
+    restart_from: int = 0
     # The LSN redo started above (0 = the whole log) and, when a torn
     # page overrode the checkpoint's mark, why.
     redo_from: int = 0
@@ -76,7 +80,8 @@ class RecoveryReport:
         return (
             f"RecoveryReport(winners={sorted(t.value for t in self.winners)},"
             f" losers={sorted(t.value for t in self.losers)},"
-            f" scanned={self.scanned}, redo_from={self.redo_from}"
+            f" restart_from={self.restart_from}, scanned={self.scanned},"
+            f" redo_from={self.redo_from}"
             f"{self.redo_reason and f' ({self.redo_reason})'},"
             f" redone={self.redone}, undone={self.undone}{doubt})"
         )
@@ -124,8 +129,10 @@ class RecoveryManager:
         """Run analysis, redo, and undo; return a :class:`RecoveryReport`.
 
         Analysis reads the log's index and decodes nothing: the decoded
-        cache is the durable view (``drop_volatile`` makes it so if the
-        caller skipped the crash).  Redo and undo are separate methods
+        tail is the durable view from the restart point on
+        (``drop_volatile`` makes it so if the caller skipped the crash),
+        and every transaction with a record there has its whole future
+        there too.  Redo and undo are separate methods
         so the chaos harness can crash recovery between (and inside)
         them and so mutation tests can knock one phase out to prove the
         oracles notice.
@@ -145,13 +152,17 @@ class RecoveryManager:
             already_aborted=finished,
             in_doubt=in_doubt,
             in_doubt_votes=in_doubt_votes,
-            scanned=len(self.log),
         )
         self._redo(report)
+        # Read after redo: one that needed the prefix decoded it.
+        report.scanned = len(self.log)
+        report.restart_from = self.log.restart_from
         self._undo(report)
         metrics = self.log.metrics
         if metrics is not None:
-            for name in ("scanned", "redone", "undone", "redo_from"):
+            for name in (
+                "scanned", "redone", "undone", "redo_from", "restart_from"
+            ):
                 metrics.set_gauge(f"recovery.{name}", getattr(report, name))
         return report
 
@@ -167,7 +178,8 @@ class RecoveryManager:
             # undo installs first and logs after, so a page holding its
             # before image can be on disk with the compensation record
             # lost — and restart keeps, not undoes, the in doubt.  Only
-            # history from the start puts its after images back.
+            # history from the start puts its after images back (the
+            # log gives up its restart point to read it).
             report.redo_reason = "transactions in doubt"
         else:
             report.redo_from = self.log.redo_lsn

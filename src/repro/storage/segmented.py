@@ -74,9 +74,17 @@ class SegmentedLog:
     surface the transaction manager and :class:`RecoveryManager`
     consume: ``records``, ``updates_by``, ``max_tid_value``,
     ``last_lsn_value``, ``flush``, the restart readers
-    (``drop_volatile``, ``analysis``, ``redo_records``, ``redo_lsn``),
-    and the compensation writers ``log_after_image`` / ``log_abort``
-    (routed to the owning segment).
+    (``drop_volatile``, ``analysis``, ``redo_records``, ``redo_lsn``,
+    ``restart_from``), and the compensation writers ``log_after_image``
+    / ``log_abort`` (routed to the owning segment).
+
+    Each segment keeps its own restart hint beside its own marker, but
+    the restart *point* is one LSN for the whole log, taken
+    (:meth:`move_restart_point`) and given up (:meth:`drop_volatile`)
+    by all segments together: a transaction's commit record and its
+    images may lie in different segments, and a commit record dropped
+    from one while another still holds an image would turn a winner
+    into a loser.
     """
 
     def __init__(self, storage):
@@ -114,8 +122,17 @@ class SegmentedLog:
         return sum(len(segment) for segment in self.segments)
 
     def drop_volatile(self):
+        """Restart's first act, per segment — and then one restart
+        point or none.  A segment goes back to its whole history alone
+        when a torn page voids its mark or its hint fails a check at
+        open; with it come back writers whose outcome another segment
+        recorded *below its own tail*, and analysis would call them
+        losers.  So if any segment is without a hint, all rewind."""
         for segment in self.segments:
             segment.drop_volatile()
+        if any(segment.device.hint is None for segment in self.segments):
+            for segment in self.segments:
+                segment.rewind()
 
     def analysis(self):
         """The segments' analyses merged: sets united, votes by LSN."""
@@ -138,6 +155,29 @@ class SegmentedLog:
         """Each segment's after images above its own checkpoint mark
         (or all of them), merged."""
         return self._merged(lambda segment: segment.redo_records(whole))
+
+    @property
+    def restart_from(self):
+        """The lowest LSN any segment's tail starts at; 0 = a whole one."""
+        return min(segment.restart_from for segment in self.segments)
+
+    def move_restart_point(self, markers):
+        """After a checkpoint wrote ``markers`` (one per segment): open
+        every segment at the lowest LSN any of them still needs, with
+        outcomes counted wherever they were logged.  Nothing moves
+        unless every marker is durable, so the hints move together —
+        and no crash falls between them: a segment's device is a memory
+        device, whose hint is set without an I/O step.  (Segments on
+        devices that could lose one hint and keep another would have to
+        record the point itself and open at the highest.)"""
+        winners, finished, __, __ = self.analysis()
+        done = winners | finished
+        point = min(
+            segment.restart_point(marker, done)
+            for segment, marker in zip(self.segments, markers)
+        )
+        for segment in self.segments:
+            segment.open_at(point)
 
     @property
     def last_lsn_value(self):
@@ -437,6 +477,7 @@ class ShardedStorageManager(LoggedUndo):
             shard.log.log_checkpoint(active, mark)
             for shard, mark in zip(self.shards, marks)
         ]
+        self.log.move_restart_point(markers)
         return markers[0]
 
     def crash(self):
@@ -452,11 +493,13 @@ class ShardedStorageManager(LoggedUndo):
         Rebuild each shard's object table, derive the oid → shard
         directory from the segments (images always land in the owning
         segment), then run the standard repeat-history + undo-losers
-        pass over the LSN-merged view with a routed store.
+        pass over the LSN-merged view with a routed store.  A torn page
+        found by the rebuild rewinds that shard's segment; the pass
+        begins with ``drop_volatile`` again, which has the rest follow.
         """
         self.log.drop_volatile()
         for shard in self.shards:
-            shard.objects._rebuild_table()
+            shard.objects.refresh_table()
         directory = self._directory_from_segments()
         self.router.clear()
         for oid_value, shard in directory.items():
@@ -473,11 +516,16 @@ class ShardedStorageManager(LoggedUndo):
         return report
 
     def _directory_from_segments(self):
-        """oid value → shard, from the oids each segment's index saw
-        (first segment wins, as in a scan of the segments in order)."""
+        """oid value → shard: the objects in each shard's table (the
+        last checkpoint flushed them there) and the oids its segment's
+        tail has images of (first segment wins, as in a scan of the
+        segments in order).  An object in neither was deleted below
+        the restart point."""
         directory = {}
         for index, shard in enumerate(self.shards):
-            for oid_value in shard.log.image_oids():
+            for oid_value in shard.log.image_oids().union(
+                shard.objects.object_ids()
+            ):
                 directory.setdefault(oid_value, index)
         return directory
 
@@ -533,7 +581,7 @@ class ShardedStorageManager(LoggedUndo):
             rows.append(
                 {
                     "shard": index,
-                    "appends": len(shard.log.records()),
+                    "appends": shard.log.base + len(shard.log),
                     "flushes": shard.log.flush_count,
                     "wal_forces": shard.pool.wal_forces,
                     "batches_flushed": (

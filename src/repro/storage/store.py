@@ -237,7 +237,10 @@ class StorageManager(LoggedUndo):
         the marker is durable, so restart redo begins above it.  (Read
         after the flush, the mark would cover a record appended while
         the flush ran, whose page the flush may have missed.)  The log
-        itself is kept.
+        itself is kept, but once the marker is durable the log moves its
+        restart point up — worked out from its own index, whatever
+        ``active`` says — and holds, and at the next open decodes, only
+        what lies above it.
 
         With ``truncate=True`` and no active transactions, this is a
         *sharp* checkpoint: every effect in the log is already on disk,
@@ -261,8 +264,9 @@ class StorageManager(LoggedUndo):
         self.log.resync()  # the decoded cache must match the device now
 
     def recover(self):
-        """Rebuild the object table and run restart recovery."""
-        self.objects._rebuild_table()
+        """Rebuild the object table, if the cache it was built from is
+        gone, and run restart recovery."""
+        self.objects.refresh_table()
         report = RecoveryManager(self.log, self.objects).recover()
         if self.quarantine is not None:
             # Escalate the structural torn-page quarantine: remember the

@@ -13,6 +13,13 @@ older ``checkpoint_window`` and ``steal_window`` sweeps must see too),
 the mark read after the flush instead of before it
 (``redo_mark_read_after_flush``), or a torn page reset without voiding
 the mark (``torn_page_keeps_mark``).
+
+Since PR 17 the same checkpoint moves the log's *restart point*: every
+restart in these sweeps opens a new log at the hint and sees only the
+tail.  The transaction active across the checkpoint is what holds the
+point below the mark; a point that ignores it
+(``restart_point_ignores_active``) leaves restart nothing to undo it
+from, and the sweeps must go red.
 """
 
 import pytest
@@ -22,6 +29,7 @@ from repro.chaos.faults import LOG_FLUSH, PAGE_WRITE, FaultPlan
 from repro.chaos.mutations import (
     redo_lwm_too_high,
     redo_mark_read_after_flush,
+    restart_point_ignores_active,
     torn_page_keeps_mark,
 )
 from repro.chaos.sweep import (
@@ -32,6 +40,7 @@ from repro.chaos.sweep import (
 )
 from repro.storage.log import (
     AfterImageRecord,
+    BeforeImageRecord,
     CheckpointRecord,
     CommitRecord,
 )
@@ -107,6 +116,15 @@ class TestCheckpointMarkSweeps:
         )
         assert 0 < report.redone < logged
         assert report.undone == 1
+        # ... which is what held the restart point down: the restarted
+        # log decoded from the loser's first update, not from the start.
+        (loser,) = report.losers
+        assert report.restart_from == min(
+            r.lsn.value
+            for r in verdict.restarted.durable_records
+            if isinstance(r, BeforeImageRecord) and r.tid == loser
+        ) > 1
+        assert report.scanned < len(verdict.restarted.durable_records)
 
 
 class TestCheckpointMarkSensitivity:
@@ -148,6 +166,18 @@ class TestCheckpointMarkSensitivity:
         assert {a.plan["label"].split("@")[0] for a in result.failures} == {
             "torn"
         }
+
+    @ENGINES
+    def test_a_restart_point_that_ignores_the_active_is_caught(self, name):
+        """Why the point is a minimum and not just the mark: t2 is
+        active across the checkpoint and its before image lies below."""
+        with restart_point_ignores_active():
+            result = crash_sweep(scenarios.get(name))
+        assert result.failures
+        assert all(
+            any(v.startswith("state: object 5") for v in artifact.violations)
+            for artifact in result.failures
+        )
 
     @ENGINES
     def test_clean_without_mutations(self, name):

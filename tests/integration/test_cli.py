@@ -140,28 +140,71 @@ class TestMaintenance:
     def test_checkpoint_truncate(self, db, capsys):
         run_cli(capsys, "create", "--db", db, "x", "1")
         __, out = run_cli(capsys, "checkpoint", "--db", db, "--truncate")
-        assert "truncated" in out
-        __, out = run_cli(capsys, "log", "--db", db)
-        assert "(1 records)" in out  # just the checkpoint marker
+        assert "truncated; log now 1 records" in out  # just the marker
+        # No second marker from that invocation's shutdown, nor from
+        # ``log``'s: a tail that is only a marker needs no other.
+        for __ in range(2):
+            __, out = run_cli(capsys, "log", "--db", db)
+            assert out.count("CheckpointRecord") == 1
+            assert "(1 records)" in out
 
     def test_recover(self, db, capsys):
+        # Catalog (3 records) + x (5) + the shutdown checkpoint's marker:
+        # the next invocation opens at that marker and decodes only it.
         run_cli(capsys, "create", "--db", db, "x", "1")
         code, out = run_cli(capsys, "recover", "--db", db)
         assert code == 0
         assert "RecoveryReport" in out
-        assert "scanned=" in out and "redo_from=0, redone=" in out
+        assert "restart_from=9, scanned=1, redo_from=8, redone=0" in out
 
     def test_recover_and_log_show_the_checkpoint_mark(self, db, capsys):
         run_cli(capsys, "create", "--db", db, "x", "1")
         run_cli(capsys, "checkpoint", "--db", db)
         __, out = run_cli(capsys, "log", "--db", db)
-        (marker,) = [
+        # One marker for ``create``'s clean shutdown, one for the
+        # explicit checkpoint (whose own shutdown, with nothing logged
+        # since, added none); the newest is where this open started.
+        markers = [
             line for line in out.splitlines() if "CheckpointRecord" in line
         ]
-        mark = int(marker.rsplit("LSN ", 1)[1])
-        assert mark > 0 and f"redo_lsn={mark}" in marker
+        assert ["restart point" in line for line in markers] == [False, True]
+        assert "(10 records)" in out  # the whole history all the same
+        mark = int(markers[-1].split("above LSN ")[1].split()[0])
+        assert mark == 9 and f"redo_lsn={mark}" in markers[-1]
+        # ``log`` logged nothing, so it left the log as it found it.
         __, out = run_cli(capsys, "recover", "--db", db)
-        assert f"redo_from={mark}, redone=0, undone=0" in out
+        assert (
+            f"restart_from={mark + 1}, scanned=1, redo_from={mark},"
+            " redone=0, undone=0"
+        ) in out
+
+    def test_an_invocation_that_logs_nothing_leaves_the_log_alone(
+        self, db, capsys, tmp_path
+    ):
+        run_cli(capsys, "create", "--db", db, "x", "1")
+        files = [tmp_path / "db" / name for name in ("wal.log", "wal.log.restart")]
+        before = [path.read_bytes() for path in files]
+        for command in ("log", "recover", "log"):
+            run_cli(capsys, command, "--db", db)
+            assert [path.read_bytes() for path in files] == before
+        # ``get`` runs a transaction, and its commit record is logged.
+        run_cli(capsys, "get", "--db", db, "x")
+        assert files[0].read_bytes()[: len(before[0])] == before[0]
+        __, out = run_cli(capsys, "log", "--db", db)
+        assert out.count("CheckpointRecord") == 2
+
+    def test_every_invocation_after_the_first_opens_at_the_restart_point(
+        self, db, capsys
+    ):
+        run_cli(capsys, "create", "--db", db, "x", "1")
+        for __ in range(3):
+            run_cli(capsys, "get", "--db", db, "x")
+        database = Database(db)
+        try:
+            log = database.storage.log
+            assert len(log) == 1 and log.base == len(log.records()) - 1
+        finally:
+            database.close()
 
     def test_data_survives_reopen(self, db, capsys):
         run_cli(capsys, "create", "--db", db, "x", "42")

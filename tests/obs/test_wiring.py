@@ -212,7 +212,11 @@ class TestRecoveryGauges:
         report = self._crash_with_a_loser(rt)
         gauges = kit.snapshot()["gauges"]
         assert report.redo_from > 0 and report.redone and report.undone == 1
-        for name in ("scanned", "redone", "undone", "redo_from"):
+        # The checkpoint found nobody active: restart opened at its marker.
+        assert report.restart_from == report.redo_from + 1
+        for name in (
+            "scanned", "redone", "undone", "redo_from", "restart_from"
+        ):
             assert gauges[f"recovery.{name}"] == getattr(report, name)
 
     def test_sharded_restart_exports_through_the_merged_view(self):
@@ -223,6 +227,7 @@ class TestRecoveryGauges:
         report = self._crash_with_a_loser(rt)
         gauges = kit.snapshot()["gauges"]
         assert gauges["recovery.scanned"] == report.scanned > 0
+        assert gauges["recovery.restart_from"] == report.restart_from > 0
         assert gauges["recovery.redone"] == report.redone
         assert gauges["recovery.undone"] == report.undone == 1
 

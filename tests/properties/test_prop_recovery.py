@@ -9,9 +9,10 @@ from repro.chaos.oracles import expected_state
 from repro.chaos.stack import read_state
 from repro.common.codec import decode_int, encode_int
 from repro.common.ids import ObjectId, Tid
+from repro.storage.log import MemoryLogDevice
 from repro.storage.segmented import ShardedStorageManager
 from repro.storage.store import StorageManager
-from tests.storage.scan_oracle import assert_analysis_matches
+from tests.storage.scan_oracle import assert_tail_analysis_matches
 
 # Each step: (transaction index, object index, new value, commit?)
 step = st.tuples(
@@ -113,18 +114,24 @@ class TestRecoveryProperty:
 
 
 # ---------------------------------------------------------------------------
-# Restart from the index, bounded by the checkpoint mark
+# Restart from the tail's index, bounded by the checkpoint mark
 # ---------------------------------------------------------------------------
 #
 # Random histories of writes / creates / deletes / delegation chains /
-# group commits / prepares / aborts / checkpoints, power-cut wherever the
-# "crash" steps fall (so the durable prefix ends at whatever the commits,
-# checkpoints, write-ahead forces and explicit flushes had made durable),
-# on the flat log and on two segments.  At every restart the analysis
-# read off the log's index must be what the scan oracle derives from the
-# same records, and the recovered store — redone from the last durable
-# checkpoint marker's ``redo_lsn`` only — must be the harness's own pure
-# replay of the whole durable log.
+# group commits / prepares / aborts / checkpoints (some with the marker's
+# fsync lied about), power-cut wherever the "crash" steps fall (so the
+# durable prefix ends at whatever the commits, checkpoints, write-ahead
+# forces and explicit flushes had made durable), on the flat log and on
+# two segments.  Every power cut is restarted three ways from the same
+# surviving devices — the restart hints dropped, one checkpoint stale,
+# and as the last checkpoint left them — because the hint is a bound and
+# not evidence.  Each way, the analysis read off the tail's index must be
+# what the scan oracle derives from that tail and agree with a scan of
+# the whole history on every transaction the tail speaks of; the
+# recovered store — decoded from the restart point, redone from the last
+# durable marker's ``redo_lsn`` only — must be the harness's own pure
+# replay of the whole durable log; and the highest tid must be the whole
+# history's, so that none is ever handed out twice.
 
 _N_SLOTS = 4
 _SIZES = (4, 2200, 9000)  # in-page, one per page, a three-page large object
@@ -145,10 +152,27 @@ _op = st.one_of(
     st.tuples(st.just("commit"), _slot, st.one_of(st.none(), _slot)),
     st.tuples(st.just("prepare"), _slot),
     st.tuples(st.just("abort"), _slot),
-    st.tuples(st.just("checkpoint"), st.booleans()),
+    st.tuples(st.just("checkpoint"), st.booleans(), st.booleans()),
     st.tuples(st.just("flush")),
     st.tuples(st.just("crash"), st.booleans()),
 )
+
+
+class _LyingDevice(MemoryLogDevice):
+    """Reports success for the flush after a checkpoint marker's append
+    and makes nothing durable, while ``lie`` is set."""
+
+    lie = pending = False
+
+    def append(self, raw):
+        super().append(raw)
+        self.pending = self.lie and raw[0] == 6  # a CheckpointRecord
+
+    def flush(self):
+        if self.pending:
+            self.pending = False
+        else:
+            super().flush()
 
 
 class _History:
@@ -165,6 +189,11 @@ class _History:
             self.storage = ShardedStorageManager(
                 n_shards=n_shards, capacity=3, group_commit=group_commit
             )
+        for segment in self._segments():
+            segment.device = _LyingDevice()
+        # Per segment, the restart hint before the checkpoint that last
+        # moved any: older, so still a bound.
+        self.stale = [None] * len(self._segments())
         self.next_tid = 1
         self.tids = {}  # slot -> Tid of its active transaction
         self.prepared = set()  # slots that voted: only an outcome is left
@@ -175,11 +204,14 @@ class _History:
             self.storage.create_object(setup, b"s" * size)
         self._resolve(0, commit=True)
 
+    def _stacks(self):
+        return getattr(self.storage, "shards", [self.storage])
+
     def _segments(self):
-        shards = getattr(self.storage, "shards", None)
-        return [self.storage.log] if shards is None else [
-            shard.log for shard in shards
-        ]
+        return [stack.log for stack in self._stacks()]
+
+    def _hints(self):
+        return [segment.device.hint for segment in self._segments()]
 
     def _begin(self, slot):
         if slot not in self.tids:
@@ -271,10 +303,20 @@ class _History:
             self._resolve(op[1], commit=False)
         elif kind == "checkpoint":
             active = sorted(self.tids.values(), key=lambda tid: tid.value)
-            sharp = op[1] and not active
+            sharp, lied = op[1] and not active, op[2]
             if sharp:
                 self.baseline = read_state(storage)
+            before = self._hints()
+            for segment in self._segments():
+                segment.device.lie = lied
             storage.checkpoint(active=active, truncate=sharp)
+            for segment in self._segments():
+                segment.device.lie = False
+            if lied:  # no marker is durable: no hint may have moved
+                assert self._hints() == ([None] * len(before) if sharp
+                                         else before)
+            if self._hints() != before:
+                self.stale = [None] * len(before) if sharp else before
         elif kind == "flush":
             storage.sync_log()
         else:
@@ -285,18 +327,56 @@ class _History:
             for segment in self._segments():
                 segment.device._advance_durable()
         self.storage.crash()
-        durable = self.storage.log.records()
-        marks = [segment.redo_lsn for segment in self._segments()]
-        report = self.storage.recover()
+        history = self.storage.log.records()
+        devices = [
+            (stack.disk, stack.log.device) for stack in self._stacks()
+        ]
+        survived = [
+            (disk.snapshot(), device.snapshot()) for disk, device in devices
+        ]
+        # As the last checkpoint left them last: the history goes on
+        # from that restart.
+        states = []
+        for hints in ([None] * len(devices), self.stale, self._hints()):
+            for (disk, device), (pages, records), hint in zip(
+                devices, survived, hints
+            ):
+                disk.restore(pages)
+                device.restore(records)
+                device.hint = hint
+            states.append(self._restart(history))
+        assert states[0] == states[1] == states[2]
         self.tids.clear()
         self.prepared.clear()
         self.owner.clear()
-        assert_analysis_matches(report, durable)
-        assert report.scanned == len(durable)
-        assert report.redo_from == (0 if report.in_doubt else min(marks))
-        assert read_state(self.storage) == expected_state(
-            durable, baseline=self.baseline
+
+    def _restart(self, history):
+        """Reopen every segment at whatever hint its device holds,
+        recover, and check the outcome against ``history``."""
+        self.storage.crash()
+        segments = self._segments()
+        tail = sorted(
+            (record for segment in segments for record in segment._decoded),
+            key=lambda record: record.lsn.value,
         )
+        starts = [segment.restart_from for segment in segments]
+        marks = [segment.redo_lsn for segment in segments]
+        report = self.storage.recover()
+        assert_tail_analysis_matches(report, tail, history)
+        if report.in_doubt:  # redo read the prefix after all
+            assert (report.scanned, report.restart_from) == (len(history), 0)
+            assert report.redo_from == 0
+        else:
+            assert (report.scanned, report.restart_from) == (
+                len(tail), min(starts),
+            )
+            assert report.redo_from == min(marks)
+        assert self.storage.log.max_tid_value() == max(
+            segment.max_tid_value_scan() for segment in segments
+        )
+        state = read_state(self.storage)
+        assert state == expected_state(history, baseline=self.baseline)
+        return state
 
 
 class TestIndexDrivenRestartProperty:

@@ -70,6 +70,33 @@ def assert_analysis_matches(report, records):
         assert getattr(report, name) == getattr(oracle, name), name
 
 
+def named_tids(records):
+    """Every transaction a record in ``records`` speaks of."""
+    named = set()
+    for record in records:
+        named.add(record.tid)
+        named.update(getattr(record, "group", ()))
+        if isinstance(record, DelegateRecord):
+            named.add(record.delegatee)
+    return named
+
+
+def assert_tail_analysis_matches(report, tail, history):
+    """``report`` — analysed from ``tail``, the decoded end of
+    ``history`` — is what a scan of that tail says, and gives every
+    transaction the tail speaks of the fate a scan of the whole history
+    gives it: no winner turned loser because its commit record was cut
+    off, nobody undone who should not be.  (A loser of the whole
+    history may be missing from the tail's: one that delegated every
+    update away below the restart point has nothing left to undo.)"""
+    assert_analysis_matches(report, tail)
+    whole, named = analyze_scan(history), named_tids(tail)
+    for name in ("winners", "already_aborted", "in_doubt"):
+        assert getattr(report, name) == getattr(whole, name) & named, name
+    assert report.losers <= whole.losers
+    assert report.in_doubt_votes == whole.in_doubt_votes
+
+
 def directory_scan(segments):
     """oid value → index of the first segment holding an image of it."""
     directory = {}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.chaos.faults import FaultInjector, FaultPlan
 from repro.common.ids import Lsn, ObjectId, Tid
 from repro.storage.log import (
+    _U32,
     AbortRecord,
     AfterImageRecord,
     BeforeImageRecord,
@@ -187,6 +188,41 @@ class TestFileDevice:
             handle.write(b"\xff\xff\x00\x00partial")
         reopened = WriteAheadLog(FileLogDevice(path))
         assert len(reopened.records()) == 1
+
+    @pytest.mark.parametrize(
+        "torn",
+        [_U32.pack(100) + b"12345", b"\x64\x00"],
+        ids=["short body", "shorter than a length prefix"],
+    )
+    def test_appending_after_a_torn_tail_keeps_acknowledged_commits(
+        self, tmp_path, torn
+    ):
+        """The open's forward walk ends at the last complete record; the
+        torn bytes behind it are cut off the file there, or the next
+        append would land after them and be swallowed by their length
+        prefix at the following restart."""
+        path = tmp_path / "wal.log"
+        log = WriteAheadLog(FileLogDevice(path))
+        log.log_before_image(Tid(1), ObjectId(1), b"a")
+        log.log_after_image(Tid(1), ObjectId(1), b"b")
+        log.log_commit(Tid(1))
+        log.device.close()
+        whole = path.stat().st_size
+        with open(path, "ab") as handle:
+            handle.write(torn)
+
+        reopened = WriteAheadLog(FileLogDevice(path))
+        assert len(reopened.records()) == 3
+        assert path.stat().st_size == whole
+        assert reopened.device.durable_count() == 3
+        reopened.log_before_image(Tid(2), ObjectId(1), b"b")
+        reopened.log_after_image(Tid(2), ObjectId(1), b"c")
+        reopened.log_commit(Tid(2))  # acknowledged: synced
+        reopened.device.close()
+
+        again = WriteAheadLog(FileLogDevice(path))
+        assert again.records() == reopened.records()
+        assert again.analysis()[0] == {Tid(1), Tid(2)}
 
     def test_unsynced_appends_are_not_durable(self, tmp_path):
         """``records(durable_only=True)`` is what a restart would see: on

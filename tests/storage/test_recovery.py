@@ -249,6 +249,8 @@ class TestRecoverWithoutACrash:
         second = storage.checkpoint()
         assert injector.lied_fsyncs == 1
         assert storage.log.redo_lsn == second.redo_lsn > first.redo_lsn
+        # Nor a restart point: the hint still names the first marker.
+        assert storage.log.device.hint[-2:] == (3, first.lsn.value)
 
         injector.disarm()
         if crash_first:
@@ -256,7 +258,10 @@ class TestRecoverWithoutACrash:
         else:
             storage.pool.drop_all()
         report = storage.recover()
-        assert report.scanned == len(durable)
+        # Tail semantics: what restart decodes is the log from the
+        # restart point on — the first marker and Tid(2)'s three records.
+        assert report.restart_from == first.lsn.value
+        assert report.scanned == len(durable) - 3 == 4
         assert report.redo_from == first.redo_lsn
         assert report.redone == 1  # Tid(2)'s after image, above the mark
         assert storage.read_object(Tid(0), oid) == b"v2"

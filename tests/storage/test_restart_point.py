@@ -1,0 +1,564 @@
+"""The restart point: the log in memory is its tail, at open and live.
+
+A checkpoint whose marker is durable moves the log's restart point up —
+the lowest LSN restart can still need — hands the device a *hint* naming
+the record there, and drops what lies below it from memory.  A reopen
+starts decoding at the hint.  These tests hold the two halves to each
+other (a running log after a checkpoint *is* what a second handle
+builds), show what pins the point, and show that the hint is a bound and
+never evidence: one that fails any check is discarded and the open
+starts at 0, through the same code.
+"""
+
+import os
+import zlib
+
+import pytest
+
+from repro.chaos.mutations import restart_point_forgets_max_tid
+from repro.common.errors import StorageError
+from repro.common.ids import Lsn, ObjectId, Tid
+from repro.core.manager import TransactionManager
+from repro.storage.log import (
+    _HINT,
+    _U32,
+    CheckpointRecord,
+    FileLogDevice,
+    MemoryLogDevice,
+    WriteAheadLog,
+    encode_record,
+)
+from repro.storage.segmented import ShardedStorageManager
+from repro.storage.store import StorageManager
+
+DEVICES = pytest.mark.parametrize("kind", ["memory", "file"])
+
+
+def _open(tmp_path, kind, device=None):
+    """A log over a new device — or, given one, a second handle on what
+    it holds (the same list, or the same file)."""
+    if kind == "file":
+        device = FileLogDevice(tmp_path / "wal.log")
+    return WriteAheadLog(device if device is not None else MemoryLogDevice())
+
+
+def _write(log, tid, oid_value, value=b"v"):
+    oid = ObjectId(oid_value)
+    before = log.log_before_image(Tid(tid), oid, None)
+    log.log_after_image(Tid(tid), oid, value)
+    return before
+
+
+def _checkpoint(log):
+    """What ``StorageManager.checkpoint`` does to the log (no pool here)."""
+    return log.log_checkpoint((), redo_lsn=log.last_lsn)
+
+
+def _busy(log):
+    """A history with every kind of thing a restart point has to respect:
+    finished transactions, an active writer, a delegation out of an
+    aborted transaction into an active one, an undecided vote."""
+    _write(log, 1, 1)
+    log.log_commit(Tid(1))
+    _write(log, 2, 2)  # stays active
+    _write(log, 3, 3)
+    _write(log, 3, 4)
+    log.log_delegate(Tid(3), Tid(4), [ObjectId(3)])
+    log.log_abort(Tid(3))
+    _write(log, 5, 5)
+    log.log_prepare(Tid(5), gid=5, coordinator="c", sites=("c", "p"))
+    _write(log, 9, 6)
+    log.log_commit(Tid(9), group=(Tid(8),))
+
+
+def _state(log):
+    return {
+        "decoded": log._decoded,
+        "base": log.base,
+        "updates": log._updates_by_tid,
+        "winners": log._winners,
+        "aborted": log._finished_aborts,
+        "votes": log._prepares,
+        "parties": log._delegation_parties,
+        "oids": log._oids,
+        "redo_lsn": log.redo_lsn,
+        "max_tid": log.max_tid_value(),
+        "lsns": (log.last_lsn, log.durable_lsn, log.restart_from),
+    }
+
+
+class TestLiveIsOpen:
+    """(b) After a checkpoint a running log holds what an open builds."""
+
+    @DEVICES
+    def test_after_a_checkpoint_the_running_log_is_what_a_reopen_builds(
+        self, tmp_path, kind
+    ):
+        log = _open(tmp_path, kind)
+        _busy(log)
+        total = len(log)
+        _checkpoint(log)
+        # Pinned by Tid(2)'s first update: Tid(1)'s three records go.
+        assert (log.base, len(log)) == (3, total + 1 - 3)
+        assert Tid(1) not in log._winners
+        assert _state(_open(tmp_path, kind, log.device)) == _state(log)
+
+        # Tid(2) and the vote settle; Tid(4) — holding the update Tid(3)
+        # delegated to it — now pins the point alone.
+        log.log_commit(Tid(2))
+        log.log_decision(Tid(5), 5, "commit")
+        _write(log, 10, 7)
+        _checkpoint(log)
+        assert log.restart_from == log.updates_by(Tid(4))[0].lsn.value == 6
+        assert _state(_open(tmp_path, kind, log.device)) == _state(log)
+
+        # Everyone finished: the point is the marker itself.
+        log.log_commit(Tid(4))
+        log.log_commit(Tid(10))
+        marker = _checkpoint(log)
+        assert (len(log), log.restart_from) == (1, marker.lsn.value)
+        assert log.analysis() == (set(), set(), [], set())
+        assert log.max_tid_value() == 10
+        assert _state(_open(tmp_path, kind, log.device)) == _state(log)
+
+    @DEVICES
+    def test_the_running_log_stops_growing_with_history(self, tmp_path, kind):
+        log = _open(tmp_path, kind)
+        sizes = set()
+        for round_ in range(1, 6):
+            for tid in range(10 * round_, 10 * round_ + 5):
+                _write(log, tid, 1)
+                log.log_commit(Tid(tid))
+            _checkpoint(log)
+            sizes.add((len(log), len(log._winners), len(log._updates_by_tid)))
+            assert log.base + len(log) == len(log.records())
+        assert sizes == {(1, 0, 0)}
+
+    def test_segments_move_together_to_one_point(self):
+        """A cross-shard winner's commit record lives in one segment and
+        its images in both: the point is one LSN for the whole log, so
+        the record stays as long as any segment keeps an image."""
+        store = ShardedStorageManager(n_shards=2)
+        one = store.create_object(Tid(1), b"a")  # oid 1 -> shard 1
+        two = store.create_object(Tid(1), b"b")  # oid 2 -> shard 0
+        store.log_commit(Tid(1))
+        store.write_object(Tid(2), one, b"held")  # active, shard 1 only
+        store.write_object(Tid(3), one, b"a3")
+        store.write_object(Tid(3), two, b"b3")
+        store.log_commit(Tid(3))  # home: shard 0
+        store.checkpoint(active=[Tid(2)])
+        held = store.log.updates_by(Tid(2))[0].lsn.value
+        assert store.log.restart_from == held
+        for shard in store.shards:
+            assert shard.log.base > 0
+            assert all(r.lsn.value >= held for r in shard.log._decoded)
+            assert _state(WriteAheadLog(shard.log.device)) == _state(shard.log)
+        # Tid(3) wrote above the point in shard 1; its commit record, in
+        # shard 0, is still there to say it won.
+        assert Tid(3) in store.shards[0].log._winners
+        store.crash()
+        report = store.recover()
+        assert (report.winners, report.losers) == ({Tid(3)}, {Tid(2)})
+        assert store.read_object(Tid(0), one) == b"a"  # Tid(3), then undone
+        assert store.read_object(Tid(0), two) == b"b3"
+
+    def test_a_segment_with_nothing_below_the_point_still_gets_a_hint(self):
+        """A hint is how restart tells "opened at the agreed point" from
+        "gave its point up": a segment holding only its marker gets one
+        too, or the others would rewind to keep it company."""
+        store = ShardedStorageManager(n_shards=2)
+        store.create_object(Tid(1), b"a")  # oid 1 -> shard 1 only
+        store.log_commit(Tid(1))
+        marker = store.checkpoint()
+        idle, busy = (shard.log for shard in store.shards)
+        assert (idle.base, idle.device.hint) == (0, (0, marker.lsn.value))
+        assert (busy.base, len(busy)) == (3, 1)
+        store.crash()
+        report = store.recover()
+        assert (busy.base, report.scanned) == (3, 2)
+
+    def _cross_shard_winner_below_the_point(self):
+        """Tid(1) wrote in both shards and committed in shard 0 (home);
+        a checkpoint then moved every segment's tail above all of it."""
+        store = ShardedStorageManager(n_shards=2)
+        far = store.create_object(Tid(1), b"f" * 2200)  # oid 1 -> shard 1
+        home = store.create_object(Tid(1), b"h")  # oid 2 -> shard 0
+        store.log_commit(Tid(1))
+        assert store.footprint_of(Tid(1)) == set()
+        store.checkpoint()
+        assert [len(shard.log) for shard in store.shards] == [1, 1]
+        return store, far, home
+
+    def _assert_the_winner_still_won(self, store, far, home):
+        report = store.recover()
+        assert Tid(1) in report.winners and not report.losers
+        assert report.undone == 0
+        assert store.read_object(Tid(0), far) == b"f" * 2200
+        assert store.read_object(Tid(0), home) == b"h"
+        # One point for the whole log, or none: no segment is left
+        # holding a tail beside another's whole history.
+        assert {shard.log.base for shard in store.shards} == {0}
+        assert report.restart_from == 0
+
+    def test_a_torn_page_in_one_shard_rewinds_every_segment(self):
+        """The quarantine voids the torn shard's mark, and that segment
+        goes back to its whole history — where Tid(1) wrote.  Its commit
+        record lies below the *other* segment's tail: were that segment
+        to keep its tail, Tid(1) would be a writer with no outcome, and
+        restart would install its before images over committed data."""
+        store, far, home = self._cross_shard_winner_below_the_point()
+        shard = store.shards[1]
+        page_id = shard.objects._locations[far.value][0]
+        image = shard.disk.read_page(page_id)
+        shard.disk._pages[page_id] = image[:8] + bytes(len(image) - 8)
+        store.crash()
+        self._assert_the_winner_still_won(store, far, home)
+        assert shard.objects.damaged_pages == [page_id]
+        # ... and at the next restart, the void mark still standing.
+        store.crash()
+        self._assert_the_winner_still_won(store, far, home)
+        store.checkpoint()
+        assert all(shard.log.base for shard in store.shards)
+
+    def test_one_segment_rejecting_its_hint_rewinds_every_segment(self):
+        """Power cut between the torn-page marker and the rewind: the
+        hint is still there, the tail behind it ends with a void mark —
+        so that segment opens at 0, and the others must follow."""
+        store, far, home = self._cross_shard_winner_below_the_point()
+        segment = store.shards[1].log
+        hint = segment.device.hint
+        segment.log_checkpoint((), redo_lsn=0)
+        segment.device.hint = hint
+        store.crash()
+        assert [shard.log.base > 0 for shard in store.shards] == [True, False]
+        self._assert_the_winner_still_won(store, far, home)
+
+
+class TestWhatPinsThePoint:
+    """One counter-example per term of the minimum."""
+
+    def test_the_redo_mark(self):
+        log = WriteAheadLog()
+        _write(log, 1, 1)
+        log.log_commit(Tid(1))
+        mark = log.last_lsn
+        _write(log, 2, 2)  # lands while the pool flush runs
+        log.log_commit(Tid(2))
+        log.log_checkpoint((), redo_lsn=mark)
+        # Tid(2)'s page may have missed the flush: redo needs its images.
+        assert log.restart_from == mark + 1
+        assert len(log.redo_records()) == 1
+
+    def test_an_unfinished_writer_whatever_the_caller_says_is_active(self):
+        log = WriteAheadLog()
+        _write(log, 2, 2)
+        log.log_commit(Tid(2))
+        first = _write(log, 1, 1)
+        _write(log, 3, 3)
+        log.log_commit(Tid(3))
+        log.log_checkpoint((), redo_lsn=log.last_lsn)  # active: nobody?
+        assert log.restart_from == first.lsn.value == 4
+        assert log.updates_by(Tid(1)) == [first]
+
+    def test_an_update_delegated_to_an_unfinished_writer(self):
+        log = WriteAheadLog()
+        _write(log, 1, 2)
+        moved = _write(log, 1, 1)
+        log.log_delegate(Tid(1), Tid(2), [ObjectId(1)])
+        log.log_commit(Tid(1))  # the delegator is done; this update is not
+        _checkpoint(log)
+        assert log.restart_from == moved.lsn.value == 3
+        assert log.updates_by(Tid(2)) == [moved]
+
+    def test_an_undecided_vote_with_nothing_to_undo(self):
+        """Dropped, the restarted site would not know it is in doubt."""
+        log = WriteAheadLog()
+        _write(log, 1, 1)
+        log.log_commit(Tid(1))
+        vote = log.log_prepare(Tid(2), gid=7, coordinator="c")
+        _checkpoint(log)
+        assert log.restart_from == vote.lsn.value
+        assert WriteAheadLog(log.device).analysis()[2] == [vote]
+        log.log_decision(Tid(2), 7, "commit")
+        marker = _checkpoint(log)
+        assert log.restart_from == marker.lsn.value
+
+    def test_a_marker_that_is_not_durable_moves_nothing(self):
+        from repro.chaos.faults import FaultInjector, FaultPlan
+
+        injector = FaultInjector()
+        log = WriteAheadLog(MemoryLogDevice(injector=injector))
+        _write(log, 1, 1)
+        log.log_commit(Tid(1))
+        injector.plan = FaultPlan(lose_fsync_at={injector.step_count + 2})
+        _checkpoint(log)
+        assert injector.lied_fsyncs == 1
+        assert (log.base, log.device.hint) == (0, None)
+
+
+class TestPrefixOnDemand:
+    """(d) What lies below the tail is read when asked for."""
+
+    @DEVICES
+    def test_records_is_the_full_history_after_a_live_checkpoint(
+        self, tmp_path, kind
+    ):
+        log = _open(tmp_path, kind)
+        _busy(log)
+        log.log_commit(Tid(2))
+        before = log.records()
+        marker = _checkpoint(log)
+        assert 0 < len(log) < len(before)
+        assert log.records() == before + [marker]
+        assert log.records(durable_only=True) == before + [marker]
+        assert log.max_tid_value() == log.max_tid_value_scan() == 9
+        assert _open(tmp_path, kind, log.device).records() == log.records()
+
+    def test_so_is_the_merged_view_of_a_segmented_log(self):
+        store = ShardedStorageManager(n_shards=2)
+        for tid in (1, 2, 3):
+            store.create_object(Tid(tid), b"v%d" % tid)
+            store.log_commit(Tid(tid))
+        before = store.log.records()
+        store.checkpoint()
+        assert len(store.log) == 2  # one marker per segment
+        history = store.log.records()
+        assert history[: len(before)] == before
+        assert len(history) == len(before) + 2
+        assert [r.lsn.value for r in history] == list(range(1, 12))
+        assert sum(row["appends"] for row in store.segment_stats()) == 11
+
+    @DEVICES
+    def test_whole_history_redo_gives_up_the_restart_point(
+        self, tmp_path, kind
+    ):
+        log = _open(tmp_path, kind)
+        _busy(log)
+        _checkpoint(log)
+        assert log.base and log.device.hint
+        assert len(log.redo_records()) == 0
+        assert len(log.redo_records(whole=True)) == 6
+        assert (log.base, log.device.hint, log.restart_from) == (0, None, 0)
+        assert Tid(1) in log._winners
+
+    @DEVICES
+    def test_a_void_mark_voids_the_restart_point(self, tmp_path, kind):
+        """The torn-page marker: only the whole history rebuilds the
+        page, now and at every restart until the next real checkpoint."""
+        log = _open(tmp_path, kind)
+        _busy(log)
+        _checkpoint(log)
+        log.log_checkpoint((), redo_lsn=0)
+        assert (log.base, log.device.hint, log.redo_lsn) == (0, None, 0)
+        assert len(log.redo_records()) == 6
+        reopened = _open(tmp_path, kind, log.device)
+        assert (reopened.base, len(reopened.redo_records())) == (0, 6)
+        _checkpoint(log)
+        assert log.base and log.redo_lsn
+
+    @DEVICES
+    def test_truncation_clears_the_hint(self, tmp_path, kind):
+        log = _open(tmp_path, kind)
+        _write(log, 1, 1)
+        log.log_commit(Tid(1))
+        _checkpoint(log)
+        assert log.device.hint is not None
+        log.truncate()
+        assert (log.base, log.device.hint, len(log.records())) == (0, None, 0)
+        assert not os.path.exists(tmp_path / "wal.log.restart")
+        marker = _checkpoint(log)
+        assert _open(tmp_path, kind, log.device).records() == [marker]
+
+
+def _sidecar(tmp_path, position, ordinal, lsn):
+    raw = _HINT.pack(position, ordinal, lsn)
+    (tmp_path / "wal.log.restart").write_bytes(
+        raw + _U32.pack(zlib.crc32(raw))
+    )
+
+
+class TestTheHintIsABound:
+    """(e) A hint that fails any check: start at 0, and discard it."""
+
+    def _history(self, tmp_path):
+        """A closed file log with two checkpoints; its history, its
+        last hint and the one before."""
+        log = _open(tmp_path, "file")
+        _busy(log)
+        _checkpoint(log)
+        stale = log.device.hint
+        log.log_commit(Tid(2))
+        log.log_commit(Tid(4))
+        log.log_decision(Tid(5), 5, "commit")
+        _checkpoint(log)
+        history, hint = log.records(), log.device.hint
+        assert stale[0] < hint[0]
+        log.device.close()
+        return history, hint, stale
+
+    def _assert_opens_at_zero(self, tmp_path, history):
+        log = _open(tmp_path, "file")
+        assert (log.base, log.restart_from, log.device.hint) == (0, 0, None)
+        assert log.records() == history == log._decoded
+        assert not os.path.exists(tmp_path / "wal.log.restart")
+        assert log.max_tid_value() == log.max_tid_value_scan()
+        # ... and the next checkpoint writes a good one.
+        _checkpoint(log)
+        assert log.device.hint is not None
+        log.device.close()
+        assert _open(tmp_path, "file").base == log.base > 0
+
+    def test_the_hint_and_a_stale_one_both_hold(self, tmp_path):
+        history, hint, stale = self._history(tmp_path)
+        fresh = _open(tmp_path, "file")
+        assert (fresh.base, len(fresh)) == (hint[1], 1)
+        assert fresh.records() == history
+        fresh.device.close()
+        _sidecar(tmp_path, *stale)
+        older = _open(tmp_path, "file")
+        assert (older.base, older.restart_from) == (stale[1], stale[2])
+        assert older.records() == history
+        assert older.analysis()[0] == {Tid(2), Tid(4), Tid(5), Tid(8), Tid(9)}
+        assert older.max_tid_value() == fresh.max_tid_value() == 9
+
+    @pytest.mark.parametrize("case", [
+        "offset past EOF", "offset mid-record", "wrong LSN",
+        "ordinal ahead of the file", "empty", "truncated", "garbage",
+        "bad checksum",
+    ])
+    def test_a_sidecar_that_fails_a_check(self, tmp_path, case):
+        history, (position, ordinal, lsn), __ = self._history(tmp_path)
+        sidecar = tmp_path / "wal.log.restart"
+        good = sidecar.read_bytes()
+        if case == "offset past EOF":
+            _sidecar(tmp_path, position + 10_000, ordinal, lsn)
+        elif case == "offset mid-record":
+            _sidecar(tmp_path, position - 3, ordinal, lsn)
+        elif case == "wrong LSN":
+            _sidecar(tmp_path, position, ordinal, lsn - 1)
+        elif case == "ordinal ahead of the file":
+            _sidecar(tmp_path, position, position, lsn)
+        elif case == "empty":
+            sidecar.write_bytes(b"")
+        elif case == "truncated":
+            sidecar.write_bytes(good[:-1])
+        elif case == "garbage":
+            sidecar.write_bytes(os.urandom(len(good)))
+        else:
+            sidecar.write_bytes(good[:-1] + bytes([good[-1] ^ 1]))
+        self._assert_opens_at_zero(tmp_path, history)
+
+    def test_a_wrong_ordinal_is_caught_when_the_prefix_is_read(self, tmp_path):
+        """Open makes no pass over the prefix, so past the bound on how
+        many records fit below the offset the ordinal is the checksummed
+        sidecar's word — until something reads the prefix and counts."""
+        history, (position, ordinal, lsn), __ = self._history(tmp_path)
+        _sidecar(tmp_path, position, ordinal - 1, lsn)
+        log = _open(tmp_path, "file")
+        assert (log.base, log.restart_from) == (ordinal - 1, lsn)
+        with pytest.raises(StorageError, match="restart hint counts"):
+            log.records()
+        assert log.records(durable_only=True) == history
+
+    def test_a_sidecar_left_by_a_deleted_log(self, tmp_path):
+        """The benchmark deletes ``wal.log`` by name and knows no
+        sidecar: a log file created here discards the one it finds."""
+        self._history(tmp_path)
+        os.remove(tmp_path / "wal.log")
+        assert os.path.exists(tmp_path / "wal.log.restart")
+        log = _open(tmp_path, "file")
+        assert not os.path.exists(tmp_path / "wal.log.restart")
+        _write(log, 1, 1)
+        log.log_commit(Tid(1))
+        assert (log.base, len(log.records())) == (0, 3)
+
+    def test_a_sidecar_beside_a_log_recreated_behind_our_back(self, tmp_path):
+        __, hint, __ = self._history(tmp_path)
+        os.remove(tmp_path / "wal.log")
+        other = MemoryLogDevice()
+        log = WriteAheadLog(other)
+        for tid in range(1, 30):
+            _write(log, tid, tid, b"x" * 40)
+            log.log_commit(Tid(tid))
+        with open(tmp_path / "wal.log", "wb") as handle:
+            for raw in other.read_all():
+                handle.write(_U32.pack(len(raw)) + raw)
+        assert os.path.getsize(tmp_path / "wal.log") > hint[0]
+        self._assert_opens_at_zero(tmp_path, log.records())
+
+    @pytest.mark.parametrize("case", [
+        "index past the end", "wrong LSN", "ordinal ahead of durable_count",
+    ])
+    def test_a_memory_hint_that_fails_a_check(self, case):
+        log = WriteAheadLog()
+        _busy(log)
+        log.log_commit(Tid(2))
+        marker = _checkpoint(log)
+        history, (ordinal, lsn) = log.records(), log.device.hint
+        _write(log, 11, 1)  # volatile
+        if case == "index past the end":
+            log.device.hint = (ordinal + 50, lsn)
+        elif case == "wrong LSN":
+            log.device.hint = (ordinal, lsn + 1)
+        else:  # names the first volatile record
+            log.device.hint = (ordinal + 1, marker.lsn.value + 1)
+        reopened = WriteAheadLog(log.device)
+        assert (reopened.base, reopened.device.hint) == (0, None)
+        assert reopened.records()[: len(history)] == history
+
+    def test_a_tail_with_no_marker_to_vouch_for_the_prefix(self):
+        """An old database: its markers say nothing of the highest tid
+        below them, so a hint into it is no use — and it gets a good one
+        at its next checkpoint."""
+        device = MemoryLogDevice()
+        log = WriteAheadLog(device)
+        _write(log, 7, 1)
+        log.log_commit(Tid(7))
+        old = CheckpointRecord(lsn=Lsn(4), tid=Tid(0), active=(), redo_lsn=3)
+        device.append(encode_record(old))
+        device.flush()
+        device.hint = (3, 4)
+        reopened = WriteAheadLog(device)
+        assert (reopened.base, reopened.max_tid_value()) == (0, 7)
+        _checkpoint(reopened)
+        assert device.hint == (4, 5)
+        assert WriteAheadLog(device).max_tid_value() == 7
+
+    def test_a_void_mark_left_behind_a_hint(self):
+        """Power cut between the torn-page marker and the hint's
+        removal: the tail ends with a void mark, so it is not a tail."""
+        log = WriteAheadLog()
+        _busy(log)
+        _checkpoint(log)
+        hint = log.device.hint
+        log.log_checkpoint((), redo_lsn=0)
+        log.device.hint = hint
+        reopened = WriteAheadLog(log.device)
+        assert (reopened.base, reopened.redo_lsn) == (0, 0)
+
+
+class TestHighestTid:
+    """The one thing about the prefix the tail cannot re-derive."""
+
+    def _reopened_after_a_checkpoint(self):
+        storage = StorageManager()
+        oid = storage.create_object(Tid(41), b"v")  # the highest tid...
+        storage.log_commit(Tid(41))
+        storage.write_object(Tid(7), oid, b"w")
+        storage.log_commit(Tid(7))
+        storage.checkpoint()
+        storage.write_object(Tid(9), oid, b"x")  # ...is not in the tail
+        storage.log_commit(Tid(9))
+        return WriteAheadLog(storage.log.device)
+
+    def test_the_marker_carries_it_so_no_tid_is_reused(self):
+        log = self._reopened_after_a_checkpoint()
+        assert log.base > 0 and Tid(41) not in log.analysis()[0]
+        assert log.max_tid_value() == log.max_tid_value_scan() == 41
+        manager = TransactionManager(storage=StorageManager(log=log))
+        assert manager.initiate().value == 42
+
+    def test_a_log_that_forgets_it_is_caught_reusing_one(self):
+        with restart_point_forgets_max_tid():
+            log = self._reopened_after_a_checkpoint()
+            assert log.max_tid_value() == 9 < log.max_tid_value_scan()

@@ -11,6 +11,12 @@ recovery then repeats only what the last durable checkpoint marker does
 not vouch for — the after images above its ``redo_lsn``: none when the
 power cut follows a checkpoint, one interval's worth when it falls
 mid-interval — and forces nothing while it does.
+
+Nor does restart decode what it does not need: the reopen starts at the
+log's restart point, so the ``decode_record`` calls it makes are the
+records at or above that point — the same for 2 and for 20 checkpoint
+intervals of identical work — unless a transaction stays active across
+the checkpoints, which pins the point at its first update.
 """
 
 import os
@@ -20,6 +26,7 @@ import pytest
 
 from repro.core.manager import TransactionManager
 from repro.runtime.coop import CooperativeRuntime
+from repro.storage import log as log_module
 from repro.storage.disk import FileDiskManager
 from repro.storage.log import FileLogDevice, WriteAheadLog
 from repro.storage.store import StorageManager
@@ -116,7 +123,7 @@ def test_syncs_are_commits_plus_checkpoints_and_redo_is_bounded(
         == TRANSACTIONS + tail + CHECKPOINTS + steals
     )
     assert len(fsyncs) == TRANSACTIONS + tail + 2 * CHECKPOINTS + steals
-    appended = len(storage.log)
+    appended = storage.log.base + len(storage.log)
 
     # Power cut: no clean shutdown, the cache is lost, the log keeps
     # what was synced.  Restart over the two files alone.
@@ -127,11 +134,13 @@ def test_syncs_are_commits_plus_checkpoints_and_redo_is_bounded(
     reborn = _open(tmp_path)
     restarted = reborn.manager.storage
     report = restarted.recover()
-    # Nothing is truncated: the whole log is decoded (once) and analysed;
-    # redo starts above the third checkpoint's mark — the last LSN
-    # before that checkpoint's flush, 6 images x 2 records + 1 commit
-    # per unit and one marker per checkpoint below it.
-    assert report.scanned == appended
+    # Nothing is truncated, but (tail semantics) only the log from the
+    # restart point on is decoded and analysed: nobody was active at the
+    # third checkpoint, so that is its marker and the units after it —
+    # 6 images x 2 records + 1 commit each.  Redo starts above the
+    # marker's mark, the last LSN before that checkpoint's flush.
+    assert report.scanned == 13 * tail + 1
+    assert report.restart_from == appended - 13 * tail
     assert report.redo_from == appended - 13 * tail - 1
     assert report.redone == 6 * tail
     assert report.undone == 0
@@ -140,3 +149,74 @@ def test_syncs_are_commits_plus_checkpoints_and_redo_is_bounded(
     assert fsyncs == []
     assert reborn.run(_read_all, args=(oids,)).value == expected
     restarted.close()
+
+
+UNITS_PER_INTERVAL = 3
+
+
+def _hold(tx, oid):
+    yield tx.write(oid, b"held")
+
+
+def _reopen_decodes(tmp_path, monkeypatch, intervals, pin):
+    """``intervals`` checkpoint intervals of identical work, a power cut
+    after the last checkpoint, a reopen + ``recover()``: how many
+    records that decoded, and how many lie at or above the restart
+    point.  ``pin`` leaves one transaction active from before the first
+    interval to the end."""
+    rng = random.Random(17)
+    runtime = _open(tmp_path)
+    storage = runtime.manager.storage
+    oids = runtime.run(_create).value
+    spare = oids.pop()
+    runtime.manager.checkpoint()
+    if pin:
+        runtime.wait(runtime.spawn(_hold, args=(spare,)))
+    for __ in range(intervals):
+        for __ in range(UNITS_PER_INTERVAL):
+            args = (oids[rng.randrange(len(oids))],
+                    tuple(rng.sample(oids, 6)), bytes(VALUE_BYTES))
+            assert runtime.run(_read_one_write_six, args=args).committed
+        runtime.manager.checkpoint()
+    at_or_above = len(storage.log)
+    storage.log.device.crash()
+    storage.log.device.close()
+    storage.disk.close()
+
+    decoded = []
+    real = log_module.decode_record
+    monkeypatch.setattr(
+        log_module, "decode_record",
+        lambda raw: decoded.append(1) or real(raw),
+    )
+    restarted = _open(tmp_path).manager.storage
+    report = restarted.recover()
+    monkeypatch.undo()
+    assert report.scanned == len(decoded)
+    assert report.undone == pin
+    restarted.close()
+    return len(decoded), at_or_above
+
+
+@pytest.mark.parametrize("intervals", [2, 20])
+def test_reopen_decodes_from_the_restart_point_whatever_the_history(
+    tmp_path, monkeypatch, intervals
+):
+    # Nobody active at the last checkpoint: its marker, and nothing else.
+    assert _reopen_decodes(tmp_path, monkeypatch, intervals, pin=False) == (
+        1, 1,
+    )
+
+
+@pytest.mark.parametrize("intervals", [2, 6])
+def test_a_transaction_active_across_checkpoints_pins_the_restart_point(
+    tmp_path, monkeypatch, intervals
+):
+    """The honest cost of a long-lived transaction: restart must be able
+    to undo it, so every open decodes from its first update on — its
+    two image records, then every interval since (13 records a unit and
+    a marker), however many checkpoints went by."""
+    since = 2 + intervals * (13 * UNITS_PER_INTERVAL + 1)
+    assert _reopen_decodes(tmp_path, monkeypatch, intervals, pin=True) == (
+        since, since,
+    )
