@@ -52,6 +52,12 @@ class EventKind(enum.Enum):
 
     DEADLOCK_VICTIM = "deadlock_victim"
 
+    # Members are singletons compared by identity, so identity is a valid
+    # hash — and a C-level one: ``Enum.__hash__`` is a Python frame, paid
+    # by every ``emit`` that probes the watched set for a bus with narrow
+    # subscribers (the resilience and observability kits).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Event:
@@ -145,11 +151,12 @@ class EventBus:
     def emit(self, kind, tid, **detail):
         """Build an :class:`Event` and deliver it to its subscribers.
 
-        The fast path is one set-membership test: a kind nobody watches
-        costs the same whether the bus has narrow subscribers or none at
-        all, keeping narrow listeners off the manager's hot path.
+        The fast path is one truth test on a bus nobody subscribed to
+        (no hash of ``kind``), one set-membership test otherwise: a kind
+        nobody watches costs the same whatever the narrow subscribers,
+        keeping them off the manager's hot path.
         """
-        if kind not in self._watched:
+        if not self._watched or kind not in self._watched:
             return None
         targets = self._dispatch.get(kind)
         if targets is None:

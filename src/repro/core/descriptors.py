@@ -281,14 +281,31 @@ _NO_PERMITS = ()
 
 class TransactionTable:
     """The hash table of TDs, keyed by tid (section 4.1); iterates in
-    insertion order."""
+    insertion order.
+
+    Every TD ever created stays answerable here (status queries); the
+    walks that only concern transactions still in flight — checkpoint,
+    the deadlock detector's commit waits, the admission limit — read
+    :meth:`live`, an index the manager prunes with :meth:`retire` at the
+    two places a TD becomes terminal.
+    """
 
     def __init__(self):
         self._table = {}
+        self._live = {}  # the non-terminated subset, same order
 
     def add(self, descriptor):
-        """Register a new TD."""
+        """Register a new TD (new, so live)."""
         self._table[descriptor.tid] = descriptor
+        self._live[descriptor.tid] = descriptor
+
+    def retire(self, tid):
+        """``tid`` has terminated: it leaves the live index (only)."""
+        self._live.pop(tid, None)
+
+    def live(self):
+        """The non-terminated TDs, in insertion order (a live view)."""
+        return self._live.values()
 
     def get(self, tid):
         """Return the TD for ``tid``; raise if unknown."""
@@ -304,6 +321,7 @@ class TransactionTable:
     def remove(self, tid):
         """Forget a TD (post-termination cleanup)."""
         self._table.pop(tid, None)
+        self._live.pop(tid, None)
 
     def __contains__(self, tid):
         return tid in self._table

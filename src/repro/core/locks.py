@@ -31,7 +31,7 @@ from repro.core.descriptors import (
     LockRequestStatus,
     ObjectDescriptor,
 )
-from repro.core.outcomes import LockOutcome
+from repro.core.outcomes import GRANTED, LockOutcome
 from repro.core.semantics import ConflictTable
 
 
@@ -100,7 +100,7 @@ class LockManager:
             # skip conflict and permit evaluation entirely.
             self.stats["fast_grants"] += 1
             self._grant(td, od, operation)
-            return LockOutcome(granted=True)
+            return GRANTED
         to_suspend = []
         blockers = []
         for gl in od.granted:
@@ -140,11 +140,18 @@ class LockManager:
                     operation=operation,
                 )
         self._grant(td, od, operation)
-        return LockOutcome(granted=True)
+        return GRANTED
 
     def holds(self, td, oid, operation):
-        """Whether ``td`` already holds an unsuspended lock covering ``operation``."""
-        lrd = td.lock_on(oid)
+        """Whether ``td`` already holds an unsuspended lock covering ``operation``.
+
+        Answered from the OD's tid index, not by walking ``td.locks``:
+        the walk made a transaction quadratic in its write set.
+        """
+        od = self.registry.maybe_get(oid)
+        if od is None:
+            return False
+        lrd = od.granted_for(td.tid)
         return (
             lrd is not None
             and not lrd.suspended
@@ -270,8 +277,8 @@ class LockManager:
             if oids is not None and lrd.oid not in oids:
                 continue
             td_from.locks.remove(lrd)
-            existing = td_to.lock_on(lrd.oid)
-            if existing is not None:
+            existing = lrd.od.granted_for(td_to.tid)
+            if existing is not None and existing is not lrd:
                 existing.operations |= lrd.operations
                 lrd.od.detach_granted(lrd)
                 # An unsuspended incoming lock normally re-activates the

@@ -17,7 +17,6 @@ the storage manager, as section 4.2's read/write algorithms specify.
 
 from __future__ import annotations
 
-import functools
 import threading
 
 from repro.common.clock import LogicalClock
@@ -32,9 +31,9 @@ from repro.core.dependency import DependencyGraph, DependencyType
 from repro.core.descriptors import TransactionDescriptor, TransactionTable
 from repro.core.locks import LockManager, ObjectRegistry
 from repro.core.outcomes import (
+    GRANTED,
     CommitOutcome,
     CommitStatus,
-    LockOutcome,
     PrepareOutcome,
     PrepareStatus,
 )
@@ -46,45 +45,6 @@ from repro.storage.store import StorageManager
 
 def _no_failpoint(name):
     """The default (disabled) failure hook."""
-
-
-def _observed(name):
-    """Record a primitive's logical-tick latency when metrics are attached.
-
-    Detached (``manager.metrics is None``) the wrapper is one attribute
-    load and an ``is None`` test — the EX19 bench holds that to ≤5% of
-    the hot path.  Attached, the latency is the clock-tick distance
-    across the call: every event emission ticks the shared clock, so the
-    distance counts the work the primitive set in motion, and is exactly
-    reproducible run-to-run.
-    """
-
-    metric_name = f"primitive.{name}.ticks"
-
-    def decorate(method):
-        # One-slot memo of (metrics, histogram): re-resolved whenever the
-        # attached metrics object changes (written as one tuple so a
-        # concurrent re-resolution can never mispair them).
-        memo = [None]
-
-        @functools.wraps(method)
-        def observed(self, *args, **kwargs):
-            metrics = self.metrics
-            if metrics is None:
-                return method(self, *args, **kwargs)
-            bound = memo[0]
-            if bound is None or bound[0] is not metrics:
-                bound = (metrics, metrics.histogram(metric_name))
-                memo[0] = bound
-            start = self.clock.peek()
-            try:
-                return method(self, *args, **kwargs)
-            finally:
-                bound[1].observe(self.clock.peek() - start)
-
-        return observed
-
-    return decorate
 
 
 class TransactionManager:
@@ -120,8 +80,9 @@ class TransactionManager:
         # other ``initiate`` work; sheds with a typed Backpressure error.
         self.admission = admission
         # Observability hook (repro.obs): a MetricsRegistry/ScopedMetrics
-        # installed by ObservabilityKit.attach_manager, or None.  The
-        # primitives' @_observed wrappers check this once per call.
+        # installed by ObservabilityKit.attach_manager — which also binds
+        # the per-primitive latency wrappers onto this instance — or None.
+        # Detached, the primitives are the plain methods.
         self.metrics = None
 
         self.table = TransactionTable()
@@ -153,7 +114,6 @@ class TransactionManager:
     # basic primitives (section 2.1)
     # ------------------------------------------------------------------
 
-    @_observed("initiate")
     def initiate(self, function=None, args=(), initiator=NULL_TID):
         """Register a new transaction; returns its tid, or the null tid.
 
@@ -165,10 +125,7 @@ class TransactionManager:
             if self.admission is not None:
                 self.admission.admit(self)
             if self.max_transactions is not None:
-                live = sum(
-                    1 for td in self.table if not td.status.is_terminated
-                )
-                if live >= self.max_transactions:
+                if len(self.table.live()) >= self.max_transactions:
                     return NULL_TID
             tid = self._tids.next()
             td = TransactionDescriptor(
@@ -278,16 +235,13 @@ class TransactionManager:
             return list(self.table)
 
     def committing_transactions(self):
-        """Tids currently mid-commit, in one table pass (deadlock input).
-
-        The detector used to snapshot every TD and probe each status
-        through the mutex separately; quiescence checks run it often
-        enough that the per-transaction round trips dominated.
-        """
+        """Tids currently mid-commit, in one pass over the live
+        transactions (deadlock input; run on every idle scheduler round,
+        so it must not walk the terminated)."""
         with self._mutex:
             return [
                 td.tid
-                for td in self.table
+                for td in self.table.live()
                 if td.status is TransactionStatus.COMMITTING
             ]
 
@@ -336,7 +290,7 @@ class TransactionManager:
                 self._abort_poisoned(tid, oid)
                 raise
             self.events.emit(EventKind.READ, tid, oid=oid)
-            return LockOutcome(granted=True), value
+            return GRANTED, value
 
     def try_write(self, tid, oid, value):
         """Write ``oid`` for ``tid``; section 4.2 ``write`` (logs images)."""
@@ -352,7 +306,7 @@ class TransactionManager:
                 self._abort_poisoned(tid, oid)
                 raise
             self.events.emit(EventKind.WRITE, tid, oid=oid)
-            return LockOutcome(granted=True)
+            return GRANTED
 
     def _abort_poisoned(self, tid, oid):
         """Quarantine escalation: a transaction that touched a quarantined
@@ -384,7 +338,7 @@ class TransactionManager:
             self.events.emit(
                 EventKind.OPERATION, tid, oid=oid, operation=operation
             )
-            return LockOutcome(granted=True), result
+            return GRANTED, result
 
     # ------------------------------------------------------------------
     # savepoints (extension: partial rollback within one transaction)
@@ -439,7 +393,6 @@ class TransactionManager:
     # the new primitives (section 2.2)
     # ------------------------------------------------------------------
 
-    @_observed("delegate")
     def delegate(self, ti, tj, oids=None):
         """Transfer responsibility for ``ti``'s operations to ``tj``.
 
@@ -466,7 +419,6 @@ class TransactionManager:
             )
             return moved
 
-    @_observed("permit")
     def permit(self, ti, tj=None, oids=None, operations=None):
         """Allow conflicting access: all four forms of section 2.2.
 
@@ -509,7 +461,6 @@ class TransactionManager:
                     )
             return granted
 
-    @_observed("form_dependency")
     def form_dependency(self, dep_type, ti, tj):
         """Form a dependency of ``dep_type`` between ``ti`` and ``tj``.
 
@@ -575,7 +526,6 @@ class TransactionManager:
     # commit (section 4.2)
     # ------------------------------------------------------------------
 
-    @_observed("commit")
     def try_commit(self, tid):
         """One pass of the commit algorithm; never blocks.
 
@@ -658,6 +608,7 @@ class TransactionManager:
                 ):
                     member_td.set_status(TransactionStatus.COMMITTING)
                 member_td.set_status(TransactionStatus.COMMITTED)
+                self.table.retire(member)
             never_beginnable = []
             for member in ordered:
                 # A BAD dependent waited for this member to abort (it
@@ -698,7 +649,6 @@ class TransactionManager:
             waiting.append(edge.dependee)
         return waiting
 
-    @_observed("prepare")
     def try_prepare(self, tid, gid=0, coordinator="", sites=()):
         """One pass of a distributed-commit vote; never blocks.
 
@@ -804,7 +754,6 @@ class TransactionManager:
     # abort (section 4.2)
     # ------------------------------------------------------------------
 
-    @_observed("abort")
     def abort(self, tid, reason=""):
         """Abort ``tid``: undo, release, cascade.  Returns ``False`` only
         when ``tid`` has already committed (the paper's return 0).
@@ -885,6 +834,7 @@ class TransactionManager:
             # Step 6: terminal state, log completion.
             self.storage.log_abort(tid)
             td.set_status(TransactionStatus.ABORTED)
+            self.table.retire(tid)
             self.stats["aborted"] += 1
             self.events.emit(EventKind.ABORTED, tid, reason=td.abort_reason)
 
@@ -910,6 +860,6 @@ class TransactionManager:
         """
         with self._mutex:
             active = [
-                td.tid for td in self.table if td.status.is_active
+                td.tid for td in self.table.live() if td.status.is_active
             ]
             return self.storage.checkpoint(active=active, truncate=truncate)

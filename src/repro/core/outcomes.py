@@ -30,6 +30,10 @@ class LockOutcome:
         return self.granted
 
 
+GRANTED = LockOutcome(granted=True)
+"""The one granted outcome (immutable, so every grant shares it)."""
+
+
 class PrepareStatus(enum.Enum):
     """How a ``try_prepare`` (distributed-commit vote) attempt resolved."""
 

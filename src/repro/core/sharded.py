@@ -57,7 +57,7 @@ from repro.common.events import EventKind
 from repro.common.latch import Latch, LatchMode
 from repro.core.locks import LockManager
 from repro.core.manager import TransactionManager
-from repro.core.outcomes import CommitStatus, LockOutcome
+from repro.core.outcomes import GRANTED, CommitStatus
 from repro.core.permits import PermitTable
 from repro.core.semantics import READ, WRITE
 from repro.core.sharding import (
@@ -262,7 +262,7 @@ class ShardedTransactionManager(TransactionManager):
                         return outcome, None
                 value = self.storage.read_object(tid, oid)
                 self.events.emit(EventKind.READ, tid, oid=oid)
-                return LockOutcome(granted=True), value
+                return GRANTED, value
         except QuarantinedObjectError:
             # Escalate outside the latch scope: abort takes the mutex,
             # and mutex-after-latch would invert the lock order.
@@ -280,7 +280,7 @@ class ShardedTransactionManager(TransactionManager):
                         return outcome
                 self.storage.write_object(tid, oid, value)
                 self.events.emit(EventKind.WRITE, tid, oid=oid)
-                return LockOutcome(granted=True)
+                return GRANTED
         except QuarantinedObjectError:
             self._abort_poisoned(tid, oid)
             raise
@@ -301,7 +301,7 @@ class ShardedTransactionManager(TransactionManager):
                 self.events.emit(
                     EventKind.OPERATION, tid, oid=oid, operation=operation
                 )
-                return LockOutcome(granted=True), result
+                return GRANTED, result
         except QuarantinedObjectError:
             self._abort_poisoned(tid, oid)
             raise

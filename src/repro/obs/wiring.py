@@ -22,6 +22,7 @@ CLI's ``--metrics-out`` / ``--trace-out`` flags instantiate.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 
 from repro.common.events import EventKind
@@ -29,6 +30,42 @@ from repro.obs.metrics import MetricsRegistry, ScopedMetrics
 from repro.obs.spans import SpanBuilder
 
 __all__ = ["EventMetrics", "ObservabilityKit", "install_observability"]
+
+
+# The manager methods whose logical-tick latency is recorded, as
+# ``primitive.<name>.ticks`` (``try_commit`` is the ``commit`` primitive).
+PRIMITIVES = (
+    "initiate", "delegate", "permit", "form_dependency",
+    "try_commit", "try_prepare", "abort",
+)
+
+
+def _observed(method, clock, metrics, metric_name):
+    """Bound ``method``, recording its logical-tick latency per call.
+
+    The latency is the clock-tick distance across the call: every event
+    emission ticks the shared clock, so the distance counts the work the
+    primitive set in motion, exactly reproducibly.  Bound onto the
+    manager *instance* by :meth:`ObservabilityKit.attach_manager`, so a
+    manager with no kit pays not even a frame, and the manager's own
+    nested calls (``self.abort`` inside a commit) are observed like any
+    caller's.  The histogram is created by the first call: a primitive
+    never invoked leaves no empty series in the snapshot.
+    """
+    histogram = None
+
+    @functools.wraps(method)
+    def observed(*args, **kwargs):
+        nonlocal histogram
+        if histogram is None:
+            histogram = metrics.histogram(metric_name)
+        start = clock.peek()
+        try:
+            return method(*args, **kwargs)
+        finally:
+            histogram.observe(clock.peek() - start)
+
+    return observed
 
 
 class EventMetrics:
@@ -222,6 +259,11 @@ class ObservabilityKit:
             manager.events, trace=trace, correlate=correlate
         )
         manager.metrics = scoped
+        for method in PRIMITIVES:
+            setattr(manager, method, _observed(
+                getattr(manager, method), manager.clock, scoped,
+                f"primitive.{method.removeprefix('try_')}.ticks",
+            ))
         if self.metrics.clock is None:
             self.metrics.clock = manager.clock
         self.attach_log(manager.storage.log, trace=trace)

@@ -30,7 +30,12 @@ from repro.common.errors import (
 from repro.common.ids import NULL_TID
 from repro.core.deadlock import DeadlockDetector
 from repro.core.manager import TransactionManager
-from repro.runtime.program import BLOCKED, TxnContext, execute_request
+from repro.runtime.program import (
+    BLOCKED,
+    TxnContext,
+    commit_when_ended,
+    execute_request,
+)
 
 # SchedulerStalledError lives in the unified taxonomy now
 # (repro.common.errors) but remains importable from here, where its
@@ -80,10 +85,11 @@ class RunResult:
 class _Task:
     """One running transaction program."""
 
-    __slots__ = ("tid", "gen", "pending", "to_send", "blocked_on")
+    __slots__ = ("tid", "td", "gen", "pending", "to_send", "blocked_on")
 
-    def __init__(self, tid, gen):
-        self.tid = tid
+    def __init__(self, td, gen):
+        self.tid = td.tid
+        self.td = td  # the live descriptor: status is read off it per step
         self.gen = gen
         self.pending = None  # request awaiting retry
         self.to_send = None  # result to send into the generator
@@ -145,8 +151,9 @@ class CooperativeRuntime:
 
     def commit(self, tid):
         """Commit ``tid``: block (by scheduling others) until final."""
+        td = self.manager.table.get(tid)
         while True:
-            outcome = self.manager.try_commit(tid)
+            outcome = commit_when_ended(self.manager, td)
             if outcome.is_final:
                 return 1 if outcome else 0
             self._make_progress_or_die(f"commit of {tid!r}")
@@ -171,17 +178,20 @@ class CooperativeRuntime:
         completions avoids that driver-order deadlock.
         """
         outcomes = {}
-        pending = list(tids)
+        pending = [self.manager.table.get(tid) for tid in tids]
         while pending:
-            progressed = False
-            for tid in list(pending):
-                outcome = self.manager.try_commit(tid)
+            waiting = []
+            for td in pending:
+                outcome = commit_when_ended(self.manager, td)
                 if outcome.is_final:
-                    outcomes[tid] = 1 if outcome else 0
-                    pending.remove(tid)
-                    progressed = True
-            if pending and not progressed:
-                self._make_progress_or_die(f"commit_all of {pending!r}")
+                    outcomes[td.tid] = 1 if outcome else 0
+                else:
+                    waiting.append(td)
+            if len(waiting) == len(pending):  # nobody settled this pass
+                self._make_progress_or_die(
+                    f"commit_all of {[td.tid for td in waiting]!r}"
+                )
+            pending = waiting
         return outcomes
 
     def run(self, function, args=()):
@@ -221,7 +231,7 @@ class CooperativeRuntime:
             return
         ctx = TxnContext(tid, parent=td.parent)
         gen = td.function(ctx, *td.args)
-        self._tasks[tid] = _Task(tid, gen)
+        self._tasks[tid] = _Task(td, gen)
 
     def _retire(self, task, result=None, error=None):
         """A finished task (and its generator) leaves the scheduler;
@@ -330,7 +340,7 @@ class CooperativeRuntime:
 
         # Deliver an externally caused abort into the program; the task
         # retires with it, so it is delivered once.
-        if manager.has_aborted(task.tid):
+        if task.td.status.is_abort_bound:
             error = None
             try:
                 task.gen.throw(TransactionAborted(task.tid))
@@ -384,7 +394,7 @@ class CooperativeRuntime:
             task.blocked_on = ()
         # Aborting oneself ends the program: nothing after the abort of
         # self should run (the paper's abort(self()) idiom).
-        if manager.has_aborted(task.tid):
+        if task.td.status.is_abort_bound:
             self._retire(task)
             task.gen.close()
         return True

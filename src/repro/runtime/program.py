@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 from repro.common.errors import AssetError
 from repro.common.ids import NULL_TID
-from repro.core.outcomes import CommitStatus
+from repro.core.outcomes import CommitOutcome, CommitStatus
+from repro.core.status import TransactionStatus
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +244,32 @@ class TxnContext:
 DONE = "done"
 BLOCKED = "blocked"
 
+_INITIATED = TransactionStatus.INITIATED
+_RUNNING = TransactionStatus.RUNNING
+_NOT_COMPLETED = CommitOutcome(CommitStatus.NOT_COMPLETED)
+
+
+def commit_when_ended(manager, td):
+    """The one rule for entering the commit algorithm from a driver.
+
+    The paper's ``commit(t)`` waits for ``t``'s code to complete, *then*
+    runs the section 4.2 algorithm.  The waiting half lives here: while
+    ``td`` is still INITIATED or RUNNING — exactly when
+    ``manager.try_commit`` would answer NOT_COMPLETED, before any status
+    change, event, tick or log record — the manager is not asked and the
+    same answer is given from the descriptor.  Once the descriptor has
+    left those states the call goes through and the manager's outcome
+    comes back: final, or BLOCKED, which the caller retries every round
+    "starting at step 1" as before.  ``td`` is the live descriptor
+    (fetched once by the caller, not per retry); a status never returns
+    to RUNNING, so a read without the manager's mutex can only be stale
+    in the direction of waiting one more wake-up.
+    """
+    status = td.status
+    if status is _INITIATED or status is _RUNNING:
+        return _NOT_COMPLETED
+    return manager.try_commit(td.tid)
+
 
 def execute_request(manager, runtime, tid, request):
     """Execute one request for transaction ``tid``.
@@ -287,7 +314,7 @@ def execute_request(manager, runtime, tid, request):
                 runtime.on_begun(target)
         return DONE, 1 if ok else 0
     if isinstance(request, Commit):
-        outcome = manager.try_commit(request.tid)
+        outcome = commit_when_ended(manager, manager.table.get(request.tid))
         if outcome.is_final:
             return DONE, 1 if outcome else 0
         if outcome.status is CommitStatus.NOT_COMPLETED:

@@ -21,7 +21,12 @@ from repro.common.ids import NULL_TID
 from repro.core.deadlock import DeadlockDetector
 from repro.core.manager import TransactionManager
 from repro.runtime.coop import RunResult
-from repro.runtime.program import BLOCKED, TxnContext, execute_request
+from repro.runtime.program import (
+    BLOCKED,
+    TxnContext,
+    commit_when_ended,
+    execute_request,
+)
 
 
 class ThreadDrivenRuntime:
@@ -133,9 +138,12 @@ class ThreadDrivenRuntime:
 
     def commit(self, tid):
         """Commit ``tid``, blocking until the outcome is final."""
+        td = self.manager.table.get(tid)
         while True:
+            # Token before the status read: a completion landing in
+            # between changes the generation and the wait returns at once.
             token = self._wake_token()
-            outcome = self.manager.try_commit(tid)
+            outcome = commit_when_ended(self.manager, td)
             if outcome.is_final:
                 return 1 if outcome else 0
             self._wait_a_moment(seen=token)
@@ -160,18 +168,19 @@ class ThreadDrivenRuntime:
         earlier members are lock-blocked behind later, uncommitted ones.
         """
         outcomes = {}
-        pending = list(tids)
+        pending = [self.manager.table.get(tid) for tid in tids]
         while pending:
             token = self._wake_token()
-            progressed = False
-            for tid in list(pending):
-                outcome = self.manager.try_commit(tid)
+            waiting = []
+            for td in pending:
+                outcome = commit_when_ended(self.manager, td)
                 if outcome.is_final:
-                    outcomes[tid] = 1 if outcome else 0
-                    pending.remove(tid)
-                    progressed = True
-            if pending and not progressed:
+                    outcomes[td.tid] = 1 if outcome else 0
+                else:
+                    waiting.append(td)
+            if len(waiting) == len(pending):  # nobody settled this pass
                 self._wait_a_moment(seen=token)
+            pending = waiting
         return outcomes
 
     def poll(self):

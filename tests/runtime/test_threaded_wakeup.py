@@ -2,7 +2,7 @@
 
 The old ``_wait_a_moment`` had a lost-wakeup race: a waiter evaluated
 its predicate (``try_commit``, ``wait_outcome``, ``execute_request`` —
-all of which take the manager mutex and can take real time), found it
+all of which took the manager mutex and could take real time), found it
 unsatisfied, and only then entered ``Condition.wait``.  An event
 notifying in that gap was lost, so the waiter slept the *full* poll
 timeout with nothing left to wake it.  With a generous timeout the
@@ -45,12 +45,14 @@ class TestEventDrivenWakeup:
     def test_event_during_predicate_evaluation_is_not_lost(self, rt):
         """The lost-wakeup race, reproduced deterministically.
 
-        The driver's ``commit`` evaluates ``try_commit`` (pending), and
-        the transaction's completion event fires *while that evaluation
-        is still in flight* — after the outcome was computed, before the
-        driver reaches the condition variable.  The old code then slept
-        the full poll timeout (nothing else will ever notify); the fix's
-        wake token sees the missed generation and returns immediately.
+        The driver's ``commit`` tests its predicate (the descriptor is
+        still RUNNING — since the commit-once rule that is a status
+        read, no longer a ``try_commit`` call answering NOT_COMPLETED),
+        and the transaction's completion event fires *after that failed
+        test, before the driver reaches the condition variable*.  The
+        old code then slept the full poll timeout (nothing else will
+        ever notify); the fix's wake token sees the missed generation
+        and returns immediately.
         """
         oid = _make_counter(rt)
         gate = threading.Event()
@@ -62,35 +64,35 @@ class TestEventDrivenWakeup:
         tid = rt.initiate(program)
         rt.begin(tid)
 
-        real_try_commit = rt.manager.try_commit
+        driver = threading.current_thread()
+        real_wait = rt._wait_a_moment
         raced = []
 
-        def try_commit_racing(target, **kwargs):
-            outcome = real_try_commit(target, **kwargs)
-            if not outcome.is_final and not raced:
+        def wait_racing(seen=None):
+            if threading.current_thread() is driver and not raced:
                 raced.append(True)
-                # Release the worker and WAIT for it to complete: its
-                # completion event now lands inside this predicate
-                # evaluation — exactly the old code's lost-wakeup gap.
+                # The predicate has just failed.  Release the worker and
+                # WAIT for it to complete: its completion event now lands
+                # in exactly the old code's lost-wakeup gap.
                 gate.set()
                 deadline = time.monotonic() + 20.0
-                while rt.manager.wait_outcome(target) is None:
+                while rt.manager.wait_outcome(tid) is None:
                     assert time.monotonic() < deadline
                     time.sleep(0.001)
-            return outcome
+            return real_wait(seen=seen)
 
-        rt.manager.try_commit = try_commit_racing
+        rt._wait_a_moment = wait_racing
         try:
             start = time.monotonic()
             assert rt.commit(tid) == 1
             elapsed = time.monotonic() - start
         finally:
-            rt.manager.try_commit = real_try_commit
+            del rt._wait_a_moment
 
         assert raced, "the race window was never exercised"
         assert elapsed < BUDGET, (
             f"commit took {elapsed:.1f}s: the completion event that fired "
-            f"during the predicate evaluation was lost and the driver "
+            f"after the failed predicate test was lost and the driver "
             f"slept out the poll timeout"
         )
 
