@@ -43,6 +43,8 @@ does).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import inf
+from typing import NamedTuple
 
 from repro.common.errors import TransientIOError
 
@@ -72,8 +74,7 @@ IO_KINDS = (PAGE_WRITE, PAGE_SYNC, LOG_APPEND, LOG_FLUSH, POOL_FLUSH, GC_ENROLL)
 NET_MSG = "net_msg"  # NetworkFabric.send
 
 
-@dataclass(frozen=True)
-class IoStep:
+class IoStep(NamedTuple):
     """One numbered I/O step as observed by the injector."""
 
     number: int
@@ -127,6 +128,12 @@ class FaultPlan:
     kill_coordinator_at: int = None
     join_site_at: tuple = None  # (site name, step number)
     leave_site_at: tuple = None  # (leaver, successor, step number)
+    # Derived, never serialised or compared: the lowest step number at
+    # which anything above can fire (kind-keyed drops: any step, 0; an
+    # empty plan: never, inf).  Below it every membership test and every
+    # ``number >= mark`` is False, so injector and fabric number and
+    # record a step and ask the plan nothing else.
+    first_step: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -147,6 +154,18 @@ class FaultPlan:
             self,
             "partition_groups",
             tuple(tuple(group) for group in self.partition_groups),
+        )
+        marks = (self.site_crash_at, self.join_site_at, self.leave_site_at)
+        numbers = {
+            self.crash_at, self.torn_page_at, self.partition_at,
+            self.heal_at, self.kill_coordinator_at,
+            *(mark[-1] for mark in marks if mark),  # (..., step number)
+            *self.lose_fsync_at, *self.fail_flush_at,
+            *self.drop_msg_at, *self.dup_msg_at, *self.delay_msg_at,
+        } - {None}
+        object.__setattr__(
+            self, "first_step",
+            0 if self.drop_msg_kinds else min(numbers, default=inf),
         )
 
     @property
@@ -314,19 +333,20 @@ class FaultInjector:
         self.armed = False
 
     def _next(self, kind, detail=""):
-        self.step_count += 1
-        step = IoStep(self.step_count, kind, detail)
+        """Number and record a step; from the plan's first step on, ask
+        it the question every site shares (``crash_at``)."""
+        self.step_count = number = self.step_count + 1
+        # Not IoStep(...): its generated constructor is a Python frame.
+        step = tuple.__new__(IoStep, (number, kind, detail))
         self.trace.append(step)
+        if number >= self.plan.first_step and self.plan.crash_at == number:
+            self._crash(step)
         return step
 
     def _crash(self, step):
         self.fired = step
         self.armed = False
         raise CrashPoint(step.number, step.kind, step.detail)
-
-    def _check_crash(self, step):
-        if self.plan.crash_at == step.number:
-            self._crash(step)
 
     # -- instrumented sites ------------------------------------------------
 
@@ -341,8 +361,10 @@ class FaultInjector:
             install(raw)
             return
         step = self._next(PAGE_WRITE, f"page={page_id}")
-        self._check_crash(step)
-        if self.plan.torn_page_at == step.number:
+        if (
+            step.number >= self.plan.first_step
+            and self.plan.torn_page_at == step.number
+        ):
             install(bytes(raw[:TORN_PREFIX]))  # the old tail survives
             self.fired = step
             self.armed = False
@@ -351,20 +373,14 @@ class FaultInjector:
 
     def page_sync(self, do_sync):
         """A page-file fsync."""
-        if not self.armed:
-            do_sync()
-            return
-        step = self._next(PAGE_SYNC)
-        self._check_crash(step)
+        if self.armed:
+            self._next(PAGE_SYNC)
         do_sync()
 
     def log_append(self, nbytes, do_append):
         """A log-device append."""
-        if not self.armed:
-            do_append()
-            return
-        step = self._next(LOG_APPEND, f"bytes={nbytes}")
-        self._check_crash(step)
+        if self.armed:
+            self._next(LOG_APPEND, f"bytes={nbytes}")
         do_append()
 
     def log_flush(self, do_flush):
@@ -373,33 +389,29 @@ class FaultInjector:
             do_flush()
             return
         step = self._next(LOG_FLUSH)
-        self._check_crash(step)
-        if step.number in self.plan.fail_flush_at:
-            # Transient device error: raise, stay armed.  A retry of the
-            # flush is a *new* step number, so this fault fires once.
-            self.failed_flushes += 1
-            raise TransientIOError(
-                f"injected transient flush failure at step {step.number}",
-                op="log.flush",
-            )
-        if step.number in self.plan.lose_fsync_at:
-            self.lied_fsyncs += 1
-            return  # report success, make nothing durable
+        if step.number >= self.plan.first_step:
+            if step.number in self.plan.fail_flush_at:
+                # Transient device error: raise, stay armed.  A retry of
+                # the flush is a *new* step number, so this fires once.
+                self.failed_flushes += 1
+                raise TransientIOError(
+                    f"injected transient flush failure at step {step.number}",
+                    op="log.flush",
+                )
+            if step.number in self.plan.lose_fsync_at:
+                self.lied_fsyncs += 1
+                return  # report success, make nothing durable
         do_flush()
 
     def pool_flush(self, dirty_count):
         """The boundary before a buffer pool writes back dirty pages."""
-        if not self.armed:
-            return
-        step = self._next(POOL_FLUSH, f"dirty={dirty_count}")
-        self._check_crash(step)
+        if self.armed:
+            self._next(POOL_FLUSH, f"dirty={dirty_count}")
 
     def gc_enroll(self, pending_commits):
         """A commit enrolling in the group-commit flush batch."""
-        if not self.armed:
-            return
-        step = self._next(GC_ENROLL, f"pending={pending_commits}")
-        self._check_crash(step)
+        if self.armed:
+            self._next(GC_ENROLL, f"pending={pending_commits}")
 
     def message(self, src, dst, kind):
         """A message send on the simulated fabric; returns a verdict.
@@ -415,12 +427,14 @@ class FaultInjector:
         if not self.armed:
             return "deliver", None
         step = self._next(NET_MSG, f"{src}->{dst}:{kind}")
-        self._check_crash(step)
-        if step.number in self.plan.drop_msg_at or kind in self.plan.drop_msg_kinds:
+        plan = self.plan
+        if step.number < plan.first_step:
+            return "deliver", step
+        if step.number in plan.drop_msg_at or kind in plan.drop_msg_kinds:
             return "drop", step
-        if step.number in self.plan.dup_msg_at:
+        if step.number in plan.dup_msg_at:
             return "duplicate", step
-        if step.number in self.plan.delay_msg_at:
+        if step.number in plan.delay_msg_at:
             return "delay", step
         return "deliver", step
 

@@ -265,3 +265,31 @@ def commit_logged_before_witness():
         yield
     finally:
         Site._decide = original
+
+
+@contextmanager
+def tick_skips_unsettled_site():
+    """The tick's settled-site guard forgets ``prepared``: a site whose
+    members are prepared and undecided is skipped like an idle one.
+
+    Such a site never asks its coordinator for the verdict and never
+    counts the coordinator overdue, so a lost DECISION strands it and a
+    dead coordinator is never taken over.  The cluster message sweep and
+    ``release_blackout_sweep`` must report the groups that never settle.
+    """
+    from repro.cluster.site import Site
+
+    original = Site.on_tick
+
+    def forgetful(self):
+        if self.up and self.prepared:
+            self.ticks += 1
+            self.runtime.round()
+            return
+        original(self)
+
+    Site.on_tick = forgetful
+    try:
+        yield
+    finally:
+        Site.on_tick = original

@@ -105,6 +105,8 @@ class Cluster:
             )
             for name in sites
         }
+        # The tick's walk, by name; rebuilt only where a site is added.
+        self._tick_order = [self.sites[n] for n in sorted(self.sites)]
         self.rpc_timeout = rpc_timeout
         self.retry = RetryPolicy(
             max_attempts=rpc_attempts, base_delay=1, max_delay=4, clock=self.clock
@@ -150,8 +152,8 @@ class Cluster:
                     # ValueError out of the middle of the tick loop.
                     self.leave_site(leaver, successor, wait=False)
         self.fabric.pump_round()
-        for name in sorted(self.sites):
-            self.sites[name].on_tick()
+        for site in self._tick_order:
+            site.on_tick()
         self.clock.tick()
         self.rounds += 1
 
@@ -188,7 +190,8 @@ class Cluster:
     # -- the console RPC channel ------------------------------------------
 
     def _on_client_message(self, msg):
-        if msg.reply_to is not None:
+        # A slot per msg_id some ``call`` awaits; other replies are late.
+        if msg.reply_to in self._replies:
             self._replies[msg.reply_to] = msg
 
     def call(self, dst, kind, payload=None, timeout=None, retry=True):
@@ -203,12 +206,17 @@ class Cluster:
 
         def attempt():
             msg = self.fabric.send("client", dst, kind, payload or {})
-            for __ in range(timeout):
-                self.tick()
-                reply = self._replies.pop(msg.msg_id, None)
-                if reply is not None:
-                    return reply
-            raise NetworkTimeout("client", dst, kind, timeout)
+            awaited = msg.msg_id
+            self._replies[awaited] = None
+            try:
+                for __ in range(timeout):
+                    self.tick()
+                    reply = self._replies[awaited]
+                    if reply is not None:
+                        return reply
+                raise NetworkTimeout("client", dst, kind, timeout)
+            finally:
+                del self._replies[awaited]
 
         if retry:
             return self.retry.run(attempt, op=f"rpc.{kind}")
@@ -493,6 +501,7 @@ class Cluster:
         )
         site.membership_epoch = self.membership_epoch
         self.sites[name] = site
+        self._tick_order = [self.sites[n] for n in sorted(self.sites)]
         self.membership.add(name)
         self.placement = self._balanced_placement()
         self._announce_epoch("join", name)

@@ -1584,6 +1584,9 @@ class Site:
         self.ticks += 1
         # Advance local transaction programs one cooperative step.
         self.runtime.round()
+        # Everything below reads the six structures ``unsettled`` names.
+        if not self.unsettled():
+            return
         # Retry pending votes; give up (vote abort) when the component
         # cannot complete within the prepare deadline.
         for gid in sorted(self.pending_prepares):

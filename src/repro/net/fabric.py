@@ -36,7 +36,7 @@ from itertools import count
 from repro.chaos.faults import FaultInjector
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One typed message on the fabric.
 
@@ -67,6 +67,7 @@ class NetworkFabric:
         self.injector = injector if injector is not None else FaultInjector()
         self.handlers = {}
         self.inboxes = {}
+        self._delivery_order = ()  # endpoint names, sorted at register
         self.delayed = []
         self.down = set()
         self.partitions = ()
@@ -106,7 +107,9 @@ class NetworkFabric:
     def register(self, name, handler):
         """Attach an endpoint: ``handler(message)`` receives deliveries."""
         self.handlers[name] = handler
-        self.inboxes.setdefault(name, deque())
+        if name not in self.inboxes:
+            self.inboxes[name] = deque()
+            self._delivery_order = sorted(self.inboxes)
 
     def mark_down(self, name):
         """The endpoint lost power: drop its inbox, refuse its traffic."""
@@ -154,23 +157,23 @@ class NetworkFabric:
     def send(self, src, dst, kind, payload=None, reply_to=None):
         """Enqueue a message; returns it (delivery is not implied).
 
-        The planned partition / heal / site-crash marks are applied
-        here, keyed on the message-step counter, *before* the link
-        checks — so the message whose step triggers a partition is
-        already subject to it.
+        Number the step, apply the planned partition / heal / site-crash
+        / churn marks (keyed on the message-step counter, consulted from
+        the plan's ``first_step`` on), then the link checks — so the
+        message whose step triggers a partition is already subject to it.
         """
         message = Message(
-            msg_id=next(self._msg_ids),
-            src=src,
-            dst=dst,
-            kind=kind,
-            payload=dict(payload) if payload else {},
-            reply_to=reply_to,
+            next(self._msg_ids), src, dst, kind,
+            dict(payload) if payload else {}, reply_to,
         )
         self.stats["sent"] += 1
-        action, step = self.injector.message(src, dst, kind)
-        number = step.number if step is not None else None
-        self._apply_planned_marks(number)
+        injector = self.injector
+        action, step = injector.message(src, dst, kind)
+        number = None
+        if step is not None:
+            number = step.number
+            if number >= injector.plan.first_step:
+                self._apply_planned_marks(injector.plan, number)
         action = self._link_verdict(message, action)
         self.delivery_log.append((number, src, dst, kind, action))
         metrics = self.metrics
@@ -193,10 +196,7 @@ class NetworkFabric:
             self.inboxes[dst].append(message)
         return message
 
-    def _apply_planned_marks(self, number):
-        plan = self.injector.plan
-        if number is None:
-            return
+    def _apply_planned_marks(self, plan, number):
         if (
             plan.partition_at is not None
             and not self._partition_applied
@@ -288,10 +288,11 @@ class NetworkFabric:
         """
         self.stats["rounds"] += 1
         batch = []
-        for name in sorted(self.inboxes):
+        for name in self._delivery_order:
             inbox = self.inboxes[name]
-            while inbox:
-                batch.append(inbox.popleft())
+            if inbox:
+                batch.extend(inbox)
+                inbox.clear()
         delivered = 0
         for message in batch:
             if message.dst in self.down:

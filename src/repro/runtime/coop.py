@@ -264,6 +264,8 @@ class CooperativeRuntime:
         """
         if self.watchdog is not None:
             self.watchdog.on_round()
+        if not self._tasks:
+            return False
         tasks = list(self._tasks.values())
         if self.schedule is not None and tasks:
             order = {tid: i for i, tid in

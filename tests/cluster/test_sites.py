@@ -1,6 +1,10 @@
 """Cross-site primitives: proxies, dependencies, delegation, permits."""
 
+import pytest
+
+from repro.chaos.faults import FaultPlan
 from repro.cluster import Cluster
+from repro.common.errors import RetryExhausted
 from repro.core.dependency import DependencyType
 from repro.core.status import TransactionStatus
 
@@ -48,6 +52,43 @@ class TestConsole:
         td = cluster.sites["alpha"].manager.table.maybe_get(ref.tid)
         assert td.status is TransactionStatus.ABORTED
         assert td.abort_reason == "console says no"
+
+
+class TestConsoleReplies:
+    """The console keeps a reply only while some ``call`` awaits it."""
+
+    def test_replies_that_arrive_after_the_timeout_are_not_kept(self):
+        # Every message slips a round, so each of the four attempts
+        # (each under a new msg_id) times out before its reply lands.
+        cluster = make_cluster(
+            plan=FaultPlan(delay_msg_at=range(1, 40)), rpc_timeout=2
+        )
+        with pytest.raises(RetryExhausted):
+            cluster.spawn_at("alpha", _account(b"a"))
+        assert cluster.converge()
+        late = [
+            entry for entry in cluster.fabric.delivery_log
+            if entry[2] == "client"
+        ]
+        assert len(late) == 4  # all four replies did arrive, too late
+        assert cluster._replies == {}
+
+    def test_a_delayed_reply_inside_the_timeout_completes_its_call(self):
+        cluster = make_cluster(
+            plan=FaultPlan(delay_msg_at=range(1, 40)), rpc_timeout=4
+        )
+        ref = cluster.spawn_at("alpha", _account(b"a"))
+        assert ref.site == "alpha"
+        assert cluster.fabric.stats["delayed"] == 2
+        assert cluster.retry.stats["retries"] == 0
+        assert cluster._replies == {}
+
+    def test_a_duplicated_reply_is_taken_once(self):
+        cluster = make_cluster(plan=FaultPlan(dup_msg_at={2}))
+        ref = cluster.spawn_at("alpha", _account(b"a"))
+        assert cluster.wait(ref) == "completed"
+        assert cluster.fabric.stats["duplicated"] == 1
+        assert cluster._replies == {}
 
 
 class TestProxies:
