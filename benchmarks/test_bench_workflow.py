@@ -144,8 +144,8 @@ def test_bench_parallel_vs_sequential_engine(benchmark):
 
             oids = rt.run(setup).value
             start = _time.perf_counter()
-            result = WorkflowEngine(rt, parallel=parallel).execute(
-                build_spec(oids)
+            result = WorkflowEngine(rt).execute(
+                build_spec(oids), parallel=parallel
             )
             elapsed = (_time.perf_counter() - start) * 1e3
             assert result.success

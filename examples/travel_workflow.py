@@ -55,9 +55,9 @@ def main():
     engine = WorkflowEngine(rt3)
     result = engine.execute(build_x_conference_spec(agency3))
     print("\ndeclarative run:", "success" if result.success else "failed")
-    for name, outcome in result.outcomes.items():
-        label = f" via {outcome.label}" if outcome.label else ""
-        print(f"  {name}: {outcome.status.value}{label}")
+    for name, step in result.steps.items():
+        label = f" via {step.alt}" if step.alt else ""
+        print(f"  {name}: {step.status.value}{label}")
 
 
 if __name__ == "__main__":

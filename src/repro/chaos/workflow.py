@@ -1,8 +1,8 @@
 """Workflow chaos: crash sweeps over durable workflow executions.
 
-The durable workflow engine's claim is exactly the one this module
+The workflow engine's durability claim is exactly the one this module
 attacks: *a site crash at any I/O step of a running workflow loses
-nothing* — restart recovery plus :meth:`DurableWorkflowEngine.recover`
+nothing* — restart recovery plus :meth:`WorkflowEngine.recover`
 resumes the execution from its last durable step and drives it to a
 terminal status (completed, or fully compensated), with the standard
 oracle battery green at the restart moment.
@@ -44,12 +44,11 @@ from repro.chaos.sweep import (
 )
 from repro.common.codec import decode_int, decode_json, encode_int, encode_json
 from repro.common.errors import AssetError
-from repro.core.descriptors import TransactionStatus
 from repro.workflow.definition import (
     DefinitionRegistry,
     WorkflowDefinition,
 )
-from repro.workflow.durable import DurableWorkflowEngine
+from repro.workflow.engine import WorkflowEngine
 from repro.workflow.execution import ExecutionStatus, fold_all
 from repro.workflow.travel import (
     AIRLINES,
@@ -83,7 +82,7 @@ class WorkflowScenarioSpec:
     def _engine(self, runtime, ctx, note_ack=None):
         registry = DefinitionRegistry()
         registry.register(self.definition(ctx))
-        return DurableWorkflowEngine(runtime, registry, on_commit=note_ack)
+        return WorkflowEngine(runtime, registry, on_commit=note_ack)
 
     def drive(self, stack):
         """Setup + start + drive on a live (possibly fault-armed) stack."""
@@ -183,7 +182,12 @@ def drive_to_terminal(engine, wid, spec):
 
 
 def live_transactions(manager):
-    """Transactions still holding resources — must be zero at the end."""
+    """Transactions still holding resources — must be zero at the end.
+
+    Walks every descriptor's status on purpose rather than reading
+    ``manager.table.live()``: this is the leak oracle, and the index the
+    product prunes would make it agree with a wrong ``retire``.
+    """
     return sum(1 for td in manager.table if not td.status.is_terminated)
 
 
@@ -229,11 +233,11 @@ def _judge_final(spec, ctx, storage, engine, violations):
                 f"{spec.name}: fold says {folded.status}, engine says"
                 f" {execution.status}"
             )
-        for name, state in execution.steps.items():
-            if folded.status_of(name) is not state.status:
+        for name in execution.steps:
+            if folded.status_of(name) is not execution.status_of(name):
                 violations.append(
                     f"{spec.name}: step {name!r} fold/engine disagree:"
-                    f" {folded.status_of(name)} vs {state.status}"
+                    f" {folded.status_of(name)} vs {execution.status_of(name)}"
                 )
     return status
 
@@ -257,13 +261,9 @@ def _travel_setup(availability):
         agency = TravelAgency(runtime, availability=availability)
         ctx["agency"] = agency
         ctx["oids"] = {name: oid for name, oid in agency.oids.items()}
-        # TravelAgency's constructor ran one committed setup transaction;
-        # its tid is not exposed, so re-derive it for the ack books: it
-        # is the lone winner so far.
-        return [
-            td.tid for td in runtime.manager.table
-            if td.status is TransactionStatus.COMMITTED
-        ]
+        # The constructor ran one committed setup transaction: the lone
+        # winner so far, for the ack books.
+        return [agency.setup_tid]
 
     return setup
 
@@ -324,7 +324,7 @@ register(WorkflowScenarioSpec(
     name="workflow_travel_crash",
     description=(
         "The appendix travel workflow (contingent flight, required hotel,"
-        " raced car) runs to completion through the durable engine; a"
+        " raced car) runs to completion as a durable execution; a"
         " crash at any I/O step must resume to COMPLETED with exactly one"
         " booking per resource class."
     ),

@@ -1425,9 +1425,9 @@ class Site:
             for entry in self.pending_prepares.values()
         } | {entry["tid"] for entry in self.prepared.values()}
         txs = {}
-        for td in self.manager.table:
+        for td in self.manager.table.live():
             tid = td.tid
-            if td.status.is_terminated or td.status is TransactionStatus.PREPARED:
+            if td.status is TransactionStatus.PREPARED:
                 continue
             if tid in in_twophase or tid in self.proxy_owner:
                 continue

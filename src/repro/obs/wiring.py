@@ -344,12 +344,12 @@ class ObservabilityKit:
         return self
 
     def attach_workflow(self, engine, trace="workflow"):
-        """Wire a :class:`~repro.workflow.durable.DurableWorkflowEngine`.
+        """Wire a :class:`~repro.workflow.engine.WorkflowEngine`.
 
         Three hooks: live counters (``workflow.started`` and friends)
         through the engine's ``metrics`` attribute, a collector
         mirroring the engine's stats dict as gauges, and one span per
-        execution folded from the durable record stream — opened by the
+        execution folded from the record stream — opened by the
         ``started`` record, annotated with every step attempt / signal /
         compensation, closed (with the outcome as its status) by the
         ``finished`` record.

@@ -51,7 +51,7 @@ class AdmissionController:
 
     def active_load(self, manager):
         """Non-terminated transactions currently in the table."""
-        return sum(1 for td in manager.table if not td.status.is_terminated)
+        return len(manager.table.live())
 
     def deadline_pressure(self, now=None):
         """Registered deadlines expiring within the pressure window."""

@@ -93,7 +93,7 @@ def commit_winners(records):
     A transaction wins by a commit record naming it, or by the
     coordinator's force-logged commit decision, which commits its local
     members even if the usual commit record never made it to the device
-    before the crash.  Shared with the durable workflow engine, whose
+    before the crash.  Shared with the workflow engine, whose
     steps are committed iff their attempt tid is one of these.
     """
     winners = set()

@@ -9,16 +9,18 @@ provides both:
   tasks with ordered alternatives, optional tasks, racing alternatives,
   compensations, and inter-task dependencies ("it is possible to design a
   language to specify workflows", as the paper notes);
-* :mod:`repro.workflow.engine` — executes a spec over a runtime using
-  the same translation schemes as section 3;
+* :mod:`repro.workflow.engine` — the one engine: runs a spec over a
+  runtime using the same translation schemes as section 3, every run one
+  :class:`WorkflowExecution` record; ``execute(spec)`` for an anonymous
+  spec, and for named definitions a start/resume/cancel/signal/status
+  protocol whose in-flight executions survive site crashes;
 * :mod:`repro.workflow.travel` — the appendix scenario: inventory-backed
   flight/hotel/car reservations, plus :func:`x_conference`, a literal
   transcription of the appendix program;
 * :mod:`repro.workflow.definition` / :mod:`repro.workflow.execution` /
-  :mod:`repro.workflow.records` / :mod:`repro.workflow.durable` — the v2
-  durable orchestrator: named definitions with signal waits and timers,
-  WAL-persisted execution state, and a start/resume/cancel/signal/status
-  protocol whose in-flight executions survive site crashes.
+  :mod:`repro.workflow.records` — what makes an execution durable: named
+  definitions with signal waits and timers, the execution record and its
+  one transition function, and the WAL record vocabulary.
 """
 
 from repro.workflow.definition import (
@@ -26,9 +28,13 @@ from repro.workflow.definition import (
     SignalWait,
     WorkflowDefinition,
 )
-from repro.workflow.durable import DurableWorkflowEngine, ExecutionLeaseBoard
-from repro.workflow.engine import TaskStatus, WorkflowEngine, WorkflowResult
-from repro.workflow.execution import ExecutionStatus, WorkflowExecution
+from repro.workflow.durable import DurableWorkflowEngine
+from repro.workflow.engine import ExecutionLeaseBoard, WorkflowEngine
+from repro.workflow.execution import (
+    ExecutionStatus,
+    TaskStatus,
+    WorkflowExecution,
+)
 from repro.workflow.spec import TaskSpec, WorkflowSpec
 from repro.workflow.travel import TravelAgency, x_conference
 
@@ -44,7 +50,6 @@ __all__ = [
     "WorkflowDefinition",
     "WorkflowEngine",
     "WorkflowExecution",
-    "WorkflowResult",
     "WorkflowSpec",
     "x_conference",
 ]

@@ -5,10 +5,11 @@ A :class:`WorkflowDefinition` names a :class:`~repro.workflow.spec
 named step runs, the execution parks until an external signal arrives
 (or its timer expires).  This is the piece that makes workflows
 long-running — the execution can outlive the process, which is why the
-durable engine (:mod:`repro.workflow.durable`) persists every transition.
+engine (:mod:`repro.workflow.engine`) persists every transition of an
+execution that runs a registered definition.
 
 Definitions hold Python callables (transaction bodies), which cannot be
-serialized into the WAL.  The durable ``started`` record therefore
+serialized into the WAL.  The ``started`` record therefore
 carries only the definition *name*; after a restart the host re-registers
 its definitions in a :class:`DefinitionRegistry` and recovery looks the
 bodies up by name.  This is the standard split between durable execution

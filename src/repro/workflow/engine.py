@@ -1,6 +1,6 @@
 """The workflow engine.
 
-Executes a :class:`~repro.workflow.spec.WorkflowSpec` over a runtime using
+Runs a :class:`~repro.workflow.spec.WorkflowSpec` over a runtime using
 the section 3 translation schemes:
 
 * sequential alternatives → the contingent scheme (try in order until one
@@ -15,52 +15,70 @@ the section 3 translation schemes:
 The engine needs only the paper-style driver API (``initiate``, ``begin``,
 ``commit``, ``wait``, ``abort``) plus ``poll``, so it runs on either
 runtime.
+
+Every run is one :class:`~repro.workflow.execution.WorkflowExecution`
+record, changed only through :func:`~repro.workflow.execution.apply` —
+the function the fold uses.  Durability is read off the input:
+:meth:`WorkflowEngine.execute` runs an anonymous spec no restart could
+look the bodies up for, so nothing is logged and the record is returned,
+not retained; :meth:`WorkflowEngine.start` runs a registered
+:class:`~repro.workflow.definition.WorkflowDefinition` the log can name,
+so every transition is force-logged first (:mod:`repro.workflow.records`)
+and a site crash mid-workflow loses nothing: restart recovery replays
+the data log, :meth:`WorkflowEngine.recover` folds the workflow records
+back into execution images, and :meth:`WorkflowEngine.resume` continues
+each in-flight execution from its last durable step.
+
+The durable protocol is ``start`` / ``resume`` / ``cancel`` / ``signal``
+/ ``status``:
+
+* ``start`` makes the execution durable and drives it until it reaches a
+  terminal status or parks on a signal wait;
+* ``signal`` durably delivers a named signal (and, by default, resumes a
+  parked execution);
+* ``resume`` continues forward progress — after recovery, or after a
+  caller chose ``signal(..., resume=False)``;
+* ``cancel`` durably accepts a cancel request, compensates every
+  committed step (saga discipline), and finishes ``cancelled``;
+* ``status`` reports the :class:`~repro.workflow.execution
+  .ExecutionStatus`.
+
+Crash-consistency contract (the part worth reading twice): a forward
+step logs a forced ``step_attempt`` record *before* committing its
+transaction, and recovery counts the step as committed **iff one of its
+attempt tids is a winner of the data-log replay**.  There is no separate
+"step committed" marker — a marker would need to be atomic with the
+commit record, and it cannot be; deriving the answer from the commit
+record itself closes that window.  A crash between attempt and commit
+leaves a dangling attempt naming a loser tid; restart recovery undoes
+that transaction's effects, the fold ignores the attempt, and resume
+re-issues the step from scratch.  Compensations follow the same
+discipline with ``comp_attempt`` records.
+
+Signal-wait timers are armed on an engine-owned
+:class:`~repro.resilience.deadlines.DeadlineTable` over the runtime's
+logical clock, and *re-armed with their full budget* on recovery (the
+logical clock restarts with the process; a fresh budget is the
+conservative reading of "the timer survives the crash").
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.common.clock import LogicalClock
 from repro.common.errors import AssetError, RetryExhausted, TransientError
-
-
-class TaskStatus(enum.Enum):
-    """Terminal status of one workflow task."""
-
-    COMMITTED = "committed"
-    FAILED = "failed"
-    SKIPPED = "skipped"
-    COMPENSATED = "compensated"
-
-
-@dataclass
-class TaskOutcome:
-    """What happened to one task."""
-
-    name: str
-    status: TaskStatus
-    label: str = ""  # which alternative won
-    value: object = None
-    tid: object = None
-
-
-@dataclass
-class WorkflowResult:
-    """Outcome of a workflow execution."""
-
-    name: str
-    success: bool
-    outcomes: dict = field(default_factory=dict)
-    compensation_order: list = field(default_factory=list)
-
-    def __bool__(self):
-        return self.success
-
-    def status_of(self, task_name):
-        """The :class:`TaskStatus` of ``task_name``."""
-        return self.outcomes[task_name].status
-
+from repro.resilience.deadlines import DeadlineTable
+from repro.storage.recovery import commit_winners
+from repro.workflow import records as wrecords
+from repro.workflow.definition import DefinitionRegistry, WorkflowDefinition
+from repro.workflow.execution import (
+    ExecutionStatus,
+    TaskStatus,
+    WorkflowExecution,
+    apply,
+    fold_all,
+)
 
 # A race (or a parallel round) that polls this many times with nothing
 # moving has stalled; a compensation that fails this many times breaks
@@ -69,19 +87,91 @@ MAX_IDLE_POLLS = 1000
 MAX_COMPENSATION_RETRIES = 100
 
 
-class StepStrategies:
-    """The section 3 step strategies, shared by both workflow engines.
+@dataclass(frozen=True)
+class _WaitToken:
+    """Deadline-table key for one execution's signal-wait timer."""
 
-    One implementation of "commit under the retry policy", "abort a
-    race loser without leaking it", the contingent and race schemes and
-    the retried compensation.  The durable engine differs from the
-    in-memory one only in what it forces to the log *before* each
-    commit, so every strategy takes a ``before_commit`` callback (the
-    in-memory engine passes none).
+    wid: int
+
+    @property
+    def value(self):
+        # DeadlineTable orders its keys by .value; reuse the wid.
+        return self.wid
+
+
+class ExecutionLeaseBoard:
+    """Shared ownership leases over durable workflow executions.
+
+    One board per storage stack, shared by every engine instance that
+    can drive the stack's executions.  Whoever is driving an execution
+    heartbeats its lease (every durable record the engine writes counts
+    as a heartbeat — progress *is* liveness); a rival engine instance
+    may only claim the execution once that lease has lapsed, which is
+    the workflow-level analogue of the cluster's coordinator lease: a
+    crashed or wedged owner loses the execution to whoever calls
+    ``recover()``/``resume()`` next, and a live owner cannot be usurped.
     """
 
-    def __init__(self, runtime, retry=None, watchdog=None):
+    def __init__(self, clock):
+        self.table = DeadlineTable(clock)
+        self._owners = {}  # wid -> engine owner name
+
+    def claim(self, wid, owner, ttl):
+        """Claim (or refresh) ownership; False while a rival lease lives."""
+        current = self._owners.get(wid)
+        if (
+            current is not None
+            and current != owner
+            and self.table.lease_live(_WaitToken(wid))
+        ):
+            return False
+        self._owners[wid] = owner
+        self.table.grant_lease(_WaitToken(wid), ttl)
+        return True
+
+    def heartbeat(self, wid, owner):
+        """Refresh the lease; False if ``owner`` no longer holds it."""
+        if self._owners.get(wid) != owner:
+            return False
+        return self.table.heartbeat(_WaitToken(wid))
+
+    def owner_of(self, wid):
+        return self._owners.get(wid)
+
+    def live(self, wid):
+        return self.table.lease_live(_WaitToken(wid))
+
+    def release(self, wid, owner):
+        """Let the lease go (terminal execution); no-op for non-owners.
+
+        The owner *name* stays on the board with a dead lease: a later
+        claimant can tell it is taking over from someone (and must
+        re-read the durable truth) rather than claiming fresh.
+        """
+        if self._owners.get(wid) == owner:
+            self.table.forget(_WaitToken(wid))
+
+
+class WorkflowEngine:
+    """Runs workflow specs and definitions over a transaction runtime.
+
+    With ``execute(spec, parallel=True)``, tasks whose dependencies are
+    satisfied run *concurrently* (alternatives stay ordered within each
+    task); the default executes tasks strictly in dependency order.  On
+    success the two modes are outcome-identical.  On failure they can
+    differ for tasks *independent* of the failing one: the sequential
+    driver never starts them (SKIPPED), while the parallel driver may
+    have already committed them — and then compensates those that carry
+    a compensation.  The equivalence boundary is pinned down by the
+    workflow property suite.
+    """
+
+    def __init__(self, runtime, registry=None, *, retry=None, watchdog=None,
+                 metrics=None, on_commit=None, owner="engine", leases=None,
+                 execution_lease=32):
         self.runtime = runtime
+        self.registry = DefinitionRegistry() if registry is None else registry
+        self.storage = runtime.manager.storage
         # A repro.resilience.RetryPolicy for *transient* commit failures
         # (injected device faults) on sequential-alternative and
         # compensation commits.  ``None`` keeps classic propagate-on-error
@@ -93,6 +183,443 @@ class StepStrategies:
         # resilience is installed) as orphans instead of leaking.
         self.watchdog = watchdog
         self.orphaned = []
+        self.metrics = metrics
+        # Execution-ownership leases (None = single-engine deployment,
+        # no fencing).  ``owner`` names this instance on the shared
+        # board; ``execution_lease`` is the heartbeat budget in ticks.
+        self.owner = owner
+        self.leases = leases
+        self.execution_lease = execution_lease
+        # Called with the tid of every step/compensation transaction the
+        # engine successfully committed — the chaos harness's truthful
+        # acknowledgement hook.
+        self.on_commit = on_commit
+        clock = getattr(runtime.manager, "clock", None)
+        self.clock = clock if clock is not None else LogicalClock()
+        # Engine-owned timer table: workflow wait tokens are not
+        # transactions, so they must not share the resilience kit's
+        # table (the watchdog would prune them as unknown tids).
+        self.deadlines = DeadlineTable(self.clock)
+        self.stats = {
+            "started": 0,
+            "completed": 0,
+            "compensated": 0,
+            "cancelled": 0,
+            "recovered": 0,
+            "steps_committed": 0,
+            "compensations": 0,
+            "signals": 0,
+            "timeouts": 0,
+        }
+        self.timeline = []  # per-execution trace rows (obs export)
+        # Called with (wid, kind, fields) after every workflow record —
+        # the seam the observability kit hangs spans off.
+        self.on_record = None
+        self._executions = {}  # wid -> image; durable executions only
+        # The wid high-water mark is learnt from the log by the first
+        # start() / recover(): an engine that only executes reads no log.
+        self._next_wid = None
+
+    # -- bookkeeping -------------------------------------------------------
+
+    def _count(self, key, amount=1):
+        self.stats[key] += amount
+        if self.metrics is not None:
+            self.metrics.inc(f"workflow.{key}", amount)
+
+    def _claim(self, wid):
+        """Take (or refresh) the execution's ownership lease, or refuse.
+
+        Raises when another engine instance holds a live lease — the
+        double-resume guard: two engines recovering the same storage
+        cannot both drive one execution.  A successful claim that
+        *takes over* from another owner re-folds the execution from the
+        durable log first: the previous owner may have progressed past
+        this engine's in-memory image before going quiet.  Returns the
+        image to drive (``None`` before ``start`` has made one).
+        """
+        if self.leases is not None:
+            previous = self.leases.owner_of(wid)
+            if not self.leases.claim(wid, self.owner, self.execution_lease):
+                raise AssetError(
+                    f"wid={wid} is owned by {self.leases.owner_of(wid)!r}"
+                    f" under a live lease; this engine ({self.owner!r}) must"
+                    f" wait for it to lapse"
+                )
+            if previous is not None and previous != self.owner:
+                # Replace the in-memory image with the durable log's truth.
+                execution = self._fold().get(wid)
+                if execution is not None:
+                    self._executions[wid] = execution
+        return self._executions.get(wid)
+
+    def _fold(self):
+        """wid → execution image, folded from the durable log alone."""
+        log_records = list(self.storage.log.records())
+        winners = {tid.value for tid in commit_winners(log_records)}
+        return fold_all(log_records, winners)
+
+    def _record(self, execution, kind, **fields):
+        """The one way an execution's image changes.
+
+        An execution that names a registered definition is recoverable,
+        so its record is forced to the log *before* anything acts on it;
+        an anonymous one has nothing a restart could resume, so nothing
+        is logged.  Either way the record is then applied to the image
+        by the function the fold uses.
+        """
+        wid = execution.wid
+        if execution.definition:
+            self.storage.log_workflow(
+                wid, kind, payload=wrecords.encode_payload(fields)
+            )
+            if self.leases is not None:
+                # Durable progress doubles as the ownership heartbeat.
+                self.leases.heartbeat(wid, self.owner)
+        parked = execution.status is ExecutionStatus.WAITING_SIGNAL
+        apply(execution, kind, fields)
+        if parked and execution.status is not ExecutionStatus.WAITING_SIGNAL:
+            self.deadlines.forget(_WaitToken(wid))  # the wait's timer
+        self.timeline.append(
+            {"tick": self.clock.peek(), "wid": wid, "kind": kind, **fields}
+        )
+        if self.on_record is not None:
+            self.on_record(wid, kind, fields)
+
+    def _committed(self, execution, step, tid, alt=None):
+        """What no record can carry: this step's commit has returned.
+
+        The attempt record went out ahead of the commit, so the live
+        image learns the outcome here (the fold learns it from the data
+        log's winners): COMMITTED by alternative ``alt``, or — for a
+        compensation, which names none — COMPENSATED.
+        """
+        state = execution.steps[step]
+        if alt is None:
+            state.status = TaskStatus.COMPENSATED
+        else:
+            state.status, state.alt = TaskStatus.COMMITTED, alt
+            state.tid_value = tid.value
+            state.value = self.runtime.result_of(tid)
+        self._count("compensations" if alt is None else "steps_committed")
+        if self.on_commit is not None:
+            self.on_commit(tid)
+        return True
+
+    def _arm_wait(self, execution):
+        """Arm the parked execution's timer with its full budget."""
+        if execution.wait_timeout is not None:
+            self.deadlines.set_deadline(
+                _WaitToken(execution.wid), budget=execution.wait_timeout
+            )
+
+    # -- the protocol ------------------------------------------------------
+
+    def execute(self, spec, parallel=False):
+        """Run an anonymous ``spec`` to the end; returns its record.
+
+        The :class:`WorkflowExecution` *is* the result (``success``,
+        ``status_of``, ``steps[name].alt / .value / .tid_value``,
+        ``compensated_steps()``).  Nothing could resume it after a
+        restart, so it is neither logged nor retained.
+        """
+        spec.validate()
+        execution = WorkflowExecution(wid=0)
+        self._record(execution, wrecords.STARTED, definition="", context={})
+        self._count("started")
+        drive = self._drive_parallel if parallel else self._drive
+        drive(execution, WorkflowDefinition(spec.name, spec))
+        return execution
+
+    def start(self, definition_name, wid=None, context=None):
+        """Create a durable execution and drive it; returns its wid."""
+        definition = self.registry.get(definition_name)  # fail fast
+        if self._next_wid is None:
+            logged = wrecords.workflow_records(self.storage.log.records())
+            self._next_wid = max((r.wid for r in logged), default=0) + 1
+        if wid is None:
+            wid = self._next_wid
+        if wid in self._executions:
+            raise AssetError(f"workflow execution wid={wid} already exists")
+        self._next_wid = max(self._next_wid, wid + 1)
+        self._claim(wid)
+        execution = WorkflowExecution(wid=wid, definition=definition_name)
+        self._executions[wid] = execution
+        self._record(
+            execution, wrecords.STARTED,
+            definition=definition_name, context=dict(context or {}),
+        )
+        self._count("started")
+        self._drive(execution, definition)
+        return wid
+
+    def status(self, wid):
+        """The execution's :class:`ExecutionStatus`."""
+        return self.execution(wid).status
+
+    def execution(self, wid):
+        """The :class:`WorkflowExecution` image."""
+        if wid not in self._executions:
+            raise AssetError(f"unknown workflow execution: wid={wid}")
+        return self._executions[wid]
+
+    def executions(self):
+        """wid → execution, every durable execution this engine knows."""
+        return dict(self._executions)
+
+    def resume(self, wid):
+        """Continue forward progress; no-op on terminal or parked runs."""
+        execution = self.execution(wid)
+        if execution.status.is_terminal:
+            return execution.status
+        if execution.status is ExecutionStatus.WAITING_SIGNAL:
+            return execution.status
+        return self._drive(self._claim(wid))
+
+    def signal(self, wid, name, payload=None, resume=True):
+        """Durably deliver signal ``name``; resumes a matching wait."""
+        execution = self.execution(wid)
+        if execution.status.is_terminal:
+            return execution.status
+        execution = self._claim(wid)  # may have re-folded
+        if execution.status.is_terminal:
+            return execution.status
+        awaited = (
+            execution.status is ExecutionStatus.WAITING_SIGNAL
+            and execution.waiting_signal == name
+        )
+        self._record(execution, wrecords.SIGNAL, name=name, payload=payload)
+        self._count("signals")
+        if awaited and resume:
+            return self._drive(execution)
+        return execution.status
+
+    def cancel(self, wid):
+        """Durably accept a cancel: compensate and finish ``cancelled``."""
+        execution = self.execution(wid)
+        if execution.status.is_terminal:
+            return execution.status
+        execution = self._claim(wid)  # may have re-folded
+        if execution.status.is_terminal:
+            return execution.status
+        self._record(execution, wrecords.CANCELLED)
+        return self._finish_backward(
+            execution, self.registry.get(execution.definition),
+            wrecords.OUTCOME_CANCELLED,
+        )
+
+    def expire_wait(self, wid):
+        """Fire a parked execution's wait timer (deterministic time travel).
+
+        Advances the logical clock to the armed deadline — the same
+        stall-rescue jump the watchdog performs — then applies the
+        wait's ``on_timeout`` policy.
+        """
+        execution = self.execution(wid)
+        if execution.status is not ExecutionStatus.WAITING_SIGNAL:
+            return execution.status
+        if execution.wait_timeout is None:
+            raise AssetError(
+                f"wid={wid} waits on {execution.waiting_signal!r} with no"
+                " timeout; deliver the signal or cancel"
+            )
+        execution = self._claim(wid)  # may have re-folded
+        if execution.status is not ExecutionStatus.WAITING_SIGNAL:
+            return execution.status
+        deadline = self.deadlines.deadline_of(_WaitToken(wid))
+        if deadline is not None:
+            self.clock.advance_to(deadline)
+        step = execution.waiting_step
+        skip = execution.wait_on_timeout == "skip"
+        self._record(
+            execution, wrecords.SIGNAL_TIMEOUT,
+            step=step, signal=execution.waiting_signal,
+        )
+        self._count("timeouts")
+        fate = wrecords.STEP_SKIPPED if skip else wrecords.STEP_FAILED
+        self._record(execution, fate, step=step)
+        # The drive reads the step's fate off the image: skipped or
+        # optional moves on, a failed required step goes backward.
+        return self._drive(execution)
+
+    # -- recovery ----------------------------------------------------------
+
+    def recover(self):
+        """Rebuild executions from the durable log; returns in-flight wids.
+
+        Call after storage restart recovery has run and the site's
+        definitions are re-registered.  Parked executions get their wait
+        timers re-armed with the full budget; callers then drive each
+        returned wid with :meth:`resume` / :meth:`signal` /
+        :meth:`expire_wait`.
+        """
+        recovered = []
+        for wid, execution in sorted(self._fold().items()):
+            self._executions[wid] = execution
+            self._next_wid = max(self._next_wid or 1, wid + 1)
+            if execution.status.is_terminal:
+                continue
+            if execution.definition:
+                self.registry.get(execution.definition)  # must be present
+            if execution.status is ExecutionStatus.WAITING_SIGNAL:
+                self._arm_wait(execution)
+            self._count("recovered")
+            recovered.append(wid)
+        return recovered
+
+    # -- driving -----------------------------------------------------------
+
+    def _drive(self, execution, definition=None):
+        """Run forward from the last recorded step; park, finish, or fail.
+
+        ``definition`` is given for an anonymous spec; a registered one
+        is looked up by the name the records carry.
+        """
+        if execution.status.is_terminal:
+            return execution.status
+        if definition is None:
+            definition = self.registry.get(execution.definition)
+        if execution.cancel_requested:
+            # A durably accepted cancel interrupted by a crash must
+            # resume as a cancel: never make forward progress again.
+            return self._finish_backward(
+                execution, definition, wrecords.OUTCOME_CANCELLED
+            )
+        for task in definition.spec.ordered():
+            wait = definition.waits.get(task.name)
+            if execution.status_of(task.name) is not None:
+                pass  # settled before this drive (a resume)
+            elif any(
+                execution.status_of(dep) is not TaskStatus.COMMITTED
+                for dep in task.depends_on
+            ):
+                self._lose(execution, task)
+            elif wait is not None and wait.signal not in execution.signals:
+                self._record(
+                    execution, wrecords.SIGNAL_WAIT,
+                    step=task.name, signal=wait.signal,
+                    timeout=wait.timeout, on_timeout=wait.on_timeout,
+                )
+                self._arm_wait(execution)
+                return execution.status
+            else:
+                self._run_step(execution, task)
+            failed = execution.status_of(task.name) is TaskStatus.FAILED
+            if failed and not task.optional:
+                return self._finish_backward(
+                    execution, definition, wrecords.OUTCOME_COMPENSATED
+                )
+        return self._finish(execution, wrecords.OUTCOME_COMPLETED)
+
+    def _drive_parallel(self, execution, definition):
+        """Overlap independent tasks; see the class docstring.
+
+        Each task is a little state machine: waiting (dependencies
+        unresolved) → in flight (an alternative's transaction is live) →
+        COMMITTED / FAILED / SKIPPED on the image.  One driver loop
+        advances every task, polling the runtime when nothing
+        transitions.
+        """
+        manager = self.runtime.manager
+        spec = definition.spec
+        flights = {}  # task name -> [(tid, alternative)] in flight
+        tried = {}    # task name -> launches so far
+        attempted = set()  # winners whose attempt is recorded
+
+        def launch(task):
+            """Begin the next alternative (a race: all of them, once); a
+            task with none left, or none that starts, has failed."""
+            index = tried.get(task.name, 0)
+            tried[task.name] = index + 1
+            if task.race:
+                entrants = () if index else task.alternatives
+            else:
+                entrants = task.alternatives[index:index + 1]
+            entries = self._begin(entrants)
+            if entries:
+                flights[task.name] = entries
+            else:
+                self._record(execution, wrecords.STEP_FAILED, step=task.name)
+
+        def settle(task):
+            """Advance a task in flight; True when its state changed."""
+            name = task.name
+            winner, still = self._race_round(task, flights[name])
+            if winner is not None:
+                tid, alternative = winner
+                if tid not in attempted:  # once, however long commit blocks
+                    attempted.add(tid)
+                    self._attempt(execution, task, tid, alternative)
+                outcome = manager.try_commit(tid)
+                if not outcome.is_final:
+                    return False  # commit blocked: try again next round
+                still = []  # committed, or aborted at commit time
+            flights[name] = still
+            if still:
+                return False
+            del flights[name]
+            if winner is not None and outcome:
+                self._committed(execution, name, tid, alternative.label)
+            else:
+                launch(task)  # everyone in flight died
+            return True
+
+        idle = 0
+        while True:
+            progressed = waiting = False
+            for task in spec:
+                if task.name in flights:
+                    progressed |= settle(task)
+                elif execution.status_of(task.name) is None:
+                    deps = {execution.status_of(d) for d in task.depends_on}
+                    if deps <= {TaskStatus.COMMITTED}:
+                        launch(task)
+                        progressed = True
+                    elif deps <= {TaskStatus.COMMITTED, None}:
+                        waiting = True  # on a dependency still in flight
+                    else:
+                        self._lose(execution, task)
+                        progressed = True
+            if any(
+                execution.status_of(task.name) is TaskStatus.FAILED
+                and not task.optional
+                for task in spec
+            ):
+                # A required task is lost: abandon whatever is in flight.
+                for name, entries in flights.items():
+                    for tid, __ in entries:
+                        self._abort_loser(tid, name)
+                return self._finish_backward(
+                    execution, definition, wrecords.OUTCOME_COMPENSATED
+                )
+            if not flights and not waiting:
+                return self._finish(execution, wrecords.OUTCOME_COMPLETED)
+            if not progressed and not self.runtime.poll():
+                idle += 1
+                if idle > MAX_IDLE_POLLS:
+                    raise AssetError(
+                        f"parallel workflow {spec.name!r} stalled"
+                    )
+
+    def _lose(self, execution, task):
+        """A step one of whose dependencies did not commit never runs.
+
+        Optional: skipped.  Required: FAILED, and as a record — the
+        workflow fails with it, and a resume after a crash must agree
+        and never walk past it.
+        """
+        kind = wrecords.STEP_SKIPPED if task.optional else wrecords.STEP_FAILED
+        self._record(execution, kind, step=task.name)
+
+    def _finish(self, execution, outcome):
+        """Record the terminal verdict; the stats key is the outcome."""
+        self._record(execution, wrecords.FINISHED, outcome=outcome)
+        self._count(outcome)
+        if self.leases is not None:
+            self.leases.release(execution.wid, self.owner)
+        return execution.status
+
+    # -- step execution ----------------------------------------------------
 
     def _commit_step(self, tid, op):
         """Commit one workflow step under the engine's retry policy."""
@@ -128,27 +655,40 @@ class StepStrategies:
             if watchdog is not None:
                 watchdog.table.set_deadline(tid, budget=0)
 
-    def _committed(self, task, alternative, tid):
-        return TaskOutcome(
-            name=task.name,
-            status=TaskStatus.COMMITTED,
-            label=alternative.label,
-            value=self.runtime.result_of(tid),
-            tid=tid,
+    def _begin(self, alternatives):
+        """Initiate and begin ``alternatives``; the ``(tid, alternative)``
+        entries that started."""
+        entries = []
+        for alternative in alternatives:
+            tid = self.runtime.initiate(alternative.body, args=alternative.args)
+            if tid and self.runtime.begin(tid):
+                entries.append((tid, alternative))
+        return entries
+
+    def _attempt(self, execution, task, tid, alternative):
+        """Record that ``alternative`` is about to commit ``tid``.
+
+        The attempt is recorded (for a durable execution: forced to the
+        log) BEFORE the commit: see the module docstring.
+        """
+        self._record(
+            execution, wrecords.STEP_ATTEMPT,
+            step=task.name, alt=alternative.label, tid=tid.value,
         )
 
-    def _try_sequential(self, task, before_commit=None):
-        """Contingent semantics over the task's alternatives.
+    def _run_step(self, execution, task):
+        """One step by its scheme, to an outcome on the image."""
+        run = self._try_race if task.race else self._try_sequential
+        if not run(execution, task):
+            self._record(execution, wrecords.STEP_FAILED, step=task.name)
 
-        ``before_commit(task, alternative, tid)`` runs once the
-        alternative's transaction has begun, ahead of its commit.
-        """
+    def _try_sequential(self, execution, task):
+        """Contingent semantics over the task's alternatives."""
         for alternative in task.alternatives:
             tid = self.runtime.initiate(alternative.body, args=alternative.args)
             if not tid or not self.runtime.begin(tid):
                 continue
-            if before_commit is not None:
-                before_commit(task, alternative, tid)
+            self._attempt(execution, task, tid, alternative)
             try:
                 committed = self._commit_step(
                     tid, op=f"workflow.{task.name}.{alternative.label}"
@@ -156,8 +696,10 @@ class StepStrategies:
             except RetryExhausted:
                 continue  # budget spent on this alternative; try the next
             if committed:
-                return self._committed(task, alternative, tid)
-        return TaskOutcome(name=task.name, status=TaskStatus.FAILED)
+                return self._committed(
+                    execution, task.name, tid, alternative.label
+                )
+        return False
 
     def _race_round(self, task, entries):
         """One look at racing ``(tid, alternative)`` entries.
@@ -186,22 +728,19 @@ class StepStrategies:
                 self._abort_loser(other_tid, task.name)
         return winner, still_running
 
-    def _try_race(self, task, before_commit=None):
+    def _try_race(self, execution, task):
         """Race all alternatives; first completion wins, losers abort."""
-        entries = []
-        for alternative in task.alternatives:
-            tid = self.runtime.initiate(alternative.body, args=alternative.args)
-            if tid and self.runtime.begin(tid):
-                entries.append((tid, alternative))
+        entries = self._begin(task.alternatives)
         idle = 0
         while entries:
             winner, entries = self._race_round(task, entries)
             if winner is not None:
                 tid, alternative = winner
-                if before_commit is not None:
-                    before_commit(task, alternative, tid)
+                self._attempt(execution, task, tid, alternative)
                 if self.runtime.commit(tid):
-                    return self._committed(task, alternative, tid)
+                    return self._committed(
+                        execution, task.name, tid, alternative.label
+                    )
                 break  # winner failed to commit: everyone is gone
             if entries and not self.runtime.poll():
                 idle += 1
@@ -209,17 +748,28 @@ class StepStrategies:
                     raise AssetError(
                         f"race in task {task.name!r} made no progress"
                     )
-        return TaskOutcome(name=task.name, status=TaskStatus.FAILED)
+        return False
 
-    def _compensate_task(self, name, body, args, before_commit=None,
-                         reissue_exhausted=False):
-        """Run one compensation until it commits; returns its tid.
+    # -- backward recovery -------------------------------------------------
 
-        Each attempt is a fresh transaction (``before_commit(tid)`` sees
-        it ahead of its commit).  An exhausted retry budget propagates —
-        unless ``reissue_exhausted``: the durable engine has already
-        durably decided to go backward, so it spends another attempt
-        instead of leaving the execution half-compensated.
+    def _finish_backward(self, execution, definition, outcome):
+        """Compensate every committed step (newest first), then finish."""
+        tasks = {task.name: task for task in definition.spec}
+        for name in reversed(execution.committed_steps()):
+            alt = execution.steps[name].alt
+            body, args = tasks[name].compensation_for(alt)
+            if body is not None:
+                self._compensate_step(execution, name, body, args)
+        return self._finish(execution, outcome)
+
+    def _compensate_step(self, execution, name, body, args):
+        """Run one compensation until it commits.
+
+        Each attempt is a fresh transaction, recorded ahead of its
+        commit.  An exhausted retry budget propagates from an anonymous
+        execution; a durable one has durably decided to go backward, so
+        it spends another attempt instead of leaving the execution
+        half-compensated.
         """
         attempts = 0
         while True:
@@ -233,212 +783,12 @@ class StepStrategies:
             if not ct:
                 continue
             self.runtime.begin(ct)
-            if before_commit is not None:
-                before_commit(ct)
+            self._record(
+                execution, wrecords.COMP_ATTEMPT, step=name, tid=ct.value
+            )
             try:
                 if self._commit_step(ct, op=f"workflow.c.{name}"):
-                    return ct
+                    return self._committed(execution, name, ct)
             except RetryExhausted:
-                if not reissue_exhausted:
+                if not execution.definition:
                     raise
-
-
-class WorkflowEngine(StepStrategies):
-    """Runs workflow specs over a transaction runtime.
-
-    With ``parallel=True``, tasks whose dependencies are satisfied run
-    *concurrently* (alternatives stay ordered within each task); the
-    default executes tasks strictly in declaration order.  On success the
-    two modes are outcome-identical.  On failure they can differ for
-    tasks *independent* of the failing one: the sequential engine never
-    starts them (SKIPPED), while the parallel engine may have already
-    committed them — and then compensates those that carry a
-    compensation.  The equivalence boundary is pinned down by the
-    workflow property suite.
-    """
-
-    def __init__(self, runtime, parallel=False, retry=None, watchdog=None):
-        super().__init__(runtime, retry=retry, watchdog=watchdog)
-        self.parallel = parallel
-
-    # -- the engine ---------------------------------------------------------------
-
-    def execute(self, spec):
-        """Run ``spec``; returns a :class:`WorkflowResult`."""
-        spec.validate()
-        if self.parallel:
-            return self._execute_parallel(spec)
-        result = WorkflowResult(name=spec.name, success=True)
-        committed = []  # (task, outcome) pairs, commit order
-
-        for task in spec.ordered():
-            unmet = [
-                dep
-                for dep in task.depends_on
-                if result.outcomes[dep].status is not TaskStatus.COMMITTED
-            ]
-            if unmet:
-                outcome = TaskOutcome(
-                    name=task.name, status=TaskStatus.SKIPPED
-                )
-                result.outcomes[task.name] = outcome
-                if not task.optional:
-                    return self._fail(spec, result, committed)
-                continue
-
-            strategy = self._try_race if task.race else self._try_sequential
-            outcome = strategy(task)
-            result.outcomes[task.name] = outcome
-
-            if outcome.status is TaskStatus.COMMITTED:
-                committed.append((task, outcome))
-            elif not task.optional:
-                return self._fail(spec, result, committed)
-        return result
-
-    # -- parallel execution ----------------------------------------------------
-
-    def _execute_parallel(self, spec):
-        """Overlap independent tasks; see the class docstring.
-
-        Each task is a little state machine: WAITING (dependencies
-        unresolved) → RUNNING (an alternative's transaction is live) →
-        COMMITTED / FAILED / SKIPPED.  One driver loop advances every
-        task, polling the runtime when nothing transitions.
-        """
-        manager = self.runtime.manager
-        result = WorkflowResult(name=spec.name, success=True)
-        committed = []  # (task, outcome) in commit order
-        runs = {
-            task.name: {
-                "task": task, "state": "waiting", "alt": 0, "tids": [],
-            }
-            for task in spec
-        }
-
-        def start_next_alternative(run):
-            task = run["task"]
-            if task.race:
-                entrants = list(task.alternatives)  # race: begin them all
-            else:
-                entrants = [task.alternatives[run["alt"]]]
-            run["tids"] = []
-            for alternative in entrants:
-                tid = self.runtime.initiate(
-                    alternative.body, args=alternative.args
-                )
-                if tid and self.runtime.begin(tid):
-                    run["tids"].append((tid, alternative))
-            run["state"] = "running" if run["tids"] else "failed"
-
-        def settle(run):
-            """Advance a running task; True when its state changed."""
-            task = run["task"]
-            winner, still = self._race_round(task, run["tids"])
-            if winner is not None:
-                tid, alternative = winner
-                outcome_obj = manager.try_commit(tid)
-                if not outcome_obj.is_final:
-                    return False  # commit blocked: try again next round
-                if outcome_obj:
-                    run["state"] = "committed"
-                    run["outcome"] = self._committed(task, alternative, tid)
-                    return True
-                still = []  # the winner aborted at commit time
-            run["tids"] = still
-            if still:
-                return False
-            # Everyone in flight died: next alternative, or fail.
-            if not task.race and run["alt"] + 1 < len(task.alternatives):
-                run["alt"] += 1
-                start_next_alternative(run)
-                return True
-            run["state"] = "failed"
-            return True
-
-        idle = 0
-        abandoned = False
-        while True:
-            progressed = False
-            for run in runs.values():
-                task = run["task"]
-                if run["state"] == "waiting":
-                    dep_states = [runs[d]["state"] for d in task.depends_on]
-                    if all(state == "committed" for state in dep_states):
-                        start_next_alternative(run)
-                        progressed = True
-                    elif any(
-                        state in ("failed", "skipped")
-                        for state in dep_states
-                    ):
-                        run["state"] = "skipped"
-                        progressed = True
-                elif run["state"] == "running":
-                    progressed |= settle(run)
-            pending = [
-                r for r in runs.values()
-                if r["state"] in ("waiting", "running")
-            ]
-            required_failure = any(
-                r["state"] in ("failed", "skipped")
-                and not r["task"].optional
-                for r in runs.values()
-            )
-            if required_failure:
-                abandoned = True
-                for run in pending:
-                    for tid, __ in run.get("tids", ()):
-                        self._abort_loser(tid, run["task"].name)
-                    if run["state"] in ("waiting", "running"):
-                        run["state"] = "skipped"
-                break
-            if not pending:
-                break
-            if not progressed:
-                if not self.runtime.poll():
-                    idle += 1
-                    if idle > MAX_IDLE_POLLS:
-                        raise AssetError(
-                            f"parallel workflow {spec.name!r} stalled"
-                        )
-
-        # Assemble outcomes in declaration order; track commit order for
-        # compensation by the order tasks reached "committed".
-        for task in spec:
-            run = runs[task.name]
-            if run["state"] == "committed":
-                result.outcomes[task.name] = run["outcome"]
-                committed.append((task, run["outcome"]))
-            elif run["state"] == "failed":
-                result.outcomes[task.name] = TaskOutcome(
-                    name=task.name, status=TaskStatus.FAILED
-                )
-            else:
-                result.outcomes[task.name] = TaskOutcome(
-                    name=task.name, status=TaskStatus.SKIPPED
-                )
-        if abandoned:
-            self._compensate(result, committed)
-            result.success = False
-        return result
-
-    def _fail(self, spec, result, committed):
-        """Abandon the workflow: compensate, and mark untried tasks."""
-        self._compensate(result, committed)
-        for task in spec:
-            if task.name not in result.outcomes:
-                result.outcomes[task.name] = TaskOutcome(
-                    name=task.name, status=TaskStatus.SKIPPED
-                )
-        result.success = False
-        return result
-
-    def _compensate(self, result, committed):
-        """Backward recovery: undo committed tasks, newest first."""
-        for task, outcome in reversed(committed):
-            body, args = task.compensation_for(outcome.label)
-            if body is None:
-                continue
-            self._compensate_task(task.name, body, args)
-            outcome.status = TaskStatus.COMPENSATED
-            result.compensation_order.append(task.name)

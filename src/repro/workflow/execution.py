@@ -1,18 +1,22 @@
-"""Workflow execution state, folded from durable records.
+"""Workflow execution state: one record, one transition function.
 
-A :class:`WorkflowExecution` is the in-memory image of one running
-workflow.  It is *never* authoritative: every transition the durable
-engine makes is force-logged first (see :mod:`repro.workflow.records`),
-and :func:`fold_execution` rebuilds the exact same image from the log —
-that is what lets a crashed site resume in-flight workflows.
+A :class:`WorkflowExecution` is the image of one running workflow, and
+:func:`apply` is the only function that changes it: the engine calls it
+once per orchestration record, and :func:`fold_all` calls it once per
+record read back from the log.  For an execution of a registered
+definition the image is *never* authoritative: every transition is
+force-logged first (see :mod:`repro.workflow.records`), and
+:func:`fold_all` rebuilds the exact same image from the log — that is
+what lets a crashed site resume in-flight workflows.
 
 The one transition the workflow log cannot answer alone is "did this
 step's transaction actually commit?": the attempt record is written
 *before* the commit record, so a crash can leave a dangling attempt.
-``fold_execution`` therefore takes the set of *winner* tids from the
-independent log-replay analysis (:func:`repro.chaos.oracles.analyze_log`
-computes the same thing the recovery manager does) and counts a step as
-committed iff one of its attempt tids won.  Dangling attempts name loser
+The fold therefore takes the set of *winner* tids from the log-replay
+analysis (:func:`repro.storage.recovery.commit_winners`, the same
+reading restart recovery makes) and counts a step as committed iff one
+of its attempt tids won; the live engine, which was there when the
+commit returned, marks the step itself.  Dangling attempts name loser
 tids — recovery already undid them — so the step simply re-runs.
 """
 
@@ -22,13 +26,21 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.workflow import records as wrecords
-from repro.workflow.engine import TaskStatus
+
+
+class TaskStatus(enum.Enum):
+    """Terminal status of one workflow task."""
+
+    COMMITTED = "committed"
+    FAILED = "failed"
+    SKIPPED = "skipped"
+    COMPENSATED = "compensated"
 
 
 class ExecutionStatus(enum.Enum):
     """Lifecycle of one workflow execution."""
 
-    PENDING = "pending"              # created, nothing durable yet
+    PENDING = "pending"              # created, nothing recorded yet
     RUNNING = "running"              # forward progress in flight
     WAITING_SIGNAL = "waiting_signal"  # parked on an external signal
     COMPLETED = "completed"          # terminal: every required step committed
@@ -49,26 +61,26 @@ _TERMINAL = frozenset({
 
 @dataclass
 class StepState:
-    """What the log says about one step of one execution."""
+    """What the records say about one step of one execution."""
 
     name: str
-    status: object = None        # TaskStatus or None (not reached)
+    status: object = None        # TaskStatus or None (no outcome yet)
     alt: str = ""                # winning alternative's label
     tid_value: int = 0           # the committed forward transaction
+    value: object = None         # its program's result (live image only)
     attempts: list = field(default_factory=list)  # all attempt tid values
     comp_attempts: list = field(default_factory=list)
-
-    @property
-    def committed(self):
-        return self.status in (TaskStatus.COMMITTED, TaskStatus.COMPENSATED)
 
 
 @dataclass
 class WorkflowExecution:
-    """The folded image of one execution (see module docstring)."""
+    """The image of one execution (see module docstring).
+
+    It is also the result of a run: truthy iff the workflow completed.
+    """
 
     wid: int
-    definition: str = ""
+    definition: str = ""   # registered name; "" = an anonymous spec
     status: ExecutionStatus = ExecutionStatus.PENDING
     steps: dict = field(default_factory=dict)      # name -> StepState
     signals: dict = field(default_factory=dict)    # name -> payload
@@ -79,6 +91,13 @@ class WorkflowExecution:
     outcome: str = ""                              # finished record's verdict
     cancel_requested: bool = False
     context: dict = field(default_factory=dict)
+
+    @property
+    def success(self):
+        return self.status is ExecutionStatus.COMPLETED
+
+    def __bool__(self):
+        return self.success
 
     def step(self, name):
         if name not in self.steps:
@@ -93,32 +112,40 @@ class WorkflowExecution:
             if state.status is TaskStatus.COMMITTED
         ]
 
+    def compensated_steps(self):
+        """Names of steps whose compensation committed, newest first —
+        the order backward recovery ran them in."""
+        return [
+            name
+            for name in reversed(self.steps)
+            if self.steps[name].status is TaskStatus.COMPENSATED
+        ]
+
     def status_of(self, step_name):
+        """The step's :class:`TaskStatus`.
+
+        A step with no outcome reads ``None`` while the execution can
+        still reach it and SKIPPED once the execution is terminal — it
+        never will be reached, and that needs no record.
+        """
         state = self.steps.get(step_name)
-        return None if state is None else state.status
-
-
-def fold_execution(wid, log_records, winners):
-    """Rebuild one execution from durable records.
-
-    ``log_records`` is the full durable record sequence (any record
-    types; non-workflow and other-wid records are skipped).  ``winners``
-    is the set of committed tid *values* per the log-replay analysis.
-    """
-    execution = WorkflowExecution(wid=wid)
-    for record in wrecords.workflow_records(log_records, wid=wid):
-        _apply(execution, record.kind, wrecords.decode_payload(record.payload),
-               winners)
-    return execution
+        if state is not None and state.status is not None:
+            return state.status
+        return TaskStatus.SKIPPED if self.status.is_terminal else None
 
 
 def fold_all(log_records, winners):
-    """Rebuild every execution present in ``log_records`` (wid -> image)."""
+    """Rebuild every execution present in ``log_records`` (wid -> image).
+
+    ``log_records`` is the full durable record sequence (any record
+    types; non-workflow records are skipped).  ``winners`` is the set of
+    committed tid *values* per the log-replay analysis.
+    """
     executions = {}
     for record in wrecords.workflow_records(log_records):
         if record.wid not in executions:
             executions[record.wid] = WorkflowExecution(wid=record.wid)
-        _apply(
+        apply(
             executions[record.wid],
             record.kind,
             wrecords.decode_payload(record.payload),
@@ -127,7 +154,13 @@ def fold_all(log_records, winners):
     return executions
 
 
-def _apply(execution, kind, payload, winners):
+def apply(execution, kind, payload, winners=()):
+    """The transition function: one record's effect on the image.
+
+    ``winners`` holds the tid values known to have committed.  The live
+    engine passes none — it applies an attempt *before* the commit it
+    announces — and the fold passes the log's.
+    """
     if kind == wrecords.STARTED:
         execution.definition = payload.get("definition", "")
         execution.context = payload.get("context", {}) or {}

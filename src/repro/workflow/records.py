@@ -3,7 +3,7 @@
 The storage layer persists workflow-orchestration state as typed
 :class:`~repro.storage.log.WorkflowRecord` entries (``wid``, ``kind``,
 ``payload``).  This module owns the ``kind`` vocabulary and the payload
-codec the durable engine and recovery both speak.
+codec the engine and recovery both speak.
 
 Kinds
 -----
@@ -57,19 +57,6 @@ SIGNAL_TIMEOUT = "signal_timeout"
 COMP_ATTEMPT = "comp_attempt"
 CANCELLED = "cancelled"
 FINISHED = "finished"
-
-KINDS = frozenset({
-    STARTED,
-    STEP_ATTEMPT,
-    STEP_FAILED,
-    STEP_SKIPPED,
-    SIGNAL_WAIT,
-    SIGNAL,
-    SIGNAL_TIMEOUT,
-    COMP_ATTEMPT,
-    CANCELLED,
-    FINISHED,
-})
 
 OUTCOME_COMPLETED = "completed"
 OUTCOME_COMPENSATED = "compensated"

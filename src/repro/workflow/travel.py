@@ -94,8 +94,9 @@ class TravelAgency:
                 oids[name] = yield tx.create(encode_json(record), name=name)
             return oids
 
-        oids = runtime.run(setup).value
-        self.oids = oids
+        created = runtime.run(setup)
+        self.setup_tid = created.tid
+        self.oids = oids = created.value
         self.flights = {name: oids[name] for name in AIRLINES}
         self.hotels = {name: oids[name] for name in HOTELS}
         self.cars = {name: oids[name] for name in CAR_COMPANIES}

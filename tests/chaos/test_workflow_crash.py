@@ -1,9 +1,9 @@
 """Workflow crash sweeps: kill the site at every step, resume, judge.
 
-The durability claim of the v2 workflow engine, attacked exhaustively:
+The workflow engine's durability claim, attacked exhaustively:
 for every registered workflow scenario and *every* numbered I/O step, a
 power cut at that step followed by restart recovery and
-``DurableWorkflowEngine.recover()`` must resume the execution to the
+``WorkflowEngine.recover()`` must resume the execution to the
 scenario's expected terminal status — with the ACTA/log-replay oracle
 battery green at the restart moment, the scenario's final-state checks
 green, the fold oracle agreeing with the live engine, and no leaked

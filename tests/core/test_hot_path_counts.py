@@ -6,9 +6,10 @@ the constants that ride the same path:
 * ``LockManager.holds`` answers from the OD's tid index — it used to
   walk ``td.locks`` comparing ``ObjectId``s, n(n-1)/2 comparisons for a
   transaction writing n objects (19,900 at n = 200);
-* ``checkpoint()``, the deadlock detector's ``committing_transactions()``
-  and the ``max_transactions`` admission test walk the table's *live*
-  index — they used to visit every TD ever created.
+* ``checkpoint()``, the deadlock detector's ``committing_transactions()``,
+  the ``max_transactions`` admission test and the resilience kit's
+  ``AdmissionController.active_load`` read the table's *live* index —
+  they used to visit every TD ever created.
 """
 
 from tests.conftest import incrementer, make_counters
@@ -22,6 +23,7 @@ from repro.core.manager import TransactionManager
 from repro.core.outcomes import GRANTED
 from repro.core.status import TransactionStatus
 from repro.obs import install_observability
+from repro.resilience.admission import AdmissionController
 
 
 def _object_id_comparisons(monkeypatch, n):
@@ -85,8 +87,9 @@ class TestHoldsIsNotAWalk:
         assert manager.lock_manager.holds(td, oid, "write")
 
 
-def _count_descriptors_walked(monkeypatch):
-    """Count every TD handed out by a walk of the table, whole or live."""
+def _count_descriptors_walked(monkeypatch, walks=("__iter__", "live")):
+    """Count every TD handed out by a walk of the table, whole or live
+    (``walks=("__iter__",)`` leaves ``live()`` a sized view)."""
     walked = [0]
 
     def counting(walk):
@@ -97,10 +100,10 @@ def _count_descriptors_walked(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(
-        TransactionTable, "__iter__", counting(TransactionTable.__iter__)
-    )
-    monkeypatch.setattr(TransactionTable, "live", counting(TransactionTable.live))
+    for walk in walks:
+        monkeypatch.setattr(
+            TransactionTable, walk, counting(getattr(TransactionTable, walk))
+        )
     return walked
 
 
@@ -158,6 +161,22 @@ class TestWalksFollowTheLiveSet:
         manager.note_completed(first)
         assert manager.try_commit(first)
         assert manager.initiate()  # a terminated transaction frees a slot
+
+    def test_active_load_visits_no_descriptor(self, rt, monkeypatch):
+        """The resilience kit's admission gate runs on every ``initiate``
+        while a limit is set: it reads the live index's size."""
+        [oid] = make_counters(rt, 1)
+        for __ in range(500):
+            assert rt.run(incrementer(oid)).committed
+        in_flight = rt.manager.initiate()
+        walked = _count_descriptors_walked(monkeypatch, walks=("__iter__",))
+        controller = AdmissionController(max_active=2)
+        assert controller.active_load(rt.manager) == 1
+        assert walked[0] == 0
+        controller.admit(rt.manager)  # one live, limit two: admitted
+        assert rt.manager.abort(in_flight)
+        assert controller.active_load(rt.manager) == 0
+        assert walked[0] == 0
 
     def test_table_remove_forgets_the_live_entry_too(self):
         table = TransactionTable()

@@ -92,7 +92,7 @@ class TestExecution:
     def test_happy_path(self, rt, inventory):
         result = compile_source(X_CONFERENCE).execute(rt, objects=inventory)
         assert result.success
-        assert result.outcomes["flight"].status is TaskStatus.COMMITTED
+        assert result.steps["flight"].status is TaskStatus.COMMITTED
         assert value_of(rt, inventory, "delta") == 4
         assert value_of(rt, inventory, "equator") == 4
         cars = value_of(rt, inventory, "national") + value_of(

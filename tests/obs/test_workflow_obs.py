@@ -5,7 +5,7 @@ from repro.core.manager import TransactionManager
 from repro.obs import ObservabilityKit
 from repro.runtime.coop import CooperativeRuntime
 from repro.workflow.definition import DefinitionRegistry, WorkflowDefinition
-from repro.workflow.durable import DurableWorkflowEngine
+from repro.workflow.engine import WorkflowEngine
 from repro.workflow.spec import WorkflowSpec
 
 
@@ -35,7 +35,7 @@ def _attached_engine():
     )
     registry = DefinitionRegistry()
     registry.register(definition)
-    engine = DurableWorkflowEngine(rt, registry)
+    engine = WorkflowEngine(rt, registry)
     kit = ObservabilityKit()
     kit.attach_manager(rt.manager)
     kit.attach_workflow(engine)

@@ -1,15 +1,19 @@
-"""Property: the parallel workflow engine agrees with the sequential one.
+"""Property: the parallel workflow driver agrees with the sequential one,
+and a durable run *is* the sequential one.
 
 Random workflow specs — random dependency DAGs, optional flags, and
 deterministic per-task failure patterns — must produce the same success
-flag under both engines, and identical statuses whenever the workflow
-succeeds.  On failure the engines legitimately diverge for tasks
-*independent* of the failing one: the sequential engine never started
-them (SKIPPED), while the parallel engine may have already committed
+flag under both drivers, and identical statuses whenever the workflow
+succeeds.  On failure the drivers legitimately diverge for tasks
+*independent* of the failing one: the sequential driver never started
+them (SKIPPED), while the parallel driver may have already committed
 them (then compensated, if a compensation exists) — the price of
 overlap, just as in production workflow systems.  The property pins down
 exactly that boundary: tasks downstream of a failure agree, and no
-compensated task ever stays COMMITTED.
+compensated task ever stays COMMITTED.  The same plans registered as a
+definition and run with ``start`` must equal the sequential ``execute``
+in every status, counter and transaction — and be the only run that
+wrote workflow records to the log.
 """
 
 from hypothesis import given, settings
@@ -17,8 +21,11 @@ from hypothesis import strategies as st
 
 from repro.bench.workload import populate_objects
 from repro.common.codec import decode_int, encode_int
+from repro.common.events import EventKind
 from repro.runtime.coop import CooperativeRuntime
+from repro.workflow.definition import DefinitionRegistry, WorkflowDefinition
 from repro.workflow.engine import TaskStatus, WorkflowEngine
+from repro.workflow.records import workflow_records
 from repro.workflow.spec import WorkflowSpec
 
 MAX_TASKS = 5
@@ -59,15 +66,29 @@ def build_spec(plans, oids):
     return spec
 
 
-def run_engine(plans, parallel):
+def run_engine(plans, parallel, durable=False):
+    """One run of the generated plans; ``durable`` registers the spec as
+    a definition and runs it with ``start`` instead of ``execute``."""
     rt = CooperativeRuntime(seed=9)
     oids = populate_objects(rt, len(plans))
     spec = build_spec(plans, oids)
-    result = WorkflowEngine(rt, parallel=parallel).execute(spec)
-    statuses = {
-        name: outcome.status for name, outcome in result.outcomes.items()
-    }
-    finals = []
+    made = []  # every transaction's begin and fate, in order
+    rt.manager.events.subscribe(
+        lambda event: made.append((event.kind, event.tid.value)),
+        kinds=(EventKind.INITIATE, EventKind.COMMITTED, EventKind.ABORTED),
+    )
+    if durable:
+        registry = DefinitionRegistry()
+        registry.register(WorkflowDefinition("prop", spec))
+        engine = WorkflowEngine(rt, registry)
+        result = engine.execution(engine.start("prop"))
+    else:
+        result = WorkflowEngine(rt).execute(spec, parallel=parallel)
+    statuses = {task.name: result.status_of(task.name) for task in spec}
+    made = list(made)  # before the reader below adds its own
+    logged = sum(
+        1 for __ in workflow_records(rt.manager.storage.log.records())
+    )
 
     def reader(tx):
         values = []
@@ -76,15 +97,23 @@ def run_engine(plans, parallel):
         return values
 
     finals = rt.run(reader).value
-    return result.success, statuses, finals
+    return result.success, statuses, finals, made, logged
 
 
 class TestEngineEquivalence:
     @given(plans=st.lists(task_plan, min_size=1, max_size=MAX_TASKS))
     @settings(max_examples=60, deadline=None)
     def test_sequential_and_parallel_agree(self, plans):
-        seq_success, seq_statuses, seq_finals = run_engine(plans, False)
-        par_success, par_statuses, par_finals = run_engine(plans, True)
+        sequential = run_engine(plans, False)
+        seq_success, seq_statuses, seq_finals, __, seq_logged = sequential
+        par_success, par_statuses, par_finals, *__ = run_engine(plans, True)
+        # The same plans as a registered definition: one driver, so the
+        # durable run is the sequential run — same statuses, counters
+        # and transactions in the same order — plus the log records that
+        # only it writes.
+        durable = run_engine(plans, False, durable=True)
+        assert durable[:4] == sequential[:4], plans
+        assert seq_logged == 0 and durable[4] > 0, plans
         assert seq_success == par_success, plans
         if seq_success:
             # Success: both engines committed exactly the same tasks and
@@ -121,7 +150,7 @@ class TestEngineEquivalence:
     @given(plans=st.lists(task_plan, min_size=1, max_size=MAX_TASKS))
     @settings(max_examples=40, deadline=None)
     def test_statuses_are_internally_consistent(self, plans):
-        success, statuses, finals = run_engine(plans, True)
+        success, statuses, finals, *__ = run_engine(plans, True)
         if success:
             # A successful workflow committed every required task.
             for index, (optional, *_rest) in enumerate(plans):

@@ -96,8 +96,9 @@ def test_net_and_cluster_take_only_the_injection_seam_from_chaos():
 
 
 def test_the_durable_engine_loads_without_the_harness():
-    """The acceptance one-liner: importing the durable workflow engine
-    pulls in neither the chaos harness nor the ACTA checker."""
+    """The acceptance one-liner: importing the workflow engine (by the
+    name the benchmark uses) pulls in neither the chaos harness nor the
+    ACTA checker."""
     code = (
         "import repro.workflow.durable, sys; "
         "bad = [m for m in sys.modules"
@@ -107,3 +108,38 @@ def test_the_durable_engine_loads_without_the_harness():
     subprocess.run(
         [sys.executable, "-c", code], check=True, env={"PYTHONPATH": str(SRC)}
     )
+
+
+def test_there_is_one_workflow_engine():
+    """One class runs workflows; the durable name is the same object, and
+    what existed only to join two engines is gone from the product tree."""
+    import repro.workflow
+    import repro.workflow.durable
+
+    assert (
+        repro.workflow.durable.DurableWorkflowEngine
+        is repro.workflow.WorkflowEngine
+    )
+    runners = sorted(
+        (node.name, item.name)
+        for path in _modules("workflow")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+        and item.name in ("start", "execute")
+    )
+    assert runners == [
+        ("WorkflowEngine", "execute"), ("WorkflowEngine", "start"),
+    ]
+    gone = (
+        "WorkflowResult", "TaskOutcome", "StepStrategies", "before_commit",
+        "reissue_exhausted",
+    )
+    offenders = [
+        f"{path.relative_to(SRC)}: {word}"
+        for path in sorted(SRC.rglob("*.py"))
+        for word in gone
+        if word in path.read_text()
+    ]
+    assert not offenders, "\n".join(offenders)

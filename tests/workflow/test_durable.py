@@ -1,4 +1,5 @@
-"""The durable workflow engine: protocol, persistence, recovery.
+"""Durable executions of the workflow engine: protocol, persistence,
+recovery.
 
 Unit-level companion to the chaos sweeps in
 ``tests/chaos/test_workflow_crash.py``: no fault injection here, just
@@ -6,6 +7,11 @@ the start/resume/cancel/signal/status protocol, the durable record
 stream it leaves behind, and engine hand-over — a second engine built
 over the same storage must ``recover()`` the first one's in-flight
 executions and finish them.
+
+Every engine built here carries :func:`_fold_equals_live` on its
+``on_record`` seam: after *every* record the fold of the log must equal
+the live image — the image is changed by one transition function, so
+the two cannot drift (the chaos oracle compares them once, at the end).
 """
 
 import pytest
@@ -16,12 +22,12 @@ from repro.common.errors import AssetError
 from repro.core.manager import TransactionManager
 from repro.runtime.coop import CooperativeRuntime
 from repro.workflow.definition import DefinitionRegistry, WorkflowDefinition
-from repro.workflow.durable import (
-    DurableWorkflowEngine,
+from repro.workflow.engine import (
     ExecutionLeaseBoard,
+    TaskStatus,
+    WorkflowEngine,
     _WaitToken,
 )
-from repro.workflow.engine import TaskStatus
 from repro.workflow.execution import ExecutionStatus, fold_all
 from repro.workflow.records import (
     FINISHED,
@@ -69,18 +75,61 @@ def _approval_definition(name, oids, timeout=None, on_timeout="fail"):
     )
 
 
+def _folded(engine, wid):
+    """The execution as the log alone tells it; the winners come from
+    the harness's log analysis, not the engine's."""
+    log_records = list(engine.storage.log.records())
+    winners = {
+        getattr(tid, "value", tid)
+        for tid in analyze_log(log_records).winners
+    }
+    return fold_all(log_records, winners)[wid]
+
+
+def _fold_equals_live(engine):
+    """The ``on_record`` check: fold(log) == the live image, field by field."""
+
+    def check(wid, kind, fields):
+        folded = _folded(engine, wid)
+        live = engine.execution(wid)
+        for field in (
+            "definition", "status", "signals", "waiting_step",
+            "waiting_signal", "wait_timeout", "wait_on_timeout", "outcome",
+            "cancel_requested", "context",
+        ):
+            assert getattr(folded, field) == getattr(live, field), (
+                kind, field,
+            )
+        assert list(folded.steps) == list(live.steps), kind
+        for name, state in live.steps.items():
+            for field in (
+                "status", "alt", "tid_value", "attempts", "comp_attempts",
+            ):
+                assert getattr(folded.steps[name], field) == getattr(
+                    state, field
+                ), (kind, name, field)
+
+    return check
+
+
+def _checked(runtime, registry, **options):
+    engine = WorkflowEngine(runtime, registry, **options)
+    engine.on_record = _fold_equals_live(engine)
+    return engine
+
+
 def _engine(runtime, *definitions):
     registry = DefinitionRegistry()
     for definition in definitions:
         registry.register(definition)
-    return DurableWorkflowEngine(runtime, registry)
+    return _checked(runtime, registry)
 
 
 def _handover(engine):
     """A fresh manager/runtime/engine over the same storage, recovered."""
     storage = engine.runtime.manager.storage
     runtime = CooperativeRuntime(TransactionManager(storage=storage))
-    successor = DurableWorkflowEngine(runtime, engine.registry)
+    successor = _checked(runtime, engine.registry)
     return successor, successor.recover()
 
 
@@ -301,12 +350,7 @@ class TestFoldOracle:
         engine = _engine(rt, _approval_definition("approval", oids))
         wid = engine.start("approval")
         engine.signal(wid, "approve", "qa")
-        log_records = list(engine.storage.log.records())
-        winners = {
-            getattr(tid, "value", tid)
-            for tid in analyze_log(log_records).winners
-        }
-        folded = fold_all(log_records, winners)[wid]
+        folded = _folded(engine, wid)
         live = engine.execution(wid)
         assert folded.status is live.status
         assert folded.signals == live.signals
@@ -321,12 +365,7 @@ class TestFoldOracle:
         )
         wid = engine.start("approval")
         engine.expire_wait(wid)
-        log_records = list(engine.storage.log.records())
-        winners = {
-            getattr(tid, "value", tid)
-            for tid in analyze_log(log_records).winners
-        }
-        folded = fold_all(log_records, winners)[wid]
+        folded = _folded(engine, wid)
         assert folded.status is ExecutionStatus.COMPENSATED
         assert folded.status_of("place") is TaskStatus.COMPENSATED
 
@@ -345,7 +384,7 @@ class TestExecutionLeases:
         board = ExecutionLeaseBoard(rt.manager.clock)
         registry = DefinitionRegistry()
         registry.register(_approval_definition("approval", oids))
-        first = DurableWorkflowEngine(
+        first = _checked(
             rt, registry, owner="first", leases=board,
             execution_lease=lease,
         )
@@ -355,7 +394,10 @@ class TestExecutionLeases:
                 storage=rt.manager.storage, clock=rt.manager.clock
             )
         )
-        second = DurableWorkflowEngine(
+        # No per-record fold check on the rival: its manager numbers
+        # tids from where the log stood when it was built, so they
+        # collide with the owner's and a fold by tid would misread them.
+        second = WorkflowEngine(
             runtime, registry, owner="second", leases=board,
             execution_lease=lease,
         )
@@ -383,6 +425,23 @@ class TestExecutionLeases:
         # The refused rival wrote nothing durable: the owner still
         # drives its execution to completion untroubled.
         assert first.signal(wid, "approve") is ExecutionStatus.COMPLETED
+
+    def test_refused_start_leaves_no_execution_behind(self, rt):
+        oids = _make_oids(rt, ("order", "audit"))
+        board, first, second = self._pair(rt, oids)
+        wid = first.start("approval")
+        with pytest.raises(AssetError, match="live lease"):
+            second.start("approval", wid=wid)
+        assert second.executions() == {}
+        started = [
+            record
+            for record in workflow_records(
+                second.storage.log.records(), wid=wid
+            )
+            if record.kind == STARTED
+        ]
+        assert len(started) == 1  # the owner's
+        assert board.owner_of(wid) == "first"
 
     def test_lapsed_lease_is_taken_over(self, rt):
         oids = _make_oids(rt, ("order", "audit"))
@@ -449,9 +508,9 @@ class TestExecutionLeases:
 
 
 class TestCompensationRetryBudget:
-    """The durable engine has durably decided to go backward, so an
+    """A durable execution has durably decided to go backward, so an
     exhausted retry budget on a compensation is spent again with a fresh
-    attempt — never left half-compensated (the in-memory engine
+    attempt — never left half-compensated (an anonymous execution
     propagates instead: ``test_engine.py``)."""
 
     def test_exhausted_budget_on_a_compensation_is_reissued(self, rt):
@@ -464,7 +523,7 @@ class TestCompensationRetryBudget:
         registry.register(
             _approval_definition("approval", oids, timeout=10)
         )
-        engine = DurableWorkflowEngine(
+        engine = _checked(
             rt, registry,
             retry=RetryPolicy.zero_budget(clock=rt.manager.clock),
         )

@@ -4,8 +4,15 @@ import pytest
 
 from tests.conftest import incrementer, make_counters, read_counter
 
+from repro.workflow.definition import DefinitionRegistry, WorkflowDefinition
 from repro.workflow.engine import TaskStatus, WorkflowEngine
+from repro.workflow.execution import ExecutionStatus, fold_all
+from repro.workflow.records import workflow_records
 from repro.workflow.spec import WorkflowSpec
+
+
+def _logged(rt):
+    return list(workflow_records(rt.manager.storage.log.records()))
 
 
 @pytest.fixture
@@ -22,7 +29,7 @@ class TestSequentialAlternatives:
         task.alternative(incrementer(oids[1]), label="second")
         result = engine.execute(spec)
         assert result.success
-        assert result.outcomes["choice"].label == "second"
+        assert result.steps["choice"].alt == "second"
         assert read_counter(rt, oids[1]) == 1
 
     def test_value_captured(self, rt, engine):
@@ -30,7 +37,7 @@ class TestSequentialAlternatives:
         spec = WorkflowSpec()
         spec.task("inc").alternative(incrementer(oid, delta=7))
         result = engine.execute(spec)
-        assert result.outcomes["inc"].value == 7
+        assert result.steps["inc"].value == 7
 
 
 class TestOptionalAndDependencies:
@@ -87,7 +94,7 @@ class TestCompensation:
         spec.task("c").alternative(incrementer(oids[2], fail=True))
         result = engine.execute(spec)
         assert not result.success
-        assert result.compensation_order == ["b", "a"]
+        assert result.compensated_steps() == ["b", "a"]
         assert result.status_of("a") is TaskStatus.COMPENSATED
         assert result.status_of("b") is TaskStatus.COMPENSATED
         assert all(read_counter(rt, oid) == 0 for oid in oids)
@@ -123,7 +130,7 @@ class TestRace:
         task.alternative(incrementer(oids[1]), label="good")
         result = engine.execute(spec)
         assert result.success
-        assert result.outcomes["race"].label == "good"
+        assert result.steps["race"].alt == "good"
 
     def test_race_all_fail(self, rt, engine):
         oids = make_counters(rt, 2)
@@ -214,11 +221,112 @@ class TestRaceLoserLeak:
         assert not engine.orphaned  # the retry absorbed the glitch
 
 
+class TestAnonymousRunsAreVolatile:
+    """Durability is derived: ``execute`` runs a spec no restart could
+    look the bodies up for, so it never touches the log."""
+
+    def test_execute_neither_reads_nor_writes_the_log(self, rt, monkeypatch):
+        oids = make_counters(rt, 2)
+        log = rt.manager.storage.log
+        plain_records, reads = log.records, []
+
+        def counting_records(*args, **kwargs):
+            reads.append(args)
+            return plain_records(*args, **kwargs)
+
+        monkeypatch.setattr(log, "records", counting_records)
+        engine = WorkflowEngine(rt)
+        seen = []
+        engine.on_record = lambda wid, kind, fields: seen.append(kind)
+        spec = WorkflowSpec()
+        spec.task("a").alternative(incrementer(oids[0]), label="only")
+        spec.task("b", depends_on=("a",)).alternative(incrementer(oids[1]))
+        result = engine.execute(spec)
+        assert result.success and result.status is ExecutionStatus.COMPLETED
+        assert reads == []
+        monkeypatch.undo()
+        assert _logged(rt) == []
+        assert engine.executions() == {}  # returned, not retained
+        assert seen == [
+            "started", "step_attempt", "step_attempt", "finished",
+        ]
+        assert [row["kind"] for row in engine.timeline] == seen
+        assert engine.stats["steps_committed"] == 2
+
+
+class TestReconciledCorners:
+    """Where the two old engines disagreed, the rule is stated once."""
+
+    @pytest.mark.parametrize("mode", ["execute", "parallel", "start"])
+    def test_required_step_behind_an_uncommitted_dependency_fails(
+        self, rt, mode
+    ):
+        oids = make_counters(rt, 3)
+        spec = WorkflowSpec("corner")
+        spec.task("maybe", optional=True).alternative(
+            incrementer(oids[0], fail=True)
+        )
+        spec.task("also", optional=True, depends_on=("maybe",)).alternative(
+            incrementer(oids[1])
+        )
+        spec.task("must", depends_on=("maybe",)).alternative(
+            incrementer(oids[2])
+        )
+        if mode == "start":
+            registry = DefinitionRegistry()
+            registry.register(WorkflowDefinition("corner", spec))
+            engine = WorkflowEngine(rt, registry)
+            result = engine.execution(engine.start("corner"))
+        else:
+            result = WorkflowEngine(rt).execute(
+                spec, parallel=mode == "parallel"
+            )
+        assert bool(_logged(rt)) is (mode == "start")
+        assert not result.success
+        assert result.status_of("maybe") is TaskStatus.FAILED
+        assert result.status_of("also") is TaskStatus.SKIPPED  # optional
+        # Required: FAILED, and as a record — a resume must never walk
+        # past it (the old in-memory driver said SKIPPED).
+        assert result.steps["must"].status is TaskStatus.FAILED
+        assert read_counter(rt, oids[2]) == 0
+
+    def test_never_reached_is_none_while_running_skipped_once_terminal(
+        self, rt
+    ):
+        oids = make_counters(rt, 2)
+        spec = WorkflowSpec("reach")
+        spec.task("first").alternative(incrementer(oids[0]))
+        spec.task("later", depends_on=("first",)).alternative(
+            incrementer(oids[1])
+        )
+        registry = DefinitionRegistry()
+        registry.register(
+            WorkflowDefinition("reach", spec).wait_for("later", "go")
+        )
+        engine = WorkflowEngine(rt, registry)
+        wid = engine.start("reach")
+
+        def images():
+            """The live image, and the log's fold of the same run."""
+            records = list(rt.manager.storage.log.records())
+            live = engine.execution(wid)
+            winners = {live.steps["first"].tid_value}
+            return live, fold_all(records, winners)[wid]
+
+        for image in images():  # parked ahead of "later"
+            assert image.status is ExecutionStatus.WAITING_SIGNAL
+            assert image.status_of("later") is None
+        engine.cancel(wid)
+        for image in images():  # terminal: it never will be reached
+            assert image.status is ExecutionStatus.CANCELLED
+            assert image.status_of("later") is TaskStatus.SKIPPED
+            assert "later" not in image.steps  # ... and it took no record
+
+
 class TestCompensationRetryBudget:
-    """The one place the two engines' shared step strategies differ: an
-    exhausted retry budget on a *compensation*.  The in-memory engine
-    has nothing durable to fall back on and propagates it (the durable
-    engine's side is pinned in ``test_durable.py``)."""
+    """An exhausted retry budget on a *compensation* is read off the
+    record.  An anonymous execution has nothing durable to fall back on
+    and propagates it (a durable one re-issues: ``test_durable.py``)."""
 
     def test_exhausted_budget_on_a_compensation_propagates(self, rt):
         from repro.common.errors import RetryExhausted, TransientIOError

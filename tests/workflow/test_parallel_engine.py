@@ -7,6 +7,7 @@ from tests.conftest import incrementer, make_counters, read_counter
 from repro.acta.history import HistoryRecorder
 from repro.common.codec import decode_int, encode_int
 from repro.common.events import EventKind
+from repro.common.ids import Tid
 from repro.workflow.engine import TaskStatus, WorkflowEngine
 from repro.workflow.spec import WorkflowSpec
 from repro.workflow.travel import TravelAgency, build_x_conference_spec
@@ -14,7 +15,7 @@ from repro.workflow.travel import TravelAgency, build_x_conference_spec
 
 @pytest.fixture
 def engine(rt):
-    return WorkflowEngine(rt, parallel=True)
+    return WorkflowEngine(rt)
 
 
 class TestEquivalence:
@@ -32,7 +33,7 @@ class TestEquivalence:
 
         # "b" is required and fails: both engines must fail the workflow.
         sequential = WorkflowEngine(rt).execute(build())
-        parallel = WorkflowEngine(rt, parallel=True).execute(build())
+        parallel = WorkflowEngine(rt).execute(build(), parallel=True)
         assert not sequential.success and not parallel.success
 
     def test_travel_spec_runs_in_parallel_mode(self):
@@ -40,8 +41,8 @@ class TestEquivalence:
 
         rt = CooperativeRuntime(seed=10)
         agency = TravelAgency(rt, availability={"Delta": 1})
-        result = WorkflowEngine(rt, parallel=True).execute(
-            build_x_conference_spec(agency)
+        result = WorkflowEngine(rt).execute(
+            build_x_conference_spec(agency), parallel=True
         )
         assert result.success
         assert agency.availability("Delta") == 0
@@ -69,7 +70,7 @@ class TestOverlap:
         spec = WorkflowSpec("overlap")
         spec.task("left").alternative(slow(oids[0]))
         spec.task("right").alternative(slow(oids[1]))
-        result = WorkflowEngine(rt, parallel=True).execute(spec)
+        result = WorkflowEngine(rt).execute(spec, parallel=True)
         assert result.success
 
         begins = {}
@@ -79,8 +80,8 @@ class TestOverlap:
                 begins[event.tid] = event.tick
             elif event.kind is EventKind.COMMITTED:
                 commits[event.tid] = event.tick
-        left = result.outcomes["left"].tid
-        right = result.outcomes["right"].tid
+        left = Tid(result.steps["left"].tid_value)
+        right = Tid(result.steps["right"].tid_value)
         # Both began before either committed: genuine overlap.
         assert begins[left] < commits[right]
         assert begins[right] < commits[left]
@@ -100,8 +101,8 @@ class TestOverlap:
                 begins[event.tid] = event.tick
             elif event.kind is EventKind.COMMITTED:
                 commits[event.tid] = event.tick
-        left = result.outcomes["left"].tid
-        right = result.outcomes["right"].tid
+        left = Tid(result.steps["left"].tid_value)
+        right = Tid(result.steps["right"].tid_value)
         assert commits[left] < begins[right]
 
 
@@ -123,7 +124,7 @@ class TestParallelSemantics:
         spec.task("second", depends_on=("first",)).alternative(
             tracer("second", oids[1])
         )
-        result = engine.execute(spec)
+        result = engine.execute(spec, parallel=True)
         assert result.success
         assert order == ["first", "second"]
 
@@ -133,9 +134,9 @@ class TestParallelSemantics:
         task = spec.task("choice")
         task.alternative(incrementer(oids[0], fail=True), label="bad")
         task.alternative(incrementer(oids[1]), label="good")
-        result = engine.execute(spec)
+        result = engine.execute(spec, parallel=True)
         assert result.success
-        assert result.outcomes["choice"].label == "good"
+        assert result.steps["choice"].alt == "good"
 
     def test_race_one_winner(self, rt, engine):
         oids = make_counters(rt, 3)
@@ -143,7 +144,7 @@ class TestParallelSemantics:
         task = spec.task("r", race=True)
         for index, oid in enumerate(oids):
             task.alternative(incrementer(oid), label=f"alt{index}")
-        result = engine.execute(spec)
+        result = engine.execute(spec, parallel=True)
         assert result.success
         assert sum(read_counter(rt, oid) for oid in oids) == 1
 
@@ -156,7 +157,7 @@ class TestParallelSemantics:
         spec.task("die", depends_on=("keep",)).alternative(
             incrementer(oids[1], fail=True)
         )
-        result = engine.execute(spec)
+        result = engine.execute(spec, parallel=True)
         assert not result.success
         assert result.status_of("keep") is TaskStatus.COMPENSATED
         assert read_counter(rt, oids[0]) == 0
@@ -168,6 +169,6 @@ class TestParallelSemantics:
             incrementer(oids[0], fail=True)
         )
         spec.task("must").alternative(incrementer(oids[1]))
-        result = engine.execute(spec)
+        result = engine.execute(spec, parallel=True)
         assert result.success
         assert result.status_of("maybe") is TaskStatus.FAILED

@@ -77,9 +77,9 @@ class TestDeclarativeSpec:
         rt, agency = fresh({"Delta": 0})
         result = WorkflowEngine(rt).execute(build_x_conference_spec(agency))
         assert result.success
-        assert result.outcomes["flight"].label == "United"
-        assert result.outcomes["hotel"].status is TaskStatus.COMMITTED
-        assert result.outcomes["car"].status is TaskStatus.COMMITTED
+        assert result.steps["flight"].alt == "United"
+        assert result.steps["hotel"].status is TaskStatus.COMMITTED
+        assert result.steps["car"].status is TaskStatus.COMMITTED
 
     def test_engine_compensates_flight_on_hotel_failure(self):
         rt, agency = fresh({"Equator": 0})
