@@ -15,16 +15,17 @@ import time
 from repro.bench.report import print_table
 from repro.common.ids import ObjectId, Tid
 from repro.storage.log import WriteAheadLog
+from tests.storage.scan_oracle import max_tid_value_scan, updates_by_scan
 
 VICTIM = Tid(1)
 
 
 def _log_with_history(foreign_records):
     log = WriteAheadLog()
-    log.log_before_image(VICTIM, ObjectId(1), b"mine")
+    log.log_update(VICTIM, ObjectId(1), b"mine", b"mine too")
     for value in range(foreign_records):
-        log.log_before_image(
-            Tid(2 + value % 50), ObjectId(2 + value % 7), b"foreign"
+        log.log_update(
+            Tid(2 + value % 50), ObjectId(2 + value % 7), b"foreign", b"f"
         )
     return log
 
@@ -42,9 +43,9 @@ def test_bench_updates_by_indexed_vs_scan(benchmark):
         log = _log_with_history(history)
         indexed_us = _time_us(lambda: log.updates_by(VICTIM))
         scan_us = _time_us(
-            lambda: log.updates_by_scan(VICTIM), repeats=10
+            lambda: updates_by_scan(log, VICTIM), repeats=10
         )
-        assert log.updates_by(VICTIM) == log.updates_by_scan(VICTIM)
+        assert log.updates_by(VICTIM) == updates_by_scan(log, VICTIM)
         rows.append([history, indexed_us, scan_us, scan_us / indexed_us])
     print_table(
         "EX15: updates_by — indexed probe vs full-log scan",
@@ -66,7 +67,7 @@ def test_bench_restart_max_tid_probe(benchmark):
         log.flush()
         reopened = WriteAheadLog(log.device)  # one resync rebuild
         probe_us = _time_us(reopened.max_tid_value)
-        assert reopened.max_tid_value() == reopened.max_tid_value_scan()
+        assert reopened.max_tid_value() == max_tid_value_scan(reopened)
         rows.append([history, probe_us])
     print_table(
         "EX15b: max_tid_value after restart — probe cost",

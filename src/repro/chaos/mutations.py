@@ -46,13 +46,13 @@ def redo_lwm_too_high():
     """Redo starts above the last durable checkpoint's mark — at the
     log's last record, as if a marker were written after every append.
 
-    Every after image whose page had not reached disk by the crash is
+    Every update whose page had not reached disk by the crash is
     then never reinstalled: a crash sweep over any scenario that leaves
     committed work in the cache must report exact-state violations.
     """
     original = WriteAheadLog.redo_records
 
-    def from_the_end(self, whole=False):
+    def from_the_end(self):
         self.redo_lsn = self.last_lsn
         return original(self)
 
@@ -192,6 +192,60 @@ def wal_gate_stuck():
         yield
     finally:
         WriteAheadLog.force = original
+
+
+@contextmanager
+def _logged_after_install(writer, installs):
+    """``WriteAheadLog.<writer>`` holds its record back until the next
+    of ``ObjectStore.<installs>`` has run: install, *then* log — the one
+    rule, turned around."""
+    from repro.storage.objects import ObjectStore
+
+    log_it = getattr(WriteAheadLog, writer)
+    originals = {name: getattr(ObjectStore, name) for name in installs}
+    held = []
+
+    def hold_back(self, *record):
+        held[:] = [(self, record)]
+
+    def then_log(install):
+        def wrapper(self, *args, **kwargs):
+            result = install(self, *args, **kwargs)
+            while held:
+                log, record = held.pop()
+                log_it(log, *record)
+            return result
+
+        return wrapper
+
+    setattr(WriteAheadLog, writer, hold_back)
+    for name, install in originals.items():
+        setattr(ObjectStore, name, then_log(install))
+    try:
+        yield
+    finally:
+        setattr(WriteAheadLog, writer, log_it)
+        for name, install in originals.items():
+            setattr(ObjectStore, name, install)
+
+
+def update_logged_after_install():
+    """The forward sites install first and log after.  A page stolen
+    while its transaction is still installing (or before it logs) is
+    stamped below a record that does not exist yet, so the gate lets it
+    through ahead of it: an object on disk that the durable log knows
+    nothing of.  The ``steal_window`` crash sweeps must catch it."""
+    return _logged_after_install("log_update", ("create", "write", "delete"))
+
+
+def compensation_logged_after_install():
+    """Undo installs each before image first and logs its compensation
+    record after — the order that once made restart redo the whole log
+    whenever a transaction was in doubt, with that exception gone.  A
+    page holding a restored image can reach disk with its record lost;
+    restart keeps (does not undo) an in-doubt transaction, and the redo
+    it bounds by the mark no longer puts the after image back."""
+    return _logged_after_install("log_compensation", ("install",))
 
 
 @contextmanager

@@ -35,13 +35,13 @@ from repro.acta.checker import (
 )
 from repro.storage.log import (
     AbortRecord,
-    AfterImageRecord,
-    BeforeImageRecord,
     CommitRecord,
+    CompensationRecord,
     DecisionRecord,
     DelegateRecord,
     PrepareRecord,
     TakeoverRecord,
+    UpdateRecord,
 )
 
 
@@ -110,7 +110,7 @@ def analyze_log(records):
             analysis.prepares[record.gid] = record
         elif isinstance(record, AbortRecord):
             analysis.already_aborted.add(record.tid)
-        elif isinstance(record, BeforeImageRecord):
+        elif isinstance(record, UpdateRecord):
             analysis.updates.append(record)
             analysis.responsibility[record.lsn] = record.tid
         elif isinstance(record, DelegateRecord):
@@ -142,19 +142,20 @@ def expected_state(records, analysis=None, baseline=None):
 
     Start from ``baseline`` (the committed state at the last truncating
     checkpoint — empty when the log holds the full history), repeat
-    history (install every after image in order), then undo the losers
-    (install their before images, newest first).  ``None`` images mean
-    the object is absent.  Returns ``{oid_value: bytes}``.
+    history (install what every update and every compensation left, in
+    order), then undo the losers (install what their updates found,
+    newest first).  ``None`` images mean the object is absent.  Returns
+    ``{oid_value: bytes}``.
     """
     if analysis is None:
         analysis = analyze_log(records)
     state = dict(baseline) if baseline else {}
     for record in records:
-        if isinstance(record, AfterImageRecord):
-            state[record.oid.value] = record.image
+        if isinstance(record, (UpdateRecord, CompensationRecord)):
+            state[record.oid.value] = record.after
     for record in reversed(analysis.updates):
         if analysis.responsibility[record.lsn] in analysis.losers:
-            state[record.oid.value] = record.image
+            state[record.oid.value] = record.before
     return {oid: image for oid, image in state.items() if image is not None}
 
 

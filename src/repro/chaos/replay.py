@@ -4,10 +4,10 @@ Every failure artifact the sweeps or the schedule explorer produce
 embeds a one-command recipe::
 
     PYTHONPATH=src python -m repro.chaos.replay ex10_commit_abort \\
-        --plan '{"crash_at": 42}'
+        --plan '{"crash_at": 28}'
 
     PYTHONPATH=src python -m repro.chaos.replay cluster_group_commit \\
-        --drop-at 34 --site-crash alpha 38
+        --drop-at 28 --site-crash alpha 32
 
 which re-runs the named scenario under exactly that fault plan (and/or
 recorded schedule), prints the trace and the verdict, and exits non-zero
@@ -22,7 +22,7 @@ attaches the retry budget (``--signal-at approve:qa`` overrides a
 workflow's signal script).
 
 Flags compose with ``--plan``: explicit flags override the JSON fields,
-so ``--crash-at 41`` on an existing artifact probes the neighbouring
+so ``--crash-at 27`` on an existing artifact probes the neighbouring
 step without editing JSON.  The last line of output is always a
 machine-readable JSON verdict (``{"scenario", "plan", "ok",
 "violations", "judgment", ...}``) so CI and scripts can consume the

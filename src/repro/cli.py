@@ -25,6 +25,7 @@ import os
 import sys
 
 from repro.common.codec import decode_json, encode_json
+from repro.common.errors import StorageError
 from repro.common.ids import ObjectId
 from repro.core.manager import TransactionManager
 from repro.lang import compile_source
@@ -269,7 +270,10 @@ def build_parser():
 def main(argv=None):
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except StorageError as exc:  # e.g. a log this version cannot read
+        raise SystemExit(f"repro: {exc}") from None
 
 
 if __name__ == "__main__":

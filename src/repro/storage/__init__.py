@@ -10,8 +10,9 @@ a laptop-scale substitute with the same architecture:
   eviction (the "shared cache" the application operates on directly);
 * :mod:`repro.storage.objects` — the object store mapping object ids to
   page slots;
-* :mod:`repro.storage.log` — the write-ahead log with before/after images
-  exactly as the section 4.2 ``write`` algorithm requires;
+* :mod:`repro.storage.log` — the write-ahead log: the before and after
+  images the section 4.2 ``write`` algorithm requires, one record per
+  update, written before the page is touched;
 * :mod:`repro.storage.recovery` — restart recovery (redo winners, undo
   losers, honouring delegation records);
 * :mod:`repro.storage.store` — the :class:`~repro.storage.store.StorageManager`
@@ -22,14 +23,14 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import FileDiskManager, InMemoryDiskManager
 from repro.storage.log import (
     AbortRecord,
-    AfterImageRecord,
-    BeforeImageRecord,
     CheckpointRecord,
     CommitRecord,
+    CompensationRecord,
     DelegateRecord,
     FileLogDevice,
     FlushCoalescer,
     MemoryLogDevice,
+    UpdateRecord,
     WriteAheadLog,
 )
 from repro.storage.objects import ObjectStore
@@ -39,11 +40,10 @@ from repro.storage.store import StorageManager
 
 __all__ = [
     "AbortRecord",
-    "AfterImageRecord",
-    "BeforeImageRecord",
     "BufferPool",
     "CheckpointRecord",
     "CommitRecord",
+    "CompensationRecord",
     "DelegateRecord",
     "FileDiskManager",
     "FileLogDevice",
@@ -56,5 +56,6 @@ __all__ = [
     "RecoveryManager",
     "RecoveryReport",
     "StorageManager",
+    "UpdateRecord",
     "WriteAheadLog",
 ]

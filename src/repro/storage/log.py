@@ -1,11 +1,16 @@
 """The write-ahead log.
 
 The section 4.2 ``write`` algorithm logs the *before image* of an object,
-performs the write, then logs the *after image*; ``commit`` places a commit
-record; ``abort`` scans the log installing before images.  Delegation moves
-undo responsibility between transactions, so the log also carries delegate
-records — recovery uses them to attribute each update to the transaction
-that was responsible for it at the end of the log.
+performs the write, then logs the *after image*.  Both images are known
+before the write — the after image is the argument — so here an update is
+**one** record, :class:`UpdateRecord`, carrying both, and the rule at
+every site that changes a page is one: *append the record, then install*.
+``commit`` places a commit record; ``abort`` reads the log installing
+before images, each restoration logged first as a redo-only
+:class:`CompensationRecord`.  Delegation moves undo responsibility
+between transactions, so the log also carries delegate records — recovery
+uses them to attribute each update to the transaction that was
+responsible for it at the end of the log.
 
 Records are encoded to a compact length-prefixed binary form and can be
 persisted to a file (:class:`FileLogDevice`) or kept in memory
@@ -30,8 +35,9 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _HINT = struct.Struct("<QQQ")  # sidecar: byte offset, record ordinal, lsn
 
-_TYPE_BEFORE = 1
-_TYPE_AFTER = 2
+# Bytes 1 and 2 were the before- and after-image records an update used
+# to be written as; they are retired, never reused, and refused by name.
+_RETIRED_TYPES = (1, 2)
 _TYPE_COMMIT = 3
 _TYPE_ABORT = 4
 _TYPE_DELEGATE = 5
@@ -40,8 +46,11 @@ _TYPE_PREPARE = 7
 _TYPE_DECISION = 8
 _TYPE_WORKFLOW = 9
 _TYPE_TAKEOVER = 10
+_TYPE_UPDATE = 11
+_TYPE_COMPENSATION = 12
 
 _ABSENT = 0xFFFFFFFF  # length marker: image of a not-yet-existing object
+_READ_BUFFER = 1 << 16  # a file walk's record buffer: several pages' worth
 
 
 @dataclass(frozen=True)
@@ -53,23 +62,29 @@ class LogRecord:
 
 
 @dataclass(frozen=True)
-class BeforeImageRecord(LogRecord):
-    """Image of ``oid`` before an update by ``tid``.
+class UpdateRecord(LogRecord):
+    """One update of ``oid`` by ``tid``: undoable and redoable.
 
-    ``image is None`` means the object did not exist — the update is a
-    creation, and its undo is a deletion.
+    ``before is None`` means the object did not exist — the update is a
+    creation, and its undo is a deletion; ``after is None`` means the
+    update is a deletion.  Appended before the page is touched.
     """
 
     oid: ObjectId = None
-    image: bytes = None
+    before: bytes = None
+    after: bytes = None
 
 
 @dataclass(frozen=True)
-class AfterImageRecord(LogRecord):
-    """Image of ``oid`` after an update by ``tid``."""
+class CompensationRecord(LogRecord):
+    """Undo restored ``oid`` to ``after`` on behalf of ``tid``.
+
+    Redo-only: restart reinstalls it like an update's after image, and
+    nothing ever undoes it.  Appended before the image is installed.
+    """
 
     oid: ObjectId = None
-    image: bytes = None
+    after: bytes = None
 
 
 @dataclass(frozen=True)
@@ -266,14 +281,16 @@ def _unpack_tids(raw, offset):
 
 def encode_record(record):
     """Serialize a record to bytes (without the device length prefix)."""
-    if isinstance(record, BeforeImageRecord):
-        rtype, body = _TYPE_BEFORE, _U64.pack(record.oid.value) + _pack_image(
-            record.image
+    if isinstance(record, UpdateRecord):
+        body = (
+            _U64.pack(record.oid.value)
+            + _pack_image(record.before)
+            + _pack_image(record.after)
         )
-    elif isinstance(record, AfterImageRecord):
-        rtype, body = _TYPE_AFTER, _U64.pack(record.oid.value) + _pack_image(
-            record.image
-        )
+        rtype = _TYPE_UPDATE
+    elif isinstance(record, CompensationRecord):
+        body = _U64.pack(record.oid.value) + _pack_image(record.after)
+        rtype = _TYPE_COMPENSATION
     elif isinstance(record, CommitRecord):
         rtype, body = _TYPE_COMMIT, _pack_tids(record.group)
     elif isinstance(record, AbortRecord):
@@ -332,12 +349,14 @@ def decode_record(raw):
     rtype, lsn_value, tid_value = _HEADER.unpack_from(raw, 0)
     lsn, tid = Lsn(lsn_value), Tid(tid_value)
     offset = _HEADER.size
-    if rtype in (_TYPE_BEFORE, _TYPE_AFTER):
+    if rtype in (_TYPE_UPDATE, _TYPE_COMPENSATION):
         (oid_value,) = _U64.unpack_from(raw, offset)
-        offset += _U64.size
-        image, offset = _unpack_image(raw, offset)
-        cls = BeforeImageRecord if rtype == _TYPE_BEFORE else AfterImageRecord
-        return cls(lsn=lsn, tid=tid, oid=ObjectId(oid_value), image=image)
+        oid = ObjectId(oid_value)
+        image, offset = _unpack_image(raw, offset + _U64.size)
+        if rtype == _TYPE_COMPENSATION:
+            return CompensationRecord(lsn=lsn, tid=tid, oid=oid, after=image)
+        after, offset = _unpack_image(raw, offset)
+        return UpdateRecord(lsn=lsn, tid=tid, oid=oid, before=image, after=after)
     if rtype == _TYPE_COMMIT:
         group, offset = _unpack_tids(raw, offset)
         return CommitRecord(lsn=lsn, tid=tid, group=group)
@@ -421,6 +440,11 @@ def decode_record(raw):
             old_coordinator=old_coordinator,
             verdict=verdict,
             votes=votes,
+        )
+    if rtype in _RETIRED_TYPES:
+        raise StorageError(
+            f"record at LSN {lsn_value} has type byte {rtype}: this log was"
+            f" written before updates became one record"
         )
     raise StorageError(f"unknown record type byte: {rtype}")
 
@@ -524,7 +548,9 @@ class FileLogDevice:
     the log (``<path>.restart``) — and teaches the device where every
     record from there on begins (``_starts``; appends extend it), which
     is all it needs to count records, to find what is durable, and to
-    turn the next hint's ordinal into an offset.  The sidecar is
+    turn the next hint's ordinal into an offset.  The readers yield each
+    record as a view of one reused buffer (see :meth:`_read`): good
+    until the next record is asked for.  The sidecar is
     replaced by write-new + rename and never synced: it is written only
     after the records it names are durable, so whichever version
     survives a power cut names a true record boundary or fails the
@@ -628,10 +654,18 @@ class FileLogDevice:
 
     def _read(self, offset, limit=None):
         """``(offset, encoded record)`` for each record framed from
-        ``offset`` on that ends within ``limit`` (default: the file)."""
+        ``offset`` on that ends within ``limit`` (default: the file).
+
+        Every record is read into the one buffer this walk allocates
+        (a larger one only for a record that outgrows it), so a walk of
+        the whole history holds no per-record transient: the record
+        yielded is a ``memoryview`` of that buffer, **valid until the
+        next one is asked for** — decode it or copy it before then.
+        """
         self._file.flush()
         if limit is None:
             limit = os.path.getsize(self.path)
+        buffer = bytearray(_READ_BUFFER)
         with open(self.path, "rb") as reader:
             reader.seek(offset)
             while offset + _U32.size <= limit:
@@ -639,7 +673,11 @@ class FileLogDevice:
                 end = offset + _U32.size + length
                 if end > limit:
                     return  # torn tail write: ignore, as a real restart would
-                yield offset, reader.read(length)
+                if length > len(buffer):
+                    buffer = bytearray(2 * length)
+                record = memoryview(buffer)[:length]
+                reader.readinto(record)
+                yield offset, record
                 offset = end
 
     def read_all(self, durable_only=False):
@@ -773,13 +811,14 @@ class WriteAheadLog:
 
     In memory the log is its **tail**: the decoded records from the
     *restart point* on (``base`` counts the records below it), plus an
-    *attribution index* over them — per-tid lists of before-image
-    records with delegation re-attribution applied as records are
+    *attribution index* over them — per-tid lists of update records
+    with delegation re-attribution applied as records are
     appended, and what restart analysis needs: who committed, who
     finished aborting, who voted, who wrote, the last checkpoint's redo
     mark.  ``updates_by``, ``max_tid_value`` and :meth:`analysis` are
     probes on that index — no full-log scan on abort, delegation, or
-    restart (the scan versions survive as test oracles).
+    restart (the scan versions survive as test oracles, in
+    ``tests/storage/scan_oracle.py``).
 
     The restart point is the lowest LSN restart can still need
     (:meth:`restart_point`).  Each checkpoint whose marker is durable
@@ -792,8 +831,8 @@ class WriteAheadLog:
     because the point only ever moves up.  What lies below the tail is
     re-read from the device only when asked for: :meth:`records`
     (uncached), and a redo that has to start from the beginning of the
-    log (a torn page voided the mark, or a transaction is in doubt),
-    which discards the hint and decodes everything again.
+    log (a torn page voided the mark), which discards the hint and
+    decodes everything again.
 
     ``group_commit`` (a :class:`FlushCoalescer`, or an int shorthand for
     ``FlushCoalescer(max_commits=n)``) defers the per-commit flush into
@@ -846,7 +885,7 @@ class WriteAheadLog:
         # Delegatees, and delegators left with no update: with the keys
         # of ``_updates_by_tid``, everyone who ever wrote.
         self._delegation_parties = set()
-        self._oids = set()  # oid values with an image record here
+        self._oids = set()  # oid values with an update or compensation here
         self.redo_lsn = 0  # the last checkpoint marker's mark
 
     def resync(self):
@@ -927,12 +966,10 @@ class WriteAheadLog:
         tid = record.tid
         if tid.value > self._max_tid:
             self._max_tid = tid.value
-        if isinstance(record, AfterImageRecord):
-            # Nothing to fold: its tid is counted, and its oid arrived
-            # with the before image that precedes every after image.
-            return
-        if isinstance(record, BeforeImageRecord):
+        if isinstance(record, UpdateRecord):
             self._updates_by_tid.setdefault(tid, []).append(record)
+            self._oids.add(record.oid.value)
+        elif isinstance(record, CompensationRecord):
             self._oids.add(record.oid.value)
         elif isinstance(record, DelegateRecord):
             self._max_tid = max(self._max_tid, record.delegatee.value)
@@ -1003,16 +1040,20 @@ class WriteAheadLog:
 
     # -- record writers --------------------------------------------------------
 
-    def log_before_image(self, tid, oid, image):
-        """Write a before-image record; returns the record."""
+    def log_update(self, tid, oid, before, after):
+        """Write an update record — *before* the page is touched;
+        returns the record."""
         return self._append(
-            lambda lsn: BeforeImageRecord(lsn=lsn, tid=tid, oid=oid, image=image)
+            lambda lsn: UpdateRecord(
+                lsn=lsn, tid=tid, oid=oid, before=before, after=after
+            )
         )
 
-    def log_after_image(self, tid, oid, image):
-        """Write an after-image record; returns the record."""
+    def log_compensation(self, tid, oid, after):
+        """Write a compensation record — *before* undo installs
+        ``after``; returns the record."""
         return self._append(
-            lambda lsn: AfterImageRecord(lsn=lsn, tid=tid, oid=oid, image=image)
+            lambda lsn: CompensationRecord(lsn=lsn, tid=tid, oid=oid, after=after)
         )
 
     def log_commit(self, tid, group=()):
@@ -1163,7 +1204,7 @@ class WriteAheadLog:
         The lowest of: the first record above the last checkpoint's
         redo mark (redo starts there); the first update, after
         delegation, of every writer without an outcome (undo installs
-        its before image); and every vote still undecided (restart must
+        what it found); and every vote still undecided (restart must
         report it in doubt).  ``finished`` names transactions whose
         outcome another segment recorded.  Read off the index, not taken
         from the caller's list of active transactions.  0 — keep
@@ -1400,22 +1441,19 @@ class WriteAheadLog:
                 self._delegation_parties.union(self._updates_by_tid),
             )
 
-    def redo_records(self, whole=False):
-        """The after images restart must reinstall, in LSN order: those
-        above the last checkpoint's mark (``redo_lsn``), or every one
-        in the log if ``whole`` — which gives up the restart point."""
-        if whole:
-            self.rewind()
+    def redo_records(self):
+        """The records whose ``after`` image restart must reinstall, in
+        LSN order: every update and compensation above the last
+        checkpoint's mark (``redo_lsn``)."""
         with self._lock:
-            start = 0 if whole else self._first_above(self.redo_lsn)
             return [
                 record
-                for record in self._decoded[start:]
-                if isinstance(record, AfterImageRecord)
+                for record in self._decoded[self._first_above(self.redo_lsn) :]
+                if isinstance(record, (UpdateRecord, CompensationRecord))
             ]
 
     def image_oids(self):
-        """Values of the object ids with an image record in the tail."""
+        """Values of the object ids updated or restored in the tail."""
         with self._lock:
             return set(self._oids)
 
@@ -1428,13 +1466,13 @@ class WriteAheadLog:
 
         Served from the attribution index — maintained at append time and
         rebuilt once by :meth:`resync` — so restart does not rescan the
-        whole history (``max_tid_value_scan`` is the oracle).
+        whole history (``scan_oracle.max_tid_value_scan`` is the oracle).
         """
         with self._lock:
             return self._max_tid
 
     def updates_by(self, tid):
-        """Before-image records currently attributed to ``tid``, in order.
+        """Update records currently attributed to ``tid``, in order.
 
         Applies delegation records: an update whose responsibility was
         delegated away no longer belongs to ``tid``; one delegated to
@@ -1445,47 +1483,8 @@ class WriteAheadLog:
         appended, so this is a dict probe plus a copy of the (usually
         short) per-transaction list — abort and delegation cost stays
         proportional to the transaction's own footprint, not to the full
-        log (``updates_by_scan`` is the oracle the property tests check
-        against).
+        log (``scan_oracle.updates_by_scan`` is the oracle the property
+        tests check against).
         """
         with self._lock:
             return list(self._updates_by_tid.get(tid, ()))
-
-    # -- scan oracles ------------------------------------------------------
-    #
-    # The pre-index implementations, retained verbatim: the property
-    # suite replays `records()` from scratch through these and asserts
-    # the incremental index agrees after arbitrary interleavings of
-    # writes, delegations, crashes, and resyncs.
-
-    def max_tid_value_scan(self):
-        """Full-scan reference implementation of :meth:`max_tid_value`."""
-        highest = 0
-        for record in self.records():
-            highest = max(highest, record.tid.value)
-            if isinstance(record, (CommitRecord, PrepareRecord, DecisionRecord)):
-                for member in record.group:
-                    highest = max(highest, member.value)
-            elif isinstance(record, DelegateRecord):
-                highest = max(highest, record.delegatee.value)
-            elif isinstance(record, CheckpointRecord):
-                for active in record.active:
-                    highest = max(highest, active.value)
-        return highest
-
-    def updates_by_scan(self, tid):
-        """Full-scan reference implementation of :meth:`updates_by`."""
-        responsible = {}
-        mine = []
-        for record in self.records():
-            if isinstance(record, BeforeImageRecord):
-                responsible[record.lsn] = record.tid
-                mine.append(record)
-            elif isinstance(record, DelegateRecord):
-                for update in mine:
-                    if (
-                        responsible[update.lsn] == record.tid
-                        and update.oid in record.oids
-                    ):
-                        responsible[update.lsn] = record.delegatee
-        return [r for r in mine if responsible[r.lsn] == tid]

@@ -11,22 +11,27 @@ simulation's ``resync``):
    each update to the transaction responsible for it at the end of the log
    (if a loser delegated its updates to a winner, those updates survive —
    exactly the delegation semantics of section 2.2).
-2. **Redo** — install, in LSN order, every after image above the last
-   durable checkpoint's ``redo_lsn`` (those at or below it are in the
-   page file: the marker is written after the pool flush, the mark read
-   before it).  Undo performed before the crash was itself logged as
-   after-image records (compensation records), so repeating history
-   reproduces completed aborts too.  One exception: quarantining a torn
-   page first voids the mark (a marker with ``redo_lsn`` 0, durable
-   before the page is reset), so redo starts from the beginning of the
-   log — only whole-history redo rebuilds an object on that page whose
-   last write precedes the mark — and keeps doing so on later restarts
-   until a checkpoint has flushed the rebuilt pages.  Likewise while any
-   transaction is in doubt (see ``_redo``).
-3. **Undo** — install the before images of loser updates in reverse LSN
-   order, logging each restoration as a compensation after-image and
-   finishing each loser with an abort record, which makes recovery
+2. **Redo** — install, in LSN order, the ``after`` image of every
+   update and compensation record above the last durable checkpoint's
+   ``redo_lsn`` (those at or below it are in the page file: the marker
+   is written after the pool flush, the mark read before it).  Undo
+   performed before the crash was itself logged, as compensation
+   records, so repeating history reproduces aborts too — completed or
+   cut short, whoever's they were.  Quarantining a torn page first voids
+   the mark (a marker with ``redo_lsn`` 0, durable before the page is
+   reset), so redo starts from the beginning of the log — only
+   whole-history redo rebuilds an object on that page whose last write
+   precedes the mark — and keeps doing so on later restarts until a
+   checkpoint has flushed the rebuilt pages.
+3. **Undo** — restore the before images of loser updates in reverse LSN
+   order, each logged as a compensation record and then installed, and
+   finish each loser with an abort record, which makes recovery
    idempotent across repeated crashes.
+
+Forward, undo and restart obey one rule — *append the record, then
+install* (:func:`undo_updates` is the only backward site) — so a page
+can reach disk only behind every record that describes it, and the
+mark holds for every transaction, in doubt or not.
 
 One class of transaction is exempt from undo-losers: a transaction
 covered by a durable prepare record with no durable outcome is **in
@@ -59,8 +64,8 @@ class RecoveryReport:
     undone: int = 0
     scanned: int = 0  # records decoded for this restart
     # The LSN the log's decoded tail starts at — its restart point — or
-    # 0: the whole log, by default or (see ``redo_reason``) because redo
-    # needed the prefix after all.
+    # 0: the whole log, by default or (see ``redo_reason``) because a
+    # torn page needed the prefix after all.
     restart_from: int = 0
     # The LSN redo started above (0 = the whole log) and, when a torn
     # page overrode the checkpoint's mark, why.
@@ -105,16 +110,24 @@ def commit_winners(records):
     return winners
 
 
-def undo_updates(log, install, tids):
-    """Undo every update ``log`` attributes to ``tids`` in one pass:
-    before images installed in global reverse-LSN order, each logged as
-    a compensation after image.  Live aborts and restart's undo-losers
-    both run this.  Returns how many updates were undone."""
-    updates = [record for tid in set(tids) for record in log.updates_by(tid)]
+def undo_updates(log, install, tids, above=0):
+    """Undo every update above LSN ``above`` that ``log`` attributes to
+    ``tids``, in one pass: before images restored in global reverse-LSN
+    order, each logged as a compensation record and *then* installed —
+    the page holding a restored image is stamped past its record, so
+    the write-ahead gate lets it reach disk only behind it.  Live
+    aborts, savepoint rollbacks and restart's undo-losers all run this.
+    Returns how many updates were undone."""
+    updates = [
+        record
+        for tid in set(tids)
+        for record in log.updates_by(tid)
+        if record.lsn.value > above
+    ]
     updates.sort(key=lambda record: record.lsn.value, reverse=True)
     for record in updates:
-        install(record.oid, record.image)
-        log.log_after_image(record.tid, record.oid, record.image)
+        log.log_compensation(record.tid, record.oid, record.before)
+        install(record.oid, record.before)
     return len(updates)
 
 
@@ -152,11 +165,10 @@ class RecoveryManager:
             already_aborted=finished,
             in_doubt=in_doubt,
             in_doubt_votes=in_doubt_votes,
+            scanned=len(self.log),
+            restart_from=self.log.restart_from,
         )
         self._redo(report)
-        # Read after redo: one that needed the prefix decoded it.
-        report.scanned = len(self.log)
-        report.restart_from = self.log.restart_from
         self._undo(report)
         metrics = self.log.metrics
         if metrics is not None:
@@ -173,30 +185,16 @@ class RecoveryManager:
         dirties is stamped with an LSN that was read from the durable
         log, and the pool's write-ahead gate lets its eviction through.
         """
-        if report.in_doubt:
-            # An in-doubt transaction may have been cut down mid-abort:
-            # undo installs first and logs after, so a page holding its
-            # before image can be on disk with the compensation record
-            # lost — and restart keeps, not undoes, the in doubt.  Only
-            # history from the start puts its after images back (the
-            # log gives up its restart point to read it).
-            report.redo_reason = "transactions in doubt"
-        else:
-            report.redo_from = self.log.redo_lsn
-            if not report.redo_from and self.store.damaged_pages:
-                report.redo_reason = f"torn pages {self.store.damaged_pages}"
-        for record in self.log.redo_records(whole=bool(report.in_doubt)):
-            self.store.install(record.oid, record.image)
+        report.redo_from = self.log.redo_lsn
+        if not report.redo_from and self.store.damaged_pages:
+            report.redo_reason = f"torn pages {self.store.damaged_pages}"
+        for record in self.log.redo_records():
+            self.store.install(record.oid, record.after)
             report.redone += 1
 
     def _undo(self, report):
-        """Install losers' before images, newest first, as compensation.
-
-        Each install precedes its compensation record.  The frame is
-        stamped at the install, past the before image of everything the
-        page holds; the compensation record is redo-only, so a page
-        evicted ahead of it needs no more of the log than that stamp.
-        """
+        """Restore losers' before images, newest first: each logged as
+        a compensation record, then installed (:func:`undo_updates`)."""
         report.undone = undo_updates(
             self.log, self.store.install, report.losers
         )

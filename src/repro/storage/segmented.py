@@ -75,8 +75,8 @@ class SegmentedLog:
     consume: ``records``, ``updates_by``, ``max_tid_value``,
     ``last_lsn_value``, ``flush``, the restart readers
     (``drop_volatile``, ``analysis``, ``redo_records``, ``redo_lsn``,
-    ``restart_from``), and the compensation writers ``log_after_image``
-    / ``log_abort`` (routed to the owning segment).
+    ``restart_from``), and undo's writers ``log_compensation`` /
+    ``log_abort`` (routed to the owning segment).
 
     Each segment keeps its own restart hint beside its own marker, but
     the restart *point* is one LSN for the whole log, taken
@@ -112,7 +112,7 @@ class SegmentedLog:
         return self._merged(lambda segment: segment.records(durable_only))
 
     def updates_by(self, tid):
-        """Attributed before-images across segments, in global LSN order."""
+        """Attributed updates across segments, in global LSN order."""
         return self._merged(lambda segment: segment.updates_by(tid))
 
     def max_tid_value(self):
@@ -151,10 +151,10 @@ class SegmentedLog:
         """The lowest segment mark (each segment redoes from its own)."""
         return min(segment.redo_lsn for segment in self.segments)
 
-    def redo_records(self, whole=False):
-        """Each segment's after images above its own checkpoint mark
-        (or all of them), merged."""
-        return self._merged(lambda segment: segment.redo_records(whole))
+    def redo_records(self):
+        """Each segment's updates and compensations above its own
+        checkpoint mark, merged."""
+        return self._merged(lambda segment: segment.redo_records())
 
     @property
     def restart_from(self):
@@ -193,10 +193,10 @@ class SegmentedLog:
         """The home-segment coalescers, exposed as a list (telemetry)."""
         return [segment.group_commit for segment in self.segments]
 
-    def log_after_image(self, tid, oid, image):
+    def log_compensation(self, tid, oid, after):
         """Compensation writer: routed to the object's segment."""
-        return self._storage.segment_of(oid).log_after_image(
-            tid, oid, image
+        return self._storage.segment_of(oid).log_compensation(
+            tid, oid, after
         )
 
     def log_abort(self, tid):
@@ -225,7 +225,7 @@ class SegmentedLog:
 class _RoutedObjectStore:
     """Recovery's object-store view: routes installs to shard stores.
 
-    The route source is the log itself: each object's image records live
+    The route source is the log itself: each object's update records live
     in its owning shard's segment, so the oids each segment's index saw
     rebuild the oid → shard directory even when the stores lost the pages.
     """
@@ -349,9 +349,8 @@ class ShardedStorageManager(LoggedUndo):
         (logged before the page is touched, as in
         :meth:`StorageManager.create_object`)."""
         target = self.shards[shard]
-        target.log.log_before_image(tid, oid, None)
+        target.log.log_update(tid, oid, None, value)
         target.objects.create(value, name=name, oid=oid)
-        target.log.log_after_image(tid, oid, value)
         self._note_touch(tid, shard)
         return oid
 

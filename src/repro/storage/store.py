@@ -6,17 +6,25 @@ transaction manager's section 4.2 algorithms need:
 
 * ``read_object`` — S-latch the object's frame, read, release (the paper's
   ``read`` steps 2-4; step 1, locking, is the transaction manager's job);
-* ``write_object`` — X-latch, log before image, write, log after image,
-  release (the paper's ``write`` steps 2-6);
+* ``write_object`` — X-latch, read the before image, log the update,
+  write, release (the paper's ``write`` steps 2-6, with its two log
+  steps 3 and 5 made one record written before step 4: both images are
+  known by then, and the latch is held across record and write);
 * ``create_object`` / ``delete_object`` — updates with an absent image on
   one side;
-* ``undo`` — install before images for an aborting transaction, logging
-  compensation records (used by ``abort`` step 2);
+* ``undo`` — restore before images for an aborting transaction, each
+  logged as a compensation record and then installed (used by ``abort``
+  step 2);
 * ``log_commit`` / ``log_delegate`` — the log entries ``commit`` step 4 and
   ``delegate`` require;
 * ``crash`` / ``recover`` — crash simulation and restart recovery;
 * ``checkpoint`` — flush pages, mark where restart redo may begin and,
   when quiescent, reset the log.
+
+One rule holds at every site that changes a page, forward and backward
+alike: **append the record, then install**.  A page can be evicted the
+moment it is unpinned, and the pool's write-ahead gate can only force
+records that exist.
 """
 
 from __future__ import annotations
@@ -32,15 +40,16 @@ from repro.storage.recovery import RecoveryManager, undo_updates
 class LoggedUndo:
     """The undo half of a storage facade: before images read from
     ``self.log`` (one log, or the merged view of several segments),
-    applied with ``self._install`` and compensated through the log."""
+    compensated through the log and then applied with ``self._install``
+    — all by :func:`~repro.storage.recovery.undo_updates`."""
 
     def undo(self, tid):
         """Install before images for every update ``tid`` is responsible for.
 
-        Scans the log (as the paper's abort step 2 does), honouring
-        delegation, installs images newest-first, and logs each restoration
-        as a compensation after-image.  Returns the number of undone
-        updates.
+        Reads the log (as the paper's abort step 2 does), honouring
+        delegation, and restores images newest-first, each logged as a
+        compensation record before it is installed.  Returns the number
+        of undone updates.
         """
         return self.undo_many([tid])
 
@@ -50,7 +59,7 @@ class LoggedUndo:
         An abort cascade (AD chains, GC groups) takes down transactions
         whose updates interleave on shared objects; undoing each member
         separately could re-install one member's aborted values over
-        another's undo.  Merging all their updates and installing before
+        another's undo.  Merging all their updates and restoring before
         images in global reverse-LSN order restores exactly the state the
         group found.  Returns the number of undone updates.
         """
@@ -59,20 +68,15 @@ class LoggedUndo:
     def undo_to(self, tid, savepoint_lsn_value):
         """Partial rollback: undo ``tid``'s updates newer than a savepoint.
 
-        Installs before images (newest first) for updates ``tid`` is
-        responsible for whose LSN exceeds ``savepoint_lsn_value``,
-        logging each restoration as a compensation after-image.  Locks
-        are untouched — savepoint semantics, not abort.  Returns the
-        number of undone updates.
+        Restores before images (newest first) for updates ``tid`` is
+        responsible for whose LSN exceeds ``savepoint_lsn_value``, each
+        logged as a compensation record first.  Locks are untouched —
+        savepoint semantics, not abort.  Returns the number of undone
+        updates.
         """
-        undone = 0
-        for record in reversed(self.log.updates_by(tid)):
-            if record.lsn.value <= savepoint_lsn_value:
-                continue
-            self._install(record.oid, record.image)
-            self.log.log_after_image(tid, record.oid, record.image)
-            undone += 1
-        return undone
+        return undo_updates(
+            self.log, self._install, [tid], above=savepoint_lsn_value
+        )
 
 
 class StorageManager(LoggedUndo):
@@ -135,9 +139,8 @@ class StorageManager(LoggedUndo):
         must already be in the log for the write-ahead gate to force.
         """
         oid = self.objects.reserve_oid(name=name)
-        self.log.log_before_image(tid, oid, None)
+        self.log.log_update(tid, oid, None, value)
         self.objects.create(value, oid=oid)
-        self.log.log_after_image(tid, oid, value)
         return oid
 
     def read_object(self, tid, oid):
@@ -153,29 +156,26 @@ class StorageManager(LoggedUndo):
             self.pool.unpin(frame.page.page_id)
 
     def write_object(self, tid, oid, value):
-        """Write ``oid`` under an X latch, logging before and after images."""
+        """Write ``oid`` under an X latch: log the update (the before
+        image read under that latch, the after image given), then write."""
         quarantine = self.quarantine
         if quarantine is not None and quarantine.objects:
             quarantine.check(tid, oid, op="write")
         frame = self.objects.frame_for(oid)
         try:
             with frame.latch.held(LatchMode.EXCLUSIVE):
-                before = self.objects.read(oid)
-                self.log.log_before_image(tid, oid, before)
+                self.log.log_update(tid, oid, self.objects.read(oid), value)
                 self.objects.write(oid, value)
-                self.log.log_after_image(tid, oid, value)
         finally:
             self.pool.unpin(frame.page.page_id, dirty=True)
 
     def delete_object(self, tid, oid):
-        """Delete ``oid``, logging images so the deletion is undoable."""
+        """Delete ``oid``, logged first so the deletion is undoable."""
         frame = self.objects.frame_for(oid)
         try:
             with frame.latch.held(LatchMode.EXCLUSIVE):
-                before = self.objects.read(oid)
-                self.log.log_before_image(tid, oid, before)
+                self.log.log_update(tid, oid, self.objects.read(oid), None)
                 self.objects.delete(oid)
-                self.log.log_after_image(tid, oid, None)
         finally:
             self.pool.unpin(frame.page.page_id, dirty=True)
 

@@ -39,10 +39,10 @@ from repro.chaos.sweep import (
     transient_fault_sweep,
 )
 from repro.storage.log import (
-    AfterImageRecord,
-    BeforeImageRecord,
     CheckpointRecord,
     CommitRecord,
+    CompensationRecord,
+    UpdateRecord,
 )
 
 ENGINES = pytest.mark.parametrize(
@@ -111,7 +111,7 @@ class TestCheckpointMarkSweeps:
         report = verdict.restarted.report
         assert report.redo_from > 0 and not report.redo_reason
         logged = sum(
-            isinstance(r, AfterImageRecord)
+            isinstance(r, (UpdateRecord, CompensationRecord))
             for r in verdict.restarted.durable_records
         )
         assert 0 < report.redone < logged
@@ -122,7 +122,7 @@ class TestCheckpointMarkSweeps:
         assert report.restart_from == min(
             r.lsn.value
             for r in verdict.restarted.durable_records
-            if isinstance(r, BeforeImageRecord) and r.tid == loser
+            if isinstance(r, UpdateRecord) and r.tid == loser
         ) > 1
         assert report.scanned < len(verdict.restarted.durable_records)
 

@@ -146,12 +146,12 @@ class TestHarnessPlumbing:
     def test_replay_command_carries_the_run_options(self):
         """A plan alone is not the recipe: the retry budget and the
         storage engine the run was given must be on the command line."""
-        plan = FaultPlan(fail_flush_at=frozenset([10]))
+        plan = FaultPlan(fail_flush_at=frozenset([7]))
         assert replay_command("retry_saga", plan, retry=3).endswith(
             "' --retry 3"
         )
         assert replay_command(
-            "workflow_travel_crash", FaultPlan(crash_at=23), n_shards=2
+            "workflow_travel_crash", FaultPlan(crash_at=16), n_shards=2
         ).endswith("' --storage sharded --shards 2")
         with pytest.raises(KeyError):
             replay_command("retry_saga", plan, nonsense=1)

@@ -8,14 +8,20 @@ through three frames; this file holds them to 0 failures with complete
 coverage under every fault dimension, and shows the sweeps go red when
 the write-ahead gate is broken either way: never consulted
 (``wal_ordering_broken``) or always answering "already durable"
-(``wal_gate_stuck``).
+(``wal_gate_stuck``) — or sound, and fed stamps that mean nothing
+because a forward site installed before it logged
+(``update_logged_after_install``).
 """
 
 import pytest
 
 from repro.chaos import scenarios
 from repro.chaos.faults import LOG_FLUSH, PAGE_WRITE
-from repro.chaos.mutations import wal_gate_stuck, wal_ordering_broken
+from repro.chaos.mutations import (
+    update_logged_after_install,
+    wal_gate_stuck,
+    wal_ordering_broken,
+)
 from repro.chaos.sweep import crash_sweep, probe, transient_fault_sweep
 
 ENGINES = pytest.mark.parametrize(
@@ -75,7 +81,9 @@ class TestStealWindowSweeps:
 
 class TestStealWindowSensitivity:
     @ENGINES
-    @pytest.mark.parametrize("mutation", [wal_gate_stuck, wal_ordering_broken])
+    @pytest.mark.parametrize("mutation", [
+        wal_gate_stuck, wal_ordering_broken, update_logged_after_install,
+    ])
     def test_steal_window_catches_a_broken_gate(self, name, mutation):
         with mutation():
             result = crash_sweep(scenarios.get(name), stop_at_first=True)

@@ -4,9 +4,11 @@
 cluster scenario, what the healthy probe numbered — ``injector.trace``
 as ``[number, kind, detail]`` triples — and what the fabric did with
 each message (``fabric.delivery_log``), recorded from the parent of
-PR 19 (see the golden README).  ``cluster_group_commit`` also carries
-the five plans CI's replay smokes run, recorded through ``run_plan`` to
-the end of the judgment: the same runs with the plan's gate open.
+PR 19 and moved once since, by PR 21's checked mapping (an update became
+one log record: see the golden README).  ``cluster_group_commit`` also
+carries the five plans CI's replay smokes run, recorded through
+``run_plan`` to the end of the judgment: the same runs with the plan's
+gate open.
 
 Re-record (only when a step is *meant* to move) with the tree to record
 from first on the path::
@@ -30,14 +32,14 @@ GOLDEN = Path(__file__).parent / "golden" / "cluster_traces.json"
 
 # The plans of CI's cluster and membership-churn replay smokes.
 SMOKE_PLANS = {
-    "drop@34": FaultPlan(drop_msg_at={34}),
-    "partition@30..46": FaultPlan(
-        partition_at=30, heal_at=46,
+    "drop@28": FaultPlan(drop_msg_at={28}),
+    "partition@24..40": FaultPlan(
+        partition_at=24, heal_at=40,
         partition_groups=(("alpha",), ("beta", "gamma")),
     ),
-    "kill_coordinator@38": FaultPlan(kill_coordinator_at=38),
-    "join delta@35": FaultPlan(join_site_at=("delta", 35)),
-    "leave beta:gamma@38": FaultPlan(leave_site_at=("beta", "gamma", 38)),
+    "kill_coordinator@32": FaultPlan(kill_coordinator_at=32),
+    "join delta@29": FaultPlan(join_site_at=("delta", 29)),
+    "leave beta:gamma@32": FaultPlan(leave_site_at=("beta", "gamma", 32)),
 }
 
 

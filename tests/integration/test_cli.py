@@ -1,8 +1,13 @@
 """The command-line interface end to end."""
 
+import os
+import struct
+
 import pytest
 
 from repro.cli import Database, main
+from repro.common.errors import StorageError
+from repro.storage.log import decode_record
 
 
 @pytest.fixture
@@ -149,13 +154,13 @@ class TestMaintenance:
             assert "(1 records)" in out
 
     def test_recover(self, db, capsys):
-        # Catalog (3 records) + x (5) + the shutdown checkpoint's marker:
+        # Catalog (2 records) + x (3) + the shutdown checkpoint's marker:
         # the next invocation opens at that marker and decodes only it.
         run_cli(capsys, "create", "--db", db, "x", "1")
         code, out = run_cli(capsys, "recover", "--db", db)
         assert code == 0
         assert "RecoveryReport" in out
-        assert "restart_from=9, scanned=1, redo_from=8, redone=0" in out
+        assert "restart_from=6, scanned=1, redo_from=5, redone=0" in out
 
     def test_recover_and_log_show_the_checkpoint_mark(self, db, capsys):
         run_cli(capsys, "create", "--db", db, "x", "1")
@@ -168,9 +173,9 @@ class TestMaintenance:
             line for line in out.splitlines() if "CheckpointRecord" in line
         ]
         assert ["restart point" in line for line in markers] == [False, True]
-        assert "(10 records)" in out  # the whole history all the same
+        assert "(7 records)" in out  # the whole history all the same
         mark = int(markers[-1].split("above LSN ")[1].split()[0])
-        assert mark == 9 and f"redo_lsn={mark}" in markers[-1]
+        assert mark == 6 and f"redo_lsn={mark}" in markers[-1]
         # ``log`` logged nothing, so it left the log as it found it.
         __, out = run_cli(capsys, "recover", "--db", db)
         assert (
@@ -213,3 +218,43 @@ class TestMaintenance:
             assert database.get("x") == 42
         finally:
             database.close()
+
+
+class TestOldLogsAreRefused:
+    def test_a_log_written_before_updates_became_one_record(
+        self, db, capsys, tmp_path
+    ):
+        """Type bytes 1 and 2 were the before- and after-image records
+        an update was written as until PR 21.  Nothing decodes them any
+        more — and nothing misreads them: the decoder names the record,
+        and ``recover`` / ``log`` exit non-zero saying so."""
+
+        def old_image_record(rtype, lsn, image):
+            # type, lsn, tid | oid | image length (absent: all ones), image
+            length = 0xFFFFFFFF if image is None else len(image)
+            return (
+                struct.pack("<BQQ", rtype, lsn, 1)
+                + struct.pack("<QI", 1, length)
+                + (image or b"")
+            )
+
+        records = [old_image_record(1, 1, None), old_image_record(2, 2, b"{}")]
+        for rtype, raw in zip((1, 2), records):
+            with pytest.raises(StorageError) as refused:
+                decode_record(raw)
+            message = str(refused.value)
+            assert f"LSN {rtype}" in message and f"type byte {rtype}" in message
+            assert "written before updates became one record" in message
+
+        os.makedirs(db)
+        with open(os.path.join(db, "wal.log"), "wb") as handle:
+            for raw in records:
+                handle.write(struct.pack("<I", len(raw)) + raw)
+        for command in ("recover", "log"):
+            with pytest.raises(SystemExit) as exit_:
+                run_cli(capsys, command, "--db", db)
+            assert exit_.value.code not in (0, None)
+            assert "LSN 1 has type byte 1" in str(exit_.value.code)
+            assert "written before updates became one record" in str(
+                exit_.value.code
+            )

@@ -12,7 +12,10 @@ from repro.common.ids import ObjectId, Tid
 from repro.storage.log import MemoryLogDevice
 from repro.storage.segmented import ShardedStorageManager
 from repro.storage.store import StorageManager
-from tests.storage.scan_oracle import assert_tail_analysis_matches
+from tests.storage.scan_oracle import (
+    assert_tail_analysis_matches,
+    max_tid_value_scan,
+)
 
 # Each step: (transaction index, object index, new value, commit?)
 step = st.tuples(
@@ -363,16 +366,13 @@ class _History:
         marks = [segment.redo_lsn for segment in segments]
         report = self.storage.recover()
         assert_tail_analysis_matches(report, tail, history)
-        if report.in_doubt:  # redo read the prefix after all
-            assert (report.scanned, report.restart_from) == (len(history), 0)
-            assert report.redo_from == 0
-        else:
-            assert (report.scanned, report.restart_from) == (
-                len(tail), min(starts),
-            )
-            assert report.redo_from == min(marks)
+        # In doubt or not: restart reads its tail, and redoes above the mark.
+        assert (report.scanned, report.restart_from) == (
+            len(tail), min(starts),
+        )
+        assert report.redo_from == min(marks)
         assert self.storage.log.max_tid_value() == max(
-            segment.max_tid_value_scan() for segment in segments
+            max_tid_value_scan(segment) for segment in segments
         )
         state = read_state(self.storage)
         assert state == expected_state(history, baseline=self.baseline)

@@ -3,16 +3,23 @@
 Until PR 16 restart analysis walked every durable record — and, for each
 ``DelegateRecord``, every update seen so far — and the sharded manager
 rebuilt its oid → shard directory by walking every segment.  Both walks
-are kept here, verbatim, as the references the index-driven versions are
-checked against (beside ``WriteAheadLog.updates_by_scan``).
+are kept here as the references the index-driven versions are checked
+against, beside the two pre-index probes that lived on ``WriteAheadLog``
+itself until PR 21 (``max_tid_value_scan`` / ``updates_by_scan``, now
+functions of a log).  All of them read the two image-carrying records
+there are: an :class:`UpdateRecord` is an update, a
+:class:`CompensationRecord` only names an object.
 """
 
 from repro.storage.log import (
     AbortRecord,
-    AfterImageRecord,
-    BeforeImageRecord,
+    CheckpointRecord,
+    CommitRecord,
+    CompensationRecord,
+    DecisionRecord,
     DelegateRecord,
     PrepareRecord,
+    UpdateRecord,
 )
 from repro.storage.recovery import RecoveryReport, commit_winners
 
@@ -34,7 +41,7 @@ def analyze_scan(records):
             finished_aborts.add(record.tid)
         elif isinstance(record, PrepareRecord):
             prepares.append(record)
-        elif isinstance(record, BeforeImageRecord):
+        elif isinstance(record, UpdateRecord):
             writers.add(record.tid)
             responsibility[record.lsn] = record.tid
             updates.append(record)
@@ -102,6 +109,40 @@ def directory_scan(segments):
     directory = {}
     for index, segment in enumerate(segments):
         for record in segment.records():
-            if isinstance(record, (BeforeImageRecord, AfterImageRecord)):
+            if isinstance(record, (UpdateRecord, CompensationRecord)):
                 directory.setdefault(record.oid.value, index)
     return directory
+
+
+def max_tid_value_scan(log):
+    """Full-scan reference implementation of ``log.max_tid_value()``."""
+    highest = 0
+    for record in log.records():
+        highest = max(highest, record.tid.value)
+        if isinstance(record, (CommitRecord, PrepareRecord, DecisionRecord)):
+            for member in record.group:
+                highest = max(highest, member.value)
+        elif isinstance(record, DelegateRecord):
+            highest = max(highest, record.delegatee.value)
+        elif isinstance(record, CheckpointRecord):
+            for active in record.active:
+                highest = max(highest, active.value)
+    return highest
+
+
+def updates_by_scan(log, tid):
+    """Full-scan reference implementation of ``log.updates_by(tid)``."""
+    responsible = {}
+    mine = []
+    for record in log.records():
+        if isinstance(record, UpdateRecord):
+            responsible[record.lsn] = record.tid
+            mine.append(record)
+        elif isinstance(record, DelegateRecord):
+            for update in mine:
+                if (
+                    responsible[update.lsn] == record.tid
+                    and update.oid in record.oids
+                ):
+                    responsible[update.lsn] = record.delegatee
+    return [r for r in mine if responsible[r.lsn] == tid]

@@ -7,7 +7,7 @@ from repro.common.errors import StorageError
 from repro.common.ids import Tid
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDiskManager
-from repro.storage.log import BeforeImageRecord, MemoryLogDevice, WriteAheadLog
+from repro.storage.log import MemoryLogDevice, UpdateRecord, WriteAheadLog
 from repro.storage.store import StorageManager
 
 
@@ -189,7 +189,7 @@ class TestWriteAheadGate:
         assert b"A1A1" in storage.disk.read_page(page_id)
         # What the force was for: the stolen page's undo record is durable.
         assert any(
-            isinstance(record, BeforeImageRecord) and record.tid == Tid(2)
+            isinstance(record, UpdateRecord) and record.tid == Tid(2)
             for record in storage.log.records(durable_only=True)
         )
 

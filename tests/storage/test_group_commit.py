@@ -45,7 +45,7 @@ class TestCoalescerPolicy:
             group_commit=FlushCoalescer(max_commits=1000, max_bytes=256)
         )
         before = log.flush_count
-        log.log_before_image(Tid(1), ObjectId(1), b"x" * 512)
+        log.log_update(Tid(1), ObjectId(1), None, b"x" * 512)
         log.log_commit(Tid(1))  # bytes already exceed the bound
         assert log.flush_count == before + 1
 

@@ -8,7 +8,7 @@ history.  These tests pin three things:
   commits, aborts, crashes, and resyncs, the index answers exactly what
   a from-scratch replay of ``records()`` answers (the pre-index
   implementations survive as ``updates_by_scan``/``max_tid_value_scan``
-  oracles);
+  in ``tests/storage/scan_oracle.py``);
 * **complexity** — steady-state ``updates_by`` and ``max_tid_value``
   perform no full-log scan (asserted by counting ``records()`` /
   device-read calls);
@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.common.ids import ObjectId, Tid
 from repro.storage.log import MemoryLogDevice, WriteAheadLog
+from tests.storage.scan_oracle import max_tid_value_scan, updates_by_scan
 
 
 def apply_random_history(log, rng, steps, n_txns=5, n_objects=4):
@@ -34,8 +35,9 @@ def apply_random_history(log, rng, steps, n_txns=5, n_objects=4):
         tid = Tid(rng.randint(1, n_txns))
         oid = ObjectId(rng.randint(1, n_objects))
         if action < 55:
-            log.log_before_image(tid, oid, bytes([rng.randrange(256)]))
-            log.log_after_image(tid, oid, bytes([rng.randrange(256)]))
+            log.log_update(
+                tid, oid, bytes([rng.randrange(256)]), bytes([rng.randrange(256)])
+            )
         elif action < 75:
             delegatee = Tid(rng.randint(1, n_txns))
             oids = tuple(
@@ -59,9 +61,9 @@ def apply_random_history(log, rng, steps, n_txns=5, n_objects=4):
 
 
 def assert_matches_oracle(log, n_txns=6):
-    assert log.max_tid_value() == log.max_tid_value_scan()
+    assert log.max_tid_value() == max_tid_value_scan(log)
     for value in range(1, n_txns + 1):
-        assert log.updates_by(Tid(value)) == log.updates_by_scan(Tid(value))
+        assert log.updates_by(Tid(value)) == updates_by_scan(log, Tid(value))
 
 
 class TestAttributionAgreement:
@@ -76,7 +78,7 @@ class TestAttributionAgreement:
     def test_delegation_chain_reattributes_transitively(self):
         log = WriteAheadLog()
         ob = ObjectId(7)
-        log.log_before_image(Tid(1), ob, b"v0")
+        log.log_update(Tid(1), ob, b"v0", b"new")
         log.log_delegate(Tid(1), Tid(2), (ob,))
         log.log_delegate(Tid(2), Tid(3), (ob,))
         assert log.updates_by(Tid(1)) == []
@@ -89,9 +91,9 @@ class TestAttributionAgreement:
         LSN order — the order undo installs before images in."""
         log = WriteAheadLog()
         a, b = ObjectId(1), ObjectId(2)
-        log.log_before_image(Tid(1), a, b"a0")  # lsn 1
-        log.log_before_image(Tid(2), b, b"b0")  # lsn 2
-        log.log_before_image(Tid(1), a, b"a1")  # lsn 3
+        log.log_update(Tid(1), a, b"a0", b"new")  # lsn 1
+        log.log_update(Tid(2), b, b"b0", b"new")  # lsn 2
+        log.log_update(Tid(1), a, b"a1", b"new")  # lsn 3
         log.log_delegate(Tid(1), Tid(2), (a,))
         lsns = [r.lsn.value for r in log.updates_by(Tid(2))]
         assert lsns == sorted(lsns) == [1, 2, 3]
@@ -100,8 +102,8 @@ class TestAttributionAgreement:
     def test_partial_delegation_splits_attribution(self):
         log = WriteAheadLog()
         a, b = ObjectId(1), ObjectId(2)
-        log.log_before_image(Tid(1), a, b"a")
-        log.log_before_image(Tid(1), b, b"b")
+        log.log_update(Tid(1), a, b"a", b"new")
+        log.log_update(Tid(1), b, b"b", b"new")
         log.log_delegate(Tid(1), Tid(2), (a,))
         assert [r.oid for r in log.updates_by(Tid(1))] == [b]
         assert [r.oid for r in log.updates_by(Tid(2))] == [a]
@@ -110,7 +112,7 @@ class TestAttributionAgreement:
     def test_delegation_to_oneself_is_stable(self):
         log = WriteAheadLog()
         ob = ObjectId(1)
-        log.log_before_image(Tid(1), ob, b"x")
+        log.log_update(Tid(1), ob, b"x", b"new")
         log.log_delegate(Tid(1), Tid(1), (ob,))
         assert [r.oid for r in log.updates_by(Tid(1))] == [ob]
         assert_matches_oracle(log)
@@ -131,7 +133,7 @@ class TestAttributionComplexity:
     def test_updates_by_performs_no_full_scan(self, monkeypatch):
         log = WriteAheadLog()
         for value in range(1, 30):
-            log.log_before_image(Tid(value), ObjectId(value), b"v")
+            log.log_update(Tid(value), ObjectId(value), b"v", b"new")
         calls = self._instrument(log, monkeypatch)
         for value in range(1, 30):
             log.updates_by(Tid(value))
@@ -153,9 +155,9 @@ class TestAttributionComplexity:
         log = WriteAheadLog()
         # A long foreign history that must not be rescanned.
         for __ in range(200):
-            log.log_before_image(Tid(9), ObjectId(99), b"f")
+            log.log_update(Tid(9), ObjectId(99), b"f", b"new")
         ob = ObjectId(1)
-        log.log_before_image(Tid(1), ob, b"v")
+        log.log_update(Tid(1), ob, b"v", b"new")
         foreign_before = list(log._updates_by_tid[Tid(9)])
         log.log_delegate(Tid(1), Tid(2), (ob,))
         assert log._updates_by_tid[Tid(9)] == foreign_before
@@ -167,7 +169,7 @@ class TestRebuildAndCrash:
         device = MemoryLogDevice()
         log = WriteAheadLog(device)
         ob = ObjectId(3)
-        log.log_before_image(Tid(1), ob, b"v")
+        log.log_update(Tid(1), ob, b"v", b"new")
         log.log_delegate(Tid(1), Tid(2), (ob,))
         log.flush()
         reopened = WriteAheadLog(device)
@@ -179,9 +181,9 @@ class TestRebuildAndCrash:
     def test_crash_drops_unflushed_attribution(self):
         log = WriteAheadLog(MemoryLogDevice())
         durable, lost = ObjectId(1), ObjectId(2)
-        log.log_before_image(Tid(1), durable, b"d")
+        log.log_update(Tid(1), durable, b"d", b"new")
         log.flush()
-        log.log_before_image(Tid(1), lost, b"l")
+        log.log_update(Tid(1), lost, b"l", b"new")
         log.log_delegate(Tid(1), Tid(2), (durable,))
         log.device.crash()
         log.resync()
@@ -194,7 +196,7 @@ class TestRebuildAndCrash:
 
     def test_truncate_clears_attribution(self):
         log = WriteAheadLog()
-        log.log_before_image(Tid(5), ObjectId(1), b"v")
+        log.log_update(Tid(5), ObjectId(1), b"v", b"new")
         log.truncate()
         assert log.updates_by(Tid(5)) == []
         assert log.max_tid_value() == 0

@@ -5,6 +5,9 @@ import sys
 import pytest
 
 from repro.chaos.faults import FaultInjector, FaultPlan
+from repro.chaos.mutations import compensation_logged_after_install
+from repro.chaos.oracles import expected_state
+from repro.chaos.stack import read_state
 from repro.common.ids import Lsn, ObjectId, Tid
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDiskManager
@@ -34,12 +37,11 @@ def setup():
 def write_logged(store, log, tid, oid, value):
     """A logged update as the storage manager performs it."""
     before = store.read(oid) if store.exists(oid) else None
-    log.log_before_image(tid, oid, before)
+    log.log_update(tid, oid, before, value)
     if store.exists(oid):
         store.write(oid, value)
     else:
         store.create(value, oid=oid)
-    log.log_after_image(tid, oid, value)
 
 
 class TestAnalysis:
@@ -58,8 +60,8 @@ class TestAnalysis:
         store, log = setup
         oid = store.create(b"base")
         write_logged(store, log, Tid(1), oid, b"w1")
-        # The live abort undoes and logs its undo + completion:
-        log.log_after_image(Tid(1), oid, b"base")
+        # The live abort logs its undo, undoes, and logs completion:
+        log.log_compensation(Tid(1), oid, b"base")
         store.write(oid, b"base")
         log.log_abort(Tid(1))
         log.flush()
@@ -98,9 +100,8 @@ class TestRedoUndo:
     def test_creation_by_loser_deleted(self, setup):
         store, log = setup
         oid = ObjectId(77)
-        log.log_before_image(Tid(1), oid, None)
+        log.log_update(Tid(1), oid, None, b"new")
         store.create(b"new", oid=oid)
-        log.log_after_image(Tid(1), oid, b"new")
         log.flush()
         RecoveryManager(log, store).recover()
         assert not store.exists(oid)
@@ -108,8 +109,7 @@ class TestRedoUndo:
     def test_creation_by_winner_recreated(self, setup):
         store, log = setup
         oid = ObjectId(77)
-        log.log_before_image(Tid(1), oid, None)
-        log.log_after_image(Tid(1), oid, b"new")
+        log.log_update(Tid(1), oid, None, b"new")
         log.log_commit(Tid(1))
         # The object never reached disk (cache lost before flush).
         RecoveryManager(log, store).recover()
@@ -250,7 +250,7 @@ class TestRecoverWithoutACrash:
         assert injector.lied_fsyncs == 1
         assert storage.log.redo_lsn == second.redo_lsn > first.redo_lsn
         # Nor a restart point: the hint still names the first marker.
-        assert storage.log.device.hint[-2:] == (3, first.lsn.value)
+        assert storage.log.device.hint[-2:] == (2, first.lsn.value)
 
         injector.disarm()
         if crash_first:
@@ -259,11 +259,11 @@ class TestRecoverWithoutACrash:
             storage.pool.drop_all()
         report = storage.recover()
         # Tail semantics: what restart decodes is the log from the
-        # restart point on — the first marker and Tid(2)'s three records.
+        # restart point on — the first marker and Tid(2)'s two records.
         assert report.restart_from == first.lsn.value
-        assert report.scanned == len(durable) - 3 == 4
+        assert report.scanned == len(durable) - 2 == 3
         assert report.redo_from == first.redo_lsn
-        assert report.redone == 1  # Tid(2)'s after image, above the mark
+        assert report.redone == 1  # Tid(2)'s update, above the mark
         assert storage.read_object(Tid(0), oid) == b"v2"
 
     def test_no_durable_checkpoint_means_the_whole_log(self, tmp_path):
@@ -297,13 +297,12 @@ class TestCheckpointRecordCompatibility:
         device = MemoryLogDevice()
         log = WriteAheadLog(device)
         oid = ObjectId(5)
-        log.log_before_image(Tid(1), oid, None)
-        log.log_after_image(Tid(1), oid, b"v1")
+        log.log_update(Tid(1), oid, None, b"v1")
         log.log_commit(Tid(1))
-        marker = CheckpointRecord(lsn=Lsn(4), tid=Tid(0), active=())
+        marker = CheckpointRecord(lsn=Lsn(3), tid=Tid(0), active=())
         device.append(encode_record(marker)[:-8])
         device.flush()
-        log.log_before_image(Tid(2), oid, b"v1")  # draws LSN 4 again: moot
+        log.log_update(Tid(2), oid, b"v1", b"v2")  # draws LSN 3 again: moot
         reopened = WriteAheadLog(device)
         assert reopened.redo_lsn == 0
         store = ObjectStore(BufferPool(InMemoryDiskManager(), capacity=16))
@@ -360,8 +359,7 @@ class TestAnalysisIsLinear:
             source, heir = Tid(2 * pair + 1), Tid(2 * pair + 2)
             oids = [ObjectId(10 * pair + i + 1) for i in range(10)]
             for oid in oids:
-                log.log_before_image(source, oid, b"b")
-                log.log_after_image(source, oid, b"a")
+                log.log_update(source, oid, b"b", b"a")
             log.log_delegate(source, heir, oids)
             if pair % 2:
                 log.log_commit(heir)
@@ -387,7 +385,7 @@ class TestAnalysisIsLinear:
             return reopened, reopened.analysis()
 
         records = len(log)
-        assert records == 2000 * 2 + 200 + 100
+        assert records == 2000 + 200 + 100
         visits, (reopened, analysis) = calls_of(open_and_analyse)
         assert visits < 40 * records
         oracle_visits, oracle = calls_of(analyze_scan, reopened.records())
@@ -397,14 +395,13 @@ class TestAnalysisIsLinear:
         assert writers - winners - finished == oracle.losers
 
 
-class TestInDoubtRedoesTheWholeLog:
-    def test_a_prepared_transaction_cut_down_mid_abort_keeps_its_updates(self):
-        """Found by the restart property.  Undo installs, then logs: the
-        abort of a prepared transaction put its before image on disk
-        (a three-frame pool evicts it) and lost the compensation record
-        with the power.  Restart keeps the in doubt rather than undoing
-        them, so only redo from the start — below the checkpoint's mark
-        — puts the after image back."""
+class TestInDoubtRestartsAtTheRestartPoint:
+    def _cut_down_mid_abort(self):
+        """A prepared transaction's abort on a three-frame pool — the
+        install of its before image steals a page — with the power cut
+        before its abort record (or anything since the checkpoint) was
+        flushed.  Returns the stack, the checkpoint's mark, the durable
+        history and the restart's report."""
         storage = StorageManager(capacity=3)
         small = storage.create_object(Tid(1), b"s" * 4)
         fat = storage.create_object(Tid(1), b"s" * 2200)
@@ -415,11 +412,40 @@ class TestInDoubtRedoesTheWholeLog:
         storage.log_prepare(Tid(3), gid=3, coordinator="c", sites=("c", "p"))
         mark = storage.checkpoint(active=(Tid(2), Tid(3))).redo_lsn
         storage.undo(Tid(3))  # the coordinator said abort...
-        storage.log_abort(Tid(3))  # ...and none of it was flushed
+        storage.log_abort(Tid(3))  # ...and that record was never flushed
         storage.crash()
-        assert storage.log.redo_lsn == mark > 0
-        report = storage.recover()
+        history = storage.log.records()
+        assert storage.log.redo_lsn == mark == 7
+        return storage, (small, fat), history, storage.recover()
+
+    def test_a_prepared_transaction_cut_down_mid_abort_is_where_its_log_says(
+        self,
+    ):
+        """The counter-example the restart property once found, with its
+        sign flipped.  Undo used to install and then log: the abort of a
+        prepared transaction put its before image on disk and lost the
+        compensation record with the power, so a restart with anyone in
+        doubt redid the whole log.  Undo now logs and then installs, and
+        the gate made the compensation record durable before the stolen
+        page: the log-implied state *has* the restored image, with Tid 3
+        still in doubt (its abort record was lost) — and restart gets
+        there from its restart point, redoing only above the mark."""
+        storage, (small, fat), history, report = self._cut_down_mid_abort()
         assert report.in_doubt == {Tid(3)} and report.losers == {Tid(2)}
-        assert report.redo_from == 0 and "in doubt" in report.redo_reason
-        assert storage.read_object(Tid(0), fat) == b"0000"
+        assert (report.restart_from, report.scanned) == (5, 5)
+        assert (report.redo_from, report.redone) == (7, 1)
+        assert report.redo_reason == ""
+        assert read_state(storage) == expected_state(history)
+        assert storage.read_object(Tid(0), fat) == b"s" * 2200
         assert storage.read_object(Tid(0), small) == b"s" * 4
+
+    def test_the_old_undo_order_is_caught_by_it(self):
+        """Install-then-log again, with no whole-log redo to paper over
+        it: the page holding the restored image reached disk, its
+        compensation record did not, and restart — keeping the in doubt,
+        redoing above the mark — ends somewhere the log does not say."""
+        with compensation_logged_after_install():
+            storage, __, history, report = self._cut_down_mid_abort()
+        assert report.in_doubt == {Tid(3)}
+        assert (report.restart_from, report.redone) == (5, 0)
+        assert read_state(storage) != expected_state(history)

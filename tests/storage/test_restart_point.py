@@ -30,6 +30,7 @@ from repro.storage.log import (
 )
 from repro.storage.segmented import ShardedStorageManager
 from repro.storage.store import StorageManager
+from tests.storage.scan_oracle import max_tid_value_scan
 
 DEVICES = pytest.mark.parametrize("kind", ["memory", "file"])
 
@@ -44,9 +45,7 @@ def _open(tmp_path, kind, device=None):
 
 def _write(log, tid, oid_value, value=b"v"):
     oid = ObjectId(oid_value)
-    before = log.log_before_image(Tid(tid), oid, None)
-    log.log_after_image(Tid(tid), oid, value)
-    return before
+    return log.log_update(Tid(tid), oid, None, value)
 
 
 def _checkpoint(log):
@@ -98,8 +97,8 @@ class TestLiveIsOpen:
         _busy(log)
         total = len(log)
         _checkpoint(log)
-        # Pinned by Tid(2)'s first update: Tid(1)'s three records go.
-        assert (log.base, len(log)) == (3, total + 1 - 3)
+        # Pinned by Tid(2)'s first update: Tid(1)'s two records go.
+        assert (log.base, len(log)) == (2, total + 1 - 2)
         assert Tid(1) not in log._winners
         assert _state(_open(tmp_path, kind, log.device)) == _state(log)
 
@@ -109,7 +108,7 @@ class TestLiveIsOpen:
         log.log_decision(Tid(5), 5, "commit")
         _write(log, 10, 7)
         _checkpoint(log)
-        assert log.restart_from == log.updates_by(Tid(4))[0].lsn.value == 6
+        assert log.restart_from == log.updates_by(Tid(4))[0].lsn.value == 4
         assert _state(_open(tmp_path, kind, log.device)) == _state(log)
 
         # Everyone finished: the point is the marker itself.
@@ -172,10 +171,10 @@ class TestLiveIsOpen:
         marker = store.checkpoint()
         idle, busy = (shard.log for shard in store.shards)
         assert (idle.base, idle.device.hint) == (0, (0, marker.lsn.value))
-        assert (busy.base, len(busy)) == (3, 1)
+        assert (busy.base, len(busy)) == (2, 1)
         store.crash()
         report = store.recover()
-        assert (busy.base, report.scanned) == (3, 2)
+        assert (busy.base, report.scanned) == (2, 2)
 
     def _cross_shard_winner_below_the_point(self):
         """Tid(1) wrote in both shards and committed in shard 0 (home);
@@ -245,7 +244,7 @@ class TestWhatPinsThePoint:
         _write(log, 2, 2)  # lands while the pool flush runs
         log.log_commit(Tid(2))
         log.log_checkpoint((), redo_lsn=mark)
-        # Tid(2)'s page may have missed the flush: redo needs its images.
+        # Tid(2)'s page may have missed the flush: redo needs its update.
         assert log.restart_from == mark + 1
         assert len(log.redo_records()) == 1
 
@@ -257,7 +256,7 @@ class TestWhatPinsThePoint:
         _write(log, 3, 3)
         log.log_commit(Tid(3))
         log.log_checkpoint((), redo_lsn=log.last_lsn)  # active: nobody?
-        assert log.restart_from == first.lsn.value == 4
+        assert log.restart_from == first.lsn.value == 3
         assert log.updates_by(Tid(1)) == [first]
 
     def test_an_update_delegated_to_an_unfinished_writer(self):
@@ -267,7 +266,7 @@ class TestWhatPinsThePoint:
         log.log_delegate(Tid(1), Tid(2), [ObjectId(1)])
         log.log_commit(Tid(1))  # the delegator is done; this update is not
         _checkpoint(log)
-        assert log.restart_from == moved.lsn.value == 3
+        assert log.restart_from == moved.lsn.value == 2
         assert log.updates_by(Tid(2)) == [moved]
 
     def test_an_undecided_vote_with_nothing_to_undo(self):
@@ -311,7 +310,7 @@ class TestPrefixOnDemand:
         assert 0 < len(log) < len(before)
         assert log.records() == before + [marker]
         assert log.records(durable_only=True) == before + [marker]
-        assert log.max_tid_value() == log.max_tid_value_scan() == 9
+        assert log.max_tid_value() == max_tid_value_scan(log) == 9
         assert _open(tmp_path, kind, log.device).records() == log.records()
 
     def test_so_is_the_merged_view_of_a_segmented_log(self):
@@ -325,21 +324,23 @@ class TestPrefixOnDemand:
         history = store.log.records()
         assert history[: len(before)] == before
         assert len(history) == len(before) + 2
-        assert [r.lsn.value for r in history] == list(range(1, 12))
-        assert sum(row["appends"] for row in store.segment_stats()) == 11
+        assert [r.lsn.value for r in history] == list(range(1, 9))
+        assert sum(row["appends"] for row in store.segment_stats()) == 8
 
     @DEVICES
-    def test_whole_history_redo_gives_up_the_restart_point(
-        self, tmp_path, kind
-    ):
+    def test_a_rewind_gives_up_the_restart_point(self, tmp_path, kind):
+        """Redo itself never asks for the prefix any more (it took a
+        ``whole=`` until PR 21); ``rewind`` is how a void mark, or a
+        segment following another's, still gets it."""
         log = _open(tmp_path, kind)
         _busy(log)
         _checkpoint(log)
         assert log.base and log.device.hint
         assert len(log.redo_records()) == 0
-        assert len(log.redo_records(whole=True)) == 6
+        log.rewind()
         assert (log.base, log.device.hint, log.restart_from) == (0, None, 0)
         assert Tid(1) in log._winners
+        assert len(log.redo_records()) == 0  # the mark stands: a marker's
 
     @DEVICES
     def test_a_void_mark_voids_the_restart_point(self, tmp_path, kind):
@@ -401,7 +402,7 @@ class TestTheHintIsABound:
         assert (log.base, log.restart_from, log.device.hint) == (0, 0, None)
         assert log.records() == history == log._decoded
         assert not os.path.exists(tmp_path / "wal.log.restart")
-        assert log.max_tid_value() == log.max_tid_value_scan()
+        assert log.max_tid_value() == max_tid_value_scan(log)
         # ... and the next checkpoint writes a good one.
         _checkpoint(log)
         assert log.device.hint is not None
@@ -470,7 +471,7 @@ class TestTheHintIsABound:
         assert not os.path.exists(tmp_path / "wal.log.restart")
         _write(log, 1, 1)
         log.log_commit(Tid(1))
-        assert (log.base, len(log.records())) == (0, 3)
+        assert (log.base, len(log.records())) == (0, 2)
 
     def test_a_sidecar_beside_a_log_recreated_behind_our_back(self, tmp_path):
         __, hint, __ = self._history(tmp_path)
@@ -514,14 +515,14 @@ class TestTheHintIsABound:
         log = WriteAheadLog(device)
         _write(log, 7, 1)
         log.log_commit(Tid(7))
-        old = CheckpointRecord(lsn=Lsn(4), tid=Tid(0), active=(), redo_lsn=3)
+        old = CheckpointRecord(lsn=Lsn(3), tid=Tid(0), active=(), redo_lsn=2)
         device.append(encode_record(old))
         device.flush()
-        device.hint = (3, 4)
+        device.hint = (2, 3)
         reopened = WriteAheadLog(device)
         assert (reopened.base, reopened.max_tid_value()) == (0, 7)
         _checkpoint(reopened)
-        assert device.hint == (4, 5)
+        assert device.hint == (3, 4)
         assert WriteAheadLog(device).max_tid_value() == 7
 
     def test_a_void_mark_left_behind_a_hint(self):
@@ -554,11 +555,11 @@ class TestHighestTid:
     def test_the_marker_carries_it_so_no_tid_is_reused(self):
         log = self._reopened_after_a_checkpoint()
         assert log.base > 0 and Tid(41) not in log.analysis()[0]
-        assert log.max_tid_value() == log.max_tid_value_scan() == 41
+        assert log.max_tid_value() == max_tid_value_scan(log) == 41
         manager = TransactionManager(storage=StorageManager(log=log))
         assert manager.initiate().value == 42
 
     def test_a_log_that_forgets_it_is_caught_reusing_one(self):
         with restart_point_forgets_max_tid():
             log = self._reopened_after_a_checkpoint()
-            assert log.max_tid_value() == 9 < log.max_tid_value_scan()
+            assert log.max_tid_value() == 9 < max_tid_value_scan(log)

@@ -4,7 +4,6 @@ delegate splitting, and recovery plumbing."""
 from repro.common.codec import decode_int, encode_int
 from repro.common.ids import Tid
 from repro.storage.log import (
-    AfterImageRecord,
     CheckpointRecord,
     CommitRecord,
     DelegateRecord,

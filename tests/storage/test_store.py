@@ -3,11 +3,7 @@
 import pytest
 
 from repro.common.ids import Tid
-from repro.storage.log import (
-    AfterImageRecord,
-    BeforeImageRecord,
-    CommitRecord,
-)
+from repro.storage.log import CommitRecord, CompensationRecord, UpdateRecord
 from repro.storage.store import StorageManager
 
 
@@ -19,20 +15,17 @@ def store():
 class TestLoggedOperations:
     def test_create_logs_absent_before_image(self, store):
         store.create_object(Tid(1), b"fresh")
-        records = store.log.records()
-        assert isinstance(records[0], BeforeImageRecord)
-        assert records[0].image is None
-        assert isinstance(records[1], AfterImageRecord)
-        assert records[1].image == b"fresh"
+        (record,) = store.log.records()
+        assert isinstance(record, UpdateRecord)
+        assert record.before is None
+        assert record.after == b"fresh"
 
     def test_write_logs_before_and_after(self, store):
         oid = store.create_object(Tid(1), b"v0")
         store.write_object(Tid(1), oid, b"v1")
-        records = store.log.records()
-        before = [r for r in records if isinstance(r, BeforeImageRecord)]
-        after = [r for r in records if isinstance(r, AfterImageRecord)]
-        assert before[-1].image == b"v0"
-        assert after[-1].image == b"v1"
+        created, written = store.log.records()
+        assert isinstance(written, UpdateRecord)
+        assert (written.before, written.after) == (b"v0", b"v1")
 
     def test_read_does_not_log(self, store):
         oid = store.create_object(Tid(1), b"v0")

@@ -8,7 +8,7 @@ checkpoint, or the rare steal of the running transaction's own page,
 and for nothing else: every other evicted page was last written by a
 transaction whose commit already forced the log past it.  Restart
 recovery then repeats only what the last durable checkpoint marker does
-not vouch for — the after images above its ``redo_lsn``: none when the
+not vouch for — the updates above its ``redo_lsn``: none when the
 power cut follows a checkpoint, one interval's worth when it falls
 mid-interval — and forces nothing while it does.
 
@@ -137,11 +137,11 @@ def test_syncs_are_commits_plus_checkpoints_and_redo_is_bounded(
     # Nothing is truncated, but (tail semantics) only the log from the
     # restart point on is decoded and analysed: nobody was active at the
     # third checkpoint, so that is its marker and the units after it —
-    # 6 images x 2 records + 1 commit each.  Redo starts above the
+    # 6 update records + 1 commit each.  Redo starts above the
     # marker's mark, the last LSN before that checkpoint's flush.
-    assert report.scanned == 13 * tail + 1
-    assert report.restart_from == appended - 13 * tail
-    assert report.redo_from == appended - 13 * tail - 1
+    assert report.scanned == 7 * tail + 1
+    assert report.restart_from == appended - 7 * tail
+    assert report.redo_from == appended - 7 * tail - 1
     assert report.redone == 6 * tail
     assert report.undone == 0
     assert restarted.pool.wal_forces == 0
@@ -214,9 +214,9 @@ def test_a_transaction_active_across_checkpoints_pins_the_restart_point(
 ):
     """The honest cost of a long-lived transaction: restart must be able
     to undo it, so every open decodes from its first update on — its
-    two image records, then every interval since (13 records a unit and
-    a marker), however many checkpoints went by."""
-    since = 2 + intervals * (13 * UNITS_PER_INTERVAL + 1)
+    one record, then every interval since (7 records a unit and a
+    marker), however many checkpoints went by."""
+    since = 1 + intervals * (7 * UNITS_PER_INTERVAL + 1)
     assert _reopen_decodes(tmp_path, monkeypatch, intervals, pin=True) == (
         since, since,
     )

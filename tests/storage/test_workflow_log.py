@@ -56,12 +56,12 @@ class TestDurability:
         from repro.common.ids import ObjectId
 
         log = WriteAheadLog()
-        log.log_before_image(Tid(1), ObjectId(1), None)
+        log.log_update(Tid(1), ObjectId(1), None, b"v")
         log.log_workflow(1, "step_attempt", payload=b"a", tid=Tid(1))
         log.log_commit(Tid(1))
         kinds = [type(r).__name__ for r in log.records()]
         assert kinds == [
-            "BeforeImageRecord", "WorkflowRecord", "CommitRecord",
+            "UpdateRecord", "WorkflowRecord", "CommitRecord",
         ]
 
 
@@ -75,9 +75,8 @@ class TestRecoveryNeutrality:
         log = WriteAheadLog()
         oid = store.create(b"base")
         log.log_workflow(1, "started")
-        log.log_before_image(Tid(1), oid, b"base")
+        log.log_update(Tid(1), oid, b"base", b"w1")
         store.write(oid, b"w1")
-        log.log_after_image(Tid(1), oid, b"w1")
         log.log_workflow(1, "step_attempt", tid=Tid(1))
         log.log_commit(Tid(1))
         log.log_workflow(1, "finished")

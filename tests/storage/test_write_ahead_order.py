@@ -1,13 +1,17 @@
-"""The invariant the page stamp rests on, site by site.
+"""One rule at every site that changes a page: append, then install.
 
 A frame's ``page_lsn`` is the log's last LSN when the frame was dirtied,
 and a write-back forces the log only that far.  That is sound iff *the
-record that can undo a modification is appended before the page is
-modified*.  ``write_object``/``delete_object`` always did that; these
-tests pin the three sites that did not: the two ``create`` paths (now
-log-then-write) and the undo path (still install-then-log, and why that
-is covered).  The create tests run on a one-frame pool, so any second
-page touched evicts the first; the undo tests need a second frame
+record that describes a modification is appended before the page is
+modified* — the :class:`UpdateRecord` that can undo a forward update,
+the :class:`CompensationRecord` that can repeat an undo.  Until PR 21
+there were three orders (log–install–log forward, install–then–log in
+undo, and a paragraph here on why the odd one was covered); there is
+one now, and these tests hold each site to it by reading the order of
+``injector.trace``: the two ``create`` paths, ``write_object`` (also
+when its install dies half-way), and undo — live and at restart.  The
+create tests run on a one-frame pool, so any second page touched evicts
+the first; the write and undo tests have one spare frame
 (``write_object`` keeps the object's anchor page pinned while it
 relocates a large value).
 """
@@ -16,18 +20,20 @@ import pytest
 
 from repro.chaos.faults import (
     LOG_APPEND,
+    LOG_FLUSH,
     PAGE_WRITE,
     CrashPoint,
     FaultInjector,
     FaultPlan,
 )
 from repro.chaos.stack import read_state
+from repro.common.errors import TransientIOError
 from repro.common.ids import Tid
 from repro.storage.disk import InMemoryDiskManager
 from repro.storage.log import (
-    AfterImageRecord,
-    BeforeImageRecord,
+    CompensationRecord,
     MemoryLogDevice,
+    UpdateRecord,
     WriteAheadLog,
 )
 from repro.storage.segmented import ShardedStorageManager
@@ -102,12 +108,13 @@ class TestCreateLogsBeforeItWrites:
         assert made["oid"].value not in read_state(storage)
         assert made["anchor"].value in read_state(storage)
 
-    def test_large_create_cut_before_its_after_image(self, build):
+    def test_large_create_cut_at_each_of_its_page_writes(self, build):
         """A three-page object through one frame: its first pages reach
-        disk *inside* ``create``.  Cut the power right before the after
-        image is appended — the ``None`` before image was already
-        durable when the first page went out, and recovery leaves the
-        object absent."""
+        disk *inside* ``create``.  Its one record precedes them all, and
+        is durable when the first of *its* pages goes out (the page
+        before that flush is the committed anchor's, evicted to make
+        room): cut the power at any of those page writes and recovery
+        leaves the object absent."""
         made = {}
 
         def drive(storage):
@@ -118,91 +125,161 @@ class TestCreateLogsBeforeItWrites:
 
         __, probe = _run(build, drive)
         steps = [s for s in probe.trace if s.number >= made["first_step"]]
-        appends = [s.number for s in steps if s.kind == LOG_APPEND]
+        (update,) = [s.number for s in steps if s.kind == LOG_APPEND]
         writes = [s.number for s in steps if s.kind == PAGE_WRITE]
-        before_image, after_image = appends
-        assert before_image < min(writes), "a page went out ahead of its log"
-        assert [w for w in writes if w < after_image], (
-            "no created page was evicted before the after image"
-        )
+        (flush,) = [s.number for s in steps if s.kind == LOG_FLUSH]
+        assert update < min(writes), "a page went out ahead of its log"
+        created = [write for write in writes if write > flush]
+        assert len(created) >= 2, "no created page was evicted inside create"
 
-        storage, injector = _run(build, drive, FaultPlan(crash_at=after_image))
-        assert injector.fired.number == after_image
-        durable = storage.log.records(durable_only=True)
-        assert any(
-            isinstance(r, BeforeImageRecord) and r.tid == WRITER
-            and r.image is None
-            for r in durable
-        ), "the creation's undo record was not forced ahead of its pages"
-        assert not any(
-            isinstance(r, AfterImageRecord) and r.tid == WRITER
-            for r in durable
-        )
-        report = _power_cut(storage, injector)
-        assert WRITER in report.losers
-        assert set(read_state(storage)) == {made["anchor"].value}
+        for write in writes:
+            storage, injector = _run(build, drive, FaultPlan(crash_at=write))
+            assert injector.fired.number == write
+            durable = storage.log.records(durable_only=True)
+            assert (write in created) == any(
+                isinstance(r, UpdateRecord) and r.tid == WRITER
+                and r.before is None
+                for r in durable
+            ), "the creation's record was not forced ahead of its pages"
+            report = _power_cut(storage, injector)
+            assert (WRITER in report.losers) == (write in created)
+            assert set(read_state(storage)) == {made["anchor"].value}
+
+
+def _setup(storage, made):
+    made["big"] = storage.create_object(SETUP, _large(b"B0"))
+    made["small"] = storage.create_object(SETUP, _fat(b"s0"))
+    storage.log_commit(SETUP)
+
+
+def _expect_restored(storage, made):
+    state = read_state(storage)
+    assert state[made["big"].value] == _large(b"B0")
+    assert state[made["small"].value] == _fat(b"s0")
 
 
 @ENGINES
-class TestUndoInstallsBeforeItLogs:
-    """``undo`` installs a before image and only then logs the
-    compensation record.  The frame is stamped at the install with the
-    log's last LSN *then* — and everything the page can hold at that
-    moment (the restored image, other transactions' uncommitted values)
-    has its before image at or below that stamp, so forcing the log that
-    far is all the write-ahead rule needs; the compensation record
-    itself is redo-only, and losing it just makes recovery undo again.
-    """
-
-    def _setup(self, storage, made):
-        made["big"] = storage.create_object(SETUP, _large(b"B0"))
-        made["small"] = storage.create_object(SETUP, _fat(b"s0"))
-        storage.log_commit(SETUP)
-        storage.write_object(WRITER, made["big"], _large(b"B2"))
-        storage.write_object(WRITER, made["small"], _fat(b"s2"))
-        made["undo_from"] = storage.injector.step_count + 1
-
-    def _expect_restored(self, storage, made):
-        state = read_state(storage)
-        assert state[made["big"].value] == _large(b"B0")
-        assert state[made["small"].value] == _fat(b"s0")
-
-    def test_crash_between_install_and_compensation_record(self, build):
-        made = {}
-
+class TestWriteLogsBeforeItInstalls:
+    def _drive(self, made):
         def drive(storage):
-            self._setup(storage, made)
-            storage.undo(WRITER)
+            _setup(storage, made)
+            storage.write_object(WRITER, made["small"], _fat(b"s2"))
+            made["write_from"] = storage.injector.step_count + 1
+            storage.write_object(WRITER, made["big"], _large(b"B2"))
 
-        __, probe = _run(build, drive, capacity=2)
+        return drive
+
+    def _write_steps(self, build, made):
+        """The large write's numbered steps, its one append, and the
+        first flush after it: the gate's, inside the install."""
+        __, probe = _run(build, self._drive(made), capacity=2)
+        steps = [s for s in probe.trace if s.number >= made["write_from"]]
+        (update,) = [s.number for s in steps if s.kind == LOG_APPEND]
+        flush = min(
+            s.number for s in steps
+            if s.kind == LOG_FLUSH and s.number > update
+        )
+        return steps, update, flush
+
+    def test_the_record_is_durable_before_any_page_it_describes(self, build):
+        """The rewrite spans more pages than the pool has frames, so
+        its pages go out inside ``write_object``: every one of them
+        behind the update record, and behind the flush that made it
+        durable."""
+        steps, update, flush = self._write_steps(build, made := {})
+        after = [
+            s.number for s in steps
+            if s.kind == PAGE_WRITE and s.number > update
+        ]
+        assert after and update < flush < min(after)
+        for write in after:
+            storage, injector = _run(
+                build, self._drive(made), FaultPlan(crash_at=write), capacity=2
+            )
+            assert injector.fired.number == write
+            report = _power_cut(storage, injector)
+            assert WRITER in report.losers
+            _expect_restored(storage, made)
+
+    @pytest.mark.parametrize("ending", ["abort", "power cut"])
+    def test_an_install_that_dies_mid_relocation(self, build, ending):
+        """The eviction inside the relocation has to force the log, and
+        the device fails that flush: ``write_object`` raises with the
+        old value dropped and the new one half placed.  The record was
+        appended first, so it stands — an abort restores from it; a
+        power cut instead loses it *and* every page it was gating, and
+        restart finds the before image where it was."""
+        __, __, flush = self._write_steps(build, made := {})
+        injector = FaultInjector(plan=FaultPlan(fail_flush_at={flush}))
+        storage = build(injector, 2)
+        with pytest.raises(TransientIOError):
+            self._drive(made)(storage)
+        assert injector.failed_flushes == 1
+        assert injector.trace[-1].number == flush  # nothing went out after
+        last = storage.log.records()[-1]
+        assert isinstance(last, UpdateRecord) and last.oid == made["big"]
+        assert (last.before, last.after) == (_large(b"B0"), _large(b"B2"))
+        if ending == "abort":
+            assert storage.undo(WRITER) == 2
+            storage.log_abort(WRITER)
+            _expect_restored(storage, made)
+        report = _power_cut(storage, injector)
+        assert (WRITER in report.losers) == (ending == "power cut")
+        _expect_restored(storage, made)
+
+
+@ENGINES
+class TestUndoLogsBeforeItInstalls:
+    """``undo`` appends the compensation record and only then installs
+    the before image.  The frame is stamped at the install, at or past
+    that record, so a page holding a restored image reaches disk only
+    behind it — which is what lets restart trust the checkpoint's mark
+    even for a transaction it keeps in doubt."""
+
+    def _drive(self, made):
+        def drive(storage):
+            _setup(storage, made)
+            storage.write_object(WRITER, made["big"], _large(b"B2"))
+            storage.write_object(WRITER, made["small"], _fat(b"s2"))
+            made["undo_from"] = storage.injector.step_count + 1
+            storage.undo(WRITER)  # no abort record, no flush
+
+        return drive
+
+    def test_each_record_is_durable_before_the_pages_its_install_evicts(
+        self, build
+    ):
+        made = {}
+        __, probe = _run(build, self._drive(made), capacity=2)
         undo_steps = [s for s in probe.trace if s.number >= made["undo_from"]]
         appends = [s.number for s in undo_steps if s.kind == LOG_APPEND]
         assert len(appends) == 2  # one compensation record per update
-        # Newest first: the small object, then the large one — whose
-        # installed pages go out before its compensation record exists.
-        assert any(
-            s.kind == PAGE_WRITE and appends[0] < s.number < appends[1]
-            for s in undo_steps
-        )
-        for compensation in appends:
+        # Newest first: the small object, then the large one, whose
+        # installed pages go out inside the install — behind the record
+        # and the flush the gate forced for it.
+        flushes = [s.number for s in undo_steps if s.kind == LOG_FLUSH]
+        writes = [s.number for s in undo_steps if s.kind == PAGE_WRITE]
+        assert writes and flushes
+        assert appends[1] < min(flushes) < min(writes)
+        for step in [s.number for s in undo_steps]:
             storage, injector = _run(
-                build, drive, FaultPlan(crash_at=compensation), capacity=2
+                build, self._drive(made), FaultPlan(crash_at=step), capacity=2
             )
-            assert injector.fired.number == compensation
+            assert injector.fired.number == step
+            durable = storage.log.records(durable_only=True)
+            if step in writes:
+                assert sum(
+                    isinstance(r, CompensationRecord) for r in durable
+                ) == 2
             report = _power_cut(storage, injector)
             assert WRITER in report.losers
-            self._expect_restored(storage, made)
+            _expect_restored(storage, made)
 
     def test_power_cut_after_an_unflushed_undo(self, build):
         made = {}
-
-        def drive(storage):
-            self._setup(storage, made)
-            storage.undo(WRITER)  # no abort record, no flush: all volatile
-
-        storage, injector = _run(build, drive, capacity=2)
+        storage, injector = _run(build, self._drive(made), capacity=2)
         _power_cut(storage, injector)
-        self._expect_restored(storage, made)
+        _expect_restored(storage, made)
 
 
 def test_recovery_undo_gates_like_any_other_install():
@@ -242,3 +319,64 @@ def test_recovery_undo_gates_like_any_other_install():
         made["big"].value: _large(b"B0"),
         made["small"].value: _fat(b"s0"),
     }
+
+
+def test_a_checkpoint_from_another_thread_never_marks_between_record_and_install():
+    """Real threads.  Record and install are two steps under the frame's
+    X latch; a checkpoint reads its mark and flushes the pools holding
+    the manager mutex and every shard latch, so the mark can never
+    cover a record whose install the flush missed.  2,000 writes on
+    four worker threads with a second thread checkpointing as fast as
+    it can, the switch interval cut down to make the interleavings
+    dense; then the power goes, and restart — redoing only above the
+    last mark — must land on the log-implied state."""
+    import sys
+    import threading
+
+    from repro.chaos.oracles import expected_state
+    from repro.common.codec import encode_int
+    from repro.runtime.sharded import ParallelShardedRuntime
+
+    rt = ParallelShardedRuntime(n_shards=4, poll_timeout=0.01)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    done = threading.Event()
+    checkpoints = []
+
+    def checkpointer():
+        while not done.is_set():
+            checkpoints.append(rt.manager.checkpoint().lsn.value)
+
+    try:
+        def setup(tx):
+            oids = []
+            for index in range(40):
+                oids.append((yield tx.create(encode_int(0), name=f"o{index}")))
+            return oids
+
+        oids = rt.run(setup).value
+
+        def writer(tx, oid, base):
+            for step in range(10):
+                yield tx.write(oid, encode_int(base + step))
+
+        thread = threading.Thread(target=checkpointer, daemon=True)
+        thread.start()
+        tids = [
+            rt.spawn(writer, args=(oids[n % 40], 100 * n), key=f"k{n}")
+            for n in range(200)
+        ]
+        assert all(rt.commit_all(tids).values())
+        done.set()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive() and len(checkpoints) >= 2
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+        rt.close()
+    storage = rt.manager.storage
+    storage.crash()
+    history = storage.log.records()
+    report = storage.recover()
+    assert report.redo_from > 0 and not report.losers
+    assert read_state(storage) == expected_state(history)

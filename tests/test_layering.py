@@ -143,3 +143,73 @@ def test_there_is_one_workflow_engine():
         if word in path.read_text()
     ]
     assert not offenders, "\n".join(offenders)
+
+
+def _callers_of(method):
+    """``module:Class.function`` (or ``module:function``) of every call
+    ``<anything>.method(...)`` under ``src/``."""
+    callers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(tree, "")]
+        while scopes:
+            scope, prefix = scopes.pop()
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    scopes.append((node, f"{prefix}{node.name}."))
+                    continue
+                for call in ast.walk(node):
+                    if (
+                        isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == method
+                    ):
+                        callers.add(f"{_module_name(path)}:{prefix[:-1]}")
+    return callers
+
+
+def test_one_update_rule():
+    """An update is one record written before its one install, and the
+    sites that may write one are few enough to name: four forward, one
+    backward (the segmented log's router forwards to it)."""
+    assert _callers_of("log_update") == {
+        "repro.storage.store:StorageManager.create_object",
+        "repro.storage.store:StorageManager.write_object",
+        "repro.storage.store:StorageManager.delete_object",
+        "repro.storage.segmented:ShardedStorageManager.create_allocated",
+    }
+    assert _callers_of("log_compensation") == {
+        "repro.storage.recovery:undo_updates",
+        "repro.storage.segmented:SegmentedLog.log_compensation",
+    }
+    gone = (
+        "BeforeImageRecord", "AfterImageRecord", "log_before_image",
+        "log_after_image", "whole=", "transactions in doubt",
+    )
+    offenders = [
+        f"{path.relative_to(SRC)}: {word}"
+        for path in sorted(SRC.rglob("*.py"))
+        for word in gone
+        if word in path.read_text()
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_no_exception_to_the_rule():
+    """What the rule let go of, by name: redo takes no ``whole``, never
+    asks who is in doubt, and savepoint rollback has no loop of its own."""
+    import inspect
+
+    from repro.storage.log import WriteAheadLog
+    from repro.storage.recovery import RecoveryManager
+    from repro.storage.segmented import SegmentedLog
+    from repro.storage.store import LoggedUndo
+
+    for log in (WriteAheadLog, SegmentedLog):
+        assert list(inspect.signature(log.redo_records).parameters) == ["self"]
+    assert "in_doubt" not in inspect.getsource(RecoveryManager._redo)
+    rollback = ast.parse(inspect.getsource(LoggedUndo.undo_to).strip())
+    assert not any(
+        isinstance(node, (ast.For, ast.While, ast.comprehension))
+        for node in ast.walk(rollback)
+    )
