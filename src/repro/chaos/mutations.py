@@ -13,6 +13,7 @@ classes at test time and restore them on exit, even on error.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -246,6 +247,35 @@ def compensation_logged_after_install():
     restart keeps (does not undo) an in-doubt transaction, and the redo
     it bounds by the mark no longer puts the after image back."""
     return _logged_after_install("log_compensation", ("install",))
+
+
+@contextmanager
+def write_unpinned_clean():
+    """``StorageManager.write_object``'s one unpin passes ``dirty=False``.
+
+    That unpin is the only thing that marks a rewritten frame dirty and
+    stamps its ``page_lsn``: without it the checkpoint's flush skips the
+    frame, the redo mark passes the record, and a restart from the mark
+    loses a committed image.  A crash sweep over a scenario that
+    rewrites a clean page and then checkpoints must go red (the
+    registered scenarios rewrite pages their creates already dirtied;
+    ``tests/chaos/test_checkpoint_mark.py`` carries one that does not).
+    """
+    from repro.storage.store import StorageManager
+
+    original = BufferPool.unpin
+    forward_write = StorageManager.write_object.__code__
+
+    def unpin(self, page_id, dirty=False):
+        if sys._getframe(1).f_code is forward_write:
+            dirty = False
+        return original(self, page_id, dirty)
+
+    BufferPool.unpin = unpin
+    try:
+        yield
+    finally:
+        BufferPool.unpin = original
 
 
 @contextmanager

@@ -208,11 +208,14 @@ class ObjectDescriptor:
         Zero means nothing can conflict with a request by ``tid`` — the
         lock manager's contention fast path.
         """
-        count = self._active_granted
-        own = self._granted_by_tid.get(tid)
+        return self.active_besides(self._granted_by_tid.get(tid))
+
+    def active_besides(self, own):
+        """Unsuspended granted locks other than ``own`` — the requester's
+        granted LRD here, already in hand, or ``None``."""
         if own is not None and not own.suspended:
-            count -= 1
-        return count
+            return self._active_granted - 1
+        return self._active_granted
 
     def granted_for(self, tid):
         """The granted LRD of ``tid`` on this object, or ``None``."""

@@ -94,12 +94,19 @@ class LockManager:
         later, re-entering at step 1 as the paper specifies.
         """
         od = self.registry.get_or_create(oid)
-        if od.foreign_active_count(td.tid) == 0:
+        own = od.granted_for(td.tid)
+        if (
+            own is not None
+            and not own.suspended
+            and self.conflicts.covers(own.operations, operation)
+        ):
+            return GRANTED  # step 1a: held already — nothing to grant
+        if od.active_besides(own) == 0:
             # Contention fast path: every granted lock is either the
             # requester's own or suspended, so nothing can conflict —
             # skip conflict and permit evaluation entirely.
             self.stats["fast_grants"] += 1
-            self._grant(td, od, operation)
+            self._grant(td, od, operation, own)
             return GRANTED
         to_suspend = []
         blockers = []
@@ -139,7 +146,7 @@ class LockManager:
                     for_tid=td.tid,
                     operation=operation,
                 )
-        self._grant(td, od, operation)
+        self._grant(td, od, operation, own)
         return GRANTED
 
     def holds(self, td, oid, operation):
@@ -158,8 +165,9 @@ class LockManager:
             and self.conflicts.covers(lrd.operations, operation)
         )
 
-    def _grant(self, td, od, operation):
-        lrd = od.granted_for(td.tid)
+    def _grant(self, td, od, operation, lrd=None):
+        """Grant ``operation`` on ``od``: extend ``lrd``, the granted
+        request ``td`` has there, or make its first (``None``)."""
         if lrd is None:
             lrd = LockRequestDescriptor(
                 td=td, od=od, operations={operation},

@@ -280,10 +280,9 @@ class TransactionManager:
         """
         with self._mutex:
             td = self._active_td(tid)
-            if not self.lock_manager.holds(td, oid, READ):
-                outcome = self.lock_manager.acquire(td, oid, READ)
-                if not outcome:
-                    return outcome, None
+            outcome = self.lock_manager.acquire(td, oid, READ)
+            if not outcome:
+                return outcome, None
             try:
                 value = self.storage.read_object(tid, oid)
             except QuarantinedObjectError:
@@ -296,10 +295,9 @@ class TransactionManager:
         """Write ``oid`` for ``tid``; section 4.2 ``write`` (logs images)."""
         with self._mutex:
             td = self._active_td(tid)
-            if not self.lock_manager.holds(td, oid, WRITE):
-                outcome = self.lock_manager.acquire(td, oid, WRITE)
-                if not outcome:
-                    return outcome
+            outcome = self.lock_manager.acquire(td, oid, WRITE)
+            if not outcome:
+                return outcome
             try:
                 self.storage.write_object(tid, oid, value)
             except QuarantinedObjectError:
@@ -323,10 +321,9 @@ class TransactionManager:
         """
         with self._mutex:
             td = self._active_td(tid)
-            if not self.lock_manager.holds(td, oid, operation):
-                outcome = self.lock_manager.acquire(td, oid, operation)
-                if not outcome:
-                    return outcome, None
+            outcome = self.lock_manager.acquire(td, oid, operation)
+            if not outcome:
+                return outcome, None
             try:
                 value = self.storage.read_object(tid, oid)
             except QuarantinedObjectError:

@@ -256,10 +256,9 @@ class ShardedTransactionManager(TransactionManager):
         try:
             with self._latched({shard}):
                 td = self._active_td(tid)
-                if not self.lock_manager.holds(td, oid, READ):
-                    outcome = self.lock_manager.acquire(td, oid, READ)
-                    if not outcome:
-                        return outcome, None
+                outcome = self.lock_manager.acquire(td, oid, READ)
+                if not outcome:
+                    return outcome, None
                 value = self.storage.read_object(tid, oid)
                 self.events.emit(EventKind.READ, tid, oid=oid)
                 return GRANTED, value
@@ -274,10 +273,9 @@ class ShardedTransactionManager(TransactionManager):
         try:
             with self._latched({shard}):
                 td = self._active_td(tid)
-                if not self.lock_manager.holds(td, oid, WRITE):
-                    outcome = self.lock_manager.acquire(td, oid, WRITE)
-                    if not outcome:
-                        return outcome
+                outcome = self.lock_manager.acquire(td, oid, WRITE)
+                if not outcome:
+                    return outcome
                 self.storage.write_object(tid, oid, value)
                 self.events.emit(EventKind.WRITE, tid, oid=oid)
                 return GRANTED
@@ -290,10 +288,9 @@ class ShardedTransactionManager(TransactionManager):
         try:
             with self._latched({shard}):
                 td = self._active_td(tid)
-                if not self.lock_manager.holds(td, oid, operation):
-                    outcome = self.lock_manager.acquire(td, oid, operation)
-                    if not outcome:
-                        return outcome, None
+                outcome = self.lock_manager.acquire(td, oid, operation)
+                if not outcome:
+                    return outcome, None
                 value = self.storage.read_object(tid, oid)
                 new_value, result = transform(value)
                 if new_value is not None:

@@ -9,6 +9,14 @@ whose creation survived a crash.
 Values at this layer are raw bytes; typed views (counters, records, …)
 are provided by the semantics layer above.
 
+**An operation is one pin, one latch cycle, one slot read.**  The
+caller pins the object's anchor page once (:meth:`ObjectStore.frame_for`),
+latches that frame and hands the pin to ``read`` / ``write`` /
+``delete``, which work on the frame it holds — the paper's cache, where
+the cached object is reached once and "no searching is needed".  Called
+without a pin (undo, restart redo, state readers) the same methods take
+one themselves for as long as they are on the anchor page.
+
 **Large objects.**  EOS supports objects bigger than a page via segment
 chains; so does this store.  A value that does not fit in one page is
 split into chunks, each stored under a *chunk id* (the object's id with a
@@ -44,6 +52,23 @@ def _chunk_id(owner_value, index):
 
 def _is_chunk(oid_value):
     return bool(oid_value & _CHUNK_FLAG)
+
+
+class Pinned:
+    """An object's anchor frame, pinned for one operation, and its slot
+    there.  ``raw`` is the slot's bytes once read under the caller's
+    latch: the before image a write or delete logs also tells inline
+    from large, so nothing is copied or parsed twice.  ``owned`` marks a
+    pin the store took for itself and gives back as soon as it is done
+    with the anchor page."""
+
+    __slots__ = ("frame", "slot", "raw", "owned")
+
+    def __init__(self, frame, slot):
+        self.frame = frame
+        self.slot = slot
+        self.raw = None
+        self.owned = False
 
 
 class ObjectStore:
@@ -159,13 +184,13 @@ class ObjectStore:
         page_id, slot = self._place(oid_value, header)
         self._locations[oid_value] = (page_id, slot)
 
-    def _drop_value(self, oid_value):
-        """Remove ``oid_value``'s slot and any chunk slots behind it."""
-        raw = self._read_slot(oid_value)
-        header = self._parse_lob_header(raw)
-        page_id, slot = self._locations[oid_value]
-        self._delete_slot(page_id, slot)
+    def _drop_value(self, oid_value, pinned):
+        """Remove ``oid_value``'s slot, on the frame ``pinned`` holds, and
+        any chunk slots behind it."""
+        header = self._parse_lob_header(pinned.raw)
+        pinned.frame.page.delete(pinned.slot)
         del self._locations[oid_value]
+        self._release(pinned, dirty=True)
         if header is not None:
             count, __ = header
             for index in range(count):
@@ -205,43 +230,92 @@ class ObjectStore:
             finally:
                 self.pool.unpin(page_id, dirty=inserted)
         frame = self.pool.new_page()
-        page_id = frame.page.page_id
         try:
-            slot = frame.page.insert(oid_value, value)
+            return frame.page.page_id, frame.page.insert(oid_value, value)
         except PageFullError:
-            self.pool.unpin(page_id, dirty=True)
             raise StorageError(
                 f"value of {len(value)} bytes exceeds page capacity"
             ) from None
-        self.pool.unpin(page_id, dirty=True)
-        return page_id, slot
+        finally:
+            self.pool.unpin(frame.page.page_id, dirty=True)
 
     def exists(self, oid):
         """Whether ``oid`` names a live object."""
         return oid.value in self._locations and not _is_chunk(oid.value)
 
     def _read_slot(self, oid_value):
+        """A chunk's bytes, from whatever page holds it."""
         page_id, slot = self._locations[oid_value]
         frame = self.pool.fetch(page_id)
         try:
-            __, value = frame.page.read(slot)
-            return value
+            return frame.page.read(slot)[1]
         finally:
             self.pool.unpin(page_id)
 
-    def read(self, oid):
+    def frame_for(self, oid):
+        """Pin ``oid``'s anchor page: the one place an operation pins.
+
+        The caller owns the pin (and typically the frame latch), hands
+        the :class:`Pinned` to :meth:`read` / :meth:`write` /
+        :meth:`delete`, and unpins via the pool — ``dirty=True`` after a
+        write or delete: that unpin is what marks the frame and stamps
+        its ``page_lsn``.  This is how the storage manager latches an
+        object per the section 4.2 algorithms; for large objects the
+        anchor (header) frame carries the latch for the whole object.
+        The probe takes no lock: a stale answer is caught by the check
+        every operation makes under it, and a miss is confirmed there (a
+        relocation takes the key out and puts it back).
+        """
+        location = self._locations.get(oid.value)
+        if location is None:
+            with self._lock:
+                location = self._locations.get(oid.value)
+        if location is None or _is_chunk(oid.value):
+            raise UnknownObjectError(oid)
+        return Pinned(self.pool.fetch(location[0]), location[1])
+
+    def _anchor(self, oid, pinned):
+        """``pinned`` with its slot's bytes read, one copy per latch
+        cycle — or, when it is no pin (undo, restart redo, the state
+        readers) or one the object has left (relocated between the
+        caller's pin and its latch), a pin the store takes itself.  One
+        dict probe tells, and it is sound because every relocation
+        happens under ``_lock``, which the caller of this holds: a pin
+        taken here cannot go stale."""
+        if pinned is None or (
+            pinned.raw is None
+            and self._locations.get(oid.value)
+            != (pinned.frame.page.page_id, pinned.slot)
+        ):
+            pinned = self.frame_for(oid)
+            pinned.owned = True
+        if pinned.raw is None:
+            pinned.raw = pinned.frame.page.read(pinned.slot)[1]
+        return pinned
+
+    def _release(self, pinned, dirty):
+        """Done with the anchor page: a pin the store took itself goes
+        back now, before any other page is touched — a frameless
+        operation never holds two frames, so undo and redo run in a
+        one-frame pool.  A caller's pin is the caller's to return."""
+        if pinned.owned:
+            pinned.owned = False
+            self.pool.unpin(pinned.frame.page.page_id, dirty=dirty)
+
+    def read(self, oid, pinned=None):
         """Return the current bytes of ``oid`` (reassembling chunks)."""
         with self._lock:
-            self._locate(oid)
-            raw = self._read_slot(oid.value)
-            header = self._parse_lob_header(raw)
-            if header is None:
-                return raw[1:]  # strip the inline tag
-            count, total = header
-            parts = []
-            for index in range(count):
-                parts.append(self._read_slot(_chunk_id(oid.value, index)))
-            value = b"".join(parts)
+            pinned = self._anchor(oid, pinned)
+            try:
+                if pinned.raw.startswith(_TAG_INLINE):
+                    return pinned.raw[1:]  # strip the tag
+                count, total = self._parse_lob_header(pinned.raw)
+            finally:
+                self._release(pinned, dirty=False)
+            value = b"".join(
+                self._read_slot(_chunk_id(oid.value, index))
+                for index in range(count)
+            )
             if len(value) != total:
                 raise StorageError(
                     f"large object {oid!r}: expected {total} bytes,"
@@ -249,34 +323,40 @@ class ObjectStore:
                 )
             return value
 
-    def write(self, oid, value):
+    def write(self, oid, value, pinned=None):
         """Replace the bytes of ``oid`` with ``value``.
 
-        Handles every size transition (small->small in place when it
-        fits, small<->large, large->large) by dropping and re-placing.
+        Handles every size transition (small->small in place, on the
+        frame already held, when it fits; small<->large, large->large)
+        by dropping and re-placing.
         """
         with self._lock:
-            self._locate(oid)
-            raw = self._read_slot(oid.value)
-            header = self._parse_lob_header(raw)
-            if header is None and len(value) <= self._max_inline:
-                page_id, slot = self._locations[oid.value]
-                frame = self.pool.fetch(page_id)
-                try:
-                    frame.page.update(slot, _TAG_INLINE + value)
-                    return
-                except PageFullError:
-                    pass  # fall through to relocate
-                finally:
-                    self.pool.unpin(page_id, dirty=True)
-            self._drop_value(oid.value)
+            pinned = self._anchor(oid, pinned)
+            try:
+                if (
+                    len(value) <= self._max_inline
+                    and pinned.raw.startswith(_TAG_INLINE)
+                ):
+                    try:
+                        pinned.frame.page.update(
+                            pinned.slot, _TAG_INLINE + value
+                        )
+                        return
+                    except PageFullError:
+                        pass  # fall through to relocate
+                self._drop_value(oid.value, pinned)
+            finally:
+                self._release(pinned, dirty=True)
             self._store_value(oid.value, value)
 
-    def delete(self, oid):
+    def delete(self, oid, pinned=None):
         """Remove ``oid`` (and any chunks) from the store."""
         with self._lock:
-            self._locate(oid)
-            self._drop_value(oid.value)
+            pinned = self._anchor(oid, pinned)
+            try:
+                self._drop_value(oid.value, pinned)
+            finally:
+                self._release(pinned, dirty=True)
 
     def install(self, oid, image):
         """Bring ``oid`` to ``image`` — create, overwrite or (``None``)
@@ -289,33 +369,12 @@ class ObjectStore:
         else:
             self.create(image, oid=oid)
 
-    def frame_for(self, oid):
-        """Pin and return the frame caching ``oid``'s anchor page.
-
-        The caller owns the pin (and typically the frame latch) and must
-        unpin via the pool.  This is the hook the storage manager uses to
-        latch an object during a read/write, per the section 4.2
-        algorithms; for large objects the anchor (header) frame carries
-        the latch for the whole object.
-        """
-        with self._lock:
-            page_id, __ = self._locate(oid)
-        return self.pool.fetch(page_id)
-
     def object_ids(self):
         """All live object id values, ascending (chunks excluded)."""
         with self._lock:
             return sorted(
                 value for value in self._locations if not _is_chunk(value)
             )
-
-    def _locate(self, oid):
-        if _is_chunk(oid.value):
-            raise UnknownObjectError(oid)
-        try:
-            return self._locations[oid.value]
-        except KeyError:
-            raise UnknownObjectError(oid) from None
 
     def __len__(self):
         return sum(1 for value in self._locations if not _is_chunk(value))

@@ -4,12 +4,14 @@
 and write-ahead log together and exposes exactly the operations the
 transaction manager's section 4.2 algorithms need:
 
-* ``read_object`` — S-latch the object's frame, read, release (the paper's
-  ``read`` steps 2-4; step 1, locking, is the transaction manager's job);
-* ``write_object`` — X-latch, read the before image, log the update,
-  write, release (the paper's ``write`` steps 2-6, with its two log
-  steps 3 and 5 made one record written before step 4: both images are
-  known by then, and the latch is held across record and write);
+* ``read_object`` — pin the object's frame once, S-latch it, read,
+  release (the paper's ``read`` steps 2-4; step 1, locking, is the
+  transaction manager's job);
+* ``write_object`` — pin once, X-latch, read the before image, log the
+  update, write on the same frame, release (the paper's ``write`` steps
+  2-6, with its two log steps 3 and 5 made one record written before
+  step 4: both images are known by then, and the latch is held across
+  record and write);
 * ``create_object`` / ``delete_object`` — updates with an absent image on
   one side;
 * ``undo`` — restore before images for an aborting transaction, each
@@ -22,9 +24,10 @@ transaction manager's section 4.2 algorithms need:
   when quiescent, reset the log.
 
 One rule holds at every site that changes a page, forward and backward
-alike: **append the record, then install**.  A page can be evicted the
-moment it is unpinned, and the pool's write-ahead gate can only force
-records that exist.
+alike: **append the record, then install**, then the unpin that marks
+the frame dirty and stamps its ``page_lsn`` — forward, the operation's
+single unpin.  A page can be evicted the moment it is unpinned, and the
+pool's write-ahead gate can only force records that exist.
 """
 
 from __future__ import annotations
@@ -148,34 +151,40 @@ class StorageManager(LoggedUndo):
         quarantine = self.quarantine
         if quarantine is not None and quarantine.objects:
             quarantine.check(tid, oid, op="read")
-        frame = self.objects.frame_for(oid)
+        pinned = self.objects.frame_for(oid)
+        frame = pinned.frame
         try:
             with frame.latch.held(LatchMode.SHARED):
-                return self.objects.read(oid)
+                return self.objects.read(oid, pinned)
         finally:
             self.pool.unpin(frame.page.page_id)
 
     def write_object(self, tid, oid, value):
         """Write ``oid`` under an X latch: log the update (the before
-        image read under that latch, the after image given), then write."""
+        image read under that latch, the after image given), then write
+        — on the frame pinned once, whose one unpin marks it dirty."""
         quarantine = self.quarantine
         if quarantine is not None and quarantine.objects:
             quarantine.check(tid, oid, op="write")
-        frame = self.objects.frame_for(oid)
+        objects = self.objects
+        pinned = objects.frame_for(oid)
+        frame = pinned.frame
         try:
             with frame.latch.held(LatchMode.EXCLUSIVE):
-                self.log.log_update(tid, oid, self.objects.read(oid), value)
-                self.objects.write(oid, value)
+                self.log.log_update(tid, oid, objects.read(oid, pinned), value)
+                objects.write(oid, value, pinned)
         finally:
             self.pool.unpin(frame.page.page_id, dirty=True)
 
     def delete_object(self, tid, oid):
         """Delete ``oid``, logged first so the deletion is undoable."""
-        frame = self.objects.frame_for(oid)
+        objects = self.objects
+        pinned = objects.frame_for(oid)
+        frame = pinned.frame
         try:
             with frame.latch.held(LatchMode.EXCLUSIVE):
-                self.log.log_update(tid, oid, self.objects.read(oid), None)
-                self.objects.delete(oid)
+                self.log.log_update(tid, oid, objects.read(oid, pinned), None)
+                objects.delete(oid, pinned)
         finally:
             self.pool.unpin(frame.page.page_id, dirty=True)
 

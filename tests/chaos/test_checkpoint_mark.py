@@ -14,6 +14,14 @@ the mark read after the flush instead of before it
 (``redo_mark_read_after_flush``), or a torn page reset without voiding
 the mark (``torn_page_keeps_mark``).
 
+Since PR 22 a rewrite marks its frame dirty in one place — the single
+unpin that ends ``write_object`` — so that unpin gets a mutation of its
+own (``write_unpinned_clean``).  The registered scenarios rewrite pages
+their creates already dirtied, which hides it from ``checkpoint_mark``;
+``rewrite_then_checkpoint`` below (not registered: the sweep goldens
+list registered scenarios) rewrites a *clean* page and checkpoints
+again, and its crash sweep names the plans that lose the image.
+
 Since PR 17 the same checkpoint moves the log's *restart point*: every
 restart in these sweeps opens a new log at the hint and sees only the
 tail.  The transaction active across the checkpoint is what holds the
@@ -31,7 +39,9 @@ from repro.chaos.mutations import (
     redo_mark_read_after_flush,
     restart_point_ignores_active,
     torn_page_keeps_mark,
+    write_unpinned_clean,
 )
+from repro.chaos.scenarios import ScenarioSpec
 from repro.chaos.sweep import (
     crash_sweep,
     probe,
@@ -183,3 +193,75 @@ class TestCheckpointMarkSensitivity:
     def test_clean_without_mutations(self, name):
         result = crash_sweep(scenarios.get(name), stop_at_first=True)
         assert result.ok, result.describe()
+
+
+def _rewrite_then_checkpoint(stack):
+    """Create, checkpoint (the page is clean), rewrite ``a``, checkpoint
+    again (its mark passes the rewrite's record), rewrite ``b``."""
+    rt, manager = stack.runtime, stack.manager
+    oids = {}
+
+    def setup(tx):
+        for name in ("a", "b"):
+            oids[name] = yield tx.create(name.encode() + b"0")
+
+    def write(tx, oid, value):
+        yield tx.write(oid, value)
+
+    stack.note_ack(rt.run(setup).tid)
+    stack.intent.oids = dict(oids)
+    manager.checkpoint()
+    stack.commit(rt.spawn(write, (oids["a"], b"a1")))
+    manager.checkpoint()
+    stack.commit(rt.spawn(write, (oids["b"], b"b2")))
+    stack.intent.expected_clean = {
+        oids["a"].value: b"a1", oids["b"].value: b"b2",
+    }
+
+
+class TestTheOneUnpinMarksTheFrame:
+    """``write_object``'s single ``unpin(dirty=True)`` is the only thing
+    that marks a rewritten frame: clean, the second checkpoint's flush
+    skips the frame, its mark passes the record, and every restart from
+    that marker on loses the committed ``a1``."""
+
+    # The crash plans from the second marker's flush on (flat: step 17
+    # of 20; two segments: step 27 of 30).
+    LOSING = {
+        None: {"crash@17", "crash@18", "crash@19"},
+        2: {"crash@27", "crash@28", "crash@29"},
+    }
+
+    @staticmethod
+    def _spec(n_shards):
+        return ScenarioSpec(
+            name="rewrite_then_checkpoint",
+            description="a rewrite of a clean page between two checkpoints",
+            drive=_rewrite_then_checkpoint,
+            n_shards=n_shards,
+        )
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_a_clean_unpin_after_a_rewrite_is_caught(self, n_shards):
+        with write_unpinned_clean():
+            result = crash_sweep(self._spec(n_shards))
+        crashes = {
+            a.plan["label"] for a in result.failures
+            if a.plan["label"].startswith("crash@")
+        }
+        assert crashes == self.LOSING[n_shards]
+        assert all(
+            any(
+                v.startswith("state: object 1: recovered b'a0'")
+                for v in artifact.violations
+            )
+            for artifact in result.failures
+        )
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_clean_without_the_mutation(self, n_shards, keep_tail_modes):
+        result = crash_sweep(
+            self._spec(n_shards), keep_tail_modes=keep_tail_modes
+        )
+        assert result.ok, result.describe()
+        assert result.coverage_complete

@@ -18,7 +18,11 @@ from repro.common.events import EventBus, EventKind
 from repro.common.ids import ObjectId, Tid
 from repro.core.deadlock import DeadlockDetector
 from repro.core.dependency import DependencyType
-from repro.core.descriptors import TransactionDescriptor, TransactionTable
+from repro.core.descriptors import (
+    ObjectDescriptor,
+    TransactionDescriptor,
+    TransactionTable,
+)
 from repro.core.manager import TransactionManager
 from repro.core.outcomes import GRANTED
 from repro.core.status import TransactionStatus
@@ -85,6 +89,87 @@ class TestHoldsIsNotAWalk:
         td = manager.table.get(tid)
         assert td.lock_on(oid) is manager.registry.maybe_get(oid).granted_for(tid)
         assert manager.lock_manager.holds(td, oid, "write")
+
+
+class TestOneDescriptorProbePerOperation:
+    """``try_read`` / ``try_write`` / ``try_operation`` used to ask
+    ``holds`` (registry probe, tid-index probe) and, on a miss,
+    ``acquire`` (registry probe again, the tid index twice more): the
+    first access of every object by every transaction.  ``acquire``
+    answers "already held, unsuspended, covering" itself — the paper's
+    step 1a — so an operation is one probe of each, held or not."""
+
+    @staticmethod
+    def _probes(monkeypatch, manager):
+        counts = {"registry": 0, "tid_index": 0}
+        registry = type(manager.registry)
+        for name in ("get_or_create", "maybe_get"):
+            plain = getattr(registry, name)
+
+            def counted(self, oid, plain=plain):
+                counts["registry"] += 1
+                return plain(self, oid)
+
+            monkeypatch.setattr(registry, name, counted)
+        plain_granted_for = ObjectDescriptor.granted_for
+        plain_foreign = ObjectDescriptor.foreign_active_count
+
+        def granted_for(self, tid):
+            counts["tid_index"] += 1
+            return plain_granted_for(self, tid)
+
+        def foreign_active_count(self, tid):
+            counts["tid_index"] += 1
+            return plain_foreign(self, tid)
+
+        monkeypatch.setattr(ObjectDescriptor, "granted_for", granted_for)
+        monkeypatch.setattr(
+            ObjectDescriptor, "foreign_active_count", foreign_active_count
+        )
+        return counts
+
+    def test_first_access_and_held_access_probe_once_each(
+        self, manager, monkeypatch
+    ):
+        owner, tid = manager.initiate(), manager.initiate()
+        manager.begin(owner, tid)
+        oid = manager.create_object(owner, b"v")
+        manager.note_completed(owner)
+        assert manager.try_commit(owner).status.name == "COMMITTED"
+        stats = manager.lock_manager.stats
+        counts = self._probes(monkeypatch, manager)
+        # First access: nothing held yet (was 2 registry + 3 tid probes).
+        assert manager.try_read(tid, oid)[0] is GRANTED
+        assert counts == {"registry": 1, "tid_index": 1}
+        assert (stats["grants"], stats["fast_grants"]) == (2, 1)
+        # An upgrade over one's own lock: still one of each.
+        assert manager.try_write(tid, oid, b"w") is GRANTED
+        assert counts == {"registry": 2, "tid_index": 2}
+        assert (stats["grants"], stats["fast_grants"]) == (3, 2)
+        # Held and covering: answered by the same probe, nothing granted.
+        assert manager.try_write(tid, oid, b"x") is GRANTED
+        assert manager.try_read(tid, oid) == (GRANTED, b"x")
+        outcome, __ = manager.try_operation(
+            tid, oid, "write", lambda value: (value + b"y", None)
+        )
+        assert outcome is GRANTED
+        assert counts == {"registry": 5, "tid_index": 5}
+        assert (stats["grants"], stats["fast_grants"]) == (3, 2)
+        assert stats["blocks"] == stats["suspensions"] == 0
+
+    def test_a_suspended_lock_is_not_held(self, manager, monkeypatch):
+        """The branch ``holds`` used to answer: a suspended grant must
+        be re-acquired, through conflict and permit evaluation."""
+        ti, tj = manager.initiate(), manager.initiate()
+        manager.begin(ti, tj)
+        oid = manager.create_object(ti, b"v")
+        manager.permit(ti, tj=tj, oids=[oid])
+        assert manager.try_write(tj, oid, b"w") is GRANTED
+        assert manager.table.get(ti).lock_on(oid).suspended
+        grants = manager.lock_manager.stats["grants"]
+        blocked = manager.try_write(ti, oid, b"x")
+        assert not blocked and blocked.blockers == (tj,)
+        assert manager.lock_manager.stats["grants"] == grants
 
 
 def _count_descriptors_walked(monkeypatch, walks=("__iter__", "live")):

@@ -266,11 +266,16 @@ class TestPendingIndexHygiene:
 class TestContentionFastPath:
     def test_uncontended_acquire_takes_fast_path(self, locks):
         a = td(1)
-        assert locks.acquire(a, OB, WRITE)
-        assert locks.stats["fast_grants"] == 1
-        # Re-acquiring over one's own lock is also foreign-free.
         assert locks.acquire(a, OB, READ)
+        assert locks.stats["fast_grants"] == 1
+        # Upgrading over one's own lock is also foreign-free.
+        assert locks.acquire(a, OB, WRITE)
         assert locks.stats["fast_grants"] == 2
+        # A held lock that covers the request is step 1a — success, and
+        # nothing is granted or counted (the manager used to ask
+        # ``holds`` first; ``acquire`` now answers it in the same probe).
+        assert locks.acquire(a, OB, READ)
+        assert (locks.stats["fast_grants"], locks.stats["grants"]) == (2, 2)
 
     def test_foreign_lock_disables_fast_path(self, locks):
         a, b = td(1), td(2)

@@ -195,6 +195,32 @@ def test_one_update_rule():
     assert not offenders, "\n".join(offenders)
 
 
+def test_an_operation_pins_in_one_place():
+    """``frame_for`` is where an object operation pins: the forward
+    operations call it once each, the frameless entry and the stale-pin
+    retry share one call in ``_anchor``, and ``read`` / ``write`` /
+    ``delete`` fetch nothing themselves — the other ``pool.fetch`` sites
+    are pages an operation does *not* hold (chunks, placement, the table
+    rebuild)."""
+    storage = {
+        caller for caller in _callers_of("fetch")
+        if caller.startswith("repro.storage.")
+    }
+    assert storage == {
+        "repro.storage.objects:ObjectStore.frame_for",
+        "repro.storage.objects:ObjectStore._read_slot",
+        "repro.storage.objects:ObjectStore._delete_slot",
+        "repro.storage.objects:ObjectStore._place",
+        "repro.storage.objects:ObjectStore._rebuild_table",
+    }
+    assert _callers_of("frame_for") == {
+        "repro.storage.objects:ObjectStore._anchor",
+        "repro.storage.store:StorageManager.read_object",
+        "repro.storage.store:StorageManager.write_object",
+        "repro.storage.store:StorageManager.delete_object",
+    }
+
+
 def test_no_exception_to_the_rule():
     """What the rule let go of, by name: redo takes no ``whole``, never
     asks who is in doubt, and savepoint rollback has no loop of its own."""
