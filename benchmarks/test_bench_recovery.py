@@ -1,15 +1,21 @@
-"""EX13 (ablation) — restart recovery time vs log length.
+"""EX13 (ablation) — restart recovery work vs log length.
 
-Without a checkpoint, recovery repeats the whole durable history, so its
+Without a checkpoint, recovery reads the whole durable history, so its
 cost grows with it.  A checkpoint bounds it two ways: the *sharp* one
 (flush all pages, truncate the log when quiescent) by discarding the
 history, the plain one by marking where redo may begin — its marker's
 ``redo_lsn`` — while keeping every record.  Sweep the number of
 committed transactions before the crash under all three.
 
-Expected shape: redo work (and time) linear in log length without a
-checkpoint, flat with either kind — the log-keeping one without
-discarding anything; recovered state identical all three ways.  Since
+Expected shape: records decoded and scanned linear in log length
+without a checkpoint, one (the marker) with either kind — the
+log-keeping one without discarding anything; recovered state identical
+all three ways.  Installs are flat *either way* since PR 23: redo
+installs each object once, at its newest image, so without a checkpoint
+it is the 4 counters at every length and the rest of the history's
+images are superseded.  What a checkpoint still buys is the decode and
+the scan, and at 512 transactions that is a millisecond gap inside this
+box's noise — the closing assertions are on counts.  Since
 PR 17 that holds with the open inside the clock as well ("reopened": a
 new log handle and storage stack over the surviving devices, as after a
 real restart): the log opens at its restart point and decodes the
@@ -64,34 +70,36 @@ def test_bench_recovery_log_length_sweep(benchmark):
             for slot in range(4)
         ]
         assert plain_state == expected
-        # Redo work, exactly: every after image without a checkpoint,
-        # none behind either kind.  The kept log is all still on the
+        # Redo work, exactly: without a checkpoint the 4 counters, once
+        # each, standing for every after image in the history; none
+        # behind either kind.  The kept log is all still on the
         # device (``redo_from`` names its last record below the marker),
         # but restart decodes and analyses its tail: the marker.
-        assert plain.redone == history + 4 and plain.redo_from == 0
+        assert (plain.redone, plain.superseded) == (4, history)
+        assert plain.redo_from == 0
         assert (sharp.redone, sharp.scanned) == (0, 1)
         for report in (kept, reopened):
             assert (report.redone, report.scanned) == (0, 1)
             assert report.redo_from == plain.scanned
             assert report.restart_from == plain.scanned + 1
         rows.append([history, plain_ms, sharp_ms, kept_ms, reopened_ms,
-                     plain.redone, kept.redone, plain.scanned + 1,
-                     reopened.scanned])
+                     plain.redone, plain.superseded, kept.redone,
+                     plain.scanned, plain.scanned + 1, reopened.scanned])
     print_table(
         "EX13: recovery time vs history length — no / sharp / log-keeping"
         " checkpoint",
         ["committed txns", "no checkpoint (ms)", "sharp checkpoint (ms)",
          "checkpoint, log kept (ms)", "checkpoint, log kept, reopened (ms)",
-         "redone (none)", "redone (kept)", "records kept",
-         "decoded at reopen (kept)"],
+         "redone (none)", "superseded (none)", "redone (kept)",
+         "scanned (none)", "records kept", "decoded at reopen (kept)"],
         rows,
     )
-    # Without checkpoints recovery grows with history; with them it
-    # stays (near) flat — the longest run shows a clear win, the open
-    # included.
-    assert rows[-1][1] > rows[-1][2]
-    assert rows[-1][1] > rows[-1][3]
-    assert rows[-1][1] > rows[-1][4]
+    # Without checkpoints what restart scans grows with the history —
+    # two records a transaction, above the 5 of the set-up; with them
+    # it is the marker, the open included, with every record kept.
+    assert all(
+        row[8:] == [2 * row[0] + 5, 2 * row[0] + 6, 1] for row in rows
+    )
     benchmark(lambda: _workload(64, checkpoint=None))
 
 

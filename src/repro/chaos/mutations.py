@@ -19,7 +19,12 @@ from dataclasses import replace
 
 from repro.core.manager import TransactionManager
 from repro.storage.buffer import BufferPool
-from repro.storage.log import CheckpointRecord, WriteAheadLog
+from repro.storage.log import (
+    CheckpointRecord,
+    CompensationRecord,
+    UpdateRecord,
+    WriteAheadLog,
+)
 from repro.storage.recovery import RecoveryManager
 
 
@@ -58,6 +63,33 @@ def redo_lwm_too_high():
         return original(self)
 
     WriteAheadLog.redo_records = from_the_end
+    try:
+        yield
+    finally:
+        WriteAheadLog.redo_records = original
+
+
+@contextmanager
+def redo_keeps_oldest_image():
+    """Redo installs, for each object with an image above the mark, the
+    *oldest* one instead of the newest — the one way installing once
+    per object can be wrong.  Any crash after an object was written
+    twice above the mark with the later image still off its page must
+    show: the ``checkpoint_mark`` and ``steal_window`` sweeps and the
+    restart property go red."""
+    original = WriteAheadLog.redo_records
+
+    def oldest(self):
+        with self._lock:
+            tail = self._decoded[self._first_above(self.redo_lsn) :]
+        first, images = {}, 0
+        for record in tail:  # the product's pass, from the wrong end
+            if isinstance(record, (UpdateRecord, CompensationRecord)):
+                images += 1
+                first.setdefault(record.oid.value, record)
+        return list(first.values()), images - len(first)
+
+    WriteAheadLog.redo_records = oldest
     try:
         yield
     finally:

@@ -258,7 +258,16 @@ class Site:
         self.storage.crash()
 
     def restart(self):
-        """Reboot: replay the log, surface in-doubt groups, resume duty."""
+        """Reboot: replay the log, surface in-doubt groups, resume duty.
+
+        The takeover / decision / prepare evidence is folded from
+        ``log.records()``, decoding nothing the restart has not already
+        decoded: ``storage.recover()`` began with ``drop_volatile``, so
+        the log's decoded tail *is* the durable view, and what recovery
+        appended to it since (compensation and abort records) is none of
+        the three types read here.  Below a restart point the prefix is
+        read from the device, as the durable view would.
+        """
         if self.up:
             return self.recovery_report
         report = self.storage.recover()
@@ -271,7 +280,7 @@ class Site:
         claims = {}
         decisions = {}
         prepares = {}
-        for record in self.storage.log.records(durable_only=True):
+        for record in self.storage.log.records():
             if isinstance(record, TakeoverRecord):
                 claims[record.gid] = record
             elif isinstance(record, DecisionRecord):

@@ -276,8 +276,9 @@ class ObservabilityKit:
         shard segment — ``wal.appends{shard=2}`` and friends — plus a
         collector mirroring per-segment census rows as gauges, so shard
         imbalance is visible straight off the registry.  Restart
-        recovery sets ``recovery.scanned`` / ``redone`` / ``undone`` /
-        ``redo_from`` / ``restart_from`` through the same hook.
+        recovery sets ``recovery.scanned`` / ``redone`` / ``superseded``
+        / ``undone`` / ``redo_from`` / ``restart_from`` through the same
+        hook.
         """
         if not self._once(log, "log"):
             return self

@@ -1442,15 +1442,21 @@ class WriteAheadLog:
             )
 
     def redo_records(self):
-        """The records whose ``after`` image restart must reinstall, in
-        LSN order: every update and compensation above the last
-        checkpoint's mark (``redo_lsn``)."""
+        """``(records, superseded)``: the records whose ``after`` image
+        restart must reinstall, in LSN order — for each object with an
+        update or compensation above the last checkpoint's mark
+        (``redo_lsn``), the newest one — and how many older images
+        above the mark those stand for.  An image is the whole object,
+        so installing the newest leaves what installing all of them in
+        order would."""
         with self._lock:
-            return [
-                record
-                for record in self._decoded[self._first_above(self.redo_lsn) :]
-                if isinstance(record, (UpdateRecord, CompensationRecord))
-            ]
+            tail = self._decoded[self._first_above(self.redo_lsn) :]
+        newest, images = {}, 0
+        for record in reversed(tail):
+            if isinstance(record, (UpdateRecord, CompensationRecord)):
+                images += 1
+                newest.setdefault(record.oid.value, record)
+        return list(reversed(newest.values())), images - len(newest)
 
     def image_oids(self):
         """Values of the object ids updated or restored in the tail."""

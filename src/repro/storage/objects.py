@@ -146,6 +146,16 @@ class ObjectStore:
             self._next_oid_value += 1
             return oid
 
+    def retire_oids(self, oid_values):
+        """After restart, allocate above every id the log's tail names,
+        not only those a page holds: redo installs an object created
+        and deleted there just once, as absent, so its id never passes
+        through :meth:`create` — and must still never be issued again."""
+        with self._lock:
+            self._next_oid_value = max(
+                self._next_oid_value, max(oid_values, default=0) + 1
+            )
+
     def create(self, value, name="", oid=None):
         """Store ``value`` as a new object and return its id.
 

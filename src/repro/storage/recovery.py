@@ -1,8 +1,8 @@
 """Restart recovery.
 
-The strategy is repeat-history + undo-losers over physical images, in
-one pass over a log that was decoded once (at open, or by the crash
-simulation's ``resync``):
+The strategy is repeat-history's-outcome + undo-losers over physical
+images, in one pass over a log that was decoded once (at open, or by
+the crash simulation's ``resync``):
 
 1. **Analysis** — read off the log's attribution index, which folded
    every record as it was decoded: winners are transactions named by
@@ -11,12 +11,19 @@ simulation's ``resync``):
    each update to the transaction responsible for it at the end of the log
    (if a loser delegated its updates to a winner, those updates survive —
    exactly the delegation semantics of section 2.2).
-2. **Redo** — install, in LSN order, the ``after`` image of every
-   update and compensation record above the last durable checkpoint's
-   ``redo_lsn`` (those at or below it are in the page file: the marker
-   is written after the pool flush, the mark read before it).  Undo
-   performed before the crash was itself logged, as compensation
-   records, so repeating history reproduces aborts too — completed or
+2. **Redo** — for every object with an update or compensation record
+   above the last durable checkpoint's ``redo_lsn`` (those at or below
+   it are in the page file: the marker is written after the pool
+   flush, the mark read before it), install the ``after`` image of the
+   *newest* one, in LSN order.  Redo's post-condition is a store that
+   holds what replaying every image in order would leave, and an image
+   is the whole object: installs of different objects commute and the
+   last install of one object wins, so the older images are dead work
+   (``RecoveryReport.superseded`` counts them; logical or partial-page
+   records would need every one).  The replay of all of them survives
+   as the test oracle, ``tests/storage/scan_oracle.replay_every_image``.
+   Undo performed before the crash was itself logged, as compensation
+   records, so history's outcome includes aborts too — completed or
    cut short, whoever's they were.  Quarantining a torn page first voids
    the mark (a marker with ``redo_lsn`` 0, durable before the page is
    reset), so redo starts from the beginning of the log — only
@@ -42,8 +49,8 @@ resolves it against the coordinator (or by presumed abort) after
 restart.
 
 Physical before/after images make redo and undo idempotent, which is why a
-crash *during* recovery is harmless: the next restart repeats the same
-installs.
+crash *during* recovery is harmless: the next restart installs the same
+newest images (or newer ones: undo's own compensation records).
 """
 
 from __future__ import annotations
@@ -60,7 +67,10 @@ class RecoveryReport:
     winners: set = field(default_factory=set)
     losers: set = field(default_factory=set)
     already_aborted: set = field(default_factory=set)
-    redone: int = 0
+    redone: int = 0  # objects redo installed: the newest image of each
+    # Older images above the mark, which those stand for: the tail held
+    # ``redone + superseded`` updates and compensations to redo.
+    superseded: int = 0
     undone: int = 0
     scanned: int = 0  # records decoded for this restart
     # The LSN the log's decoded tail starts at — its restart point — or
@@ -79,16 +89,18 @@ class RecoveryReport:
     in_doubt_votes: dict = field(default_factory=dict)
 
     def __repr__(self):
-        doubt = ""
+        doubt = older = ""
         if self.in_doubt:
             doubt = f", in_doubt={sorted(t.value for t in self.in_doubt)}"
+        if self.superseded:
+            older = f" ({self.superseded} superseded)"
         return (
             f"RecoveryReport(winners={sorted(t.value for t in self.winners)},"
             f" losers={sorted(t.value for t in self.losers)},"
             f" restart_from={self.restart_from}, scanned={self.scanned},"
             f" redo_from={self.redo_from}"
             f"{self.redo_reason and f' ({self.redo_reason})'},"
-            f" redone={self.redone}, undone={self.undone}{doubt})"
+            f" redone={self.redone}{older}, undone={self.undone}{doubt})"
         )
 
 
@@ -173,13 +185,16 @@ class RecoveryManager:
         metrics = self.log.metrics
         if metrics is not None:
             for name in (
-                "scanned", "redone", "undone", "redo_from", "restart_from"
+                "scanned", "redone", "superseded", "undone", "redo_from",
+                "restart_from",
             ):
                 metrics.set_gauge(f"recovery.{name}", getattr(report, name))
         return report
 
     def _redo(self, report):
-        """Repeat history above the last durable checkpoint's mark.
+        """Repeat history's outcome above the last durable checkpoint's
+        mark: each object touched there is installed once, at its
+        newest image.
 
         Forces no log: nothing is appended here, so every frame redo
         dirties is stamped with an LSN that was read from the durable
@@ -188,7 +203,8 @@ class RecoveryManager:
         report.redo_from = self.log.redo_lsn
         if not report.redo_from and self.store.damaged_pages:
             report.redo_reason = f"torn pages {self.store.damaged_pages}"
-        for record in self.log.redo_records():
+        records, report.superseded = self.log.redo_records()
+        for record in records:
             self.store.install(record.oid, record.after)
             report.redone += 1
 

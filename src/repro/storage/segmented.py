@@ -152,9 +152,14 @@ class SegmentedLog:
         return min(segment.redo_lsn for segment in self.segments)
 
     def redo_records(self):
-        """Each segment's updates and compensations above its own
-        checkpoint mark, merged."""
-        return self._merged(lambda segment: segment.redo_records())
+        """Each segment's newest image per object above its own
+        checkpoint mark, merged, and how many older ones they stand for
+        in all: an object's images all lie in its owning segment, so
+        newest there is newest."""
+        parts = [segment.redo_records() for segment in self.segments]
+        records = [record for newest, __ in parts for record in newest]
+        records.sort(key=lambda record: record.lsn.value)
+        return records, sum(superseded for __, superseded in parts)
 
     @property
     def restart_from(self):
@@ -536,6 +541,8 @@ class ShardedStorageManager(LoggedUndo):
         self._restore_oid_counter()
 
     def _restore_oid_counter(self):
+        """:meth:`ObjectStore.retire_oids`' rule for the global counter:
+        the router holds every oid a segment's tail names."""
         with self._oid_lock:
             high = 0
             for shard in self.shards:

@@ -277,6 +277,7 @@ class StorageManager(LoggedUndo):
         gone, and run restart recovery."""
         self.objects.refresh_table()
         report = RecoveryManager(self.log, self.objects).recover()
+        self.objects.retire_oids(self.log.image_oids())
         if self.quarantine is not None:
             # Escalate the structural torn-page quarantine: remember the
             # damaged pages so post-recovery triage (or tests) can

@@ -12,7 +12,10 @@ of three ways: redo starting too high (``redo_lwm_too_high`` — which the
 older ``checkpoint_window`` and ``steal_window`` sweeps must see too),
 the mark read after the flush instead of before it
 (``redo_mark_read_after_flush``), or a torn page reset without voiding
-the mark (``torn_page_keeps_mark``).
+the mark (``torn_page_keeps_mark``).  Above the mark redo installs each
+object once, at its newest image; the one way that can be wrong — the
+oldest instead (``redo_keeps_oldest_image``) — turns these sweeps and
+the ``steal_window`` ones red as well.
 
 Since PR 22 a rewrite marks its frame dirty in one place — the single
 unpin that ends ``write_object`` — so that unpin gets a mutation of its
@@ -35,6 +38,7 @@ import pytest
 from repro.chaos import scenarios
 from repro.chaos.faults import LOG_FLUSH, PAGE_WRITE, FaultPlan
 from repro.chaos.mutations import (
+    redo_keeps_oldest_image,
     redo_lwm_too_high,
     redo_mark_read_after_flush,
     restart_point_ignores_active,
@@ -155,6 +159,24 @@ class TestCheckpointMarkSensitivity:
         artifact = result.failures[0]
         assert any(v.startswith("state") for v in artifact.violations)
         assert f"repro.chaos.replay {name}" in artifact.replay
+
+    @pytest.mark.parametrize("name", [
+        "steal_window",
+        "steal_window_sharded",
+        "checkpoint_mark",
+        "checkpoint_mark_sharded",
+    ])
+    def test_redo_keeping_the_oldest_image_is_caught(self, name):
+        """Each of these writes some object twice above a mark and cuts
+        the power with the later image still off its page."""
+        with redo_keeps_oldest_image():
+            result = crash_sweep(scenarios.get(name))
+        assert result.failures
+        assert any(
+            v.startswith("state")
+            for artifact in result.failures
+            for v in artifact.violations
+        )
 
     @ENGINES
     def test_a_mark_read_after_the_flush_is_caught(self, name):

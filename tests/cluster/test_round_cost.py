@@ -25,6 +25,8 @@ from repro.cluster.sweep import (
     release_blackout_sweep,
 )
 from repro.net.fabric import Message
+from repro.storage import log as log_module
+from repro.storage.log import DecisionRecord, PrepareRecord
 from tests.cluster.test_two_phase import spawn_group
 
 IDLE_TICK_CALLS = 16  # 13 now; 30 by this count at the parent of PR 19
@@ -157,6 +159,47 @@ class TestSettledSite:
         touched = _watch(site)
         site.on_tick()
         assert set(touched) == set(PROTOCOL_MAPS)
+
+
+class TestRestartDecodesNothingTwice:
+    """A power cut decodes what survived once (the crash simulation's
+    ``resync``); the restart that follows reads that decoded tail for
+    recovery *and* for the site's takeover / decision / prepare
+    evidence, and decodes only what lies below a restart point."""
+
+    @pytest.mark.parametrize("checkpointed", [False, True])
+    def test_crash_plus_restart_decode_each_durable_record_once(
+        self, monkeypatch, checkpointed
+    ):
+        cluster = Cluster()
+        commit_groups(cluster, 3)
+        site = cluster.sites["alpha"]
+        if checkpointed:
+            site.storage.checkpoint()
+            commit_groups(cluster, 2)
+        durable = site.durable_records()
+        below = site.storage.log.base
+        assert bool(below) == checkpointed
+        decoded = []
+        real = log_module.decode_record
+        monkeypatch.setattr(
+            log_module, "decode_record",
+            lambda raw: decoded.append(1) or real(raw),
+        )
+        cluster.crash_site("alpha")
+        assert len(decoded) == len(durable) - below
+        del decoded[:]
+        cluster.restart_site("alpha")
+        assert len(decoded) == below
+        # The evidence folded from the decoded tail is the durable log's.
+        assert site.voted_gids == {
+            r.gid for r in durable if isinstance(r, PrepareRecord)
+        }
+        decided = {
+            r.gid: r.verdict for r in durable if isinstance(r, DecisionRecord)
+        }
+        assert decided and decided.items() <= site.settled_gids.items()
+        assert cluster.converge()
 
 
 class TestSendUnderTheDefaultPlan:

@@ -211,11 +211,14 @@ class TestRecoveryGauges:
         kit = install_observability(manager=rt.manager)
         report = self._crash_with_a_loser(rt)
         gauges = kit.snapshot()["gauges"]
-        assert report.redo_from > 0 and report.redone and report.undone == 1
+        assert report.redo_from > 0 and report.undone == 1
+        # One object, written by the winner and again by the loser.
+        assert (report.redone, report.superseded) == (1, 1)
         # The checkpoint found nobody active: restart opened at its marker.
         assert report.restart_from == report.redo_from + 1
         for name in (
-            "scanned", "redone", "undone", "redo_from", "restart_from"
+            "scanned", "redone", "superseded", "undone", "redo_from",
+            "restart_from",
         ):
             assert gauges[f"recovery.{name}"] == getattr(report, name)
 
@@ -228,7 +231,8 @@ class TestRecoveryGauges:
         gauges = kit.snapshot()["gauges"]
         assert gauges["recovery.scanned"] == report.scanned > 0
         assert gauges["recovery.restart_from"] == report.restart_from > 0
-        assert gauges["recovery.redone"] == report.redone
+        assert gauges["recovery.redone"] == report.redone == 1
+        assert gauges["recovery.superseded"] == report.superseded == 1
         assert gauges["recovery.undone"] == report.undone == 1
 
     def test_detached_restart_exports_nothing(self):

@@ -2,9 +2,11 @@
 
 import os
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos.mutations import redo_keeps_oldest_image
 from repro.chaos.oracles import expected_state
 from repro.chaos.stack import read_state
 from repro.common.codec import decode_int, encode_int
@@ -14,7 +16,9 @@ from repro.storage.segmented import ShardedStorageManager
 from repro.storage.store import StorageManager
 from tests.storage.scan_oracle import (
     assert_tail_analysis_matches,
+    images_to_replay,
     max_tid_value_scan,
+    redo_by_replay,
 )
 
 # Each step: (transaction index, object index, new value, commit?)
@@ -120,15 +124,20 @@ class TestRecoveryProperty:
 # Restart from the tail's index, bounded by the checkpoint mark
 # ---------------------------------------------------------------------------
 #
-# Random histories of writes / creates / deletes / delegation chains /
-# group commits / prepares / aborts / checkpoints (some with the marker's
-# fsync lied about), power-cut wherever the "crash" steps fall (so the
-# durable prefix ends at whatever the commits, checkpoints, write-ahead
-# forces and explicit flushes had made durable), on the flat log and on
-# two segments.  Every power cut is restarted three ways from the same
-# surviving devices — the restart hints dropped, one checkpoint stale,
-# and as the last checkpoint left them — because the hint is a bound and
-# not evidence.  Each way, the analysis read off the tail's index must be
+# Random histories of writes (of three sizes, so values move between a
+# slot and a chunk chain) / creates / deletes / delegation chains /
+# savepoint rollbacks / group commits / prepares / aborts / checkpoints
+# (some with the marker's fsync lied about), power-cut wherever the
+# "crash" steps fall (so the durable prefix ends at whatever the
+# commits, checkpoints, write-ahead forces and explicit flushes had made
+# durable), on the flat log and on two segments.  Every power cut is
+# restarted three ways from the same surviving devices — the restart
+# hints dropped, one checkpoint stale, and as the last checkpoint left
+# them — because the hint is a bound and not evidence; and once more
+# with redo replaying every image above the mark (the oracle,
+# ``scan_oracle.redo_by_replay``): the product installs each object
+# touched there once, at its newest image, and must leave the same
+# store.  Each way, the analysis read off the tail's index must be
 # what the scan oracle derives from that tail and agree with a scan of
 # the whole history on every transaction the tail speaks of; the
 # recovered store — decoded from the restart point, redone from the last
@@ -155,6 +164,7 @@ _op = st.one_of(
     st.tuples(st.just("commit"), _slot, st.one_of(st.none(), _slot)),
     st.tuples(st.just("prepare"), _slot),
     st.tuples(st.just("abort"), _slot),
+    st.tuples(st.just("rollback"), _slot, _pick),
     st.tuples(st.just("checkpoint"), st.booleans(), st.booleans()),
     st.tuples(st.just("flush")),
     st.tuples(st.just("crash"), st.booleans()),
@@ -304,6 +314,14 @@ class _History:
                 self.prepared.add(op[1])
         elif kind == "abort":
             self._resolve(op[1], commit=False)
+        elif kind == "rollback":  # to a savepoint before one of its updates
+            tid = self.tids.get(op[1])
+            if tid is not None and op[1] not in self.prepared:
+                mine = storage.log.updates_by(tid)
+                if mine:
+                    storage.undo_to(
+                        tid, mine[op[2] % len(mine)].lsn.value - 1
+                    )
         elif kind == "checkpoint":
             active = sorted(self.tids.values(), key=lambda tid: tid.value)
             sharp, lied = op[1] and not active, op[2]
@@ -338,22 +356,27 @@ class _History:
             (disk.snapshot(), device.snapshot()) for disk, device in devices
         ]
         # As the last checkpoint left them last: the history goes on
-        # from that restart.
+        # from that restart.  The first is the oracle's.
+        left = self._hints()
         states = []
-        for hints in ([None] * len(devices), self.stale, self._hints()):
+        for hints in (left, [None] * len(devices), self.stale, left):
             for (disk, device), (pages, records), hint in zip(
                 devices, survived, hints
             ):
                 disk.restore(pages)
                 device.restore(records)
                 device.hint = hint
-            states.append(self._restart(history))
-        assert states[0] == states[1] == states[2]
+            if states:
+                states.append(self._restart(history))
+            else:
+                with redo_by_replay():
+                    states.append(self._restart(history, replayed=True))
+        assert states[0] == states[1] == states[2] == states[3]
         self.tids.clear()
         self.prepared.clear()
         self.owner.clear()
 
-    def _restart(self, history):
+    def _restart(self, history, replayed=False):
         """Reopen every segment at whatever hint its device holds,
         recover, and check the outcome against ``history``."""
         self.storage.crash()
@@ -364,6 +387,7 @@ class _History:
         )
         starts = [segment.restart_from for segment in segments]
         marks = [segment.redo_lsn for segment in segments]
+        images = images_to_replay(segments)
         report = self.storage.recover()
         assert_tail_analysis_matches(report, tail, history)
         # In doubt or not: restart reads its tail, and redoes above the mark.
@@ -371,6 +395,11 @@ class _History:
             len(tail), min(starts),
         )
         assert report.redo_from == min(marks)
+        # One install per object with an image above its segment's mark.
+        installs = len(images if replayed else {r.oid for r in images})
+        assert (report.redone, report.superseded) == (
+            installs, len(images) - installs,
+        )
         assert self.storage.log.max_tid_value() == max(
             max_tid_value_scan(segment) for segment in segments
         )
@@ -397,3 +426,17 @@ class TestIndexDrivenRestartProperty:
         state = read_state(history.storage)
         history.crash()
         assert read_state(history.storage) == state
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_a_redo_that_keeps_the_oldest_image_is_caught(self, n_shards):
+        """The smallest history that tells newest from oldest: one
+        object written twice by a winner, no page flushed."""
+        history = _History(n_shards, None)
+        for op in [
+            ("write", 0, 0, b"1" * 4),
+            ("write", 0, 0, b"2" * 4),
+            ("commit", 0, None),
+        ]:
+            history.apply(op)
+        with redo_keeps_oldest_image(), pytest.raises(AssertionError):
+            history.crash()

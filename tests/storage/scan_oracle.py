@@ -9,7 +9,15 @@ itself until PR 21 (``max_tid_value_scan`` / ``updates_by_scan``, now
 functions of a log).  All of them read the two image-carrying records
 there are: an :class:`UpdateRecord` is an update, a
 :class:`CompensationRecord` only names an object.
+
+Until PR 23 restart redo installed every image above the checkpoint
+mark, one by one; it now installs the newest per object.  The replay of
+all of them is kept here too (:func:`replay_every_image`,
+:func:`images_to_replay` for a log of segments, and
+:func:`redo_by_replay` to run a restart with it).
 """
+
+from contextlib import contextmanager
 
 from repro.storage.log import (
     AbortRecord,
@@ -21,7 +29,11 @@ from repro.storage.log import (
     PrepareRecord,
     UpdateRecord,
 )
-from repro.storage.recovery import RecoveryReport, commit_winners
+from repro.storage.recovery import (
+    RecoveryManager,
+    RecoveryReport,
+    commit_winners,
+)
 
 ANALYSIS_FIELDS = (
     "winners", "losers", "already_aborted", "in_doubt", "in_doubt_votes",
@@ -146,3 +158,48 @@ def updates_by_scan(log, tid):
                 ):
                     responsible[update.lsn] = record.delegatee
     return [r for r in mine if responsible[r.lsn] == tid]
+
+
+def replay_every_image(records, above):
+    """What step-for-step redo installs: every update and compensation
+    record of ``records`` above LSN ``above``, in order."""
+    return [
+        record
+        for record in records
+        if isinstance(record, (UpdateRecord, CompensationRecord))
+        and record.lsn.value > above
+    ]
+
+
+def images_to_replay(segments):
+    """:func:`replay_every_image` of each segment's decoded tail above
+    its own mark, merged by LSN (a flat log is one segment)."""
+    images = [
+        record
+        for segment in segments
+        for record in replay_every_image(segment._decoded, segment.redo_lsn)
+    ]
+    images.sort(key=lambda record: record.lsn.value)
+    return images
+
+
+@contextmanager
+def redo_by_replay():
+    """Restart redoes :func:`images_to_replay`, one install each, as
+    ``RecoveryManager._redo`` did until PR 23; ``report.redone`` counts
+    the installs."""
+    original = RecoveryManager._redo
+
+    def replay(self, report):
+        report.redo_from = self.log.redo_lsn
+        for record in images_to_replay(
+            getattr(self.log, "segments", [self.log])
+        ):
+            self.store.install(record.oid, record.after)
+            report.redone += 1
+
+    RecoveryManager._redo = replay
+    try:
+        yield
+    finally:
+        RecoveryManager._redo = original

@@ -21,6 +21,7 @@ from repro.storage.log import (
 )
 from repro.storage.objects import ObjectStore
 from repro.storage.recovery import RecoveryManager
+from repro.storage.segmented import ShardedStorageManager
 from repro.storage.store import StorageManager
 from tests.storage.scan_oracle import analyze_scan, assert_analysis_matches
 
@@ -127,6 +128,28 @@ class TestRedoUndo:
         # cooperating transactions.
         assert store.read(oid) == b"v0"
 
+    def test_redo_installs_each_object_once_at_its_newest_image(self, setup):
+        store, log = setup
+        oid = store.create(b"v0")
+        other = store.create(b"w0")
+        store.pool.flush_all()
+        installs = []
+        install = store.install
+        store.install = lambda *args: installs.append(args) or install(*args)
+        for value in (b"v1", b"v2", b"v3"):
+            write_logged(store, log, Tid(1), oid, value)
+        write_logged(store, log, Tid(1), other, b"w1")
+        log.log_commit(Tid(1))
+        store.pool.drop_all()
+        store._rebuild_table()
+        report = RecoveryManager(log, store).recover()
+        assert installs == [(oid, b"v3"), (other, b"w1")]
+        assert (report.redone, report.superseded) == (2, 2)
+        # The operator's line says both, so "redone=2" is not read as
+        # "the tail held two updates".
+        assert "redone=2 (2 superseded), undone=0" in repr(report)
+        assert (store.read(oid), store.read(other)) == (b"v3", b"w1")
+
     def test_recovery_is_idempotent(self, setup):
         store, log = setup
         oid = store.create(b"base")
@@ -165,6 +188,31 @@ class TestDelegationAtRecovery:
         RecoveryManager(log, store).recover()
         # ... but responsibility had moved to Tid(2), which never did.
         assert store.read(oid) == b"base"
+
+
+@pytest.mark.parametrize("size", [4, 9000], ids=["inline", "large"])
+@pytest.mark.parametrize("n_shards", [None, 1, 2, 4])
+def test_restart_never_reissues_an_oid_the_tail_names(n_shards, size):
+    """Redo installs an object created and deleted above the mark once,
+    as absent: it never passes through ``create``, and its id must stay
+    retired all the same — a new object under a dead one's id would
+    inherit whatever still names it.  Chunk ids (a large object's
+    slots) name no object: the allocator resumes right above the
+    highest real id, not above them."""
+    if n_shards is None:
+        storage = StorageManager()
+    else:
+        storage = ShardedStorageManager(n_shards=n_shards)
+    kept = storage.create_object(Tid(1), b"a" * size)
+    dead = storage.create_object(Tid(1), b"b" * size)
+    storage.delete_object(Tid(1), dead)
+    storage.log_commit(Tid(1))
+    storage.crash()
+    storage.recover()
+    assert read_state(storage) == {kept.value: b"a" * size}
+    fresh = storage.create_object(Tid(2), b"c" * size)
+    assert fresh.value == dead.value + 1 == 3
+    assert storage.read_object(Tid(2), fresh) == b"c" * size
 
 
 def _storage(tmp_path, device, injector=None, capacity=16):

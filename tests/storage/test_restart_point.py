@@ -246,7 +246,7 @@ class TestWhatPinsThePoint:
         log.log_checkpoint((), redo_lsn=mark)
         # Tid(2)'s page may have missed the flush: redo needs its update.
         assert log.restart_from == mark + 1
-        assert len(log.redo_records()) == 1
+        assert len(log.redo_records()[0]) == 1
 
     def test_an_unfinished_writer_whatever_the_caller_says_is_active(self):
         log = WriteAheadLog()
@@ -336,11 +336,11 @@ class TestPrefixOnDemand:
         _busy(log)
         _checkpoint(log)
         assert log.base and log.device.hint
-        assert len(log.redo_records()) == 0
+        assert len(log.redo_records()[0]) == 0
         log.rewind()
         assert (log.base, log.device.hint, log.restart_from) == (0, None, 0)
         assert Tid(1) in log._winners
-        assert len(log.redo_records()) == 0  # the mark stands: a marker's
+        assert len(log.redo_records()[0]) == 0  # the mark stands: a marker's
 
     @DEVICES
     def test_a_void_mark_voids_the_restart_point(self, tmp_path, kind):
@@ -351,9 +351,9 @@ class TestPrefixOnDemand:
         _checkpoint(log)
         log.log_checkpoint((), redo_lsn=0)
         assert (log.base, log.device.hint, log.redo_lsn) == (0, None, 0)
-        assert len(log.redo_records()) == 6
+        assert len(log.redo_records()[0]) == 6
         reopened = _open(tmp_path, kind, log.device)
-        assert (reopened.base, len(reopened.redo_records())) == (0, 6)
+        assert (reopened.base, len(reopened.redo_records()[0])) == (0, 6)
         _checkpoint(log)
         assert log.base and log.redo_lsn
 

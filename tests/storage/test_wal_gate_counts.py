@@ -100,6 +100,7 @@ def test_syncs_are_commits_plus_checkpoints_and_redo_is_bounded(
     evictions = storage.pool.evictions
     expected = [bytes(VALUE_BYTES)] * OBJECTS
     every = TRANSACTIONS // CHECKPOINTS
+    tail_objects = set()  # written after the last checkpoint
     for unit in range(1, TRANSACTIONS + tail + 1):
         writes = rng.sample(range(OBJECTS), 6)
         value = rng.randbytes(32) * (VALUE_BYTES // 32)
@@ -108,6 +109,8 @@ def test_syncs_are_commits_plus_checkpoints_and_redo_is_bounded(
         assert runtime.run(_read_one_write_six, args=args).committed
         for index in writes:
             expected[index] = value
+        if unit > TRANSACTIONS:
+            tail_objects.update(writes)
         if unit % every == 0:
             runtime.manager.checkpoint()
 
@@ -138,11 +141,14 @@ def test_syncs_are_commits_plus_checkpoints_and_redo_is_bounded(
     # restart point on is decoded and analysed: nobody was active at the
     # third checkpoint, so that is its marker and the units after it —
     # 6 update records + 1 commit each.  Redo starts above the
-    # marker's mark, the last LSN before that checkpoint's flush.
+    # marker's mark, the last LSN before that checkpoint's flush, and
+    # installs each object once: the distinct objects the 7 tail units
+    # wrote — 36 under this seed, their 42 updates less 6 rewrites.
     assert report.scanned == 7 * tail + 1
     assert report.restart_from == appended - 7 * tail
     assert report.redo_from == appended - 7 * tail - 1
-    assert report.redone == 6 * tail
+    assert report.redone == len(tail_objects) == (36 if tail else 0)
+    assert report.redone + report.superseded == 6 * tail
     assert report.undone == 0
     assert restarted.pool.wal_forces == 0
     assert restarted.log.flush_count == 0
