@@ -371,10 +371,10 @@ def commit_logged_before_witness():
 
     original = Site._decide
 
-    def log_first(self, gid, verdict):
-        original(self, gid, verdict)
-        if self.up and self.coordinating[gid]["state"] == "releasing":
-            self._seal_commit(gid)
+    def log_first(self, g, verdict):
+        original(self, g, verdict)
+        if self.up and g.state == "releasing":
+            self._seal_commit(g)
 
     Site._decide = log_first
     try:
@@ -398,7 +398,9 @@ def tick_skips_unsettled_site():
     original = Site.on_tick
 
     def forgetful(self):
-        if self.up and self.prepared:
+        if self.up and any(
+            self.groups[gid].phase == "prepared" for gid in self.active
+        ):
             self.ticks += 1
             self.runtime.round()
             return
@@ -409,3 +411,25 @@ def tick_skips_unsettled_site():
         yield
     finally:
         Site.on_tick = original
+
+
+@contextmanager
+def restart_forgets_resolved_votes():
+    """A restarted site derives no verdict for the votes it resolved.
+
+    Reverts the restart's witness reconstruction: a gid this site voted
+    in and later settled comes back with ``voted`` set and no verdict,
+    so a restarted commit witness answers a takeover poll
+    ``resolved_unknown`` where it durably holds ``committed``.  The
+    restarted ledger is no longer the durable projection of the live
+    one, and a takeover that polls such a witness can never conclude:
+    ``stranded_witness_sweep`` must report the members left waiting.
+    """
+    from repro.cluster.site import Site
+
+    original = Site._resolved_verdict
+    Site._resolved_verdict = lambda self, vote, winners: None
+    try:
+        yield
+    finally:
+        Site._resolved_verdict = original

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.chaos.sweep import registers
 from repro.cluster.cluster import Cluster
+from repro.cluster.group import WAITING
 from repro.common.errors import AssetError
 from repro.core.dependency import DependencyType
 
@@ -110,7 +111,8 @@ class ClusterScenarioSpec:
             stranded = sorted(
                 name
                 for name, site in cluster.sites.items()
-                if site.up and (site.prepared or site.in_doubt)
+                if site.up
+                and any(site.groups[gid].phase in WAITING for gid in site.active)
             )
             if stranded:
                 liveness.append(

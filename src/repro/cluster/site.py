@@ -36,11 +36,25 @@ state) plus the unflushed log tail; restart replays the surviving log,
 reports prepared-but-undecided groups as in doubt, and resolves them by
 querying the coordinator — or by presumed abort when the coordinator
 has no record.
+
+What the site knows about one global group is one
+:class:`~repro.cluster.group.Group` in ``Site.groups``; its fields, three
+lifecycles and the evidence → verdict table are in ``docs/internals.md``
+("One group record").
 """
 
 from __future__ import annotations
 
 from repro.chaos.faults import CrashPoint
+from repro.cluster.group import (
+    OPEN,
+    STATUS_VERDICT,
+    VOTING,
+    WAITING,
+    Group,
+    Takeover,
+    evidence,
+)
 from repro.common.errors import TransientIOError
 from repro.common.events import EventKind
 from repro.common.ids import Tid
@@ -159,6 +173,10 @@ class Site:
         # is the *observer's* state, not the site's — and re-wired onto
         # the fresh manager by every _boot.
         self.obs = None
+        # The ledger: one :class:`Group` per gid ever mentioned, kept as
+        # evidence (polls and inquiries are answered from it long after
+        # the group settled).
+        self.groups = {}
         self._boot()
 
     # -- lifecycle ---------------------------------------------------------
@@ -178,32 +196,14 @@ class Site:
         self.proxies = {}
         self.proxy_owner = {}
         self.remote_holders = {}
-        # Two-phase-commit state, all keyed by gid.
-        self.pending_prepares = {}
-        self.prepared = {}
-        self.coordinating = {}
-        # The gids whose entry is still collecting/releasing: the only
-        # ones the tick has work for (``coordinating`` keeps every group
-        # ever, as evidence).  Kept true by :meth:`_set_group_state`.
-        self.open_groups = set()
-        self.in_doubt = {}
-        self.durable_decisions = {}
-        # Failover state.  ``group_epochs`` is the fencing epoch per gid
-        # (volatile: durable TakeoverRecords restore it on restart);
-        # every group message carries its sender's epoch and lower ones
-        # are rejected, so a reappearing old coordinator cannot undo a
-        # takeover.  ``settled_gids`` remembers terminal verdicts so
-        # takeover polls can be answered after the live entries are gone.
-        self.group_epochs = {}
-        self.taking_over = {}
-        self.settled_gids = {}
-        self.takeover_claims = {}
-        # Every gid this site ever force-logged a vote for.  Purely
-        # defensive: if a voted gid is somehow neither live, in doubt,
-        # nor settled, takeover evidence reports ``resolved_unknown``
-        # instead of "never prepared" — presuming abort over a member
-        # whose resolution was merely forgotten is the one unsafe guess.
-        self.voted_gids = set()
+        # A crash forgets every group: the records are wiped in place,
+        # not dropped, so a restart allocates nothing per group its log
+        # names (one collector-tracked object per group ever seen costs
+        # a restart collector passes).  ``active`` indexes the gids whose
+        # record has work — all the tick walks; :meth:`_move` keeps it.
+        for g in self.groups.values():
+            g.__init__(g.gid)
+        self.active = set()
         # Membership state: the cluster-wide membership epoch (stale
         # routed requests are rejected against it), whether this site
         # has left, and the in-flight leaver-side handoff, if any.
@@ -273,85 +273,73 @@ class Site:
         report = self.storage.recover()
         self._boot()
         self.recovery_report = report
-        self.in_doubt = {
-            gid: {"record": record, "next_ask": 0, "overdue": 0}
-            for gid, record in sorted(report.in_doubt_votes.items())
-        }
-        claims = {}
-        decisions = {}
-        prepares = {}
+        claims, decisions, votes = {}, {}, {}
+        kept = {TakeoverRecord: claims, DecisionRecord: decisions, PrepareRecord: votes}
         for record in self.storage.log.records():
-            if isinstance(record, TakeoverRecord):
-                claims[record.gid] = record
-            elif isinstance(record, DecisionRecord):
-                decisions[record.gid] = record
-            elif isinstance(record, PrepareRecord):
-                prepares[record.gid] = record
-        self.takeover_claims = claims
-        self.voted_gids = set(prepares)
-        # Durable takeover claims restore the fencing epoch: a reborn
-        # taker must never act below the authority it already asserted.
-        for gid, claim in claims.items():
-            self.group_epochs[gid] = max(
-                self.group_epochs.get(gid, 0), claim.epoch
-            )
-        for gid, record in sorted(decisions.items()):
-            if record.verdict == "commit":
-                self.durable_decisions[gid] = "commit"
-            if gid in self.in_doubt:
+            latest = kept.get(type(record))
+            if latest is not None:
+                latest[record.gid] = record
+        for gid in claims.keys() | decisions.keys() | votes.keys():
+            g = self._group(gid)
+            g.claim = claims.get(gid)
+            if g.claim is not None:
+                # Durable takeover claims restore the fencing epoch: a
+                # reborn taker must never act below the authority it
+                # already asserted.
+                g.epoch = g.claim.epoch
+            decision, vote = decisions.get(gid), report.in_doubt_votes.get(gid)
+            g.voted = gid in votes
+            if decision is not None:
+                g.verdict = decision.verdict
+                g.commit_logged = decision.verdict == "commit"
+            elif g.voted and vote is None:
+                g.verdict = self._resolved_verdict(votes[gid], report.winners)
+            if vote is not None:
+                g.tid, g.tids = vote.tid, vote.prepared_tids()
+                g.coordinator, g.sites = vote.coordinator, vote.sites
+                self._move(g, "phase", "in_doubt")
+            elif g.verdict is not None:
+                g.phase = "settled"
+        # Resume duty, decided groups first and each by ascending gid.
+        for gid, decision in sorted(decisions.items()):
+            g = self.groups[gid]
+            if g.phase == "in_doubt":
                 # A decision logged but not yet applied (crash between
                 # the force-log and the local settle): finish it now.
-                self._finish_in_doubt(gid, record.verdict)
-            self.settled_gids[gid] = record.verdict
+                self._finish_in_doubt(g, decision.verdict)
+                self._move(g, "phase", "settled")
             # Re-announce: participants may have crashed or missed the
             # release.  Loss is fine — their own inquiry retries cover
             # it; this is just the fast path.
-            for participant in record.participants:
-                self._send(
-                    participant,
-                    DECISION,
-                    {
-                        "gid": gid,
-                        "verdict": record.verdict,
-                        "epoch": self.group_epochs.get(gid, 0),
-                    },
-                )
-        # Reconstruct witness knowledge for every group this site voted
-        # in and later resolved.  The live maps (``settled_gids``,
-        # ``durable_decisions``) are volatile; only the log survives, and
-        # a restarted commit witness that answered a takeover poll (or a
-        # status inquiry) with "no information" would let a taker presume
-        # abort over a member this site durably committed — a cross-site
-        # atomicity violation.  A prepared gid absent from ``in_doubt``
-        # was resolved: its members are recovery winners iff the group
-        # committed, and all hold durable abort records otherwise.
-        for gid, record in sorted(prepares.items()):
-            if gid in self.settled_gids or gid in self.in_doubt:
-                continue
-            if record.prepared_tids() & report.winners:
-                self.settled_gids[gid] = "commit"
-            else:
-                self.settled_gids[gid] = "abort"
+            for participant in decision.participants:
+                self._send_decision(g, participant, decision.verdict, g.epoch)
         # A takeover claim without its decision record: the crash landed
         # between the two force-logs.  The logged verdict was derived
         # from durable evidence that only this claim could have changed,
-        # so adopting it is safe — finish the takeover it started.
-        for gid, claim in sorted(claims.items()):
-            if gid in decisions or gid not in self.in_doubt:
-                continue
-            record = self.in_doubt[gid]["record"]
-            self.taking_over[gid] = {
-                "epoch": claim.epoch,
-                "old": claim.old_coordinator,
-                "sites": tuple(sorted(record.sites)),
-                "tid": record.tid.value,
-                "evidence": {},
-                "tids": {},
-                "next_poll": 0,
-                "claimed": True,
-            }
-            self._complete_takeover(gid, claim.verdict)
+        # so adopting it is safe — finish the takeover it started.  (All
+        # that is active after the fold is in doubt and undecided.)
+        for gid in sorted(self.active):
+            g = self.groups[gid]
+            if g.claim is not None:
+                g.takeover = Takeover(
+                    g.claim.epoch, g.claim.old_coordinator, g.sites, claimed=True
+                )
+                self._complete_takeover(g, g.claim.verdict)
         return report
+
+    def _resolved_verdict(self, vote, winners):
+        """The fate of a group this site voted in and later resolved.
+
+        The ledger is volatile; only the log survives, and a restarted
+        commit witness that answered a takeover poll (or a status
+        inquiry) with "no information" would let a taker presume abort
+        over a member this site durably committed — a cross-site
+        atomicity violation.  A voted gid that recovery does not report
+        in doubt was resolved: its members are recovery winners iff the
+        group committed, and all hold durable abort records otherwise.
+        """
+        committed = vote.tid in winners or not winners.isdisjoint(vote.group)
+        return "commit" if committed else "abort"
 
     # -- small helpers -----------------------------------------------------
 
@@ -373,30 +361,46 @@ class Site:
 
     def unsettled(self):
         """Whether protocol work is still outstanding at this site."""
-        return bool(
-            self.pending_prepares
-            or self.prepared
-            or self.in_doubt
-            or self.taking_over
-            or self.handoff is not None
-            or self.open_groups
-        )
+        return bool(self.active or self.handoff is not None)
 
-    def _set_group_state(self, gid, entry, state):
-        """Move a coordinated group to ``state``, keeping ``open_groups``
-        the set of gids still collecting votes or awaiting a witness."""
-        entry["state"] = state
-        if state in ("collecting", "releasing"):
-            self.open_groups.add(gid)
+    @property
+    def settled_gids(self):
+        """Computed view: gid -> verdict for every group settled here."""
+        return {
+            gid: g.verdict for gid, g in self.groups.items() if g.verdict is not None
+        }
+
+    @property
+    def voted_gids(self):
+        """Computed view: every gid this site ever force-logged a vote for."""
+        return {gid for gid, g in self.groups.items() if g.voted}
+
+    # -- the group ledger --------------------------------------------------
+
+    def _group(self, gid):
+        """The record for ``gid``, created on first mention."""
+        g = self.groups.get(gid)
+        if g is None:
+            g = self.groups[gid] = Group(gid)
+        return g
+
+    def _move(self, g, field, value):
+        """Apply a lifecycle transition (of ``phase`` / ``state`` /
+        ``takeover``) and keep ``active`` the gids that have work."""
+        setattr(g, field, value)
+        if g.phase in VOTING or g.state in OPEN or g.takeover is not None:
+            self.active.add(g.gid)
         else:
-            self.open_groups.discard(gid)
+            self.active.discard(g.gid)
 
-    # -- fencing epochs ----------------------------------------------------
+    def _tell(self, dst, kind, g, epoch=None, **fields):
+        """Send one group message: every one names its gid and carries
+        its sender's fencing epoch (or the ``epoch`` it acts under)."""
+        if epoch is None:
+            epoch = g.epoch
+        self._send(dst, kind, {"gid": g.gid, **fields, "epoch": epoch})
 
-    def _epoch_of(self, gid):
-        return self.group_epochs.get(gid, 0)
-
-    def _fence(self, gid, epoch):
+    def _fence(self, g, epoch):
         """Admit or reject a group message by fencing epoch.
 
         Lower-than-known epochs are stale — a reappearing old
@@ -405,12 +409,10 @@ class Site:
         takers derive the same verdict from the same durable evidence),
         and higher epochs are adopted on the spot.
         """
-        known = self.group_epochs.get(gid, 0)
-        if epoch < known:
+        if epoch < g.epoch:
             self._stat("stale_epoch_rejects")
             return False
-        if epoch > known:
-            self.group_epochs[gid] = epoch
+        g.epoch = max(g.epoch, epoch)
         return True
 
     def _stat(self, name, amount=1):
@@ -421,35 +423,35 @@ class Site:
             )
             counter.value += amount
 
-    def _obs_mark(self, gid, kind, **fields):
-        """Annotate the local member transaction's span, if any.
+    def _obs_mark(self, g, kind, **fields):
+        """Annotate the spans of the local transactions ``g``'s vote
+        covered, if any.
 
         Takeover and handoff transitions are group-level, not
-        transaction-level, so they surface as links on the span of the
-        member transaction they settle — visible in the same export as
+        transaction-level, so they surface as links on the spans of the
+        member transactions they settle — visible in the same export as
         the 2PC marks."""
-        if self.obs is None:
+        if self.obs is None or g is None:
             return
-        tick = self.ticks
-        for key, span in self.obs.spans.spans.items():
-            if key[0] == self.name and span.get("gid") == gid:
+        spans = self.obs.spans.spans
+        for tid in g.tids:
+            span = spans.get((self.name, tid.value))
+            if span is not None and span["gid"] == g.gid:
                 span["links"].append(
-                    {"type": kind, "tick": tick, "gid": gid, **fields}
+                    {"type": kind, "tick": self.ticks, "gid": g.gid, **fields}
                 )
 
-    def _note_coordinator_alive(self, gid, src=None):
-        """Evidence of a live deciding authority for ``gid``: refresh
+    def _note_coordinator_alive(self, g, src=None):
+        """Evidence of a live deciding authority for ``g``: refresh
         the coordinator lease and reset the takeover countdown."""
-        entry = self.prepared.get(gid)
-        if entry is not None:
-            entry["overdue"] = 0
-            if src is not None:
-                entry["coordinator"] = src
-        doubt = self.in_doubt.get(gid)
-        if doubt is not None:
-            doubt["overdue"] = 0
-        if entry is not None or doubt is not None:
-            self.deadlines.grant_lease(("gcl", gid), self.coordinator_lease)
+        if g.phase not in WAITING:
+            return
+        g.overdue = 0
+        if src is not None and g.phase == "prepared":
+            # An in-doubt member keeps asking the coordinator its vote
+            # record names; redirecting it would renumber steps.
+            g.coordinator = src
+        self.deadlines.grant_lease(("gcl", g.gid), self.coordinator_lease)
 
     def _takeover_threshold(self, sites, coordinator):
         """How many overdue ticks before *this* site takes over, or
@@ -746,56 +748,40 @@ class Site:
     # -- two-phase commit: coordinator ------------------------------------
 
     def _h_gc_begin(self, msg):
-        gid = msg.payload["gid"]
-        entry = self.coordinating.get(gid)
-        if entry is not None:
-            if entry["state"] in ("collecting", "releasing"):
+        g = self._group(msg.payload["gid"])
+        if g.state is not None:
+            if g.state in OPEN:
                 # Still collecting votes, or waiting for the witness ACK
                 # that seals the commit — answer when the fate is sealed.
-                entry["client"] = (msg.src, msg.msg_id)
+                g.client = (msg.src, msg.msg_id)
             else:
-                self._reply(msg, {"committed": entry["verdict"] == "commit"})
+                self._reply(msg, {"committed": g.verdict == "commit"})
             return
-        members = dict(msg.payload["members"])
-        sites = tuple(sorted(members))
-        entry = {
-            "members": members,
-            "votes": {},
-            "acks": set(),
-            "verdict": None,
-            "client": (msg.src, msg.msg_id),
-            "ttl": self.vote_ttl,
-            "next_beat": self.ticks + self.heartbeat_interval,
-        }
-        self.coordinating[gid] = entry
-        self._set_group_state(gid, entry, "collecting")
-        for site, tid_value in sorted(members.items()):
+        g.members = dict(msg.payload["members"])
+        g.votes, g.acks = {}, set()
+        g.client = (msg.src, msg.msg_id)
+        g.deadline = self.vote_ttl
+        g.next_beat = self.ticks + self.heartbeat_interval
+        self._move(g, "state", "collecting")
+        sites = tuple(sorted(g.members))
+        for site, tid_value in sorted(g.members.items()):
+            # The same request, to the local member or over the wire.
+            ask = {"tid": tid_value, "coordinator": self.name, "sites": sites}
             if site == self.name:
-                self._accept_prepare(gid, tid_value, self.name, sites=sites)
+                self._accept_prepare(g, **ask)
             else:
-                self._send(
-                    site,
-                    PREPARE,
-                    {
-                        "gid": gid,
-                        "tid": tid_value,
-                        "coordinator": self.name,
-                        "sites": sites,
-                        "epoch": self._epoch_of(gid),
-                    },
-                )
+                self._tell(site, PREPARE, g, **ask)
 
-    def _record_vote(self, gid, site, verdict):
-        entry = self.coordinating.get(gid)
-        if entry is None or entry["state"] != "collecting":
+    def _record_vote(self, g, site, verdict):
+        if g.state != "collecting":
             return
-        entry["votes"][site] = verdict
+        g.votes[site] = verdict
         if verdict == "abort":
-            self._decide(gid, "abort")
-        elif all(entry["votes"].get(s) == "commit" for s in entry["members"]):
-            self._decide(gid, "commit")
+            self._decide(g, "abort")
+        elif all(g.votes.get(s) == "commit" for s in g.members):
+            self._decide(g, "commit")
 
-    def _decide(self, gid, verdict):
+    def _decide(self, g, verdict):
         """Seal the global fate and release it — witnesses first.
 
         On commit the DECISION messages leave *before* the
@@ -818,73 +804,76 @@ class Site:
         participant seals immediately — its own log is the only truth
         and no takeover can contradict it.
         """
-        entry = self.coordinating[gid]
-        entry["verdict"] = verdict
-        epoch = self._epoch_of(gid)
-        participants = sorted(s for s in entry["members"] if s != self.name)
-        if verdict == "commit" and participants:
-            self._set_group_state(gid, entry, "releasing")
-            entry["next_release"] = self.ticks + self.heartbeat_interval
+        if verdict == "commit" and any(s != self.name for s in g.members):
+            g.next_beat = self.ticks + self.heartbeat_interval
+            self._move(g, "state", "releasing")
         else:
-            self._set_group_state(gid, entry, "decided")
-        for site in participants:
-            self._send(
-                site,
-                DECISION,
-                {
-                    "gid": gid,
-                    "verdict": verdict,
-                    "tid": entry["members"][site],
-                    "epoch": epoch,
-                },
-            )
-        if not self.up or entry["state"] == "releasing":
+            self._move(g, "state", "decided")
+        self._release(g, verdict, g.epoch)
+        if not self.up or g.state == "releasing":
             # Dead (a planned crash fired on one of those sends — the
             # site must not touch its storage again), or waiting for a
             # witness ACK to seal the commit.
             return
+        self._seal(g, verdict)
+
+    def _send_decision(self, g, site, verdict, epoch):
+        """The one DECISION message: the verdict, fenced by ``epoch``,
+        naming ``site``'s member when this site knows the membership."""
+        member = {} if g.members is None else {"tid": g.members.get(site)}
+        self._tell(site, DECISION, g, epoch, verdict=verdict, **member)
+
+    def _release(self, g, verdict, epoch):
+        """Send the decision to every remote member that has not
+        acknowledged it (DECISION is idempotent and always ACKed)."""
+        for site in sorted(g.members):
+            if site != self.name and site not in g.acks:
+                self._send_decision(g, site, verdict, epoch)
+
+    def _seal(self, g, verdict):
+        """The fate is final here: log it, apply it, tell the client."""
         if verdict == "commit":
-            self._log_commit_decision(gid, entry, participants)
+            self._log_commit_decision(g)
             if not self.up:
                 return
         # The coordinator is its own participant: apply the decision to
         # the local member through the same path a remote one would use.
-        self._apply_decision_locally(gid, verdict, entry["members"].get(self.name))
+        self._apply_decision_locally(g, verdict, g.members.get(self.name))
         if not self.up:
             return
-        self._answer_group_client(gid, entry)
+        self._answer_group_client(g)
 
-    def _log_commit_decision(self, gid, entry, participants):
-        """Force-log the commit :class:`DecisionRecord` for ``gid``."""
-        local_value = entry["members"].get(self.name)
-        local_tid = Tid(local_value) if local_value is not None else None
-        anchor = local_tid if local_tid is not None else Tid(0)
-        group = ()
-        if local_tid is not None:
+    def _log_commit_decision(self, g):
+        """Force-log the commit :class:`DecisionRecord` for ``g``."""
+        anchor, group = Tid(0), ()
+        local_value = g.members.get(self.name)
+        if local_value is not None:
+            anchor = Tid(local_value)
             group = tuple(
                 sorted(
-                    self.manager.dependencies.gc_group(local_tid) - {local_tid},
+                    self.manager.dependencies.gc_group(anchor) - {anchor},
                     key=lambda t: t.value,
                 )
             )
+        participants = sorted(s for s in g.members if s != self.name)
         self.storage.log_decision(
-            anchor, gid, "commit", group=group, participants=participants
+            anchor, g.gid, "commit", group=group, participants=participants
         )
-        self.durable_decisions[gid] = "commit"
+        g.commit_logged = True
 
-    def _answer_group_client(self, gid, entry):
+    def _answer_group_client(self, g):
         """Reply to the console waiting on ``gc_begin``, if any."""
-        client = entry.pop("client", None)
+        client, g.client = g.client, None
         if client is not None:
             src, msg_id = client
             self._send(
                 src,
                 "gc_begin.reply",
-                {"gid": gid, "committed": entry["verdict"] == "commit"},
+                {"gid": g.gid, "committed": g.verdict == "commit"},
                 reply_to=msg_id,
             )
 
-    def _seal_commit(self, gid):
+    def _seal_commit(self, g):
         """First witness ACK arrived: make the commit decision durable.
 
         The acknowledging participant has durably applied the commit,
@@ -894,232 +883,160 @@ class Site:
         reply were deferred with the log for the same reason: nothing
         observable may claim commit while no witness exists.
         """
-        entry = self.coordinating[gid]
-        self._set_group_state(gid, entry, "decided")
-        participants = sorted(s for s in entry["members"] if s != self.name)
-        self._log_commit_decision(gid, entry, participants)
-        if not self.up:
-            return
-        self._apply_decision_locally(gid, "commit", entry["members"].get(self.name))
-        if not self.up:
-            return
-        self._answer_group_client(gid, entry)
+        self._move(g, "state", "decided")
+        self._seal(g, "commit")
 
     def _h_vote(self, msg):
-        self._record_vote(msg.payload["gid"], msg.payload["site"], msg.payload["verdict"])
+        g = self._group(msg.payload["gid"])
+        self._record_vote(g, msg.payload["site"], msg.payload["verdict"])
 
     def _h_ack(self, msg):
-        gid = msg.payload["gid"]
-        entry = self.coordinating.get(gid)
-        if entry is None or entry["state"] not in ("releasing", "decided"):
+        g = self._group(msg.payload["gid"])
+        if g.state not in ("releasing", "decided"):
             return
-        entry["acks"].add(msg.payload["site"])
-        if entry["state"] == "releasing":
+        g.acks.add(msg.payload["site"])
+        if g.state == "releasing":
             # First acknowledged witness: the commit may now be sealed.
-            self._seal_commit(gid)
+            self._seal_commit(g)
             if not self.up:
                 return
-        if entry["acks"] >= {s for s in entry["members"] if s != self.name}:
-            self._set_group_state(gid, entry, "done")
+        if g.acks >= {s for s in g.members if s != self.name}:
+            self._move(g, "state", "done")
 
     def _h_status_req(self, msg):
-        """Answer an in-doubt inquiry from durable truth.
+        """Answer an inquiry: :func:`evidence`, through ``STATUS_VERDICT``.
 
-        Still collecting -> pending.  Decided -> the verdict.  No state
-        at all (a coordinator reborn after a crash) -> a logged commit
-        decision says commit; *no information means abort* — the
-        presumed-abort rule that makes coordinator amnesia safe.
-
-        One refinement under witness-confirmed release: a site that is
-        itself in doubt about ``gid`` (a reborn coordinator before its
-        own re-derivation poll settles), or that voted but cannot place
-        the resolution, answers *pending*, never abort — a commit
-        witness it has not heard from yet may exist.
+        A ``releasing`` coordinator reads as *pending*: the commit is
+        volatile until a witness ACK seals it, and answering "commit"
+        would let the asker durably apply it — including *this site's
+        own member* via a self-inquiry — minting a witness the takeover
+        derivation does not know can exist.  DECISION resends carry
+        liveness.
         """
-        gid = msg.payload["gid"]
-        self._fence(gid, msg.payload.get("epoch", 0))
-        entry = self.coordinating.get(gid)
-        if entry is not None and entry["state"] in ("collecting", "releasing"):
-            # Releasing: the commit verdict is volatile until a witness
-            # ACK seals it.  Answering "commit" here would let the asker
-            # durably apply it — including *this site's own member* via
-            # a self-inquiry — minting a witness the takeover derivation
-            # does not know can exist.  DECISION resends carry liveness.
-            verdict = "pending"
-        elif entry is not None:
-            verdict = entry["verdict"]
-        elif gid in self.durable_decisions:
-            verdict = "commit"
-        elif gid in self.settled_gids:
-            verdict = self.settled_gids[gid]
-        elif (
-            gid in self.in_doubt
-            or gid in self.taking_over
-            or gid in self.prepared
-            or gid in self.voted_gids
-        ):
-            verdict = "pending"
-        else:
-            verdict = "abort"
-        self._send(
-            msg.src,
-            STATUS_REP,
-            {"gid": gid, "verdict": verdict, "epoch": self._epoch_of(gid)},
-        )
+        g = self._group(msg.payload["gid"])
+        self._fence(g, msg.payload.get("epoch", 0))  # adopt, never reject
+        self._tell(msg.src, STATUS_REP, g, verdict=STATUS_VERDICT[evidence(g)[0]])
 
     # -- two-phase commit: participant ------------------------------------
 
     def _h_prepare(self, msg):
-        if not self._fence(msg.payload["gid"], msg.payload.get("epoch", 0)):
-            return
-        self._accept_prepare(
-            msg.payload["gid"],
-            msg.payload["tid"],
-            msg.payload["coordinator"],
-            sites=tuple(msg.payload.get("sites", ())),
-        )
+        payload = msg.payload
+        g = self._group(payload["gid"])
+        if self._fence(g, payload.get("epoch", 0)):
+            sites = tuple(payload.get("sites", ()))
+            self._accept_prepare(g, payload["tid"], payload["coordinator"], sites)
 
-    def _accept_prepare(self, gid, tid_value, coordinator, sites=()):
-        if gid in self.prepared or gid in self.pending_prepares:
+    def _accept_prepare(self, g, tid, coordinator, sites):
+        if g.phase in VOTING or g.commit_logged:
             return  # duplicate PREPARE (at-least-once links)
-        if gid in self.durable_decisions or gid in self.in_doubt:
-            return
-        self.pending_prepares[gid] = {
-            "tid": Tid(tid_value),
-            "coordinator": coordinator,
-            "sites": tuple(sites),
-            "ttl": self.prepare_ttl,
-        }
-        self._attempt_prepare(gid)
+        g.tid = Tid(tid)
+        g.coordinator = coordinator
+        g.sites = sites
+        g.ttl = self.prepare_ttl
+        self._move(g, "phase", "pending")
+        self._attempt_prepare(g)
 
-    def _attempt_prepare(self, gid):
+    def _attempt_prepare(self, g):
         """Try to vote; called at accept time and retried from ticks."""
-        entry = self.pending_prepares.get(gid)
-        if entry is None:
-            return
         if self.handoff is not None:
             # The member was gathered for migration before this PREPARE
             # arrived.  The 2PC claim wins: voting yes *and* delegating
             # it away would race the group verdict against the handoff.
             # Keep it here for group duty (a leaving site still serves
             # 2PC) and migrate only the rest.
-            self.handoff["txs"].pop(entry["tid"].value, None)
+            self.handoff["txs"].pop(g.tid.value, None)
         outcome = self.manager.try_prepare(
-            entry["tid"],
-            gid=gid,
-            coordinator=entry["coordinator"],
-            sites=entry.get("sites", ()),
+            g.tid, gid=g.gid, coordinator=g.coordinator, sites=g.sites
         )
         if outcome:
-            del self.pending_prepares[gid]
-            self.voted_gids.add(gid)
-            self.prepared[gid] = {
-                "tid": entry["tid"],
-                "coordinator": entry["coordinator"],
-                "sites": entry.get("sites", ()),
-                "overdue": 0,
-            }
+            g.voted = True
+            if outcome.group:
+                g.tids = outcome.group
+            g.overdue = 0
+            self._move(g, "phase", "prepared")
             # Pace decision inquiries with a lease: while it is live we
             # trust the decision is in flight, when it lapses we ask.
             # A second lease tracks the *coordinator* itself: refreshed
             # by its heartbeats; once it lapses the takeover countdown
             # starts.
-            self.deadlines.grant_lease(("gc", gid), self.inquiry_interval)
-            self.deadlines.grant_lease(("gcl", gid), self.coordinator_lease)
-            self._cast_vote(gid, entry["coordinator"], "commit")
+            self.deadlines.grant_lease(("gc", g.gid), self.inquiry_interval)
+            self.deadlines.grant_lease(("gcl", g.gid), self.coordinator_lease)
+            self._cast_vote(g, "commit")
         elif outcome.status is PrepareStatus.ABORTED:
-            del self.pending_prepares[gid]
-            self._cast_vote(gid, entry["coordinator"], "abort")
+            self._move(g, "phase", None)
+            self._cast_vote(g, "abort")
         # NOT_COMPLETED / BLOCKED: keep pending, the tick loop retries.
 
-    def _cast_vote(self, gid, coordinator, verdict):
-        if coordinator == self.name:
-            self._record_vote(gid, self.name, verdict)
+    def _cast_vote(self, g, verdict):
+        if g.coordinator == self.name:
+            self._record_vote(g, self.name, verdict)
         else:
-            self._send(
-                coordinator,
-                VOTE,
-                {
-                    "gid": gid,
-                    "site": self.name,
-                    "verdict": verdict,
-                    "epoch": self._epoch_of(gid),
-                },
-            )
+            self._tell(g.coordinator, VOTE, g, site=self.name, verdict=verdict)
 
     def _h_decision(self, msg):
-        gid = msg.payload["gid"]
+        g = self._group(msg.payload["gid"])
         epoch = msg.payload.get("epoch", 0)
-        if not self._fence(gid, epoch):
+        if not self._fence(g, epoch):
             return
         # Whoever released this decision holds (at least) our epoch:
         # any takeover of ours is superseded by it.
-        self.taking_over.pop(gid, None)
-        verdict = msg.payload["verdict"]
-        entry = self.coordinating.get(gid)
-        if entry is not None and entry["state"] in ("collecting", "releasing"):
+        self._move(g, "takeover", None)
+        if g.state in OPEN:
             # A usurper sealed the fate while this (superseded, fenced
             # past) coordinator was still collecting votes or waiting
             # for its witness ACK.  Adopt the verdict — the usurper's
             # log is the durable truth now — and answer the client.
-            self._set_group_state(gid, entry, "decided")
-            entry["verdict"] = verdict
-        self._apply_decision_locally(gid, verdict, msg.payload.get("tid"))
+            self._move(g, "state", "decided")
+        self._apply_decision_locally(g, msg.payload["verdict"], msg.payload.get("tid"))
         if not self.up:
             return
-        if entry is not None and entry["state"] == "decided":
-            self._answer_group_client(gid, entry)
-        self._send(
-            msg.src, ACK, {"gid": gid, "site": self.name, "epoch": epoch}
-        )
+        if g.state == "decided":
+            self._answer_group_client(g)
+        self._tell(msg.src, ACK, g, epoch, site=self.name)
 
     def _h_status_rep(self, msg):
-        gid = msg.payload["gid"]
-        if not self._fence(gid, msg.payload.get("epoch", 0)):
+        g = self._group(msg.payload["gid"])
+        if not self._fence(g, msg.payload.get("epoch", 0)):
             return
         verdict = msg.payload["verdict"]
         if verdict == "pending":
             # The coordinator answered: alive, still deciding.
-            self._note_coordinator_alive(gid, src=msg.src)
+            self._note_coordinator_alive(g, src=msg.src)
             return
-        self.taking_over.pop(gid, None)
-        self._apply_decision_locally(gid, verdict, None)
+        self._move(g, "takeover", None)
+        self._apply_decision_locally(g, verdict, None)
 
-    def _apply_decision_locally(self, gid, verdict, tid_value):
+    def _apply_decision_locally(self, g, verdict, tid_value):
         """Finish the local member group per the global verdict.
 
         Handles every shape the participant can be in: still pending
         (never managed to vote), live-prepared, in doubt after a
         restart, or already settled (duplicate decision — a no-op).
         """
-        self.pending_prepares.pop(gid, None)
-        live = self.prepared.pop(gid, None)
-        self.deadlines.forget(("gc", gid))
-        self.deadlines.forget(("gcl", gid))
-        self.settled_gids[gid] = verdict
-        if live is not None:
+        phase = g.phase
+        self.deadlines.forget(("gc", g.gid))
+        self.deadlines.forget(("gcl", g.gid))
+        g.verdict = verdict
+        self._move(g, "phase", "settled")
+        if phase == "prepared":
             if verdict == "commit":
-                self.runtime.commit(live["tid"])
+                self.runtime.commit(g.tid)
             else:
-                self.manager.abort(
-                    live["tid"], reason=f"global group {gid} aborted"
-                )
+                self.manager.abort(g.tid, reason=f"global group {g.gid} aborted")
                 # The vote was force-logged, so its resolution must be
                 # too: an abort record still in the volatile tail would
                 # leave the durable log claiming we are in doubt.
                 self.storage.sync_log()
-            return
-        if gid in self.in_doubt:
-            self._finish_in_doubt(gid, verdict)
-            return
-        if tid_value is not None and verdict == "abort":
+        elif phase == "in_doubt":
+            self._finish_in_doubt(g, verdict)
+        elif tid_value is not None and verdict == "abort":
             # Decision for a member we never prepared (the PREPARE was
             # lost): an abort decision still names the component.
             self._abort_unless_prepared(
-                Tid(tid_value), f"global group {gid} aborted"
+                Tid(tid_value), f"global group {g.gid} aborted"
             )
 
-    def _finish_in_doubt(self, gid, verdict):
+    def _finish_in_doubt(self, g, verdict):
         """Settle a recovered in-doubt group at the log level.
 
         There is no live transaction state after a restart — recovery
@@ -1128,14 +1045,11 @@ class Site:
         abort is the undo pass plus abort records, exactly what the
         recovery manager would have done with the decision in hand.
         """
-        entry = self.in_doubt.pop(gid)
-        record = entry["record"]
-        anchor = record.tid
-        others = tuple(t for t in record.prepared_tids() if t != anchor)
         if verdict == "commit":
-            self.storage.log_commit(anchor, group=others)
+            others = tuple(t for t in g.tids if t != g.tid)
+            self.storage.log_commit(g.tid, group=others)
         else:
-            members = sorted(record.prepared_tids(), key=lambda t: t.value)
+            members = sorted(g.tids, key=lambda t: t.value)
             self.storage.undo_many(members)
             for member in members:
                 self.storage.log_abort(member)
@@ -1145,12 +1059,11 @@ class Site:
 
     def _h_gc_heartbeat(self, msg):
         """The coordinator's lease renewal for one of its groups."""
-        gid = msg.payload["gid"]
-        if not self._fence(gid, msg.payload.get("epoch", 0)):
-            return
-        self._note_coordinator_alive(gid, src=msg.src)
+        g = self._group(msg.payload["gid"])
+        if self._fence(g, msg.payload.get("epoch", 0)):
+            self._note_coordinator_alive(g, src=msg.src)
 
-    def _start_takeover(self, gid, old, sites, tid_value=None):
+    def _start_takeover(self, g):
         """Claim a wedged in-doubt group at the next fencing epoch.
 
         The taker polls every member for durable evidence; the old
@@ -1158,156 +1071,81 @@ class Site:
         verdict) but is the only member whose *silence* is eventually
         presumed — any other silent member might be a commit witness.
         """
-        if gid in self.taking_over:
-            return
-        epoch = self.group_epochs.get(gid, 0) + 1
-        claim = self.takeover_claims.get(gid)
-        if claim is not None and claim.epoch >= epoch:
-            epoch = claim.epoch
-        self.group_epochs[gid] = epoch
+        # Only a waiting member takes over, so a taker has voted: its
+        # own evidence is never "no trace", its STATUS_REP never abort.
+        assert g.voted and g.takeover is None
+        g.epoch = epoch = g.epoch + 1  # above any claim: restart restored it
         self._stat("takeovers_started")
-        self._obs_mark(gid, "takeover_started", epoch=epoch, old=old)
-        self.taking_over[gid] = {
-            "epoch": epoch,
-            "old": old,
-            "sites": tuple(sorted(sites)),
-            "tid": tid_value,
-            "evidence": {},
-            "tids": {},
-            "next_poll": 0,
-            "claimed": False,
-        }
-        self._poll_takeover(gid)
+        self._obs_mark(g, "takeover_started", epoch=epoch, old=g.coordinator)
+        self._move(g, "takeover", Takeover(epoch, g.coordinator, g.sites))
+        self._poll_takeover(g)
 
-    def _poll_takeover(self, gid):
-        entry = self.taking_over.get(gid)
-        if entry is None:
-            return
-        entry["next_poll"] = self.ticks + self.inquiry_interval
-        for site in entry["sites"]:
-            if site == self.name or site in entry["evidence"]:
+    def _poll_takeover(self, g):
+        taker = g.takeover
+        taker.next_poll = self.ticks + self.inquiry_interval
+        for site in taker.sites:
+            if site == self.name or site in taker.evidence:
                 continue
-            self._send(
-                site,
-                TAKEOVER_QUERY,
-                {"gid": gid, "epoch": entry["epoch"], "site": self.name},
-            )
-        self._maybe_conclude_takeover(gid)
-
-    def _takeover_evidence(self, gid):
-        """This site's durable verdict evidence for ``gid``:
-        ``committed`` / ``aborted`` / ``collecting`` / ``prepared`` /
-        ``pending_prepare`` (accepted but not yet voted) /
-        ``never_prepared`` (no trace of the group at all) /
-        ``resolved_unknown`` (voted, later resolved, resolution lost —
-        defensive, should be unreachable after log reconstruction),
-        plus the member tid if known."""
-        if gid in self.durable_decisions:
-            return "committed", None
-        verdict = self.settled_gids.get(gid)
-        if verdict is not None:
-            return ("committed" if verdict == "commit" else "aborted"), None
-        entry = self.coordinating.get(gid)
-        if entry is not None:
-            if entry["state"] in ("collecting", "releasing"):
-                # Releasing is still "deciding" to the outside world:
-                # the commit is volatile until a witness ACK seals it,
-                # so it must not be offered as durable evidence.
-                return "collecting", None
-            committed = entry["verdict"] == "commit"
-            return ("committed" if committed else "aborted"), None
-        live = self.prepared.get(gid)
-        if live is not None:
-            return "prepared", live["tid"].value
-        if gid in self.in_doubt:
-            return "prepared", self.in_doubt[gid]["record"].tid.value
-        pending = self.pending_prepares.get(gid)
-        if pending is not None:
-            return "pending_prepare", pending["tid"].value
-        if gid in self.voted_gids:
-            # The vote was force-logged but its resolution is in no live
-            # or reconstructed map.  Never report "no trace" here:
-            # presuming abort over a member whose resolution was merely
-            # forgotten is the one unsafe guess a taker could make.
-            return "resolved_unknown", None
-        return "never_prepared", None
+            self._tell(site, TAKEOVER_QUERY, g, taker.epoch, site=self.name)
+        self._maybe_conclude_takeover(g)
 
     def _h_takeover_query(self, msg):
-        gid = msg.payload["gid"]
+        g = self._group(msg.payload["gid"])
         epoch = msg.payload["epoch"]
-        if not self._fence(gid, epoch):
+        if not self._fence(g, epoch):
             # Teach the stale taker the newer epoch so it stands down.
-            self._send(
-                msg.src,
-                TAKEOVER_EVIDENCE,
-                {
-                    "gid": gid,
-                    "epoch": self._epoch_of(gid),
-                    "site": self.name,
-                    "state": "superseded",
-                },
+            self._tell(
+                msg.src, TAKEOVER_EVIDENCE, g, site=self.name, state="superseded"
             )
             return
-        mine = self.taking_over.get(gid)
-        if mine is not None and mine["epoch"] < epoch:
+        if g.takeover is not None and g.takeover.epoch < epoch:
             # A higher-epoch taker owns this group; abandon our claim.
-            self.taking_over.pop(gid, None)
+            self._move(g, "takeover", None)
         # The querying taker is the acting authority now: inquiries go
         # to it, and its poll counts as a heartbeat.
-        self._note_coordinator_alive(gid, src=msg.src)
-        state, tid_value = self._takeover_evidence(gid)
-        self._send(
-            msg.src,
-            TAKEOVER_EVIDENCE,
-            {
-                "gid": gid,
-                "epoch": self._epoch_of(gid),
-                "site": self.name,
-                "state": state,
-                "tid": tid_value,
-            },
+        self._note_coordinator_alive(g, src=msg.src)
+        state, tid_value = evidence(g)
+        self._tell(
+            msg.src, TAKEOVER_EVIDENCE, g, site=self.name, state=state, tid=tid_value
         )
 
     def _h_takeover_evidence(self, msg):
-        gid = msg.payload["gid"]
-        entry = self.taking_over.get(gid)
-        if entry is None:
+        g = self._group(msg.payload["gid"])
+        taker = g.takeover
+        if taker is None:
             return
         epoch = msg.payload["epoch"]
         state = msg.payload["state"]
-        if epoch > entry["epoch"] or state == "superseded":
-            self.group_epochs[gid] = max(self.group_epochs.get(gid, 0), epoch)
-            self.taking_over.pop(gid, None)
+        if epoch > taker.epoch or state == "superseded":
+            g.epoch = max(g.epoch, epoch)
+            self._move(g, "takeover", None)
             self._stat("takeovers_cancelled")
             return
         site = msg.payload["site"]
         if state == "collecting":
-            if site == entry["old"]:
+            if site == taker.old:
                 # The old coordinator answered: alive and still
                 # deciding.  Cancel the coup, fall back to inquiries.
-                self._cancel_takeover(gid)
+                self._move(g, "takeover", None)
+                self._stat("takeovers_cancelled")
+                self._note_coordinator_alive(g)
                 return
             state = "prepared"  # a rival same-epoch taker mid-poll
-        entry["evidence"][site] = state
+        taker.evidence[site] = state
         if msg.payload.get("tid") is not None:
-            entry["tids"][site] = msg.payload["tid"]
+            taker.tids[site] = msg.payload["tid"]
         if state in ("committed", "aborted"):
             # Someone already holds a durable outcome for this group —
             # adopt it now instead of waiting out members that may never
             # answer (a crashed rival taker whose decision this is, or a
             # reborn old coordinator that settled before dying again).
             self._complete_takeover(
-                gid, "commit" if state == "committed" else "abort"
+                g, "commit" if state == "committed" else "abort"
             )
             return
-        self._maybe_conclude_takeover(gid)
+        self._maybe_conclude_takeover(g)
 
-    def _cancel_takeover(self, gid):
-        if self.taking_over.pop(gid, None) is not None:
-            self._stat("takeovers_cancelled")
-        self._note_coordinator_alive(gid)
-
-    def _maybe_conclude_takeover(self, gid):
+    def _maybe_conclude_takeover(self, g):
         """Derive the verdict once every pollable member has answered.
 
         Evidence from *all* members except the old coordinator is
@@ -1323,21 +1161,17 @@ class Site:
         ``aborted``); a ``resolved_unknown`` answer blocks the
         conclusion rather than risk a dual durable verdict.
         """
-        entry = self.taking_over.get(gid)
-        if entry is None:
+        taker = g.takeover
+        if any(
+            s not in taker.evidence
+            for s in taker.sites
+            if s not in (self.name, taker.old)
+        ):
             return
-        needed = [
-            s
-            for s in entry["sites"]
-            if s not in (self.name, entry["old"])
-        ]
-        if any(s not in entry["evidence"] for s in needed):
-            return
-        states = set(entry["evidence"].values())
-        own_state, __ = self._takeover_evidence(gid)
-        states.add(own_state)
+        states = set(taker.evidence.values())
+        states.add(evidence(g)[0])
         if "committed" in states:
-            self._complete_takeover(gid, "commit")
+            self._complete_takeover(g, "commit")
             return
         if "resolved_unknown" in states:
             # Some member voted and later resolved but lost track of
@@ -1345,65 +1179,47 @@ class Site:
             # either verdict would be a guess; leave the group open (the
             # quiescence oracle will flag it) instead of gambling.
             return
-        self._complete_takeover(gid, "abort")
+        self._complete_takeover(g, "abort")
 
-    def _complete_takeover(self, gid, verdict):
+    def _complete_takeover(self, g, verdict):
         """Force-log the claim + decision, settle locally, release."""
-        entry = self.taking_over.pop(gid)
-        epoch = entry["epoch"]
-        self.group_epochs[gid] = max(self.group_epochs.get(gid, 0), epoch)
-        if not entry.get("claimed"):
+        taker = g.takeover
+        self._move(g, "takeover", None)
+        epoch = taker.epoch
+        g.epoch = max(g.epoch, epoch)
+        if not taker.claimed:
             votes = tuple(
                 f"{site}:{state}"
-                for site, state in sorted(entry["evidence"].items())
+                for site, state in sorted(taker.evidence.items())
             )
-            self.storage.log_takeover(
-                gid, epoch, entry["old"], verdict, votes=votes
+            g.claim = self.storage.log_takeover(
+                g.gid, epoch, taker.old, verdict, votes=votes
             )
         if not self.up:
             return
-        tid_value = entry.get("tid")
-        anchor = Tid(tid_value) if tid_value else Tid(0)
-        participants = tuple(
-            s for s in sorted(entry["sites"]) if s != self.name
-        )
+        participants = tuple(s for s in taker.sites if s != self.name)
         # Unlike the primary path, *both* verdicts are force-logged:
         # the decision record is the audit trail the no-dual-decision
         # oracle (and any later taker) reads.
         self.storage.log_decision(
-            anchor, gid, verdict, participants=participants
+            g.tid if g.tid else Tid(0), g.gid, verdict, participants=participants
         )
         if not self.up:
             return
         if verdict == "commit":
-            self.durable_decisions[gid] = "commit"
+            g.commit_logged = True
         self._stat("takeovers_decided")
-        self._obs_mark(gid, "takeover_decided", epoch=epoch, verdict=verdict)
-        members = {site: entry["tids"].get(site) for site in entry["sites"]}
-        members[self.name] = tid_value
-        decided = {
-            "members": members,
-            "votes": {},
-            "acks": set(),
-            "verdict": verdict,
-            "ttl": 0,
-        }
-        self.coordinating[gid] = decided
-        self._set_group_state(gid, decided, "decided")
-        self._apply_decision_locally(gid, verdict, tid_value)
+        self._obs_mark(g, "takeover_decided", epoch=epoch, verdict=verdict)
+        # The taker is the group's coordinator of record from here on.
+        tid_value = g.tid.value if g.tid is not None else None
+        g.members = {site: taker.tids.get(site) for site in taker.sites}
+        g.members[self.name] = tid_value
+        g.votes, g.acks, g.client = {}, set(), None
+        self._move(g, "state", "decided")
+        self._apply_decision_locally(g, verdict, tid_value)
         if not self.up:
             return
-        for site in participants:
-            self._send(
-                site,
-                DECISION,
-                {
-                    "gid": gid,
-                    "verdict": verdict,
-                    "tid": entry["tids"].get(site),
-                    "epoch": epoch,
-                },
-            )
+        self._release(g, verdict, epoch)
 
     # -- membership churn: join, leave, object-range handoff ---------------
 
@@ -1430,9 +1246,10 @@ class Site:
             self._reply(msg, {"ok": False, "error": "already leaving"})
             return
         in_twophase = {
-            entry["tid"]
-            for entry in self.pending_prepares.values()
-        } | {entry["tid"] for entry in self.prepared.values()}
+            self.groups[gid].tid
+            for gid in self.active
+            if self.groups[gid].phase in ("pending", "prepared")
+        }
         txs = {}
         for td in self.manager.table.live():
             tid = td.tid
@@ -1543,7 +1360,9 @@ class Site:
         self.left = True
         self._stat("handoffs_completed")
         self._stat("handoff_txs_moved", moved)
-        self._obs_mark(0, "handoff_done", moved=moved)
+        # Not a group transition: the mark lands on members of gid 0
+        # (the manager's default gid), as it always has.
+        self._obs_mark(self.groups.get(0), "handoff_done", moved=moved)
         self._send(
             handoff["successor"],
             HANDOFF_DONE,
@@ -1586,6 +1405,61 @@ class Site:
 
     # -- the tick loop -----------------------------------------------------
 
+    def _chase_votes(self, g):
+        """The coordinator's duty to an open group."""
+        if g.state == "releasing":
+            # Un-witnessed commit: keep re-releasing to members that
+            # have not acknowledged until the first ACK seals it.
+            if self.ticks >= g.next_beat:
+                g.next_beat = self.ticks + self.heartbeat_interval
+                self._release(g, "commit", g.epoch)
+            return
+        # Vote deadline: silence is an abort vote.  While collecting,
+        # heartbeat the members so their coordinator leases stay live
+        # (a slow vote must not look like a dead coordinator).
+        g.deadline -= 1
+        if g.deadline <= 0:
+            self._decide(g, "abort")
+        elif self.ticks >= g.next_beat:
+            g.next_beat = self.ticks + self.heartbeat_interval
+            for site in sorted(g.members):
+                if site != self.name:
+                    self._stat("heartbeats_sent")
+                    self._tell(site, GC_HEARTBEAT, g)
+
+    def _await_verdict(self, g):
+        """A member that voted commit and has no verdict: ask when the
+        inquiry pacing says so; when the *coordinator* lease lapses,
+        count it overdue and — past this site's rank-staggered
+        threshold — take over.
+
+        A live-prepared member paces its inquiries with the ``gc``
+        lease and asks even itself; a member in doubt after a restart
+        paces them by tick (the coordinator may be long gone) and skips
+        a coordinator that is this site, which it re-derives by polling.
+        """
+        live = g.phase == "prepared"
+        if live:
+            ask = not self.deadlines.lease_live(("gc", g.gid))
+            if ask:
+                self.deadlines.grant_lease(("gc", g.gid), self.inquiry_interval)
+        else:
+            ask = self.ticks >= g.next_ask
+            if ask:
+                g.next_ask = self.ticks + self.inquiry_interval
+                ask = g.coordinator != self.name
+        if ask:
+            self._tell(g.coordinator, STATUS_REQ, g, site=self.name)
+        if live and g.coordinator == self.name:
+            return  # our own liveness is not in doubt
+        if self.deadlines.lease_live(("gcl", g.gid)):
+            g.overdue = 0
+            return
+        g.overdue += 1
+        threshold = self._takeover_threshold(g.sites, g.coordinator)
+        if threshold is not None and g.overdue >= threshold:
+            self._start_takeover(g)
+
     def on_tick(self):
         """One deterministic slice of background duty per pump round."""
         if not self.up:
@@ -1593,136 +1467,33 @@ class Site:
         self.ticks += 1
         # Advance local transaction programs one cooperative step.
         self.runtime.round()
-        # Everything below reads the six structures ``unsettled`` names.
+        # Everything below reads ``active`` or the handoff.
         if not self.unsettled():
             return
-        # Retry pending votes; give up (vote abort) when the component
-        # cannot complete within the prepare deadline.
-        for gid in sorted(self.pending_prepares):
-            entry = self.pending_prepares.get(gid)
-            if entry is None:
-                continue
-            entry["ttl"] -= 1
-            self._attempt_prepare(gid)
-            entry = self.pending_prepares.get(gid)
-            if entry is not None and entry["ttl"] <= 0:
-                del self.pending_prepares[gid]
-                self._cast_vote(gid, entry["coordinator"], "abort")
-        # Coordinator vote deadlines: silence is an abort vote.  While
-        # collecting, heartbeat the members so their coordinator leases
-        # stay live (a slow vote must not look like a dead coordinator).
-        for gid in sorted(self.open_groups):
-            entry = self.coordinating[gid]
-            if entry["state"] == "releasing":
-                # Un-witnessed commit: keep re-releasing to members that
-                # have not acknowledged (DECISION is idempotent and
-                # always ACKed) until the first ACK seals it.
-                if self.ticks >= entry.get("next_release", 0):
-                    entry["next_release"] = (
-                        self.ticks + self.heartbeat_interval
-                    )
-                    epoch = self._epoch_of(gid)
-                    for site in sorted(entry["members"]):
-                        if site == self.name or site in entry["acks"]:
-                            continue
-                        self._send(
-                            site,
-                            DECISION,
-                            {
-                                "gid": gid,
-                                "verdict": "commit",
-                                "tid": entry["members"][site],
-                                "epoch": epoch,
-                            },
-                        )
-                continue
-            if entry["state"] != "collecting":
-                continue
-            entry["ttl"] -= 1
-            if entry["ttl"] <= 0:
-                self._decide(gid, "abort")
-                continue
-            if self.ticks >= entry.get("next_beat", 0):
-                entry["next_beat"] = self.ticks + self.heartbeat_interval
-                epoch = self._epoch_of(gid)
-                for site in sorted(entry["members"]):
-                    if site == self.name:
-                        continue
-                    self._stat("heartbeats_sent")
-                    self._send(
-                        site, GC_HEARTBEAT, {"gid": gid, "epoch": epoch}
-                    )
-        # Prepared but no decision: when the inquiry lease lapses, ask;
-        # when the *coordinator* lease lapses, count it overdue and —
-        # past this site's rank-staggered threshold — take over.
-        for gid in sorted(self.prepared):
-            entry = self.prepared.get(gid)
-            if entry is None or gid in self.taking_over:
-                continue
-            key = ("gc", gid)
-            if not self.deadlines.lease_live(key):
-                self._send(
-                    entry["coordinator"], STATUS_REQ,
-                    {
-                        "gid": gid,
-                        "site": self.name,
-                        "epoch": self._epoch_of(gid),
-                    },
-                )
-                self.deadlines.grant_lease(key, self.inquiry_interval)
-            if entry["coordinator"] == self.name:
-                continue  # our own liveness is not in doubt
-            if self.deadlines.lease_live(("gcl", gid)):
-                entry["overdue"] = 0
-                continue
-            entry["overdue"] += 1
-            threshold = self._takeover_threshold(
-                entry.get("sites", ()), entry["coordinator"]
-            )
-            if threshold is not None and entry["overdue"] >= threshold:
-                self._start_takeover(
-                    gid,
-                    entry["coordinator"],
-                    entry.get("sites", ()),
-                    tid_value=entry["tid"].value,
-                )
-        # In-doubt after restart: periodic inquiry until resolved, with
-        # the same overdue countdown (the coordinator may be long gone).
-        for gid in sorted(self.in_doubt):
-            entry = self.in_doubt.get(gid)
-            if entry is None or gid in self.taking_over:
-                continue
-            record = entry["record"]
-            if self.ticks >= entry["next_ask"]:
-                entry["next_ask"] = self.ticks + self.inquiry_interval
-                if record.coordinator != self.name:
-                    self._send(
-                        record.coordinator, STATUS_REQ,
-                        {
-                            "gid": gid,
-                            "site": self.name,
-                            "epoch": self._epoch_of(gid),
-                        },
-                    )
-            if self.deadlines.lease_live(("gcl", gid)):
-                entry["overdue"] = 0
-                continue
-            entry["overdue"] = entry.get("overdue", 0) + 1
-            threshold = self._takeover_threshold(
-                record.sites, record.coordinator
-            )
-            if threshold is not None and entry["overdue"] >= threshold:
-                self._start_takeover(
-                    gid,
-                    record.coordinator,
-                    record.sites,
-                    tid_value=record.tid.value,
-                )
+        # Five duties, in this order and each by ascending gid.  A tick
+        # brings no new gid, so one snapshot serves them all; each duty
+        # tests the record as it stands when its turn comes.
+        work = [self.groups[gid] for gid in sorted(self.active)]
+        for g in work:
+            if g.phase == "pending":
+                # Retry the vote; give up (vote abort) when the component
+                # cannot complete within the prepare deadline.
+                g.ttl -= 1
+                self._attempt_prepare(g)
+                if g.phase == "pending" and g.ttl <= 0:
+                    self._move(g, "phase", None)
+                    self._cast_vote(g, "abort")
+        for g in work:
+            if g.state in OPEN:
+                self._chase_votes(g)
+        for phase in WAITING:
+            for g in work:
+                if g.phase == phase and g.takeover is None:
+                    self._await_verdict(g)
         # Takeover polls: re-ask members that have not answered yet.
-        for gid in sorted(self.taking_over):
-            entry = self.taking_over.get(gid)
-            if entry is not None and self.ticks >= entry["next_poll"]:
-                self._poll_takeover(gid)
+        for g in work:
+            if g.takeover is not None and self.ticks >= g.takeover.next_poll:
+                self._poll_takeover(g)
         # Leaver-side handoff: retry the offer; give up past the TTL.
         if self.handoff is not None:
             self.handoff["ttl"] -= 1

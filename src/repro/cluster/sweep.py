@@ -15,9 +15,11 @@ kind ``net_msg``), and each fault dimension here is a generator of
 
 Generators that extend a ``base`` plan compose: the takeover sweep is
 site crashes over the trace of a coordinator kill, the release-blackout
-sweep is coordinator kills over the trace of a DECISION blackout.
+sweep is coordinator kills over the trace of a DECISION blackout, the
+stranded-witness sweep is site crashes over a dropped DECISION plus a
+coordinator kill.
 :func:`message_sweep` (any one dimension over the fault-free run) and
-the two composed sweeps probe, pick generators and call
+the three composed sweeps probe, pick generators and call
 :func:`~repro.chaos.sweep.sweep`, which runs each plan through the
 cluster kind (:meth:`repro.cluster.scenarios.ClusterScenarioSpec.judge`
 models the operator fixing the world, then judges the durable logs) and
@@ -41,6 +43,7 @@ __all__ = [
     "partitions",
     "release_blackout_sweep",
     "site_crashes",
+    "stranded_witness_sweep",
     "takeover_death_sweep",
 ]
 
@@ -222,3 +225,26 @@ def release_blackout_sweep(spec, limit=None):
     )
     messages = messages[first:][:limit]
     return sweep(spec, coordinator_deaths(messages, base=blackout))
+
+
+def stranded_witness_sweep(spec, limit=None):
+    """Strand one member behind a dead coordinator, then power-cycle
+    each site at every later step.
+
+    The last DECISION of the release is dropped and the coordinator
+    dies permanently once the commit is sealed, so the member that
+    missed it can learn the verdict only by taking over and polling the
+    witness that holds it.  Crashing each site at each later step makes
+    that witness a *restarted* one: it must still testify to the commit
+    it durably applied, from its log alone.
+    """
+    release = [n for n, d in _messages(spec, None) if d.endswith(":decision")]
+    stranded = FaultPlan(drop_msg_at={release[-1]})
+    sealed = next(
+        n
+        for n, d in _messages(spec, None, plan=stranded)
+        if d.endswith(":gc_begin.reply")
+    )
+    base = stranded.with_(kill_coordinator_at=sealed)
+    messages = _messages(spec, limit, plan=base, start=sealed + 1)
+    return sweep(spec, site_crashes(messages, spec.sites, base=base))

@@ -118,9 +118,9 @@ class _WatchedSet(_Watched, set):
     pass
 
 
-PROTOCOL_MAPS = (
-    "pending_prepares", "open_groups", "prepared", "in_doubt", "taking_over",
-)
+# The ledger and its has-work index: all the gid-keyed state a site has
+# (was: pending_prepares, open_groups, prepared, in_doubt, taking_over).
+PROTOCOL_MAPS = ("groups", "active")
 
 
 def _watch(site):
@@ -155,7 +155,9 @@ class TestSettledSite:
         outcome = cluster.group_commit(refs, coordinator="alpha", timeout=4)
         assert not outcome.resolved
         site = cluster.sites["beta"]
-        assert site.prepared and site.unsettled()
+        # was: ``site.prepared``
+        assert [g.phase for g in site.groups.values()] == ["prepared"]
+        assert site.unsettled()
         touched = _watch(site)
         site.on_tick()
         assert set(touched) == set(PROTOCOL_MAPS)

@@ -23,6 +23,7 @@ from repro.cluster.sweep import (
     partitions,
     release_blackout_sweep,
     site_crashes,
+    stranded_witness_sweep,
     takeover_death_sweep,
 )
 
@@ -107,6 +108,21 @@ def test_decision_blackout_then_coordinator_death():
     spec = get("cluster_group_commit")
     _assert_clean(
         release_blackout_sweep(spec, limit=None if LONG else 6), "failover"
+    )
+
+
+def test_a_restarted_witness_still_testifies():
+    # Three faults composed: the last DECISION of the release dropped,
+    # the coordinator dead for good once the commit is sealed, and each
+    # site power-cut at every later step.  The member that missed the
+    # decision must take over and learn it from the witness — also when
+    # that witness has restarted and holds the commit only in its log
+    # (the PR 9 review's "restarted witness answers no trace";
+    # ``restart_forgets_resolved_votes`` is the fix reverted, red here:
+    # tests/cluster/test_restart_projection.py).
+    spec = get("cluster_group_commit")
+    _assert_clean(
+        stranded_witness_sweep(spec, limit=None if LONG else 8), "failover"
     )
 
 

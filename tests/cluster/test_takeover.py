@@ -10,6 +10,7 @@ import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
 from repro.chaos.faults import FaultPlan
 from repro.chaos.sweep import get, probe, run_plan
 from repro.cluster import Cluster
+from repro.cluster.group import Takeover, evidence
 from repro.storage.log import CommitRecord, DecisionRecord, TakeoverRecord
 
 
@@ -162,7 +163,7 @@ class TestWitnessReconstruction:
         cluster.restart_site("beta")
         beta = cluster.sites["beta"]
         assert beta.settled_gids.get(outcome.gid) == "commit"
-        assert beta._takeover_evidence(outcome.gid) == ("committed", None)
+        assert evidence(beta.groups[outcome.gid]) == ("committed", None)
 
     def test_restarted_abort_participant_still_testifies(self):
         # Same reconstruction, abort side: a participant that voted
@@ -189,37 +190,34 @@ class TestWitnessReconstruction:
         cluster.restart_site(witness)
         site = cluster.sites[witness]
         assert site.settled_gids.get(gid) == "abort"
-        assert site._takeover_evidence(gid) == ("aborted", None)
+        assert evidence(site.groups[gid]) == ("aborted", None)
 
 
 class TestEvidenceStates:
     def test_never_prepared_vs_resolved_unknown(self):
         cluster = Cluster()
         site = cluster.sites["alpha"]
-        assert site._takeover_evidence(99) == ("never_prepared", None)
-        # A voted gid whose resolution is in no map must never read as
-        # "no trace" — that is the one unsafe guess a taker could make.
-        site.voted_gids.add(99)
-        assert site._takeover_evidence(99) == ("resolved_unknown", None)
+        assert evidence(site._group(99)) == ("never_prepared", None)
+        # A voted gid whose record holds no resolution (was: in
+        # ``voted_gids`` and no other map) must never read as "no trace"
+        # — that is the one unsafe guess a taker could make.
+        site._group(99).voted = True
+        assert evidence(site.groups[99]) == ("resolved_unknown", None)
 
-    def _taking_over_entry(self, site, gid, evidence):
-        site.taking_over[gid] = {
-            "epoch": 1,
-            "old": "beta",
-            "sites": ("alpha", "beta", "gamma"),
-            "tid": None,
-            "evidence": dict(evidence),
-            "tids": {},
-            "next_poll": 0,
-            "claimed": False,
-        }
+    def _taking_over_entry(self, site, gid, answers):
+        # (was a literal ``taking_over[gid]`` entry)
+        group = site._group(gid)
+        taker = Takeover(1, "beta", ("alpha", "beta", "gamma"))
+        taker.evidence.update(answers)
+        site._move(group, "takeover", taker)
+        return group
 
     def test_abort_is_presumed_over_never_prepared(self):
         cluster = Cluster()
         site = cluster.sites["alpha"]
-        self._taking_over_entry(site, 7, {"gamma": "never_prepared"})
-        site._maybe_conclude_takeover(7)
-        assert 7 not in site.taking_over
+        group = self._taking_over_entry(site, 7, {"gamma": "never_prepared"})
+        site._maybe_conclude_takeover(group)
+        assert group.takeover is None and 7 not in site.active
         decisions = [
             record
             for record in site.durable_records()
@@ -230,9 +228,10 @@ class TestEvidenceStates:
     def test_resolved_unknown_blocks_the_conclusion(self):
         cluster = Cluster()
         site = cluster.sites["alpha"]
-        self._taking_over_entry(site, 7, {"gamma": "resolved_unknown"})
-        site._maybe_conclude_takeover(7)
-        assert 7 in site.taking_over  # blocked: never guess a verdict
+        group = self._taking_over_entry(site, 7, {"gamma": "resolved_unknown"})
+        site._maybe_conclude_takeover(group)
+        # blocked: never guess a verdict
+        assert group.takeover is not None and 7 in site.active
         assert not any(
             isinstance(record, DecisionRecord)
             for record in site.durable_records()
@@ -276,26 +275,27 @@ class TestFencing:
     def test_lower_epochs_are_rejected_and_counted(self):
         cluster = Cluster()
         site = cluster.sites["alpha"]
-        assert site._fence(7, 0) is True  # epoch 0 is the default
-        assert site._fence(7, 2) is True  # higher: adopted on the spot
-        assert site.group_epochs[7] == 2
+        seven = site._group(7)
+        assert site._fence(seven, 0) is True  # epoch 0 is the default
+        assert site._fence(seven, 2) is True  # higher: adopted on the spot
+        assert site.groups[7].epoch == 2  # was group_epochs[7]
         before = site.stats["stale_epoch_rejects"]
-        assert site._fence(7, 1) is False  # stale: fenced out
+        assert site._fence(seven, 1) is False  # stale: fenced out
         assert site.stats["stale_epoch_rejects"] == before + 1
-        assert site.group_epochs[7] == 2  # rejection never regresses
+        assert site.groups[7].epoch == 2  # rejection never regresses
 
     def test_equal_epochs_pass(self):
         # Same-epoch duplicates are legal: dueling takers at one epoch
         # derive the same verdict from the same durable evidence.
         cluster = Cluster()
         site = cluster.sites["alpha"]
-        site._fence(7, 3)
-        assert site._fence(7, 3) is True
-        assert site.group_epochs[7] == 3
+        site._fence(site._group(7), 3)
+        assert site._fence(site._group(7), 3) is True
+        assert site.groups[7].epoch == 3
 
     def test_epochs_are_per_group(self):
         cluster = Cluster()
         site = cluster.sites["alpha"]
-        site._fence(7, 5)
-        assert site._fence(8, 1) is True  # other gid: independent fence
-        assert site.group_epochs == {7: 5, 8: 1}
+        site._fence(site._group(7), 5)
+        assert site._fence(site._group(8), 1) is True  # other gid: independent fence
+        assert {gid: g.epoch for gid, g in site.groups.items()} == {7: 5, 8: 1}

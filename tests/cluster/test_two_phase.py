@@ -78,8 +78,8 @@ class TestHappyPath:
         assert outcome
         coordinator = cluster.sites[refs[0].site]
         # Replay the decision to every participant by hand.
-        entry = coordinator.coordinating[outcome.gid]
-        for site in sorted(entry["members"]):
+        members = coordinator.groups[outcome.gid].members  # was coordinating[gid]
+        for site in sorted(members):
             if site != coordinator.name:
                 coordinator._send(
                     site,
@@ -87,7 +87,7 @@ class TestHappyPath:
                     {
                         "gid": outcome.gid,
                         "verdict": "commit",
-                        "tid": entry["members"][site],
+                        "tid": members[site],
                     },
                 )
         cluster.converge()
@@ -209,7 +209,8 @@ class TestCrashRecovery:
         coordinator._send = send_muting_gamma_decisions
         outcome = cluster.group_commit(refs, timeout=8)
         assert outcome  # beta witnessed, so the commit sealed
-        assert cluster.sites["gamma"].prepared  # still awaiting release
+        # (was ``gamma.prepared``) still awaiting release
+        assert cluster.sites["gamma"].groups[outcome.gid].phase == "prepared"
         decisions = [
             record
             for record in coordinator.durable_records()
@@ -249,8 +250,8 @@ class TestCrashRecovery:
             isinstance(record, DecisionRecord)
             for record in coordinator.durable_records()
         )
-        entry = coordinator.coordinating[outcome.gid]
-        assert entry["state"] == "releasing"
+        # (was ``coordinating[gid]["state"]``)
+        assert coordinator.groups[outcome.gid].state == "releasing"
         assert committed_values(coordinator) == []
         coordinator._send = original
         assert cluster.converge()

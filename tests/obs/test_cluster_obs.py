@@ -93,3 +93,79 @@ class TestSpansMatchHistory:
         for span in spans:
             by_correlation.setdefault(span["correlation"], []).append(span)
         assert any(len(group) >= 2 for group in by_correlation.values())
+
+
+MARKS = ("takeover_started", "takeover_decided")
+
+
+class TestGroupMarks:
+    """Takeover marks land on the spans of the transactions the vote
+    covered — found through the group record, not by walking the span
+    table (ROADMAP 6(d))."""
+
+    def test_marks_land_where_a_scan_of_every_span_would_put_them(self):
+        kit = ObservabilityKit()
+        spec = get("cluster_group_commit")
+        result = run_plan(
+            spec, FaultPlan(kill_coordinator_at=32), instrument=kit.attach_cluster
+        )
+        assert result.ok, result.describe()
+        takers = {
+            name: site
+            for name, site in result.system.sites.items()
+            if site.stats["takeovers_decided"]
+        }
+        assert takers
+        marked = 0
+        for span in kit.spans.export():
+            kinds = [link["type"] for link in span["links"] if link["type"] in MARKS]
+            # The parent's rule: every span of the taker's trace that a
+            # PREPARED event stamped with the gid carries the marks.
+            if span["trace"] in takers and span["gid"] is not None:
+                assert kinds == list(MARKS), span
+                assert all(
+                    link["gid"] == span["gid"]
+                    for link in span["links"]
+                    if link["type"] in MARKS
+                )
+                marked += 1
+            else:
+                assert kinds == [], span
+        assert marked >= len(takers)
+
+    def test_a_mark_probes_only_the_members_spans(self):
+        from repro.cluster import Cluster
+        from tests.cluster.test_two_phase import spawn_group
+
+        cluster = Cluster()
+        kit = ObservabilityKit().attach_cluster(cluster)
+        for __ in range(50):
+            assert cluster.group_commit(spawn_group(cluster)).committed
+        assert cluster.converge()
+        site = cluster.sites["beta"]
+        assert len(kit.spans.spans) > 300 and len(site.groups) == 50
+
+        class Probed(dict):
+            probes = walks = 0
+
+            def get(self, key, default=None):
+                Probed.probes += 1
+                return super().get(key, default)
+
+            def __iter__(self):
+                Probed.walks += 1
+                return super().__iter__()
+
+            def items(self):
+                Probed.walks += 1
+                return super().items()
+
+        kit.spans.spans = Probed(kit.spans.spans)
+        group = site.groups[max(site.groups)]
+        site._obs_mark(group, "takeover_started", epoch=1, old="alpha")
+        assert Probed.walks == 0
+        assert 0 < Probed.probes <= len(group.tids)
+        for tid in group.tids:
+            links = kit.spans.spans[(site.name, tid.value)]["links"]
+            assert links[-1]["type"] == "takeover_started"
+            assert links[-1]["gid"] == group.gid

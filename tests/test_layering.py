@@ -239,3 +239,52 @@ def test_no_exception_to_the_rule():
         isinstance(node, (ast.For, ast.While, ast.comprehension))
         for node in ast.walk(rollback)
     )
+
+
+def test_a_site_holds_one_group_ledger():
+    """What a site knows about a global group is one record in one
+    ledger: ``Site._boot`` builds no container besides the ledger, its
+    has-work index and the proxy / handoff tables, and the two messages
+    that used to have literal copies each have one send site."""
+    tree = ast.parse((SRC / "repro" / "cluster" / "site.py").read_text())
+
+    def containers(function):
+        (body,) = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == function
+        ]
+        return {
+            target.attr
+            for node in ast.walk(body)
+            if isinstance(node, ast.Assign)
+            and (
+                isinstance(node.value, (ast.Dict, ast.Set, ast.List))
+                or isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None)
+                in ("dict", "set", "list", "defaultdict", "OrderedDict")
+            )
+            for target in node.targets
+        }
+
+    # The ledger outlives a crash as storage (``_boot`` wipes its
+    # records in place); everything else volatile is rebuilt there.
+    assert containers("__init__") == {"stats", "groups"}
+    assert containers("_boot") == {
+        "active", "proxies", "proxy_owner", "remote_holders", "_handoff_accepts",
+    }
+    sends = [
+        arg.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) in ("_send", "_tell")
+        for arg in node.args
+        if isinstance(arg, ast.Name)
+    ]
+    assert sends.count("DECISION") == 1 and sends.count("STATUS_REQ") == 1
+    gone = (
+        "pending_prepares", "self.prepared", "self.in_doubt", "coordinating",
+        "open_groups", "durable_decisions", "taking_over", "takeover_claims",
+        "group_epochs",
+    )
+    text = (SRC / "repro" / "cluster" / "site.py").read_text()
+    assert not [word for word in gone if word in text]
