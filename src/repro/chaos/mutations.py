@@ -14,6 +14,7 @@ classes at test time and restore them on exit, even on error.
 from __future__ import annotations
 
 import sys
+import zlib
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from repro.storage.log import (
     UpdateRecord,
     WriteAheadLog,
 )
+from repro.storage.page import _CRC, Page
 from repro.storage.recovery import RecoveryManager
 
 
@@ -80,10 +82,8 @@ def redo_keeps_oldest_image():
     original = WriteAheadLog.redo_records
 
     def oldest(self):
-        with self._lock:
-            tail = self._decoded[self._first_above(self.redo_lsn) :]
         first, images = {}, 0
-        for record in tail:  # the product's pass, from the wrong end
+        for record in self._redo_span():  # the product's pass, wrong end
             if isinstance(record, (UpdateRecord, CompensationRecord)):
                 images += 1
                 first.setdefault(record.oid.value, record)
@@ -130,6 +130,46 @@ def torn_page_keeps_mark():
         yield
     finally:
         WriteAheadLog.log_checkpoint = original
+
+
+@contextmanager
+def void_mark_skips_prefix():
+    """Redo under a void mark reads only the tail, as if the restart
+    point held every image redo needs: an object on the torn page last
+    written below the point is never rebuilt.  The ``checkpoint_mark``
+    sweeps' torn-page dimension must catch it."""
+    original = WriteAheadLog._redo_span
+
+    def tail_only(self):
+        with self._lock:
+            return self._decoded[self._first_above(self.redo_lsn) :]
+
+    WriteAheadLog._redo_span = tail_only
+    try:
+        yield
+    finally:
+        WriteAheadLog._redo_span = original
+
+
+@contextmanager
+def page_checksum_ignored():
+    """``Page.from_bytes`` skips the checksum compare (every image is
+    stamped with its own bytes' checksum first): a torn page decodes as
+    its new header and old directory say, and the table rebuild serves
+    the neighbours' bytes under their ids.  A tear of a compacted page
+    must show."""
+    original = Page.__dict__["from_bytes"]
+
+    def unchecked(cls, raw, *args, **kwargs):
+        raw = bytearray(raw)
+        _CRC.pack_into(raw, 0, zlib.crc32(memoryview(raw)[_CRC.size :]))
+        return original.__func__(cls, bytes(raw), *args, **kwargs)
+
+    Page.from_bytes = classmethod(unchecked)
+    try:
+        yield
+    finally:
+        Page.from_bytes = original
 
 
 class _Everyone:

@@ -447,9 +447,9 @@ def _checkpoint_mark_drive(stack):
     manager.checkpoint()
 
     # Above the mark: what a restart has to repeat.  The write-back in
-    # between, torn (the new object makes the tear detectable: one more
-    # slot than the old directory has), takes b with it — last written
-    # below the mark, so only redo from the start of the log brings it
+    # between, torn (its checksum no longer matches), takes b with it —
+    # last written below the mark and below the restart point, so only
+    # redo under the void mark, which reads the log's prefix, brings it
     # back.
     def grow(tx):
         oids["f"] = yield tx.create(b"f4")

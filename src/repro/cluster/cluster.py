@@ -85,7 +85,6 @@ class Cluster:
         injector=None,
         rpc_timeout=16,
         rpc_attempts=4,
-        **site_options,
     ):
         self.injector = (
             injector
@@ -97,11 +96,7 @@ class Cluster:
         self.fabric.crash_hook = self.crash_site
         self.sites = {
             name: Site(
-                name,
-                self.fabric,
-                clock=self.clock,
-                injector=self.injector,
-                **site_options,
+                name, self.fabric, clock=self.clock, injector=self.injector
             )
             for name in sites
         }
@@ -116,7 +111,6 @@ class Cluster:
         self._gids = count(1)
         self.groups = {}
         self.rounds = 0
-        self._site_options = dict(site_options)
         # Membership map + object-range placement.  ``membership`` is
         # the set of sites accepting *new* placements (a left site stays
         # in ``sites`` to serve 2PC duty for state it still holds); the
@@ -479,7 +473,7 @@ class Cluster:
                     },
                 )
 
-    def join_site(self, name, **site_options):
+    def join_site(self, name):
         """Add a site to the cluster and rebalance placement ranges.
 
         The joiner starts with the current membership epoch; every
@@ -488,16 +482,10 @@ class Cluster:
         """
         if name in self.sites:
             raise ValueError(f"site {name} already exists")
-        options = dict(self._site_options)
-        options.update(site_options)
         self.membership_epoch += 1
         self.router.bump_epoch()
         site = Site(
-            name,
-            self.fabric,
-            clock=self.clock,
-            injector=self.injector,
-            **options,
+            name, self.fabric, clock=self.clock, injector=self.injector
         )
         site.membership_epoch = self.membership_epoch
         self.sites[name] = site

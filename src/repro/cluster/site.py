@@ -112,41 +112,32 @@ HANDOFF_DONE = "handoff_done"
 # handlers must re-raise it explicitly.
 _INJECTED_FAULTS = (CrashPoint, TransientIOError)
 
+# Protocol timing, in cluster ticks.  A participant gives a PREPARE
+# request PREPARE_TTL ticks to find its component complete; a coordinator
+# gives the votes VOTE_TTL; an in-doubt member asks again every
+# INQUIRY_INTERVAL.  Failover: a prepared participant trusts a silent
+# coordinator for COORDINATOR_LEASE ticks before counting it overdue, a
+# live one beats every HEARTBEAT_INTERVAL, and TAKEOVER_GRACE paces the
+# rank-staggered takeover threshold (rank r acts after TAKEOVER_GRACE *
+# (r + 1) overdue ticks, so the designated successor moves first and the
+# rest are fallbacks).  A leaving site offers its state for HANDOFF_TTL.
+PREPARE_TTL = 24
+VOTE_TTL = 48
+INQUIRY_INTERVAL = 8
+COORDINATOR_LEASE = 16
+HEARTBEAT_INTERVAL = 4
+TAKEOVER_GRACE = 16
+HANDOFF_TTL = 32
+
 
 class Site:
     """A named ASSET instance wired to the cluster fabric."""
 
-    def __init__(
-        self,
-        name,
-        fabric,
-        clock,
-        injector=None,
-        prepare_ttl=24,
-        vote_ttl=48,
-        inquiry_interval=8,
-        coordinator_lease=16,
-        heartbeat_interval=4,
-        takeover_grace=16,
-        handoff_ttl=32,
-        capacity=256,
-    ):
+    def __init__(self, name, fabric, clock, injector=None):
         self.name = name
         self.fabric = fabric
         self.clock = clock
         self.injector = injector
-        self.prepare_ttl = prepare_ttl
-        self.vote_ttl = vote_ttl
-        self.inquiry_interval = inquiry_interval
-        # Failover knobs: the coordinator lease is how long a prepared
-        # participant trusts a silent coordinator before counting it
-        # overdue; takeover_grace paces the rank-staggered takeover
-        # threshold (rank r acts after grace*(r+1) overdue ticks, so the
-        # designated successor moves first and the rest are fallbacks).
-        self.coordinator_lease = coordinator_lease
-        self.heartbeat_interval = heartbeat_interval
-        self.takeover_grace = takeover_grace
-        self.handoff_ttl = handoff_ttl
         self.ticks = 0
         self.up = False
         self.crashes = 0
@@ -166,7 +157,7 @@ class Site:
         }
         # The durable half survives crashes; everything else is volatile
         # and rebuilt by :meth:`_boot`.
-        self.storage = StorageManager(injector=injector, capacity=capacity)
+        self.storage = StorageManager(injector=injector)
         self.recovery_report = None
         # Observability (repro.obs): an ObservabilityKit installed by
         # attach_observability, or None.  Kept across crashes — the kit
@@ -451,24 +442,24 @@ class Site:
             # An in-doubt member keeps asking the coordinator its vote
             # record names; redirecting it would renumber steps.
             g.coordinator = src
-        self.deadlines.grant_lease(("gcl", g.gid), self.coordinator_lease)
+        self.deadlines.grant_lease(("gcl", g.gid), COORDINATOR_LEASE)
 
     def _takeover_threshold(self, sites, coordinator):
         """How many overdue ticks before *this* site takes over, or
         ``None`` if it never should.
 
         Successors are ranked by name among the members that are not the
-        old coordinator; rank r waits ``takeover_grace * (r + 1)`` ticks
+        old coordinator; rank r waits ``TAKEOVER_GRACE * (r + 1)`` ticks
         so the designated successor acts first and the others are
         deterministic fallbacks should it die too.  A coordinator reborn
         in doubt about its own group (``coordinator == self.name``) is
         rank 0: it cannot ask itself, so it re-derives by polling."""
         if coordinator == self.name:
-            return self.takeover_grace
+            return TAKEOVER_GRACE
         candidates = sorted(s for s in sites if s != coordinator)
         if self.name not in candidates:
             return None
-        return self.takeover_grace * (candidates.index(self.name) + 1)
+        return TAKEOVER_GRACE * (candidates.index(self.name) + 1)
 
     # -- proxies -----------------------------------------------------------
 
@@ -760,8 +751,8 @@ class Site:
         g.members = dict(msg.payload["members"])
         g.votes, g.acks = {}, set()
         g.client = (msg.src, msg.msg_id)
-        g.deadline = self.vote_ttl
-        g.next_beat = self.ticks + self.heartbeat_interval
+        g.deadline = VOTE_TTL
+        g.next_beat = self.ticks + HEARTBEAT_INTERVAL
         self._move(g, "state", "collecting")
         sites = tuple(sorted(g.members))
         for site, tid_value in sorted(g.members.items()):
@@ -805,7 +796,7 @@ class Site:
         and no takeover can contradict it.
         """
         if verdict == "commit" and any(s != self.name for s in g.members):
-            g.next_beat = self.ticks + self.heartbeat_interval
+            g.next_beat = self.ticks + HEARTBEAT_INTERVAL
             self._move(g, "state", "releasing")
         else:
             self._move(g, "state", "decided")
@@ -932,7 +923,7 @@ class Site:
         g.tid = Tid(tid)
         g.coordinator = coordinator
         g.sites = sites
-        g.ttl = self.prepare_ttl
+        g.ttl = PREPARE_TTL
         self._move(g, "phase", "pending")
         self._attempt_prepare(g)
 
@@ -959,8 +950,8 @@ class Site:
             # A second lease tracks the *coordinator* itself: refreshed
             # by its heartbeats; once it lapses the takeover countdown
             # starts.
-            self.deadlines.grant_lease(("gc", g.gid), self.inquiry_interval)
-            self.deadlines.grant_lease(("gcl", g.gid), self.coordinator_lease)
+            self.deadlines.grant_lease(("gc", g.gid), INQUIRY_INTERVAL)
+            self.deadlines.grant_lease(("gcl", g.gid), COORDINATOR_LEASE)
             self._cast_vote(g, "commit")
         elif outcome.status is PrepareStatus.ABORTED:
             self._move(g, "phase", None)
@@ -1082,7 +1073,7 @@ class Site:
 
     def _poll_takeover(self, g):
         taker = g.takeover
-        taker.next_poll = self.ticks + self.inquiry_interval
+        taker.next_poll = self.ticks + INQUIRY_INTERVAL
         for site in taker.sites:
             if site == self.name or site in taker.evidence:
                 continue
@@ -1274,14 +1265,14 @@ class Site:
             "txs": txs,
             "client": (msg.src, msg.msg_id),
             "map": None,
-            "ttl": self.handoff_ttl,
+            "ttl": HANDOFF_TTL,
             "next_send": 0,
         }
         self._send_handoff_offer()
 
     def _send_handoff_offer(self):
         handoff = self.handoff
-        handoff["next_send"] = self.ticks + self.inquiry_interval
+        handoff["next_send"] = self.ticks + INQUIRY_INTERVAL
         self._send(
             handoff["successor"],
             HANDOFF_OFFER,
@@ -1411,7 +1402,7 @@ class Site:
             # Un-witnessed commit: keep re-releasing to members that
             # have not acknowledged until the first ACK seals it.
             if self.ticks >= g.next_beat:
-                g.next_beat = self.ticks + self.heartbeat_interval
+                g.next_beat = self.ticks + HEARTBEAT_INTERVAL
                 self._release(g, "commit", g.epoch)
             return
         # Vote deadline: silence is an abort vote.  While collecting,
@@ -1421,7 +1412,7 @@ class Site:
         if g.deadline <= 0:
             self._decide(g, "abort")
         elif self.ticks >= g.next_beat:
-            g.next_beat = self.ticks + self.heartbeat_interval
+            g.next_beat = self.ticks + HEARTBEAT_INTERVAL
             for site in sorted(g.members):
                 if site != self.name:
                     self._stat("heartbeats_sent")
@@ -1442,11 +1433,11 @@ class Site:
         if live:
             ask = not self.deadlines.lease_live(("gc", g.gid))
             if ask:
-                self.deadlines.grant_lease(("gc", g.gid), self.inquiry_interval)
+                self.deadlines.grant_lease(("gc", g.gid), INQUIRY_INTERVAL)
         else:
             ask = self.ticks >= g.next_ask
             if ask:
-                g.next_ask = self.ticks + self.inquiry_interval
+                g.next_ask = self.ticks + INQUIRY_INTERVAL
                 ask = g.coordinator != self.name
         if ask:
             self._tell(g.coordinator, STATUS_REQ, g, site=self.name)

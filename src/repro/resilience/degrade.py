@@ -15,7 +15,7 @@ Two independent degradation mechanisms live here:
     the trace independently.
 
 :class:`QuarantineRegistry`
-    The escalation path from structural torn-page quarantine (recovery
+    The escalation path from the checksum torn-page quarantine (recovery
     resets a damaged page and remembers it) to the read path: an object
     registered here poisons any transaction that touches it — the
     storage manager raises
@@ -88,7 +88,7 @@ class QuarantineRegistry:
     def __init__(self):
         self.objects = {}  # oid -> reason
         self.poisoned = {}  # tid -> set of oids it touched while quarantined
-        self.damaged_pages = []  # page ids the structural quarantine reset
+        self.damaged_pages = []  # page ids the torn-page quarantine reset
 
     def note_damaged_page(self, page_id):
         """Record a page the torn-page quarantine reset during rebuild.

@@ -828,11 +828,10 @@ class WriteAheadLog:
     at open, and neither grows with history.  The hint is a bound, never
     evidence: open checks it (``_load_tail``) and otherwise decodes from
     the start through the same code; a hint that is merely old is safe,
-    because the point only ever moves up.  What lies below the tail is
-    re-read from the device only when asked for: :meth:`records`
-    (uncached), and a redo that has to start from the beginning of the
-    log (a torn page voided the mark), which discards the hint and
-    decodes everything again.
+    because the point only ever moves up, and nothing gives it up.
+    What lies below the tail is re-read from the device only when asked
+    for: by :meth:`records` (uncached), which is also how redo under a
+    void mark (a torn page was reset) reads the prefix's images.
 
     ``group_commit`` (a :class:`FlushCoalescer`, or an int shorthand for
     ``FlushCoalescer(max_commits=n)``) defers the per-commit flush into
@@ -926,8 +925,8 @@ class WriteAheadLog:
         — and :meth:`records` checks it when it reads the prefix), and
         — unless it names the log's first record, so that the tail *is*
         the log — the tail must hold a marker that vouches for the
-        highest tid below it, and end with a mark that is not void, or
-        redo would need the prefix anyway.
+        highest tid below it.  (A void mark is no reason to start lower:
+        redo reads the prefix through :meth:`records`.)
         """
         hint = self.device.hint
         # Either device's hint ends (record ordinal, LSN there).
@@ -947,8 +946,7 @@ class WriteAheadLog:
             and self.base <= self.device.durable_count()
             and (
                 not self.base
-                or self.redo_lsn
-                and any(
+                or any(
                     getattr(record, "max_tid", None) is not None
                     for record in self._decoded
                 )
@@ -1174,11 +1172,9 @@ class WriteAheadLog:
 
         A durable marker also moves the restart point up — of a log
         that stands alone; the segments of one log move together, as
-        :class:`~repro.storage.segmented.SegmentedLog` decides.  A mark
-        of 0 (a torn page) voids the restart point with it: only the
-        whole history rebuilds the page.  (A segment rewinds alone
-        here, in the middle of a restart; the segmented log has the
-        others follow before it analyses anything.)
+        :class:`~repro.storage.segmented.SegmentedLog` decides.  A void
+        mark (0: a torn page was reset) moves nothing and gives nothing
+        up: :meth:`redo_records` reads the prefix under it.
         """
         record = self._append(
             lambda lsn: CheckpointRecord(
@@ -1190,9 +1186,7 @@ class WriteAheadLog:
             )
         )
         self.flush()
-        if not redo_lsn:
-            self.rewind()
-        elif self._sequencer is None:
+        if self._sequencer is None:
             self.open_at(self.restart_point(record))
         return record
 
@@ -1241,19 +1235,15 @@ class WriteAheadLog:
         where a reopen starts: hand the device the hint, then forget the
         records below it and fold the index again from the rest — what
         :meth:`resync` would now build.  The highest tid is carried
-        over; the marker carries it for the reopen.  A log that has a
-        restart point has a hint, even one naming its first record:
-        that is how the segments of one log tell an agreed point from a
-        segment that gave its up."""
+        over; the marker carries it for the reopen."""
         if not point:
             return
         with self._lock:
             cut = self._first_above(point - 1)
-            if cut or self.device.hint is None:
-                self.base += cut
-                self.device.set_hint(self.base, self._decoded[cut].lsn.value)
             if not cut:
                 return
+            self.base += cut
+            self.device.set_hint(self.base, self._decoded[cut].lsn.value)
             max_tid = self._max_tid
             self._decoded = self._decoded[cut:]
             self._reset_index()
@@ -1264,14 +1254,6 @@ class WriteAheadLog:
     def _first_above(self, lsn):
         """Index in the tail of the first record above ``lsn``."""
         return bisect_right(self._decoded, lsn, key=lambda r: r.lsn.value)
-
-    def rewind(self):
-        """Give up the restart point — redo needs the log from its
-        start, or this is a segment of a log that does: discard the
-        hint and decode everything again (nothing to do without one)."""
-        if self.device.hint is not None:
-            self.device.set_hint()
-            self.resync()
 
     @property
     def restart_from(self):
@@ -1444,19 +1426,24 @@ class WriteAheadLog:
     def redo_records(self):
         """``(records, superseded)``: the records whose ``after`` image
         restart must reinstall, in LSN order — for each object with an
-        update or compensation above the last checkpoint's mark
-        (``redo_lsn``), the newest one — and how many older images
-        above the mark those stand for.  An image is the whole object,
-        so installing the newest leaves what installing all of them in
-        order would."""
-        with self._lock:
-            tail = self._decoded[self._first_above(self.redo_lsn) :]
+        update or compensation in :meth:`_redo_span`, the newest one —
+        and how many older images there those stand for.  An image is
+        the whole object, so installing the newest leaves what
+        installing all of them in order would."""
         newest, images = {}, 0
-        for record in reversed(tail):
+        for record in reversed(self._redo_span()):
             if isinstance(record, (UpdateRecord, CompensationRecord)):
                 images += 1
                 newest.setdefault(record.oid.value, record)
         return list(reversed(newest.values())), images - len(newest)
+
+    def _redo_span(self):
+        """What redo reads: the tail above the mark — or, under a void
+        mark, every record: a reset page may hold what the prefix wrote."""
+        if not self.redo_lsn and self.base:
+            return self.records()
+        with self._lock:
+            return self._decoded[self._first_above(self.redo_lsn) :]
 
     def image_oids(self):
         """Values of the object ids updated or restored in the tail."""

@@ -33,7 +33,7 @@ import threading
 
 from repro.common.errors import StorageError, UnknownObjectError
 from repro.common.ids import ObjectId
-from repro.storage.page import PageFullError
+from repro.storage.page import Page, PageFullError, TornPageError
 
 # Chunk ids: bit 62 set, then 16 bits of chunk index, then the owner id.
 _CHUNK_FLAG = 1 << 62
@@ -88,11 +88,11 @@ class ObjectStore:
     def _rebuild_table(self):
         """Scan all pages rebuilding the object table (open / recovery).
 
-        A page that fails structural validation (a torn write caught by
-        :meth:`~repro.storage.page.Page.validate`) is *quarantined*:
-        reset to an empty page and skipped.  Whole-history redo then
-        re-creates every object that belongs on it from the log's after
-        images — which is why torn data pages are recoverable at all.
+        A page that is not whole (a torn write, caught by its checksum
+        in :meth:`~repro.storage.page.Page.from_bytes`) is *quarantined*:
+        reset to an empty page and skipped.  Redo then re-creates every
+        object that belongs on it from the log's newest images — which
+        is why torn data pages are recoverable at all.
         """
         with self._lock:
             self.pool.dropped = False
@@ -101,7 +101,7 @@ class ObjectStore:
             for page_id in self.pool.disk.page_ids():
                 try:
                     frame = self.pool.fetch(page_id)
-                except StorageError:
+                except TornPageError:
                     self._quarantine(page_id)
                     continue
                 try:
@@ -123,13 +123,12 @@ class ObjectStore:
         """Replace a damaged page with a fresh empty one.
 
         Resetting the page destroys the evidence that it was torn, and
-        only redo from the start of the log rebuilds what it held, so
-        the log's checkpoint mark is voided first, durably: a marker
-        with ``redo_lsn`` 0, which this restart and every later one
-        obeys until a real checkpoint has flushed the rebuilt pages.
+        what it held may have been written last below the restart point,
+        so the mark is voided first, durably: a marker with ``redo_lsn``
+        0, under which this restart and every later one, until a real
+        checkpoint has flushed the rebuilt pages, redoes from the whole
+        log.  The restart point stays: analysis needs nothing below it.
         """
-        from repro.storage.page import Page
-
         self.damaged_pages.append(page_id)
         if self.pool.wal is not None:
             self.pool.wal.log_checkpoint((), redo_lsn=0)

@@ -2,7 +2,7 @@
 
 Objects live on pages.  A page is a fixed-size byte array with:
 
-* a header: ``magic | page id | slot count | data watermark``;
+* a header: ``checksum | magic | slot count | data watermark | page id``;
 * object data growing upward from the header;
 * a slot directory growing downward from the page end, one entry per
   object: ``(offset, length, object id)``.
@@ -11,25 +11,35 @@ Deleted slots keep their directory entry (offset set to the tombstone
 value) so slot numbers remain stable; compaction reclaims their data space.
 The layout is genuinely byte-level — pages round-trip through ``to_bytes``
 / ``from_bytes`` unchanged, which is what the disk manager and crash
-simulation rely on.
+simulation rely on.  The checksum, a CRC32 of every byte after it, is
+the one check an image gets (in ``from_bytes``): a torn write fails it
+whatever the halves hold, where a walk of the structure would pass a
+compaction's data moved under a directory that still looks whole.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 
 from repro.common.errors import StorageError
 
 PAGE_SIZE = 4096
 _MAGIC = 0xA55E  # "ASSE(T)"
 
-_HEADER = struct.Struct("<HHIQ")  # magic, slot_count, watermark, page_id
+_HEADER = struct.Struct("<IHHII")  # crc, magic, slot_count, watermark, page_id
+_CRC = struct.Struct("<I")
 _SLOT = struct.Struct("<HHQ")  # offset, length, object id
 _TOMBSTONE = 0xFFFF
+_RETIRED_LAYOUT = struct.pack("<H", _MAGIC)  # how pre-checksum images begin
 
 
 class PageFullError(StorageError):
     """The page has no room for the requested insertion."""
+
+
+class TornPageError(StorageError):
+    """A page image that is not whole: its checksum (or magic) is wrong."""
 
 
 class Page:
@@ -189,12 +199,13 @@ class Page:
         """Serialize the page to exactly ``page_size`` bytes."""
         raw = bytearray(self._data)
         _HEADER.pack_into(
-            raw, 0, _MAGIC, len(self._slots), self._watermark, self.page_id
+            raw, 0, 0, _MAGIC, len(self._slots), self._watermark, self.page_id
         )
         cursor = self.page_size
         for offset, length, oid_value in self._slots:
             cursor -= _SLOT.size
             _SLOT.pack_into(raw, cursor, offset, length, oid_value)
+        _CRC.pack_into(raw, 0, zlib.crc32(memoryview(raw)[_CRC.size :]))
         return bytes(raw)
 
     @classmethod
@@ -204,17 +215,21 @@ class Page:
         An all-zero image is a freshly allocated page that was never
         written back; it decodes as a valid empty page (with
         ``default_page_id``), which is exactly what a restart sees for
-        pages allocated but not yet flushed.
+        pages allocated but not yet flushed.  Any other image that fails
+        its checksum is :class:`TornPageError`, which the table rebuild
+        quarantines; one in the layout before checksums is refused.
         """
         if len(raw) != page_size:
             raise StorageError(
                 f"expected {page_size} bytes, got {len(raw)}"
             )
-        magic, slot_count, watermark, page_id = _HEADER.unpack_from(raw, 0)
+        crc, magic, slot_count, watermark, page_id = _HEADER.unpack_from(raw)
         if magic == 0 and slot_count == 0 and watermark == 0:
             return cls(default_page_id, page_size=page_size)
-        if magic != _MAGIC:
-            raise StorageError(f"bad page magic {magic:#x}")
+        if magic != _MAGIC or crc != zlib.crc32(memoryview(raw)[_CRC.size :]):
+            if magic != _MAGIC and raw[:2] == _RETIRED_LAYOUT:
+                raise StorageError(f"page {default_page_id} predates checksums")
+            raise TornPageError(f"page {default_page_id} fails its checksum")
         page = cls(page_id, page_size=page_size)
         page._data = bytearray(raw)
         page._watermark = watermark
@@ -222,33 +237,7 @@ class Page:
         for __ in range(slot_count):
             cursor -= _SLOT.size
             page._slots.append(_SLOT.unpack_from(raw, cursor))
-        page.validate()
         return page
-
-    def validate(self):
-        """Check the structural invariants every well-formed page holds.
-
-        A torn write (new header and data prefix over an old slot
-        directory, or vice versa) usually violates one of them; raising
-        :class:`~repro.common.errors.StorageError` here is what lets the
-        object-table rebuild quarantine damaged pages instead of serving
-        garbage.  Every image produced by :meth:`to_bytes` passes.
-        """
-        directory_start = self.page_size - len(self._slots) * _SLOT.size
-        if not _HEADER.size <= self._watermark <= directory_start:
-            raise StorageError(
-                f"page {self.page_id}: watermark {self._watermark} outside"
-                f" [{_HEADER.size}, {directory_start}] — torn or corrupt"
-            )
-        for slot, (offset, length, __) in enumerate(self._slots):
-            if offset == _TOMBSTONE:
-                continue
-            if offset < _HEADER.size or offset + length > self._watermark:
-                raise StorageError(
-                    f"page {self.page_id}: slot {slot} spans"
-                    f" [{offset}, {offset + length}) outside the data area"
-                    " — torn or corrupt"
-                )
 
     def __repr__(self):
         return (

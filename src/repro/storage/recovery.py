@@ -24,12 +24,12 @@ the crash simulation's ``resync``):
    as the test oracle, ``tests/storage/scan_oracle.replay_every_image``.
    Undo performed before the crash was itself logged, as compensation
    records, so history's outcome includes aborts too — completed or
-   cut short, whoever's they were.  Quarantining a torn page first voids
-   the mark (a marker with ``redo_lsn`` 0, durable before the page is
-   reset), so redo starts from the beginning of the log — only
-   whole-history redo rebuilds an object on that page whose last write
-   precedes the mark — and keeps doing so on later restarts until a
-   checkpoint has flushed the rebuilt pages.
+   cut short, whoever's they were.  Quarantining a torn page (it fails
+   its checksum) first voids the mark: a marker with ``redo_lsn`` 0,
+   durable before the page is reset.  Under it redo reads the whole
+   log, prefix included — an object on that page may have been written
+   last below the restart point — until a checkpoint has flushed the
+   rebuilt pages.  The point stays: analysis needs only the tail.
 3. **Undo** — restore the before images of loser updates in reverse LSN
    order, each logged as a compensation record and then installed, and
    finish each loser with an abort record, which makes recovery
@@ -74,13 +74,11 @@ class RecoveryReport:
     undone: int = 0
     scanned: int = 0  # records decoded for this restart
     # The LSN the log's decoded tail starts at — its restart point — or
-    # 0: the whole log, by default or (see ``redo_reason``) because a
-    # torn page needed the prefix after all.
+    # 0: the whole log.
     restart_from: int = 0
-    # The LSN redo started above (0 = the whole log) and, when a torn
-    # page overrode the checkpoint's mark, why.
+    # The LSN redo started above: 0 = the whole log, never checkpointed
+    # or under a void mark (a torn page was reset).
     redo_from: int = 0
-    redo_reason: str = ""
     # Prepared-but-undecided transactions: kept, not undone.  ``in_doubt``
     # holds their tids; ``in_doubt_votes`` maps each unresolved global id
     # to its (last) durable PrepareRecord so the cluster layer knows the
@@ -98,8 +96,7 @@ class RecoveryReport:
             f"RecoveryReport(winners={sorted(t.value for t in self.winners)},"
             f" losers={sorted(t.value for t in self.losers)},"
             f" restart_from={self.restart_from}, scanned={self.scanned},"
-            f" redo_from={self.redo_from}"
-            f"{self.redo_reason and f' ({self.redo_reason})'},"
+            f" redo_from={self.redo_from},"
             f" redone={self.redone}{older}, undone={self.undone}{doubt})"
         )
 
@@ -193,16 +190,14 @@ class RecoveryManager:
 
     def _redo(self, report):
         """Repeat history's outcome above the last durable checkpoint's
-        mark: each object touched there is installed once, at its
-        newest image.
+        mark (over the whole log under a void one): each object touched
+        there is installed once, at its newest image.
 
         Forces no log: nothing is appended here, so every frame redo
         dirties is stamped with an LSN that was read from the durable
         log, and the pool's write-ahead gate lets its eviction through.
         """
         report.redo_from = self.log.redo_lsn
-        if not report.redo_from and self.store.damaged_pages:
-            report.redo_reason = f"torn pages {self.store.damaged_pages}"
         records, report.superseded = self.log.redo_records()
         for record in records:
             self.store.install(record.oid, record.after)

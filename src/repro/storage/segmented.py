@@ -79,12 +79,13 @@ class SegmentedLog:
     ``log_abort`` (routed to the owning segment).
 
     Each segment keeps its own restart hint beside its own marker, but
-    the restart *point* is one LSN for the whole log, taken
-    (:meth:`move_restart_point`) and given up (:meth:`drop_volatile`)
-    by all segments together: a transaction's commit record and its
-    images may lie in different segments, and a commit record dropped
-    from one while another still holds an image would turn a winner
-    into a loser.
+    the restart *point* is one LSN for the whole log, taken by all
+    segments together (:meth:`move_restart_point`) and never given up:
+    a transaction's commit record and its images may lie in different
+    segments, and a commit record dropped from one while another still
+    holds an image would turn a winner into a loser.  A torn page voids
+    its own segment's mark, whose redo then reads that prefix too.  (A
+    segment's hint, on a memory device, cannot fail its check at open.)
     """
 
     def __init__(self, storage):
@@ -122,17 +123,9 @@ class SegmentedLog:
         return sum(len(segment) for segment in self.segments)
 
     def drop_volatile(self):
-        """Restart's first act, per segment — and then one restart
-        point or none.  A segment goes back to its whole history alone
-        when a torn page voids its mark or its hint fails a check at
-        open; with it come back writers whose outcome another segment
-        recorded *below its own tail*, and analysis would call them
-        losers.  So if any segment is without a hint, all rewind."""
+        """Restart's first act, per segment."""
         for segment in self.segments:
             segment.drop_volatile()
-        if any(segment.device.hint is None for segment in self.segments):
-            for segment in self.segments:
-                segment.rewind()
 
     def analysis(self):
         """The segments' analyses merged: sets united, votes by LSN."""
@@ -153,9 +146,10 @@ class SegmentedLog:
 
     def redo_records(self):
         """Each segment's newest image per object above its own
-        checkpoint mark, merged, and how many older ones they stand for
-        in all: an object's images all lie in its owning segment, so
-        newest there is newest."""
+        checkpoint mark (its whole history under a void one), merged,
+        and how many older ones they stand for in all: an object's
+        images all lie in its owning segment, so newest there is
+        newest."""
         parts = [segment.redo_records() for segment in self.segments]
         records = [record for newest, __ in parts for record in newest]
         records.sort(key=lambda record: record.lsn.value)
@@ -225,36 +219,6 @@ class SegmentedLog:
     def flush(self):
         for segment in self.segments:
             segment.flush()
-
-
-class _RoutedObjectStore:
-    """Recovery's object-store view: routes installs to shard stores.
-
-    The route source is the log itself: each object's update records live
-    in its owning shard's segment, so the oids each segment's index saw
-    rebuild the oid → shard directory even when the stores lost the pages.
-    """
-
-    def __init__(self, storage, directory):
-        self._storage = storage
-        self._directory = directory  # oid value -> shard index
-
-    def _store(self, oid):
-        shard = self._directory.get(oid.value)
-        if shard is None:
-            shard = self._storage.router.shard_of(oid)
-        return self._storage.shards[shard].objects
-
-    def install(self, oid, image):
-        self._store(oid).install(oid, image)
-
-    @property
-    def damaged_pages(self):
-        return [
-            page_id
-            for shard in self._storage.shards
-            for page_id in shard.objects.damaged_pages
-        ]
 
 
 def _clone_group_commit(group_commit, injector):
@@ -378,7 +342,7 @@ class ShardedStorageManager(LoggedUndo):
 
     # -- transaction-manager hooks -----------------------------------------
 
-    def _install(self, oid, image):
+    def install(self, oid, image):
         self.shards[self.router.shard_of(oid)].objects.install(oid, image)
 
     def _home_and_touched(self, tid, group=()):
@@ -496,21 +460,17 @@ class ShardedStorageManager(LoggedUndo):
 
         Rebuild each shard's object table, derive the oid → shard
         directory from the segments (images always land in the owning
-        segment), then run the standard repeat-history + undo-losers
-        pass over the LSN-merged view with a routed store.  A torn page
-        found by the rebuild rewinds that shard's segment; the pass
-        begins with ``drop_volatile`` again, which has the rest follow.
+        segment) into the router, then run the standard repeat-history
+        + undo-losers pass over the LSN-merged view, installing through
+        this facade and so through the router.
         """
-        self.log.drop_volatile()
         for shard in self.shards:
             shard.objects.refresh_table()
         directory = self._directory_from_segments()
         self.router.clear()
         for oid_value, shard in directory.items():
             self.router.place_at(ObjectId(oid_value), shard)
-        report = RecoveryManager(
-            self.log, _RoutedObjectStore(self, directory)
-        ).recover()
+        report = RecoveryManager(self.log, self).recover()
         self._restore_oid_counter()
         quarantine = self._quarantine
         if quarantine is not None:
@@ -522,13 +482,14 @@ class ShardedStorageManager(LoggedUndo):
     def _directory_from_segments(self):
         """oid value → shard: the objects in each shard's table (the
         last checkpoint flushed them there) and the oids its segment's
-        tail has images of (first segment wins, as in a scan of the
-        segments in order).  An object in neither was deleted below
-        the restart point."""
+        tail has images of, or its redo — under a void mark, the prefix
+        too (first segment wins, as in a scan of the segments in
+        order).  An object in none was deleted below the restart point."""
         directory = {}
         for index, shard in enumerate(self.shards):
+            redo, __ = shard.log.redo_records()
             for oid_value in shard.log.image_oids().union(
-                shard.objects.object_ids()
+                shard.objects.object_ids(), (r.oid.value for r in redo)
             ):
                 directory.setdefault(oid_value, index)
         return directory

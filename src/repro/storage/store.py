@@ -43,7 +43,7 @@ from repro.storage.recovery import RecoveryManager, undo_updates
 class LoggedUndo:
     """The undo half of a storage facade: before images read from
     ``self.log`` (one log, or the merged view of several segments),
-    compensated through the log and then applied with ``self._install``
+    compensated through the log and then applied with ``self.install``
     — all by :func:`~repro.storage.recovery.undo_updates`."""
 
     def undo(self, tid):
@@ -66,7 +66,7 @@ class LoggedUndo:
         images in global reverse-LSN order restores exactly the state the
         group found.  Returns the number of undone updates.
         """
-        return undo_updates(self.log, self._install, tids)
+        return undo_updates(self.log, self.install, tids)
 
     def undo_to(self, tid, savepoint_lsn_value):
         """Partial rollback: undo ``tid``'s updates newer than a savepoint.
@@ -78,7 +78,7 @@ class LoggedUndo:
         updates.
         """
         return undo_updates(
-            self.log, self._install, [tid], above=savepoint_lsn_value
+            self.log, self.install, [tid], above=savepoint_lsn_value
         )
 
 
@@ -117,7 +117,7 @@ class StorageManager(LoggedUndo):
         # Read-path quarantine (repro.resilience): objects registered
         # here poison any transaction that touches them.  ``None`` means
         # the escalation is off and damaged pages only surface via the
-        # structural quarantine in ObjectStore._rebuild_table.
+        # checksum quarantine in ObjectStore._rebuild_table.
         self.quarantine = None
         # The WAL rule: no dirty page reaches disk before the log records
         # that can undo its updates are durable.  The pool stamps each
@@ -190,7 +190,7 @@ class StorageManager(LoggedUndo):
 
     # -- transaction-manager hooks ----------------------------------------------
 
-    def _install(self, oid, image):
+    def install(self, oid, image):
         self.objects.install(oid, image)
 
     def log_commit(self, tid, group=()):
@@ -279,9 +279,9 @@ class StorageManager(LoggedUndo):
         report = RecoveryManager(self.log, self.objects).recover()
         self.objects.retire_oids(self.log.image_oids())
         if self.quarantine is not None:
-            # Escalate the structural torn-page quarantine: remember the
-            # damaged pages so post-recovery triage (or tests) can
-            # quarantine the objects that lived there.
+            # Escalate the torn-page quarantine: remember the damaged
+            # pages so post-recovery triage (or tests) can quarantine
+            # the objects that lived there.
             for page_id in self.objects.damaged_pages:
                 self.quarantine.note_damaged_page(page_id)
         return report

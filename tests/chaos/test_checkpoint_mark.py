@@ -11,8 +11,10 @@ fault dimension, and shows the sweeps go red when the bound is wrong any
 of three ways: redo starting too high (``redo_lwm_too_high`` — which the
 older ``checkpoint_window`` and ``steal_window`` sweeps must see too),
 the mark read after the flush instead of before it
-(``redo_mark_read_after_flush``), or a torn page reset without voiding
-the mark (``torn_page_keeps_mark``).  Above the mark redo installs each
+(``redo_mark_read_after_flush``), a torn page reset without voiding
+the mark (``torn_page_keeps_mark``), or redo under the void mark that
+reads only the tail (``void_mark_skips_prefix``): b, on the torn page,
+was last written below the restart point.  Above the mark redo installs each
 object once, at its newest image; the one way that can be wrong — the
 oldest instead (``redo_keeps_oldest_image``) — turns these sweeps and
 the ``steal_window`` ones red as well.
@@ -43,6 +45,7 @@ from repro.chaos.mutations import (
     redo_mark_read_after_flush,
     restart_point_ignores_active,
     torn_page_keeps_mark,
+    void_mark_skips_prefix,
     write_unpinned_clean,
 )
 from repro.chaos.scenarios import ScenarioSpec
@@ -123,7 +126,7 @@ class TestCheckpointMarkSweeps:
         verdict = run_plan(scenarios.get(name), FaultPlan())
         assert verdict.ok, verdict.all_violations
         report = verdict.restarted.report
-        assert report.redo_from > 0 and not report.redo_reason
+        assert report.redo_from > 0
         logged = sum(
             isinstance(r, (UpdateRecord, CompensationRecord))
             for r in verdict.restarted.durable_records
@@ -193,6 +196,15 @@ class TestCheckpointMarkSensitivity:
     @ENGINES
     def test_a_torn_page_that_keeps_the_mark_is_caught(self, name):
         with torn_page_keeps_mark():
+            result = crash_sweep(scenarios.get(name))
+        assert result.failures
+        assert {a.plan["label"].split("@")[0] for a in result.failures} == {
+            "torn"
+        }
+
+    @ENGINES
+    def test_a_void_mark_that_skips_the_prefix_is_caught(self, name):
+        with void_mark_skips_prefix():
             result = crash_sweep(scenarios.get(name))
         assert result.failures
         assert {a.plan["label"].split("@")[0] for a in result.failures} == {

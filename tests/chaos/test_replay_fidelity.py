@@ -19,7 +19,7 @@ from repro.chaos.faults import FaultPlan
 from repro.chaos.mutations import undo_disabled
 from repro.chaos.sweep import get, probe, replay_command
 from repro.chaos.workflow import workflow_crash_sweep
-from repro.cluster.site import Site
+from repro.cluster.site import TAKEOVER_GRACE, Site
 from repro.cluster.sweep import takeover_death_sweep
 
 
@@ -61,7 +61,7 @@ class TestClusterFailoverJudgment:
         judgment can see the bug — on the CLI exactly as in the sweep."""
 
         def reborn_coordinator_only(self, sites, coordinator):
-            return self.takeover_grace if coordinator == self.name else None
+            return TAKEOVER_GRACE if coordinator == self.name else None
 
         monkeypatch.setattr(
             Site, "_takeover_threshold", reborn_coordinator_only

@@ -363,7 +363,8 @@ class TestTornPageVoidsTheMark:
     def test_quarantine_logs_a_void_marker_before_resetting_the_page(self):
         """Objects last written below the mark live on a page torn after
         it: the quarantine voids the mark durably, so this restart and —
-        the torn image now gone — the next both redo the whole log."""
+        the torn image now gone — the next both redo from every image in
+        the log, while the restart point stays where it was."""
         storage = StorageManager(capacity=16)
         keep = storage.create_object(Tid(1), b"k" * 2200)  # its own page
         storage.log_commit(Tid(1))
@@ -375,7 +376,7 @@ class TestTornPageVoidsTheMark:
         storage.crash()
         report = storage.recover()
         assert storage.objects.damaged_pages == [page_id]
-        assert report.redo_from == 0 and "torn" in report.redo_reason
+        assert report.redo_from == 0 and report.restart_from > mark
         assert storage.read_object(Tid(0), keep) == b"k" * 2200
         void = [
             r for r in storage.log.records(durable_only=True)
@@ -385,7 +386,7 @@ class TestTornPageVoidsTheMark:
         # Power cut again before any checkpoint flushed the rebuilt page.
         storage.crash()
         again = storage.recover()
-        assert again.redo_from == 0
+        assert (again.redo_from, again.restart_from) == (0, report.restart_from)
         assert storage.read_object(Tid(0), keep) == b"k" * 2200
         # A real checkpoint re-establishes a mark.
         assert storage.checkpoint().redo_lsn > mark
@@ -482,7 +483,6 @@ class TestInDoubtRestartsAtTheRestartPoint:
         assert report.in_doubt == {Tid(3)} and report.losers == {Tid(2)}
         assert (report.restart_from, report.scanned) == (5, 5)
         assert (report.redo_from, report.redone) == (7, 1)
-        assert report.redo_reason == ""
         assert read_state(storage) == expected_state(history)
         assert storage.read_object(Tid(0), fat) == b"s" * 2200
         assert storage.read_object(Tid(0), small) == b"s" * 4

@@ -161,24 +161,30 @@ class TestLiveIsOpen:
         assert store.read_object(Tid(0), one) == b"a"  # Tid(3), then undone
         assert store.read_object(Tid(0), two) == b"b3"
 
-    def test_a_segment_with_nothing_below_the_point_still_gets_a_hint(self):
-        """A hint is how restart tells "opened at the agreed point" from
-        "gave its point up": a segment holding only its marker gets one
-        too, or the others would rewind to keep it company."""
+    def test_a_segment_with_nothing_below_the_point_needs_no_hint(self):
+        """A segment holding only its marker is its own tail: it opens
+        there without a hint, beside a segment that has one."""
         store = ShardedStorageManager(n_shards=2)
         store.create_object(Tid(1), b"a")  # oid 1 -> shard 1 only
         store.log_commit(Tid(1))
-        marker = store.checkpoint()
+        store.checkpoint()
         idle, busy = (shard.log for shard in store.shards)
-        assert (idle.base, idle.device.hint) == (0, (0, marker.lsn.value))
+        assert (idle.base, idle.device.hint, len(idle)) == (0, None, 1)
         assert (busy.base, len(busy)) == (2, 1)
         store.crash()
         report = store.recover()
         assert (busy.base, report.scanned) == (2, 2)
 
-    def _cross_shard_winner_below_the_point(self):
+    def test_a_torn_page_in_one_shard_keeps_every_tail(self):
         """Tid(1) wrote in both shards and committed in shard 0 (home);
-        a checkpoint then moved every segment's tail above all of it."""
+        a checkpoint then moved every segment's tail above all of it.
+        A torn page in shard 1 voids that segment's mark, and its redo
+        reads the segment's prefix, where Tid(1)'s image lies — while
+        every segment keeps its tail, across three restarts: the void
+        mark just written, still standing, then the point moved by the
+        next checkpoint.  No tail holds a record of Tid(1), so no report
+        names it: it is neither winner nor loser to an analysis that
+        never saw it, and nothing of it is undone."""
         store = ShardedStorageManager(n_shards=2)
         far = store.create_object(Tid(1), b"f" * 2200)  # oid 1 -> shard 1
         home = store.create_object(Tid(1), b"h")  # oid 2 -> shard 0
@@ -186,51 +192,29 @@ class TestLiveIsOpen:
         assert store.footprint_of(Tid(1)) == set()
         store.checkpoint()
         assert [len(shard.log) for shard in store.shards] == [1, 1]
-        return store, far, home
-
-    def _assert_the_winner_still_won(self, store, far, home):
-        report = store.recover()
-        assert Tid(1) in report.winners and not report.losers
-        assert report.undone == 0
-        assert store.read_object(Tid(0), far) == b"f" * 2200
-        assert store.read_object(Tid(0), home) == b"h"
-        # One point for the whole log, or none: no segment is left
-        # holding a tail beside another's whole history.
-        assert {shard.log.base for shard in store.shards} == {0}
-        assert report.restart_from == 0
-
-    def test_a_torn_page_in_one_shard_rewinds_every_segment(self):
-        """The quarantine voids the torn shard's mark, and that segment
-        goes back to its whole history — where Tid(1) wrote.  Its commit
-        record lies below the *other* segment's tail: were that segment
-        to keep its tail, Tid(1) would be a writer with no outcome, and
-        restart would install its before images over committed data."""
-        store, far, home = self._cross_shard_winner_below_the_point()
         shard = store.shards[1]
         page_id = shard.objects._locations[far.value][0]
         image = shard.disk.read_page(page_id)
         shard.disk._pages[page_id] = image[:8] + bytes(len(image) - 8)
-        store.crash()
-        self._assert_the_winner_still_won(store, far, home)
-        assert shard.objects.damaged_pages == [page_id]
-        # ... and at the next restart, the void mark still standing.
-        store.crash()
-        self._assert_the_winner_still_won(store, far, home)
-        store.checkpoint()
-        assert all(shard.log.base for shard in store.shards)
 
-    def test_one_segment_rejecting_its_hint_rewinds_every_segment(self):
-        """Power cut between the torn-page marker and the rewind: the
-        hint is still there, the tail behind it ends with a void mark —
-        so that segment opens at 0, and the others must follow."""
-        store, far, home = self._cross_shard_winner_below_the_point()
-        segment = store.shards[1].log
-        hint = segment.device.hint
-        segment.log_checkpoint((), redo_lsn=0)
-        segment.device.hint = hint
-        store.crash()
-        assert [shard.log.base > 0 for shard in store.shards] == [True, False]
-        self._assert_the_winner_still_won(store, far, home)
+        def restart():
+            store.crash()
+            report = store.recover()
+            assert not report.losers and report.undone == 0
+            assert store.read_object(Tid(0), far) == b"f" * 2200
+            assert store.read_object(Tid(0), home) == b"h"
+            assert all(shard.log.base > 0 for shard in store.shards)
+            return report
+
+        first = restart()
+        assert shard.objects.damaged_pages == [page_id]
+        assert (first.redo_from, first.redone) == (0, 1)
+        again = restart()  # the torn image is gone; the void mark stands
+        assert (again.restart_from, again.redone) == (first.restart_from, 1)
+        store.checkpoint()
+        last = restart()
+        assert last.restart_from > first.restart_from
+        assert (last.redo_from > 0, last.redone) == (True, 0)
 
 
 class TestWhatPinsThePoint:
@@ -328,32 +312,23 @@ class TestPrefixOnDemand:
         assert sum(row["appends"] for row in store.segment_stats()) == 8
 
     @DEVICES
-    def test_a_rewind_gives_up_the_restart_point(self, tmp_path, kind):
-        """Redo itself never asks for the prefix any more (it took a
-        ``whole=`` until PR 21); ``rewind`` is how a void mark, or a
-        segment following another's, still gets it."""
+    def test_a_void_mark_keeps_the_point_and_redo_reads_the_prefix(
+        self, tmp_path, kind
+    ):
+        """The torn-page marker: the page it reset may have held an
+        object last written below the restart point, so redo takes the
+        newest image of every object in the log — now and at every
+        restart until the next real checkpoint — and the point stays."""
         log = _open(tmp_path, kind)
         _busy(log)
         _checkpoint(log)
-        assert log.base and log.device.hint
-        assert len(log.redo_records()[0]) == 0
-        log.rewind()
-        assert (log.base, log.device.hint, log.restart_from) == (0, None, 0)
-        assert Tid(1) in log._winners
-        assert len(log.redo_records()[0]) == 0  # the mark stands: a marker's
-
-    @DEVICES
-    def test_a_void_mark_voids_the_restart_point(self, tmp_path, kind):
-        """The torn-page marker: only the whole history rebuilds the
-        page, now and at every restart until the next real checkpoint."""
-        log = _open(tmp_path, kind)
-        _busy(log)
-        _checkpoint(log)
+        base, hint = log.base, log.device.hint
+        assert base and len(log.redo_records()[0]) == 0
         log.log_checkpoint((), redo_lsn=0)
-        assert (log.base, log.device.hint, log.redo_lsn) == (0, None, 0)
+        assert (log.base, log.device.hint, log.redo_lsn) == (base, hint, 0)
         assert len(log.redo_records()[0]) == 6
         reopened = _open(tmp_path, kind, log.device)
-        assert (reopened.base, len(reopened.redo_records()[0])) == (0, 6)
+        assert (reopened.base, len(reopened.redo_records()[0])) == (base, 6)
         _checkpoint(log)
         assert log.base and log.redo_lsn
 
@@ -525,17 +500,18 @@ class TestTheHintIsABound:
         assert device.hint == (3, 4)
         assert WriteAheadLog(device).max_tid_value() == 7
 
-    def test_a_void_mark_left_behind_a_hint(self):
-        """Power cut between the torn-page marker and the hint's
-        removal: the tail ends with a void mark, so it is not a tail."""
+    def test_behind_a_void_mark_the_reopen_stands_at_the_hint(self):
+        """A torn-page marker is no reason to open lower: the tail
+        behind the hint still holds everything analysis needs."""
         log = WriteAheadLog()
         _busy(log)
         _checkpoint(log)
         hint = log.device.hint
         log.log_checkpoint((), redo_lsn=0)
-        log.device.hint = hint
         reopened = WriteAheadLog(log.device)
-        assert (reopened.base, reopened.redo_lsn) == (0, 0)
+        assert reopened.device.hint == hint
+        assert (reopened.base, reopened.redo_lsn) == (log.base, 0)
+        assert _state(reopened) == _state(log)
 
 
 class TestHighestTid:

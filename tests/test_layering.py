@@ -288,3 +288,39 @@ def test_a_site_holds_one_group_ledger():
     )
     text = (SRC / "repro" / "cluster" / "site.py").read_text()
     assert not [word for word in gone if word in text]
+
+
+def test_one_rule_for_a_torn_page():
+    """A page proves it is whole by its checksum, and a torn one is
+    rebuilt by redo under the void mark: ``storage/`` defines no
+    structural page walk, no way to give the restart point up, and no
+    report field saying why it was given up."""
+    gone = {"rewind", "redo_reason", "validate"}
+    defined = set()
+    for path in _modules("storage"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            targets = getattr(node, "targets", [])
+            if isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            defined |= {getattr(t, "attr", getattr(t, "id", "")) for t in targets}
+    assert not gone & defined, sorted(gone & defined)
+
+
+def test_a_site_takes_no_knobs():
+    """Protocol timing is module constants of ``cluster/site.py``: a
+    ``Site`` is its name, its fabric, its clock and its injector."""
+    tree = ast.parse((SRC / "repro" / "cluster" / "site.py").read_text())
+    (init,) = [
+        item
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "Site"
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+    ]
+    arguments = init.args
+    assert [a.arg for a in arguments.args] == [
+        "self", "name", "fabric", "clock", "injector",
+    ]
+    assert not (arguments.kwonlyargs or arguments.vararg or arguments.kwarg)
