@@ -48,9 +48,7 @@ class ConflictGraph:
         def visit(node):
             state[node] = "active"
             path.append(node)
-            for nxt in sorted(
-                self.edges.get(node, ()), key=lambda t: getattr(t, "value", 0)
-            ):
+            for nxt in sorted(self.edges.get(node, ())):
                 if state.get(nxt) == "active":
                     return path[path.index(nxt):]
                 if nxt not in state:
@@ -61,7 +59,7 @@ class ConflictGraph:
             state[node] = "done"
             return None
 
-        for node in sorted(self.nodes, key=lambda t: getattr(t, "value", 0)):
+        for node in sorted(self.nodes):
             if node not in state:
                 cycle = visit(node)
                 if cycle is not None:
@@ -79,17 +77,12 @@ class ConflictGraph:
         for source, targets in self.edges.items():
             for target in targets:
                 indegree[target] += 1
-        ready = sorted(
-            (n for n, d in indegree.items() if d == 0),
-            key=lambda t: getattr(t, "value", 0),
-        )
+        ready = sorted(n for n, d in indegree.items() if d == 0)
         order = []
         while ready:
             node = ready.pop(0)
             order.append(node)
-            for target in sorted(
-                self.edges.get(node, ()), key=lambda t: getattr(t, "value", 0)
-            ):
+            for target in sorted(self.edges.get(node, ())):
                 indegree[target] -= 1
                 if indegree[target] == 0:
                     ready.append(target)

@@ -13,6 +13,7 @@ touched.
 
 from __future__ import annotations
 
+from repro.common.ids import Tid
 
 _SHOW_DETAIL = {
     "oid": "",
@@ -30,10 +31,9 @@ _SHOW_DETAIL = {
 
 
 def _tid_label(tid):
-    value = getattr(tid, "value", None)
-    if value is None:
+    if not isinstance(tid, Tid):
         return str(tid)
-    return f"T{value}" if value else "T-"
+    return f"T{int(tid)}" if tid else "T-"
 
 
 def _format_detail(detail):
@@ -46,7 +46,7 @@ def _format_detail(detail):
             continue
         if isinstance(value, tuple):
             value = ",".join(_tid_label(v) for v in value)
-        elif hasattr(value, "value") and key in (
+        elif isinstance(value, Tid) and key in (
             "to", "other", "receiver", "for_tid", "parent",
         ):
             value = _tid_label(value)

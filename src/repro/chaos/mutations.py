@@ -86,7 +86,7 @@ def redo_keeps_oldest_image():
         for record in self._redo_span():  # the product's pass, wrong end
             if isinstance(record, (UpdateRecord, CompensationRecord)):
                 images += 1
-                first.setdefault(record.oid.value, record)
+                first.setdefault(record.oid, record)
         return list(first.values()), images - len(first)
 
     WriteAheadLog.redo_records = oldest

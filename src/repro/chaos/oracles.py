@@ -152,10 +152,10 @@ def expected_state(records, analysis=None, baseline=None):
     state = dict(baseline) if baseline else {}
     for record in records:
         if isinstance(record, (UpdateRecord, CompensationRecord)):
-            state[record.oid.value] = record.after
+            state[int(record.oid)] = record.after
     for record in reversed(analysis.updates):
         if analysis.responsibility[record.lsn] in analysis.losers:
-            state[record.oid.value] = record.before
+            state[int(record.oid)] = record.before
     return {oid: image for oid, image in state.items() if image is not None}
 
 
@@ -218,7 +218,7 @@ def evaluate_recovery(system, intent, durable_acks, label=""):
         if want != got:
             report.fail(
                 "state",
-                f"object {oid_value}: recovered "
+                f"object {int(oid_value)}: recovered "
                 f"{got!r}, durable log implies {want!r}",
             )
 
@@ -276,7 +276,7 @@ def check_idempotent(system, report=None):
     if second.losers:
         report.fail(
             "idempotence",
-            f"second recovery pass still sees losers {sorted(t.value for t in second.losers)}"
+            f"second recovery pass still sees losers {sorted(map(int, second.losers))}"
             f" — the first pass did not finish them with abort records",
         )
     return report

@@ -196,14 +196,14 @@ def ex10_commit_abort(stack):
     stack.commit(t7)
 
     stack.intent.expected_clean = {
-        a.value: b"a1",
-        b.value: b"b1",
-        c.value: b"c1",  # delegated to (committed) t2 before t3's abort
-        d.value: b"d0",  # undone by t4's abort
-        e.value: b"e0",  # undone by the AD cascade
-        f.value: b"f0",  # undone by t3's abort
-        g.value: b"g1",
-        h.value: b"h1",
+        a: b"a1",
+        b: b"b1",
+        c: b"c1",  # delegated to (committed) t2 before t3's abort
+        d: b"d0",  # undone by t4's abort
+        e: b"e0",  # undone by the AD cascade
+        f: b"f0",  # undone by t3's abort
+        g: b"g1",
+        h: b"h1",
     }
 
 
@@ -234,7 +234,7 @@ def _group_commit_drive(stack):
 
     stack.storage.sync_log()  # end-of-burst drain
     stack.intent.expected_clean = {
-        oid.value: b"w%d" % (index + 1) for index, oid in enumerate(oids)
+        oid: b"w%d" % (index + 1) for index, oid in enumerate(oids)
     }
 
 
@@ -291,7 +291,7 @@ def checkpoint_window(stack):
     # far are absorbed into it (their commit records leave the log).
     # Intent precedes the operation so a crash *inside* the checkpoint is
     # still judged correctly.
-    stack.intent.baseline = {a.value: b"a0", b.value: b"b0"}
+    stack.intent.baseline = {a: b"a0", b: b"b0"}
     stack.note_truncation()
     stack.storage.checkpoint(truncate=True)
 
@@ -309,7 +309,7 @@ def checkpoint_window(stack):
     stack.commit(t1)
     manager.abort(t2)
 
-    stack.intent.expected_clean = {a.value: b"a1", b.value: b"b0"}
+    stack.intent.expected_clean = {a: b"a1", b: b"b0"}
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +370,10 @@ def _steal_window_drive(stack):
     stack.commit(t1)
 
     stack.intent.expected_clean = {
-        a.value: _fat(b"a1"),
-        b.value: _fat(b"b1"),
-        c.value: _fat(b"c0"),  # undone by t2's abort
-        big.value: _large(b"B0"),  # undone by t2's abort
+        a: _fat(b"a1"),
+        b: _fat(b"b1"),
+        c: _fat(b"c0"),  # undone by t2's abort
+        big: _large(b"B0"),  # undone by t2's abort
         # d and t3's new object hold t3's uncommitted values while the
         # run is live and are undone by recovery: not declared here.
     }
@@ -462,11 +462,11 @@ def _checkpoint_mark_drive(stack):
     stack.commit(rt.spawn(_writer, (a, b"a5")))
 
     stack.intent.expected_clean = {
-        a.value: b"a5",
-        b.value: b"b1",
-        c.value: b"c3",
-        d.value: b"d4",
-        oids["f"].value: b"f4",
+        a: b"a5",
+        b: b"b1",
+        c: b"c3",
+        d: b"d4",
+        oids["f"]: b"f4",
         # e holds t2's uncommitted value while the run is live and is
         # undone by recovery: not declared here.
     }
@@ -589,9 +589,9 @@ def lease_expiry_mid_delegation(stack):
     stack.commit(t3)
 
     stack.intent.expected_clean = {
-        a.value: b"a0",  # delegated to t2, undone by the orphan abort
-        b.value: b"b0",  # undone by the orphan abort
-        c.value: b"c1",
+        a: b"a0",  # delegated to t2, undone by the orphan abort
+        b: b"b0",  # undone by the orphan abort
+        c: b"c1",
     }
 
 
@@ -629,7 +629,7 @@ def coalescer_degrade(stack):
 
     stack.storage.sync_log()  # end-of-burst drain
     stack.intent.expected_clean = {
-        oid.value: b"v%d" % (index + 1) for index, oid in enumerate(oids)
+        oid: b"v%d" % (index + 1) for index, oid in enumerate(oids)
     }
 
 
@@ -674,9 +674,9 @@ def retry_saga(stack):
         stack.note_ack(ct)
 
     if outcome.committed:
-        stack.intent.expected_clean = {a.value: b"a1", b.value: b"b1"}
+        stack.intent.expected_clean = {a: b"a1", b: b"b1"}
     else:
-        stack.intent.expected_clean = {a.value: b"a0", b.value: b"b0"}
+        stack.intent.expected_clean = {a: b"a0", b: b"b0"}
 
 
 def live_violations(stack):

@@ -220,10 +220,7 @@ def _judge_final(spec, ctx, storage, engine, violations):
     # the live engine does (status and per-step outcomes).  The winners
     # come from the harness's own log analysis, not the engine's.
     log_records = list(storage.log.records())
-    winners = {
-        getattr(tid, "value", tid)
-        for tid in analyze_log(log_records).winners
-    }
+    winners = analyze_log(log_records).winners
     folded = fold_all(log_records, winners).get(wid)
     if folded is None:
         violations.append(f"{spec.name}: wid {wid} vanished from the log")
@@ -297,7 +294,7 @@ def _travel_definition(name, waits=None):
 
 def _stored(storage, ctx, name):
     """One named object's bytes, straight from either storage engine."""
-    return read_state(storage)[ctx["oids"][name].value]
+    return read_state(storage)[ctx["oids"][name]]
 
 
 def _booked(storage, ctx, name):

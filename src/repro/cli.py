@@ -38,7 +38,12 @@ _CATALOG_OID = ObjectId(1, name="__catalog__")
 
 
 class Database:
-    """A file-backed storage stack plus the name catalog."""
+    """A file-backed storage stack plus the name catalog.
+
+    Opening runs restart recovery (``report`` says what it did) before
+    anything looks for the catalog: a torn page that held it is rebuilt
+    from the log, never re-created empty.
+    """
 
     def __init__(self, path):
         self.path = str(path)
@@ -46,6 +51,7 @@ class Database:
         disk = FileDiskManager(os.path.join(self.path, "pages.db"))
         log = WriteAheadLog(FileLogDevice(os.path.join(self.path, "wal.log")))
         self.storage = StorageManager(disk=disk, log=log)
+        self.report = self.storage.recover()
         self.runtime = CooperativeRuntime(
             TransactionManager(storage=self.storage)
         )
@@ -81,7 +87,7 @@ class Database:
         def body(tx):
             oid = yield tx.create(encode_json(value), name=name)
             catalog = decode_json((yield tx.read(_CATALOG_OID)))
-            catalog[name] = oid.value
+            catalog[name] = oid
             yield tx.write(_CATALOG_OID, encode_json(catalog))
             return oid
 
@@ -206,7 +212,7 @@ def cmd_log(args):
         for record in records:
             mark = getattr(record, "redo_lsn", None)  # checkpoint markers
             note = "" if mark is None else f"  <- restart redoes above LSN {mark}"
-            if record.lsn.value == log.restart_from:
+            if record.lsn == log.restart_from:
                 note += "  <- restart point: this open decoded from here"
             print(f"{record}{note}")
         print(f"({len(records)} records)")
@@ -228,11 +234,10 @@ def cmd_checkpoint(args):
 
 
 def cmd_recover(args):
-    """Run restart recovery and print the report."""
+    """Print the report of the restart recovery the open ran."""
     database = Database(args.db)
     try:
-        report = database.storage.recover()
-        print(report)
+        print(database.report)
     finally:
         database.close()
     return 0

@@ -2,11 +2,13 @@
 
 :class:`Cluster` assembles :class:`~repro.cluster.site.Site` instances
 over a shared :class:`~repro.net.fabric.NetworkFabric`, a shared
-:class:`~repro.common.clock.LogicalClock`, and a *single*
-:class:`~repro.chaos.faults.FaultInjector` — so every storage I/O step
-and every message step across all sites draws from one deterministic
-counter, and one :class:`~repro.chaos.faults.FaultPlan` reproduces a
-whole multi-site failure scenario.
+:class:`~repro.common.clock.LogicalClock`, and — when given a ``plan`` or
+an ``injector`` — a *single* :class:`~repro.chaos.faults.FaultInjector`,
+so every storage I/O step and every message step across all sites draws
+from one deterministic counter, and one
+:class:`~repro.chaos.faults.FaultPlan` reproduces a whole multi-site
+failure scenario.  A fault-free cluster carries no injector: nothing
+numbers a step that no plan reads.
 
 The driver itself is a fabric endpoint named ``"client"`` — the test
 console.  Its RPCs ride the same unreliable links as everything else and
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from repro.chaos.faults import FaultInjector, FaultPlan
+from repro.chaos.faults import FaultInjector
 from repro.chaos.oracles import evaluate_cluster
 from repro.common.clock import LogicalClock
 from repro.common.errors import NetworkTimeout, RetryExhausted
@@ -51,7 +53,7 @@ class SiteRef:
     tid: Tid
 
     def __repr__(self):
-        return f"{self.site}:{self.tid.value}"
+        return f"{self.site}:{int(self.tid)}"
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,9 @@ class Cluster:
         rpc_timeout=16,
         rpc_attempts=4,
     ):
-        self.injector = (
-            injector
-            if injector is not None
-            else FaultInjector(plan=plan if plan is not None else FaultPlan())
-        )
+        if injector is None and plan is not None:
+            injector = FaultInjector(plan=plan)
+        self.injector = injector
         self.clock = LogicalClock()
         self.fabric = NetworkFabric(injector=self.injector)
         self.fabric.crash_hook = self.crash_site
@@ -230,7 +230,7 @@ class Cluster:
         return SiteRef(site, Tid(value)) if value else None
 
     def begin(self, ref):
-        reply = self.call(ref.site, protocol.BEGIN, {"tid": ref.tid.value})
+        reply = self.call(ref.site, protocol.BEGIN, {"tid": ref.tid})
         return reply.payload["started"]
 
     def spawn_at(self, site, function, args=()):
@@ -244,19 +244,19 @@ class Cluster:
     def wait(self, ref, max_rounds=64):
         """Poll the paper's ``wait`` remotely until the fate is known."""
         for __ in range(max_rounds):
-            reply = self.call(ref.site, protocol.WAIT, {"tid": ref.tid.value})
+            reply = self.call(ref.site, protocol.WAIT, {"tid": ref.tid})
             outcome = reply.payload["outcome"]
             if outcome != "running":
                 return outcome
         return "running"
 
     def result_of(self, ref):
-        reply = self.call(ref.site, protocol.RESULT, {"tid": ref.tid.value})
+        reply = self.call(ref.site, protocol.RESULT, {"tid": ref.tid})
         return reply.payload["value"]
 
     def abort(self, ref, reason="console abort"):
         reply = self.call(
-            ref.site, protocol.ABORT_TX, {"tid": ref.tid.value, "reason": reason}
+            ref.site, protocol.ABORT_TX, {"tid": ref.tid, "reason": reason}
         )
         return reply.payload.get("aborted", False)
 
@@ -283,8 +283,8 @@ class Cluster:
                 protocol.FORM_DEP,
                 {
                     "dep_type": dep_type.name,
-                    "ti": dependee.tid.value,
-                    "tj": dependent.tid.value,
+                    "ti": dependee.tid,
+                    "tj": dependent.tid,
                 },
             )
             return reply.payload["ok"]
@@ -302,9 +302,9 @@ class Cluster:
                 {
                     "dep_type": dep_type.name,
                     "role": role,
-                    "local": local.tid.value,
+                    "local": local.tid,
                     "peer_site": peer.site,
-                    "peer_tid": peer.tid.value,
+                    "peer_tid": peer.tid,
                 },
             )
             ok = ok and reply.payload["ok"]
@@ -321,9 +321,9 @@ class Cluster:
             giver.site,
             protocol.DELEGATE,
             {
-                "tid": giver.tid.value,
+                "tid": giver.tid,
                 "receiver_site": receiver.site,
-                "receiver_tid": receiver.tid.value,
+                "receiver_tid": receiver.tid,
                 "oids": oids,
             },
         )
@@ -336,9 +336,9 @@ class Cluster:
             giver.site,
             protocol.PERMIT,
             {
-                "tid": giver.tid.value,
+                "tid": giver.tid,
                 "receiver_site": receiver.site,
-                "receiver_tid": receiver.tid.value,
+                "receiver_tid": receiver.tid,
                 "oids": oids,
                 "operations": operations,
             },
@@ -350,7 +350,7 @@ class Cluster:
         reply = self.call(
             at_site,
             protocol.PROXY_WRITE,
-            {"owner": ref.site, "tid": ref.tid.value, "oid": oid, "value": value},
+            {"owner": ref.site, "tid": ref.tid, "oid": oid, "value": value},
         )
         return reply.payload["granted"]
 
@@ -358,7 +358,7 @@ class Cluster:
         reply = self.call(
             at_site,
             protocol.PROXY_READ,
-            {"owner": ref.site, "tid": ref.tid.value, "oid": oid},
+            {"owner": ref.site, "tid": ref.tid, "oid": oid},
         )
         return reply.payload
 
@@ -385,7 +385,7 @@ class Cluster:
                 raise ValueError(
                     f"one representative per site: {ref.site} named twice"
                 )
-            members[ref.site] = ref.tid.value
+            members[ref.site] = ref.tid
         coordinator = coordinator or refs[0].site
         gid = next(self._gids)
         if coordinator not in members:

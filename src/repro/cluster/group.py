@@ -98,11 +98,11 @@ def evidence(group):
     if group.state in OPEN:
         return "collecting", None
     if group.phase in WAITING:
-        return "prepared", group.tid.value
+        return "prepared", group.tid
     if group.voted:
         return "resolved_unknown", None
     if group.phase == "pending":
-        return "pending_prepare", group.tid.value
+        return "pending_prepare", group.tid
     return "never_prepared", None
 
 

@@ -236,7 +236,7 @@ class Site:
         owner = self.proxy_owner.get(tid)
         if owner is not None:
             return f"{owner[0]}:{owner[1]}"
-        return f"{self.name}:{tid.value}"
+        return f"{self.name}:{int(tid)}"
 
     def crash(self):
         """Power cut: volatile state and the unflushed log tail are gone."""
@@ -426,7 +426,7 @@ class Site:
             return
         spans = self.obs.spans.spans
         for tid in g.tids:
-            span = spans.get((self.name, tid.value))
+            span = spans.get((self.name, tid))
             if span is not None and span["gid"] == g.gid:
                 span["links"].append(
                     {"type": kind, "tick": self.ticks, "gid": g.gid, **fields}
@@ -504,7 +504,7 @@ class Site:
                 ABORT_TX,
                 {"tid": owner_value, "reason": f"proxy aborted at {self.name}"},
             )
-        holders = self.remote_holders.get(tid.value)
+        holders = self.remote_holders.get(tid)
         if holders:
             kind = ABORT_PROXY if aborted else COMMIT_PROXY
             for holder in sorted(holders):
@@ -513,7 +513,7 @@ class Site:
                     kind,
                     {
                         "owner": self.name,
-                        "tid": tid.value,
+                        "tid": tid,
                         "reason": f"owner {'aborted' if aborted else 'committed'}",
                     },
                 )
@@ -547,7 +547,7 @@ class Site:
             function=msg.payload.get("function"),
             args=tuple(msg.payload.get("args", ())),
         )
-        self._reply(msg, {"tid": tid.value})
+        self._reply(msg, {"tid": tid})
 
     def _h_begin(self, msg):
         tid = Tid(msg.payload["tid"])
@@ -579,7 +579,7 @@ class Site:
         )
         if tid:
             self.runtime.begin(tid)
-        self._reply(msg, {"tid": tid.value})
+        self._reply(msg, {"tid": tid})
 
     def _h_wait(self, msg):
         tid = Tid(msg.payload["tid"])
@@ -841,10 +841,7 @@ class Site:
         if local_value is not None:
             anchor = Tid(local_value)
             group = tuple(
-                sorted(
-                    self.manager.dependencies.gc_group(anchor) - {anchor},
-                    key=lambda t: t.value,
-                )
+                sorted(self.manager.dependencies.gc_group(anchor) - {anchor})
             )
         participants = sorted(s for s in g.members if s != self.name)
         self.storage.log_decision(
@@ -935,7 +932,7 @@ class Site:
             # it away would race the group verdict against the handoff.
             # Keep it here for group duty (a leaving site still serves
             # 2PC) and migrate only the rest.
-            self.handoff["txs"].pop(g.tid.value, None)
+            self.handoff["txs"].pop(g.tid, None)
         outcome = self.manager.try_prepare(
             g.tid, gid=g.gid, coordinator=g.coordinator, sites=g.sites
         )
@@ -1040,7 +1037,7 @@ class Site:
             others = tuple(t for t in g.tids if t != g.tid)
             self.storage.log_commit(g.tid, group=others)
         else:
-            members = sorted(g.tids, key=lambda t: t.value)
+            members = sorted(g.tids)
             self.storage.undo_many(members)
             for member in members:
                 self.storage.log_abort(member)
@@ -1202,12 +1199,11 @@ class Site:
         self._stat("takeovers_decided")
         self._obs_mark(g, "takeover_decided", epoch=epoch, verdict=verdict)
         # The taker is the group's coordinator of record from here on.
-        tid_value = g.tid.value if g.tid is not None else None
         g.members = {site: taker.tids.get(site) for site in taker.sites}
-        g.members[self.name] = tid_value
+        g.members[self.name] = g.tid
         g.votes, g.acks, g.client = {}, set(), None
         self._move(g, "state", "decided")
-        self._apply_decision_locally(g, verdict, tid_value)
+        self._apply_decision_locally(g, verdict, g.tid)
         if not self.up:
             return
         self._release(g, verdict, epoch)
@@ -1248,9 +1244,9 @@ class Site:
                 continue
             if tid in in_twophase or tid in self.proxy_owner:
                 continue
-            txs[tid.value] = sorted(
+            txs[tid] = sorted(
                 {
-                    record.oid.value
+                    record.oid
                     for record in self.storage.log.updates_by(tid)
                 }
             )
@@ -1300,7 +1296,7 @@ class Site:
             for tid_value, __ in msg.payload["txs"]:
                 receiver = self.manager.initiate(function=None)
                 self.runtime.begin(receiver)
-                adopted[tid_value] = receiver.value
+                adopted[tid_value] = receiver
             self._handoff_accepts[key] = adopted
         self._send(
             msg.src,

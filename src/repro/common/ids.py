@@ -7,82 +7,76 @@ The paper manipulates three kinds of identifiers:
 * object ids — EOS object identifiers naming persistent objects.
 * LSNs — log sequence numbers ordering write-ahead-log records.
 
-All three are small immutable value types so they hash and compare cheaply
-and print readably in traces and test failures.
+All three are ``int`` subclasses: hashing, equality and ordering run in
+C, an id packs into a log or page record as the integer it is, and only
+``repr`` is their own, so traces and test failures say which kind of
+number they print.  Being ints, ids of different kinds compare equal
+when their numbers do — ``Tid(3) == ObjectId(3)`` — so a table must
+never mix kinds in one key space.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+
+# The number as a plain ``int``, for code written when ids were records
+# with a ``value`` field; nothing in ``repro`` reads it.
+_VALUE = property(int)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Tid:
+class Tid(int):
     """A transaction identifier.
 
     ``Tid(0)`` is the *null tid* (see :data:`NULL_TID`): ``initiate`` returns
     it on failure and ``parent()`` returns it for top-level transactions.
-    The null tid is falsy, so paper-style code such as
+    Zero is falsy, so paper-style code such as
     ``if (t = initiate(f)) != NULL`` translates to ``if t:``.
     """
 
-    value: int
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __hash__(self):
-        # The generated hash allocates and hashes a field tuple per call;
-        # tids key every descriptor table and hot-path index, so hash the
-        # value directly.
-        return hash(self.value)
+    __slots__ = ()
+    value = _VALUE
 
     def __repr__(self):
-        if self.value == 0:
-            return "Tid(null)"
-        return f"Tid({self.value})"
+        return f"Tid({int.__repr__(self)})" if self else "Tid(null)"
 
 
 NULL_TID = Tid(0)
 """The null transaction identifier: falsy, returned on failure."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ObjectId:
+class ObjectId(int):
     """A persistent object identifier.
 
-    ``name`` exists purely for readability of traces and assertion messages;
-    identity (equality/hash) is the ``value`` alone so renaming an object id
-    does not change which object it names.
+    ``name`` exists purely for readability of traces and assertion
+    messages, and to place a named object on its shard; identity
+    (equality/hash) is the number alone, so renaming an object id does
+    not change which object it names.  Only a named id carries an
+    instance dictionary.
     """
 
-    value: int
-    name: str = field(default="", compare=False)
+    name = ""
+    value = _VALUE
 
-    def __hash__(self):
-        return hash(self.value)
+    def __new__(cls, value, name=""):
+        oid = int.__new__(cls, value)
+        if name:
+            oid.name = name
+        return oid
 
     def __repr__(self):
         if self.name:
-            return f"ObjectId({self.value}:{self.name})"
-        return f"ObjectId({self.value})"
+            return f"ObjectId({int.__repr__(self)}:{self.name})"
+        return f"ObjectId({int.__repr__(self)})"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Lsn:
+class Lsn(int):
     """A log sequence number.  Totally ordered; ``Lsn(0)`` precedes all."""
 
-    value: int
-
-    def __hash__(self):
-        return hash(self.value)
+    __slots__ = ()
+    value = _VALUE
 
     def __repr__(self):
-        return f"Lsn({self.value})"
-
-
-ZERO_LSN = Lsn(0)
+        return f"Lsn({int.__repr__(self)})"
 
 
 class IdGenerator:
@@ -109,3 +103,4 @@ def tid_generator():
 def lsn_generator():
     """Return a fresh generator of :class:`Lsn` values starting at 1."""
     return IdGenerator(Lsn)
+

@@ -59,9 +59,7 @@ class WaitsForGraph:
         def visit(node):
             state[node] = "active"
             path.append(node)
-            for nxt in sorted(
-                self.edges.get(node, ()), key=lambda t: getattr(t, "value", 0)
-            ):
+            for nxt in sorted(self.edges.get(node, ())):
                 if state.get(nxt) == "active":
                     cycle = path[path.index(nxt):]
                     key = frozenset(cycle)
@@ -73,7 +71,7 @@ class WaitsForGraph:
             path.pop()
             state[node] = "done"
 
-        for node in sorted(self.edges, key=lambda t: getattr(t, "value", 0)):
+        for node in sorted(self.edges):
             if node not in state:
                 visit(node)
         return found
@@ -108,7 +106,7 @@ class DeadlockDetector:
     @staticmethod
     def choose_victim(cycle):
         """Pick the youngest (highest-tid) member of a cycle as victim."""
-        return max(cycle, key=lambda tid: tid.value)
+        return max(cycle)
 
     def resolve_one(self):
         """Abort a victim from one deadlock cycle, if any; return it."""

@@ -554,7 +554,7 @@ class TransactionManager:
             # Steps 2-3: resolve the group and its dependencies.
             group = self.dependencies.gc_group(tid)
             waiting = []
-            for member in sorted(group, key=lambda t: t.value):
+            for member in sorted(group):
                 member_td = self.table.get(member)
                 if member_td.status.is_abort_bound:
                     self.abort(tid, reason=f"GC member {member!r} aborted")
@@ -574,9 +574,7 @@ class TransactionManager:
                     EventKind.COMMIT_BLOCKED, tid, waiting=tuple(waiting)
                 )
                 return CommitOutcome(
-                    CommitStatus.BLOCKED, waiting_for=tuple(sorted(
-                        set(waiting), key=lambda t: t.value
-                    ))
+                    CommitStatus.BLOCKED, waiting_for=tuple(sorted(set(waiting)))
                 )
 
             # Check for abort dependencies on dependees that aborted.
@@ -592,7 +590,7 @@ class TransactionManager:
                             return CommitOutcome(CommitStatus.ABORTED)
 
             # Steps 4-6: commit the whole group atomically.
-            ordered = sorted(group, key=lambda t: t.value)
+            ordered = sorted(group)
             others = tuple(t for t in ordered if t != tid)
             self.failpoint("commit.log")
             self.storage.log_commit(tid, group=others)
@@ -675,7 +673,7 @@ class TransactionManager:
 
             group = self.dependencies.gc_group(tid)
             waiting = []
-            for member in sorted(group, key=lambda t: t.value):
+            for member in sorted(group):
                 member_td = self.table.get(member)
                 if member_td.status.is_abort_bound:
                     self.abort(
@@ -692,9 +690,7 @@ class TransactionManager:
             if waiting:
                 return PrepareOutcome(
                     PrepareStatus.BLOCKED,
-                    waiting_for=tuple(
-                        sorted(set(waiting), key=lambda t: t.value)
-                    ),
+                    waiting_for=tuple(sorted(set(waiting))),
                 )
             for member in group:
                 for edge in self.dependencies.outgoing(member):
@@ -707,7 +703,7 @@ class TransactionManager:
                             )
                             return PrepareOutcome(PrepareStatus.ABORTED)
 
-            ordered = sorted(group, key=lambda t: t.value)
+            ordered = sorted(group)
             others = tuple(t for t in ordered if t != tid)
             self.failpoint("prepare.log")
             self.storage.log_prepare(
@@ -745,7 +741,7 @@ class TransactionManager:
                 ):
                     waiting.add(member)
                 waiting.update(self._dependency_waits(member, group))
-            return sorted(waiting, key=lambda t: t.value)
+            return sorted(waiting)
 
     # ------------------------------------------------------------------
     # abort (section 4.2)

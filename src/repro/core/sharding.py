@@ -57,7 +57,7 @@ class ShardRouter:
     """Maps objects (and routing keys) to shard indexes.
 
     Placement happens once, at object creation: named objects go to
-    ``crc32(name) % n``, unnamed objects to ``oid.value % n``.  The
+    ``crc32(name) % n``, unnamed objects to ``oid % n``.  The
     choice is remembered in a directory keyed by oid value so every
     later touch routes without rehashing (and so recovery can verify
     its log-derived placements against the stores).
@@ -88,13 +88,13 @@ class ShardRouter:
         if name:
             shard = self.shard_for_key(name)
         else:
-            shard = oid.value % self.n_shards
-        self._directory[oid.value] = shard
+            shard = oid % self.n_shards
+        self._directory[oid] = shard
         return shard
 
     def place_at(self, oid, shard):
         """Record an externally decided placement (recovery rebuild)."""
-        self._directory[oid.value] = shard
+        self._directory[oid] = shard
 
     def shard_of(self, oid):
         """The shard an object lives on (hash fallback for unseen oids).
@@ -103,17 +103,17 @@ class ShardRouter:
         never created (a lock on a not-yet-existing oid, a test poking
         an arbitrary id) deterministically lands somewhere.
         """
-        shard = self._directory.get(oid.value)
+        shard = self._directory.get(oid)
         if shard is None:
             if oid.name:
                 shard = self.shard_for_key(oid.name)
             else:
-                shard = oid.value % self.n_shards
+                shard = oid % self.n_shards
         return shard
 
     def forget(self, oid):
         """Drop a placement (object deleted and undone)."""
-        self._directory.pop(oid.value, None)
+        self._directory.pop(oid, None)
 
     def snapshot(self):
         """Copy of the directory (tests and recovery verification)."""
@@ -142,7 +142,7 @@ class _StripedIndex:
         self._order = {}  # id(item) -> insertion sequence
 
     def _stripe_of(self, left):
-        return self._stripes[getattr(left, "value", 0) % self.n_stripes]
+        return self._stripes[left % self.n_stripes]
 
     def add(self, left, right, item):
         self._order[id(item)] = self._seq

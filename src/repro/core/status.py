@@ -63,39 +63,27 @@ class TransactionStatus(enum.Enum):
         return self in (TransactionStatus.ABORTING, TransactionStatus.ABORTED)
 
 
-_ALLOWED = {
-    TransactionStatus.INITIATED: {
-        TransactionStatus.RUNNING,
-        TransactionStatus.ABORTING,
-        TransactionStatus.ABORTED,
-    },
-    TransactionStatus.RUNNING: {
-        TransactionStatus.COMPLETED,
-        TransactionStatus.ABORTING,
-    },
-    TransactionStatus.COMPLETED: {
-        TransactionStatus.PREPARED,
-        TransactionStatus.COMMITTING,
-        TransactionStatus.ABORTING,
-    },
-    TransactionStatus.PREPARED: {
-        TransactionStatus.COMMITTING,
-        TransactionStatus.ABORTING,
-    },
-    TransactionStatus.COMMITTING: {
-        TransactionStatus.COMMITTED,
-        TransactionStatus.COMPLETED,  # commit blocked: back off and retry
-        TransactionStatus.ABORTING,
-    },
-    TransactionStatus.ABORTING: {TransactionStatus.ABORTED},
-    TransactionStatus.COMMITTED: set(),
-    TransactionStatus.ABORTED: set(),
-}
+# Each member carries the statuses it may move to, so a check is one
+# attribute read and an identity scan of a tuple: on Python 3.11 hashing
+# a member (a dict or set probe) runs ``Enum.__hash__`` in Python.
+_S = TransactionStatus
+for _current, _targets in (
+    (_S.INITIATED, (_S.RUNNING, _S.ABORTING, _S.ABORTED)),
+    (_S.RUNNING, (_S.COMPLETED, _S.ABORTING)),
+    (_S.COMPLETED, (_S.PREPARED, _S.COMMITTING, _S.ABORTING)),
+    (_S.PREPARED, (_S.COMMITTING, _S.ABORTING)),
+    # COMMITTING -> COMPLETED: commit blocked, back off and retry.
+    (_S.COMMITTING, (_S.COMMITTED, _S.COMPLETED, _S.ABORTING)),
+    (_S.ABORTING, (_S.ABORTED,)),
+    (_S.COMMITTED, ()),
+    (_S.ABORTED, ()),
+):
+    _current.successors = _targets
 
 
 def check_transition(current, target):
     """Raise :class:`InvalidStateError` unless ``current -> target`` is legal."""
-    if target not in _ALLOWED[current]:
+    if target not in current.successors:
         raise InvalidStateError(
             f"illegal status transition {current.value} -> {target.value}"
         )

@@ -39,7 +39,7 @@ def insert_record(tx, relation, value):
     """
     record = yield tx.create(encode_json(value), name="record")
     entries = decode_json((yield tx.read(relation)))
-    entries.append(record.value)
+    entries.append(record)
     yield tx.write(relation, encode_json(entries))
     return record
 
@@ -81,8 +81,8 @@ def update_record(tx, record, transform):
 def delete_record(tx, relation, record):
     """Remove a record from the relation (directory write lock)."""
     entries = decode_json((yield tx.read(relation)))
-    if record.value in entries:
-        entries.remove(record.value)
+    if record in entries:
+        entries.remove(record)
         yield tx.write(relation, encode_json(entries))
         return True
     return False

@@ -21,10 +21,11 @@ Fault semantics, per message, decided at send time:
   its queued inbox is discarded at crash time (those bytes were in its
   kernel buffers).
 
-The per-message verdicts come from the shared
-:class:`~repro.chaos.faults.FaultInjector` (step kind ``NET_MSG``);
-partition installation, healing, and site power cuts are plan-driven
-too, keyed on the message-step counter passing the planned step number.
+The per-message verdicts come from the fault injector the fabric is
+given (step kind ``NET_MSG``); partition installation, healing, and
+site power cuts are plan-driven too, keyed on the message-step counter
+passing the planned step number.  A fabric built without an injector
+numbers no steps and delivers every message its links allow.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
-
-from repro.chaos.faults import FaultInjector
 
 
 @dataclass(slots=True)
@@ -62,9 +61,7 @@ class NetworkFabric:
     """N named endpoints, unreliable links, deterministic delivery."""
 
     def __init__(self, injector=None):
-        # A default injector with a no-op plan still *numbers* message
-        # steps — that is how sweeps learn the message-step universe.
-        self.injector = injector if injector is not None else FaultInjector()
+        self.injector = injector
         self.handlers = {}
         self.inboxes = {}
         self._delivery_order = ()  # endpoint names, sorted at register
@@ -157,10 +154,11 @@ class NetworkFabric:
     def send(self, src, dst, kind, payload=None, reply_to=None):
         """Enqueue a message; returns it (delivery is not implied).
 
-        Number the step, apply the planned partition / heal / site-crash
-        / churn marks (keyed on the message-step counter, consulted from
-        the plan's ``first_step`` on), then the link checks — so the
-        message whose step triggers a partition is already subject to it.
+        With an injector: number the step, apply the planned partition /
+        heal / site-crash / churn marks (keyed on the message-step
+        counter, consulted from the plan's ``first_step`` on), then the
+        link checks — so the message whose step triggers a partition is
+        already subject to it.  Without one, only the link checks.
         """
         message = Message(
             next(self._msg_ids), src, dst, kind,
@@ -168,12 +166,14 @@ class NetworkFabric:
         )
         self.stats["sent"] += 1
         injector = self.injector
-        action, step = injector.message(src, dst, kind)
+        action = "deliver"
         number = None
-        if step is not None:
-            number = step.number
-            if number >= injector.plan.first_step:
-                self._apply_planned_marks(injector.plan, number)
+        if injector is not None:
+            action, step = injector.message(src, dst, kind)
+            if step is not None:
+                number = step.number
+                if number >= injector.plan.first_step:
+                    self._apply_planned_marks(injector.plan, number)
         action = self._link_verdict(message, action)
         self.delivery_log.append((number, src, dst, kind, action))
         metrics = self.metrics

@@ -98,12 +98,12 @@ class SpanBuilder:
     # -- folding -----------------------------------------------------------
 
     def _span(self, view, event):
-        key = (view.trace, event.tid.value)
+        key = (view.trace, int(event.tid))
         span = self.spans.get(key)
         if span is None:
             span = {
                 "trace": view.trace,
-                "tid": event.tid.value,
+                "tid": int(event.tid),
                 "start": event.tick,
                 "end": None,
                 "status": "open",
@@ -135,8 +135,8 @@ class SpanBuilder:
                 {
                     "type": "delegate",
                     "tick": event.tick,
-                    "peer": detail["to"].value,
-                    "oids": [oid.value for oid in detail.get("oids", ())],
+                    "peer": int(detail["to"]),
+                    "oids": list(map(int, detail.get("oids", ()))),
                 }
             )
         elif kind is EventKind.PERMIT:
@@ -145,8 +145,8 @@ class SpanBuilder:
                 {
                     "type": "permit",
                     "tick": event.tick,
-                    "peer": receiver.value if receiver is not None else None,
-                    "oid": detail["oid"].value,
+                    "peer": int(receiver) if receiver is not None else None,
+                    "oid": int(detail["oid"]),
                 }
             )
         elif kind is EventKind.FORM_DEPENDENCY:
@@ -154,7 +154,7 @@ class SpanBuilder:
                 {
                     "type": "dependency",
                     "tick": event.tick,
-                    "peer": detail["other"].value,
+                    "peer": int(detail["other"]),
                     "dep_type": detail["dep_type"],
                 }
             )

@@ -47,8 +47,10 @@ class Lease:
         return self.last_beat + self.duration
 
 
-def _tid_order(tid):
-    return getattr(tid, "value", 0)
+def _tid_order(key):
+    """A tid sorts by its number, a workflow wait token by its ``value``;
+    any other key (a site's ``("gc", gid)`` timer) first, as inserted."""
+    return key if isinstance(key, int) else getattr(key, "value", 0)
 
 
 class DeadlineTable:
@@ -129,10 +131,7 @@ class DeadlineTable:
 
     def wards_of(self, guardian):
         """Wards guarded by ``guardian``, in tid order."""
-        return sorted(
-            (w for w, g in self.guardians.items() if g == guardian),
-            key=_tid_order,
-        )
+        return sorted(w for w, g in self.guardians.items() if g == guardian)
 
     def expired(self, now=None):
         """Every expiry error as of ``now``, deterministically ordered.

@@ -33,10 +33,6 @@ from repro.common.errors import DeadlineExceeded, LeaseExpired
 __all__ = ["Watchdog", "ReapRecord"]
 
 
-def _tid_order(tid):
-    return getattr(tid, "value", 0)
-
-
 class ReapRecord:
     """Containment accounting for one watchdog abort."""
 
@@ -46,7 +42,7 @@ class ReapRecord:
         self.tid = tid
         self.kind = kind  # "deadline" | "lease" | "orphan"
         self.reason = reason
-        self.closure = sorted(closure, key=_tid_order)
+        self.closure = sorted(closure)
         self.cascaded = len(closure) - 1
         self.tick = tick
 
@@ -145,9 +141,7 @@ class Watchdog:
         # termination released its wards via the event hook, so a ward
         # seen here really was left behind.)
         reaped_guardians = set(seen)
-        for ward, guardian in sorted(
-            self.table.guardians.items(), key=lambda kv: _tid_order(kv[0])
-        ):
+        for ward, guardian in sorted(self.table.guardians.items()):
             if ward in seen or guardian not in reaped_guardians:
                 continue
             if self.table.lease_live(ward, now):

@@ -147,7 +147,7 @@ class CooperativeRuntime:
                     for tid in tids:
                         self.on_begun(tid)
                 return 1 if ok else 0
-            self._make_progress_or_die(f"begin of {tids!r}")
+            self._make_progress_or_die(lambda: f"begin of {tids!r}")
 
     def commit(self, tid):
         """Commit ``tid``: block (by scheduling others) until final."""
@@ -156,7 +156,7 @@ class CooperativeRuntime:
             outcome = commit_when_ended(self.manager, td)
             if outcome.is_final:
                 return 1 if outcome else 0
-            self._make_progress_or_die(f"commit of {tid!r}")
+            self._make_progress_or_die(lambda: f"commit of {tid!r}")
 
     def wait(self, tid):
         """The paper's ``wait``: 1 once completed, 0 if aborted."""
@@ -164,7 +164,7 @@ class CooperativeRuntime:
             result = self.manager.wait_outcome(tid)
             if result is not None:
                 return 1 if result else 0
-            self._make_progress_or_die(f"wait for {tid!r}")
+            self._make_progress_or_die(lambda: f"wait for {tid!r}")
 
     def abort(self, tid):
         """Abort ``tid``; 1 on success, 0 if already committed."""
@@ -189,7 +189,7 @@ class CooperativeRuntime:
                     waiting.append(td)
             if len(waiting) == len(pending):  # nobody settled this pass
                 self._make_progress_or_die(
-                    f"commit_all of {[td.tid for td in waiting]!r}"
+                    lambda: f"commit_all of {[td.tid for td in waiting]!r}"
                 )
             pending = waiting
         return outcomes
@@ -306,6 +306,10 @@ class CooperativeRuntime:
         return self.watchdog.on_stall()
 
     def _make_progress_or_die(self, why):
+        """Drive one round, or a deadlock victim, or the watchdog; raise
+        :class:`SchedulerStalledError` saying ``why()`` when none moves.
+        ``why`` is formatted only then: the loops that call this every
+        pass pay for no ``repr``."""
         if self.round():
             return
         if self._detector.resolve_one() is not None:
@@ -317,7 +321,7 @@ class CooperativeRuntime:
             idle += 1
         if self._watchdog_rescue():
             return
-        raise SchedulerStalledError(why, stalled=self.stall_report())
+        raise SchedulerStalledError(why(), stalled=self.stall_report())
 
     def stall_report(self):
         """Diagnostic rows for every unfinished task (who blocks on what)."""

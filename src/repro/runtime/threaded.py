@@ -230,7 +230,7 @@ class ThreadedRuntime(ThreadDrivenRuntime):
             return
         thread = threading.Thread(
             target=self._worker, args=(tid, td),
-            name=f"asset-txn-{tid.value}", daemon=True,
+            name=f"asset-txn-{int(tid)}", daemon=True,
         )
         self._threads[tid] = thread
         thread.start()

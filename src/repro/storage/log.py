@@ -26,6 +26,7 @@ import threading
 import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.common.errors import StorageError, TransientIOError
 from repro.common.ids import Lsn, ObjectId, Tid
@@ -265,7 +266,7 @@ def _unpack_strs(raw, offset):
 
 
 def _pack_tids(tids):
-    return _U32.pack(len(tids)) + b"".join(_U64.pack(t.value) for t in tids)
+    return _U32.pack(len(tids)) + b"".join(_U64.pack(t) for t in tids)
 
 
 def _unpack_tids(raw, offset):
@@ -283,13 +284,13 @@ def encode_record(record):
     """Serialize a record to bytes (without the device length prefix)."""
     if isinstance(record, UpdateRecord):
         body = (
-            _U64.pack(record.oid.value)
+            _U64.pack(record.oid)
             + _pack_image(record.before)
             + _pack_image(record.after)
         )
         rtype = _TYPE_UPDATE
     elif isinstance(record, CompensationRecord):
-        body = _U64.pack(record.oid.value) + _pack_image(record.after)
+        body = _U64.pack(record.oid) + _pack_image(record.after)
         rtype = _TYPE_COMPENSATION
     elif isinstance(record, CommitRecord):
         rtype, body = _TYPE_COMMIT, _pack_tids(record.group)
@@ -297,9 +298,9 @@ def encode_record(record):
         rtype, body = _TYPE_ABORT, b""
     elif isinstance(record, DelegateRecord):
         body = (
-            _U64.pack(record.delegatee.value)
+            _U64.pack(record.delegatee)
             + _U32.pack(len(record.oids))
-            + b"".join(_U64.pack(o.value) for o in record.oids)
+            + b"".join(_U64.pack(o) for o in record.oids)
         )
         rtype = _TYPE_DELEGATE
     elif isinstance(record, CheckpointRecord):
@@ -341,7 +342,7 @@ def encode_record(record):
         rtype = _TYPE_TAKEOVER
     else:
         raise StorageError(f"unknown record type: {type(record).__name__}")
-    return _HEADER.pack(rtype, record.lsn.value, record.tid.value) + body
+    return _HEADER.pack(rtype, record.lsn, record.tid) + body
 
 
 def decode_record(raw):
@@ -899,9 +900,7 @@ class WriteAheadLog:
         with self._lock:
             while not self._load_tail():
                 self.device.set_hint()
-            self.last_lsn = (
-                self._decoded[-1].lsn.value if self._decoded else 0
-            )
+            self.last_lsn = int(self._decoded[-1].lsn) if self._decoded else 0
             self._next_lsn = max(self._next_lsn, self.last_lsn + 1)
             self.durable_lsn = self._confirmed_lsn(
                 self.device.durable_count(),
@@ -942,7 +941,7 @@ class WriteAheadLog:
             self._index_record(record)
         return hint is None or bool(
             self._decoded
-            and self._decoded[0].lsn.value == lsn
+            and self._decoded[0].lsn == lsn
             and self.base <= self.device.durable_count()
             and (
                 not self.base
@@ -962,15 +961,15 @@ class WriteAheadLog:
         of quadratic in history length.
         """
         tid = record.tid
-        if tid.value > self._max_tid:
-            self._max_tid = tid.value
+        if tid > self._max_tid:
+            self._max_tid = int(tid)
         if isinstance(record, UpdateRecord):
             self._updates_by_tid.setdefault(tid, []).append(record)
-            self._oids.add(record.oid.value)
+            self._oids.add(record.oid)
         elif isinstance(record, CompensationRecord):
-            self._oids.add(record.oid.value)
+            self._oids.add(record.oid)
         elif isinstance(record, DelegateRecord):
-            self._max_tid = max(self._max_tid, record.delegatee.value)
+            self._max_tid = int(max(self._max_tid, record.delegatee))
             self._delegation_parties.add(record.delegatee)
             mine = self._updates_by_tid.get(record.tid)
             if mine:
@@ -990,10 +989,10 @@ class WriteAheadLog:
                     # Moved records interleave with the delegatee's own;
                     # both runs are already LSN-sorted, so this is a
                     # near-linear merge under Timsort.
-                    theirs.sort(key=lambda r: r.lsn.value)
+                    theirs.sort(key=lambda r: r.lsn)
         elif isinstance(record, (CommitRecord, PrepareRecord, DecisionRecord)):
             for member in record.group:
-                self._max_tid = max(self._max_tid, member.value)
+                self._max_tid = int(max(self._max_tid, member))
             if isinstance(record, PrepareRecord):
                 self._prepares.append(record)
             elif isinstance(record, CommitRecord) or record.verdict == "commit":
@@ -1004,19 +1003,18 @@ class WriteAheadLog:
         elif isinstance(record, CheckpointRecord):
             self._max_tid = max(self._max_tid, record.max_tid or 0)
             for active in record.active:
-                self._max_tid = max(self._max_tid, active.value)
+                self._max_tid = int(max(self._max_tid, active))
             self.redo_lsn = record.redo_lsn
 
     def _append(self, build):
         with self._lock:
             if self._sequencer is None:
-                lsn = Lsn(self._next_lsn)
-                self._next_lsn += 1
+                number = self._next_lsn
             else:
-                lsn = Lsn(self._sequencer.next_value())
-                self._next_lsn = lsn.value + 1
-            self.last_lsn = lsn.value
-            record = build(lsn)
+                number = self._sequencer.next_value()
+            self._next_lsn = number + 1
+            self.last_lsn = number
+            record = build(Lsn(number))
             encoded = encode_record(record)
             self.device.append(encoded)
             self._decoded.append(record)
@@ -1206,7 +1204,7 @@ class WriteAheadLog:
         checkpoint's own, durable.
         """
         with self._lock:
-            if self.durable_lsn < marker.lsn.value:
+            if self.durable_lsn < marker.lsn:
                 return 0
 
             def pending(tid):
@@ -1219,15 +1217,15 @@ class WriteAheadLog:
             # The first record above the mark: ``redo_lsn + 1`` when
             # this is the whole log, and no lower than it has to be for
             # a segment, whose LSNs are sparse.  The marker is one.
-            point = self._decoded[self._first_above(self.redo_lsn)].lsn.value
+            point = int(self._decoded[self._first_above(self.redo_lsn)].lsn)
             for tid, updates in self._updates_by_tid.items():
-                if updates[0].lsn.value < point and pending(tid):
-                    point = updates[0].lsn.value
+                if updates[0].lsn < point and pending(tid):
+                    point = int(updates[0].lsn)
             for vote in self._prepares:
-                if vote.lsn.value < point and any(
+                if vote.lsn < point and any(
                     map(pending, vote.prepared_tids())
                 ):
-                    point = vote.lsn.value
+                    point = int(vote.lsn)
             return point
 
     def open_at(self, point):
@@ -1243,7 +1241,7 @@ class WriteAheadLog:
             if not cut:
                 return
             self.base += cut
-            self.device.set_hint(self.base, self._decoded[cut].lsn.value)
+            self.device.set_hint(self.base, int(self._decoded[cut].lsn))
             max_tid = self._max_tid
             self._decoded = self._decoded[cut:]
             self._reset_index()
@@ -1253,12 +1251,12 @@ class WriteAheadLog:
 
     def _first_above(self, lsn):
         """Index in the tail of the first record above ``lsn``."""
-        return bisect_right(self._decoded, lsn, key=lambda r: r.lsn.value)
+        return bisect_right(self._decoded, lsn, key=attrgetter("lsn"))
 
     @property
     def restart_from(self):
         """The LSN the decoded tail starts at; 0 = the whole log."""
-        return self._decoded[0].lsn.value if self.base else 0
+        return int(self._decoded[0].lsn) if self.base else 0
 
     # -- reading ----------------------------------------------------------------
 
@@ -1338,7 +1336,7 @@ class WriteAheadLog:
         if durable >= appended:
             return last_lsn
         durable -= self.base  # everything below the tail is durable
-        return self._decoded[durable - 1].lsn.value if durable > 0 else 0
+        return int(self._decoded[durable - 1].lsn) if durable > 0 else 0
 
     def force(self, lsn):
         """The write-ahead gate: make the log durable through ``lsn``.
@@ -1434,7 +1432,7 @@ class WriteAheadLog:
         for record in reversed(self._redo_span()):
             if isinstance(record, (UpdateRecord, CompensationRecord)):
                 images += 1
-                newest.setdefault(record.oid.value, record)
+                newest.setdefault(record.oid, record)
         return list(reversed(newest.values())), images - len(newest)
 
     def _redo_span(self):

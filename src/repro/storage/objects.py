@@ -166,12 +166,12 @@ class ObjectStore:
             if oid is None:
                 oid = self.reserve_oid(name=name)
             else:
-                if oid.value in self._locations:
+                if oid in self._locations:
                     raise StorageError(f"object already exists: {oid!r}")
-                if _is_chunk(oid.value):
+                if _is_chunk(oid):
                     raise StorageError(f"reserved (chunk) object id: {oid!r}")
-                self._next_oid_value = max(self._next_oid_value, oid.value + 1)
-            self._store_value(oid.value, value)
+                self._next_oid_value = max(self._next_oid_value, oid + 1)
+            self._store_value(int(oid), value)
             return oid
 
     def _store_value(self, oid_value, value):
@@ -250,7 +250,7 @@ class ObjectStore:
 
     def exists(self, oid):
         """Whether ``oid`` names a live object."""
-        return oid.value in self._locations and not _is_chunk(oid.value)
+        return oid in self._locations and not _is_chunk(oid)
 
     def _read_slot(self, oid_value):
         """A chunk's bytes, from whatever page holds it."""
@@ -275,11 +275,11 @@ class ObjectStore:
         every operation makes under it, and a miss is confirmed there (a
         relocation takes the key out and puts it back).
         """
-        location = self._locations.get(oid.value)
+        location = self._locations.get(oid)
         if location is None:
             with self._lock:
-                location = self._locations.get(oid.value)
-        if location is None or _is_chunk(oid.value):
+                location = self._locations.get(oid)
+        if location is None or _is_chunk(oid):
             raise UnknownObjectError(oid)
         return Pinned(self.pool.fetch(location[0]), location[1])
 
@@ -293,7 +293,7 @@ class ObjectStore:
         taken here cannot go stale."""
         if pinned is None or (
             pinned.raw is None
-            and self._locations.get(oid.value)
+            and self._locations.get(oid)
             != (pinned.frame.page.page_id, pinned.slot)
         ):
             pinned = self.frame_for(oid)
@@ -322,7 +322,7 @@ class ObjectStore:
             finally:
                 self._release(pinned, dirty=False)
             value = b"".join(
-                self._read_slot(_chunk_id(oid.value, index))
+                self._read_slot(_chunk_id(oid, index))
                 for index in range(count)
             )
             if len(value) != total:
@@ -353,17 +353,17 @@ class ObjectStore:
                         return
                     except PageFullError:
                         pass  # fall through to relocate
-                self._drop_value(oid.value, pinned)
+                self._drop_value(oid, pinned)
             finally:
                 self._release(pinned, dirty=True)
-            self._store_value(oid.value, value)
+            self._store_value(int(oid), value)
 
     def delete(self, oid, pinned=None):
         """Remove ``oid`` (and any chunks) from the store."""
         with self._lock:
             pinned = self._anchor(oid, pinned)
             try:
-                self._drop_value(oid.value, pinned)
+                self._drop_value(oid, pinned)
             finally:
                 self._release(pinned, dirty=True)
 

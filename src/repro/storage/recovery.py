@@ -56,6 +56,7 @@ newest images (or newer ones: undo's own compensation records).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.storage.log import CommitRecord, DecisionRecord
 
@@ -89,12 +90,12 @@ class RecoveryReport:
     def __repr__(self):
         doubt = older = ""
         if self.in_doubt:
-            doubt = f", in_doubt={sorted(t.value for t in self.in_doubt)}"
+            doubt = f", in_doubt={sorted(map(int, self.in_doubt))}"
         if self.superseded:
             older = f" ({self.superseded} superseded)"
         return (
-            f"RecoveryReport(winners={sorted(t.value for t in self.winners)},"
-            f" losers={sorted(t.value for t in self.losers)},"
+            f"RecoveryReport(winners={sorted(map(int, self.winners))},"
+            f" losers={sorted(map(int, self.losers))},"
             f" restart_from={self.restart_from}, scanned={self.scanned},"
             f" redo_from={self.redo_from},"
             f" redone={self.redone}{older}, undone={self.undone}{doubt})"
@@ -131,9 +132,9 @@ def undo_updates(log, install, tids, above=0):
         record
         for tid in set(tids)
         for record in log.updates_by(tid)
-        if record.lsn.value > above
+        if record.lsn > above
     ]
-    updates.sort(key=lambda record: record.lsn.value, reverse=True)
+    updates.sort(key=attrgetter("lsn"), reverse=True)
     for record in updates:
         log.log_compensation(record.tid, record.oid, record.before)
         install(record.oid, record.before)
@@ -209,7 +210,7 @@ class RecoveryManager:
         report.undone = undo_updates(
             self.log, self.store.install, report.losers
         )
-        for loser in sorted(report.losers, key=lambda t: t.value):
+        for loser in sorted(report.losers):
             self.log.log_abort(loser)
         if report.losers:
             self.log.flush()

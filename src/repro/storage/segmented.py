@@ -34,6 +34,7 @@ precede it in global LSN order.
 from __future__ import annotations
 
 import threading
+from operator import attrgetter
 
 from repro.common.ids import ObjectId
 from repro.core.sharding import ShardRouter, default_shard_count
@@ -105,7 +106,7 @@ class SegmentedLog:
             for segment in self.segments
             for record in per_segment(segment)
         ]
-        merged.sort(key=lambda record: record.lsn.value)
+        merged.sort(key=attrgetter("lsn"))
         return merged
 
     def records(self, durable_only=False):
@@ -136,7 +137,7 @@ class SegmentedLog:
             finished |= done
             prepares += voted
             writers |= wrote
-        prepares.sort(key=lambda record: record.lsn.value)
+        prepares.sort(key=attrgetter("lsn"))
         return winners, finished, prepares, writers
 
     @property
@@ -152,7 +153,7 @@ class SegmentedLog:
         newest."""
         parts = [segment.redo_records() for segment in self.segments]
         records = [record for newest, __ in parts for record in newest]
-        records.sort(key=lambda record: record.lsn.value)
+        records.sort(key=attrgetter("lsn"))
         return records, sum(superseded for __, superseded in parts)
 
     @property
@@ -489,7 +490,7 @@ class ShardedStorageManager(LoggedUndo):
         for index, shard in enumerate(self.shards):
             redo, __ = shard.log.redo_records()
             for oid_value in shard.log.image_oids().union(
-                shard.objects.object_ids(), (r.oid.value for r in redo)
+                shard.objects.object_ids(), (r.oid for r in redo)
             ):
                 directory.setdefault(oid_value, index)
         return directory

@@ -256,7 +256,7 @@ class WorkflowEngine:
     def _fold(self):
         """wid → execution image, folded from the durable log alone."""
         log_records = list(self.storage.log.records())
-        winners = {tid.value for tid in commit_winners(log_records)}
+        winners = commit_winners(log_records)
         return fold_all(log_records, winners)
 
     def _record(self, execution, kind, **fields):
@@ -299,7 +299,7 @@ class WorkflowEngine:
             state.status = TaskStatus.COMPENSATED
         else:
             state.status, state.alt = TaskStatus.COMMITTED, alt
-            state.tid_value = tid.value
+            state.tid_value = int(tid)
             state.value = self.runtime.result_of(tid)
         self._count("compensations" if alt is None else "steps_committed")
         if self.on_commit is not None:
@@ -673,7 +673,7 @@ class WorkflowEngine:
         """
         self._record(
             execution, wrecords.STEP_ATTEMPT,
-            step=task.name, alt=alternative.label, tid=tid.value,
+            step=task.name, alt=alternative.label, tid=int(tid),
         )
 
     def _run_step(self, execution, task):
@@ -784,7 +784,7 @@ class WorkflowEngine:
                 continue
             self.runtime.begin(ct)
             self._record(
-                execution, wrecords.COMP_ATTEMPT, step=name, tid=ct.value
+                execution, wrecords.COMP_ATTEMPT, step=name, tid=int(ct)
             )
             try:
                 if self._commit_step(ct, op=f"workflow.c.{name}"):

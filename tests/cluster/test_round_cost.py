@@ -147,11 +147,8 @@ class TestSettledSite:
     def test_an_unsettled_site_still_does_its_duty(self):
         # The same instrumentation sees the walks once there is work:
         # a prepared member whose coordinator went silent.
-        cluster = Cluster()
+        cluster = Cluster(plan=FaultPlan(drop_msg_kinds={"decision"}))
         refs = spawn_group(cluster)
-        cluster.fabric.injector.plan = FaultPlan(
-            drop_msg_kinds={"decision"}
-        )
         outcome = cluster.group_commit(refs, coordinator="alpha", timeout=4)
         assert not outcome.resolved
         site = cluster.sites["beta"]

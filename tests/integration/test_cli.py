@@ -211,6 +211,31 @@ class TestMaintenance:
         finally:
             database.close()
 
+    def test_a_torn_catalog_page_is_rebuilt_at_open(
+        self, db, capsys, tmp_path
+    ):
+        run_cli(capsys, "create", "--db", db, "a", "1", "b", "2")
+        run_cli(capsys, "create", "--db", db, "c", "3")
+        database = Database(db)
+        page_id = database.storage.objects._locations[1][0]
+        page_size = database.storage.disk.page_size
+        database.close()
+        pages = tmp_path / "db" / "pages.db"
+        image = bytearray(pages.read_bytes())
+        start = (page_id - 1) * page_size
+        image[start + 8 : start + page_size] = bytes(page_size - 8)
+        pages.write_bytes(bytes(image))
+        database = Database(db)
+        try:
+            assert database.storage.objects.damaged_pages == [page_id]
+            assert database.report.redo_from == 0  # redo read the prefix
+            assert sorted(database.catalog()) == ["a", "b", "c"]
+            assert [database.get(name) for name in "abc"] == [1, 2, 3]
+        finally:
+            database.close()
+        __, out = run_cli(capsys, "get", "--db", db)
+        assert out.splitlines() == ["a = 1", "b = 2", "c = 3"]
+
     def test_data_survives_reopen(self, db, capsys):
         run_cli(capsys, "create", "--db", db, "x", "42")
         database = Database(db)

@@ -5,10 +5,12 @@ and ``from ... import``, at any nesting depth, so lazy imports count):
 
 * nothing under ``repro.{common,core,storage,runtime,models,workflow,
   lang,resilience,obs}`` imports ``repro.chaos`` or ``repro.cluster``;
-* ``repro.net`` and the ``repro.cluster`` product modules import from
-  ``repro.chaos`` only ``chaos.faults`` (the injection seam product code
-  is built around) and the one ``evaluate_cluster`` that
-  ``Cluster.evaluate`` hands its durable logs to.
+* ``repro.net`` imports nothing from ``repro.chaos``: a fabric is given
+  its fault injector or has none;
+* the ``repro.cluster`` product modules import from ``repro.chaos``
+  only ``chaos.faults`` (the injection seam product code is built
+  around) and the one ``evaluate_cluster`` that ``Cluster.evaluate``
+  hands its durable logs to.
 
 ``repro.cluster.scenarios`` and ``repro.cluster.sweep`` are not product
 code: they are the cluster front-end of the sweep harness (the cluster
@@ -71,6 +73,16 @@ def test_product_code_imports_neither_chaos_nor_cluster():
         for module, name in _imports(path)
         if _under(module, name, "repro.chaos")
         or _under(module, name, "repro.cluster")
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_net_imports_nothing_from_chaos():
+    offenders = [
+        f"{_module_name(path)} imports {module}" + (f".{name}" if name else "")
+        for path in _modules("net")
+        for module, name in _imports(path)
+        if _under(module, name, "repro.chaos")
     ]
     assert not offenders, "\n".join(offenders)
 
@@ -324,3 +336,63 @@ def test_a_site_takes_no_knobs():
         "self", "name", "fabric", "clock", "injector",
     ]
     assert not (arguments.kwonlyargs or arguments.vararg or arguments.kwarg)
+
+
+# Where an id may meet a bare number: its own module and the log codec,
+# which packs and unpacks ids as the integers they are.
+_ID_NUMBER_SITES = {
+    "repro.common.ids": None,
+    "repro.storage.log": {
+        "encode_record", "decode_record", "_pack_tids", "_unpack_tids",
+    },
+}
+
+
+def _names_an_id(node):
+    """Whether ``node`` reads a variable or field named like an id."""
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    if not isinstance(name, str):
+        return False
+    return name in ("tid", "oid", "lsn", "delegatee") or name.endswith(
+        ("_tid", "_oid")
+    ) and name != "max_tid"
+
+
+def _id_number_comparisons(path):
+    """``line: source`` of every comparison of an id-named operand with
+    an int literal in ``path``, outside the functions allowed one."""
+    allowed = _ID_NUMBER_SITES.get(_module_name(path), ())
+    if allowed is None:
+        return []
+    tree = ast.parse(path.read_text())
+    skipped = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in allowed
+        for inner in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare) or id(node) in skipped:
+            continue
+        sides = [node.left, *node.comparators]
+        literal = any(
+            isinstance(side, ast.Constant) and type(side.value) is int
+            for side in sides
+        )
+        if literal and any(map(_names_an_id, sides)):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_id_is_compared_with_a_number():
+    """Ids are ints, so ``tid == 0`` or ``oid < 3`` would run — and an
+    id of one kind equals a number meant as another (``Tid(3) ==
+    ObjectId(3)``).  The null tid is tested by truth (``if tid:``);
+    nothing else asks an id about a bare number."""
+    offenders = [
+        f"{path.relative_to(SRC)}:{site}"
+        for path in sorted(SRC.rglob("*.py"))
+        for site in _id_number_comparisons(path)
+    ]
+    assert not offenders, "\n".join(offenders)
