@@ -15,11 +15,11 @@ in-doubt inquiry), while a crash *after* the release settles almost
 immediately — but every phase stays under one convergence budget.
 """
 
+import repro.chaos.cluster_scenarios  # noqa: F401  (registers the scenarios)
 from repro.bench.report import print_table
 from repro.chaos.faults import FaultPlan
-from repro.cluster import Cluster
-import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
 from repro.chaos.sweep import get, probe, run_plan
+from repro.cluster import Cluster
 from repro.storage.log import CommitRecord
 
 SITE_POOL = ("alpha", "beta", "gamma", "delta", "epsilon")

@@ -18,11 +18,11 @@ top of the linear 2PC exchange, and the premium must not change the
 commit verdict or the oracles.
 """
 
+import repro.chaos.cluster_scenarios  # noqa: F401  (registers the scenarios)
 from repro.bench.report import print_table
 from repro.chaos.faults import FaultPlan
-from repro.cluster import Cluster
-import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
 from repro.chaos.sweep import get, probe, run_plan
+from repro.cluster import Cluster
 
 SITE_POOL = ("alpha", "beta", "gamma", "delta", "epsilon")
 

@@ -24,8 +24,9 @@ enumerable input:
 * :mod:`repro.chaos.oracles` — the independent invariants: durability of
   acknowledged commits, exact-state replay of the durable log, ACTA
   properties over durable fates, recovery idempotence;
-* :mod:`repro.chaos.mutations` — deliberate in-process breakage that
-  proves the oracles can see the bugs they exist for;
+* :mod:`repro.chaos.cluster_scenarios` / :mod:`repro.chaos.cluster_sweep`
+  — the cluster kind and its message-step fault dimensions (not imported
+  here: :mod:`repro.cluster` imports this package for its oracle);
 * :mod:`repro.chaos.replay` — the command-line counterexample replayer.
 
 See docs/internals.md ("The chaos harness") for the fault-point taxonomy

@@ -6,7 +6,8 @@ determinism contract applies — a scenario is a pure function of the
 fault plan, so a message-step sweep replays the identical workload once
 per numbered step and a failing plan is a reproduction recipe.
 
-Each spec names the sites it needs and, for the partition sweeps, the
+A planned cluster is built one way, by :func:`planned_cluster`.  Each
+spec names the sites it needs and, for the partition sweeps, the
 canonical ways to split them.  :class:`ClusterScenarioSpec` is also the
 harness's *cluster kind* — the ``build`` / ``drive`` / ``judge`` the one
 driver in :mod:`repro.chaos.sweep` runs — and every scenario registers
@@ -18,17 +19,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.chaos.faults import FaultInjector
 from repro.chaos.sweep import registers
 from repro.cluster.cluster import Cluster
 from repro.cluster.group import WAITING
 from repro.common.errors import AssetError
 from repro.core.dependency import DependencyType
 
-__all__ = ["CONVERGE_ROUNDS", "ClusterScenarioSpec", "cluster_scenario"]
+__all__ = [
+    "CONVERGE_ROUNDS", "ClusterScenarioSpec", "cluster_scenario",
+    "planned_cluster",
+]
 
 # Rounds a repaired cluster gets to quiesce: comfortably past the lease
 # lapse plus a full takeover exchange.
 CONVERGE_ROUNDS = 240
+
+
+def planned_cluster(plan, **options):
+    """A :class:`~repro.cluster.cluster.Cluster` under ``plan``: its one
+    injector numbers every step and fires the plan's marks on it."""
+    injector = FaultInjector(plan=plan)
+    return injector.bind(Cluster(injector=injector, **options))
 
 
 @dataclass(frozen=True)
@@ -51,7 +63,7 @@ class ClusterScenarioSpec:
     surfaced = (AssetError,)
 
     def build(self, plan=None, **options):
-        return Cluster(sites=self.sites, plan=plan, **options)
+        return planned_cluster(plan, sites=self.sites, **options)
 
     def partition_splits(self):
         if self.partitions:

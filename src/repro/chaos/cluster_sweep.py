@@ -21,7 +21,7 @@ coordinator kill.
 :func:`message_sweep` (any one dimension over the fault-free run) and
 the three composed sweeps probe, pick generators and call
 :func:`~repro.chaos.sweep.sweep`, which runs each plan through the
-cluster kind (:meth:`repro.cluster.scenarios.ClusterScenarioSpec.judge`
+cluster kind (:meth:`repro.chaos.cluster_scenarios.ClusterScenarioSpec.judge`
 models the operator fixing the world, then judges the durable logs) and
 returns the shared :class:`~repro.chaos.sweep.SweepResult`: every
 verdict carries its plan, and every failure a
@@ -113,10 +113,10 @@ def partitions(messages, splits):
 def coordinator_deaths(messages, base=FaultPlan()):
     """Permanently kill whichever site is coordinating, at each step.
 
-    Uses the plan's ``kill_coordinator_at`` mark: the cluster installs
-    the current coordinator's name on the fabric before each group
-    commit, so the sweep covers scenarios where the coordinator varies
-    (or is chosen mid-run) without naming it.  Marks placed before any
+    Uses the plan's ``kill_coordinator_at`` mark: the injector kills
+    the cluster's coordinator of the group in flight, so the sweep
+    covers scenarios where the coordinator varies (or is chosen
+    mid-run) without naming it.  Marks placed before any
     coordinator exists hold their fire until one is installed — every
     step kills some coordinator.  The mark also selects the two-phase
     failover judgment: survivors must settle by takeover *before* the

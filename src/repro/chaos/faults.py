@@ -42,7 +42,8 @@ does).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from math import inf
 from typing import NamedTuple
 
@@ -110,9 +111,9 @@ class FaultPlan:
     #   forever) the fabric severs links between ``partition_groups``;
     # * ``site_crash_at=(site, k)`` — the named site loses power when
     #   message step k is sent (whichever site sent it);
-    # * ``kill_coordinator_at=k`` — whichever site the cluster last
-    #   installed as group-commit coordinator loses power at step k
-    #   (the sweep need not know coordinator names in advance);
+    # * ``kill_coordinator_at=k`` — whichever site coordinates the
+    #   cluster's group commit in flight loses power at step k (the
+    #   sweep need not know coordinator names in advance);
     # * ``join_site_at=(name, k)`` — a new site named ``name`` joins the
     #   cluster at step k (executed at the next cluster tick boundary);
     # * ``leave_site_at=(leaver, successor, k)`` — ``leaver`` begins an
@@ -131,30 +132,20 @@ class FaultPlan:
     # Derived, never serialised or compared: the lowest step number at
     # which anything above can fire (kind-keyed drops: any step, 0; an
     # empty plan: never, inf).  Below it every membership test and every
-    # ``number >= mark`` is False, so injector and fabric number and
-    # record a step and ask the plan nothing else.
+    # ``number >= mark`` is False, so the injector numbers and records
+    # a step and asks the plan nothing else.
     first_step: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "lose_fsync_at", frozenset(self.lose_fsync_at)
-        )
-        object.__setattr__(
-            self, "fail_flush_at", frozenset(self.fail_flush_at)
-        )
-        object.__setattr__(self, "drop_msg_at", frozenset(self.drop_msg_at))
-        object.__setattr__(
-            self, "drop_msg_kinds", frozenset(self.drop_msg_kinds)
-        )
-        object.__setattr__(self, "dup_msg_at", frozenset(self.dup_msg_at))
-        object.__setattr__(
-            self, "delay_msg_at", frozenset(self.delay_msg_at)
-        )
-        object.__setattr__(
-            self,
-            "partition_groups",
-            tuple(tuple(group) for group in self.partition_groups),
-        )
+        # One form per field, whatever the caller (or a JSON dict) gave:
+        # step sets are frozensets, marks tuples (an empty one None).
+        put = partial(object.__setattr__, self)
+        for spec in fields(self):
+            if isinstance(spec.default, frozenset):
+                put(spec.name, frozenset(getattr(self, spec.name)))
+            elif spec.type == "tuple" and spec.default is None:
+                put(spec.name, tuple(getattr(self, spec.name) or ()) or None)
+        put("partition_groups", tuple(map(tuple, self.partition_groups)))
         marks = (self.site_crash_at, self.join_site_at, self.leave_site_at)
         numbers = {
             self.crash_at, self.torn_page_at, self.partition_at,
@@ -163,143 +154,66 @@ class FaultPlan:
             *self.lose_fsync_at, *self.fail_flush_at,
             *self.drop_msg_at, *self.dup_msg_at, *self.delay_msg_at,
         } - {None}
-        object.__setattr__(
-            self, "first_step",
-            0 if self.drop_msg_kinds else min(numbers, default=inf),
-        )
+        first = 0 if self.drop_msg_kinds else min(numbers, default=inf)
+        put("first_step", first)
+
+    def _given(self):
+        """``(name, value)`` of every field off its default, in field
+        order, but the qualifiers (``label``; ``heal_at`` and
+        ``partition_groups``, which only qualify ``partition_at``)."""
+        return [
+            (spec.name, getattr(self, spec.name))
+            for spec in fields(self)
+            if spec.init
+            and spec.name not in ("label", "heal_at", "partition_groups")
+            and getattr(self, spec.name) != spec.default
+        ]
 
     @property
     def is_noop(self):
-        return (
-            self.crash_at is None
-            and self.torn_page_at is None
-            and not self.lose_fsync_at
-            and not self.fail_flush_at
-            and self.crash_at_failpoint is None
-            and not self.drop_msg_at
-            and not self.drop_msg_kinds
-            and not self.dup_msg_at
-            and not self.delay_msg_at
-            and self.partition_at is None
-            and self.site_crash_at is None
-            and self.kill_coordinator_at is None
-            and self.join_site_at is None
-            and self.leave_site_at is None
-        )
+        """Whether nothing is planned to go wrong (``keep_tail`` only
+        says what a crash keeps)."""
+        return all(name == "keep_tail" for name, __ in self._given())
 
     def describe(self):
         parts = []
-        if self.crash_at is not None:
-            parts.append(f"crash_at={self.crash_at}")
-        if self.torn_page_at is not None:
-            parts.append(f"torn_page_at={self.torn_page_at}")
-        if self.lose_fsync_at:
-            parts.append(f"lose_fsync_at={sorted(self.lose_fsync_at)}")
-        if self.fail_flush_at:
-            parts.append(f"fail_flush_at={sorted(self.fail_flush_at)}")
-        if self.crash_at_failpoint is not None:
-            parts.append(f"crash_at_failpoint={self.crash_at_failpoint}")
-        if self.keep_tail:
-            parts.append("keep_tail=True")
-        if self.drop_msg_at:
-            parts.append(f"drop_msg_at={sorted(self.drop_msg_at)}")
-        if self.drop_msg_kinds:
-            parts.append(f"drop_msg_kinds={sorted(self.drop_msg_kinds)}")
-        if self.dup_msg_at:
-            parts.append(f"dup_msg_at={sorted(self.dup_msg_at)}")
-        if self.delay_msg_at:
-            parts.append(f"delay_msg_at={sorted(self.delay_msg_at)}")
-        if self.partition_at is not None:
-            groups = "|".join(
-                ",".join(group) for group in self.partition_groups
-            )
-            healed = f"..{self.heal_at}" if self.heal_at is not None else ""
-            parts.append(
-                f"partition_at={self.partition_at}{healed} ({groups})"
-            )
-        if self.site_crash_at is not None:
-            parts.append(f"site_crash_at={self.site_crash_at}")
-        if self.kill_coordinator_at is not None:
-            parts.append(f"kill_coordinator_at={self.kill_coordinator_at}")
-        if self.join_site_at is not None:
-            parts.append(f"join_site_at={self.join_site_at}")
-        if self.leave_site_at is not None:
-            parts.append(f"leave_site_at={self.leave_site_at}")
+        for name, value in self._given():
+            if name == "partition_at":
+                groups = "|".join(
+                    ",".join(group) for group in self.partition_groups
+                )
+                healed = f"..{self.heal_at}" if self.heal_at is not None else ""
+                value = f"{value}{healed} ({groups})"
+            elif isinstance(value, frozenset):
+                value = sorted(value)
+            parts.append(f"{name}={value}")
         return ", ".join(parts) if parts else "no faults"
 
     def to_dict(self):
-        """JSON-serializable form (the replay artifact format)."""
+        """JSON-serializable form (the replay artifact format): every
+        field in field order, step sets sorted, marks as lists."""
         return {
-            "crash_at": self.crash_at,
-            "torn_page_at": self.torn_page_at,
-            "lose_fsync_at": sorted(self.lose_fsync_at),
-            "fail_flush_at": sorted(self.fail_flush_at),
-            "crash_at_failpoint": (
-                list(self.crash_at_failpoint)
-                if self.crash_at_failpoint is not None
-                else None
-            ),
-            "keep_tail": self.keep_tail,
-            "label": self.label,
-            "drop_msg_at": sorted(self.drop_msg_at),
-            "drop_msg_kinds": sorted(self.drop_msg_kinds),
-            "dup_msg_at": sorted(self.dup_msg_at),
-            "delay_msg_at": sorted(self.delay_msg_at),
-            "partition_at": self.partition_at,
-            "heal_at": self.heal_at,
-            "partition_groups": [
-                list(group) for group in self.partition_groups
-            ],
-            "site_crash_at": (
-                list(self.site_crash_at)
-                if self.site_crash_at is not None
-                else None
-            ),
-            "kill_coordinator_at": self.kill_coordinator_at,
-            "join_site_at": (
-                list(self.join_site_at)
-                if self.join_site_at is not None
-                else None
-            ),
-            "leave_site_at": (
-                list(self.leave_site_at)
-                if self.leave_site_at is not None
-                else None
-            ),
+            spec.name: _plain(getattr(self, spec.name))
+            for spec in fields(self)
+            if spec.init
         }
 
     @classmethod
     def from_dict(cls, data):
-        failpoint = data.get("crash_at_failpoint")
-        site_crash = data.get("site_crash_at")
-        join_site = data.get("join_site_at")
-        leave_site = data.get("leave_site_at")
-        return cls(
-            crash_at=data.get("crash_at"),
-            torn_page_at=data.get("torn_page_at"),
-            lose_fsync_at=frozenset(data.get("lose_fsync_at", ())),
-            fail_flush_at=frozenset(data.get("fail_flush_at", ())),
-            crash_at_failpoint=tuple(failpoint) if failpoint else None,
-            keep_tail=bool(data.get("keep_tail", False)),
-            label=data.get("label", ""),
-            drop_msg_at=frozenset(data.get("drop_msg_at", ())),
-            drop_msg_kinds=frozenset(data.get("drop_msg_kinds", ())),
-            dup_msg_at=frozenset(data.get("dup_msg_at", ())),
-            delay_msg_at=frozenset(data.get("delay_msg_at", ())),
-            partition_at=data.get("partition_at"),
-            heal_at=data.get("heal_at"),
-            partition_groups=tuple(
-                tuple(group) for group in data.get("partition_groups", ())
-            ),
-            site_crash_at=tuple(site_crash) if site_crash else None,
-            kill_coordinator_at=data.get("kill_coordinator_at"),
-            join_site_at=tuple(join_site) if join_site else None,
-            leave_site_at=tuple(leave_site) if leave_site else None,
-        )
+        return cls(**data)
 
     def with_(self, **changes):
         """A copy with fields replaced (sweep convenience)."""
         return replace(self, **changes)
+
+
+def _plain(value):
+    """A plan field as JSON holds it: sets sorted, tuples as lists."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
 
 
 # How much of a torn page survives: the first sector's worth of the new
@@ -311,10 +225,15 @@ TORN_PREFIX = 512
 class FaultInjector:
     """Counts I/O steps, records a trace, and fires the planned faults.
 
-    One injector instruments one storage stack.  After a fault fires the
-    injector *disarms*: post-mortem inspection and restart recovery run
-    over the same devices without re-triggering the plan (arm a fresh
-    injector to chaos-test recovery itself).
+    It is the only reader of a :class:`FaultPlan`: product code calls
+    its step methods (``page_write``, ``page_sync``, ``log_append``,
+    ``log_flush``, ``pool_flush``, ``gc_enroll``, ``message``,
+    ``failpoint``) and never looks at the plan.  One injector
+    instruments one storage stack, or a whole cluster it is bound to
+    (:meth:`bind`).  After a fault fires the injector *disarms*:
+    post-mortem inspection and restart recovery run over the same
+    devices without re-triggering the plan (arm a fresh injector to
+    chaos-test recovery itself).
     """
 
     plan: FaultPlan = field(default_factory=FaultPlan)
@@ -325,6 +244,10 @@ class FaultInjector:
     lied_fsyncs: int = 0
     failed_flushes: int = 0
     failpoint_counts: dict = field(default_factory=dict)
+    # Where the plan's cluster marks fire (:meth:`bind`), and which of
+    # them have fired: each fires once.
+    cluster: object = field(default=None, repr=False, compare=False)
+    marks_fired: set = field(default_factory=set)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -419,10 +342,10 @@ class FaultInjector:
         The verdict is ``(action, step)`` with ``action`` one of
         ``"deliver"``, ``"drop"``, ``"duplicate"``, ``"delay"`` (and
         ``step`` the recorded :class:`IoStep`, or ``None`` when the
-        injector is disarmed).  Partition and site-crash effects are the
-        fabric's job — it reads the plan and the step number itself —
-        because they depend on fabric state (group membership, link
-        endpoints) the injector deliberately knows nothing about.
+        injector is disarmed).  The plan's cluster marks due at this
+        step fire here too, before the fabric applies link state — so
+        the message whose step installs a partition is already subject
+        to it.
         """
         if not self.armed:
             return "deliver", None
@@ -430,6 +353,7 @@ class FaultInjector:
         plan = self.plan
         if step.number < plan.first_step:
             return "deliver", step
+        self._fire_marks(step.number)
         if step.number in plan.drop_msg_at or kind in plan.drop_msg_kinds:
             return "drop", step
         if step.number in plan.dup_msg_at:
@@ -437,6 +361,51 @@ class FaultInjector:
         if step.number in plan.delay_msg_at:
             return "delay", step
         return "deliver", step
+
+    def bind(self, cluster):
+        """Aim the plan's cluster marks at ``cluster``; returns it.  They
+        act through its console: ``partition``, ``heal``, ``crash_site``
+        (a coordinator kill's target is ``cluster.coordinator``), and
+        ``cluster.pending_churn`` for a join or leave at its next tick."""
+        self.cluster = cluster
+        return cluster
+
+    def _due(self, mark, step, number):
+        if step is None or number < step or mark in self.marks_fired:
+            return False
+        if self.cluster is None:
+            raise RuntimeError(f"{mark} due at step {number}, no cluster bound")
+        return True
+
+    def _fire_marks(self, number):
+        """Fire each cluster mark of the plan once, from its step on."""
+        plan, fired, cluster = self.plan, self.marks_fired, self.cluster
+        if self._due("partition", plan.partition_at, number):
+            fired.add("partition")
+            cluster.partition(*plan.partition_groups)
+        if "partition" in fired and self._due("heal", plan.heal_at, number):
+            fired.add("heal")
+            cluster.heal()
+        site_crash = plan.site_crash_at or (None, None)
+        if self._due("site crash", site_crash[1], number):
+            fired.add("site crash")
+            cluster.crash_site(site_crash[0])
+        if (
+            self._due("coordinator kill", plan.kill_coordinator_at, number)
+            # No group in flight yet: hold the fire until there is one,
+            # so every step of a sweep kills *some* coordinator.
+            and cluster.coordinator is not None
+        ):
+            fired.add("coordinator kill")
+            cluster.crash_site(cluster.coordinator)
+        join = plan.join_site_at or (None, None)
+        if self._due("join", join[1], number):
+            fired.add("join")
+            cluster.pending_churn.append(("join", join[0]))
+        leave = plan.leave_site_at or (None, None, None)
+        if self._due("leave", leave[2], number):
+            fired.add("leave")
+            cluster.pending_churn.append(("leave", leave[:2]))
 
     def failpoint(self, name):
         """A named semantic failpoint (transaction-manager failure hook).

@@ -37,8 +37,8 @@ import json
 import sys
 
 # Importing the scenario modules is what fills the registry.
+import repro.chaos.cluster_scenarios  # noqa: F401
 import repro.chaos.workflow  # noqa: F401
-import repro.cluster.scenarios  # noqa: F401
 from repro.chaos.explorer import ScheduleController, decode_choices
 from repro.chaos.faults import FaultPlan
 from repro.chaos.scenarios import live_violations

@@ -15,7 +15,7 @@ five steps, and this module owns all five:
    :func:`crash_steps`, :func:`torn_pages`, :func:`lost_fsyncs`,
    :func:`failpoints`, :func:`transient_flushes` here, the message,
    site-crash, partition, failover and churn dimensions in
-   :mod:`repro.cluster.sweep`.  Adding a dimension is one generator::
+   :mod:`repro.chaos.cluster_sweep`.  Adding a dimension is one generator::
 
        def torn_pages(trace):
            for step in trace.steps_of_kind(PAGE_WRITE):
@@ -35,7 +35,7 @@ five steps, and this module owns all five:
    absorbing.  They are implemented once each: single-site
    (:class:`repro.chaos.scenarios.ScenarioSpec`), durable workflows
    (:class:`repro.chaos.workflow.WorkflowScenarioSpec`) and clusters
-   (:class:`repro.cluster.scenarios.ClusterScenarioSpec`).  All return
+   (:class:`repro.chaos.cluster_scenarios.ClusterScenarioSpec`).  All return
    the one :class:`Verdict`.
 4. **Account** — :func:`sweep` is the only loop: it counts runs, records
    per dimension which keys were enumerated (``universe``) and which

@@ -1,14 +1,14 @@
-"""The multi-site ASSET cluster: N sites, one fabric, one plan.
+"""The multi-site ASSET cluster: N sites, one fabric, one injector.
 
 :class:`Cluster` assembles :class:`~repro.cluster.site.Site` instances
 over a shared :class:`~repro.net.fabric.NetworkFabric`, a shared
-:class:`~repro.common.clock.LogicalClock`, and — when given a ``plan`` or
-an ``injector`` — a *single* :class:`~repro.chaos.faults.FaultInjector`,
-so every storage I/O step and every message step across all sites draws
-from one deterministic counter, and one
-:class:`~repro.chaos.faults.FaultPlan` reproduces a whole multi-site
-failure scenario.  A fault-free cluster carries no injector: nothing
-numbers a step that no plan reads.
+:class:`~repro.common.clock.LogicalClock`, and — when given an
+``injector`` — a *single* fault injector, so every storage I/O step and
+every message step across all sites draws from one deterministic
+counter.  The cluster never reads a fault plan: the harness binds the
+injector to the cluster, whose console the plan's marks then act
+through.  A fault-free cluster carries no injector: nothing numbers a
+step that no plan reads.
 
 The driver itself is a fabric endpoint named ``"client"`` — the test
 console.  Its RPCs ride the same unreliable links as everything else and
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from repro.chaos.faults import FaultInjector
 from repro.chaos.oracles import evaluate_cluster
 from repro.common.clock import LogicalClock
 from repro.common.errors import NetworkTimeout, RetryExhausted
@@ -83,17 +82,13 @@ class Cluster:
     def __init__(
         self,
         sites=("alpha", "beta", "gamma"),
-        plan=None,
         injector=None,
         rpc_timeout=16,
         rpc_attempts=4,
     ):
-        if injector is None and plan is not None:
-            injector = FaultInjector(plan=plan)
         self.injector = injector
         self.clock = LogicalClock()
         self.fabric = NetworkFabric(injector=self.injector)
-        self.fabric.crash_hook = self.crash_site
         self.sites = {
             name: Site(
                 name, self.fabric, clock=self.clock, injector=self.injector
@@ -111,6 +106,11 @@ class Cluster:
         self._gids = count(1)
         self.groups = {}
         self.rounds = 0
+        # Who coordinates the group commit in flight, and membership
+        # changes deferred to the next tick: ``("join", name)`` or
+        # ``("leave", (leaver, successor))``.
+        self.coordinator = None
+        self.pending_churn = []
         # Membership map + object-range placement.  ``membership`` is
         # the set of sites accepting *new* placements (a left site stays
         # in ``sites`` to serve 2PC duty for state it still holds); the
@@ -126,11 +126,19 @@ class Cluster:
 
     def tick(self):
         """One cluster round: deliver, then give every site a duty slice."""
-        # Planned membership churn fires on message-step numbers inside
-        # fabric.send; the fabric only queues the request (joining a
-        # site mid-send would recurse into the cluster), and the next
-        # tick boundary executes it deterministically.
-        for action, arg in self.fabric.take_churn():
+        # Deferred churn runs at the tick boundary, deterministically:
+        # joining a site mid-send would recurse into the cluster.
+        if self.pending_churn:
+            self._apply_churn()
+        self.fabric.pump_round()
+        for site in self._tick_order:
+            site.on_tick()
+        self.clock.tick()
+        self.rounds += 1
+
+    def _apply_churn(self):
+        requests, self.pending_churn = self.pending_churn, []
+        for action, arg in requests:
             if action == "join":
                 if arg not in self.sites:
                     self.join_site(arg)
@@ -145,11 +153,6 @@ class Cluster:
                     # join fires at a later step) is skipped, not a
                     # ValueError out of the middle of the tick loop.
                     self.leave_site(leaver, successor, wait=False)
-        self.fabric.pump_round()
-        for site in self._tick_order:
-            site.on_tick()
-        self.clock.tick()
-        self.rounds += 1
 
     def settle(self, rounds=8):
         """Run a fixed number of rounds (protocol soak, no early exit)."""
@@ -409,9 +412,7 @@ class Cluster:
             "coordinator": coordinator,
             "members": {ref.site: ref.tid for ref in refs},
         }
-        # Tell the fabric who coordinates the group in flight, so a
-        # planned ``kill_coordinator_at`` mark knows whom to kill.
-        self.fabric.coordinator_name = coordinator
+        self.coordinator = coordinator
         try:
             reply = self.call(
                 coordinator,

@@ -45,7 +45,6 @@ lifecycles and the evidence → verdict table are in ``docs/internals.md``
 
 from __future__ import annotations
 
-from repro.chaos.faults import CrashPoint
 from repro.cluster.group import (
     OPEN,
     STATUS_VERDICT,
@@ -103,14 +102,13 @@ HANDOFF_OFFER = "handoff_offer"
 HANDOFF_ACCEPT = "handoff_accept"
 HANDOFF_DONE = "handoff_done"
 
-# The fault injector's contract (chaos/faults.py): injected faults must
-# propagate, never be converted into ordinary RPC error replies — a site
-# that swallows its own simulated crash or I/O fault keeps answering
-# while "dead", and the sweep oracles lose the fault they planted.
-# CrashPoint already escapes ``except Exception`` by deriving from
-# BaseException; TransientIOError (fail_flush_at) does not, so the RPC
-# handlers must re-raise it explicitly.
-_INJECTED_FAULTS = (CrashPoint, TransientIOError)
+# The fault injector's contract: injected faults must propagate, never
+# be converted into ordinary RPC error replies — a site that swallows its
+# own simulated crash or I/O fault keeps answering while "dead", and the
+# sweep oracles lose the fault they planted.  A simulated crash already
+# escapes ``except Exception`` by deriving from BaseException; a
+# TransientIOError (a planned transient flush failure) does not, so the
+# RPC handlers re-raise it explicitly.
 
 # Protocol timing, in cluster ticks.  A participant gives a PREPARE
 # request PREPARE_TTL ticks to find its component complete; a coordinator
@@ -414,22 +412,22 @@ class Site:
             )
             counter.value += amount
 
-    def _obs_mark(self, g, kind, **fields):
-        """Annotate the spans of the local transactions ``g``'s vote
-        covered, if any.
+    def _obs_link(self, tids, kind, **fields):
+        """Link ``kind`` onto the spans of ``tids`` that carry the gid
+        ``fields`` names (a PREPARED event stamps it), or none.
 
-        Takeover and handoff transitions are group-level, not
-        transaction-level, so they surface as links on the spans of the
-        member transactions they settle — visible in the same export as
-        the 2PC marks."""
-        if self.obs is None or g is None:
+        Takeovers and handoffs are not transaction-level transitions, so
+        they surface as links on the spans of the transactions they
+        settle or move — in the same export as the 2PC marks."""
+        if self.obs is None:
             return
         spans = self.obs.spans.spans
-        for tid in g.tids:
+        gid = fields.get("gid")
+        for tid in tids:
             span = spans.get((self.name, tid))
-            if span is not None and span["gid"] == g.gid:
+            if span is not None and span["gid"] == gid:
                 span["links"].append(
-                    {"type": kind, "tick": self.ticks, "gid": g.gid, **fields}
+                    {"type": kind, "tick": self.ticks, **fields}
                 )
 
     def _note_coordinator_alive(self, g, src=None):
@@ -615,7 +613,7 @@ class Site:
         try:
             self.manager.form_dependency(dep_type, ti, tj)
             ok = True
-        except _INJECTED_FAULTS:
+        except TransientIOError:
             raise
         except Exception as exc:  # cycle / unknown tid -> report, not die
             ok = False
@@ -640,7 +638,7 @@ class Site:
             else:
                 self.manager.form_dependency(dep_type, proxy, local)
             ok, error = True, None
-        except _INJECTED_FAULTS:
+        except TransientIOError:
             raise
         except Exception as exc:
             ok, error = False, type(exc).__name__
@@ -664,7 +662,7 @@ class Site:
         try:
             moved = self.manager.delegate(giver, receiver, oids)
             self._reply(msg, {"ok": True, "moved": sorted(moved)})
-        except _INJECTED_FAULTS:
+        except TransientIOError:
             raise
         except Exception as exc:
             self._reply(msg, {"ok": False, "error": type(exc).__name__})
@@ -687,7 +685,7 @@ class Site:
                 operations=msg.payload.get("operations"),
             )
             self._reply(msg, {"ok": True})
-        except _INJECTED_FAULTS:
+        except TransientIOError:
             raise
         except Exception as exc:
             self._reply(msg, {"ok": False, "error": type(exc).__name__})
@@ -1064,7 +1062,9 @@ class Site:
         assert g.voted and g.takeover is None
         g.epoch = epoch = g.epoch + 1  # above any claim: restart restored it
         self._stat("takeovers_started")
-        self._obs_mark(g, "takeover_started", epoch=epoch, old=g.coordinator)
+        self._obs_link(
+            g.tids, "takeover_started", gid=g.gid, epoch=epoch, old=g.coordinator
+        )
         self._move(g, "takeover", Takeover(epoch, g.coordinator, g.sites))
         self._poll_takeover(g)
 
@@ -1197,7 +1197,9 @@ class Site:
         if verdict == "commit":
             g.commit_logged = True
         self._stat("takeovers_decided")
-        self._obs_mark(g, "takeover_decided", epoch=epoch, verdict=verdict)
+        self._obs_link(
+            g.tids, "takeover_decided", gid=g.gid, epoch=epoch, verdict=verdict
+        )
         # The taker is the group's coordinator of record from here on.
         g.members = {site: taker.tids.get(site) for site in taker.sites}
         g.members[self.name] = g.tid
@@ -1313,7 +1315,7 @@ class Site:
             return
         if msg.src != handoff["successor"]:
             return
-        moved = 0
+        moved, handed = 0, []
         mapping = dict(msg.payload["map"])
         for tid_value in sorted(handoff["txs"]):
             receiver_value = mapping.get(tid_value)
@@ -1328,12 +1330,13 @@ class Site:
             proxy = self.proxy_for(handoff["successor"], receiver_value)
             try:
                 self.manager.delegate(giver, proxy, None)
-            except _INJECTED_FAULTS:
+            except TransientIOError:
                 raise
             except Exception:
                 self.manager.abort(giver, reason="handoff delegation failed")
                 continue
             moved += 1
+            handed.append(giver)
             td = self.manager.table.maybe_get(giver)
             if td is not None and td.status is TransactionStatus.COMPLETED:
                 self.runtime.commit(giver)
@@ -1347,9 +1350,7 @@ class Site:
         self.left = True
         self._stat("handoffs_completed")
         self._stat("handoff_txs_moved", moved)
-        # Not a group transition: the mark lands on members of gid 0
-        # (the manager's default gid), as it always has.
-        self._obs_mark(self.groups.get(0), "handoff_done", moved=moved)
+        self._obs_link(handed, "handoff_done", moved=moved)
         self._send(
             handoff["successor"],
             HANDOFF_DONE,

@@ -22,10 +22,11 @@ Fault semantics, per message, decided at send time:
   kernel buffers).
 
 The per-message verdicts come from the fault injector the fabric is
-given (step kind ``NET_MSG``); partition installation, healing, and
-site power cuts are plan-driven too, keyed on the message-step counter
-passing the planned step number.  A fabric built without an injector
-numbers no steps and delivers every message its links allow.
+given, which numbers each send as a step; partitions and power cuts are
+link state, set through :meth:`NetworkFabric.partition` and
+:meth:`NetworkFabric.mark_down` by whoever holds the fabric.  A fabric
+built without an injector numbers no steps and delivers every message
+its links allow.
 """
 
 from __future__ import annotations
@@ -68,22 +69,6 @@ class NetworkFabric:
         self.delayed = []
         self.down = set()
         self.partitions = ()
-        # Installed by the cluster: called with a site name when the
-        # plan's site power cut fires.
-        self.crash_hook = None
-        # Installed by the cluster before each group commit: whom a
-        # planned ``kill_coordinator_at`` mark should kill.
-        self.coordinator_name = None
-        # Planned membership churn cannot execute mid-send (joining a
-        # site recurses into the cluster); the marks queue requests
-        # here and the cluster drains them at its next tick boundary.
-        self._churn_requests = []
-        self._partition_applied = False
-        self._healed = False
-        self._site_crash_fired = False
-        self._kill_coordinator_fired = False
-        self._join_fired = False
-        self._leave_fired = False
         self._msg_ids = count(1)
         self.delivery_log = []  # (step, src, dst, kind, action)
         # Observability hook (repro.obs): a MetricsRegistry installed by
@@ -154,11 +139,8 @@ class NetworkFabric:
     def send(self, src, dst, kind, payload=None, reply_to=None):
         """Enqueue a message; returns it (delivery is not implied).
 
-        With an injector: number the step, apply the planned partition /
-        heal / site-crash / churn marks (keyed on the message-step
-        counter, consulted from the plan's ``first_step`` on), then the
-        link checks — so the message whose step triggers a partition is
-        already subject to it.  Without one, only the link checks.
+        With an injector: its verdict for the numbered step, then the
+        link checks.  Without one, only the link checks.
         """
         message = Message(
             next(self._msg_ids), src, dst, kind,
@@ -172,8 +154,6 @@ class NetworkFabric:
             action, step = injector.message(src, dst, kind)
             if step is not None:
                 number = step.number
-                if number >= injector.plan.first_step:
-                    self._apply_planned_marks(injector.plan, number)
         action = self._link_verdict(message, action)
         self.delivery_log.append((number, src, dst, kind, action))
         metrics = self.metrics
@@ -195,72 +175,6 @@ class NetworkFabric:
         else:
             self.inboxes[dst].append(message)
         return message
-
-    def _apply_planned_marks(self, plan, number):
-        if (
-            plan.partition_at is not None
-            and not self._partition_applied
-            and number >= plan.partition_at
-        ):
-            self.partition(plan.partition_groups)
-            self._partition_applied = True
-        if (
-            plan.heal_at is not None
-            and self._partition_applied
-            and not self._healed
-            and number >= plan.heal_at
-        ):
-            self.heal()
-            self._healed = True
-        if (
-            plan.site_crash_at is not None
-            and not self._site_crash_fired
-            and number >= plan.site_crash_at[1]
-        ):
-            self._site_crash_fired = True
-            site = plan.site_crash_at[0]
-            if self.crash_hook is not None:
-                self.crash_hook(site)
-            else:
-                self.mark_down(site)
-        if (
-            plan.kill_coordinator_at is not None
-            and not self._kill_coordinator_fired
-            and number >= plan.kill_coordinator_at
-        ):
-            # No coordinator installed yet (the group commit has not
-            # begun): hold the fire until one is, so every step of a
-            # sweep kills *some* coordinator.
-            target = self.coordinator_name
-            if target is not None:
-                self._kill_coordinator_fired = True
-                if self.crash_hook is not None:
-                    self.crash_hook(target)
-                else:
-                    self.mark_down(target)
-        if (
-            plan.join_site_at is not None
-            and not self._join_fired
-            and number >= plan.join_site_at[1]
-        ):
-            self._join_fired = True
-            self._churn_requests.append(("join", plan.join_site_at[0]))
-        if (
-            plan.leave_site_at is not None
-            and not self._leave_fired
-            and number >= plan.leave_site_at[2]
-        ):
-            self._leave_fired = True
-            self._churn_requests.append(
-                ("leave", (plan.leave_site_at[0], plan.leave_site_at[1]))
-            )
-
-    def take_churn(self):
-        """Drain queued planned-churn requests (cluster tick boundary)."""
-        if not self._churn_requests:
-            return ()
-        requests, self._churn_requests = self._churn_requests, []
-        return requests
 
     def _link_verdict(self, message, action):
         """Downgrade the injector's verdict with link-state realities."""

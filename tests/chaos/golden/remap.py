@@ -40,12 +40,16 @@ from pathlib import Path
 
 import repro.chaos.scenarios  # noqa: F401  (registers the scenarios)
 import repro.chaos.workflow  # noqa: F401
-import repro.cluster.scenarios  # noqa: F401
 from repro.chaos.faults import LOG_APPEND, FaultPlan
 from repro.chaos.sweep import get, names, probe, run_plan
 
+try:
+    import repro.chaos.cluster_scenarios  # noqa: F401
+except ImportError:  # a tree from before the cluster harness left cluster/
+    import repro.cluster.scenarios  # noqa: F401
+
 GOLDEN = Path(__file__).parent
-HEAL_AFTER = 16  # repro.cluster.sweep's: heal_at is partition_at + this
+HEAL_AFTER = 16  # cluster_sweep's: heal_at is partition_at + this
 
 # Record type bytes: the parent's two image records.
 BEFORE, AFTER = 1, 2

@@ -7,8 +7,10 @@ run a sweep (or a schedule exploration) under each mutation and assert
 the oracles *do* fire — proving the harness can see the class of bug the
 mechanism exists to prevent.
 
-None of these are reachable from production code paths: they patch
-classes at test time and restore them on exit, even on error.
+They live with the tests, not in ``src/``: each patches a class with
+:func:`unittest.mock.patch.object`, which restores it on exit, even on
+error.  Every public mutation here must be used by some test module
+(``tests/chaos/test_mutation_coverage.py``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import sys
 import zlib
 from contextlib import contextmanager
 from dataclasses import replace
+from unittest.mock import patch
 
+from repro.cluster.site import Site
 from repro.core.manager import TransactionManager
 from repro.storage.buffer import BufferPool
 from repro.storage.log import (
@@ -26,30 +30,21 @@ from repro.storage.log import (
     UpdateRecord,
     WriteAheadLog,
 )
+from repro.storage.objects import ObjectStore
 from repro.storage.page import _CRC, Page
 from repro.storage.recovery import RecoveryManager
+from repro.storage.store import StorageManager
 
 
-@contextmanager
 def undo_disabled():
     """Recovery skips its undo phase: losers keep their effects.
 
     The crash sweep must report exact-state violations for any crash
     that leaves a loser's after image in the durable log.
     """
-    original = RecoveryManager._undo
-
-    def skip_undo(self, report):
-        return None
-
-    RecoveryManager._undo = skip_undo
-    try:
-        yield
-    finally:
-        RecoveryManager._undo = original
+    return patch.object(RecoveryManager, "_undo", lambda self, report: None)
 
 
-@contextmanager
 def redo_lwm_too_high():
     """Redo starts above the last durable checkpoint's mark — at the
     log's last record, as if a marker were written after every append.
@@ -58,20 +53,15 @@ def redo_lwm_too_high():
     then never reinstalled: a crash sweep over any scenario that leaves
     committed work in the cache must report exact-state violations.
     """
-    original = WriteAheadLog.redo_records
+    redo_records = WriteAheadLog.redo_records
 
     def from_the_end(self):
         self.redo_lsn = self.last_lsn
-        return original(self)
+        return redo_records(self)
 
-    WriteAheadLog.redo_records = from_the_end
-    try:
-        yield
-    finally:
-        WriteAheadLog.redo_records = original
+    return patch.object(WriteAheadLog, "redo_records", from_the_end)
 
 
-@contextmanager
 def redo_keeps_oldest_image():
     """Redo installs, for each object with an image above the mark, the
     *oldest* one instead of the newest — the one way installing once
@@ -79,7 +69,6 @@ def redo_keeps_oldest_image():
     twice above the mark with the later image still off its page must
     show: the ``checkpoint_mark`` and ``steal_window`` sweeps and the
     restart property go red."""
-    original = WriteAheadLog.redo_records
 
     def oldest(self):
         first, images = {}, 0
@@ -89,87 +78,62 @@ def redo_keeps_oldest_image():
                 first.setdefault(record.oid, record)
         return list(first.values()), images - len(first)
 
-    WriteAheadLog.redo_records = oldest
-    try:
-        yield
-    finally:
-        WriteAheadLog.redo_records = original
+    return patch.object(WriteAheadLog, "redo_records", oldest)
 
 
-@contextmanager
 def redo_mark_read_after_flush():
     """A checkpoint marker carries the log's last LSN as of *after* the
     pool flush, not before: a commit landing in between is covered by
     the mark although its page is dirty again.  ``checkpoint_mark`` must
     catch it."""
-    original = WriteAheadLog.log_checkpoint
+    log_checkpoint = WriteAheadLog.log_checkpoint
 
     def mark_late(self, active, redo_lsn=0):
-        return original(self, active, self.last_lsn if redo_lsn else 0)
+        return log_checkpoint(self, active, self.last_lsn if redo_lsn else 0)
 
-    WriteAheadLog.log_checkpoint = mark_late
-    try:
-        yield
-    finally:
-        WriteAheadLog.log_checkpoint = original
+    return patch.object(WriteAheadLog, "log_checkpoint", mark_late)
 
 
-@contextmanager
 def torn_page_keeps_mark():
     """Quarantining a torn page no longer voids the checkpoint mark: an
     object on it last written below the mark is never rebuilt.  The
     ``checkpoint_mark`` sweeps' torn-page dimension must catch it."""
-    original = WriteAheadLog.log_checkpoint
+    log_checkpoint = WriteAheadLog.log_checkpoint
 
     def never_void(self, active, redo_lsn=0):
         if redo_lsn or not self.redo_lsn:
-            return original(self, active, redo_lsn)
+            return log_checkpoint(self, active, redo_lsn)
 
-    WriteAheadLog.log_checkpoint = never_void
-    try:
-        yield
-    finally:
-        WriteAheadLog.log_checkpoint = original
+    return patch.object(WriteAheadLog, "log_checkpoint", never_void)
 
 
-@contextmanager
 def void_mark_skips_prefix():
     """Redo under a void mark reads only the tail, as if the restart
     point held every image redo needs: an object on the torn page last
     written below the point is never rebuilt.  The ``checkpoint_mark``
     sweeps' torn-page dimension must catch it."""
-    original = WriteAheadLog._redo_span
 
     def tail_only(self):
         with self._lock:
             return self._decoded[self._first_above(self.redo_lsn) :]
 
-    WriteAheadLog._redo_span = tail_only
-    try:
-        yield
-    finally:
-        WriteAheadLog._redo_span = original
+    return patch.object(WriteAheadLog, "_redo_span", tail_only)
 
 
-@contextmanager
 def page_checksum_ignored():
     """``Page.from_bytes`` skips the checksum compare (every image is
     stamped with its own bytes' checksum first): a torn page decodes as
     its new header and old directory say, and the table rebuild serves
     the neighbours' bytes under their ids.  A tear of a compacted page
     must show."""
-    original = Page.__dict__["from_bytes"]
+    from_bytes = Page.__dict__["from_bytes"].__func__
 
     def unchecked(cls, raw, *args, **kwargs):
         raw = bytearray(raw)
         _CRC.pack_into(raw, 0, zlib.crc32(memoryview(raw)[_CRC.size :]))
-        return original.__func__(cls, bytes(raw), *args, **kwargs)
+        return from_bytes(cls, bytes(raw), *args, **kwargs)
 
-    Page.from_bytes = classmethod(unchecked)
-    try:
-        yield
-    finally:
-        Page.from_bytes = original
+    return patch.object(Page, "from_bytes", classmethod(unchecked))
 
 
 class _Everyone:
@@ -179,45 +143,34 @@ class _Everyone:
         return True
 
 
-@contextmanager
 def restart_point_ignores_active():
     """The restart point is the redo mark alone, as if every transaction
     had finished: one still active at the checkpoint no longer holds it
     down, so its before images below the mark are gone from every later
     open and restart cannot undo it.  The ``checkpoint_mark`` sweeps
     must catch it."""
-    original = WriteAheadLog.restart_point
+    restart_point = WriteAheadLog.restart_point
 
     def mark_only(self, marker, finished=frozenset()):
-        return original(self, marker, _Everyone())
+        return restart_point(self, marker, _Everyone())
 
-    WriteAheadLog.restart_point = mark_only
-    try:
-        yield
-    finally:
-        WriteAheadLog.restart_point = original
+    return patch.object(WriteAheadLog, "restart_point", mark_only)
 
 
-@contextmanager
 def restart_point_forgets_max_tid():
     """What a marker says about the highest tid below it is ignored: a
     log opened at its restart point knows only its tail's tids, and a
     restarted manager hands out one that the prefix already holds."""
-    original = WriteAheadLog._index_record
+    index_record = WriteAheadLog._index_record
 
     def tail_only(self, record):
         if isinstance(record, CheckpointRecord):
             record = replace(record, max_tid=0)
-        original(self, record)
+        index_record(self, record)
 
-    WriteAheadLog._index_record = tail_only
-    try:
-        yield
-    finally:
-        WriteAheadLog._index_record = original
+    return patch.object(WriteAheadLog, "_index_record", tail_only)
 
 
-@contextmanager
 def wal_ordering_broken():
     """Dirty pages reach disk without forcing the log first.
 
@@ -228,23 +181,14 @@ def wal_ordering_broken():
     that the durable log cannot attribute or undo.  The sweep must catch
     the window.
     """
-
-    def read_none(self):
-        return None
-
-    def discard(self, value):
-        pass
-
-    BufferPool.wal = property(read_none, discard)
-    try:
-        yield
-    finally:
-        # Back to a plain data attribute: new pools assign their own
-        # instance value in __init__.
-        del BufferPool.wal
+    # The pool's ``wal`` is an instance attribute: the patch creates the
+    # class property and deletes it on exit.
+    return patch.object(
+        BufferPool, "wal", property(lambda self: None, lambda self, v: None),
+        create=True,
+    )
 
 
-@contextmanager
 def wal_gate_stuck():
     """The write-ahead gate always answers "already durable".
 
@@ -255,16 +199,7 @@ def wal_gate_stuck():
     uncommitted) reaches disk ahead of its undo record; the
     ``steal_window`` sweep must catch it.
     """
-    original = WriteAheadLog.force
-
-    def already_durable(self, lsn):
-        return False
-
-    WriteAheadLog.force = already_durable
-    try:
-        yield
-    finally:
-        WriteAheadLog.force = original
+    return patch.object(WriteAheadLog, "force", lambda self, lsn: False)
 
 
 @contextmanager
@@ -272,10 +207,7 @@ def _logged_after_install(writer, installs):
     """``WriteAheadLog.<writer>`` holds its record back until the next
     of ``ObjectStore.<installs>`` has run: install, *then* log — the one
     rule, turned around."""
-    from repro.storage.objects import ObjectStore
-
     log_it = getattr(WriteAheadLog, writer)
-    originals = {name: getattr(ObjectStore, name) for name in installs}
     held = []
 
     def hold_back(self, *record):
@@ -291,15 +223,11 @@ def _logged_after_install(writer, installs):
 
         return wrapper
 
-    setattr(WriteAheadLog, writer, hold_back)
-    for name, install in originals.items():
-        setattr(ObjectStore, name, then_log(install))
-    try:
+    with patch.object(WriteAheadLog, writer, hold_back), patch.multiple(
+        ObjectStore,
+        **{name: then_log(getattr(ObjectStore, name)) for name in installs},
+    ):
         yield
-    finally:
-        setattr(WriteAheadLog, writer, log_it)
-        for name, install in originals.items():
-            setattr(ObjectStore, name, install)
 
 
 def update_logged_after_install():
@@ -321,7 +249,6 @@ def compensation_logged_after_install():
     return _logged_after_install("log_compensation", ("install",))
 
 
-@contextmanager
 def write_unpinned_clean():
     """``StorageManager.write_object``'s one unpin passes ``dirty=False``.
 
@@ -333,46 +260,34 @@ def write_unpinned_clean():
     registered scenarios rewrite pages their creates already dirtied;
     ``tests/chaos/test_checkpoint_mark.py`` carries one that does not).
     """
-    from repro.storage.store import StorageManager
-
-    original = BufferPool.unpin
+    pool_unpin = BufferPool.unpin
     forward_write = StorageManager.write_object.__code__
 
     def unpin(self, page_id, dirty=False):
         if sys._getframe(1).f_code is forward_write:
             dirty = False
-        return original(self, page_id, dirty)
+        return pool_unpin(self, page_id, dirty)
 
-    BufferPool.unpin = unpin
-    try:
-        yield
-    finally:
-        BufferPool.unpin = original
+    return patch.object(BufferPool, "unpin", unpin)
 
 
-@contextmanager
 def dependency_dropped(dep_type):
     """``form_dependency`` silently ignores edges of ``dep_type``.
 
     The caller believes the edge exists; the scenario's *intent* list
     still records it; the ACTA oracles must notice the fate mismatch.
     """
-    original = TransactionManager.form_dependency
+    form_dependency = TransactionManager.form_dependency
     dropped_name = getattr(dep_type, "name", dep_type)
 
     def dropping(self, dt, ti, tj):
         if getattr(dt, "name", dt) == dropped_name:
             return None  # claim success, form nothing
-        return original(self, dt, ti, tj)
+        return form_dependency(self, dt, ti, tj)
 
-    TransactionManager.form_dependency = dropping
-    try:
-        yield
-    finally:
-        TransactionManager.form_dependency = original
+    return patch.object(TransactionManager, "form_dependency", dropping)
 
 
-@contextmanager
 def delegation_unlogged():
     """Delegations happen in memory but never reach the log.
 
@@ -381,21 +296,11 @@ def delegation_unlogged():
     committing one gets undone anyway.  The sweep's exact-state oracle
     must flag the divergence.
     """
-    from repro.storage.store import StorageManager
-
-    original = StorageManager.log_delegate
-
-    def unlogged(self, tid, delegatee, oids):
-        return None
-
-    StorageManager.log_delegate = unlogged
-    try:
-        yield
-    finally:
-        StorageManager.log_delegate = original
+    return patch.object(
+        StorageManager, "log_delegate", lambda self, tid, delegatee, oids: None
+    )
 
 
-@contextmanager
 def commit_logged_before_witness():
     """The coordinator force-logs COMMIT before any witness acknowledged.
 
@@ -407,23 +312,16 @@ def commit_logged_before_witness():
     witness, presumes abort.  ``release_blackout_sweep`` must report the
     dual decision.
     """
-    from repro.cluster.site import Site
-
-    original = Site._decide
+    decide = Site._decide
 
     def log_first(self, g, verdict):
-        original(self, g, verdict)
+        decide(self, g, verdict)
         if self.up and g.state == "releasing":
             self._seal_commit(g)
 
-    Site._decide = log_first
-    try:
-        yield
-    finally:
-        Site._decide = original
+    return patch.object(Site, "_decide", log_first)
 
 
-@contextmanager
 def tick_skips_unsettled_site():
     """The tick's settled-site guard forgets ``prepared``: a site whose
     members are prepared and undecided is skipped like an idle one.
@@ -433,9 +331,7 @@ def tick_skips_unsettled_site():
     dead coordinator is never taken over.  The cluster message sweep and
     ``release_blackout_sweep`` must report the groups that never settle.
     """
-    from repro.cluster.site import Site
-
-    original = Site.on_tick
+    on_tick = Site.on_tick
 
     def forgetful(self):
         if self.up and any(
@@ -444,16 +340,11 @@ def tick_skips_unsettled_site():
             self.ticks += 1
             self.runtime.round()
             return
-        original(self)
+        on_tick(self)
 
-    Site.on_tick = forgetful
-    try:
-        yield
-    finally:
-        Site.on_tick = original
+    return patch.object(Site, "on_tick", forgetful)
 
 
-@contextmanager
 def restart_forgets_resolved_votes():
     """A restarted site derives no verdict for the votes it resolved.
 
@@ -465,11 +356,6 @@ def restart_forgets_resolved_votes():
     one, and a takeover that polls such a witness can never conclude:
     ``stranded_witness_sweep`` must report the members left waiting.
     """
-    from repro.cluster.site import Site
-
-    original = Site._resolved_verdict
-    Site._resolved_verdict = lambda self, vote, winners: None
-    try:
-        yield
-    finally:
-        Site._resolved_verdict = original
+    return patch.object(
+        Site, "_resolved_verdict", lambda self, vote, winners: None
+    )

@@ -6,7 +6,10 @@ all six mark tests per send.  Those bodies are kept here, verbatim (but
 for the fabric's metrics hook, which no test here installs), as the
 references the ``first_step``-gated versions are checked against
 (``tests/chaos/test_plan_gate.py``) — the ``tests/storage/scan_oracle.py``
-idiom.
+idiom.  The fabric no longer fires marks (the injector does, on the
+cluster it is bound to), so the reference fabric carries the state its
+marks kept: the six fired flags, the crash hook, the coordinator name
+and the churn queue.
 """
 
 from repro.chaos.faults import (
@@ -117,6 +120,18 @@ class UngatedInjector(FaultInjector):
 class UngatedFabric(NetworkFabric):
     """:class:`NetworkFabric` with the parent's send path: the marks are
     tested at every numbered message."""
+
+    def __init__(self, injector):
+        super().__init__(injector)
+        self.crash_hook = None
+        self.coordinator_name = None
+        self._churn_requests = []
+        self._partition_applied = False
+        self._healed = False
+        self._site_crash_fired = False
+        self._kill_coordinator_fired = False
+        self._join_fired = False
+        self._leave_fired = False
 
     def send(self, src, dst, kind, payload=None, reply_to=None):
         message = Message(

@@ -39,15 +39,6 @@ import pytest
 
 from repro.chaos import scenarios
 from repro.chaos.faults import LOG_FLUSH, PAGE_WRITE, FaultPlan
-from repro.chaos.mutations import (
-    redo_keeps_oldest_image,
-    redo_lwm_too_high,
-    redo_mark_read_after_flush,
-    restart_point_ignores_active,
-    torn_page_keeps_mark,
-    void_mark_skips_prefix,
-    write_unpinned_clean,
-)
 from repro.chaos.scenarios import ScenarioSpec
 from repro.chaos.sweep import (
     crash_sweep,
@@ -60,6 +51,15 @@ from repro.storage.log import (
     CommitRecord,
     CompensationRecord,
     UpdateRecord,
+)
+from tests.chaos.mutations import (
+    redo_keeps_oldest_image,
+    redo_lwm_too_high,
+    redo_mark_read_after_flush,
+    restart_point_ignores_active,
+    torn_page_keeps_mark,
+    void_mark_skips_prefix,
+    write_unpinned_clean,
 )
 
 ENGINES = pytest.mark.parametrize(

@@ -14,10 +14,14 @@ import shlex
 
 import pytest
 
-import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
+import repro.chaos.cluster_scenarios  # noqa: F401  (registers the scenarios)
 from repro.chaos import replay, scenarios
+from repro.chaos.cluster_sweep import release_blackout_sweep
 from repro.chaos.explorer import ScheduleExplorer
-from repro.chaos.mutations import (
+from repro.chaos.scenarios import live_violations
+from repro.chaos.sweep import ScenarioBrokenError, crash_sweep, probe
+from repro.core.dependency import DependencyType
+from tests.chaos.mutations import (
     commit_logged_before_witness,
     delegation_unlogged,
     dependency_dropped,
@@ -25,10 +29,6 @@ from repro.chaos.mutations import (
     wal_gate_stuck,
     wal_ordering_broken,
 )
-from repro.chaos.scenarios import live_violations
-from repro.chaos.sweep import ScenarioBrokenError, crash_sweep, probe
-from repro.cluster.sweep import release_blackout_sweep
-from repro.core.dependency import DependencyType
 
 
 class TestCrashSweepSensitivity:

@@ -1,11 +1,12 @@
 """The ``first_step`` gate against its reference.
 
 A :class:`~repro.chaos.faults.FaultPlan` is consulted from its first
-step on; below it the injector and the fabric number and record a step
-and ask nothing.  ``tests/chaos/plan_gate_oracle.py`` keeps the ungated
-bodies; here random plans over random step streams must give the same
-verdicts, exceptions, effects and bookkeeping through both, and the
-derived field itself is pinned.
+step on; below it the injector numbers and records a step and asks
+nothing.  ``tests/chaos/plan_gate_oracle.py`` keeps the ungated bodies
+(and the fabric that fired the cluster marks before the injector did);
+here random plans over random step streams must give the same verdicts,
+exceptions, effects and bookkeeping through both, and the derived field
+itself is pinned.
 """
 
 from __future__ import annotations
@@ -70,6 +71,26 @@ io_steps = st.one_of(
 )
 
 
+class FabricConsole:
+    """What a bound injector's marks act on, over a bare fabric — a
+    cluster console whose crash is the endpoint's power cut (what the
+    reference fabric does with no crash hook installed)."""
+
+    def __init__(self, fabric):
+        self.fabric = fabric
+        self.coordinator = None
+        self.pending_churn = []
+
+    def crash_site(self, name):
+        self.fabric.mark_down(name)
+
+    def partition(self, *groups):
+        self.fabric.partition(groups)
+
+    def heal(self):
+        self.fabric.heal()
+
+
 def _drive(injector, stream):
     """Every call's outcome and effect, in order."""
     observed = []
@@ -105,21 +126,21 @@ def _bookkeeping(injector):
 @given(plan=plans, stream=st.lists(io_steps, max_size=60))
 def test_the_gated_injector_is_the_ungated_one(plan, stream):
     gated, reference = FaultInjector(plan=plan), UngatedInjector(plan=plan)
+    gated.bind(FabricConsole(NetworkFabric()))  # its marks: the property below
     assert _drive(gated, stream) == _drive(reference, stream)
     assert _bookkeeping(gated) == _bookkeeping(reference)
 
 
-def _fabric_state(fabric):
+MARKS = ("partition", "heal", "site crash", "coordinator kill", "join", "leave")
+
+
+def _fabric_state(fabric, churn, fired):
     return {
         "delivery_log": list(fabric.delivery_log),
         "partitions": fabric.partitions,
         "down": set(fabric.down),
-        "churn": list(fabric._churn_requests),
-        "fired": (
-            fabric._partition_applied, fabric._healed,
-            fabric._site_crash_fired, fabric._kill_coordinator_fired,
-            fabric._join_fired, fabric._leave_fired,
-        ),
+        "churn": list(churn),
+        "fired": fired,
         "stats": dict(fabric.stats),
         "inboxes": {
             name: [(m.msg_id, m.kind) for m in inbox]
@@ -135,26 +156,37 @@ def _fabric_state(fabric):
     stream=st.lists(messages, max_size=60),
     coordinator_from=st.integers(min_value=0, max_value=60),
 )
-def test_the_gated_fabric_applies_every_mark_at_the_same_message(
+def test_the_injector_fires_every_mark_where_the_fabric_did(
     plan, stream, coordinator_from
 ):
     # crash_at would end the stream at the same step on both sides (the
     # injector property covers it); here the marks are what is compared.
     plan = plan.with_(crash_at=None)
-    gated = NetworkFabric(FaultInjector(plan=plan))
+    injector = FaultInjector(plan=plan)
+    gated = NetworkFabric(injector)
+    console = injector.bind(FabricConsole(gated))
     reference = UngatedFabric(UngatedInjector(plan=plan))
     for fabric in (gated, reference):
         for site in SITES:
             fabric.register(site, lambda message: None)
     for index, (__, src, dst, kind) in enumerate(stream):
+        if index == coordinator_from:
+            console.coordinator = reference.coordinator_name = "alpha"
         for fabric in (gated, reference):
-            if index == coordinator_from:
-                fabric.coordinator_name = "alpha"
             fabric.send(src, dst, kind)
             if index % 7 == 6:
                 fabric.pump_round()
-        assert _fabric_state(gated) == _fabric_state(reference), index
-    assert gated.take_churn() == reference.take_churn()
+        flags = (
+            reference._partition_applied, reference._healed,
+            reference._site_crash_fired, reference._kill_coordinator_fired,
+            reference._join_fired, reference._leave_fired,
+        )
+        assert _fabric_state(
+            gated, console.pending_churn, injector.marks_fired
+        ) == _fabric_state(
+            reference, reference._churn_requests,
+            {mark for mark, fired in zip(MARKS, flags) if fired},
+        ), index
 
 
 class TestFirstStep:

@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 import shlex
 
-import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
+import repro.chaos.cluster_scenarios  # noqa: F401  (registers the scenarios)
 from repro.chaos import replay
+from repro.chaos.cluster_sweep import takeover_death_sweep
 from repro.chaos.faults import FaultPlan
-from repro.chaos.mutations import undo_disabled
 from repro.chaos.sweep import get, probe, replay_command
 from repro.chaos.workflow import workflow_crash_sweep
 from repro.cluster.site import TAKEOVER_GRACE, Site
-from repro.cluster.sweep import takeover_death_sweep
+from tests.chaos.mutations import undo_disabled
 
 
 def _replay(command, capsys):

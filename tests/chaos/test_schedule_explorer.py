@@ -8,9 +8,9 @@ from repro.chaos.explorer import (
     encode_choices,
     identity,
 )
-from repro.chaos.mutations import dependency_dropped
 from repro.chaos.scenarios import live_violations
 from repro.core.dependency import DependencyType
+from tests.chaos.mutations import dependency_dropped
 
 
 class TestScheduleController:

@@ -17,12 +17,12 @@ import pytest
 
 from repro.chaos import scenarios
 from repro.chaos.faults import LOG_FLUSH, PAGE_WRITE
-from repro.chaos.mutations import (
+from repro.chaos.sweep import crash_sweep, probe, transient_fault_sweep
+from tests.chaos.mutations import (
     update_logged_after_install,
     wal_gate_stuck,
     wal_ordering_broken,
 )
-from repro.chaos.sweep import crash_sweep, probe, transient_fault_sweep
 
 ENGINES = pytest.mark.parametrize(
     "name", ["steal_window", "steal_window_sharded"]

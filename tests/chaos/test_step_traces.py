@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
+import repro.chaos.cluster_scenarios  # noqa: F401  (registers the scenarios)
 from repro.chaos.faults import FaultPlan
 from repro.chaos.sweep import get, names, probe, run_plan
 

@@ -17,13 +17,11 @@ from pathlib import Path
 
 import pytest
 
+import repro.chaos.cluster_scenarios  # noqa: F401
 import repro.chaos.scenarios  # noqa: F401  (registers the scenarios)
 import repro.chaos.workflow  # noqa: F401
-import repro.cluster.scenarios  # noqa: F401
 from repro.chaos import sweep as driver
-from repro.chaos.faults import FaultPlan
-from repro.chaos.workflow import workflow_crash_sweep
-from repro.cluster.sweep import (
+from repro.chaos.cluster_sweep import (
     coordinator_deaths,
     joins,
     leaves,
@@ -34,6 +32,8 @@ from repro.cluster.sweep import (
     site_crashes,
     takeover_death_sweep,
 )
+from repro.chaos.faults import FaultPlan
+from repro.chaos.workflow import workflow_crash_sweep
 
 GOLDEN = Path(__file__).parent / "golden"
 DEFAULTS = FaultPlan().to_dict()

@@ -16,6 +16,7 @@ from types import CodeType
 
 import repro.chaos
 import repro.common.ids
+from repro.chaos.cluster_scenarios import planned_cluster
 from repro.chaos.faults import FaultInjector, FaultPlan
 from repro.cluster import Cluster
 from tests.cluster.test_round_cost import calls_during, commit_groups
@@ -92,7 +93,7 @@ class TestIdsAreInts:
 
 class TestAPlannedClusterNumbersEveryStep:
     def test_the_parents_steps_and_deliveries(self):
-        cluster = Cluster(plan=FaultPlan())
+        cluster = planned_cluster(FaultPlan())
         commit_groups(cluster, 3)
         assert _digest(
             f"{s.number} {s.kind} {s.detail}" for s in cluster.injector.trace

@@ -130,8 +130,8 @@ class TestLeave:
         # skipped at the tick boundary, not explode out of the tick
         # loop as a ValueError and abort the whole faulted run.
         cluster = Cluster()
-        cluster.fabric._churn_requests.append(("leave", ("beta", "nobody")))
-        cluster.fabric._churn_requests.append(("leave", ("beta", "beta")))
+        cluster.pending_churn.append(("leave", ("beta", "nobody")))
+        cluster.pending_churn.append(("leave", ("beta", "beta")))
         cluster.tick()
         assert "beta" in cluster.membership
         assert not cluster.sites["beta"].left

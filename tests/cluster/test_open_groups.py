@@ -16,12 +16,16 @@ the tick walked (``pending_prepares``, ``prepared``, ``in_doubt``,
 
 import pytest
 
-import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
+import repro.chaos.cluster_scenarios  # noqa: F401  (registers the scenarios)
+from repro.chaos.cluster_sweep import (
+    message_faults,
+    message_sweep,
+    site_crashes,
+)
 from repro.chaos.faults import FaultPlan
 from repro.chaos.sweep import get, probe, run_plan
 from repro.cluster import Cluster
 from repro.cluster.site import Site
-from repro.cluster.sweep import message_faults, message_sweep, site_crashes
 from tests.cluster.test_evidence_oracle import broken
 from tests.cluster.test_two_phase import spawn_group
 

@@ -18,13 +18,13 @@ among them, and so is the completed takeover.
 
 import pytest
 
-import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
+import repro.chaos.cluster_scenarios  # noqa: F401  (registers the scenarios)
+from repro.chaos.cluster_sweep import stranded_witness_sweep
 from repro.chaos.faults import FaultPlan
-from repro.chaos.mutations import restart_forgets_resolved_votes
 from repro.chaos.sweep import get, probe
 from repro.cluster import Cluster
 from repro.cluster.group import WAITING
-from repro.cluster.sweep import stranded_witness_sweep
+from tests.chaos.mutations import restart_forgets_resolved_votes
 
 SPEC = get("cluster_group_commit")
 FIRST_VOTE = next(n for n, d in probe(SPEC).messages if d.endswith(":vote"))

@@ -14,19 +14,19 @@ import sys
 
 import pytest
 
-import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
-from repro.chaos.faults import FaultPlan
-from repro.chaos.mutations import tick_skips_unsettled_site
-from repro.chaos.sweep import get
-from repro.cluster import Cluster
-from repro.cluster.sweep import (
+from repro.chaos.cluster_scenarios import planned_cluster
+from repro.chaos.cluster_sweep import (
     message_faults,
     message_sweep,
     release_blackout_sweep,
 )
+from repro.chaos.faults import FaultPlan
+from repro.chaos.sweep import get
+from repro.cluster import Cluster
 from repro.net.fabric import Message
 from repro.storage import log as log_module
 from repro.storage.log import DecisionRecord, PrepareRecord
+from tests.chaos.mutations import tick_skips_unsettled_site
 from tests.cluster.test_two_phase import spawn_group
 
 IDLE_TICK_CALLS = 16  # 13 now; 30 by this count at the parent of PR 19
@@ -147,7 +147,7 @@ class TestSettledSite:
     def test_an_unsettled_site_still_does_its_duty(self):
         # The same instrumentation sees the walks once there is work:
         # a prepared member whose coordinator went silent.
-        cluster = Cluster(plan=FaultPlan(drop_msg_kinds={"decision"}))
+        cluster = planned_cluster(FaultPlan(drop_msg_kinds={"decision"}))
         refs = spawn_group(cluster)
         outcome = cluster.group_commit(refs, coordinator="alpha", timeout=4)
         assert not outcome.resolved
@@ -217,11 +217,11 @@ class TestSendUnderTheDefaultPlan:
                 asked.append(name)
                 return super().__getattribute__(name)
 
-        cluster = Cluster(plan=WatchedPlan())
+        cluster = planned_cluster(WatchedPlan())
         marks = []
-        apply = cluster.fabric._apply_planned_marks
-        cluster.fabric._apply_planned_marks = (
-            lambda *args: marks.append(args) or apply(*args)
+        fire = cluster.injector._fire_marks
+        cluster.injector._fire_marks = (
+            lambda number: marks.append(number) or fire(number)
         )
         del asked[:]
         commit_groups(cluster, 2)
@@ -231,11 +231,11 @@ class TestSendUnderTheDefaultPlan:
         assert marks == []
 
     def test_the_marks_are_tested_from_the_first_step_on(self):
-        cluster = Cluster(plan=FaultPlan(join_site_at=("delta", 20)))
+        cluster = planned_cluster(FaultPlan(join_site_at=("delta", 20)))
         marks = []
-        apply = cluster.fabric._apply_planned_marks
-        cluster.fabric._apply_planned_marks = (
-            lambda plan, number: marks.append(number) or apply(plan, number)
+        fire = cluster.injector._fire_marks
+        cluster.injector._fire_marks = (
+            lambda number: marks.append(number) or fire(number)
         )
         commit_groups(cluster, 1)
         assert "delta" in cluster.sites

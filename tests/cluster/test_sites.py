@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos.cluster_scenarios import planned_cluster
 from repro.chaos.faults import FaultPlan
 from repro.cluster import Cluster
 from repro.common.errors import RetryExhausted
@@ -18,9 +19,9 @@ def _account(tag):
     return body
 
 
-def make_cluster(**kw):
+def make_cluster(plan=None, **kw):
     kw.setdefault("sites", ("alpha", "beta"))
-    return Cluster(**kw)
+    return Cluster(**kw) if plan is None else planned_cluster(plan, **kw)
 
 
 class TestConsole:

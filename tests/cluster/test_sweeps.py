@@ -12,9 +12,8 @@ import os
 
 import pytest
 
-import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
-from repro.chaos.sweep import get, names, probe
-from repro.cluster.sweep import (
+import repro.chaos.cluster_scenarios  # noqa: F401  (registers the scenarios)
+from repro.chaos.cluster_sweep import (
     coordinator_deaths,
     joins,
     leaves,
@@ -26,6 +25,7 @@ from repro.cluster.sweep import (
     stranded_witness_sweep,
     takeover_death_sweep,
 )
+from repro.chaos.sweep import get, names, probe
 
 LONG = os.environ.get("CHAOS_BUDGET") == "long"
 STEP_LIMIT = None if LONG else 12
@@ -144,7 +144,7 @@ def test_failing_result_carries_reproduction_plan():
     # the replay CLI depends on.  (The red run comes from reverting
     # witness-confirmed release; tests/chaos/test_harness_sensitivity.py
     # replays the artifact through the CLI.)
-    from repro.chaos.mutations import commit_logged_before_witness
+    from tests.chaos.mutations import commit_logged_before_witness
 
     spec = get("cluster_group_commit")
     result = message_sweep(spec, message_faults, limit=1)

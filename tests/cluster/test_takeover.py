@@ -6,7 +6,7 @@ kill points with named expectations, rather than every step with the
 generic oracles.
 """
 
-import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
+import repro.chaos.cluster_scenarios  # noqa: F401  (registers the scenarios)
 from repro.chaos.faults import FaultPlan
 from repro.chaos.sweep import get, probe, run_plan
 from repro.cluster import Cluster

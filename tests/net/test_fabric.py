@@ -1,5 +1,6 @@
 """The simulated fabric: deterministic delivery, per-step faults,
-partitions, and site power cuts."""
+partitions, and site power cuts.  (Planned partitions and power cuts
+are the injector's marks on a cluster: ``tests/cluster/test_plan_marks.py``.)"""
 
 import pytest
 
@@ -159,20 +160,6 @@ class TestPartitions:
         fabric.pump()
         assert [m.kind for m in logs["b"]] == ["found"]
 
-    def test_planned_partition_installs_and_heals_by_step(self):
-        plan = FaultPlan(
-            partition_at=2, heal_at=4, partition_groups=(("a",), ("b",))
-        )
-        fabric = make_fabric(plan)
-        logs = wire(fabric, "a", "b")
-        fabric.send("a", "b", "before")  # step 1: clean
-        fabric.send("a", "b", "during")  # step 2: partition installs
-        fabric.send("a", "b", "still")  # step 3: still severed
-        fabric.send("a", "b", "after")  # step 4: heals
-        fabric.pump()
-        assert [m.kind for m in logs["b"]] == ["before", "after"]
-        assert fabric.stats["partition_drops"] == 2
-
 
 class TestSiteCrash:
     def test_down_site_loses_inbox_and_traffic(self):
@@ -188,17 +175,6 @@ class TestSiteCrash:
         fabric.send("a", "b", "after")
         fabric.pump()
         assert [m.kind for m in logs["b"]] == ["after"]
-
-    def test_planned_site_crash_fires_hook_once(self):
-        plan = FaultPlan(site_crash_at=("b", 2))
-        fabric = make_fabric(plan)
-        wire(fabric, "a", "b")
-        crashed = []
-        fabric.crash_hook = crashed.append
-        fabric.send("a", "b", "one")
-        fabric.send("a", "b", "two")  # step 2: power cut
-        fabric.send("a", "b", "three")
-        assert crashed == ["b"]
 
 
 class TestDeterminism:

@@ -8,9 +8,9 @@ group-commit ordering (every COMMITTED strictly after every PREPARED of
 its group) visible across sites on the one clock.
 """
 
+import repro.chaos.cluster_scenarios  # noqa: F401  (registers the scenarios)
 from repro.acta.history import HistoryRecorder
 from repro.chaos.faults import FaultPlan
-import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
 from repro.chaos.sweep import get, run_plan
 from repro.common.events import EventKind
 from repro.obs import ObservabilityKit
@@ -162,10 +162,40 @@ class TestGroupMarks:
 
         kit.spans.spans = Probed(kit.spans.spans)
         group = site.groups[max(site.groups)]
-        site._obs_mark(group, "takeover_started", epoch=1, old="alpha")
+        site._obs_link(
+            group.tids, "takeover_started", gid=group.gid, epoch=1, old="alpha"
+        )
         assert Probed.walks == 0
         assert 0 < Probed.probes <= len(group.tids)
         for tid in group.tids:
             links = kit.spans.spans[(site.name, tid.value)]["links"]
             assert links[-1]["type"] == "takeover_started"
             assert links[-1]["gid"] == group.gid
+
+
+class TestHandoffMark:
+    """A leave's handoff marks the spans of the transactions it moved
+    (ROADMAP 6(d): it used to mark the members of gid 0, which no site
+    holds, so no span ever carried it)."""
+
+    def test_a_moved_transaction_carries_handoff_done(self):
+        from repro.cluster import Cluster
+
+        cluster = Cluster()
+        kit = ObservabilityKit().attach_cluster(cluster)
+
+        def account(tx):
+            oid = yield tx.create(b"h0")
+            yield tx.write(oid, b"h1")
+            return oid
+
+        ref = cluster.spawn_placed("acct-2", account)
+        assert ref.site == "beta"
+        cluster.wait(ref)
+        assert cluster.leave_site("beta", "gamma")["moved"] == 1
+        span = kit.spans.spans[("beta", int(ref.tid))]
+        marks = [
+            link for link in span["links"] if link["type"] == "handoff_done"
+        ]
+        assert len(marks) == 1 and marks[0]["moved"] == 1
+        assert set(marks[0]) == {"type", "tick", "moved"}

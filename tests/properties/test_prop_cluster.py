@@ -15,10 +15,10 @@ sampling would only blur the guarantee.
 
 import pytest
 
+import repro.chaos.cluster_scenarios  # noqa: F401  (registers the scenarios)
 from repro.chaos.faults import FaultPlan
-from repro.cluster import Cluster
-import repro.cluster.scenarios  # noqa: F401  (registers the scenarios)
 from repro.chaos.sweep import get, probe, run_plan
+from repro.cluster import Cluster
 from repro.storage.log import CommitRecord
 
 SITES = ("alpha", "beta", "gamma")

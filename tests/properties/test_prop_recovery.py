@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.mutations import redo_keeps_oldest_image
 from repro.chaos.oracles import expected_state
 from repro.chaos.stack import read_state
 from repro.common.codec import decode_int, encode_int
@@ -14,6 +13,7 @@ from repro.common.ids import ObjectId, Tid
 from repro.storage.log import MemoryLogDevice
 from repro.storage.segmented import ShardedStorageManager
 from repro.storage.store import StorageManager
+from tests.chaos.mutations import redo_keeps_oldest_image
 from tests.storage.scan_oracle import (
     assert_tail_analysis_matches,
     images_to_replay,

@@ -5,7 +5,6 @@ import sys
 import pytest
 
 from repro.chaos.faults import FaultInjector, FaultPlan
-from repro.chaos.mutations import compensation_logged_after_install
 from repro.chaos.oracles import expected_state
 from repro.chaos.stack import read_state
 from repro.common.ids import Lsn, ObjectId, Tid
@@ -23,6 +22,7 @@ from repro.storage.objects import ObjectStore
 from repro.storage.recovery import RecoveryManager
 from repro.storage.segmented import ShardedStorageManager
 from repro.storage.store import StorageManager
+from tests.chaos.mutations import compensation_logged_after_install
 from tests.storage.scan_oracle import analyze_scan, assert_analysis_matches
 
 

@@ -15,7 +15,6 @@ import zlib
 
 import pytest
 
-from repro.chaos.mutations import restart_point_forgets_max_tid
 from repro.common.errors import StorageError
 from repro.common.ids import Lsn, ObjectId, Tid
 from repro.core.manager import TransactionManager
@@ -30,6 +29,7 @@ from repro.storage.log import (
 )
 from repro.storage.segmented import ShardedStorageManager
 from repro.storage.store import StorageManager
+from tests.chaos.mutations import restart_point_forgets_max_tid
 from tests.storage.scan_oracle import max_tid_value_scan
 
 DEVICES = pytest.mark.parametrize("kind", ["memory", "file"])

@@ -27,7 +27,6 @@ from repro.chaos.faults import (
     FaultInjector,
     FaultPlan,
 )
-from repro.chaos.mutations import page_checksum_ignored, void_mark_skips_prefix
 from repro.chaos.stack import read_state
 from repro.common.errors import StorageError
 from repro.common.ids import Tid
@@ -35,6 +34,7 @@ from repro.storage.disk import InMemoryDiskManager
 from repro.storage.page import Page, TornPageError
 from repro.storage.segmented import ShardedStorageManager
 from repro.storage.store import StorageManager
+from tests.chaos.mutations import page_checksum_ignored, void_mark_skips_prefix
 
 PER_PAGE = 55  # 50-byte objects: the page is 85% full
 GROWN = 30  # the object that grows to 700 bytes: past the free space

@@ -7,14 +7,13 @@ and ``from ... import``, at any nesting depth, so lazy imports count):
   lang,resilience,obs}`` imports ``repro.chaos`` or ``repro.cluster``;
 * ``repro.net`` imports nothing from ``repro.chaos``: a fabric is given
   its fault injector or has none;
-* the ``repro.cluster`` product modules import from ``repro.chaos``
-  only ``chaos.faults`` (the injection seam product code is built
-  around) and the one ``evaluate_cluster`` that ``Cluster.evaluate``
-  hands its durable logs to.
-
-``repro.cluster.scenarios`` and ``repro.cluster.sweep`` are not product
-code: they are the cluster front-end of the sweep harness (the cluster
-*kind* and its fault dimensions) and import the driver by design.
+* ``repro.cluster`` imports one thing from ``repro.chaos``: the
+  ``evaluate_cluster`` that ``Cluster.evaluate`` hands its durable logs
+  to (the cluster's scenarios and sweeps are ``repro.chaos`` modules);
+* nothing outside ``repro.chaos`` reads a fault plan: the injector is
+  the plan's only reader, and product code calls it by duck typing;
+* the mutations live with the tests, and nothing in ``src/`` imports
+  them.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ PRODUCT = (
     "common", "core", "storage", "runtime", "models", "workflow", "lang",
     "resilience", "obs",
 )
-HARNESS_FRONT_END = {"repro.cluster.scenarios", "repro.cluster.sweep"}
 
 
 def _module_name(path):
@@ -87,24 +85,74 @@ def test_net_imports_nothing_from_chaos():
     assert not offenders, "\n".join(offenders)
 
 
-def test_net_and_cluster_take_only_the_injection_seam_from_chaos():
+def test_cluster_takes_only_its_oracle_from_chaos():
     allowed_extra = {
         ("repro.cluster.cluster", "repro.chaos.oracles", "evaluate_cluster"),
     }
     offenders = []
     for path in _modules("net", "cluster"):
         importer = _module_name(path)
-        if importer in HARNESS_FRONT_END:
-            continue
         for module, name in _imports(path):
             if not _under(module, name, "repro.chaos"):
-                continue
-            if module == "repro.chaos.faults":
                 continue
             if (importer, module, name) in allowed_extra:
                 continue
             offenders.append(f"{importer} imports {module}.{name}")
     assert not offenders, "\n".join(offenders)
+
+
+def test_only_the_harness_reads_a_fault_plan():
+    """No module outside ``repro.chaos`` reads an attribute named after
+    a :class:`~repro.chaos.faults.FaultPlan` field.  (``label`` is a
+    plain word elsewhere — a saga step's, a workflow task's; every other
+    field name is the plan's alone.)"""
+    from dataclasses import fields
+
+    from repro.chaos.faults import FaultPlan
+
+    plan_fields = {spec.name for spec in fields(FaultPlan)} - {"label"}
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno}: .{node.attr}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if not _module_name(path).startswith("repro.chaos")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in plan_fields
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_mutations_live_with_the_tests():
+    assert not (SRC / "repro" / "chaos" / "mutations.py").exists()
+    assert (SRC.parent / "tests" / "chaos" / "mutations.py").exists()
+    offenders = [
+        f"{_module_name(path)} imports {module}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for module, name in _imports(path)
+        if module.split(".")[0] == "tests"
+        or "mutations" in (module.split(".")[-1], name)
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_fabric_is_transport_and_the_cluster_takes_four_settings():
+    """What only the harness used is gone from the product: the
+    fabric's plan marks and their state, and ``Cluster(plan=...)``."""
+    import inspect
+
+    from repro.cluster import Cluster
+    from repro.net.fabric import NetworkFabric
+
+    fabric = NetworkFabric()
+    gone = (
+        "crash_hook", "coordinator_name", "_churn_requests", "take_churn",
+        "_apply_planned_marks", "_partition_applied", "_healed",
+        "_site_crash_fired", "_kill_coordinator_fired", "_join_fired",
+        "_leave_fired",
+    )
+    assert not [name for name in gone if hasattr(fabric, name)]
+    assert list(inspect.signature(Cluster).parameters) == [
+        "sites", "injector", "rpc_timeout", "rpc_attempts",
+    ]
 
 
 def test_the_durable_engine_loads_without_the_harness():
