@@ -29,7 +29,7 @@ from repro.bench.shardload import (
 )
 from repro.common.codec import encode_int
 from repro.common.ids import Tid
-from repro.storage.segmented import ShardedStorageManager
+from repro.storage.store import StorageManager
 
 
 def test_bench_ex15c_sharded_throughput(benchmark):
@@ -79,7 +79,7 @@ def test_bench_ex15c_sharded_throughput(benchmark):
 def _commit_population(multi_shard, population=24):
     """Commit ``population`` transactions; footprints either stay on one
     shard or spread over all four.  Returns per-commit milliseconds."""
-    store = ShardedStorageManager(n_shards=4)
+    store = StorageManager(n_shards=4)
     setup = Tid(999)
     oids = [
         store.create_object(setup, encode_int(0), name=f"e{i}")

@@ -58,7 +58,7 @@ class ScenarioSpec:
     # kit on ``stack.resilience``.
     resilience: object = None
     capacity: int = 256  # buffer-pool frames (per shard)
-    n_shards: int = None  # None: the flat WAL; a count: the segmented one
+    n_shards: int = None  # None: one shard, the flat manager; a count: sharded
 
     kind = "single-site"
     # A transient fault the model could not absorb — TransientIOError
@@ -407,7 +407,7 @@ def _after_last_pool_flush(storage, action):
     """Run ``action`` once, between the next checkpoint's (last) pool
     flush and its marker — the interleaving a concurrent writer could
     produce, driven single-threaded."""
-    pool = getattr(storage, "shards", [storage])[-1].pool
+    pool = storage.shards[-1].pool
     flush_all = pool.flush_all
 
     def flush_then_act():
@@ -457,7 +457,7 @@ def _checkpoint_mark_drive(stack):
 
     stack.commit(rt.spawn(grow))
     stack.intent.oids = dict(oids)
-    for shard in getattr(stack.storage, "shards", [stack.storage]):
+    for shard in stack.storage.shards:
         shard.pool.flush_all()
     stack.commit(rt.spawn(_writer, (a, b"a5")))
 

@@ -9,11 +9,12 @@ when the planned fault fires (a :class:`~repro.chaos.faults.CrashPoint`
 escapes), :meth:`restart` models the process death — volatile state
 abandoned, unflushed log records gone, a *fresh* storage stack rebuilt
 over the surviving devices — and runs restart recovery, exactly the
-sequence a real crash would produce.  ``n_shards`` picks the storage
-engine: ``None`` is the flat WAL, a count is the sharded manager over
-the segmented WAL (same injector, same lifecycle).  ``capacity`` is the
-buffer pool's frame count (per shard), for scenarios that want a pool
-smaller than their working set — before and after the restart.
+sequence a real crash would produce.  ``n_shards`` picks the engine:
+``None`` is the transaction manager over one shard, a count is the
+sharded manager over that many — one storage facade either way, with
+the same injector and the same lifecycle.  ``capacity`` is the buffer
+pool's frame count (per shard), for scenarios that want a pool smaller
+than their working set — before and after the restart.
 
 The stack also keeps the books the oracles need:
 
@@ -38,9 +39,7 @@ from repro.core.manager import TransactionManager
 from repro.core.sharded import ShardedTransactionManager
 from repro.runtime.coop import CooperativeRuntime
 from repro.runtime.sharded import ShardedRuntime
-from repro.storage.disk import InMemoryDiskManager
-from repro.storage.log import CommitRecord, MemoryLogDevice, WriteAheadLog
-from repro.storage.segmented import ShardedStorageManager
+from repro.storage.log import CommitRecord, WriteAheadLog
 from repro.storage.store import StorageManager
 
 
@@ -48,21 +47,14 @@ from repro.storage.store import StorageManager
 class RestartedSystem:
     """What exists after a simulated crash + restart recovery."""
 
-    storage: object  # StorageManager, or the recovered ShardedStorageManager
+    storage: object  # the StorageManager rebuilt over the devices
     report: object  # RecoveryReport
     durable_records: list  # the log exactly as the restart found it
 
 
 def read_state(storage):
-    """``{oid_value: bytes}`` snapshot of an object store's contents."""
-    from repro.common.ids import ObjectId
-
-    if isinstance(storage, ShardedStorageManager):
-        return storage.object_state()
-    return {
-        value: storage.objects.read(ObjectId(value))
-        for value in storage.objects.object_ids()
-    }
+    """``{oid_value: bytes}`` snapshot of a storage manager's objects."""
+    return storage.object_state()
 
 
 @dataclass
@@ -91,21 +83,12 @@ class ChaosStack:
         self.n_shards = n_shards
         self.capacity = capacity
         self.seed = seed
-        if n_shards is None:
-            self.device = MemoryLogDevice(injector=self.injector)
-            self.disk = InMemoryDiskManager(injector=self.injector)
-            log = WriteAheadLog(self.device, group_commit=group_commit)
-            self.storage = StorageManager(
-                disk=self.disk, log=log, injector=self.injector,
-                capacity=capacity,
-            )
-        else:
-            self.storage = ShardedStorageManager(
-                n_shards=n_shards,
-                group_commit=group_commit,
-                injector=self.injector,
-                capacity=capacity,
-            )
+        self.storage = StorageManager(
+            n_shards=n_shards,
+            group_commit=group_commit,
+            injector=self.injector,
+            capacity=capacity,
+        )
         self.runtime = self.runtime_over(
             self.storage, failpoint=self.injector.failpoint, schedule=schedule
         )
@@ -152,9 +135,7 @@ class ChaosStack:
         )
 
     def _segments(self):
-        """Every write-ahead log of the stack: one when flat, one per shard."""
-        if self.n_shards is None:
-            return [self.storage.log]
+        """Every write-ahead log of the stack, one per shard."""
         return [shard.log for shard in self.storage.shards]
 
     # -- intent bookkeeping (called by scenarios, ahead of the primitive) --
@@ -242,14 +223,11 @@ class ChaosStack:
         survived, a fresh storage stack is built over the same disk, and
         restart recovery runs.
 
-        ``recovery_injector`` (flat WAL only) arms a *new* injector over
-        the surviving devices so recovery's own I/O can be crashed (the
-        idempotence tests); a :class:`~repro.chaos.faults.CrashPoint` it
-        raises propagates to the caller, who simply calls :meth:`restart`
-        again — as many times as it takes, like a machine in a reboot
-        loop.  The sharded store crashes and recovers in place (its
-        segments own their devices), so its restarted storage is the
-        same object, recovered.
+        ``recovery_injector`` arms a *new* injector over the surviving
+        devices so recovery's own I/O can be crashed (the idempotence
+        tests); a :class:`~repro.chaos.faults.CrashPoint` it raises
+        propagates to the caller, who simply calls :meth:`restart` again
+        — as many times as it takes, like a machine in a reboot loop.
         """
         self.injector.disarm()
         if self.plan.keep_tail and not self._tail_kept:
@@ -257,25 +235,18 @@ class ChaosStack:
             self._tail_kept = True
             for log in self._segments():
                 log.device._advance_durable()
-        if self.n_shards is not None:
-            self.storage.crash()
-            durable_records = list(self.storage.log.records())
-            report = self.storage.recover()
-            return RestartedSystem(
-                storage=self.storage,
-                report=report,
-                durable_records=durable_records,
-            )
-        self.device.crash()
-        if recovery_injector is not None:
-            self.device.injector = recovery_injector
-            self.disk.injector = recovery_injector
-        log = WriteAheadLog(self.device)
-        durable_records = log.records()
+        shards = self.storage.shards
+        for shard in shards:
+            shard.log.device.crash()
+            if recovery_injector is not None:
+                shard.log.device.injector = recovery_injector
+                shard.disk.injector = recovery_injector
         storage = StorageManager(
-            disk=self.disk, log=log, injector=recovery_injector,
-            capacity=self.capacity,
+            disk=[shard.disk for shard in shards],
+            log=[WriteAheadLog(shard.log.device) for shard in shards],
+            injector=recovery_injector, capacity=self.capacity,
         )
+        durable_records = storage.log.records()
         report = storage.recover()
         return RestartedSystem(
             storage=storage, report=report, durable_records=durable_records

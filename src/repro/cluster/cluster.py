@@ -35,9 +35,9 @@ from repro.common.clock import LogicalClock
 from repro.common.errors import NetworkTimeout, RetryExhausted
 from repro.common.ids import Tid
 from repro.core.dependency import DependencyType
-from repro.core.sharding import ShardRouter
 from repro.net.fabric import NetworkFabric
 from repro.resilience.retry import RetryPolicy
+from repro.storage.segmented import ShardRouter
 from repro.cluster import site as protocol
 from repro.cluster.site import Site
 

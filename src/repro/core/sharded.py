@@ -6,10 +6,11 @@ from :mod:`repro.common.latch`:
 
 * object descriptors (and with them the permit buckets — permits
   physically attach to ODs) live in per-shard registries routed by the
-  :class:`~repro.core.sharding.ShardRouter`;
+  storage's :class:`~repro.storage.segmented.ShardRouter`;
 * dependency edges live in a :class:`~repro.core.sharding.StripedDependencyGraph`;
-* storage is a :class:`~repro.storage.segmented.ShardedStorageManager`
-  — per-shard object stores and WAL segments with parallel group commit.
+* storage is a :class:`~repro.storage.store.StorageManager` of as many
+  shards — per-shard object stores and WAL segments with parallel group
+  commit.
 
 **Latch discipline** (the deadlock-freedom argument, also in
 ``docs/internals.md``):
@@ -60,12 +61,8 @@ from repro.core.manager import TransactionManager
 from repro.core.outcomes import GRANTED, CommitStatus
 from repro.core.permits import PermitTable
 from repro.core.semantics import READ, WRITE
-from repro.core.sharding import (
-    ShardRouter,
-    StripedDependencyGraph,
-    default_shard_count,
-)
-from repro.storage.segmented import ShardedStorageManager
+from repro.core.sharding import DEFAULT_SHARDS, StripedDependencyGraph
+from repro.storage.store import StorageManager
 
 
 class _ShardState:
@@ -142,16 +139,13 @@ class ShardedTransactionManager(TransactionManager):
         capacity=256,
     ):
         if storage is None:
-            if n_shards is None:
-                n_shards = default_shard_count()
-            storage = ShardedStorageManager(
-                n_shards,
+            storage = StorageManager(
+                n_shards=n_shards or DEFAULT_SHARDS,
                 group_commit=group_commit,
                 injector=injector,
                 capacity=capacity,
             )
-        elif n_shards is None:
-            n_shards = storage.n_shards
+        n_shards = storage.n_shards
         super().__init__(
             storage=storage,
             conflicts=conflicts,
@@ -245,7 +239,7 @@ class ShardedTransactionManager(TransactionManager):
         oid, shard = self.storage.allocate_object(name=name)
         with self._latched({shard}):
             td = self._active_td(tid)
-            self.storage.create_allocated(tid, oid, shard, value, name=name)
+            self.storage.create_allocated(tid, oid, shard, value)
             od = self.registry.get_or_create(oid)
             self.lock_manager._grant(td, od, WRITE)
             self.events.emit(EventKind.WRITE, tid, oid=oid, created=True)

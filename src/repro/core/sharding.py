@@ -1,18 +1,13 @@
-"""Shard routing and striped control structures (ROADMAP item 1).
+"""Striped control structures (ROADMAP item 1).
 
 The sharded engine stripes the paper's section 4.1 control structures —
 object descriptors, permit buckets (which live on the ODs), and the
 dependency-edge index — across N shards, each guarded by one of the
-existing EOS S/X latches (:mod:`repro.common.latch`).  This module holds
-the pieces that are pure data-plane routing:
+existing EOS S/X latches (:mod:`repro.common.latch`).  Placement — which
+shard an object lives on — is the storage manager's
+(:class:`~repro.storage.segmented.ShardRouter`); this module holds the
+striped graph:
 
-* :class:`ShardRouter` — object placement.  Named objects hash by name
-  (stable CRC32, independent of ``PYTHONHASHSEED``); unnamed objects
-  hash by object-id value.  The router keeps an explicit directory so
-  object ids stay *globally sequential* — the deterministic sharded
-  runtime must allocate the same oid values as the single-manager
-  oracle, or differential replay could never compare histories
-  byte-for-byte.
 * :class:`StripedDependencyGraph` — the dependency graph over a striped
   double-hash index.  Stripes are keyed by the dependent's tid residue;
   cross-stripe queries (``by_right``, ``involving``) reassemble global
@@ -23,104 +18,10 @@ the pieces that are pure data-plane routing:
 
 from __future__ import annotations
 
-import os
-import zlib
-
 from repro.common.hashtable import DoubleHashIndex
 from repro.core.dependency import DependencyGraph
 
-DEFAULT_SHARDS = 4
-
-
-def default_shard_count():
-    """Shard count from ``REPRO_SHARDS`` (default 4)."""
-    raw = os.environ.get("REPRO_SHARDS", "").strip()
-    if not raw:
-        return DEFAULT_SHARDS
-    count = int(raw)
-    if count < 1:
-        raise ValueError(f"REPRO_SHARDS must be >= 1, got {count}")
-    return count
-
-
-def stable_hash(key):
-    """A process-independent hash for routing keys (CRC32 of the text).
-
-    ``hash(str)`` is salted per process (PYTHONHASHSEED), which would
-    make object placement — and thus WAL segment contents — differ
-    between a run and its replay.
-    """
-    return zlib.crc32(str(key).encode("utf-8"))
-
-
-class ShardRouter:
-    """Maps objects (and routing keys) to shard indexes.
-
-    Placement happens once, at object creation: named objects go to
-    ``crc32(name) % n``, unnamed objects to ``oid % n``.  The
-    choice is remembered in a directory keyed by oid value so every
-    later touch routes without rehashing (and so recovery can verify
-    its log-derived placements against the stores).
-    """
-
-    def __init__(self, n_shards):
-        if n_shards < 1:
-            raise ValueError(f"need at least one shard, got {n_shards}")
-        self.n_shards = n_shards
-        self._directory = {}  # oid value -> shard index
-        # Placement epoch: bumped whenever shard ownership changes
-        # (cluster membership churn).  Routed requests carry the epoch
-        # they were resolved under; an owner that has seen a newer one
-        # rejects the stale route and the caller re-resolves.
-        self.epoch = 0
-
-    def bump_epoch(self):
-        """A new placement generation; returns the new epoch."""
-        self.epoch += 1
-        return self.epoch
-
-    def shard_for_key(self, key):
-        """The home shard for a routing key (transaction or object name)."""
-        return stable_hash(key) % self.n_shards
-
-    def place(self, oid, name=""):
-        """Decide and remember the shard for a newly created object."""
-        if name:
-            shard = self.shard_for_key(name)
-        else:
-            shard = oid % self.n_shards
-        self._directory[oid] = shard
-        return shard
-
-    def place_at(self, oid, shard):
-        """Record an externally decided placement (recovery rebuild)."""
-        self._directory[oid] = shard
-
-    def shard_of(self, oid):
-        """The shard an object lives on (hash fallback for unseen oids).
-
-        The fallback keeps routing total: probing an object that was
-        never created (a lock on a not-yet-existing oid, a test poking
-        an arbitrary id) deterministically lands somewhere.
-        """
-        shard = self._directory.get(oid)
-        if shard is None:
-            if oid.name:
-                shard = self.shard_for_key(oid.name)
-            else:
-                shard = oid % self.n_shards
-        return shard
-
-    def forget(self, oid):
-        """Drop a placement (object deleted and undone)."""
-        self._directory.pop(oid, None)
-
-    def snapshot(self):
-        """Copy of the directory (tests and recovery verification)."""
-        return dict(self._directory)
-
-    def clear(self):
-        self._directory.clear()
+DEFAULT_SHARDS = 4  # the sharded manager's, when it is given no count
 
 
 class _StripedIndex:

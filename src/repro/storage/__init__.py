@@ -15,8 +15,11 @@ a laptop-scale substitute with the same architecture:
   update, written before the page is touched;
 * :mod:`repro.storage.recovery` — restart recovery (redo winners, undo
   losers, honouring delegation records);
-* :mod:`repro.storage.store` — the :class:`~repro.storage.store.StorageManager`
-  facade the transaction manager talks to.
+* :mod:`repro.storage.segmented` — what several shards add: placement,
+  shared LSNs, the merged log view and its one restart point;
+* :mod:`repro.storage.store` — the one facade the transaction manager
+  talks to, :class:`~repro.storage.store.StorageManager`, over one
+  shard stack (the default) or many, on memory or file devices.
 """
 
 from repro.storage.buffer import BufferPool

@@ -460,9 +460,10 @@ class MemoryLogDevice:
 
     ``hint`` is the restart hint (see :class:`WriteAheadLog`),
     ``(record ordinal, LSN there)`` or ``None`` — the ordinal is the
-    list index.  Like a file log's sidecar it survives :meth:`crash`,
-    travels with :meth:`snapshot` / :meth:`restore`, and is discarded by
-    :meth:`reset`; setting it is no I/O step.
+    list index — and ``point`` the restart point it was taken at, 0
+    without one.  Like a file log's sidecar they survive :meth:`crash`,
+    travel with :meth:`snapshot` / :meth:`restore`, and are discarded by
+    :meth:`reset`; setting them is no I/O step.
     """
 
     def __init__(self, injector=None):
@@ -470,6 +471,7 @@ class MemoryLogDevice:
         self._records = []
         self._durable_count = 0
         self.hint = None
+        self.point = 0
 
     def append(self, raw):
         if self.injector is None:
@@ -492,19 +494,21 @@ class MemoryLogDevice:
         """How many records a restart would actually see (harness peek)."""
         return self._durable_count
 
-    def set_hint(self, ordinal=None, lsn=0):
+    def set_hint(self, ordinal=None, lsn=0, point=None):
         """Name record number ``ordinal`` (its LSN ``lsn``) as where a
-        reopen may start decoding; ``None`` forgets the hint."""
+        reopen may start decoding, for restart point ``point`` (default
+        ``lsn``); ``None`` forgets the hint."""
         self.hint = None if ordinal is None else (ordinal, lsn)
+        self.point = 0 if ordinal is None else point or lsn
 
     def snapshot(self):
         """Capture the complete device state (for reference replays)."""
-        return list(self._records), self._durable_count, self.hint
+        return list(self._records), self._durable_count, self.hint, self.point
 
     def restore(self, snapshot):
         """Reset the device to a previously captured snapshot."""
         self._records = list(snapshot[0])
-        self._durable_count, self.hint = snapshot[1:]
+        self._durable_count, self.hint, self.point = snapshot[1:]
 
     def read_all(self, durable_only=False):
         """Iterate over encoded records, optionally only the flushed ones."""
@@ -528,7 +532,7 @@ class MemoryLogDevice:
         """Discard the whole log (sharp-checkpoint truncation)."""
         self._records.clear()
         self._durable_count = 0
-        self.hint = None
+        self.set_hint()
 
     def close(self):
         """Nothing to release for the in-memory device."""
@@ -549,7 +553,8 @@ class FileLogDevice:
     the log (``<path>.restart``) — and teaches the device where every
     record from there on begins (``_starts``; appends extend it), which
     is all it needs to count records, to find what is durable, and to
-    turn the next hint's ordinal into an offset.  The readers yield each
+    turn the next hint's ordinal into an offset (and a segment's restart
+    ``point``, when it lies below the LSN there).  The readers yield each
     record as a view of one reused buffer (see :meth:`_read`): good
     until the next record is asked for.  The sidecar is
     replaced by write-new + rename and never synced: it is written only
@@ -575,48 +580,57 @@ class FileLogDevice:
         self._first = 0
         self._starts = None if self._end else []
         self._sidecar = self.path + ".restart"
-        self.hint = self._load_hint()
+        self.hint, self.point = self._load_hint() or (None, 0)
         if self.hint is None:
             # No sidecar outlives the check it failed — and one found
             # beside a new log describes some other file.
             self.set_hint()
 
     def _load_hint(self):
-        """The sidecar's hint, if it is whole and a complete record with
-        the LSN it names is framed at its offset.  Nothing here counts
-        the records below that offset: past a bound on how many can fit
-        there, the ordinal is the checksummed sidecar's word, held to
-        account when the prefix is next read (``WriteAheadLog.records``).
+        """The sidecar's hint and point, if it is whole and a complete
+        record with the LSN it names is framed at its offset.  Nothing
+        here counts the records below that offset: past a bound on how
+        many can fit there, the ordinal is the checksummed sidecar's
+        word, held to account when the prefix is next read
+        (``WriteAheadLog.records``).
         """
         try:
             with open(self._sidecar, "rb") as sidecar:
                 raw = sidecar.read()
         except OSError:
             return None
-        if len(raw) != _HINT.size + _U32.size:
+        body = raw[: -_U32.size]
+        if len(body) not in (_HINT.size, _HINT.size + _U64.size):
             return None
-        if _U32.unpack_from(raw, _HINT.size)[0] != zlib.crc32(raw[: _HINT.size]):
+        if _U32.unpack_from(raw, len(body))[0] != zlib.crc32(body):
             return None
-        hint = _HINT.unpack_from(raw)
-        if hint[1] * (_U32.size + _HEADER.size) > hint[0]:
+        hint = _HINT.unpack_from(body)
+        point = hint[2]
+        if len(body) > _HINT.size:
+            (point,) = _U64.unpack_from(body, _HINT.size)
+        if point > hint[2] or hint[1] * (_U32.size + _HEADER.size) > hint[0]:
             return None  # more records below the offset than fit there
         __, record = next(self._read(hint[0]), (0, b""))
         if len(record) < _HEADER.size or _HEADER.unpack_from(record)[1] != hint[2]:
             return None
-        return hint
+        return hint, point
 
-    def set_hint(self, ordinal=None, lsn=0):
+    def set_hint(self, ordinal=None, lsn=0, point=None):
         """Name record number ``ordinal`` (its LSN ``lsn``) as where a
-        reopen may start decoding; ``None`` forgets the hint."""
+        reopen may start decoding, for restart point ``point`` (default
+        ``lsn``); ``None`` forgets the hint."""
         if ordinal is None:
-            self.hint = None
+            self.hint, self.point = None, 0
             if os.path.exists(self._sidecar):
                 os.remove(self._sidecar)
             return
         del self._starts[: ordinal - self._first]
         self._first = ordinal
         self.hint = (self._starts[0], ordinal, lsn)
+        self.point = point or lsn
         raw = _HINT.pack(*self.hint)
+        if self.point != lsn:
+            raw += _U64.pack(self.point)
         with open(self._sidecar + ".new", "wb") as fresh:
             fresh.write(raw + _U32.pack(zlib.crc32(raw)))
         os.replace(self._sidecar + ".new", self._sidecar)
@@ -846,16 +860,12 @@ class WriteAheadLog:
     the first and gates its write-backs on the second (:meth:`force`).
     """
 
-    def __init__(self, device=None, group_commit=None, sequencer=None):
+    def __init__(self, device=None, group_commit=None):
         self.device = device if device is not None else MemoryLogDevice()
         if isinstance(group_commit, int):
             group_commit = FlushCoalescer(max_commits=group_commit)
         self.group_commit = group_commit
-        # A shared LSN sequencer turns this log into one *segment* of a
-        # segmented WAL (repro.storage.segmented): every segment draws
-        # LSNs from the same counter, so a merge-sort of segments by LSN
-        # reconstructs the global append order for recovery.
-        self._sequencer = sequencer
+        self._sequencer = None  # see join()
         self._lock = threading.Lock()
         self._next_lsn = 1
         self.last_lsn = 0
@@ -874,6 +884,12 @@ class WriteAheadLog:
         self._decoded = []
         self.base = 0
         self.resync()
+
+    def join(self, sequencer):
+        """Make this log one segment of several: it draws its LSNs from
+        ``sequencer``, shared by all (:mod:`repro.storage.segmented`)."""
+        self._sequencer = sequencer
+        sequencer.advance_to(self._next_lsn)
 
     def _reset_index(self):
         """An empty attribution index (``_lock`` held, or at open)."""
@@ -1168,9 +1184,9 @@ class WriteAheadLog:
     def log_checkpoint(self, active, redo_lsn=0):
         """Force-write a checkpoint marker carrying the redo mark.
 
-        A durable marker also moves the restart point up — of a log
-        that stands alone; the segments of one log move together, as
-        :class:`~repro.storage.segmented.SegmentedLog` decides.  A void
+        The storage manager then moves the restart point up, once the
+        markers of every segment are durable
+        (:func:`~repro.storage.segmented.move_restart_point`).  A void
         mark (0: a torn page was reset) moves nothing and gives nothing
         up: :meth:`redo_records` reads the prefix under it.
         """
@@ -1184,8 +1200,6 @@ class WriteAheadLog:
             )
         )
         self.flush()
-        if self._sequencer is None:
-            self.open_at(self.restart_point(record))
         return record
 
     # -- the restart point -------------------------------------------------
@@ -1241,7 +1255,7 @@ class WriteAheadLog:
             if not cut:
                 return
             self.base += cut
-            self.device.set_hint(self.base, int(self._decoded[cut].lsn))
+            self.device.set_hint(self.base, int(self._decoded[cut].lsn), point)
             max_tid = self._max_tid
             self._decoded = self._decoded[cut:]
             self._reset_index()
@@ -1262,15 +1276,9 @@ class WriteAheadLog:
 
     @property
     def last_lsn_value(self):
-        """The LSN of the most recent record (0 when the log is empty).
-
-        With a shared sequencer, LSNs are global and sparse per segment,
-        so the segment reports its own most recent record's LSN rather
-        than the counter position.
-        """
+        """The LSN of the most recent record (0 when the log is empty;
+        the segmented log answers for its segments)."""
         with self._lock:
-            if self._sequencer is not None:
-                return self.last_lsn
             return self._next_lsn - 1
 
     def flush(self):
@@ -1444,7 +1452,14 @@ class WriteAheadLog:
             return self._decoded[self._first_above(self.redo_lsn) :]
 
     def image_oids(self):
-        """Values of the object ids updated or restored in the tail."""
+        """Values of the object ids redo may install: those updated or
+        restored in the tail — or, under a void mark, in all the log
+        redo then reads (:meth:`_redo_span`)."""
+        if not self.redo_lsn and self.base:
+            return {
+                record.oid for record in self._redo_span()
+                if isinstance(record, (UpdateRecord, CompensationRecord))
+            }
         with self._lock:
             return set(self._oids)
 

@@ -32,7 +32,6 @@ import struct
 import threading
 
 from repro.common.errors import StorageError, UnknownObjectError
-from repro.common.ids import ObjectId
 from repro.storage.page import Page, PageFullError, TornPageError
 
 # Chunk ids: bit 62 set, then 16 bits of chunk index, then the owner id.
@@ -77,7 +76,6 @@ class ObjectStore:
     def __init__(self, buffer_pool):
         self.pool = buffer_pool
         self._locations = {}
-        self._next_oid_value = 1
         self._lock = threading.RLock()
         # Conservative single-page payload bound: page size minus header
         # and slot overhead.  Values above it are chunked.
@@ -97,7 +95,6 @@ class ObjectStore:
         with self._lock:
             self.pool.dropped = False
             self._locations.clear()
-            high_water = 0
             for page_id in self.pool.disk.page_ids():
                 try:
                     frame = self.pool.fetch(page_id)
@@ -107,11 +104,8 @@ class ObjectStore:
                 try:
                     for slot, oid_value, __ in frame.page.items():
                         self._locations[oid_value] = (page_id, slot)
-                        if not _is_chunk(oid_value):
-                            high_water = max(high_water, oid_value)
                 finally:
                     self.pool.unpin(page_id)
-            self._next_oid_value = high_water + 1
 
     def refresh_table(self):
         """Restart's table: rebuilt only if the cache it was built from
@@ -137,40 +131,17 @@ class ObjectStore:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def reserve_oid(self, name=""):
-        """Allocate the next object id without storing anything yet, so
-        the creation can be logged before the page is touched."""
-        with self._lock:
-            oid = ObjectId(self._next_oid_value, name=name)
-            self._next_oid_value += 1
-            return oid
+    def create(self, value, oid):
+        """Store ``value`` as new object ``oid`` and return the id.
 
-    def retire_oids(self, oid_values):
-        """After restart, allocate above every id the log's tail names,
-        not only those a page holds: redo installs an object created
-        and deleted there just once, as absent, so its id never passes
-        through :meth:`create` — and must still never be issued again."""
-        with self._lock:
-            self._next_oid_value = max(
-                self._next_oid_value, max(oid_values, default=0) + 1
-            )
-
-    def create(self, value, name="", oid=None):
-        """Store ``value`` as a new object and return its id.
-
-        ``oid`` forces a specific id (a reserved one, or recovery
-        re-creating an object whose creation committed); it must not
-        already exist.
+        Ids are the storage manager's to allocate (a new object's, or
+        one recovery re-creates); ``oid`` must not already exist.
         """
         with self._lock:
-            if oid is None:
-                oid = self.reserve_oid(name=name)
-            else:
-                if oid in self._locations:
-                    raise StorageError(f"object already exists: {oid!r}")
-                if _is_chunk(oid):
-                    raise StorageError(f"reserved (chunk) object id: {oid!r}")
-                self._next_oid_value = max(self._next_oid_value, oid + 1)
+            if oid in self._locations:
+                raise StorageError(f"object already exists: {oid!r}")
+            if _is_chunk(oid):
+                raise StorageError(f"reserved (chunk) object id: {oid!r}")
             self._store_value(int(oid), value)
             return oid
 
@@ -376,7 +347,7 @@ class ObjectStore:
         elif self.exists(oid):
             self.write(oid, image)
         else:
-            self.create(image, oid=oid)
+            self.create(image, oid)
 
     def object_ids(self):
         """All live object id values, ascending (chunks excluded)."""

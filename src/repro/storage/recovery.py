@@ -148,7 +148,7 @@ class RecoveryManager:
         self.log = log
         self.store = object_store
 
-    def recover(self):
+    def run(self):
         """Run analysis, redo, and undo; return a :class:`RecoveryReport`.
 
         Analysis reads the log's index and decodes nothing: the decoded

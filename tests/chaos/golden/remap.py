@@ -108,7 +108,7 @@ def _install_taps():
     recovery.undo_updates = store.undo_updates = during_undo(
         recovery.undo_updates
     )
-    store.LoggedUndo.undo_to = during_undo(store.LoggedUndo.undo_to)
+    store.StorageManager.undo_to = during_undo(store.StorageManager.undo_to)
     append = MemoryLogDevice.append
 
     def tapped(self, raw):

@@ -33,7 +33,7 @@ from repro.storage.log import (
 from repro.storage.objects import ObjectStore
 from repro.storage.page import _CRC, Page
 from repro.storage.recovery import RecoveryManager
-from repro.storage.store import StorageManager
+from repro.storage.store import ShardStack, StorageManager
 
 
 def undo_disabled():
@@ -250,7 +250,7 @@ def compensation_logged_after_install():
 
 
 def write_unpinned_clean():
-    """``StorageManager.write_object``'s one unpin passes ``dirty=False``.
+    """``ShardStack.write_object``'s one unpin passes ``dirty=False``.
 
     That unpin is the only thing that marks a rewritten frame dirty and
     stamps its ``page_lsn``: without it the checkpoint's flush skips the
@@ -261,7 +261,7 @@ def write_unpinned_clean():
     ``tests/chaos/test_checkpoint_mark.py`` carries one that does not).
     """
     pool_unpin = BufferPool.unpin
-    forward_write = StorageManager.write_object.__code__
+    forward_write = ShardStack.write_object.__code__
 
     def unpin(self, page_id, dirty=False):
         if sys._getframe(1).f_code is forward_write:

@@ -22,6 +22,7 @@ from repro.chaos.sweep import probe
 CASES = [
     ("ex10_commit_abort", None),  # None: picked from the probe, below
     ("checkpoint_window", None),
+    ("checkpoint_mark_sharded", None),  # two segments: one restart path
 ]
 
 

@@ -9,7 +9,7 @@ the segments are merged by LSN.
 
 The sweep is exhaustive by accounting, like every other: the scenario
 plugs into the one driver (:mod:`repro.chaos.sweep`) as a fourth *kind*
-defined right here — a bare :class:`ShardedStorageManager` with no
+defined right here — a bare :class:`~repro.storage.store.StorageManager` of four shards with no
 transaction manager above it, judged by its own atomicity oracle.  A
 probe counts every numbered I/O step across *all* segments (one shared
 injector), then ``crash_steps`` re-runs the scenario crashing at each.
@@ -22,7 +22,7 @@ from repro.chaos.sweep import crash_steps, probe, sweep
 from repro.common.codec import decode_int, encode_int
 from repro.common.ids import Tid
 from repro.storage.log import CommitRecord
-from repro.storage.segmented import ShardedStorageManager
+from repro.storage.store import StorageManager
 
 N_SHARDS = 4
 N_OBJECTS = 8
@@ -42,7 +42,7 @@ def _drive(injector, holder):
     :class:`CrashPoint` still leaves the caller holding the store, the
     oids created so far, and markers bracketing the barrier window.
     """
-    store = ShardedStorageManager(n_shards=N_SHARDS, injector=injector)
+    store = StorageManager(n_shards=N_SHARDS, injector=injector)
     holder["store"] = store
     oids = holder.setdefault("oids", [])
     for index in range(N_OBJECTS):

@@ -321,9 +321,9 @@ class TestWalForcesCounter:
     def test_segments_count_their_own_forces(self):
         from repro.core.sharded import ShardedTransactionManager
         from repro.runtime.sharded import ShardedRuntime
-        from repro.storage.segmented import ShardedStorageManager
+        from repro.storage.store import StorageManager
 
-        storage = ShardedStorageManager(n_shards=2, capacity=2)
+        storage = StorageManager(n_shards=2, capacity=2)
         manager = ShardedTransactionManager(n_shards=2, storage=storage)
         kit = install_observability(manager=manager)
         assert ShardedRuntime(manager=manager).run(

@@ -1,6 +1,8 @@
 """Property: crash anywhere — committed effects survive, losers vanish."""
 
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,8 @@ from repro.chaos.oracles import expected_state
 from repro.chaos.stack import read_state
 from repro.common.codec import decode_int, encode_int
 from repro.common.ids import ObjectId, Tid
-from repro.storage.log import MemoryLogDevice
-from repro.storage.segmented import ShardedStorageManager
+from repro.storage.disk import FileDiskManager
+from repro.storage.log import FileLogDevice, MemoryLogDevice, WriteAheadLog
 from repro.storage.store import StorageManager
 from tests.chaos.mutations import redo_keeps_oldest_image
 from tests.storage.scan_oracle import (
@@ -130,10 +132,12 @@ class TestRecoveryProperty:
 # (some with the marker's fsync lied about), power-cut wherever the
 # "crash" steps fall (so the durable prefix ends at whatever the
 # commits, checkpoints, write-ahead forces and explicit flushes had made
-# durable), on the flat log and on two segments.  Every power cut is
-# restarted three ways from the same surviving devices — the restart
-# hints dropped, one checkpoint stale, and as the last checkpoint left
-# them — because the hint is a bound and not evidence; and once more
+# durable), on the flat log and on two segments, in memory and on
+# files.  Every power cut is restarted three ways from the same
+# surviving devices — the restart hints dropped, one checkpoint stale,
+# and as the last checkpoint left them — because the hint is a bound
+# and not evidence (on files: the sidecars, and each restart a reopen
+# of the files); and once more
 # with redo replaying every image above the mark (the oracle,
 # ``scan_oracle.redo_by_replay``): the product installs each object
 # touched there once, at its newest image, and must leave the same
@@ -171,7 +175,7 @@ _op = st.one_of(
 )
 
 
-class _LyingDevice(MemoryLogDevice):
+class _Lying:
     """Reports success for the flush after a checkpoint marker's append
     and makes nothing durable, while ``lie`` is set."""
 
@@ -188,22 +192,24 @@ class _LyingDevice(MemoryLogDevice):
             super().flush()
 
 
+class _LyingDevice(_Lying, MemoryLogDevice):
+    pass
+
+
+class _LyingFileDevice(_Lying, FileLogDevice):
+    def _advance_durable(self):
+        self._durable_size = self._end
+
+
 class _History:
     """Applies ops under a one-writer-per-object discipline (the lock
     manager's job, absent at this level; delegation hands the object on)
     and checks every restart."""
 
-    def __init__(self, n_shards, group_commit):
-        if n_shards is None:
-            self.storage = StorageManager(
-                capacity=3, group_commit=group_commit
-            )
-        else:
-            self.storage = ShardedStorageManager(
-                n_shards=n_shards, capacity=3, group_commit=group_commit
-            )
-        for segment in self._segments():
-            segment.device = _LyingDevice()
+    def __init__(self, n_shards, group_commit, directory=None):
+        self.n_shards, self.group_commit = n_shards or 1, group_commit
+        self.directory = directory  # None: memory devices
+        self.storage = self._open()
         # Per segment, the restart hint before the checkpoint that last
         # moved any: older, so still a bound.
         self.stale = [None] * len(self._segments())
@@ -217,14 +223,49 @@ class _History:
             self.storage.create_object(setup, b"s" * size)
         self._resolve(0, commit=True)
 
+    def _open(self):
+        """A storage manager over new devices — or, on files, over what
+        the files hold."""
+        if self.directory is None:
+            storage = StorageManager(
+                n_shards=self.n_shards, capacity=3, group_commit=self.group_commit
+            )
+            for stack in storage.shards:
+                stack.log.device = _LyingDevice()
+            return storage
+        shards = range(self.n_shards)
+        return StorageManager(
+            disk=[FileDiskManager(self.directory / f"pages{i}") for i in shards],
+            log=[
+                WriteAheadLog(
+                    _LyingFileDevice(self.directory / f"wal{i}"),
+                    group_commit=self.group_commit,
+                )
+                for i in shards
+            ],
+            capacity=3,
+        )
+
+    def close(self):
+        for stack in self._stacks():
+            stack.log.device.close()
+            stack.disk.close()
+
     def _stacks(self):
-        return getattr(self.storage, "shards", [self.storage])
+        return self.storage.shards
 
     def _segments(self):
         return [stack.log for stack in self._stacks()]
 
+    def _sidecars(self):
+        return [Path(stack.log.device.path + ".restart") for stack in self._stacks()]
+
     def _hints(self):
-        return [segment.device.hint for segment in self._segments()]
+        """Each segment's restart hint: the device's, or on files the
+        sidecar's bytes (``None``: no hint)."""
+        if self.directory is None:
+            return [segment.device.hint for segment in self._segments()]
+        return [path.read_bytes() if path.exists() else None for path in self._sidecars()]
 
     def _begin(self, slot):
         if slot not in self.tids:
@@ -349,6 +390,9 @@ class _History:
                 segment.device._advance_durable()
         self.storage.crash()
         history = self.storage.log.records()
+        if self.directory is not None:
+            self._reopen_files(history)
+            return
         devices = [
             (stack.disk, stack.log.device) for stack in self._stacks()
         ]
@@ -372,6 +416,39 @@ class _History:
                 with redo_by_replay():
                     states.append(self._restart(history, replayed=True))
         assert states[0] == states[1] == states[2] == states[3]
+        self._forget_the_live()
+
+    def _reopen_files(self, history):
+        """:meth:`crash` on files: each restart reopens the files as the
+        power cut left them, with the sidecars of each kind of hint."""
+        self.close()
+        survived = {
+            path: path.read_bytes()
+            for path in self.directory.iterdir()
+            if path.suffix != ".restart"
+        }
+        left = self._hints()
+        states = []
+        for hints in (left, [None] * len(left), self.stale, left):
+            if states:
+                self.close()
+            for path, raw in survived.items():
+                path.write_bytes(raw)
+            for path, hint in zip(self._sidecars(), hints):
+                if hint is None:
+                    path.unlink(missing_ok=True)
+                else:
+                    path.write_bytes(hint)
+            self.storage = self._open()
+            if states:
+                states.append(self._restart(history))
+            else:
+                with redo_by_replay():
+                    states.append(self._restart(history, replayed=True))
+        assert states[0] == states[1] == states[2] == states[3]
+        self._forget_the_live()
+
+    def _forget_the_live(self):
         self.tids.clear()
         self.prepared.clear()
         self.owner.clear()
@@ -408,6 +485,16 @@ class _History:
         return state
 
 
+def _run(history, ops):
+    for op in ops:
+        history.apply(op)
+    history.crash()
+    # A second power cut right after recovery changes nothing.
+    state = read_state(history.storage)
+    history.crash()
+    assert read_state(history.storage) == state
+
+
 class TestIndexDrivenRestartProperty:
     @given(
         ops=st.lists(_op, min_size=1, max_size=40),
@@ -418,14 +505,20 @@ class TestIndexDrivenRestartProperty:
     def test_index_analysis_is_the_scan_and_state_is_the_replay(
         self, ops, n_shards, group_commit
     ):
-        history = _History(n_shards, group_commit)
-        for op in ops:
-            history.apply(op)
-        history.crash()
-        # A second power cut right after recovery changes nothing.
-        state = read_state(history.storage)
-        history.crash()
-        assert read_state(history.storage) == state
+        _run(_History(n_shards, group_commit), ops)
+
+    @given(
+        ops=st.lists(_op, min_size=1, max_size=40),
+        group_commit=st.sampled_from([None, 2]),
+    )
+    @settings(max_examples=_MAX_EXAMPLES // 2, deadline=None)
+    def test_on_two_file_segments(self, ops, group_commit):
+        with tempfile.TemporaryDirectory() as directory:
+            history = _History(2, group_commit, Path(directory))
+            try:
+                _run(history, ops)
+            finally:
+                history.close()
 
     @pytest.mark.parametrize("n_shards", [None, 2])
     def test_a_redo_that_keeps_the_oldest_image_is_caught(self, n_shards):

@@ -21,7 +21,7 @@ from repro.common.codec import decode_int, encode_int
 from repro.common.errors import InvalidStateError
 from repro.common.ids import Tid
 from repro.storage.log import CommitRecord
-from repro.storage.segmented import ShardedStorageManager
+from repro.storage.store import StorageManager
 from tests.differential.harness import (
     make_counters,
     record_on_oracle,
@@ -118,7 +118,7 @@ class TestSegmentedWalIntegrity:
     def test_no_lost_or_duplicated_records(
         self, steps, delegations, committed_mask, n_shards
     ):
-        store = ShardedStorageManager(n_shards=n_shards)
+        store = StorageManager(n_shards=n_shards)
         setup = Tid(100)
         oids = [
             store.create_object(setup, encode_int(0), name=f"o{i}")
@@ -214,7 +214,7 @@ class TestSegmentedWalIntegrity:
     @settings(max_examples=30, deadline=None)
     def test_directory_survives_recovery(self, n_shards, count):
         """Recovery rebuilds the oid→shard directory exactly."""
-        store = ShardedStorageManager(n_shards=n_shards)
+        store = StorageManager(n_shards=n_shards)
         tid = Tid(1)
         oids = [
             store.create_object(tid, encode_int(i), name=f"n{i}")

@@ -16,8 +16,8 @@ from repro.common.latch import LatchMode
 from repro.core.dependency import DependencyType
 from repro.core.outcomes import CommitStatus
 from repro.core.sharded import ShardedTransactionManager
-from repro.core.sharding import ShardRouter, default_shard_count, stable_hash
 from repro.runtime.sharded import ParallelShardedRuntime, ShardedRuntime
+from repro.storage.segmented import ShardRouter, stable_hash
 
 
 class TestRouting:
@@ -39,12 +39,6 @@ class TestRouting:
         for value in range(1, 9):
             oid = ObjectId(value)
             assert router.place(oid) == value % 4
-
-    def test_default_shard_count_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "6")
-        assert default_shard_count() == 6
-        monkeypatch.delenv("REPRO_SHARDS")
-        assert default_shard_count() == 4
 
     def test_descriptors_land_in_owning_shard_bucket(self):
         manager = ShardedTransactionManager(n_shards=4)

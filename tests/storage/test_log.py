@@ -21,7 +21,7 @@ from repro.storage.log import (
     decode_record,
     encode_record,
 )
-from repro.storage.segmented import ShardedStorageManager
+from repro.storage.store import StorageManager
 
 
 class TestRecordCodec:
@@ -430,10 +430,10 @@ class TestDurableWatermark:
         assert (log.last_lsn, log.durable_lsn) == (2, 1)
 
     def test_segments_keep_their_own_watermarks(self):
-        store = ShardedStorageManager(n_shards=2)
+        store = StorageManager(n_shards=2)
         one = store.create_object(Tid(1), b"v")  # oid 1 -> shard 1
         two = store.create_object(Tid(1), b"w")  # oid 2 -> shard 0
-        first, second = store.segment_of(one), store.segment_of(two)
+        first, second = store.shards[1].log, store.shards[0].log
         assert first is not second
         first.flush()
         assert first.durable_lsn == first.last_lsn == 1

@@ -20,10 +20,15 @@ from repro.storage.log import (
 )
 from repro.storage.objects import ObjectStore
 from repro.storage.recovery import RecoveryManager
-from repro.storage.segmented import ShardedStorageManager
 from repro.storage.store import StorageManager
 from tests.chaos.mutations import compensation_logged_after_install
 from tests.storage.scan_oracle import analyze_scan, assert_analysis_matches
+
+
+def _create(store, value):
+    """``value`` under the next id above every one ``store`` holds (an
+    object store allocates none)."""
+    return store.create(value, ObjectId(max(store.object_ids(), default=0) + 1))
 
 
 @pytest.fixture
@@ -48,25 +53,25 @@ def write_logged(store, log, tid, oid, value):
 class TestAnalysis:
     def test_winners_and_losers(self, setup):
         store, log = setup
-        oid = store.create(b"base")
+        oid = _create(store, b"base")
         write_logged(store, log, Tid(1), oid, b"w1")
         log.log_commit(Tid(1))
         write_logged(store, log, Tid(2), oid, b"w2")
         log.flush()
-        report = RecoveryManager(log, store).recover()
+        report = RecoveryManager(log, store).run()
         assert Tid(1) in report.winners
         assert Tid(2) in report.losers
 
     def test_finished_abort_not_a_loser(self, setup):
         store, log = setup
-        oid = store.create(b"base")
+        oid = _create(store, b"base")
         write_logged(store, log, Tid(1), oid, b"w1")
         # The live abort logs its undo, undoes, and logs completion:
         log.log_compensation(Tid(1), oid, b"base")
         store.write(oid, b"base")
         log.log_abort(Tid(1))
         log.flush()
-        report = RecoveryManager(log, store).recover()
+        report = RecoveryManager(log, store).run()
         assert Tid(1) in report.already_aborted
         assert Tid(1) not in report.losers
         assert store.read(oid) == b"base"
@@ -75,7 +80,7 @@ class TestAnalysis:
 class TestRedoUndo:
     def test_committed_update_survives_cache_loss(self, setup):
         store, log = setup
-        oid = store.create(b"base")
+        oid = _create(store, b"base")
         store.pool.flush_all()
         write_logged(store, log, Tid(1), oid, b"committed-value")
         log.log_commit(Tid(1))
@@ -83,19 +88,19 @@ class TestRedoUndo:
         store.pool.drop_all()
         store._rebuild_table()
         assert store.read(oid) == b"base"  # stale on disk
-        RecoveryManager(log, store).recover()
+        RecoveryManager(log, store).run()
         assert store.read(oid) == b"committed-value"
 
     def test_uncommitted_update_rolled_back(self, setup):
         store, log = setup
-        oid = store.create(b"base")
+        oid = _create(store, b"base")
         write_logged(store, log, Tid(1), oid, b"dirty")
         log.flush()
         store.pool.flush_all()  # steal: dirty page reaches disk
         store.pool.drop_all()
         store._rebuild_table()
         assert store.read(oid) == b"dirty"
-        RecoveryManager(log, store).recover()
+        RecoveryManager(log, store).run()
         assert store.read(oid) == b"base"
 
     def test_creation_by_loser_deleted(self, setup):
@@ -104,7 +109,7 @@ class TestRedoUndo:
         log.log_update(Tid(1), oid, None, b"new")
         store.create(b"new", oid=oid)
         log.flush()
-        RecoveryManager(log, store).recover()
+        RecoveryManager(log, store).run()
         assert not store.exists(oid)
 
     def test_creation_by_winner_recreated(self, setup):
@@ -113,16 +118,16 @@ class TestRedoUndo:
         log.log_update(Tid(1), oid, None, b"new")
         log.log_commit(Tid(1))
         # The object never reached disk (cache lost before flush).
-        RecoveryManager(log, store).recover()
+        RecoveryManager(log, store).run()
         assert store.read(oid) == b"new"
 
     def test_interleaved_winner_loser_same_object(self, setup):
         store, log = setup
-        oid = store.create(b"v0")
+        oid = _create(store, b"v0")
         write_logged(store, log, Tid(1), oid, b"v1")  # loser
         write_logged(store, log, Tid(2), oid, b"v2")  # winner (cooperative)
         log.log_commit(Tid(2))
-        RecoveryManager(log, store).recover()
+        RecoveryManager(log, store).run()
         # Repeat history then undo the loser: its before image (v0) wins —
         # the paper's acknowledged cascading-loss semantics for
         # cooperating transactions.
@@ -130,8 +135,8 @@ class TestRedoUndo:
 
     def test_redo_installs_each_object_once_at_its_newest_image(self, setup):
         store, log = setup
-        oid = store.create(b"v0")
-        other = store.create(b"w0")
+        oid = _create(store, b"v0")
+        other = _create(store, b"w0")
         store.pool.flush_all()
         installs = []
         install = store.install
@@ -142,7 +147,7 @@ class TestRedoUndo:
         log.log_commit(Tid(1))
         store.pool.drop_all()
         store._rebuild_table()
-        report = RecoveryManager(log, store).recover()
+        report = RecoveryManager(log, store).run()
         assert installs == [(oid, b"v3"), (other, b"w1")]
         assert (report.redone, report.superseded) == (2, 2)
         # The operator's line says both, so "redone=2" is not read as
@@ -152,40 +157,40 @@ class TestRedoUndo:
 
     def test_recovery_is_idempotent(self, setup):
         store, log = setup
-        oid = store.create(b"base")
+        oid = _create(store, b"base")
         write_logged(store, log, Tid(1), oid, b"w1")
         log.log_commit(Tid(1))
         write_logged(store, log, Tid(2), oid, b"w2")
         log.flush()
-        RecoveryManager(log, store).recover()
+        RecoveryManager(log, store).run()
         first = store.read(oid)
-        RecoveryManager(log, store).recover()
+        RecoveryManager(log, store).run()
         assert store.read(oid) == first
         # Second pass found no new losers.
-        report = RecoveryManager(log, store).recover()
+        report = RecoveryManager(log, store).run()
         assert report.losers == set()
 
 
 class TestDelegationAtRecovery:
     def test_delegated_to_winner_survives(self, setup):
         store, log = setup
-        oid = store.create(b"base")
+        oid = _create(store, b"base")
         write_logged(store, log, Tid(1), oid, b"delegated-work")
         log.log_delegate(Tid(1), Tid(2), [oid])
         log.log_commit(Tid(2))
         log.flush()
-        report = RecoveryManager(log, store).recover()
+        report = RecoveryManager(log, store).run()
         assert store.read(oid) == b"delegated-work"
         assert Tid(1) in report.losers  # the delegator itself never committed
 
     def test_delegated_to_loser_undone(self, setup):
         store, log = setup
-        oid = store.create(b"base")
+        oid = _create(store, b"base")
         write_logged(store, log, Tid(1), oid, b"delegated-work")
         log.log_delegate(Tid(1), Tid(2), [oid])
         log.log_commit(Tid(1))  # the DELEGATOR commits...
         log.flush()
-        RecoveryManager(log, store).recover()
+        RecoveryManager(log, store).run()
         # ... but responsibility had moved to Tid(2), which never did.
         assert store.read(oid) == b"base"
 
@@ -202,7 +207,7 @@ def test_restart_never_reissues_an_oid_the_tail_names(n_shards, size):
     if n_shards is None:
         storage = StorageManager()
     else:
-        storage = ShardedStorageManager(n_shards=n_shards)
+        storage = StorageManager(n_shards=n_shards)
     kept = storage.create_object(Tid(1), b"a" * size)
     dead = storage.create_object(Tid(1), b"b" * size)
     storage.delete_object(Tid(1), dead)
@@ -354,7 +359,7 @@ class TestCheckpointRecordCompatibility:
         reopened = WriteAheadLog(device)
         assert reopened.redo_lsn == 0
         store = ObjectStore(BufferPool(InMemoryDiskManager(), capacity=16))
-        report = RecoveryManager(reopened, store).recover()
+        report = RecoveryManager(reopened, store).run()
         assert (report.redo_from, report.redone) == (0, 1)
         assert store.read(oid) == b"v1"
 

@@ -27,7 +27,7 @@ from repro.storage.log import (
     WriteAheadLog,
     encode_record,
 )
-from repro.storage.segmented import ShardedStorageManager
+from repro.storage.segmented import move_restart_point
 from repro.storage.store import StorageManager
 from tests.chaos.mutations import restart_point_forgets_max_tid
 from tests.storage.scan_oracle import max_tid_value_scan
@@ -48,9 +48,14 @@ def _write(log, tid, oid_value, value=b"v"):
     return log.log_update(Tid(tid), oid, None, value)
 
 
-def _checkpoint(log):
-    """What ``StorageManager.checkpoint`` does to the log (no pool here)."""
-    return log.log_checkpoint((), redo_lsn=log.last_lsn)
+def _checkpoint(log, redo_lsn=None):
+    """What ``StorageManager.checkpoint`` does to a log of its own (no
+    pool here): the marker, then the restart point moved."""
+    if redo_lsn is None:
+        redo_lsn = log.last_lsn
+    marker = log.log_checkpoint((), redo_lsn=redo_lsn)
+    move_restart_point([log], [marker])
+    return marker
 
 
 def _busy(log):
@@ -137,7 +142,7 @@ class TestLiveIsOpen:
         """A cross-shard winner's commit record lives in one segment and
         its images in both: the point is one LSN for the whole log, so
         the record stays as long as any segment keeps an image."""
-        store = ShardedStorageManager(n_shards=2)
+        store = StorageManager(n_shards=2)
         one = store.create_object(Tid(1), b"a")  # oid 1 -> shard 1
         two = store.create_object(Tid(1), b"b")  # oid 2 -> shard 0
         store.log_commit(Tid(1))
@@ -164,7 +169,7 @@ class TestLiveIsOpen:
     def test_a_segment_with_nothing_below_the_point_needs_no_hint(self):
         """A segment holding only its marker is its own tail: it opens
         there without a hint, beside a segment that has one."""
-        store = ShardedStorageManager(n_shards=2)
+        store = StorageManager(n_shards=2)
         store.create_object(Tid(1), b"a")  # oid 1 -> shard 1 only
         store.log_commit(Tid(1))
         store.checkpoint()
@@ -185,7 +190,7 @@ class TestLiveIsOpen:
         next checkpoint.  No tail holds a record of Tid(1), so no report
         names it: it is neither winner nor loser to an analysis that
         never saw it, and nothing of it is undone."""
-        store = ShardedStorageManager(n_shards=2)
+        store = StorageManager(n_shards=2)
         far = store.create_object(Tid(1), b"f" * 2200)  # oid 1 -> shard 1
         home = store.create_object(Tid(1), b"h")  # oid 2 -> shard 0
         store.log_commit(Tid(1))
@@ -227,7 +232,7 @@ class TestWhatPinsThePoint:
         mark = log.last_lsn
         _write(log, 2, 2)  # lands while the pool flush runs
         log.log_commit(Tid(2))
-        log.log_checkpoint((), redo_lsn=mark)
+        _checkpoint(log, redo_lsn=mark)
         # Tid(2)'s page may have missed the flush: redo needs its update.
         assert log.restart_from == mark + 1
         assert len(log.redo_records()[0]) == 1
@@ -239,7 +244,7 @@ class TestWhatPinsThePoint:
         first = _write(log, 1, 1)
         _write(log, 3, 3)
         log.log_commit(Tid(3))
-        log.log_checkpoint((), redo_lsn=log.last_lsn)  # active: nobody?
+        _checkpoint(log)  # active: nobody?
         assert log.restart_from == first.lsn.value == 3
         assert log.updates_by(Tid(1)) == [first]
 
@@ -298,7 +303,7 @@ class TestPrefixOnDemand:
         assert _open(tmp_path, kind, log.device).records() == log.records()
 
     def test_so_is_the_merged_view_of_a_segmented_log(self):
-        store = ShardedStorageManager(n_shards=2)
+        store = StorageManager(n_shards=2)
         for tid in (1, 2, 3):
             store.create_object(Tid(tid), b"v%d" % tid)
             store.log_commit(Tid(tid))

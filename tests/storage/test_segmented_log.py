@@ -8,14 +8,15 @@ from repro.storage.log import (
     CommitRecord,
     DelegateRecord,
 )
-from repro.storage.segmented import LsnSequencer, ShardedStorageManager
+from repro.storage.segmented import LsnSequencer
+from repro.storage.store import StorageManager
 from tests.storage.scan_oracle import directory_scan
 
 SETUP = Tid(50)
 
 
 def _store(n_shards=4, **kwargs):
-    store = ShardedStorageManager(n_shards=n_shards, **kwargs)
+    store = StorageManager(n_shards=n_shards, **kwargs)
     oids = [
         store.create_object(SETUP, encode_int(0), name=f"obj{i}")
         for i in range(8)
@@ -77,7 +78,8 @@ class TestCommitBarrier:
         tid = Tid(1)
         for oid in oids:
             store.write_object(tid, oid, encode_int(3))
-        home, touched = store._home_and_touched(tid)
+        touched = store.footprint_of(tid)
+        home = min(touched)
         assert len(touched) > 1  # really multi-shard
         before = {
             shard: store.shards[shard].log.flush_count for shard in touched
@@ -102,7 +104,8 @@ class TestCommitBarrier:
         store, oids = _store()
         tid = Tid(2)
         store.write_object(tid, oids[0], encode_int(1))
-        home, touched = store._home_and_touched(tid)
+        touched = store.footprint_of(tid)
+        home = min(touched)
         assert len(touched) == 1
         others = [
             store.shards[s].log.flush_count
@@ -184,9 +187,13 @@ class TestSegmentedRecovery:
         store.write_object(Tid(5), late, encode_int(10))
         store.sync_log()
 
+        def rebuilt():
+            store._reopen()
+            return store.router.snapshot()
+
         def check():
             segments = [shard.log for shard in store.shards]
-            directory = store._directory_from_segments()
+            directory = rebuilt()
             assert directory == directory_scan(segments)
             assert len({*directory.values()}) > 1
             assert set(directory) >= {oid.value for oid in oids} | {late.value}
@@ -203,9 +210,7 @@ class TestSegmentedRecovery:
         assert walks == []
         monkeypatch.undo()
         check()
-        assert store.router.shard_of(late) == store._directory_from_segments()[
-            late.value
-        ]
+        assert store.router.shard_of(late) == rebuilt()[late.value]
 
     def test_each_segment_logs_its_own_marker_and_redoes_from_it(self):
         store, oids = _store()

@@ -32,7 +32,6 @@ from repro.common.errors import StorageError
 from repro.common.ids import Tid
 from repro.storage.disk import InMemoryDiskManager
 from repro.storage.page import Page, TornPageError
-from repro.storage.segmented import ShardedStorageManager
 from repro.storage.store import StorageManager
 from tests.chaos.mutations import page_checksum_ignored, void_mark_skips_prefix
 
@@ -121,7 +120,7 @@ def _build(n_shards, plan=FaultPlan()):
     injector = FaultInjector(plan=plan)
     if n_shards is None:
         return StorageManager(injector=injector), injector
-    return ShardedStorageManager(n_shards=n_shards, injector=injector), injector
+    return StorageManager(n_shards=n_shards, injector=injector), injector
 
 
 def _sweep(n_shards, compactions_only=False):
@@ -196,7 +195,7 @@ def test_a_named_object_keeps_its_shard_after_a_torn_page():
     below the restart point: the directory takes them from the redo
     that reads them, or those on the torn page whose id hashes to the
     other shard would be rebuilt there, away from every image of theirs."""
-    store = ShardedStorageManager(n_shards=2)
+    store = StorageManager(n_shards=2)
     oids = [
         store.create_object(Tid(1), b"v" * 50, name=f"obj{n}")
         for n in range(40)

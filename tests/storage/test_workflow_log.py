@@ -10,7 +10,7 @@ type as inert cargo.
 
 import pytest
 
-from repro.common.ids import Lsn, Tid
+from repro.common.ids import Lsn, ObjectId, Tid
 from repro.storage.log import (
     WorkflowRecord,
     WriteAheadLog,
@@ -18,7 +18,13 @@ from repro.storage.log import (
     encode_record,
 )
 from repro.storage.recovery import RecoveryManager
-from repro.storage.segmented import ShardedStorageManager
+from repro.storage.store import StorageManager
+
+
+def _create(store, value):
+    """``value`` under the next id above every one ``store`` holds (an
+    object store allocates none)."""
+    return store.create(value, ObjectId(max(store.object_ids(), default=0) + 1))
 
 
 class TestCodec:
@@ -73,21 +79,21 @@ class TestRecoveryNeutrality:
 
         store = ObjectStore(BufferPool(InMemoryDiskManager(), capacity=16))
         log = WriteAheadLog()
-        oid = store.create(b"base")
+        oid = _create(store, b"base")
         log.log_workflow(1, "started")
         log.log_update(Tid(1), oid, b"base", b"w1")
         store.write(oid, b"w1")
         log.log_workflow(1, "step_attempt", tid=Tid(1))
         log.log_commit(Tid(1))
         log.log_workflow(1, "finished")
-        report = RecoveryManager(log, store).recover()
+        report = RecoveryManager(log, store).run()
         assert Tid(1) in report.winners
         assert store.read(oid) == b"w1"
 
 
 class TestShardedRouting:
     def test_routes_to_segment_zero(self):
-        storage = ShardedStorageManager(n_shards=4)
+        storage = StorageManager(n_shards=4)
         storage.log_workflow(2, "started", payload=b"p")
         home = [
             r for r in storage.shards[0].log.records(durable_only=True)
@@ -100,7 +106,7 @@ class TestShardedRouting:
             )
 
     def test_merged_view_carries_workflow_records(self):
-        storage = ShardedStorageManager(n_shards=2)
+        storage = StorageManager(n_shards=2)
         storage.log_workflow(1, "started")
         storage.log_workflow(1, "finished")
         kinds = [
@@ -110,7 +116,7 @@ class TestShardedRouting:
         assert kinds == ["started", "finished"]
 
     def test_survives_segmented_crash_recover(self):
-        storage = ShardedStorageManager(n_shards=2)
+        storage = StorageManager(n_shards=2)
         storage.log_workflow(3, "started", payload=b"ctx")
         storage.crash()
         storage.recover()

@@ -36,7 +36,6 @@ from repro.storage.log import (
     UpdateRecord,
     WriteAheadLog,
 )
-from repro.storage.segmented import ShardedStorageManager
 from repro.storage.store import StorageManager
 
 SETUP, WRITER = Tid(1), Tid(2)
@@ -54,7 +53,7 @@ def _flat(injector, capacity):
 def _sharded(injector, capacity):
     # One shard: every object shares the one small pool, and creation
     # still goes through ``create_allocated``.
-    return ShardedStorageManager(
+    return StorageManager(
         n_shards=1, injector=injector, capacity=capacity
     )
 

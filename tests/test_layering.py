@@ -13,7 +13,9 @@ and ``from ... import``, at any nesting depth, so lazy imports count):
 * nothing outside ``repro.chaos`` reads a fault plan: the injector is
   the plan's only reader, and product code calls it by duck typing;
 * the mutations live with the tests, and nothing in ``src/`` imports
-  them.
+  them;
+* ``repro.storage`` imports nothing from ``repro.core``: placement is
+  the storage manager's own.
 """
 
 from __future__ import annotations
@@ -71,6 +73,16 @@ def test_product_code_imports_neither_chaos_nor_cluster():
         for module, name in _imports(path)
         if _under(module, name, "repro.chaos")
         or _under(module, name, "repro.cluster")
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_storage_imports_nothing_from_core():
+    offenders = [
+        f"{_module_name(path)} imports {module}" + (f".{name}" if name else "")
+        for path in _modules("storage")
+        for module, name in _imports(path)
+        if _under(module, name, "repro.core")
     ]
     assert not offenders, "\n".join(offenders)
 
@@ -230,13 +242,13 @@ def _callers_of(method):
 
 def test_one_update_rule():
     """An update is one record written before its one install, and the
-    sites that may write one are few enough to name: four forward, one
-    backward (the segmented log's router forwards to it)."""
+    sites that may write one are few enough to name: three forward — a
+    shard stack's, at every shard count — one backward (the segmented
+    log's router forwards to it)."""
     assert _callers_of("log_update") == {
-        "repro.storage.store:StorageManager.create_object",
-        "repro.storage.store:StorageManager.write_object",
-        "repro.storage.store:StorageManager.delete_object",
-        "repro.storage.segmented:ShardedStorageManager.create_allocated",
+        "repro.storage.store:ShardStack.create_at",
+        "repro.storage.store:ShardStack.write_object",
+        "repro.storage.store:ShardStack.delete_object",
     }
     assert _callers_of("log_compensation") == {
         "repro.storage.recovery:undo_updates",
@@ -275,9 +287,9 @@ def test_an_operation_pins_in_one_place():
     }
     assert _callers_of("frame_for") == {
         "repro.storage.objects:ObjectStore._anchor",
-        "repro.storage.store:StorageManager.read_object",
-        "repro.storage.store:StorageManager.write_object",
-        "repro.storage.store:StorageManager.delete_object",
+        "repro.storage.store:ShardStack.read_object",
+        "repro.storage.store:ShardStack.write_object",
+        "repro.storage.store:ShardStack.delete_object",
     }
 
 
@@ -289,16 +301,59 @@ def test_no_exception_to_the_rule():
     from repro.storage.log import WriteAheadLog
     from repro.storage.recovery import RecoveryManager
     from repro.storage.segmented import SegmentedLog
-    from repro.storage.store import LoggedUndo
+    from repro.storage.store import StorageManager
 
     for log in (WriteAheadLog, SegmentedLog):
         assert list(inspect.signature(log.redo_records).parameters) == ["self"]
     assert "in_doubt" not in inspect.getsource(RecoveryManager._redo)
-    rollback = ast.parse(inspect.getsource(LoggedUndo.undo_to).strip())
+    rollback = ast.parse(inspect.getsource(StorageManager.undo_to).strip())
     assert not any(
         isinstance(node, (ast.For, ast.While, ast.comprehension))
         for node in ast.walk(rollback)
     )
+
+
+def test_one_storage_facade():
+    """Restart, checkpoints, crashes and oid allocation have one owner
+    at every shard count: no class under ``repro.storage`` but
+    ``StorageManager`` defines ``recover``, ``checkpoint`` or ``crash``
+    (a log device's ``crash`` is the power cut itself: it drops what
+    was never synced) or keeps a counter of oids, and the second facade
+    and its helpers are gone."""
+    owner, devices = "StorageManager", {"MemoryLogDevice", "FileLogDevice"}
+    duties, counters, defined = [], [], set()
+    for path in _modules("storage"):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            defined.add(cls.name)
+            for node in ast.walk(cls):
+                if isinstance(node, ast.FunctionDef):
+                    defined.add(node.name)
+                    allowed = {owner} | (devices if node.name == "crash" else set())
+                    if (
+                        node.name in ("recover", "checkpoint", "crash")
+                        and cls.name not in allowed
+                    ):
+                        duties.append(f"{cls.name}.{node.name}")
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                counted = isinstance(node, ast.AugAssign) or isinstance(
+                    getattr(node, "value", None), ast.Constant
+                ) and isinstance(node.value.value, int)
+                if cls.name != owner and counted and any(
+                    "oid" in getattr(target, "attr", "") for target in targets
+                ):
+                    counters.append(f"{cls.name}:{node.lineno}")
+    assert not duties, duties
+    assert not counters, counters
+    gone = {"ShardedStorageManager", "LoggedUndo", "_clone_group_commit"}
+    assert not gone & defined
+    assert not [
+        f"{path.relative_to(SRC)}: {word}"
+        for path in sorted(SRC.rglob("*.py"))
+        for word in gone
+        if word in path.read_text()
+    ]
 
 
 def test_a_site_holds_one_group_ledger():
