@@ -19,6 +19,7 @@ compaction's data moved under a directory that still looks whole.
 
 from __future__ import annotations
 
+import heapq
 import struct
 import zlib
 
@@ -54,6 +55,11 @@ class Page:
         self._slots = []
         self._data = bytearray(page_size)
         self._watermark = _HEADER.size
+        # Kept up to date by every operation so that ``fits`` and
+        # ``insert`` never walk the directory: the bytes tombstoned slots
+        # hold, and their slot numbers as a min-heap.
+        self._reclaimable = 0
+        self._tombstones = []
 
     # -- space accounting ---------------------------------------------------
 
@@ -65,7 +71,7 @@ class Page:
     @property
     def live_count(self):
         """Directory entries that hold live objects."""
-        return sum(1 for offset, __, __ in self._slots if offset != _TOMBSTONE)
+        return len(self._slots) - len(self._tombstones)
 
     def _directory_start(self):
         return self.page_size - len(self._slots) * _SLOT.size
@@ -76,9 +82,7 @@ class Page:
 
     def reclaimable_space(self):
         """Bytes held by tombstoned slots, recoverable by compaction."""
-        return sum(
-            length for offset, length, __ in self._slots if offset == _TOMBSTONE
-        )
+        return self._reclaimable
 
     def fits(self, data_len, reuse_slot=None):
         """Whether an object of ``data_len`` bytes fits (after compaction).
@@ -88,7 +92,7 @@ class Page:
         already counted by :meth:`reclaimable_space`.
         """
         slot_cost = 0 if reuse_slot is not None else _SLOT.size
-        usable = self.free_space() + self.reclaimable_space()
+        usable = self.free_space() + self._reclaimable
         if reuse_slot is not None:
             offset, old_len, __ = self._slots[reuse_slot]
             if offset != _TOMBSTONE:
@@ -101,17 +105,11 @@ class Page:
         """Store ``data`` under a new slot; return the slot number.
 
         Raises :class:`PageFullError` when the object cannot fit even after
-        compaction.  Tombstoned slots are reused to keep the directory small.
+        compaction.  The lowest-numbered tombstoned slot is reused to keep
+        the directory small.
         """
-        reuse = next(
-            (
-                index
-                for index, (offset, __, __) in enumerate(self._slots)
-                if offset == _TOMBSTONE
-            ),
-            None,
-        )
-        if not self.fits(len(data), reuse_slot=None if reuse is None else reuse):
+        reuse = self._tombstones[0] if self._tombstones else None
+        if not self.fits(len(data), reuse_slot=reuse):
             raise PageFullError(
                 f"page {self.page_id}: no room for {len(data)} bytes"
             )
@@ -121,6 +119,8 @@ class Page:
         self._data[offset : offset + len(data)] = data
         self._watermark += len(data)
         if reuse is not None:
+            heapq.heappop(self._tombstones)
+            self._reclaimable -= self._slots[reuse][1]
             self._slots[reuse] = (offset, len(data), oid_value)
             return reuse
         self._slots.append((offset, len(data), oid_value))
@@ -148,6 +148,8 @@ class Page:
             raise PageFullError(
                 f"page {self.page_id}: no room to grow slot {slot}"
             )
+        # A tombstone only while the value is between homes, so that a
+        # compaction drops its old bytes: neither counted nor queued.
         self._slots[slot] = (_TOMBSTONE, length, oid_value)
         if len(data) > self.free_space():
             self.compact()
@@ -160,6 +162,8 @@ class Page:
         """Tombstone ``slot``; its space is reclaimed at next compaction."""
         offset, length, oid_value = self._slot_entry(slot)
         self._slots[slot] = (_TOMBSTONE, length, oid_value)
+        self._reclaimable += length
+        heapq.heappush(self._tombstones, slot)
 
     def compact(self):
         """Rewrite the data area dropping space of tombstoned slots."""
@@ -178,6 +182,7 @@ class Page:
         self._data = new_data
         self._slots = new_slots
         self._watermark = watermark
+        self._reclaimable = 0
 
     def items(self):
         """Yield ``(slot, oid_value, bytes)`` for every live object."""
@@ -234,9 +239,13 @@ class Page:
         page._data = bytearray(raw)
         page._watermark = watermark
         cursor = page_size
-        for __ in range(slot_count):
+        for slot in range(slot_count):
             cursor -= _SLOT.size
-            page._slots.append(_SLOT.unpack_from(raw, cursor))
+            entry = _SLOT.unpack_from(raw, cursor)
+            if entry[0] == _TOMBSTONE:
+                page._reclaimable += entry[1]
+                page._tombstones.append(slot)  # ascending: already a heap
+            page._slots.append(entry)
         return page
 
     def __repr__(self):

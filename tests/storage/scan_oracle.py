@@ -15,6 +15,11 @@ mark, one by one; it now installs the newest per object.  The replay of
 all of them is kept here too (:func:`replay_every_image`,
 :func:`images_to_replay` for a log of segments, and
 :func:`redo_by_replay` to run a restart with it).
+
+A page keeps the bytes its tombstones hold and their slot numbers as
+counters; the walks of its slot directory that ``Page.fits`` and
+``Page.insert`` made on every call are kept here as their references
+(:func:`reclaimable_scan`, :func:`first_tombstone_scan`).
 """
 
 from contextlib import contextmanager
@@ -29,6 +34,7 @@ from repro.storage.log import (
     PrepareRecord,
     UpdateRecord,
 )
+from repro.storage.page import _TOMBSTONE
 from repro.storage.recovery import (
     RecoveryManager,
     RecoveryReport,
@@ -158,6 +164,27 @@ def updates_by_scan(log, tid):
                 ):
                     responsible[update.lsn] = record.delegatee
     return [r for r in mine if responsible[r.lsn] == tid]
+
+
+def reclaimable_scan(page):
+    """Bytes ``page``'s tombstoned slots hold, by a walk of its
+    directory: ``reclaimable_space()`` as it was summed."""
+    return sum(
+        length for offset, length, __ in page._slots if offset == _TOMBSTONE
+    )
+
+
+def first_tombstone_scan(page):
+    """The slot ``insert`` reuses, by a walk of ``page``'s directory: the
+    lowest-numbered tombstone, or ``None``."""
+    return next(
+        (
+            slot
+            for slot, (offset, __, __) in enumerate(page._slots)
+            if offset == _TOMBSTONE
+        ),
+        None,
+    )
 
 
 def replay_every_image(records, above):

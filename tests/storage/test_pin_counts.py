@@ -12,6 +12,8 @@ restart redo, the state readers — is the same method under a pin of the
 store's own: one fetch, too.
 """
 
+import sys
+
 import pytest
 
 from repro.common.errors import UnknownObjectError
@@ -142,6 +144,85 @@ class TestOneLatchCycleReadsTheSlotOnce:
         storage.write_object(T, oid, b"after")
         record = storage.log.records()[-1]
         assert (record.before, record.after) == (b"before", b"after")
+
+
+class TestPlacementPinsOnlyThePageItFills:
+    """A create pins the one page it fills.  Placement used to fetch,
+    ``fits``-test and unpin every cached frame in page-id order; now the
+    pool walks its frames under its own lock and pins only the page with
+    room — leaving each frame it passes as a fetch would have (one hit,
+    ``referenced`` set), so the clock chooses the victims it chose."""
+
+    FULL = b"f" * 4032  # the largest inline value: 35 bytes left beside it
+    SMALL = b"s" * 40  # too big for those 35
+
+    def test_a_create_past_sixteen_full_cached_pages_fetches_none(self):
+        storage = StorageManager(capacity=16)
+        for __ in range(16):
+            storage.create_object(T, self.FULL)
+        pool = storage.pool
+        assert len(pool) == 16
+        fetched = []
+        plain = pool.fetch
+
+        def recording(page_id):
+            fetched.append(page_id)
+            return plain(page_id)
+
+        pool.fetch = recording
+        hits = pool.hits
+        try:
+            oid = storage.create_object(T, self.FULL)
+        finally:
+            del pool.fetch
+        assert fetched == []  # 16 at the parent
+        assert pool.hits - hits == 16  # the pages passed, as before
+        assert storage.read_object(T, oid) == self.FULL
+
+    def test_the_pages_passed_keep_the_bits_a_fetch_left(self):
+        storage = StorageManager(capacity=16)
+        for __ in range(15):
+            storage.create_object(T, self.FULL)
+        storage.create_object(T, self.SMALL)  # the sixteenth page has room
+        pool = storage.pool
+        for frame in pool._frames.values():
+            frame.referenced = False
+        hits = pool.hits
+        storage.create_object(T, self.SMALL)
+        assert pool.hits - hits == 16
+        assert all(frame.referenced for frame in pool._frames.values())
+        assert all(frame.pin_count == 0 for frame in pool._frames.values())
+
+    def test_redo_of_256_small_objects_walks_no_slot_directory(self):
+        """Restart redo re-creates 256 small objects onto one page.  Each
+        create summed the slot directory twice and walked it for a
+        tombstone once: 768 generator frames of ``storage/page.py`` at
+        the parent, none now."""
+        storage = StorageManager()
+        for __ in range(256):
+            storage.create_object(T, b"s")
+        storage.log_commit(T)
+        storage.crash()
+        page_module = sys.modules[Page.__module__].__file__
+        generators = set()
+
+        def profiler(frame, event, arg):
+            code = frame.f_code
+            if (
+                event == "call"
+                and code.co_name == "<genexpr>"
+                and code.co_filename == page_module
+            ):
+                generators.add(frame)
+
+        sys.setprofile(profiler)
+        try:
+            report = storage.recover()
+        finally:
+            sys.setprofile(None)
+        assert report.redone == 256
+        assert len(storage.pool) == 1  # one page holds them all
+        assert len(generators) == 0
 
 
 class TestUnknownObjectsPinNothing:

@@ -272,8 +272,8 @@ def test_an_operation_pins_in_one_place():
     operations call it once each, the frameless entry and the stale-pin
     retry share one call in ``_anchor``, and ``read`` / ``write`` /
     ``delete`` fetch nothing themselves — the other ``pool.fetch`` sites
-    are pages an operation does *not* hold (chunks, placement, the table
-    rebuild)."""
+    are pages an operation does *not* hold (chunks, the table rebuild).
+    Placement fetches nothing: it pins the one page it fills."""
     storage = {
         caller for caller in _callers_of("fetch")
         if caller.startswith("repro.storage.")
@@ -282,8 +282,10 @@ def test_an_operation_pins_in_one_place():
         "repro.storage.objects:ObjectStore.frame_for",
         "repro.storage.objects:ObjectStore._read_slot",
         "repro.storage.objects:ObjectStore._delete_slot",
-        "repro.storage.objects:ObjectStore._place",
         "repro.storage.objects:ObjectStore._rebuild_table",
+    }
+    assert _callers_of("pin_first") == {
+        "repro.storage.objects:ObjectStore._place",
     }
     assert _callers_of("frame_for") == {
         "repro.storage.objects:ObjectStore._anchor",
