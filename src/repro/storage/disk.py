@@ -21,6 +21,9 @@ import threading
 from repro.common.errors import StorageError
 from repro.storage.page import PAGE_SIZE
 
+# Pages a file scan reads at a time: 64 of 4 KiB, one 256 KiB read.
+SCAN_PAGES = 64
+
 
 class DiskManager:
     """Interface for page stores; see module docstring."""
@@ -43,6 +46,12 @@ class DiskManager:
     def page_ids(self):
         """Iterate over all allocated page ids."""
         raise NotImplementedError
+
+    def scan(self):
+        """Yield ``(page_id, image)`` of every page in id order, holding
+        no lock while the consumer has one: it may write the page."""
+        for page_id in self.page_ids():
+            yield page_id, self.read_page(page_id)
 
     def sync(self):
         """Force pending writes to stable storage."""
@@ -177,6 +186,17 @@ class FileDiskManager(DiskManager):
 
     def page_ids(self):
         return range(1, self._page_count + 1)
+
+    def scan(self):
+        """One read per :data:`SCAN_PAGES` pages, through the file object
+        that took every write; each page is a view of its chunk."""
+        size = self.page_size
+        for first in range(1, self._page_count + 1, SCAN_PAGES):
+            with self._lock:
+                self._file.seek((first - 1) * size)
+                chunk = memoryview(self._file.read(SCAN_PAGES * size))
+            for start in range(0, len(chunk), size):
+                yield first + start // size, chunk[start : start + size]
 
     def sync(self):
         with self._lock:

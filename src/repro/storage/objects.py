@@ -32,7 +32,7 @@ import struct
 import threading
 
 from repro.common.errors import StorageError, UnknownObjectError
-from repro.storage.page import Page, PageFullError, TornPageError
+from repro.storage.page import Page, PageFullError, TornPageError, live_slots
 
 # Chunk ids: bit 62 set, then 16 bits of chunk index, then the owner id.
 _CHUNK_FLAG = 1 << 62
@@ -84,10 +84,11 @@ class ObjectStore:
         self._rebuild_table()
 
     def _rebuild_table(self):
-        """Scan all pages rebuilding the object table (open / recovery).
+        """Rebuild the object table (open / recovery) from the slot
+        directories of one in-order pass over the disk, caching nothing.
 
         A page that is not whole (a torn write, caught by its checksum
-        in :meth:`~repro.storage.page.Page.from_bytes`) is *quarantined*:
+        in :func:`~repro.storage.page.check_image`) is *quarantined*:
         reset to an empty page and skipped.  Redo then re-creates every
         object that belongs on it from the log's newest images — which
         is why torn data pages are recoverable at all.
@@ -95,17 +96,15 @@ class ObjectStore:
         with self._lock:
             self.pool.dropped = False
             self._locations.clear()
-            for page_id in self.pool.disk.page_ids():
+            disk = self.pool.disk
+            for page_id, image in disk.scan():
                 try:
-                    frame = self.pool.fetch(page_id)
+                    live = live_slots(image, disk.page_size, page_id)
                 except TornPageError:
                     self._quarantine(page_id)
                     continue
-                try:
-                    for slot, oid_value, __ in frame.page.items():
-                        self._locations[oid_value] = (page_id, slot)
-                finally:
-                    self.pool.unpin(page_id)
+                for slot, oid_value in live:
+                    self._locations[oid_value] = (page_id, slot)
 
     def refresh_table(self):
         """Restart's table: rebuilt only if the cache it was built from

@@ -12,7 +12,8 @@ value) so slot numbers remain stable; compaction reclaims their data space.
 The layout is genuinely byte-level — pages round-trip through ``to_bytes``
 / ``from_bytes`` unchanged, which is what the disk manager and crash
 simulation rely on.  The checksum, a CRC32 of every byte after it, is
-the one check an image gets (in ``from_bytes``): a torn write fails it
+the one check an image gets (:func:`check_image`, which ``from_bytes``
+and the table rebuild's :func:`live_slots` share): a torn write fails it
 whatever the halves hold, where a walk of the structure would pass a
 compaction's data moved under a directory that still looks whole.
 """
@@ -215,26 +216,14 @@ class Page:
 
     @classmethod
     def from_bytes(cls, raw, page_size=PAGE_SIZE, default_page_id=0):
-        """Reconstruct a page from bytes produced by :meth:`to_bytes`.
-
-        An all-zero image is a freshly allocated page that was never
-        written back; it decodes as a valid empty page (with
-        ``default_page_id``), which is exactly what a restart sees for
-        pages allocated but not yet flushed.  Any other image that fails
-        its checksum is :class:`TornPageError`, which the table rebuild
-        quarantines; one in the layout before checksums is refused.
-        """
-        if len(raw) != page_size:
-            raise StorageError(
-                f"expected {page_size} bytes, got {len(raw)}"
-            )
-        crc, magic, slot_count, watermark, page_id = _HEADER.unpack_from(raw)
-        if magic == 0 and slot_count == 0 and watermark == 0:
+        """Reconstruct a page from bytes produced by :meth:`to_bytes`,
+        after :func:`check_image`: an all-zero image (a page allocated
+        but never written back, as a restart may find one) is an empty
+        page with ``default_page_id``."""
+        header = check_image(raw, page_size, default_page_id)
+        if header is None:
             return cls(default_page_id, page_size=page_size)
-        if magic != _MAGIC or crc != zlib.crc32(memoryview(raw)[_CRC.size :]):
-            if magic != _MAGIC and raw[:2] == _RETIRED_LAYOUT:
-                raise StorageError(f"page {default_page_id} predates checksums")
-            raise TornPageError(f"page {default_page_id} fails its checksum")
+        __, __, slot_count, watermark, page_id = header
         page = cls(page_id, page_size=page_size)
         page._data = bytearray(raw)
         page._watermark = watermark
@@ -253,3 +242,34 @@ class Page:
             f"Page(id={self.page_id}, live={self.live_count},"
             f" free={self.free_space()})"
         )
+
+
+def check_image(raw, page_size, page_id):
+    """The one check a page image gets: its header ``(crc, magic, slot
+    count, watermark, page id)``, ``None`` if it is all zeros (never
+    written back), :class:`TornPageError` if its checksum fails (the
+    table rebuild quarantines it), refused by name if it predates them."""
+    if len(raw) != page_size:
+        raise StorageError(f"expected {page_size} bytes, got {len(raw)}")
+    crc, magic, slot_count, watermark, __ = header = _HEADER.unpack_from(raw)
+    if magic == 0 and slot_count == 0 and watermark == 0:
+        return None
+    if magic != _MAGIC or crc != zlib.crc32(memoryview(raw)[_CRC.size :]):
+        if magic != _MAGIC and raw[:2] == _RETIRED_LAYOUT:
+            raise StorageError(f"page {page_id} predates checksums")
+        raise TornPageError(f"page {page_id} fails its checksum")
+    return header
+
+
+def live_slots(raw, page_size, page_id):
+    """``(slot, oid value)`` of each live object on the image ``raw``,
+    after :func:`check_image`, from its slot directory alone."""
+    header = check_image(raw, page_size, page_id)
+    start = page_size - (header[2] if header else 0) * _SLOT.size
+    # The directory grows down from the page end: slot 0 is its last entry.
+    entries = reversed(list(_SLOT.iter_unpack(memoryview(raw)[start:])))
+    return [
+        (slot, oid_value)
+        for slot, (offset, __, oid_value) in enumerate(entries)
+        if offset != _TOMBSTONE
+    ]

@@ -23,6 +23,7 @@ from unittest.mock import patch
 
 from repro.cluster.site import Site
 from repro.core.manager import TransactionManager
+from repro.storage import page
 from repro.storage.buffer import BufferPool
 from repro.storage.log import (
     CheckpointRecord,
@@ -31,7 +32,7 @@ from repro.storage.log import (
     WriteAheadLog,
 )
 from repro.storage.objects import ObjectStore
-from repro.storage.page import _CRC, Page
+from repro.storage.page import _CRC
 from repro.storage.recovery import RecoveryManager
 from repro.storage.store import ShardStack, StorageManager
 
@@ -121,19 +122,20 @@ def void_mark_skips_prefix():
 
 
 def page_checksum_ignored():
-    """``Page.from_bytes`` skips the checksum compare (every image is
-    stamped with its own bytes' checksum first): a torn page decodes as
-    its new header and old directory say, and the table rebuild serves
-    the neighbours' bytes under their ids.  A tear of a compacted page
-    must show."""
-    from_bytes = Page.__dict__["from_bytes"].__func__
+    """``check_image`` skips the checksum compare (every image is stamped
+    with its own bytes' checksum first) for both of its callers,
+    ``Page.from_bytes`` and the table rebuild's ``live_slots``: a torn
+    page decodes as its new header and old directory say, and the table
+    serves the neighbours' bytes under their ids.  A tear of a
+    compacted page must show."""
+    check_image = page.check_image
 
-    def unchecked(cls, raw, *args, **kwargs):
+    def unchecked(raw, *args, **kwargs):
         raw = bytearray(raw)
         _CRC.pack_into(raw, 0, zlib.crc32(memoryview(raw)[_CRC.size :]))
-        return from_bytes(cls, bytes(raw), *args, **kwargs)
+        return check_image(bytes(raw), *args, **kwargs)
 
-    return patch.object(Page, "from_bytes", classmethod(unchecked))
+    return patch.object(page, "check_image", unchecked)
 
 
 class _Everyone:

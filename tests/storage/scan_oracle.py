@@ -20,9 +20,16 @@ A page keeps the bytes its tombstones hold and their slot numbers as
 counters; the walks of its slot directory that ``Page.fits`` and
 ``Page.insert`` made on every call are kept here as their references
 (:func:`reclaimable_scan`, :func:`first_tombstone_scan`).
+
+The object table is rebuilt at open in one pass over the disk's page
+images, reading each slot directory and caching nothing.  The walk it
+replaced, which fetched and unpinned every page through the buffer
+pool, is kept here as its reference (:func:`rebuild_by_walk`, and
+:func:`table_by_walk` to open a store with it).
 """
 
 from contextlib import contextmanager
+from unittest.mock import patch
 
 from repro.storage.log import (
     AbortRecord,
@@ -34,7 +41,8 @@ from repro.storage.log import (
     PrepareRecord,
     UpdateRecord,
 )
-from repro.storage.page import _TOMBSTONE
+from repro.storage.objects import ObjectStore
+from repro.storage.page import _TOMBSTONE, TornPageError
 from repro.storage.recovery import (
     RecoveryManager,
     RecoveryReport,
@@ -230,3 +238,29 @@ def redo_by_replay():
         yield
     finally:
         RecoveryManager._redo = original
+
+
+def rebuild_by_walk(objects):
+    """``ObjectStore._rebuild_table`` as a walk of the pool: every page
+    fetched (a ``Page`` decoded, a frame admitted, the clock turned),
+    its live slots read, and unpinned; a torn page quarantined."""
+    with objects._lock:
+        objects.pool.dropped = False
+        objects._locations.clear()
+        for page_id in objects.pool.disk.page_ids():
+            try:
+                frame = objects.pool.fetch(page_id)
+            except TornPageError:
+                objects._quarantine(page_id)
+                continue
+            try:
+                for slot, oid_value, __ in frame.page.items():
+                    objects._locations[oid_value] = (page_id, slot)
+            finally:
+                objects.pool.unpin(page_id)
+
+
+def table_by_walk():
+    """Every object table opened or refreshed meanwhile is rebuilt by
+    :func:`rebuild_by_walk`."""
+    return patch.object(ObjectStore, "_rebuild_table", rebuild_by_walk)

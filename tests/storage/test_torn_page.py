@@ -16,7 +16,9 @@ restart point stays where it was.
 tail) each turn the sweep below red.
 """
 
+import ast
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,7 @@ from repro.chaos.faults import (
 from repro.chaos.stack import read_state
 from repro.common.errors import StorageError
 from repro.common.ids import Tid
+from repro.storage import page as page_module
 from repro.storage.disk import InMemoryDiskManager
 from repro.storage.page import Page, TornPageError
 from repro.storage.store import StorageManager
@@ -82,6 +85,31 @@ class TestThePageChecksum:
         disk._pages[disk.allocate_page()] = bytes(old_layout)
         with pytest.raises(StorageError, match="predates checksums"):
             StorageManager(disk=disk)
+
+
+def test_the_checksum_is_compared_in_one_place():
+    """``check_image`` is the one function under ``storage/`` that
+    compares a page's CRC (the other compare is the log's hint sidecar),
+    and both readers of a page image go through it — ``Page.from_bytes``
+    and the table rebuild's ``live_slots`` — so ``page_checksum_ignored``
+    reaches both."""
+    storage = Path(page_module.__file__).parent
+    comparing = set()
+    for path in sorted(storage.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for compare in ast.walk(function):
+                if isinstance(compare, ast.Compare) and any(
+                    isinstance(call, ast.Call)
+                    and getattr(call.func, "attr", None) == "crc32"
+                    for call in ast.walk(compare)
+                ):
+                    comparing.add(f"{path.name}:{function.name}")
+    assert comparing == {"page.py:check_image", "log.py:_load_hint"}
+    for reader in (Page.from_bytes, page_module.live_slots):
+        names = reader.__code__.co_names
+        assert "check_image" in names and "crc32" not in names
 
 
 def _shard_stores(storage):

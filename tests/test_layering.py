@@ -272,8 +272,9 @@ def test_an_operation_pins_in_one_place():
     operations call it once each, the frameless entry and the stale-pin
     retry share one call in ``_anchor``, and ``read`` / ``write`` /
     ``delete`` fetch nothing themselves — the other ``pool.fetch`` sites
-    are pages an operation does *not* hold (chunks, the table rebuild).
-    Placement fetches nothing: it pins the one page it fills."""
+    are pages an operation does *not* hold (chunks).  Placement fetches
+    nothing: it pins the one page it fills; nor does the table rebuild,
+    which reads the disk's images in one pass and caches nothing."""
     storage = {
         caller for caller in _callers_of("fetch")
         if caller.startswith("repro.storage.")
@@ -282,7 +283,6 @@ def test_an_operation_pins_in_one_place():
         "repro.storage.objects:ObjectStore.frame_for",
         "repro.storage.objects:ObjectStore._read_slot",
         "repro.storage.objects:ObjectStore._delete_slot",
-        "repro.storage.objects:ObjectStore._rebuild_table",
     }
     assert _callers_of("pin_first") == {
         "repro.storage.objects:ObjectStore._place",
