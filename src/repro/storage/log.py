@@ -901,7 +901,11 @@ class WriteAheadLog:
         # Delegatees, and delegators left with no update: with the keys
         # of ``_updates_by_tid``, everyone who ever wrote.
         self._delegation_parties = set()
-        self._oids = set()  # oid values with an update or compensation here
+        # Each object's newest update or compensation here, and every
+        # such record's LSN in order: redo's survivors and, by one
+        # bisect at the mark, how many images they stand for.
+        self._newest = {}
+        self._image_lsns = []
         self.redo_lsn = 0  # the last checkpoint marker's mark
 
     def resync(self):
@@ -981,9 +985,11 @@ class WriteAheadLog:
             self._max_tid = int(tid)
         if isinstance(record, UpdateRecord):
             self._updates_by_tid.setdefault(tid, []).append(record)
-            self._oids.add(record.oid)
+            self._newest[record.oid] = record
+            self._image_lsns.append(record.lsn)
         elif isinstance(record, CompensationRecord):
-            self._oids.add(record.oid)
+            self._newest[record.oid] = record
+            self._image_lsns.append(record.lsn)
         elif isinstance(record, DelegateRecord):
             self._max_tid = int(max(self._max_tid, record.delegatee))
             self._delegation_parties.add(record.delegatee)
@@ -1432,36 +1438,39 @@ class WriteAheadLog:
     def redo_records(self):
         """``(records, superseded)``: the records whose ``after`` image
         restart must reinstall, in LSN order — for each object with an
-        update or compensation in :meth:`_redo_span`, the newest one —
-        and how many older images there those stand for.  An image is
-        the whole object, so installing the newest leaves what
-        installing all of them in order would."""
-        newest, images = {}, 0
-        for record in reversed(self._redo_span()):
-            if isinstance(record, (UpdateRecord, CompensationRecord)):
-                images += 1
-                newest.setdefault(record.oid, record)
-        return list(reversed(newest.values())), images - len(newest)
-
-    def _redo_span(self):
-        """What redo reads: the tail above the mark — or, under a void
-        mark, every record: a reset page may hold what the prefix wrote."""
+        update or compensation above the mark, the newest one, read off
+        the index — and how many older images there those stand for.
+        An image is the whole object, so installing the newest leaves
+        what installing all of them in order would.  Under a void mark
+        redo reads every record instead: a reset page may hold what the
+        prefix wrote."""
         if not self.redo_lsn and self.base:
-            return self.records()
+            newest, images = {}, 0
+            for record in reversed(self.records()):
+                if isinstance(record, (UpdateRecord, CompensationRecord)):
+                    images += 1
+                    newest.setdefault(record.oid, record)
+            return list(reversed(newest.values())), images - len(newest)
         with self._lock:
-            return self._decoded[self._first_above(self.redo_lsn) :]
+            mark, lsns = self.redo_lsn, self._image_lsns
+            records = sorted(
+                (r for r in self._newest.values() if r.lsn > mark),
+                key=attrgetter("lsn"),
+            )
+            images = len(lsns) - bisect_right(lsns, mark)
+        return records, images - len(records)
 
     def image_oids(self):
         """Values of the object ids redo may install: those updated or
         restored in the tail — or, under a void mark, in all the log
-        redo then reads (:meth:`_redo_span`)."""
+        redo then reads."""
         if not self.redo_lsn and self.base:
             return {
-                record.oid for record in self._redo_span()
+                record.oid for record in self.records()
                 if isinstance(record, (UpdateRecord, CompensationRecord))
             }
         with self._lock:
-            return set(self._oids)
+            return set(self._newest)
 
     def max_tid_value(self):
         """The highest transaction id appearing anywhere in the log.

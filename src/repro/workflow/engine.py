@@ -64,6 +64,7 @@ conservative reading of "the timer survives the crash").
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from repro.common.clock import LogicalClock
@@ -219,6 +220,8 @@ class WorkflowEngine:
         # The wid high-water mark is learnt from the log by the first
         # start() / recover(): an engine that only executes reads no log.
         self._next_wid = None
+        # Anonymous executions' wids (span and timer keys): -1, -2, ...
+        self._anonymous = itertools.count(-1, -1)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -324,7 +327,7 @@ class WorkflowEngine:
         restart, so it is neither logged nor retained.
         """
         spec.validate()
-        execution = WorkflowExecution(wid=0)
+        execution = WorkflowExecution(wid=next(self._anonymous))
         self._record(execution, wrecords.STARTED, definition="", context={})
         self._count("started")
         drive = self._drive_parallel if parallel else self._drive

@@ -35,6 +35,7 @@ from repro.storage.objects import ObjectStore
 from repro.storage.page import _CRC
 from repro.storage.recovery import RecoveryManager
 from repro.storage.store import ShardStack, StorageManager
+from tests.storage.scan_oracle import redo_span
 
 
 def undo_disabled():
@@ -73,13 +74,28 @@ def redo_keeps_oldest_image():
 
     def oldest(self):
         first, images = {}, 0
-        for record in self._redo_span():  # the product's pass, wrong end
+        for record in redo_span(self):  # the scan oracle's, wrong end
             if isinstance(record, (UpdateRecord, CompensationRecord)):
                 images += 1
                 first.setdefault(record.oid, record)
         return list(first.values()), images - len(first)
 
     return patch.object(WriteAheadLog, "redo_records", oldest)
+
+
+def redo_index_skips_compensations():
+    """The log's index ignores compensation records: redo's newest image
+    of an object whose last update was undone is that update, and
+    restart reinstalls the after image the undo took away.  The
+    ``checkpoint_mark`` sweeps, the restart property and the redo
+    index property must catch it."""
+    index_record = WriteAheadLog._index_record
+
+    def skipping(self, record):
+        if not isinstance(record, CompensationRecord):
+            index_record(self, record)
+
+    return patch.object(WriteAheadLog, "_index_record", skipping)
 
 
 def redo_mark_read_after_flush():
@@ -113,12 +129,16 @@ def void_mark_skips_prefix():
     point held every image redo needs: an object on the torn page last
     written below the point is never rebuilt.  The ``checkpoint_mark``
     sweeps' torn-page dimension must catch it."""
+    redo_records = WriteAheadLog.redo_records
 
     def tail_only(self):
-        with self._lock:
-            return self._decoded[self._first_above(self.redo_lsn) :]
+        base, self.base = self.base, 0  # as if the tail were the log
+        try:
+            return redo_records(self)
+        finally:
+            self.base = base
 
-    return patch.object(WriteAheadLog, "_redo_span", tail_only)
+    return patch.object(WriteAheadLog, "redo_records", tail_only)
 
 
 def page_checksum_ignored():

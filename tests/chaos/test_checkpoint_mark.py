@@ -17,7 +17,9 @@ reads only the tail (``void_mark_skips_prefix``): b, on the torn page,
 was last written below the restart point.  Above the mark redo installs each
 object once, at its newest image; the one way that can be wrong — the
 oldest instead (``redo_keeps_oldest_image``) — turns these sweeps and
-the ``steal_window`` ones red as well.
+the ``steal_window`` ones red as well, and so does an index that finds
+those images without the compensation records
+(``redo_index_skips_compensations``).
 
 Since PR 22 a rewrite marks its frame dirty in one place — the single
 unpin that ends ``write_object`` — so that unpin gets a mutation of its
@@ -53,6 +55,7 @@ from repro.storage.log import (
     UpdateRecord,
 )
 from tests.chaos.mutations import (
+    redo_index_skips_compensations,
     redo_keeps_oldest_image,
     redo_lwm_too_high,
     redo_mark_read_after_flush,
@@ -179,6 +182,26 @@ class TestCheckpointMarkSensitivity:
             v.startswith("state")
             for artifact in result.failures
             for v in artifact.violations
+        )
+
+    @pytest.mark.parametrize("name", [
+        "steal_window",
+        "steal_window_sharded",
+        "checkpoint_mark",
+        "checkpoint_mark_sharded",
+    ])
+    def test_a_redo_index_that_skips_compensations_is_caught(self, name):
+        """Restart undoes a loser by compensation records; read off an
+        index that never saw them, the next restart's redo puts the
+        undone after images back (the sweep's second recovery pass
+        changes the store), and ``steal_window``'s own aborts leave
+        states no committed history gives."""
+        with redo_index_skips_compensations():
+            result = crash_sweep(scenarios.get(name), stop_at_first=True)
+        assert result.failures
+        assert any(
+            v.startswith(("state", "idempotence"))
+            for v in result.failures[0].violations
         )
 
     @ENGINES

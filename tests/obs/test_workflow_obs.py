@@ -6,7 +6,9 @@ from repro.obs import ObservabilityKit
 from repro.runtime.coop import CooperativeRuntime
 from repro.workflow.definition import DefinitionRegistry, WorkflowDefinition
 from repro.workflow.engine import WorkflowEngine
+from repro.workflow.records import workflow_records
 from repro.workflow.spec import WorkflowSpec
+from tests.conftest import incrementer, make_counters
 
 
 def _set_value(tx, oid, value):
@@ -103,3 +105,29 @@ class TestExecutionSpans:
             if span["trace"] == "workflow"
         ]
         assert len(spans) == 1
+
+    def test_each_anonymous_execution_has_a_span_of_its_own(self):
+        """Anonymous executions share no wid, so three of them make three
+        spans, each closed with its own outcome — and none is logged."""
+        rt = CooperativeRuntime(TransactionManager(), seed=3)
+        engine = WorkflowEngine(rt)
+        kit = ObservabilityKit()
+        kit.attach_workflow(engine)
+        [oid] = make_counters(rt, 1)
+        for fail in (False, True, False):
+            spec = WorkflowSpec()
+            spec.task("inc").alternative(incrementer(oid, fail=fail))
+            engine.execute(spec)
+        spans = [
+            span for span in kit.spans.export()
+            if span["trace"] == "workflow"
+        ]
+        assert [span["status"] for span in spans] == [
+            "completed", "compensated", "completed",
+        ]
+        assert len({span["tid"] for span in spans}) == 3
+        for span in spans:
+            kinds = [link["type"] for link in span["links"]]
+            assert kinds.count("started") == kinds.count("finished") == 1
+        assert not list(workflow_records(rt.manager.storage.log.records()))
+        assert engine.executions() == {}

@@ -15,7 +15,10 @@ from repro.common.ids import ObjectId, Tid
 from repro.storage.disk import FileDiskManager
 from repro.storage.log import FileLogDevice, MemoryLogDevice, WriteAheadLog
 from repro.storage.store import StorageManager
-from tests.chaos.mutations import redo_keeps_oldest_image
+from tests.chaos.mutations import (
+    redo_index_skips_compensations,
+    redo_keeps_oldest_image,
+)
 from tests.storage.scan_oracle import (
     assert_tail_analysis_matches,
     images_to_replay,
@@ -532,4 +535,18 @@ class TestIndexDrivenRestartProperty:
         ]:
             history.apply(op)
         with redo_keeps_oldest_image(), pytest.raises(AssertionError):
+            history.crash()
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_a_redo_index_that_skips_compensations_is_caught(self, n_shards):
+        """The smallest history that needs a compensation's image: an
+        update rolled back to before it by a winner, no page flushed."""
+        history = _History(n_shards, None)
+        for op in [
+            ("write", 0, 0, b"1" * 4),
+            ("rollback", 0, 0),
+            ("commit", 0, None),
+        ]:
+            history.apply(op)
+        with redo_index_skips_compensations(), pytest.raises(AssertionError):
             history.crash()

@@ -16,6 +16,11 @@ all of them is kept here too (:func:`replay_every_image`,
 :func:`images_to_replay` for a log of segments, and
 :func:`redo_by_replay` to run a restart with it).
 
+Restart redo reads each object's newest image above the mark off the
+log's index.  The backward pass over the records redo reads that found
+them before is kept here as its reference (:func:`redo_records_scan`,
+over :func:`redo_span`).
+
 A page keeps the bytes its tombstones hold and their slot numbers as
 counters; the walks of its slot directory that ``Page.fits`` and
 ``Page.insert`` made on every call are kept here as their references
@@ -204,6 +209,26 @@ def replay_every_image(records, above):
         if isinstance(record, (UpdateRecord, CompensationRecord))
         and record.lsn.value > above
     ]
+
+
+def redo_span(log):
+    """What redo reads of ``log`` by a scan: its tail above the mark —
+    or, under a void mark over a prefix, every record."""
+    if not log.redo_lsn and log.base:
+        return log.records()
+    return log._decoded[log._first_above(log.redo_lsn) :]
+
+
+def redo_records_scan(log):
+    """``log.redo_records()`` by one backward pass over
+    :func:`redo_span`: the newest image per object, in LSN order, and
+    how many older images there they stand for."""
+    newest, images = {}, 0
+    for record in reversed(redo_span(log)):
+        if isinstance(record, (UpdateRecord, CompensationRecord)):
+            images += 1
+            newest.setdefault(record.oid, record)
+    return list(reversed(newest.values())), images - len(newest)
 
 
 def images_to_replay(segments):

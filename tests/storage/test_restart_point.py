@@ -84,7 +84,8 @@ def _state(log):
         "aborted": log._finished_aborts,
         "votes": log._prepares,
         "parties": log._delegation_parties,
-        "oids": log._oids,
+        "newest": log._newest,
+        "images": log._image_lsns,
         "redo_lsn": log.redo_lsn,
         "max_tid": log.max_tid_value(),
         "lsns": (log.last_lsn, log.durable_lsn, log.restart_from),
