@@ -96,23 +96,6 @@ class BufferPool:
             frame.referenced = True
             return frame
 
-    def pin_first(self, room):
-        """Pin and return the first cached frame, in page-id order, whose
-        page fits ``room`` more bytes; ``None`` if none does.
-
-        Every frame passed on the way is left as a fetch and a clean
-        unpin left it — one hit, ``referenced`` set — so the clock picks
-        the victims it picked when placement fetched each page in turn.
-        """
-        with self._lock:
-            for __, frame in sorted(self._frames.items()):
-                self.hits += 1
-                frame.referenced = True
-                if frame.page.fits(room):
-                    frame.pin_count += 1
-                    return frame
-            return None
-
     def new_page(self):
         """Allocate a fresh page on disk, cache it pinned, return the frame."""
         with self._lock:

@@ -1,10 +1,10 @@
 """The object store: persistent objects on slotted pages.
 
 Maps :class:`~repro.common.ids.ObjectId` values to ``(page, slot)``
-locations, placing new objects on the first *cached* page with room and
-allocating pages as needed.  The object table is volatile — on open it is
-rebuilt by scanning pages, which is also how restart recovery
-re-discovers objects whose creation survived a crash.
+locations, placing new objects on the first page with room and
+allocating pages as needed.  The object table and the free-space map are
+volatile — on open both are rebuilt by scanning pages, which is also how
+restart recovery re-discovers objects whose creation survived a crash.
 
 Values at this layer are raw bytes; typed views (counters, records, …)
 are provided by the semantics layer above.
@@ -76,6 +76,10 @@ class ObjectStore:
     def __init__(self, buffer_pool):
         self.pool = buffer_pool
         self._locations = {}
+        # The free-space map: page id -> ``Page.room()`` for every page
+        # of the disk, in id order; and a bound on its largest entry.
+        self._room = {}
+        self._most = 0
         self._lock = threading.RLock()
         # Conservative single-page payload bound: page size minus header
         # and slot overhead.  Values above it are chunked.
@@ -84,8 +88,9 @@ class ObjectStore:
         self._rebuild_table()
 
     def _rebuild_table(self):
-        """Rebuild the object table (open / recovery) from the slot
-        directories of one in-order pass over the disk, caching nothing.
+        """Rebuild the object table and the free-space map (open /
+        recovery) from the slot directories of one in-order pass over
+        the disk, caching nothing.
 
         A page that is not whole (a torn write, caught by its checksum
         in :func:`~repro.storage.page.check_image`) is *quarantined*:
@@ -96,19 +101,23 @@ class ObjectStore:
         with self._lock:
             self.pool.dropped = False
             self._locations.clear()
+            self._room.clear()
             disk = self.pool.disk
             for page_id, image in disk.scan():
                 try:
-                    live = live_slots(image, disk.page_size, page_id)
+                    room, live = live_slots(image, disk.page_size, page_id)
+                    self._room[page_id] = room
                 except TornPageError:
                     self._quarantine(page_id)
                     continue
                 for slot, oid_value in live:
                     self._locations[oid_value] = (page_id, slot)
+            self._most = max(self._room.values(), default=0)
 
     def refresh_table(self):
-        """Restart's table: rebuilt only if the cache it was built from
-        has been dropped since (a crash) — a fresh open just built it."""
+        """Restart's table and map: rebuilt only if the cache they were
+        kept by has been dropped since (a crash) — a fresh open just
+        built them."""
         if self.pool.dropped:
             self._rebuild_table()
 
@@ -127,6 +136,7 @@ class ObjectStore:
             self.pool.wal.log_checkpoint((), redo_lsn=0)
         empty = Page(page_id, page_size=self.pool.disk.page_size)
         self.pool.disk.write_page(page_id, empty.to_bytes())
+        self._room[page_id] = empty.room()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -168,6 +178,7 @@ class ObjectStore:
         any chunk slots behind it."""
         header = self._parse_lob_header(pinned.raw)
         pinned.frame.page.delete(pinned.slot)
+        self._note(pinned.frame.page)
         del self._locations[oid_value]
         self._release(pinned, dirty=True)
         if header is not None:
@@ -183,6 +194,7 @@ class ObjectStore:
         frame = self.pool.fetch(page_id)
         try:
             frame.page.delete(slot)
+            self._note(frame.page)
         finally:
             self.pool.unpin(page_id, dirty=True)
 
@@ -195,19 +207,34 @@ class ObjectStore:
         return count, total
 
     def _place(self, oid_value, value):
-        """Put the value on the first cached page with room, else on a new
-        page; return its location.  Only that page is pinned."""
-        frame = self.pool.pin_first(len(value))
-        if frame is None:
-            frame = self.pool.new_page()
+        """Put the value on the first page, in page-id order, that the
+        free-space map gives room for, else on a new page, pinning only
+        that page; return its location.  "Nothing fits" is one compare:
+        a search that finds no room lowers the bound to the largest entry,
+        and only ``_note`` raises it."""
+        size, page_id, pool = len(value), None, self.pool
+        if size <= self._most:
+            for page_id, room in self._room.items():
+                if room >= size:
+                    break
+            else:
+                page_id, self._most = None, max(self._room.values())
+        page = (pool.new_page() if page_id is None else pool.fetch(page_id)).page
         try:
-            return frame.page.page_id, frame.page.insert(oid_value, value)
+            return page.page_id, page.insert(oid_value, value)
         except PageFullError:
             raise StorageError(
                 f"value of {len(value)} bytes exceeds page capacity"
             ) from None
         finally:
-            self.pool.unpin(frame.page.page_id, dirty=True)
+            self._note(page)
+            pool.unpin(page.page_id, dirty=True)
+
+    def _note(self, page):
+        """``page``'s live bytes or directory changed: so does its entry."""
+        room = self._room[page.page_id] = page.room()
+        if room > self._most:
+            self._most = room
 
     def exists(self, oid):
         """Whether ``oid`` names a live object."""
@@ -307,10 +334,11 @@ class ObjectStore:
                     len(value) <= self._max_inline
                     and pinned.raw.startswith(_TAG_INLINE)
                 ):
+                    page = pinned.frame.page
                     try:
-                        pinned.frame.page.update(
-                            pinned.slot, _TAG_INLINE + value
-                        )
+                        page.update(pinned.slot, _TAG_INLINE + value)
+                        if len(value) + 1 != len(pinned.raw):
+                            self._note(page)
                         return
                     except PageFullError:
                         pass  # fall through to relocate

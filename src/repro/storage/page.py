@@ -31,8 +31,10 @@ _MAGIC = 0xA55E  # "ASSE(T)"
 
 _HEADER = struct.Struct("<IHHII")  # crc, magic, slot_count, watermark, page_id
 _CRC = struct.Struct("<I")
-_SLOT = struct.Struct("<HHQ")  # offset, length, object id
+_SLOT_FIELDS = "HHQ"  # offset, length, object id
+_SLOT = struct.Struct("<" + _SLOT_FIELDS)
 _TOMBSTONE = 0xFFFF
+_DIRECTORIES = {}  # slot count -> unpack_from of a directory that long
 _RETIRED_LAYOUT = struct.pack("<H", _MAGIC)  # how pre-checksum images begin
 
 
@@ -57,9 +59,9 @@ class Page:
         self._data = bytearray(page_size)
         self._watermark = _HEADER.size
         # Kept up to date by every operation so that ``fits`` and
-        # ``insert`` never walk the directory: the bytes tombstoned slots
-        # hold, and their slot numbers as a min-heap.
-        self._reclaimable = 0
+        # ``insert`` never walk the directory: the bytes live slots hold,
+        # and the tombstoned slots' numbers as a min-heap.
+        self._live = 0
         self._tombstones = []
 
     # -- space accounting ---------------------------------------------------
@@ -81,24 +83,21 @@ class Page:
         """Contiguous free bytes between data area and slot directory."""
         return self._directory_start() - self._watermark
 
-    def reclaimable_space(self):
-        """Bytes held by tombstoned slots, recoverable by compaction."""
-        return self._reclaimable
+    def room(self):
+        """The most bytes the next :meth:`insert` can store (after
+        compaction): a new directory entry costs its size, unless a
+        tombstoned one is reused.  What the free-space map holds."""
+        entries = len(self._slots) + (not self._tombstones)
+        return self.page_size - _HEADER.size - self._live - entries * _SLOT.size
 
     def fits(self, data_len, reuse_slot=None):
-        """Whether an object of ``data_len`` bytes fits (after compaction).
-
-        ``reuse_slot`` names a directory entry whose slot (and, if live, its
-        data space) the insertion will reuse; tombstoned entries' space is
-        already counted by :meth:`reclaimable_space`.
-        """
-        slot_cost = 0 if reuse_slot is not None else _SLOT.size
-        usable = self.free_space() + self._reclaimable
-        if reuse_slot is not None:
-            offset, old_len, __ = self._slots[reuse_slot]
-            if offset != _TOMBSTONE:
-                usable += old_len
-        return usable >= data_len + slot_cost
+        """Whether ``data_len`` bytes fit (after compaction): as the next
+        insert, or as the new value of the live slot ``reuse_slot``,
+        whose bytes it gives up (and no new directory entry)."""
+        if reuse_slot is None:
+            return data_len <= self.room()
+        spare = 0 if self._tombstones else _SLOT.size
+        return data_len <= self.room() + spare + self._slots[reuse_slot][1]
 
     # -- operations ----------------------------------------------------------
 
@@ -110,7 +109,7 @@ class Page:
         the directory small.
         """
         reuse = self._tombstones[0] if self._tombstones else None
-        if not self.fits(len(data), reuse_slot=reuse):
+        if len(data) > self.room():
             raise PageFullError(
                 f"page {self.page_id}: no room for {len(data)} bytes"
             )
@@ -119,9 +118,9 @@ class Page:
         offset = self._watermark
         self._data[offset : offset + len(data)] = data
         self._watermark += len(data)
+        self._live += len(data)
         if reuse is not None:
             heapq.heappop(self._tombstones)
-            self._reclaimable -= self._slots[reuse][1]
             self._slots[reuse] = (offset, len(data), oid_value)
             return reuse
         self._slots.append((offset, len(data), oid_value))
@@ -144,13 +143,14 @@ class Page:
         if len(data) <= length:
             self._data[offset : offset + len(data)] = data
             self._slots[slot] = (offset, len(data), oid_value)
+            self._live -= length - len(data)
             return
         if not self.fits(len(data), reuse_slot=slot):
             raise PageFullError(
                 f"page {self.page_id}: no room to grow slot {slot}"
             )
         # A tombstone only while the value is between homes, so that a
-        # compaction drops its old bytes: neither counted nor queued.
+        # compaction drops its old bytes: not queued for reuse.
         self._slots[slot] = (_TOMBSTONE, length, oid_value)
         if len(data) > self.free_space():
             self.compact()
@@ -158,12 +158,13 @@ class Page:
         self._data[new_offset : new_offset + len(data)] = data
         self._watermark += len(data)
         self._slots[slot] = (new_offset, len(data), oid_value)
+        self._live += len(data) - length
 
     def delete(self, slot):
         """Tombstone ``slot``; its space is reclaimed at next compaction."""
         offset, length, oid_value = self._slot_entry(slot)
         self._slots[slot] = (_TOMBSTONE, length, oid_value)
-        self._reclaimable += length
+        self._live -= length
         heapq.heappush(self._tombstones, slot)
 
     def compact(self):
@@ -183,7 +184,6 @@ class Page:
         self._data = new_data
         self._slots = new_slots
         self._watermark = watermark
-        self._reclaimable = 0
 
     def items(self):
         """Yield ``(slot, oid_value, bytes)`` for every live object."""
@@ -232,8 +232,9 @@ class Page:
             cursor -= _SLOT.size
             entry = _SLOT.unpack_from(raw, cursor)
             if entry[0] == _TOMBSTONE:
-                page._reclaimable += entry[1]
                 page._tombstones.append(slot)  # ascending: already a heap
+            else:
+                page._live += entry[1]
             page._slots.append(entry)
         return page
 
@@ -262,14 +263,21 @@ def check_image(raw, page_size, page_id):
 
 
 def live_slots(raw, page_size, page_id):
-    """``(slot, oid value)`` of each live object on the image ``raw``,
-    after :func:`check_image`, from its slot directory alone."""
+    """``(room, live)`` of the image ``raw``, after :func:`check_image`,
+    from its header and directory alone: what an insert could store
+    there (:meth:`Page.room`) and ``(slot, oid value)`` per live object."""
     header = check_image(raw, page_size, page_id)
-    start = page_size - (header[2] if header else 0) * _SLOT.size
-    # The directory grows down from the page end: slot 0 is its last entry.
-    entries = reversed(list(_SLOT.iter_unpack(memoryview(raw)[start:])))
-    return [
-        (slot, oid_value)
-        for slot, (offset, __, oid_value) in enumerate(entries)
-        if offset != _TOMBSTONE
-    ]
+    count = header[2] if header else 0
+    start = page_size - count * _SLOT.size
+    unpack = _DIRECTORIES.get(count)
+    if unpack is None:
+        unpack = struct.Struct("<" + _SLOT_FIELDS * count).unpack_from
+        _DIRECTORIES[count] = unpack
+    # (offset, length, oid) per slot, slot 0 last: read backwards.
+    flat = unpack(raw, start)
+    offsets, lengths, oids = flat[-3::-3], flat[-2::-3], flat[::-3]
+    unused = start - _HEADER.size
+    if _TOMBSTONE not in offsets:
+        return unused - sum(lengths) - _SLOT.size, list(enumerate(oids))
+    live = [slot for slot, offset in enumerate(offsets) if offset != _TOMBSTONE]
+    return unused - sum(lengths[s] for s in live), [(s, oids[s]) for s in live]

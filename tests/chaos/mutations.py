@@ -293,6 +293,30 @@ def write_unpinned_clean():
     return patch.object(BufferPool, "unpin", unpin)
 
 
+def free_map_skips_deletes():
+    """A delete leaves its page's free-space map entry where it was.
+
+    ``ObjectStore._note`` is how a page's entry follows its live bytes;
+    skipped after a delete (of an object or of a chunk), the map
+    undercounts the page's room and placement passes over the room the
+    delete left — a create goes to a new page instead.  The map property
+    (``tests/properties/test_prop_free_space_map.py``) and the pinned
+    placement test
+    ``tests/storage/test_pin_counts.py::TestPlacementAsksTheFreeSpaceMap::test_a_create_fills_the_room_a_delete_left``
+    go red.
+    """
+    note = ObjectStore._note
+    deletes = {
+        ObjectStore._drop_value.__code__, ObjectStore._delete_slot.__code__,
+    }
+
+    def note_unless_deleting(self, page):
+        if sys._getframe(1).f_code not in deletes:
+            note(self, page)
+
+    return patch.object(ObjectStore, "_note", note_unless_deleting)
+
+
 def dependency_dropped(dep_type):
     """``form_dependency`` silently ignores edges of ``dep_type``.
 

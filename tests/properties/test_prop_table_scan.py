@@ -10,7 +10,8 @@ the zeros of a page never written before) and pages in the layout from
 before checksums.  Each store is opened twice: once as it opens now, once
 with ``table_by_walk`` from ``tests/storage/scan_oracle.py``, which
 fetches every page through the pool as the rebuild used to.  Both give
-the same table and ``damaged_pages``, the same injector trace (the
+the same table, free-space map (the walk's from each decoded page's
+directory) and ``damaged_pages``, the same injector trace (the
 quarantines' page writes and marker appends, in order), the same log
 and the same images on disk — or refuse the store with the same error.
 """
@@ -116,6 +117,7 @@ def _open(disk_kind, shard_images, root, walk):
         opened = [
             (
                 dict(shard.objects._locations),
+                list(shard.objects._room.items()),  # in page-id order
                 list(shard.objects.damaged_pages),
                 list(shard.log.records()),
             )
@@ -151,7 +153,7 @@ def test_the_scan_builds_the_table_the_walk_built(disk_kind, shards):
     opened = scanned[0]
     event(
         "refused" if isinstance(opened, tuple)
-        else "quarantined" if any(damaged for __, damaged, __ in opened)
+        else "quarantined" if any(damaged for __, __, damaged, __ in opened)
         else "whole"
     )
     assert scanned == walked

@@ -21,10 +21,12 @@ log's index.  The backward pass over the records redo reads that found
 them before is kept here as its reference (:func:`redo_records_scan`,
 over :func:`redo_span`).
 
-A page keeps the bytes its tombstones hold and their slot numbers as
-counters; the walks of its slot directory that ``Page.fits`` and
-``Page.insert`` made on every call are kept here as their references
-(:func:`reclaimable_scan`, :func:`first_tombstone_scan`).
+A page keeps the bytes its live slots hold and its tombstones' slot
+numbers as counters; walks of its slot directory are kept here as their
+references (:func:`live_bytes_scan`, :func:`first_tombstone_scan`), and
+what an insert could store there, by the same walk, as the reference for
+``Page.room`` and the object store's free-space map
+(:func:`room_scan`, :func:`room_of_image`).
 
 The object table is rebuilt at open in one pass over the disk's page
 images, reading each slot directory and caching nothing.  The walk it
@@ -47,7 +49,13 @@ from repro.storage.log import (
     UpdateRecord,
 )
 from repro.storage.objects import ObjectStore
-from repro.storage.page import _TOMBSTONE, TornPageError
+from repro.storage.page import (
+    _HEADER,
+    _SLOT,
+    _TOMBSTONE,
+    Page,
+    TornPageError,
+)
 from repro.storage.recovery import (
     RecoveryManager,
     RecoveryReport,
@@ -179,12 +187,33 @@ def updates_by_scan(log, tid):
     return [r for r in mine if responsible[r.lsn] == tid]
 
 
-def reclaimable_scan(page):
-    """Bytes ``page``'s tombstoned slots hold, by a walk of its
-    directory: ``reclaimable_space()`` as it was summed."""
+def live_bytes_scan(page):
+    """Bytes ``page``'s live slots hold, by a walk of its directory."""
     return sum(
-        length for offset, length, __ in page._slots if offset == _TOMBSTONE
+        length for offset, length, __ in page._slots if offset != _TOMBSTONE
     )
+
+
+def unused_scan(page):
+    """Bytes of ``page`` that neither header, directory nor a live
+    object holds, by a walk: what compaction would leave free."""
+    return (
+        page.page_size - _HEADER.size - len(page._slots) * _SLOT.size
+        - live_bytes_scan(page)
+    )
+
+
+def room_scan(page):
+    """What the next insert on ``page`` could store, by a walk of its
+    directory: :func:`unused_scan`, less a new directory entry unless a
+    tombstone is there to reuse."""
+    tombstoned = first_tombstone_scan(page) is not None
+    return unused_scan(page) - (0 if tombstoned else _SLOT.size)
+
+
+def room_of_image(image, page_size, page_id):
+    """:func:`room_scan` of a page image, decoded whole."""
+    return room_scan(Page.from_bytes(image, page_size, page_id))
 
 
 def first_tombstone_scan(page):
@@ -268,10 +297,12 @@ def redo_by_replay():
 def rebuild_by_walk(objects):
     """``ObjectStore._rebuild_table`` as a walk of the pool: every page
     fetched (a ``Page`` decoded, a frame admitted, the clock turned),
-    its live slots read, and unpinned; a torn page quarantined."""
+    its live slots read and its room walked (:func:`room_scan`), and
+    unpinned; a torn page quarantined."""
     with objects._lock:
         objects.pool.dropped = False
         objects._locations.clear()
+        objects._room.clear()
         for page_id in objects.pool.disk.page_ids():
             try:
                 frame = objects.pool.fetch(page_id)
@@ -281,8 +312,10 @@ def rebuild_by_walk(objects):
             try:
                 for slot, oid_value, __ in frame.page.items():
                     objects._locations[oid_value] = (page_id, slot)
+                objects._room[page_id] = room_scan(frame.page)
             finally:
                 objects.pool.unpin(page_id)
+        objects._most = max(objects._room.values(), default=0)
 
 
 def table_by_walk():

@@ -108,22 +108,20 @@ class TestSpaceManagement:
         slot = page.insert(100, b"z" * 120)
         assert page.read(slot) == (100, b"z" * 120)
 
-    def test_fits_undercounts_what_a_grown_update_left_behind(self):
-        """A known sharp edge, pinned as it is (docs/internals.md).  The
-        bytes a grown ``update`` left behind count as neither free nor
-        reclaimable, so the page refuses an object that compaction would
-        make room for.  The follow-up counts live bytes instead; that
-        moves placement, so it comes with the cache-independent
-        free-space map and re-recorded cache and sweep goldens."""
+    def test_fits_counts_what_a_grown_update_left_behind(self):
+        """A page counts its live bytes, so ``fits`` is exact.  The bytes
+        a grown ``update`` left behind used to count as neither free nor
+        reclaimable, and the page refused an object that only a
+        ``compact()`` first made room for."""
         page = Page(1)
         slot = page.insert(1, b"a" * 1000)
         page.update(slot, b"b" * 2000)
-        assert not page.fits(2000)
-        with pytest.raises(PageFullError):
-            page.insert(2, b"c" * 2000)
-        page.compact()
         assert page.fits(2000)
         assert page.read(page.insert(2, b"c" * 2000)) == (2, b"c" * 2000)
+        assert page.read(slot) == (1, b"b" * 2000)
+        assert not page.fits(page.room() + 1)
+        with pytest.raises(PageFullError):
+            page.insert(3, b"d" * (page.room() + 1))
 
     def test_live_count(self):
         page = Page(1)

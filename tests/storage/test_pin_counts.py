@@ -9,7 +9,9 @@ an operation pins: the exact ``pool.hits + pool.misses`` deltas below,
 inline write.  The pin an operation holds is never fetched again inside
 it (in-place paths), and the frameless entry — ``install`` for undo and
 restart redo, the state readers — is the same method under a pin of the
-store's own: one fetch, too.
+store's own: one fetch, too.  A create asks its shard's free-space map
+for the page to fill and pins that page alone, cached or not: no walk
+of the pool's frames, no hit counted for a page it passed.
 """
 
 import sys
@@ -19,8 +21,10 @@ import pytest
 from repro.common.errors import UnknownObjectError
 from repro.common.ids import ObjectId, Tid
 from repro.core.manager import TransactionManager
+from repro.storage.disk import InMemoryDiskManager
 from repro.storage.page import Page
 from repro.storage.store import StorageManager
+from tests.chaos.mutations import free_map_skips_deletes
 
 T = Tid(1)
 LARGE = 9000  # three chunks and a header
@@ -146,52 +150,131 @@ class TestOneLatchCycleReadsTheSlotOnce:
         assert (record.before, record.after) == (b"before", b"after")
 
 
-class TestPlacementPinsOnlyThePageItFills:
-    """A create pins the one page it fills.  Placement used to fetch,
-    ``fits``-test and unpin every cached frame in page-id order; now the
-    pool walks its frames under its own lock and pins only the page with
-    room — leaving each frame it passes as a fetch would have (one hit,
-    ``referenced`` set), so the clock chooses the victims it chose."""
+class _CountingFrames(dict):
+    """A pool's frame table that counts the walks made of it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+    def values(self):
+        self.walks += 1
+        return super().values()
+
+    def keys(self):
+        self.walks += 1
+        return super().keys()
+
+
+def _placing(storage, value):
+    """Create ``value``, counting what placement asked of the pool: the
+    pages fetched, hits, frames walked, frames whose clock bit was set.
+    """
+    pool = storage.pool
+    pool._frames = _CountingFrames(pool._frames)
+    for frame in pool._frames.values():
+        frame.referenced = False
+    pool._frames.walks = 0
+    hits = pool.hits
+    fetched = []
+    plain = pool.fetch
+
+    def recording(page_id):
+        fetched.append(page_id)
+        return plain(page_id)
+
+    pool.fetch = recording
+    try:
+        oid = storage.create_object(T, value)
+    finally:
+        del pool.fetch
+    counts = fetched, pool.hits - hits, pool._frames.walks, [
+        page_id for page_id, frame in dict.items(pool._frames)
+        if frame.referenced
+    ]
+    assert storage.read_object(T, oid) == value
+    return counts
+
+
+class TestPlacementAsksTheFreeSpaceMap:
+    """A create asks the shard's free-space map for the first page, in
+    page-id order, with room, and pins that one page — cached or not —
+    or a new one.  Placement used to walk every cached frame in page-id
+    order (``BufferPool.pin_first``), counting a hit and setting the
+    clock bit of each, and saw no page the pool did not hold."""
 
     FULL = b"f" * 4032  # the largest inline value: 35 bytes left beside it
     SMALL = b"s" * 40  # too big for those 35
 
-    def test_a_create_past_sixteen_full_cached_pages_fetches_none(self):
-        storage = StorageManager(capacity=16)
-        for __ in range(16):
-            storage.create_object(T, self.FULL)
-        pool = storage.pool
-        assert len(pool) == 16
-        fetched = []
-        plain = pool.fetch
-
-        def recording(page_id):
-            fetched.append(page_id)
-            return plain(page_id)
-
-        pool.fetch = recording
-        hits = pool.hits
-        try:
-            oid = storage.create_object(T, self.FULL)
-        finally:
-            del pool.fetch
-        assert fetched == []  # 16 at the parent
-        assert pool.hits - hits == 16  # the pages passed, as before
-        assert storage.read_object(T, oid) == self.FULL
-
-    def test_the_pages_passed_keep_the_bits_a_fetch_left(self):
-        storage = StorageManager(capacity=16)
+    def _sixteen(self, last=FULL):
+        disk = InMemoryDiskManager()
+        storage = StorageManager(disk=disk, capacity=16)
         for __ in range(15):
             storage.create_object(T, self.FULL)
-        storage.create_object(T, self.SMALL)  # the sixteenth page has room
-        pool = storage.pool
-        for frame in pool._frames.values():
-            frame.referenced = False
-        hits = pool.hits
-        storage.create_object(T, self.SMALL)
-        assert pool.hits - hits == 16
-        assert all(frame.referenced for frame in pool._frames.values())
-        assert all(frame.pin_count == 0 for frame in pool._frames.values())
+        storage.create_object(T, last)
+        storage.log_commit(T)
+        storage.checkpoint()
+        assert len(storage.pool) == 16 and disk.page_ids() == list(range(1, 17))
+        return storage
+
+    @staticmethod
+    def _cold(storage):
+        """The same pages under a fresh open: nothing cached."""
+        reopened = StorageManager(disk=storage.disk, log=storage.log)
+        assert len(reopened.pool) == 0
+        return reopened
+
+    def test_a_create_past_sixteen_full_cached_pages_touches_none(self):
+        storage = self._sixteen()
+        fetched, hits, walks, touched = _placing(storage, self.FULL)
+        assert (fetched, hits, walks) == ([], 0, 0)  # [], 16, 1 before
+        # Only the new page's frame is referenced: the clock evicted one
+        # of the sixteen for it and re-referenced none.
+        assert touched == [17]
+
+    def test_a_create_past_sixteen_full_pages_after_a_cold_open(self):
+        storage = self._cold(self._sixteen())
+        fetched, hits, walks, touched = _placing(storage, self.FULL)
+        assert (fetched, hits, walks) == ([], 0, 0)  # [], 0, 1 before
+        assert touched == [17] and storage.pool.misses == 0
+
+    def test_a_create_beside_one_page_with_room_fetches_it_once(self):
+        storage = self._sixteen(last=self.SMALL)
+        fetched, hits, walks, touched = _placing(storage, self.SMALL)
+        assert (fetched, hits, walks, touched) == ([16], 1, 0, [16])
+        # Before: no fetch, 16 hits, one walk, all 16 frames referenced.
+
+    def test_a_create_beside_one_uncached_page_with_room_fetches_it_once(
+        self,
+    ):
+        storage = self._cold(self._sixteen(last=self.SMALL))
+        fetched, hits, walks, touched = _placing(storage, self.SMALL)
+        assert (fetched, hits, walks, touched) == ([16], 0, 0, [16])
+        assert storage.pool.misses == 1
+        assert len(storage.disk.page_ids()) == 16  # a 17th before
+
+    def test_a_create_fills_the_room_a_delete_left(self):
+        """A delete raises its page's entry, so the next create that fits
+        there goes there — one fetch of that page, which the open left
+        uncached — and not to a new page.  ``free_map_skips_deletes``
+        turns this red."""
+        storage = self._cold(self._sixteen())
+        oid = storage.objects.object_ids()[2]
+        page_id = storage.objects._locations[oid][0]
+        storage.delete_object(T, ObjectId(oid))
+        fetched, __, walks, __ = _placing(storage, self.FULL)
+        assert (fetched, walks) == ([page_id], 0)
+        assert len(storage.disk.page_ids()) == 16
+
+    def test_a_map_that_skips_deletes_is_caught(self):
+        with free_map_skips_deletes(), pytest.raises(AssertionError):
+            self.test_a_create_fills_the_room_a_delete_left()
 
     def test_redo_of_256_small_objects_walks_no_slot_directory(self):
         """Restart redo re-creates 256 small objects onto one page.  Each

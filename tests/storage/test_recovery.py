@@ -472,19 +472,31 @@ class TestInDoubtRestartsAtTheRestartPoint:
         """A prepared transaction's abort on a three-frame pool — the
         install of its before image steals a page — with the power cut
         before its abort record (or anything since the checkpoint) was
-        flushed.  Returns the stack, the checkpoint's mark, the durable
-        history and the restart's report."""
+        flushed.  Tid 3 shrinks ``fat`` and Tid 2 grows ``small`` into
+        the room that left, so the restored image no longer fits on its
+        page: the install relocates it, and the new page's frame evicts
+        the dirty page it left.  Returns the stack, the checkpoint's
+        mark, the durable history, the restart's report and the pages
+        written back between the checkpoint and the crash."""
         storage = StorageManager(capacity=3)
         small = storage.create_object(Tid(1), b"s" * 4)
         fat = storage.create_object(Tid(1), b"s" * 2200)
         storage.create_object(Tid(1), b"s" * 9000)
         storage.log_commit(Tid(1))
-        storage.delete_object(Tid(2), small)
         storage.write_object(Tid(3), fat, b"0000")
+        storage.write_object(Tid(2), small, b"g" * 2200)
         storage.log_prepare(Tid(3), gid=3, coordinator="c", sites=("c", "p"))
         mark = storage.checkpoint(active=(Tid(2), Tid(3))).redo_lsn
+        home = storage.objects._locations[fat][0]
+        stolen = []
+        write_page = storage.disk.write_page
+        storage.disk.write_page = lambda page_id, raw: (
+            stolen.append(page_id), write_page(page_id, raw)
+        )
         storage.undo(Tid(3))  # the coordinator said abort...
         storage.log_abort(Tid(3))  # ...and that record was never flushed
+        assert storage.objects._locations[fat][0] != home  # relocated
+        assert stolen == [home]  # the page it left, stolen
         storage.crash()
         history = storage.log.records()
         assert storage.log.redo_lsn == mark == 7
@@ -512,7 +524,7 @@ class TestInDoubtRestartsAtTheRestartPoint:
 
     def test_the_old_undo_order_is_caught_by_it(self):
         """Install-then-log again, with no whole-log redo to paper over
-        it: the page holding the restored image reached disk, its
+        it: the page the install took the object off reached disk, its
         compensation record did not, and restart — keeping the in doubt,
         redoing above the mark — ends somewhere the log does not say."""
         with compensation_logged_after_install():
@@ -520,3 +532,23 @@ class TestInDoubtRestartsAtTheRestartPoint:
         assert report.in_doubt == {Tid(3)}
         assert (report.restart_from, report.redone) == (5, 0)
         assert read_state(storage) != expected_state(history)
+
+
+class TestRedoPlacesOnTheScannedPages:
+    def test_redone_creates_land_in_the_room_the_checkpoint_left(self):
+        """After a checkpoint leaves page 1 on disk with room, 100 small
+        committed creates are lost in the crash and redone.  The open
+        caches nothing, and placement used to see only cached pages, so
+        redo put them all on a new page 2; the free-space map, built by
+        the table rebuild's scan, names page 1."""
+        storage = StorageManager()
+        storage.create_object(Tid(1), b"a" * 100)
+        storage.log_commit(Tid(1))
+        storage.checkpoint()
+        oids = [storage.create_object(Tid(2), b"s" * 8) for __ in range(100)]
+        storage.log_commit(Tid(2))
+        storage.crash()
+        assert storage.recover().redone == 100
+        assert storage.disk.page_ids() == [1]  # [1, 2] before
+        assert {storage.objects._locations[oid][0] for oid in oids} == {1}
+        assert all(storage.read_object(Tid(0), oid) == b"s" * 8 for oid in oids)

@@ -272,9 +272,13 @@ def test_an_operation_pins_in_one_place():
     operations call it once each, the frameless entry and the stale-pin
     retry share one call in ``_anchor``, and ``read`` / ``write`` /
     ``delete`` fetch nothing themselves — the other ``pool.fetch`` sites
-    are pages an operation does *not* hold (chunks).  Placement fetches
-    nothing: it pins the one page it fills; nor does the table rebuild,
-    which reads the disk's images in one pass and caches nothing."""
+    are pages an operation does *not* hold (chunks) and the one page
+    placement fills, which the free-space map names, cached or not.
+    ``BufferPool.pin_first``, the walk of the cached frames placement
+    made instead, is gone; the table rebuild fetches nothing, for it
+    reads the disk's images in one pass and caches nothing."""
+    from repro.storage.buffer import BufferPool
+
     storage = {
         caller for caller in _callers_of("fetch")
         if caller.startswith("repro.storage.")
@@ -283,10 +287,10 @@ def test_an_operation_pins_in_one_place():
         "repro.storage.objects:ObjectStore.frame_for",
         "repro.storage.objects:ObjectStore._read_slot",
         "repro.storage.objects:ObjectStore._delete_slot",
-    }
-    assert _callers_of("pin_first") == {
         "repro.storage.objects:ObjectStore._place",
     }
+    assert not hasattr(BufferPool, "pin_first")
+    assert _callers_of("pin_first") == set()
     assert _callers_of("frame_for") == {
         "repro.storage.objects:ObjectStore._anchor",
         "repro.storage.store:ShardStack.read_object",
