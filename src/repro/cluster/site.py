@@ -63,7 +63,6 @@ from repro.core.outcomes import PrepareStatus
 from repro.core.status import TransactionStatus
 from repro.resilience.deadlines import DeadlineTable
 from repro.runtime.coop import CooperativeRuntime
-from repro.storage.log import DecisionRecord, PrepareRecord, TakeoverRecord
 from repro.storage.store import StorageManager
 
 __all__ = ["Site"]
@@ -249,25 +248,20 @@ class Site:
     def restart(self):
         """Reboot: replay the log, surface in-doubt groups, resume duty.
 
-        The takeover / decision / prepare evidence is folded from
-        ``log.records()``, decoding nothing the restart has not already
-        decoded: ``storage.recover()`` began with ``drop_volatile``, so
-        the log's decoded tail *is* the durable view, and what recovery
-        appended to it since (compensation and abort records) is none of
-        the three types read here.  Below a restart point the prefix is
-        read from the device, as the durable view would.
+        The takeover / decision / prepare evidence is the log's index
+        (``log.group_evidence()``): ``storage.recover()`` began with
+        ``drop_volatile``, so the decoded tail *is* the durable view, and
+        what recovery appended since (compensation and abort records) is
+        no evidence.  Below a restart point the prefix is read from the
+        device.  A logged decision is re-sent only to the members it
+        names: those not yet acknowledged when it was logged.
         """
         if self.up:
             return self.recovery_report
         report = self.storage.recover()
         self._boot()
         self.recovery_report = report
-        claims, decisions, votes = {}, {}, {}
-        kept = {TakeoverRecord: claims, DecisionRecord: decisions, PrepareRecord: votes}
-        for record in self.storage.log.records():
-            latest = kept.get(type(record))
-            if latest is not None:
-                latest[record.gid] = record
+        claims, decisions, votes = self.storage.log.group_evidence()
         for gid in claims.keys() | decisions.keys() | votes.keys():
             g = self._group(gid)
             g.claim = claims.get(gid)
@@ -297,7 +291,8 @@ class Site:
                 # the force-log and the local settle): finish it now.
                 self._finish_in_doubt(g, decision.verdict)
                 self._move(g, "phase", "settled")
-            # Re-announce: participants may have crashed or missed the
+            # Re-announce to the members still owed an ACK when the
+            # decision was logged: they may have crashed or missed the
             # release.  Loss is fine — their own inquiry retries cover
             # it; this is just the fast path.
             for participant in decision.participants:
@@ -833,7 +828,8 @@ class Site:
         self._answer_group_client(g)
 
     def _log_commit_decision(self, g):
-        """Force-log the commit :class:`DecisionRecord` for ``g``."""
+        """Force-log the commit :class:`DecisionRecord` for ``g``, naming
+        the remote members not yet acknowledged (an ACK is a durable apply)."""
         anchor, group = Tid(0), ()
         local_value = g.members.get(self.name)
         if local_value is not None:
@@ -841,7 +837,7 @@ class Site:
             group = tuple(
                 sorted(self.manager.dependencies.gc_group(anchor) - {anchor})
             )
-        participants = sorted(s for s in g.members if s != self.name)
+        participants = sorted(g.members.keys() - g.acks - {self.name})
         self.storage.log_decision(
             anchor, g.gid, "commit", group=group, participants=participants
         )

@@ -167,9 +167,9 @@ class DecisionRecord(LogRecord):
     Force-written before any COMMIT message is sent: this record *is*
     the global commit point.  ``tid``/``group`` name the coordinator's
     own local members (recovery treats them as winners), and
-    ``participants`` names the remote sites to re-notify after a
-    coordinator restart.  Presumed abort means abort decisions are never
-    force-logged — no record, no decision, verdict abort.
+    ``participants`` the unacknowledged remote members a restart
+    re-notifies (a taker's names all).  Presumed abort means abort decisions
+    are never force-logged — no record, no decision, verdict abort.
     """
 
     gid: int = 0
@@ -224,6 +224,10 @@ class TakeoverRecord(LogRecord):
     old_coordinator: str = ""
     verdict: str = "abort"
     votes: tuple = ()
+
+
+# Group evidence: (claims, decisions, votes), gid -> newest of each kind.
+_EVIDENCE_SLOT = {TakeoverRecord: 0, DecisionRecord: 1, PrepareRecord: 2}
 
 
 def _pack_image(image):
@@ -827,13 +831,13 @@ class WriteAheadLog:
     In memory the log is its **tail**: the decoded records from the
     *restart point* on (``base`` counts the records below it), plus an
     *attribution index* over them — per-tid lists of update records
-    with delegation re-attribution applied as records are
-    appended, and what restart analysis needs: who committed, who
-    finished aborting, who voted, who wrote, the last checkpoint's redo
-    mark.  ``updates_by``, ``max_tid_value`` and :meth:`analysis` are
-    probes on that index — no full-log scan on abort, delegation, or
-    restart (the scan versions survive as test oracles, in
-    ``tests/storage/scan_oracle.py``).
+    with delegation re-attribution applied as records are appended, and
+    what restart needs: who committed, who finished aborting, which
+    votes are open, who wrote, the last checkpoint's redo mark, each
+    global group's newest evidence.  ``updates_by``, ``max_tid_value``,
+    :meth:`analysis` and :meth:`group_evidence` are probes on that
+    index — no full-log scan on abort, delegation, or restart (the scan
+    versions survive as test oracles, in ``tests/storage/scan_oracle.py``).
 
     The restart point is the lowest LSN restart can still need
     (:meth:`restart_point`).  Each checkpoint whose marker is durable
@@ -897,7 +901,10 @@ class WriteAheadLog:
         self._max_tid = 0
         self._winners = set()
         self._finished_aborts = set()
-        self._prepares = []
+        # LSN -> vote with a tid that has no outcome here, in LSN order;
+        # such a tid -> the open votes kept under it; ``_EVIDENCE_SLOT``.
+        self._open_votes, self._votes_of = {}, {}
+        self._evidence = ({}, {}, {})
         # Delegatees, and delegators left with no update: with the keys
         # of ``_updates_by_tid``, everyone who ever wrote.
         self._delegation_parties = set()
@@ -1014,19 +1021,48 @@ class WriteAheadLog:
                     theirs.sort(key=lambda r: r.lsn)
         elif isinstance(record, (CommitRecord, PrepareRecord, DecisionRecord)):
             for member in record.group:
-                self._max_tid = int(max(self._max_tid, member))
+                if member > self._max_tid:
+                    self._max_tid = int(member)
             if isinstance(record, PrepareRecord):
-                self._prepares.append(record)
-            elif isinstance(record, CommitRecord) or record.verdict == "commit":
-                self._winners.add(tid)
-                self._winners.update(record.group)
+                self._evidence[2][record.gid] = record
+                self._open_vote(record)
+                return
+            if not isinstance(record, CommitRecord):
+                self._evidence[1][record.gid] = record
+                if record.verdict != "commit":
+                    return
+            self._winners.add(tid)
+            self._winners.update(record.group)
+            if self._votes_of:
+                self._close_votes(tid, *record.group)
         elif isinstance(record, AbortRecord):
             self._finished_aborts.add(tid)
+            if self._votes_of:
+                self._close_votes(tid)
         elif isinstance(record, CheckpointRecord):
             self._max_tid = max(self._max_tid, record.max_tid or 0)
             for active in record.active:
                 self._max_tid = int(max(self._max_tid, active))
             self.redo_lsn = record.redo_lsn
+        elif isinstance(record, TakeoverRecord):
+            self._evidence[0][record.gid] = record
+
+    def _open_vote(self, vote):
+        """Keep ``vote`` open under a tid it covers with no outcome here."""
+        for t in (vote.tid, *vote.group):
+            if t not in self._winners and t not in self._finished_aborts:
+                self._open_votes[vote.lsn] = vote
+                self._votes_of.setdefault(t, []).append(vote)
+                return
+        self._open_votes.pop(vote.lsn, None)
+
+    def _close_votes(self, *tids):
+        """``tids`` have an outcome: re-key or close the votes under them."""
+        votes_of = self._votes_of
+        for tid in tids:
+            if tid in votes_of:
+                for vote in votes_of.pop(tid):
+                    self._open_vote(vote)
 
     def _append(self, build):
         with self._lock:
@@ -1216,11 +1252,11 @@ class WriteAheadLog:
         The lowest of: the first record above the last checkpoint's
         redo mark (redo starts there); the first update, after
         delegation, of every writer without an outcome (undo installs
-        what it found); and every vote still undecided (restart must
-        report it in doubt).  ``finished`` names transactions whose
-        outcome another segment recorded.  Read off the index, not taken
-        from the caller's list of active transactions.  0 — keep
-        everything — unless the device confirms ``marker``, the
+        what it found); and every open vote with a tid undecided
+        elsewhere too (restart must report it in doubt).  ``finished``
+        names transactions whose outcome another segment recorded.
+        Read off the index, not the caller's list of active ones.  0 —
+        keep everything — unless the device confirms ``marker``, the
         checkpoint's own, durable.
         """
         with self._lock:
@@ -1241,7 +1277,7 @@ class WriteAheadLog:
             for tid, updates in self._updates_by_tid.items():
                 if updates[0].lsn < point and pending(tid):
                     point = int(updates[0].lsn)
-            for vote in self._prepares:
+            for vote in self._open_votes.values():
                 if vote.lsn < point and any(
                     map(pending, vote.prepared_tids())
                 ):
@@ -1397,15 +1433,33 @@ class WriteAheadLog:
         with self._lock:
             if not self.base:
                 return list(self._decoded)
-            prefix = [
-                decode_record(raw) for raw in self.device.read_prefix()
-            ]
-            if len(prefix) != self.base:
-                raise StorageError(
-                    f"restart hint counts {self.base} records below it;"
-                    f" the device holds {len(prefix)}"
-                )
-            return prefix + self._decoded
+            return self._prefix() + self._decoded
+
+    def _prefix(self):
+        """The records below the restart point, read from the device."""
+        prefix = [decode_record(raw) for raw in self.device.read_prefix()]
+        if len(prefix) != self.base:
+            raise StorageError(
+                f"restart hint counts {self.base} records below it;"
+                f" the device holds {len(prefix)}"
+            )
+        return prefix
+
+    def group_evidence(self):
+        """The group evidence (``_EVIDENCE_SLOT``): the index itself, not
+        a copy (a site's restart is the only reader) — over the prefix,
+        when there is one, folded the same way."""
+        with self._lock:
+            if not self.base:
+                return self._evidence
+            evidence = ({}, {}, {})
+            for record in self._prefix():
+                slot = _EVIDENCE_SLOT.get(type(record))
+                if slot is not None:
+                    evidence[slot][record.gid] = record
+            for kept, tail in zip(evidence, self._evidence):
+                kept.update(tail)
+            return evidence
 
     def __len__(self):
         """Records in the decoded tail (all of them when ``base`` is 0)."""
@@ -1426,12 +1480,12 @@ class WriteAheadLog:
 
     def analysis(self):
         """Restart analysis, as folded at append: ``(winners, finished
-        aborts, prepare records in LSN order, writers)`` — copies."""
+        aborts, open votes in LSN order, writers)`` — copies."""
         with self._lock:
             return (
                 set(self._winners),
                 set(self._finished_aborts),
-                list(self._prepares),
+                list(self._open_votes.values()),
                 self._delegation_parties.union(self._updates_by_tid),
             )
 

@@ -97,12 +97,19 @@ class ObjectStore:
         reset to an empty page and skipped.  Redo then re-creates every
         object that belongs on it from the log's newest images — which
         is why torn data pages are recoverable at all.
+
+        An id live on two pages (a relocation whose two pages did not
+        both reach disk before a crash) keeps its highest-numbered copy,
+        and the others are deleted here, before redo.  Every checkpoint
+        flushes every page, so such an object was relocated by an image
+        above the mark, which redo reinstalls over the copy kept; a
+        stale copy left live would outlive the object's later delete.
         """
         with self._lock:
             self.pool.dropped = False
             self._locations.clear()
             self._room.clear()
-            disk = self.pool.disk
+            disk, slots = self.pool.disk, 0
             for page_id, image in disk.scan():
                 try:
                     room, live = live_slots(image, disk.page_size, page_id)
@@ -110,9 +117,25 @@ class ObjectStore:
                 except TornPageError:
                     self._quarantine(page_id)
                     continue
+                slots += len(live)
                 for slot, oid_value in live:
                     self._locations[oid_value] = (page_id, slot)
             self._most = max(self._room.values(), default=0)
+            if slots != len(self._locations):
+                self._drop_stale_copies()
+
+    def _drop_stale_copies(self):
+        """Delete every live slot the table does not name: the other
+        copies of an id the scan found on two pages (``_lock`` held)."""
+        disk = self.pool.disk
+        stale = [
+            (page_id, slot)
+            for page_id, image in disk.scan()
+            for slot, oid_value in live_slots(image, disk.page_size, page_id)[1]
+            if self._locations[oid_value] != (page_id, slot)
+        ]
+        for page_id, slot in stale:
+            self._delete_slot(page_id, slot)
 
     def refresh_table(self):
         """Restart's table and map: rebuilt only if the cache they were
@@ -167,6 +190,11 @@ class ObjectStore:
         ]
         for index, chunk in enumerate(chunks):
             cid = _chunk_id(oid_value, index)
+            orphan = self._locations.get(cid)
+            if orphan is not None:
+                # A chunk a crash left behind without its header (see
+                # ``_drop_value``): this one replaces it, not joins it.
+                self._delete_slot(*orphan)
             page_id, slot = self._place(cid, chunk)
             self._locations[cid] = (page_id, slot)
         header = _TAG_LOB + _LOB_HEADER.pack(len(chunks), len(value))

@@ -405,3 +405,27 @@ def restart_forgets_resolved_votes():
     return patch.object(
         Site, "_resolved_verdict", lambda self, vote, winners: None
     )
+
+
+def open_vote_closed_by_anchor():
+    """A vote counts as open only while its anchor tid has no outcome.
+
+    The log's index keeps a vote open while *any* tid it covers —
+    the anchor or a local group member — has no outcome in the log.
+    Keyed by the anchor alone, a prepared group whose anchor finished
+    aborting before the crash, but whose member did not, loses its
+    vote from ``analysis()``: restart undoes the member as a loser
+    instead of keeping it in doubt, and a checkpoint may cut the vote
+    off.  ``TestAVoteStaysOpenWhileAMemberIsUndecided`` must see the
+    member undone.
+    """
+
+    def anchored(self, vote):
+        anchor = vote.tid
+        if anchor not in self._winners and anchor not in self._finished_aborts:
+            self._open_votes[vote.lsn] = vote
+            self._votes_of.setdefault(anchor, []).append(vote)
+        else:
+            self._open_votes.pop(vote.lsn, None)
+
+    return patch.object(WriteAheadLog, "_open_vote", anchored)

@@ -26,9 +26,10 @@ from repro.chaos.sweep import get
 from repro.cluster import Cluster
 from repro.net.fabric import Message
 from repro.storage import log as log_module
-from repro.storage.log import DecisionRecord, PrepareRecord
+from repro.storage.log import DecisionRecord, PrepareRecord, WriteAheadLog
 from tests.chaos.mutations import tick_skips_unsettled_site
 from tests.cluster.test_two_phase import spawn_group
+from tests.storage.scan_oracle import group_evidence_scan
 
 IDLE_TICK_CALLS = 16  # 13 now; 30 by this count at the parent of PR 19
 
@@ -242,6 +243,84 @@ class TestRestartDecodesNothingTwice:
         }
         assert decided and decided.items() <= site.settled_gids.items()
         assert cluster.converge()
+
+
+class TestRestartCostsWhatIsUnresolved:
+    """After fault-free groups every site crashes and restarts.  The
+    group evidence comes off the log's index, not a walk of
+    ``records()``; recovery's in-doubt loop visits only open votes (none
+    here); and a decision is re-sent only to the members that had not
+    acknowledged it when it was sealed: none in a two-site group, one in
+    a three-site group (the first ACK seals it).  Before the index kept
+    the evidence, the same restarts made 3 ``records()`` calls and
+    re-sent every decision to every remote member."""
+
+    SITES = (("alpha", "beta"), ("alpha", "beta", "gamma"))
+
+    def _restart_all(self, groups, monkeypatch):
+        cluster = Cluster()
+        for index in range(groups):
+            refs = spawn_group(cluster, self.SITES[index % 2])
+            assert cluster.group_commit(refs).committed
+        assert cluster.converge()
+        for name in sorted(cluster.sites):
+            cluster.crash_site(name)
+        walks, votes, sent = [], [], []
+        records, analysis = WriteAheadLog.records, WriteAheadLog.analysis
+        monkeypatch.setattr(
+            WriteAheadLog, "records",
+            lambda log, *a: walks.append(log) or records(log, *a),
+        )
+
+        def analysed(log):
+            result = analysis(log)
+            votes.extend(result[2])
+            return result
+
+        monkeypatch.setattr(WriteAheadLog, "analysis", analysed)
+        send = cluster.fabric.send
+        monkeypatch.setattr(
+            cluster.fabric, "send",
+            lambda src, dst, kind, *a, **k: (
+                sent.append(kind) or send(src, dst, kind, *a, **k)
+            ),
+        )
+        calls = calls_during(
+            lambda: [cluster.restart_site(name) for name in sorted(cluster.sites)]
+        )
+        monkeypatch.undo()
+        assert cluster.converge()
+        return cluster, walks, votes, sent.count("decision"), calls
+
+    @pytest.mark.parametrize("groups", [4, 12])
+    def test_restart_reads_the_index_and_re_sends_only_what_is_owed(
+        self, monkeypatch, groups
+    ):
+        cluster, walks, votes, decisions, calls = self._restart_all(
+            groups, monkeypatch
+        )
+        assert walks == []
+        assert votes == []
+        assert decisions == groups // 2  # one per three-site group
+        assert isinstance not in calls
+        assert log_module.decode_record not in calls
+        for site in cluster.sites.values():
+            # The evidence the index folded is what a walk finds.
+            assert site.storage.log.group_evidence() == group_evidence_scan(
+                site.storage.log
+            )
+
+    def test_reading_the_evidence_does_not_grow_with_history(
+        self, monkeypatch
+    ):
+        """What the restart asks of the log for its evidence costs the
+        same after 4 groups and after 12: no record is visited."""
+        costs = []
+        for groups in (4, 12):
+            cluster = self._restart_all(groups, monkeypatch)[0]
+            log = cluster.sites["alpha"].storage.log
+            costs.append(len(calls_during(log.group_evidence)))
+        assert costs[0] == costs[1] <= 2  # the lock's enter and exit
 
 
 class TestSendUnderTheDefaultPlan:

@@ -13,7 +13,8 @@ devices, in a three-frame pool so pages come and go.  After every step
 each map names every page of its disk in order, each entry equals
 ``scan_oracle.room_scan`` of that page's current image — the cached
 frame's, or else the disk's, decoded whole — and the bound placement
-reads is at least the largest entry.
+reads is at least the largest entry.  After every restart no id is live
+in two page directories.
 """
 
 import os
@@ -29,7 +30,7 @@ from repro.storage.disk import FileDiskManager
 from repro.storage.log import FileLogDevice, WriteAheadLog
 from repro.storage.store import StorageManager
 from tests.chaos.mutations import free_map_skips_deletes
-from tests.storage.scan_oracle import room_of_image, room_scan
+from tests.storage.scan_oracle import ids_live_twice, room_of_image, room_scan
 
 MAX_EXAMPLES = 1000 if os.environ.get("CHAOS_BUDGET") == "long" else 150
 
@@ -143,6 +144,8 @@ class _Stream:
                 image = bytes(disk.read_page(page_id))
                 disk.write_page(page_id, image[:8] + bytes(len(image) - 8))
         storage.recover()
+        for stack in storage.shards:
+            assert not ids_live_twice(stack)
         self._next()
 
 

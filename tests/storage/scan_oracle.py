@@ -21,6 +21,14 @@ log's index.  The backward pass over the records redo reads that found
 them before is kept here as its reference (:func:`redo_records_scan`,
 over :func:`redo_span`).
 
+A site's restart reads each global group's newest takeover claim,
+decision and vote, and recovery the votes still open, off the log's
+index.  The walks that found them before are kept here as their
+references: the type walk of every record (:func:`group_evidence_scan`)
+and the filter over every prepare record in the tail
+(:func:`open_votes_scan`).  After a recovery no id may be live in two
+page directories (:func:`ids_live_twice`).
+
 A page keeps the bytes its live slots hold and its tombstones' slot
 numbers as counters; walks of its slot directory are kept here as their
 references (:func:`live_bytes_scan`, :func:`first_tombstone_scan`), and
@@ -46,6 +54,7 @@ from repro.storage.log import (
     DecisionRecord,
     DelegateRecord,
     PrepareRecord,
+    TakeoverRecord,
     UpdateRecord,
 )
 from repro.storage.objects import ObjectStore
@@ -143,6 +152,34 @@ def assert_tail_analysis_matches(report, tail, history):
     assert report.in_doubt_votes == whole.in_doubt_votes
 
 
+def group_evidence_scan(log):
+    """``(claims, decisions, votes)``, each gid -> its newest takeover
+    claim, decision and vote, by a type walk of every record of ``log``,
+    prefix included: how a site's restart folded its evidence before
+    the log's index kept it."""
+    claims, decisions, votes = {}, {}, {}
+    kept = {TakeoverRecord: claims, DecisionRecord: decisions, PrepareRecord: votes}
+    for record in log.records():
+        latest = kept.get(type(record))
+        if latest is not None:
+            latest[record.gid] = record
+    return claims, decisions, votes
+
+
+def open_votes_scan(log):
+    """The votes in ``log``'s tail with a tid that has no outcome there,
+    in LSN order: every prepare record, filtered the way restart once
+    filtered each of them."""
+    tail = log.records()[log.base:]
+    winners = commit_winners(tail)
+    aborted = {record.tid for record in tail if isinstance(record, AbortRecord)}
+    return [
+        record for record in tail
+        if isinstance(record, PrepareRecord)
+        and record.prepared_tids() - winners - aborted
+    ]
+
+
 def directory_scan(segments):
     """oid value → index of the first segment holding an image of it."""
     directory = {}
@@ -214,6 +251,21 @@ def room_scan(page):
 def room_of_image(image, page_size, page_id):
     """:func:`room_scan` of a page image, decoded whole."""
     return room_scan(Page.from_bytes(image, page_size, page_id))
+
+
+def ids_live_twice(stack):
+    """``{id value: [page ids]}`` for every id live in more than one
+    page directory of a shard, by a walk of each page's current image —
+    the cached frame's, or else the disk's."""
+    disk, pages = stack.disk, {}
+    for page_id in disk.page_ids():
+        frame = stack.pool.frame_for(page_id)
+        page = frame.page if frame is not None else Page.from_bytes(
+            disk.read_page(page_id), disk.page_size, page_id
+        )
+        for __, oid_value, __ in page.items():
+            pages.setdefault(oid_value, []).append(page_id)
+    return {oid: ids for oid, ids in pages.items() if len(ids) > 1}
 
 
 def first_tombstone_scan(page):

@@ -21,8 +21,15 @@ from repro.storage.log import (
 from repro.storage.objects import ObjectStore
 from repro.storage.recovery import RecoveryManager
 from repro.storage.store import StorageManager
-from tests.chaos.mutations import compensation_logged_after_install
-from tests.storage.scan_oracle import analyze_scan, assert_analysis_matches
+from tests.chaos.mutations import (
+    compensation_logged_after_install,
+    open_vote_closed_by_anchor,
+)
+from tests.storage.scan_oracle import (
+    analyze_scan,
+    assert_analysis_matches,
+    open_votes_scan,
+)
 
 
 def _create(store, value):
@@ -552,3 +559,42 @@ class TestRedoPlacesOnTheScannedPages:
         assert storage.disk.page_ids() == [1]  # [1, 2] before
         assert {storage.objects._locations[oid][0] for oid in oids} == {1}
         assert all(storage.read_object(Tid(0), oid) == b"s" * 8 for oid in oids)
+
+
+class TestAVoteStaysOpenWhileAMemberIsUndecided:
+    """Tid 3 voted for its local group {3, 4} in global group 7; the
+    abort of the anchor, Tid 3, reached the device and its member's did
+    not.  The vote is open while any tid it covers has no outcome."""
+
+    def _restart(self):
+        storage = StorageManager()
+        first = storage.create_object(Tid(1), b"a")
+        second = storage.create_object(Tid(1), b"b")
+        storage.log_commit(Tid(1))
+        storage.write_object(Tid(3), first, b"3")
+        storage.write_object(Tid(4), second, b"4")
+        storage.log_prepare(
+            Tid(3), group=(Tid(4),), gid=7, coordinator="c", sites=("c", "p")
+        )
+        storage.undo(Tid(3))
+        storage.log_abort(Tid(3))
+        storage.sync_log()
+        mark = storage.checkpoint(active=(Tid(4),))
+        storage.crash()
+        return storage, second, mark, storage.recover()
+
+    def test_the_member_without_an_outcome_stays_in_doubt(self):
+        storage, second, mark, report = self._restart()
+        assert report.in_doubt == {Tid(4)}
+        assert report.already_aborted == {Tid(3)} and not report.losers
+        assert list(report.in_doubt_votes) == [7]
+        assert storage.read_object(Tid(0), second) == b"4"  # kept
+        # The vote pins the restart point below the checkpoint.
+        assert 0 < report.restart_from < mark.lsn
+        assert storage.log.analysis()[2] == open_votes_scan(storage.log)
+
+    def test_a_vote_closed_by_its_anchor_is_caught(self):
+        with open_vote_closed_by_anchor():
+            storage, second, __, report = self._restart()
+        assert report.in_doubt == set() and report.losers == {Tid(4)}
+        assert storage.read_object(Tid(0), second) == b"b"  # undone

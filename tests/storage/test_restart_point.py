@@ -82,7 +82,9 @@ def _state(log):
         "updates": log._updates_by_tid,
         "winners": log._winners,
         "aborted": log._finished_aborts,
-        "votes": log._prepares,
+        "votes": log._open_votes,
+        "votes_of": log._votes_of,
+        "evidence": log._evidence,
         "parties": log._delegation_parties,
         "newest": log._newest,
         "images": log._image_lsns,
