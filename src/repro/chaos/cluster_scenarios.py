@@ -124,7 +124,7 @@ class ClusterScenarioSpec:
                 name
                 for name, site in cluster.sites.items()
                 if site.up
-                and any(site.groups[gid].phase in WAITING for gid in site.active)
+                and any(site._group(gid).phase in WAITING for gid in site.active)
             )
             if stranded:
                 liveness.append(

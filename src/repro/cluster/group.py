@@ -46,6 +46,9 @@ class Group:
 
     __slots__ = (
         "gid",
+        # The site incarnation that derived this record: a later one
+        # re-derives it on first mention (``Site._group``).
+        "incarnation",
         # Fencing epoch: every group message carries its sender's, lower
         # ones are rejected, so a reappearing old coordinator cannot undo
         # a takeover.  Volatile; durable claims restore it on restart.
@@ -65,8 +68,9 @@ class Group:
         "takeover", "claim",
     )
 
-    def __init__(self, gid):
+    def __init__(self, gid, incarnation=0):
         self.gid = gid
+        self.incarnation = incarnation
         self.epoch = 0
         self.phase = self.tid = self.coordinator = self.verdict = None
         self.tids = self.sites = ()

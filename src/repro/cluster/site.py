@@ -163,8 +163,10 @@ class Site:
         self.obs = None
         # The ledger: one :class:`Group` per gid ever mentioned, kept as
         # evidence (polls and inquiries are answered from it long after
-        # the group settled).
+        # the group settled), read through :meth:`_group` only.
         self.groups = {}
+        self.incarnation = 0
+        self._evidence = None
         self._boot()
 
     # -- lifecycle ---------------------------------------------------------
@@ -184,13 +186,10 @@ class Site:
         self.proxies = {}
         self.proxy_owner = {}
         self.remote_holders = {}
-        # A crash forgets every group: the records are wiped in place,
-        # not dropped, so a restart allocates nothing per group its log
-        # names (one collector-tracked object per group ever seen costs
-        # a restart collector passes).  ``active`` indexes the gids whose
-        # record has work — all the tick walks; :meth:`_move` keeps it.
-        for g in self.groups.values():
-            g.__init__(g.gid)
+        # A crash forgets every group, but nothing here touches the
+        # records: each is re-derived on its first mention (:meth:`_group`).
+        # ``active`` indexes the gids whose record has work — all the
+        # tick walks; :meth:`_move` keeps it.
         self.active = set()
         # Membership state: the cluster-wide membership epoch (stale
         # routed requests are rejected against it), whether this site
@@ -249,43 +248,35 @@ class Site:
         """Reboot: replay the log, surface in-doubt groups, resume duty.
 
         The takeover / decision / prepare evidence is the log's index
-        (``log.group_evidence()``): ``storage.recover()`` began with
-        ``drop_volatile``, so the decoded tail *is* the durable view, and
-        what recovery appended since (compensation and abort records) is
+        (``log.group_evidence()``), read once per incarnation:
+        ``storage.recover()`` began with ``drop_volatile``, so the decoded
+        tail *is* the durable view, and what recovery appended since is
         no evidence.  Below a restart point the prefix is read from the
-        device.  A logged decision is re-sent only to the members it
-        names: those not yet acknowledged when it was logged.
+        device.  Only the open votes and the decisions naming members
+        not yet acknowledged (re-sent to those) are folded here;
+        :meth:`_group` folds every other record on its first mention.
         """
         if self.up:
             return self.recovery_report
         report = self.storage.recover()
         self._boot()
+        self.incarnation += 1
         self.recovery_report = report
-        claims, decisions, votes = self.storage.log.group_evidence()
-        for gid in claims.keys() | decisions.keys() | votes.keys():
-            g = self._group(gid)
-            g.claim = claims.get(gid)
-            if g.claim is not None:
-                # Durable takeover claims restore the fencing epoch: a
-                # reborn taker must never act below the authority it
-                # already asserted.
-                g.epoch = g.claim.epoch
-            decision, vote = decisions.get(gid), report.in_doubt_votes.get(gid)
-            g.voted = gid in votes
-            if decision is not None:
-                g.verdict = decision.verdict
-                g.commit_logged = decision.verdict == "commit"
-            elif g.voted and vote is None:
-                g.verdict = self._resolved_verdict(votes[gid], report.winners)
-            if vote is not None:
-                g.tid, g.tids = vote.tid, vote.prepared_tids()
-                g.coordinator, g.sites = vote.coordinator, vote.sites
-                self._move(g, "phase", "in_doubt")
-            elif g.verdict is not None:
-                g.phase = "settled"
+        *evidence, committed = self.storage.log.group_evidence()
+        # A vote below a restart point resolved there: its commit, if
+        # any, is among the prefix's winners, not the tail's.
+        winners = report.winners | committed if committed else report.winners
+        self._evidence = (*evidence, winners)
+        in_doubt = report.in_doubt_votes
+        for gid in in_doubt:
+            self._group(gid)
         # Resume duty, decided groups first and each by ascending gid.
-        for gid, decision in sorted(decisions.items()):
-            g = self.groups[gid]
+        decisions = self._evidence[1]
+        for gid in sorted(
+            gid for gid, decision in decisions.items()
+            if decision.participants or gid in in_doubt
+        ):
+            g, decision = self._group(gid), decisions[gid]
             if g.phase == "in_doubt":
                 # A decision logged but not yet applied (crash between
                 # the force-log and the local settle): finish it now.
@@ -301,9 +292,9 @@ class Site:
         # between the two force-logs.  The logged verdict was derived
         # from durable evidence that only this claim could have changed,
         # so adopting it is safe — finish the takeover it started.  (All
-        # that is active after the fold is in doubt and undecided.)
+        # that is active here is in doubt and undecided.)
         for gid in sorted(self.active):
-            g = self.groups[gid]
+            g = self._group(gid)
             if g.claim is not None:
                 g.takeover = Takeover(
                     g.claim.epoch, g.claim.old_coordinator, g.sites, claimed=True
@@ -350,23 +341,54 @@ class Site:
     @property
     def settled_gids(self):
         """Computed view: gid -> verdict for every group settled here."""
-        return {
-            gid: g.verdict for gid, g in self.groups.items() if g.verdict is not None
-        }
+        return {g.gid: g.verdict for g in self.ledger() if g.verdict is not None}
 
     @property
     def voted_gids(self):
         """Computed view: every gid this site ever force-logged a vote for."""
-        return {gid for gid, g in self.groups.items() if g.voted}
+        return {g.gid for g in self.ledger() if g.voted}
 
     # -- the group ledger --------------------------------------------------
 
+    def ledger(self):
+        """Every record, each read through :meth:`_group`."""
+        return map(self._group, self.groups)
+
     def _group(self, gid):
-        """The record for ``gid``, created on first mention."""
+        """The record for ``gid``: created on first mention, and
+        re-derived (:meth:`_fold`) on the first mention after a restart."""
         g = self.groups.get(gid)
         if g is None:
-            g = self.groups[gid] = Group(gid)
+            g = self.groups[gid] = Group(gid, self.incarnation)
+        elif g.incarnation != self.incarnation:
+            self._fold(g)
         return g
+
+    def _fold(self, g):
+        """Wipe an earlier incarnation's record in place and put back
+        what this incarnation's evidence and recovery report prove."""
+        gid, report = g.gid, self.recovery_report
+        claims, decisions, votes, winners = self._evidence
+        g.__init__(gid, self.incarnation)
+        g.claim = claims.get(gid)
+        if g.claim is not None:
+            # Durable takeover claims restore the fencing epoch: a
+            # reborn taker must never act below the authority it
+            # already asserted.
+            g.epoch = g.claim.epoch
+        decision, vote = decisions.get(gid), report.in_doubt_votes.get(gid)
+        g.voted = gid in votes
+        if decision is not None:
+            g.verdict = decision.verdict
+            g.commit_logged = decision.verdict == "commit"
+        elif g.voted and vote is None:
+            g.verdict = self._resolved_verdict(votes[gid], winners)
+        if vote is not None:
+            g.tid, g.tids = vote.tid, vote.prepared_tids()
+            g.coordinator, g.sites = vote.coordinator, vote.sites
+            self._move(g, "phase", "in_doubt")
+        elif g.verdict is not None:
+            g.phase = "settled"
 
     def _move(self, g, field, value):
         """Apply a lifecycle transition (of ``phase`` / ``state`` /
@@ -1231,9 +1253,9 @@ class Site:
             self._reply(msg, {"ok": False, "error": "already leaving"})
             return
         in_twophase = {
-            self.groups[gid].tid
-            for gid in self.active
-            if self.groups[gid].phase in ("pending", "prepared")
+            g.tid
+            for g in map(self._group, self.active)
+            if g.phase in ("pending", "prepared")
         }
         txs = {}
         for td in self.manager.table.live():
@@ -1457,7 +1479,7 @@ class Site:
         # Five duties, in this order and each by ascending gid.  A tick
         # brings no new gid, so one snapshot serves them all; each duty
         # tests the record as it stands when its turn comes.
-        work = [self.groups[gid] for gid in sorted(self.active)]
+        work = [self._group(gid) for gid in sorted(self.active)]
         for g in work:
             if g.phase == "pending":
                 # Retry the vote; give up (vote abort) when the component

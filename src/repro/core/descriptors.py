@@ -40,9 +40,9 @@ class LockRequestStatus(enum.Enum):
     UPGRADING = "upgrading"
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionDescriptor:
-    """The TD: identity, lineage, status, and held lock requests."""
+    """The TD: identity, lineage, status, held lock requests (:meth:`finish`)."""
 
     tid: object
     parent: object = NULL_TID
@@ -57,6 +57,12 @@ class TransactionDescriptor:
         """Transition to ``target``, enforcing the status machine."""
         self.status = check_transition(self.status, target)
         return self.status
+
+    def finish(self):
+        """The transaction has terminated and released its locks: let go
+        of its program, arguments, lock list and savepoint list."""
+        self.function = None
+        self.args = self.locks = self.savepoints = ()
 
     def lock_on(self, oid):
         """This transaction's granted LRD on ``oid``, or ``None``."""
@@ -286,7 +292,8 @@ class TransactionTable:
     """The hash table of TDs, keyed by tid (section 4.1); iterates in
     insertion order.
 
-    Every TD ever created stays answerable here (status queries); the
+    Every TD ever created stays answerable here (status queries; a
+    terminated one keeps only tid, parent, status and abort reason); the
     walks that only concern transactions still in flight — checkpoint,
     the deadlock detector's commit waits, the admission limit — read
     :meth:`live`, an index the manager prunes with :meth:`retire` at the

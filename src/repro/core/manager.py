@@ -615,6 +615,7 @@ class TransactionManager:
                 self.dependencies.remove_involving(member)
                 member_td = self.table.get(member)
                 self.lock_manager.release_all(member_td)
+                member_td.finish()
                 self.permits.remove_involving(member)
                 self.stats["committed"] += 1
                 self.events.emit(EventKind.COMMITTED, member, group=others)
@@ -828,6 +829,7 @@ class TransactionManager:
             self.storage.log_abort(tid)
             td.set_status(TransactionStatus.ABORTED)
             self.table.retire(tid)
+            td.finish()
             self.stats["aborted"] += 1
             self.events.emit(EventKind.ABORTED, tid, reason=td.abort_reason)
 

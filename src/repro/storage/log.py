@@ -1448,18 +1448,23 @@ class WriteAheadLog:
     def group_evidence(self):
         """The group evidence (``_EVIDENCE_SLOT``): the index itself, not
         a copy (a site's restart is the only reader) — over the prefix,
-        when there is one, folded the same way."""
+        when there is one, folded the same way — and the tids the prefix
+        commits (a vote below the restart point was resolved there)."""
         with self._lock:
             if not self.base:
-                return self._evidence
-            evidence = ({}, {}, {})
+                return (*self._evidence, frozenset())
+            evidence, committed = ({}, {}, {}), set()
             for record in self._prefix():
                 slot = _EVIDENCE_SLOT.get(type(record))
                 if slot is not None:
                     evidence[slot][record.gid] = record
+                if isinstance(record, CommitRecord):
+                    committed |= record.committed_tids()
+                elif slot == 1 and record.verdict == "commit":
+                    committed |= record.decided_tids()
             for kept, tail in zip(evidence, self._evidence):
                 kept.update(tail)
-            return evidence
+            return (*evidence, committed)
 
     def __len__(self):
         """Records in the decoded tail (all of them when ``base`` is 0)."""

@@ -21,6 +21,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from unittest.mock import patch
 
+from repro.cluster.group import Group
 from repro.cluster.site import Site
 from repro.core.manager import TransactionManager
 from repro.storage import page
@@ -381,7 +382,7 @@ def tick_skips_unsettled_site():
 
     def forgetful(self):
         if self.up and any(
-            self.groups[gid].phase == "prepared" for gid in self.active
+            self._group(gid).phase == "prepared" for gid in self.active
         ):
             self.ticks += 1
             self.runtime.round()
@@ -405,6 +406,28 @@ def restart_forgets_resolved_votes():
     return patch.object(
         Site, "_resolved_verdict", lambda self, vote, winners: None
     )
+
+
+def stale_record_served():
+    """The ledger's accessor serves a record as it finds it.
+
+    ``Site._group`` stops re-deriving a record an earlier incarnation
+    left: a restarted site answers from what it knew before the power
+    cut — a vote collection, a release or a pending prepare it lost
+    reads as if it survived — and the restart's own folds of its open
+    votes find nothing to fold, so an in-doubt member never rejoins
+    ``active`` and never asks for its verdict.  The lazy-fold property
+    (``test_prop_group_fold.py``) and ``stranded_witness_sweep`` must
+    see it.
+    """
+
+    def as_found(self, gid):
+        g = self.groups.get(gid)
+        if g is None:
+            g = self.groups[gid] = Group(gid, self.incarnation)
+        return g
+
+    return patch.object(Site, "_group", as_found)
 
 
 def open_vote_closed_by_anchor():

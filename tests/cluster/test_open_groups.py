@@ -34,14 +34,14 @@ OPEN_STATES = ("collecting", "releasing")
 
 def derived_open_groups(site):
     """The coordinator part (was: over ``coordinating``)."""
-    return {gid for gid, g in site.groups.items() if g.state in OPEN_STATES}
+    return {g.gid for g in site.ledger() if g.state in OPEN_STATES}
 
 
 def derived_active(site):
     """Spelled out from the fields, independently of ``Site._move``."""
     return derived_open_groups(site) | {
-        gid
-        for gid, g in site.groups.items()
+        g.gid
+        for g in site.ledger()
         if g.phase in ("pending", "prepared", "in_doubt")
         or g.takeover is not None
     }
@@ -66,7 +66,7 @@ def checked(monkeypatch):
                 # ... and, while the site lives, every record at rest is
                 # one the evidence oracle calls representable.
                 unrepresentable = {
-                    gid: broken(g) for gid, g in self.groups.items() if broken(g)
+                    g.gid: broken(g) for g in self.ledger() if broken(g)
                 }
                 assert not (self.up and unrepresentable), (
                     f"{self.name} after {name}: {unrepresentable}"
@@ -100,7 +100,7 @@ def test_invariant_holds_through_a_message_fault_sweep(checked):
         assert any(
             g.state is not None
             for site in verdict.system.sites.values()
-            for g in site.groups.values()
+            for g in site.ledger()
         )
 
 
@@ -125,7 +125,7 @@ def test_invariant_holds_through_a_takeover(checked):
         g
         for site in result.system.sites.values()
         if site.stats["takeovers_decided"]
-        for g in site.groups.values()
+        for g in site.ledger()
         if g.state is not None
     ]
     assert installed and all(g.state != "collecting" for g in installed)
@@ -165,4 +165,4 @@ def test_settled_groups_stay_as_evidence_but_leave_the_tick(checked):
     # was: ``len(coordinating)``, ``len(settled_gids)``, entry states
     assert len(coordinator.groups) == groups
     assert len(coordinator.settled_gids) == groups
-    assert {g.state for g in coordinator.groups.values()} == {"done"}
+    assert {g.state for g in coordinator.ledger()} == {"done"}

@@ -1,7 +1,8 @@
 """The restarted ledger is the durable projection of the live one.
 
 ``Site.restart`` folds the log (plus the recovery report) back into
-group records.  Whatever the live ledger knew that had reached the log —
+group records — the open ones at once, every other on its first
+mention.  Whatever the live ledger knew that had reached the log —
 a verdict, that a vote was cast, that a commit decision was logged, the
 epoch of a takeover claim, which members still wait for a verdict — the
 fold must find again, no more and no less: a restarted witness that
@@ -39,16 +40,18 @@ def durable_projection(site):
     """gid -> (verdict, voted, commit_logged, claim epoch, awaiting a
     verdict), of the groups something about which reached this site's
     log (a restart leaves the others blank; blank and absent are the
-    same evidence)."""
+    same evidence).  Each record is read through ``Site._group``
+    (``site.ledger()``): the raw dict still holds what an earlier
+    incarnation derived until the record's first mention."""
     return {
-        gid: (
+        g.gid: (
             g.verdict,
             g.voted,
             g.commit_logged,
             g.claim.epoch if g.claim is not None else 0,
             g.phase in WAITING,
         )
-        for gid, g in site.groups.items()
+        for g in site.ledger()
         if g.voted or g.commit_logged or g.claim is not None
     }
 
@@ -76,7 +79,7 @@ def _drive(plan, monkeypatch, stop_at=None):
                 cluster.crash_site(name)
                 cluster.restart_site(name)
                 assert durable_projection(site) == before, f"{name} at tick {stop_at}"
-                blank = [g for g in site.groups.values() if not g.voted]
+                blank = [g for g in site.ledger() if not g.voted]
                 assert all(
                     g.phase is g.verdict is g.state is g.takeover is None
                     for g in blank
@@ -111,7 +114,7 @@ def test_the_wedge_probe_ends_in_a_completed_takeover():
     assert takers and all(
         g.claim is not None and g.verdict is not None
         for site in takers
-        for g in site.groups.values()
+        for g in site.ledger()
     )
 
 

@@ -24,6 +24,8 @@ from repro.chaos.cluster_sweep import (
 from repro.chaos.faults import FaultPlan
 from repro.chaos.sweep import get
 from repro.cluster import Cluster
+from repro.cluster.group import Group
+from repro.cluster.site import Site
 from repro.net.fabric import Message
 from repro.storage import log as log_module
 from repro.storage.log import DecisionRecord, PrepareRecord, WriteAheadLog
@@ -197,7 +199,7 @@ class TestSettledSite:
         assert not outcome.resolved
         site = cluster.sites["beta"]
         # was: ``site.prepared``
-        assert [g.phase for g in site.groups.values()] == ["prepared"]
+        assert [g.phase for g in site.ledger()] == ["prepared"]
         assert site.unsettled()
         touched = _watch(site)
         site.on_tick()
@@ -253,7 +255,9 @@ class TestRestartCostsWhatIsUnresolved:
     acknowledged it when it was sealed: none in a two-site group, one in
     a three-site group (the first ACK seals it).  Before the index kept
     the evidence, the same restarts made 3 ``records()`` calls and
-    re-sent every decision to every remote member."""
+    re-sent every decision to every remote member.  The records the
+    restart folds are those decisions' (and the open votes', none
+    here); every other is re-derived on its first mention."""
 
     SITES = (("alpha", "beta"), ("alpha", "beta", "gamma"))
 
@@ -308,6 +312,39 @@ class TestRestartCostsWhatIsUnresolved:
             # The evidence the index folded is what a walk finds.
             assert site.storage.log.group_evidence() == group_evidence_scan(
                 site.storage.log
+            )
+
+    @pytest.mark.parametrize("groups", [4, 12])
+    def test_restart_folds_only_the_decisions_owed_a_re_send(
+        self, monkeypatch, groups
+    ):
+        """Every other record is left for its first mention: the
+        restarts fold one record per three-site group and re-initialise
+        no other :class:`Group` (at the parent of this gate every record
+        was wiped and every gid the log names folded: 10 and 30 records
+        here)."""
+        calls = self._restart_all(groups, monkeypatch)[4]
+        assert calls.count(Group.__init__.__code__) == groups // 2
+        assert calls.count(Site._fold.__code__) == groups // 2
+
+    def test_a_finished_descriptor_holds_nothing(self):
+        """What a restart frees of the old manager is one slotted object
+        per transaction: a terminated TD keeps its tid, parent, status
+        and abort reason, and lets go of its program, arguments, lock
+        list and savepoint list."""
+        cluster = Cluster()
+        commit_groups(cluster, 1)
+        finished = [
+            td
+            for site in cluster.sites.values()
+            for td in site.manager.table
+            if td.status.is_terminated
+        ]
+        assert len(finished) >= 3
+        for td in finished:
+            assert not hasattr(td, "__dict__")
+            assert (td.function, td.args, td.locks, td.savepoints) == (
+                None, (), (), (),
             )
 
     def test_reading_the_evidence_does_not_grow_with_history(

@@ -163,7 +163,27 @@ class TestWitnessReconstruction:
         cluster.restart_site("beta")
         beta = cluster.sites["beta"]
         assert beta.settled_gids.get(outcome.gid) == "commit"
-        assert evidence(beta.groups[outcome.gid]) == ("committed", None)
+        assert evidence(beta._group(outcome.gid)) == ("committed", None)
+
+    def test_a_witness_whose_commit_lies_below_its_restart_point(self):
+        # The same witness, checkpointed after it applied the commit:
+        # its vote and its commit record both lie below the restart
+        # point, and the tail it restarts from commits nothing.  Judged
+        # against the tail's winners alone, the vote read as aborted —
+        # and a taker polling it presumed abort over a committed group.
+        cluster = Cluster()
+        refs = _spawn_group(cluster)
+        outcome = cluster.group_commit(refs)
+        assert outcome and outcome.committed
+        cluster.converge()
+        beta = cluster.sites["beta"]
+        beta.storage.checkpoint()
+        assert beta.storage.log.base > 0
+        cluster.crash_site("beta")
+        report = cluster.restart_site("beta")
+        assert not report.winners
+        assert beta.settled_gids.get(outcome.gid) == "commit"
+        assert evidence(beta._group(outcome.gid)) == ("committed", None)
 
     def test_restarted_abort_participant_still_testifies(self):
         # Same reconstruction, abort side: a participant that voted
@@ -190,7 +210,7 @@ class TestWitnessReconstruction:
         cluster.restart_site(witness)
         site = cluster.sites[witness]
         assert site.settled_gids.get(gid) == "abort"
-        assert evidence(site.groups[gid]) == ("aborted", None)
+        assert evidence(site._group(gid)) == ("aborted", None)
 
 
 class TestEvidenceStates:
@@ -202,7 +222,7 @@ class TestEvidenceStates:
         # ``voted_gids`` and no other map) must never read as "no trace"
         # — that is the one unsafe guess a taker could make.
         site._group(99).voted = True
-        assert evidence(site.groups[99]) == ("resolved_unknown", None)
+        assert evidence(site._group(99)) == ("resolved_unknown", None)
 
     def _taking_over_entry(self, site, gid, answers):
         # (was a literal ``taking_over[gid]`` entry)
@@ -278,11 +298,11 @@ class TestFencing:
         seven = site._group(7)
         assert site._fence(seven, 0) is True  # epoch 0 is the default
         assert site._fence(seven, 2) is True  # higher: adopted on the spot
-        assert site.groups[7].epoch == 2  # was group_epochs[7]
+        assert site._group(7).epoch == 2  # was group_epochs[7]
         before = site.stats["stale_epoch_rejects"]
         assert site._fence(seven, 1) is False  # stale: fenced out
         assert site.stats["stale_epoch_rejects"] == before + 1
-        assert site.groups[7].epoch == 2  # rejection never regresses
+        assert site._group(7).epoch == 2  # rejection never regresses
 
     def test_equal_epochs_pass(self):
         # Same-epoch duplicates are legal: dueling takers at one epoch
@@ -291,11 +311,11 @@ class TestFencing:
         site = cluster.sites["alpha"]
         site._fence(site._group(7), 3)
         assert site._fence(site._group(7), 3) is True
-        assert site.groups[7].epoch == 3
+        assert site._group(7).epoch == 3
 
     def test_epochs_are_per_group(self):
         cluster = Cluster()
         site = cluster.sites["alpha"]
         site._fence(site._group(7), 5)
         assert site._fence(site._group(8), 1) is True  # other gid: independent fence
-        assert {gid: g.epoch for gid, g in site.groups.items()} == {7: 5, 8: 1}
+        assert {g.gid: g.epoch for g in site.ledger()} == {7: 5, 8: 1}

@@ -86,7 +86,7 @@ class TestHappyPath:
         assert outcome
         coordinator = cluster.sites[refs[0].site]
         # Replay the decision to every participant by hand.
-        members = coordinator.groups[outcome.gid].members  # was coordinating[gid]
+        members = coordinator._group(outcome.gid).members  # was coordinating[gid]
         for site in sorted(members):
             if site != coordinator.name:
                 coordinator._send(
@@ -218,7 +218,7 @@ class TestCrashRecovery:
         outcome = cluster.group_commit(refs, timeout=8)
         assert outcome  # beta witnessed, so the commit sealed
         # (was ``gamma.prepared``) still awaiting release
-        assert cluster.sites["gamma"].groups[outcome.gid].phase == "prepared"
+        assert cluster.sites["gamma"]._group(outcome.gid).phase == "prepared"
         decisions = [
             record
             for record in coordinator.durable_records()
@@ -259,7 +259,7 @@ class TestCrashRecovery:
             for record in coordinator.durable_records()
         )
         # (was ``coordinating[gid]["state"]``)
-        assert coordinator.groups[outcome.gid].state == "releasing"
+        assert coordinator._group(outcome.gid).state == "releasing"
         assert committed_values(coordinator) == []
         coordinator._send = original
         assert cluster.converge()

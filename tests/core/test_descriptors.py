@@ -22,6 +22,23 @@ class TestTransactionDescriptor:
         assert td.status is TransactionStatus.INITIATED
         assert td.locks == []
 
+    def test_finish_keeps_what_status_queries_read(self):
+        td = TransactionDescriptor(
+            tid=Tid(2), parent=Tid(1), function=print, args=(1,)
+        )
+        td.savepoints.append(object())
+        td.set_status(TransactionStatus.ABORTING)
+        td.abort_reason = "test"
+        td.finish()
+        assert (td.tid, td.parent, td.status, td.abort_reason) == (
+            Tid(2), Tid(1), TransactionStatus.ABORTING, "test",
+        )
+        assert (td.function, td.args, td.locks, td.savepoints) == (
+            None, (), (), (),
+        )
+        assert td.lock_on(ObjectId(5)) is None
+        assert not hasattr(td, "__dict__")
+
     def test_set_status_enforces_machine(self):
         td = TransactionDescriptor(tid=Tid(1))
         td.set_status(TransactionStatus.RUNNING)

@@ -161,7 +161,7 @@ class TestGroupMarks:
                 return super().items()
 
         kit.spans.spans = Probed(kit.spans.spans)
-        group = site.groups[max(site.groups)]
+        group = site._group(max(site.groups))
         site._obs_link(
             group.tids, "takeover_started", gid=group.gid, epoch=1, old="alpha"
         )

@@ -92,7 +92,7 @@ class TestManagerFuzz:
             assert manager.lock_manager.check_invariants() == []
             for td in manager.transactions():
                 if td.status.is_terminated:
-                    assert td.locks == []
+                    assert td.locks == ()  # a finished TD holds no list
                 for lrd in td.locks:
                     assert lrd.td is td
                     assert lrd in lrd.od.granted

@@ -153,17 +153,19 @@ def assert_tail_analysis_matches(report, tail, history):
 
 
 def group_evidence_scan(log):
-    """``(claims, decisions, votes)``, each gid -> its newest takeover
-    claim, decision and vote, by a type walk of every record of ``log``,
-    prefix included: how a site's restart folded its evidence before
-    the log's index kept it."""
+    """``(claims, decisions, votes, committed)``, each gid -> its newest
+    takeover claim, decision and vote, by a type walk of every record of
+    ``log``, prefix included: how a site's restart folded its evidence
+    before the log's index kept it; and the tids the records below the
+    restart point commit."""
     claims, decisions, votes = {}, {}, {}
     kept = {TakeoverRecord: claims, DecisionRecord: decisions, PrepareRecord: votes}
-    for record in log.records():
+    records = log.records()
+    for record in records:
         latest = kept.get(type(record))
         if latest is not None:
             latest[record.gid] = record
-    return claims, decisions, votes
+    return claims, decisions, votes, commit_winners(records[: log.base])
 
 
 def open_votes_scan(log):

@@ -387,8 +387,9 @@ def test_a_site_holds_one_group_ledger():
             for target in node.targets
         }
 
-    # The ledger outlives a crash as storage (``_boot`` wipes its
-    # records in place); everything else volatile is rebuilt there.
+    # The ledger outlives a crash as storage (``_group`` re-derives a
+    # record on its first mention); everything else volatile is rebuilt
+    # in ``_boot``.
     assert containers("__init__") == {"stats", "groups"}
     assert containers("_boot") == {
         "active", "proxies", "proxy_owner", "remote_holders", "_handoff_accepts",
