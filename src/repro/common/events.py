@@ -9,8 +9,9 @@ permit grants, dependency formation, commit, and abort.  Subscribers include:
 * the benchmark harness, which derives blocked-time and abort-rate metrics;
 * tests, which assert on exact event sequences.
 
-Tracing is pull-free and cheap: when no subscriber is attached, ``emit``
-only performs a truth test.
+Tracing is pull-free and cheap: a call site on a hot path tests its kind
+against the bus's :attr:`~EventBus.watched` before it builds the call, so
+an event nobody subscribed to costs one set-membership test.
 """
 
 from __future__ import annotations
@@ -90,12 +91,14 @@ class EventBus:
     nobody listens to skips Event construction (and the clock tick)
     entirely, so a narrow subscriber — the resilience DeadlineTable wants
     three kinds out of twenty — does not put the whole event machinery on
-    the manager's hot path.
+    the manager's hot path.  ``watched`` is the set of kinds somebody
+    subscribed to: ``if kind in bus.watched: bus.emit(kind, ...)``
+    skips the call too.
     """
 
     def __init__(self, clock=None):
         self._subscribers = []  # (callback, frozenset of kinds | None)
-        self._watched = frozenset()  # kinds with at least one subscriber
+        self.watched = frozenset()  # kinds with at least one subscriber
         self._dispatch = {}  # kind -> tuple of callbacks (lazy cache)
         self._clock = clock
         # Clockless buses still owe subscribers the documented "tick
@@ -136,7 +139,7 @@ class EventBus:
         watched = set()
         for __, kinds in self._subscribers:
             watched |= set(EventKind) if kinds is None else kinds
-        self._watched = frozenset(watched)
+        self.watched = frozenset(watched)
 
     def _targets_for(self, kind):
         with self._lock:
@@ -151,12 +154,14 @@ class EventBus:
     def emit(self, kind, tid, **detail):
         """Build an :class:`Event` and deliver it to its subscribers.
 
-        The fast path is one truth test on a bus nobody subscribed to
-        (no hash of ``kind``), one set-membership test otherwise: a kind
-        nobody watches costs the same whatever the narrow subscribers,
-        keeping them off the manager's hot path.
+        A bus nobody watches returns at one truth test (no hash of
+        ``kind``), and a kind nobody watches at one set-membership test,
+        whatever the narrow subscribers.  Both run after the caller has
+        paid for the call and its keyword dict: hot call sites test their
+        kind against :attr:`watched` first and call only for a watched
+        kind.
         """
-        if not self._watched or kind not in self._watched:
+        if not self.watched or kind not in self.watched:
             return None
         targets = self._dispatch.get(kind)
         if targets is None:

@@ -98,8 +98,15 @@ class DependencyEdge:
 class DependencyGraph:
     """All dependency edges, indexed by both endpoints."""
 
-    def __init__(self):
-        self._index = DoubleHashIndex()  # (dependent, dependee) -> edges
+    def __init__(self, index=None):
+        # (dependent, dependee) -> edges.  The queries are the index's own
+        # probes, bound once (a scan is one call; a tid with no edges gets
+        # the shared empty tuple): the edges where ``tid`` is the dependent
+        # (commit-time scan), the dependee (abort-time scan), or either.
+        self._index = index if index is not None else DoubleHashIndex()
+        self.outgoing = self._index.by_left
+        self.incoming = self._index.by_right
+        self.edges_involving = self._index.involving
 
     def add(self, dep_type, ti, tj):
         """Form a dependency of ``dep_type`` between ``ti`` and ``tj``.
@@ -137,18 +144,6 @@ class DependencyGraph:
         return False
 
     # -- queries -----------------------------------------------------------------
-
-    def outgoing(self, tid):
-        """Edges where ``tid`` is the dependent (commit-time scan)."""
-        return self._index.by_left(tid)
-
-    def incoming(self, tid):
-        """Edges where ``tid`` is the dependee (abort-time scan)."""
-        return self._index.by_right(tid)
-
-    def edges_involving(self, tid):
-        """Every edge touching ``tid``."""
-        return self._index.involving(tid)
 
     def gc_group(self, tid):
         """The group-commit component of ``tid`` (always contains it).

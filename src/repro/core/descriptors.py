@@ -54,9 +54,12 @@ class TransactionDescriptor:
     savepoints: list = field(default_factory=list)  # active rollback marks
 
     def set_status(self, target):
-        """Transition to ``target``, enforcing the status machine."""
-        self.status = check_transition(self.status, target)
-        return self.status
+        """Transition to ``target``, enforcing the status machine (the
+        legal case is one tuple scan; only a refusal calls out)."""
+        if target not in self.status.successors:
+            check_transition(self.status, target)
+        self.status = target
+        return target
 
     def finish(self):
         """The transaction has terminated and released its locks: let go

@@ -25,7 +25,7 @@ verified by property tests.
 
 from __future__ import annotations
 
-from repro.common.events import EventKind
+from repro.common.events import EventBus, EventKind
 from repro.core.descriptors import (
     LockRequestDescriptor,
     LockRequestStatus,
@@ -78,7 +78,9 @@ class LockManager:
         self.registry = registry
         self.permits = permits
         self.conflicts = conflicts if conflicts is not None else ConflictTable()
-        self._events = events
+        # A bus nobody watches when none is given: every emit site tests
+        # its kind against ``watched`` and nothing else.
+        self._events = events if events is not None else EventBus()
         self._pending_by_tid = {}
         self.stats = {
             "grants": 0, "blocks": 0, "suspensions": 0, "fast_grants": 0,
@@ -125,7 +127,7 @@ class LockManager:
         if blockers:
             self._note_pending(td, od, operation)
             self.stats["blocks"] += 1
-            if self._events is not None:
+            if EventKind.LOCK_BLOCKED in self._events.watched:
                 self._events.emit(
                     EventKind.LOCK_BLOCKED,
                     td.tid,
@@ -138,7 +140,7 @@ class LockManager:
         for gl in to_suspend:
             od.set_suspended(gl, True)
             self.stats["suspensions"] += 1
-            if self._events is not None:
+            if EventKind.LOCK_SUSPENDED in self._events.watched:
                 self._events.emit(
                     EventKind.LOCK_SUSPENDED,
                     gl.tid,
@@ -189,7 +191,8 @@ class LockManager:
             lrd.status = LockRequestStatus.GRANTED
         self._clear_pending(td, od)
         self.stats["grants"] += 1
-        if self._events is not None:
+        watched = self._events.watched
+        if EventKind.WRITE_LOCK in watched or EventKind.READ_LOCK in watched:
             kind = (
                 EventKind.WRITE_LOCK
                 if self.conflicts.conflicts(operation, "read")

@@ -31,7 +31,8 @@ class LockOutcome:
 
 
 GRANTED = LockOutcome(granted=True)
-"""The one granted outcome (immutable, so every grant shares it)."""
+"""The one granted outcome (immutable, so every grant shares it, and a
+hot caller tests ``outcome is GRANTED`` rather than calling ``__bool__``)."""
 
 
 class PrepareStatus(enum.Enum):

@@ -22,7 +22,7 @@ given to t_i*).
 
 from __future__ import annotations
 
-from repro.common.events import EventKind
+from repro.common.events import EventBus, EventKind
 from repro.common.hashtable import DoubleHashIndex
 from repro.core.descriptors import PermitDescriptor
 
@@ -47,7 +47,9 @@ class PermitTable:
     def __init__(self, registry, events=None):
         self._registry = registry  # shared oid -> OD registry
         self._index = DoubleHashIndex()  # (giver, receiver) -> PDs
-        self._events = events
+        # A bus nobody watches when none is given: every emit site tests
+        # its kind against ``watched`` and nothing else.
+        self._events = events if events is not None else EventBus()
 
     # -- insertion ---------------------------------------------------------
 
@@ -87,7 +89,7 @@ class PermitTable:
         )
         od.attach_permit(pd)
         self._index.add(giver, receiver, pd)
-        if self._events is not None:
+        if EventKind.PERMIT in self._events.watched:
             self._events.emit(
                 EventKind.PERMIT,
                 giver,
@@ -147,11 +149,11 @@ class PermitTable:
         )
 
     def given_by(self, tid):
-        """All PDs whose giver is ``tid``."""
+        """All PDs whose giver is ``tid`` (the index's live slot)."""
         return self._index.by_left(tid)
 
     def given_to(self, tid):
-        """All PDs whose *explicit* receiver is ``tid``."""
+        """All PDs whose *explicit* receiver is ``tid`` (the live slot)."""
         return self._index.by_right(tid)
 
     def objects_permitted_to(self, tid):
@@ -193,7 +195,7 @@ class PermitTable:
         object set rather than everything.
         """
         rewritten = []
-        for pd in self.given_by(old_giver):
+        for pd in tuple(self.given_by(old_giver)):
             if oids is not None and pd.oid not in oids:
                 continue
             self._discard(pd)

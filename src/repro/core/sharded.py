@@ -242,7 +242,8 @@ class ShardedTransactionManager(TransactionManager):
             self.storage.create_allocated(tid, oid, shard, value)
             od = self.registry.get_or_create(oid)
             self.lock_manager._grant(td, od, WRITE)
-            self.events.emit(EventKind.WRITE, tid, oid=oid, created=True)
+            if EventKind.WRITE in self.events.watched:
+                self.events.emit(EventKind.WRITE, tid, oid=oid, created=True)
             return oid
 
     def try_read(self, tid, oid):
@@ -251,10 +252,11 @@ class ShardedTransactionManager(TransactionManager):
             with self._latched({shard}):
                 td = self._active_td(tid)
                 outcome = self.lock_manager.acquire(td, oid, READ)
-                if not outcome:
+                if outcome is not GRANTED:
                     return outcome, None
                 value = self.storage.read_object(tid, oid)
-                self.events.emit(EventKind.READ, tid, oid=oid)
+                if EventKind.READ in self.events.watched:
+                    self.events.emit(EventKind.READ, tid, oid=oid)
                 return GRANTED, value
         except QuarantinedObjectError:
             # Escalate outside the latch scope: abort takes the mutex,
@@ -268,10 +270,11 @@ class ShardedTransactionManager(TransactionManager):
             with self._latched({shard}):
                 td = self._active_td(tid)
                 outcome = self.lock_manager.acquire(td, oid, WRITE)
-                if not outcome:
+                if outcome is not GRANTED:
                     return outcome
                 self.storage.write_object(tid, oid, value)
-                self.events.emit(EventKind.WRITE, tid, oid=oid)
+                if EventKind.WRITE in self.events.watched:
+                    self.events.emit(EventKind.WRITE, tid, oid=oid)
                 return GRANTED
         except QuarantinedObjectError:
             self._abort_poisoned(tid, oid)
@@ -283,15 +286,16 @@ class ShardedTransactionManager(TransactionManager):
             with self._latched({shard}):
                 td = self._active_td(tid)
                 outcome = self.lock_manager.acquire(td, oid, operation)
-                if not outcome:
+                if outcome is not GRANTED:
                     return outcome, None
                 value = self.storage.read_object(tid, oid)
                 new_value, result = transform(value)
                 if new_value is not None:
                     self.storage.write_object(tid, oid, new_value)
-                self.events.emit(
-                    EventKind.OPERATION, tid, oid=oid, operation=operation
-                )
+                if EventKind.OPERATION in self.events.watched:
+                    self.events.emit(
+                        EventKind.OPERATION, tid, oid=oid, operation=operation
+                    )
                 return GRANTED, result
         except QuarantinedObjectError:
             self._abort_poisoned(tid, oid)

@@ -41,31 +41,11 @@ class TransactionStatus(enum.Enum):
     ABORTING = "aborting"
     ABORTED = "aborted"
 
-    @property
-    def is_terminated(self):
-        """Committed or aborted (section 2.1's *terminated*)."""
-        return self in (TransactionStatus.COMMITTED, TransactionStatus.ABORTED)
 
-    @property
-    def is_active(self):
-        """Begun but not terminated."""
-        return self in (
-            TransactionStatus.RUNNING,
-            TransactionStatus.COMPLETED,
-            TransactionStatus.PREPARED,
-            TransactionStatus.COMMITTING,
-            TransactionStatus.ABORTING,
-        )
-
-    @property
-    def is_abort_bound(self):
-        """Aborting or already aborted."""
-        return self in (TransactionStatus.ABORTING, TransactionStatus.ABORTED)
-
-
-# Each member carries the statuses it may move to, so a check is one
-# attribute read and an identity scan of a tuple: on Python 3.11 hashing
-# a member (a dict or set probe) runs ``Enum.__hash__`` in Python.
+# Each member carries the statuses it may move to and section 2.1's
+# flags as plain attributes, so a check is one attribute read (and an
+# identity scan of a tuple): on Python 3.11 a property is a call, and
+# hashing a member (a dict or set probe) runs ``Enum.__hash__`` in Python.
 _S = TransactionStatus
 for _current, _targets in (
     (_S.INITIATED, (_S.RUNNING, _S.ABORTING, _S.ABORTED)),
@@ -79,6 +59,18 @@ for _current, _targets in (
     (_S.ABORTED, ()),
 ):
     _current.successors = _targets
+    # *Terminated*: committed or aborted.
+    _current.is_terminated = _current in (_S.COMMITTED, _S.ABORTED)
+    # *Active*: begun and not terminated.
+    _current.is_active = not (
+        _current.is_terminated or _current is _S.INITIATED
+    )
+    # Aborting or already aborted.
+    _current.is_abort_bound = _current in (_S.ABORTING, _S.ABORTED)
+
+
+# The statuses in which a transaction's code has not ended yet.
+CODE_RUNS = (_S.INITIATED, _S.RUNNING)
 
 
 def check_transition(current, target):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.hashtable import ChainedHashTable, DoubleHashIndex
+from repro.common.hashtable import NO_ITEMS, ChainedHashTable, DoubleHashIndex
 from repro.common.ids import Tid
 
 
@@ -89,7 +89,7 @@ class TestDoubleHashIndex:
         index.add(Tid(4), Tid(2), "c")
         assert sorted(index.by_left(Tid(1))) == ["a", "b"]
         assert sorted(index.by_right(Tid(2))) == ["a", "c"]
-        assert index.by_left(Tid(9)) == []
+        assert index.by_left(Tid(9)) is NO_ITEMS
 
     def test_involving_deduplicates(self):
         index = DoubleHashIndex()
@@ -106,8 +106,9 @@ class TestDoubleHashIndex:
         index = DoubleHashIndex()
         index.add(Tid(1), Tid(2), "a")
         index.remove(Tid(1), Tid(2), "a")
-        assert index.by_left(Tid(1)) == []
-        assert index.by_right(Tid(2)) == []
+        assert index.by_left(Tid(1)) is NO_ITEMS
+        assert index.by_right(Tid(2)) is NO_ITEMS
+        assert index.involving(Tid(1)) is NO_ITEMS
         assert len(index) == 0
 
     def test_remove_missing_is_noop(self):

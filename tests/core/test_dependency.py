@@ -22,7 +22,7 @@ class TestEdgeDirection:
         graph.add(D.AD, Tid(1), Tid(2))
         assert [e.dependee for e in graph.outgoing(Tid(2))] == [Tid(1)]
         assert [e.dependent for e in graph.incoming(Tid(1))] == [Tid(2)]
-        assert graph.outgoing(Tid(1)) == []
+        assert graph.outgoing(Tid(1)) == ()
 
     def test_duplicate_edges_idempotent(self):
         graph = DependencyGraph()
@@ -123,9 +123,9 @@ class TestRemoval:
         graph.add(D.AD, Tid(2), Tid(3))
         graph.add(D.CD, Tid(4), Tid(5))
         graph.remove_involving(Tid(2))
-        assert graph.outgoing(Tid(2)) == []
-        assert graph.incoming(Tid(2)) == []
-        assert graph.outgoing(Tid(3)) == []
+        assert graph.outgoing(Tid(2)) == ()
+        assert graph.incoming(Tid(2)) == ()
+        assert graph.outgoing(Tid(3)) == ()
         assert len(graph) == 1  # the 4->5 edge remains
 
     def test_edge_other(self):

@@ -32,6 +32,49 @@ class TestPredicates:
         assert not S.RUNNING.is_abort_bound
 
 
+# Section 2.1, member by member: (terminated, active, abort-bound).
+# *Terminated* is committed or aborted; *active* is begun and not
+# terminated (PREPARED and the transitional states included); abort-bound
+# is aborting or aborted — what the three properties computed before the
+# flags became plain attributes set beside ``successors``.
+FLAGS = {
+    S.INITIATED: (False, False, False),
+    S.RUNNING: (False, True, False),
+    S.COMPLETED: (False, True, False),
+    S.PREPARED: (False, True, False),
+    S.COMMITTING: (False, True, False),
+    S.ABORTING: (False, True, True),
+    S.COMMITTED: (True, False, False),
+    S.ABORTED: (True, False, True),
+}
+
+
+class TestTheFlagsAreTheDefinitions:
+    def test_every_member_is_in_the_table(self):
+        assert set(FLAGS) == set(S)
+
+    @pytest.mark.parametrize("status", list(S), ids=lambda s: s.name)
+    def test_flags(self, status):
+        flags = (status.is_terminated, status.is_active, status.is_abort_bound)
+        assert flags == FLAGS[status]
+        assert all(type(flag) is bool for flag in flags)
+
+    @pytest.mark.parametrize("status", list(S), ids=lambda s: s.name)
+    def test_flags_follow_from_the_definitions(self, status):
+        terminated = status in (S.COMMITTED, S.ABORTED)
+        assert status.is_terminated is terminated
+        assert status.is_active is (
+            status is not S.INITIATED and not terminated
+        )
+        assert status.is_abort_bound is (status in (S.ABORTING, S.ABORTED))
+
+    def test_flags_are_attributes_not_properties(self):
+        """A flag read is an attribute load: no frame per check."""
+        for name in ("is_terminated", "is_active", "is_abort_bound"):
+            assert not isinstance(getattr(S, name, None), property)
+            assert all(name in vars(status) for status in S)
+
+
 class TestTransitions:
     def test_happy_path(self):
         sequence = [S.INITIATED, S.RUNNING, S.COMPLETED, S.COMMITTING,

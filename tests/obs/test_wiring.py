@@ -102,25 +102,25 @@ class TestGrantWatcher:
 
     def test_grants_unwatched_at_rest(self):
         bus, __, ___ = self._wired()
-        assert EventKind.READ_LOCK not in bus._watched
-        assert EventKind.WRITE_LOCK not in bus._watched
+        assert EventKind.READ_LOCK not in bus.watched
+        assert EventKind.WRITE_LOCK not in bus.watched
 
     def test_block_grant_cycle_measures_and_unwires(self):
         bus, registry, __ = self._wired()
         bus.emit(EventKind.LOCK_BLOCKED, Tid(1), oid=ObjectId(3))
-        assert EventKind.WRITE_LOCK in bus._watched
+        assert EventKind.WRITE_LOCK in bus.watched
         bus.emit(EventKind.WRITE_LOCK, Tid(1), oid=ObjectId(3))
         blocked = registry.histogram("lock.blocked_ticks")
         assert blocked.count == 1
         assert blocked.total >= 1
-        assert EventKind.WRITE_LOCK not in bus._watched
+        assert EventKind.WRITE_LOCK not in bus.watched
 
     def test_unrelated_grant_keeps_watching(self):
         bus, registry, __ = self._wired()
         bus.emit(EventKind.LOCK_BLOCKED, Tid(1), oid=ObjectId(3))
         bus.emit(EventKind.READ_LOCK, Tid(2), oid=ObjectId(9))
         assert registry.histogram("lock.blocked_ticks").count == 0
-        assert EventKind.READ_LOCK in bus._watched
+        assert EventKind.READ_LOCK in bus.watched
 
     def test_terminal_while_blocked_unwires(self):
         # A blocked transaction that dies (deadlock victim, watchdog
@@ -129,7 +129,7 @@ class TestGrantWatcher:
         bus.emit(EventKind.LOCK_BLOCKED, Tid(1), oid=ObjectId(3))
         bus.emit(EventKind.ABORTED, Tid(1), reason="deadlock victim")
         assert registry.histogram("lock.blocked_ticks").count == 0
-        assert EventKind.READ_LOCK not in bus._watched
+        assert EventKind.READ_LOCK not in bus.watched
 
     def test_contended_coop_run_measures_blocked_time(self):
         rt = CooperativeRuntime(TransactionManager(), seed=5)
@@ -150,7 +150,7 @@ class TestGrantWatcher:
         snap = kit.snapshot()
         assert snap["counters"].get("lock.blocked", 0) >= 1
         # The cycle completed: grants are unwatched again at rest.
-        assert EventKind.READ_LOCK not in rt.manager.events._watched
+        assert EventKind.READ_LOCK not in rt.manager.events.watched
 
 
 class TestFabricAndCollectors:

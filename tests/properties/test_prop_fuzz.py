@@ -104,9 +104,9 @@ class TestManagerFuzz:
         for td in manager.transactions():
             if td.status.is_terminated:
                 tid = td.tid
-                assert manager.permits.given_by(tid) == []
-                assert manager.permits.given_to(tid) == []
-                assert manager.dependencies.edges_involving(tid) == []
+                assert manager.permits.given_by(tid) == ()
+                assert manager.permits.given_to(tid) == ()
+                assert manager.dependencies.edges_involving(tid) == ()
 
     @given(ops=st.lists(op, max_size=30), data=st.data())
     @settings(max_examples=60, deadline=None)

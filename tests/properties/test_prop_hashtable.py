@@ -10,7 +10,7 @@ engine's index honest against it now that the two are different code.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.hashtable import ChainedHashTable, DoubleHashIndex
+from repro.common.hashtable import NO_ITEMS, ChainedHashTable, DoubleHashIndex
 from repro.common.ids import Tid
 
 N_TIDS = 6
@@ -67,9 +67,18 @@ def test_dict_index_matches_the_chained_reference(commands):
         for key in [Tid(v) for v in range(1, N_TIDS + 1)] + [None]:
             left_items = reference.by_left(key)
             right_items = reference.by_right(key)
-            assert index.by_left(key) == left_items
-            assert index.by_right(key) == right_items
+            assert list(index.by_left(key)) == left_items
+            assert list(index.by_right(key)) == right_items
             involving = index.involving(key)
-            assert involving == list(dict.fromkeys(left_items + right_items))
+            assert list(involving) == list(
+                dict.fromkeys(left_items + right_items)
+            )
+            # A miss is the shared empty tuple, not a fresh list.
+            if not left_items:
+                assert index.by_left(key) is NO_ITEMS
+            if not right_items:
+                assert index.by_right(key) is NO_ITEMS
+            if not (left_items or right_items):
+                assert involving is NO_ITEMS
     # Emptied slots are dropped, not left behind.
     assert all(index._by_left.values()) and all(index._by_right.values())
