@@ -12,11 +12,12 @@ import time
 from conftest import fresh_runtime
 
 from repro.bench.report import print_table
-from repro.common.hashtable import ChainedHashTable, DoubleHashIndex
+from repro.common.hashtable import DoubleHashIndex
 from repro.common.ids import ObjectId, Tid
 from repro.core.locks import ObjectRegistry
 from repro.core.permits import PermitTable
 from repro.core.semantics import WRITE
+from tests.common.chained_table import ChainedHashTable
 
 
 def _timed(callable_, repeat=3):

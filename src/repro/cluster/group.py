@@ -56,9 +56,12 @@ class Group:
         # Member side.  ``phase``: None -> pending -> prepared -> settled,
         # or in_doubt -> settled after a restart.  ``tids`` are the local
         # transactions the vote covered, ``voted`` whether a vote was
-        # ever force-logged, ``verdict`` the fate applied here.
+        # ever force-logged, ``verdict`` the fate applied here.  The two
+        # leases of a prepared member are clock ticks they lapse at (0:
+        # none): ``quiet_until`` paces its inquiries, ``trust_until`` is
+        # how long it trusts a silent coordinator.
         "phase", "tid", "tids", "coordinator", "sites", "ttl", "overdue",
-        "next_ask", "verdict", "voted",
+        "next_ask", "quiet_until", "trust_until", "verdict", "voted",
         # Coordinator side.  ``state``: None -> collecting -> releasing
         # -> decided -> done.  ``commit_logged``: a commit DecisionRecord
         # for this gid is durable in this site's log.
@@ -75,6 +78,7 @@ class Group:
         self.phase = self.tid = self.coordinator = self.verdict = None
         self.tids = self.sites = ()
         self.ttl = self.overdue = self.next_ask = 0
+        self.quiet_until = self.trust_until = 0
         self.voted = False
         self.state = self.members = self.votes = self.acks = self.client = None
         self.deadline = self.next_beat = 0

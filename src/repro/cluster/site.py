@@ -20,8 +20,8 @@ The site is also both halves of presumed-abort two-phase commit:
   :meth:`~repro.core.manager.TransactionManager.try_prepare` (force-logs
   the vote, freezes the local group in PREPARED).  A prepared group can
   terminate only by the coordinator's decision; if the decision is slow
-  the site inquires with ``status_req``, paced by a lease on the
-  resilience :class:`~repro.resilience.deadlines.DeadlineTable`.
+  the site inquires with ``status_req``, paced by a lease kept on the
+  group's record (``Group.quiet_until``).
 * **coordinator** — collects votes under a deadline, releases COMMIT
   to the participants and force-logs the
   :class:`~repro.storage.log.DecisionRecord` once the first participant
@@ -61,7 +61,6 @@ from repro.core.dependency import DependencyType
 from repro.core.manager import TransactionManager
 from repro.core.outcomes import PrepareStatus
 from repro.core.status import TransactionStatus
-from repro.resilience.deadlines import DeadlineTable
 from repro.runtime.coop import CooperativeRuntime
 from repro.storage.store import StorageManager
 
@@ -175,7 +174,6 @@ class Site:
         """(Re)build the volatile half of the site over ``self.storage``."""
         self.manager = TransactionManager(storage=self.storage, clock=self.clock)
         self.runtime = CooperativeRuntime(self.manager)
-        self.deadlines = DeadlineTable(self.clock)
         self.manager.events.subscribe(
             self._on_local_event,
             kinds=(EventKind.ABORTED, EventKind.COMMITTED),
@@ -241,7 +239,6 @@ class Site:
         self.up = False
         self.crashes += 1
         self.fabric.mark_down(self.name)
-        self.deadlines.close()
         self.storage.crash()
 
     def restart(self):
@@ -457,7 +454,7 @@ class Site:
             # An in-doubt member keeps asking the coordinator its vote
             # record names; redirecting it would renumber steps.
             g.coordinator = src
-        self.deadlines.grant_lease(("gcl", g.gid), COORDINATOR_LEASE)
+        g.trust_until = self.clock.now() + COORDINATOR_LEASE
 
     def _takeover_threshold(self, sites, coordinator):
         """How many overdue ticks before *this* site takes over, or
@@ -963,8 +960,9 @@ class Site:
             # A second lease tracks the *coordinator* itself: refreshed
             # by its heartbeats; once it lapses the takeover countdown
             # starts.
-            self.deadlines.grant_lease(("gc", g.gid), INQUIRY_INTERVAL)
-            self.deadlines.grant_lease(("gcl", g.gid), COORDINATOR_LEASE)
+            now = self.clock.now()
+            g.quiet_until = now + INQUIRY_INTERVAL
+            g.trust_until = now + COORDINATOR_LEASE
             self._cast_vote(g, "commit")
         elif outcome.status is PrepareStatus.ABORTED:
             self._move(g, "phase", None)
@@ -1018,8 +1016,6 @@ class Site:
         restart, or already settled (duplicate decision — a no-op).
         """
         phase = g.phase
-        self.deadlines.forget(("gc", g.gid))
-        self.deadlines.forget(("gcl", g.gid))
         g.verdict = verdict
         self._move(g, "phase", "settled")
         if phase == "prepared":
@@ -1439,16 +1435,19 @@ class Site:
         count it overdue and — past this site's rank-staggered
         threshold — take over.
 
-        A live-prepared member paces its inquiries with the ``gc``
-        lease and asks even itself; a member in doubt after a restart
-        paces them by tick (the coordinator may be long gone) and skips
-        a coordinator that is this site, which it re-derives by polling.
+        A live-prepared member paces its inquiries with the inquiry
+        lease (``quiet_until``) and asks even itself; a member in doubt
+        after a restart paces them by tick (the coordinator may be long
+        gone) and skips a coordinator that is this site, which it
+        re-derives by polling.  A lease lapses at ``now >= its stamp +
+        its duration``; the record keeps the sum.
         """
         live = g.phase == "prepared"
+        now = self.clock.now()
         if live:
-            ask = not self.deadlines.lease_live(("gc", g.gid))
+            ask = now >= g.quiet_until
             if ask:
-                self.deadlines.grant_lease(("gc", g.gid), INQUIRY_INTERVAL)
+                g.quiet_until = now + INQUIRY_INTERVAL
         else:
             ask = self.ticks >= g.next_ask
             if ask:
@@ -1458,7 +1457,7 @@ class Site:
             self._tell(g.coordinator, STATUS_REQ, g, site=self.name)
         if live and g.coordinator == self.name:
             return  # our own liveness is not in doubt
-        if self.deadlines.lease_live(("gcl", g.gid)):
+        if now < g.trust_until:
             g.overdue = 0
             return
         g.overdue += 1

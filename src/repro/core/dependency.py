@@ -26,13 +26,15 @@ cycles": a cycle of CD/AD edges would block every member's commit forever
 (GC cycles are fine — that is what a group is), so those are refused.
 
 Edges are doubly hashed on the two tids involved so dependencies
-emanating from or incoming to a transaction are located efficiently.
+emanating from or incoming to a transaction are located efficiently, and
+the group-commit components are kept as edges come and go, so a
+transaction's group is a lookup, not a walk.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import DependencyCycleError
 from repro.common.hashtable import DoubleHashIndex
@@ -73,16 +75,16 @@ class DependencyType(enum.Enum):
         return self in (DependencyType.ED, DependencyType.BAD)
 
 
-@dataclass
+@dataclass(eq=False)
 class DependencyEdge:
-    """One dependency: ``dependent`` constrained relative to ``dependee``."""
+    """One dependency: ``dependent`` constrained relative to ``dependee``.
+
+    Equal only to itself (and hashed by identity): the index keys its
+    slots by edge."""
 
     dependent: object
     dependee: object
     dep_type: DependencyType
-    # Group-commit marks: tids that announced "waiting for the other to
-    # commit" on this edge (the section 4.2 commit step 2c protocol).
-    marks: set = field(default_factory=set)
 
     def other(self, tid):
         """The endpoint that is not ``tid``."""
@@ -107,6 +109,10 @@ class DependencyGraph:
         self.outgoing = self._index.by_left
         self.incoming = self._index.by_right
         self.edges_involving = self._index.involving
+        # tid -> its GC component, one set shared by every member; a tid
+        # with no GC edge has no entry.  Kept by ``add``, ``remove`` and
+        # ``remove_involving``, which run under the manager's mutex.
+        self._components = {}
 
     def add(self, dep_type, ti, tj):
         """Form a dependency of ``dep_type`` between ``ti`` and ``tj``.
@@ -124,7 +130,23 @@ class DependencyGraph:
             raise DependencyCycleError([tj, ti])
         edge = DependencyEdge(dependent=tj, dependee=ti, dep_type=dep_type)
         self._index.add(tj, ti, edge)
+        if dep_type is DependencyType.GC:
+            self._join(ti, tj)
         return edge
+
+    def _join(self, a, b):
+        """Merge the components of ``a`` and ``b``: the smaller one goes
+        into the larger, and each moved tid is re-pointed."""
+        components = self._components
+        small = components.setdefault(a, {a})
+        large = components.setdefault(b, {b})
+        if small is large:
+            return
+        if len(small) > len(large):
+            small, large = large, small
+        large |= small
+        for tid in small:
+            components[tid] = large
 
     def _reaches(self, start, goal):
         """Whether ``goal`` is reachable from ``start`` via CD/AD edges."""
@@ -146,23 +168,15 @@ class DependencyGraph:
     # -- queries -----------------------------------------------------------------
 
     def gc_group(self, tid):
-        """The group-commit component of ``tid`` (always contains it).
+        """The group-commit component of ``tid``: a fresh set that always
+        contains it.
 
         GC edges are symmetric, so the component is the connected
-        component of the GC-only subgraph.
+        component of the GC-only subgraph; it is kept, so this is one
+        probe and visits no edge.
         """
-        group = {tid}
-        stack = [tid]
-        while stack:
-            node = stack.pop()
-            for edge in self.edges_involving(node):
-                if edge.dep_type is not DependencyType.GC:
-                    continue
-                other = edge.other(node)
-                if other not in group:
-                    group.add(other)
-                    stack.append(other)
-        return group
+        component = self._components.get(tid)
+        return {tid} if component is None else set(component)
 
     def abort_closure_preview(self, tid):
         """The tids a hypothetical abort of ``tid`` would take down.
@@ -192,25 +206,40 @@ class DependencyGraph:
                     stack.append(nxt)
         return closure
 
-    def gc_edges_within(self, group):
-        """The GC edges among a group's members."""
-        edges = []
-        for tid in group:
-            for edge in self._index.by_left(tid):
-                if edge.dep_type is DependencyType.GC and edge not in edges:
-                    edges.append(edge)
-        return edges
-
     # -- removal -----------------------------------------------------------------
 
     def remove(self, edge):
-        """Remove one edge."""
+        """Remove one edge.
+
+        The one place a component can split: a GC edge's component is
+        rebuilt from the GC edges its members still have.
+        """
         self._index.remove(edge.dependent, edge.dependee, edge)
+        if edge.dep_type is not DependencyType.GC:
+            return
+        members = self._components.get(edge.dependent, ())
+        for tid in members:
+            del self._components[tid]
+        for tid in members:
+            for other in self._index.by_left(tid):
+                if other.dep_type is DependencyType.GC:
+                    self._join(other.dependee, other.dependent)
 
     def remove_involving(self, tid):
-        """Remove all edges touching ``tid`` (post-termination cleanup)."""
-        for edge in self.edges_involving(tid):
-            self.remove(edge)
+        """Remove all edges touching ``tid`` (post-termination cleanup),
+        and take ``tid`` out of its component.
+
+        The rest of the component stays one: a commit commits the whole
+        group and an abort's closure takes it whole, so the members left
+        are terminating too.  The last one leaves with the others.
+        """
+        for edge in tuple(self.edges_involving(tid)):
+            self._index.remove(edge.dependent, edge.dependee, edge)
+        component = self._components.pop(tid, None)
+        if component is not None:
+            component.discard(tid)
+            if len(component) == 1:
+                del self._components[component.pop()]
 
     def __len__(self):
         return len(self._index)

@@ -189,7 +189,8 @@ class LockManager:
             if lrd.suspended and not self._suspension_still_needed(td, od, lrd):
                 od.set_suspended(lrd, False)
             lrd.status = LockRequestStatus.GRANTED
-        self._clear_pending(td, od)
+        if td.tid in self._pending_by_tid:  # else nothing is pending
+            self._clear_pending(td, od)
         self.stats["grants"] += 1
         watched = self._events.watched
         if EventKind.WRITE_LOCK in watched or EventKind.READ_LOCK in watched:

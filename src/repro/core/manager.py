@@ -550,13 +550,13 @@ class TransactionManager:
                 if EventKind.COMMIT_REQUESTED in self.events.watched:
                     self.events.emit(EventKind.COMMIT_REQUESTED, tid)
 
-            # Steps 2-3: resolve the group and its dependencies.
-            linked = self.dependencies.edges_involving(tid)
+            # Steps 2-3: resolve the group and its dependencies.  (The
+            # probe answers a live slot, which step 6 empties: keep the
+            # answer, not the slot.)
+            linked = bool(self.dependencies.edges_involving(tid))
             members, ordered, others = (td,), (tid,), ()
             if linked:
-                members, waiting, reason = self._group_verdict(
-                    tid, mark=True
-                )
+                members, waiting, reason = self._group_verdict(tid)
                 if reason:
                     self.abort(tid, reason=reason)
                     return CommitOutcome(CommitStatus.ABORTED)
@@ -610,51 +610,55 @@ class TransactionManager:
                     )
             return CommitOutcome(CommitStatus.COMMITTED, group=ordered)
 
-    def _group_verdict(self, tid, mark=False, when=""):
+    def _group_verdict(self, tid, when=""):
         """Steps 2-3 of commit (and of a vote) for a ``tid`` with edges:
         ``(members, waiting, reason)`` — the GC group's TDs in tid order,
         each fetched once; the tids to wait for; and, when ``tid`` must
-        abort instead, why (``when`` qualifies a GC member's abort)."""
+        abort instead, why (``when`` qualifies a GC member's abort).  A
+        member that aborted decides at once; otherwise anything to wait
+        for comes before an AD dependee that aborted."""
         group = self.dependencies.gc_group(tid)
         members = [self.table.get(member) for member in sorted(group)]
         waiting = []
+        reason = ""
         for member_td in members:
             status = member_td.status
             if status.is_abort_bound:
-                reason = f"GC member {member_td.tid!r} aborted{when}"
-                return members, (), reason
+                return members, (), f"GC member {member_td.tid!r} aborted{when}"
             if status in CODE_RUNS:
                 waiting.append(member_td.tid)
                 continue
-            waiting.extend(
-                self._dependency_waits(member_td.tid, group, mark=mark)
-            )
+            aborted = self._dependency_waits(member_td.tid, group, waiting)
+            if aborted is not None and not reason:
+                reason = f"AD on aborted {aborted!r}"
         if waiting:
             return members, waiting, ""
-        # Abort dependencies on dependees that aborted.
-        for member in group:
-            for edge in self.dependencies.outgoing(member):
-                if edge.dep_type is DependencyType.AD:
-                    dependee = self.table.get(edge.dependee)
-                    if dependee.status.is_abort_bound:
-                        return members, (), f"AD on aborted {edge.dependee!r}"
-        return members, (), ""
+        return members, (), reason
 
-    def _dependency_waits(self, member, group, mark=False):
-        """Outside-group dependees whose termination ``member`` awaits."""
-        waiting = []
+    def _dependency_waits(self, member, group, waiting):
+        """Add to ``waiting`` the outside-group dependees whose
+        termination ``member`` awaits, in one pass over its outgoing
+        edges; return the first outside AD dependee that already aborted,
+        or ``None``.  (An inside one is a member: its own status says.)"""
+        aborted = None
         for edge in self.dependencies.outgoing(member):
-            if mark and edge.dep_type is DependencyType.GC:
-                edge.marks.add(member)
             if not edge.dep_type.blocks_commit:
                 continue
             if edge.dependee in group:
                 continue  # simultaneous commit satisfies in-group CD/AD
             dependee = self.table.maybe_get(edge.dependee)
-            if dependee is None or dependee.status.is_terminated:
+            if dependee is None:
                 continue
-            waiting.append(edge.dependee)
-        return waiting
+            status = dependee.status
+            if not status.is_terminated:
+                waiting.append(edge.dependee)
+            elif (
+                aborted is None
+                and edge.dep_type is DependencyType.AD
+                and status.is_abort_bound
+            ):
+                aborted = edge.dependee
+        return aborted
 
     def try_prepare(self, tid, gid=0, coordinator="", sites=()):
         """One pass of a distributed-commit vote; never blocks.
@@ -723,16 +727,16 @@ class TransactionManager:
         """Current commit-wait targets of ``tid`` (deadlock detector)."""
         with self._mutex:
             group = self.dependencies.gc_group(tid)
-            waiting = set()
+            waiting = []
             for member in group:
                 member_td = self.table.get(member)
                 if member != tid and member_td.status in (
                     TransactionStatus.INITIATED,
                     TransactionStatus.RUNNING,
                 ):
-                    waiting.add(member)
-                waiting.update(self._dependency_waits(member, group))
-            return sorted(waiting)
+                    waiting.append(member)
+                self._dependency_waits(member, group, waiting)
+            return sorted(set(waiting))
 
     # ------------------------------------------------------------------
     # abort (section 4.2)

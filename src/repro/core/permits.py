@@ -176,8 +176,9 @@ class PermitTable:
         """Drop every permit given by or explicitly given to ``tid``.
 
         Called when ``tid`` terminates (commit step 6 / abort cleanup).
+        The index answers a live slot: walk a copy.
         """
-        for pd in self._index.involving(tid):
+        for pd in tuple(self._index.involving(tid)):
             self._discard(pd)
 
     def _discard(self, pd):

@@ -18,7 +18,7 @@ striped graph:
 
 from __future__ import annotations
 
-from repro.common.hashtable import NO_ITEMS, DoubleHashIndex, merged
+from repro.common.hashtable import NO_ITEMS, DoubleHashIndex
 from repro.core.dependency import DependencyGraph
 
 DEFAULT_SHARDS = 4  # the sharded manager's, when it is given no count
@@ -64,12 +64,15 @@ class _StripedIndex:
             for item in stripe.by_right(right)
         ]
         items.sort(key=lambda item: self._order.get(id(item), 0))
-        return items or NO_ITEMS
+        return dict.fromkeys(items) if items else NO_ITEMS
 
     def involving(self, tid):
         # Mirror DoubleHashIndex.involving exactly: left-side items in
         # insertion order, then right-side items in insertion order.
-        return merged(self.by_left(tid), self.by_right(tid)) or NO_ITEMS
+        left, right = self.by_left(tid), self.by_right(tid)
+        if left and right:
+            return {**left, **right}
+        return left or right
 
     def __len__(self):
         return sum(len(stripe) for stripe in self._stripes)
@@ -78,8 +81,9 @@ class _StripedIndex:
 class StripedDependencyGraph(DependencyGraph):
     """The dependency graph over stripes of the double-hash index.
 
-    Pure structural striping: every traversal (gc_group, abort closure,
-    cycle refusal) is inherited, and the seq-ordered striped index keeps
+    Pure structural striping: every traversal (abort closure, cycle
+    refusal) and the GC component upkeep are inherited, and the
+    seq-ordered striped index keeps
     edge iteration order identical to the single-index graph — which the
     differential harness relies on for byte-identical abort cascades.
     """

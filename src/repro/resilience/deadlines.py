@@ -48,9 +48,8 @@ class Lease:
 
 
 def _tid_order(key):
-    """A tid sorts by its number, a workflow wait token by its ``value``;
-    any other key (a site's ``("gc", gid)`` timer) first, as inserted."""
-    return key if isinstance(key, int) else getattr(key, "value", 0)
+    """A tid sorts by its number, a workflow wait token by its ``value``."""
+    return key if isinstance(key, int) else key.value
 
 
 class DeadlineTable:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.hashtable import NO_ITEMS, ChainedHashTable, DoubleHashIndex
+from repro.common.hashtable import NO_ITEMS, DoubleHashIndex
 from repro.common.ids import Tid
+from tests.common.chained_table import ChainedHashTable
 
 
 class TestChainedHashTable:
@@ -94,7 +95,7 @@ class TestDoubleHashIndex:
     def test_involving_deduplicates(self):
         index = DoubleHashIndex()
         index.add(Tid(1), Tid(1), "self")
-        assert index.involving(Tid(1)) == ["self"]
+        assert list(index.involving(Tid(1))) == ["self"]
 
     def test_same_pair_many_items(self):
         index = DoubleHashIndex()
@@ -120,5 +121,28 @@ class TestDoubleHashIndex:
         """Wildcard-receiver permits index under None."""
         index = DoubleHashIndex()
         index.add(Tid(1), None, "wildcard")
-        assert index.by_left(Tid(1)) == ["wildcard"]
-        assert index.by_right(None) == ["wildcard"]
+        assert list(index.by_left(Tid(1))) == ["wildcard"]
+        assert list(index.by_right(None)) == ["wildcard"]
+
+    def test_involving_one_side_is_the_live_slot(self):
+        index = DoubleHashIndex()
+        index.add(Tid(1), Tid(2), "a")
+        assert index.involving(Tid(1)) is index.by_left(Tid(1))
+        assert index.involving(Tid(2)) is index.by_right(Tid(2))
+
+    def test_involving_both_sides_is_a_fresh_merge(self):
+        index = DoubleHashIndex()
+        index.add(Tid(1), Tid(2), "a")
+        index.add(Tid(3), Tid(1), "b")
+        both = index.involving(Tid(1))
+        assert list(both) == ["a", "b"]
+        assert both is not index.by_left(Tid(1))
+        assert both is not index.by_right(Tid(1))
+
+    def test_remove_keeps_insertion_order(self):
+        index = DoubleHashIndex()
+        for item in "abcd":
+            index.add(Tid(1), Tid(2), item)
+        index.remove(Tid(1), Tid(2), "b")
+        assert list(index.by_left(Tid(1))) == ["a", "c", "d"]
+        assert list(index.by_right(Tid(2))) == ["a", "c", "d"]

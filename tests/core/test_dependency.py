@@ -93,12 +93,44 @@ class TestGroups:
         graph.add(D.CD, Tid(2), Tid(3))
         assert graph.gc_group(Tid(1)) == {Tid(1), Tid(2)}
 
-    def test_gc_edges_within(self):
+    def test_a_star_is_one_kept_component(self):
         graph = DependencyGraph()
         graph.add(D.GC, Tid(1), Tid(2))
         graph.add(D.GC, Tid(1), Tid(3))
-        group = graph.gc_group(Tid(1))
-        assert len(graph.gc_edges_within(group)) == 2
+        group = {Tid(1), Tid(2), Tid(3)}
+        assert all(graph.gc_group(tid) == group for tid in group)
+        # One set, shared by the members; each answer is a fresh copy.
+        assert len({id(c) for c in graph._components.values()}) == 1
+        graph.gc_group(Tid(1)).add(Tid(9))
+        assert graph.gc_group(Tid(2)) == group
+
+    def test_components_merge_smaller_into_larger(self):
+        graph = DependencyGraph()
+        graph.add(D.GC, Tid(1), Tid(2))
+        graph.add(D.GC, Tid(2), Tid(3))
+        graph.add(D.GC, Tid(4), Tid(5))
+        graph.add(D.GC, Tid(5), Tid(1))
+        merged = {Tid(1), Tid(2), Tid(3), Tid(4), Tid(5)}
+        assert all(graph.gc_group(tid) == merged for tid in merged)
+
+    def test_removing_one_edge_splits_the_component(self):
+        graph = DependencyGraph()
+        graph.add(D.GC, Tid(1), Tid(2))
+        middle = graph.add(D.GC, Tid(2), Tid(3))
+        graph.add(D.GC, Tid(3), Tid(4))
+        graph.remove(middle)
+        assert graph.gc_group(Tid(1)) == {Tid(1), Tid(2)}
+        assert graph.gc_group(Tid(4)) == {Tid(3), Tid(4)}
+
+    def test_a_component_dissolves_with_its_members(self):
+        graph = DependencyGraph()
+        graph.add(D.GC, Tid(1), Tid(2))
+        graph.add(D.GC, Tid(2), Tid(3))
+        graph.add(D.CD, Tid(3), Tid(7))
+        for tid in (Tid(1), Tid(2), Tid(3)):
+            graph.remove_involving(tid)
+        assert graph._components == {}
+        assert graph.gc_group(Tid(2)) == {Tid(2)}
 
 
 class TestTypeProperties:

@@ -255,6 +255,44 @@ class TestPendingIndexHygiene:
             locks.release_all(waiter)
         assert locks._pending_by_tid == {}
 
+    def test_a_grant_with_nothing_pending_clears_nothing(self, locks):
+        """A transaction with no pending request anywhere is granted
+        without a probe of the OD's pending table."""
+        cleared = []
+        clear = locks._clear_pending
+
+        def counting(td_, od):
+            cleared.append(td_.tid)
+            clear(td_, od)
+
+        locks._clear_pending = counting
+        a = td(1)
+        assert locks.acquire(a, OB, READ)
+        assert locks.acquire(a, OB, WRITE)
+        assert locks.acquire(a, OB2, WRITE)
+        assert cleared == []
+
+    def test_a_blocked_then_granted_request_is_detached(self, locks, registry):
+        a, b = td(1), td(2)
+        locks.acquire(a, OB, WRITE)
+        assert not locks.acquire(b, OB, WRITE)
+        assert registry.get_or_create(OB).pending_for(Tid(2)) is not None
+        locks.release_all(a)
+        assert locks.acquire(b, OB, WRITE)
+        assert registry.get_or_create(OB).pending_for(Tid(2)) is None
+        assert locks.pending_requests() == []
+
+    def test_a_grant_elsewhere_keeps_the_other_pending(self, locks, registry):
+        """Granted on one object while blocked on another: the grant
+        clears only its own object's request."""
+        a, b = td(1), td(2)
+        locks.acquire(a, OB, WRITE)
+        assert not locks.acquire(b, OB, WRITE)
+        assert locks.acquire(b, OB2, WRITE)
+        (pending,) = locks.pending_requests(Tid(2))
+        assert pending.od is registry.get_or_create(OB)
+        assert registry.get_or_create(OB).pending_for(Tid(2)) is pending
+
     def test_release_all_clears_pending_entry(self, locks):
         a, b = td(1), td(2)
         locks.acquire(a, OB, WRITE)

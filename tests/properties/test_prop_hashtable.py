@@ -1,23 +1,30 @@
 """Property: the dict-backed ``DoubleHashIndex`` the engine runs on agrees
-with the paper's structure — two :class:`ChainedHashTable` chains, one per
-side — through any add/remove history.
+with the paper's structure — two :class:`ChainedHashTable` chains of
+lists, one per side — through any add/remove history.
 
 The chained table is the FIG1 reference (``benchmarks/
 test_bench_descriptors.py`` measures it); this suite is what keeps the
 engine's index honest against it now that the two are different code.
+As in the engine, each item is indexed under one pair, once (an edge or
+a permit is added once and removed at most once); a remove may name an
+item already gone, or one under another pair.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.hashtable import NO_ITEMS, ChainedHashTable, DoubleHashIndex
+from repro.common.hashtable import NO_ITEMS, DoubleHashIndex
 from repro.common.ids import Tid
+from tests.common.chained_table import ChainedHashTable
 
 N_TIDS = 6
 # None is the wildcard-receiver key permits index under.
 keys = st.integers(1, N_TIDS).map(Tid) | st.none()
-items = st.integers(0, 4)
-command = st.tuples(st.sampled_from(["add", "remove"]), keys, keys, items)
+# ("add", left, right, _) indexes a fresh item; ("remove", left, right,
+# n) removes the n-th item ever added (modulo the count) under that pair.
+command = st.tuples(
+    st.sampled_from(["add", "remove"]), keys, keys, st.integers(0, 30)
+)
 
 
 class ChainedReference:
@@ -58,9 +65,15 @@ class ChainedReference:
 def test_dict_index_matches_the_chained_reference(commands):
     index = DoubleHashIndex()
     reference = ChainedReference()
-    for action, left, right, item in commands:
-        # Items are compared by equality in ``remove`` and by identity in
-        # ``involving``; small ints are both.
+    added = []
+    for action, left, right, pick in commands:
+        if action == "add":
+            item = len(added)
+            added.append(item)
+        elif added:
+            item = added[pick % len(added)]
+        else:
+            item = "ghost"
         getattr(index, action)(left, right, item)
         getattr(reference, action)(left, right, item)
         assert len(index) == len(reference)
@@ -73,6 +86,9 @@ def test_dict_index_matches_the_chained_reference(commands):
             assert list(involving) == list(
                 dict.fromkeys(left_items + right_items)
             )
+            # One side only: the live slot itself, no merge.
+            if not (left_items and right_items):
+                assert involving is (index.by_left(key) or index.by_right(key))
             # A miss is the shared empty tuple, not a fresh list.
             if not left_items:
                 assert index.by_left(key) is NO_ITEMS
