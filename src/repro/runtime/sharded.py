@@ -224,9 +224,14 @@ class ParallelShardedRuntime(ThreadDrivenRuntime):
         return CooperativeRuntime.error_of(self._subs[shard], tid)
 
     def active_tasks(self):
+        # The inboxes first, under the lock their workers pop them under:
+        # a deque walked while another thread pops it raises, and a tid
+        # popped after this read is in its sub-runtime by the next one.
+        with self._cond:
+            queued = [tid for inbox in self._inboxes for tid in inbox]
         return [
             tid for sub in self._subs for tid in sub.active_tasks()
-        ] + [tid for inbox in self._inboxes for tid in inbox]
+        ] + queued
 
     def join_all(self, timeout=10.0):
         """Wait until every routed task has finished (or timeout)."""

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import threading
 
-from repro.common.errors import StorageError
-from repro.common.ids import ObjectId
+from repro.common.errors import QuarantinedObjectError, StorageError
+from repro.common.ids import ObjectId, Tid
 from repro.common.latch import LatchMode
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDiskManager
@@ -365,9 +365,13 @@ class StorageManager:
         own indexes, whatever ``active`` says.  Returns segment 0's.
 
         With ``truncate=True`` and no active transactions this is a
-        *sharp* checkpoint: the logs are discarded too — highest segment
-        first, so a power cut part-way keeps no image whose commit
-        record, in a lower home segment, is gone.
+        *sharp* checkpoint: the logs are compacted too.  Each is
+        discarded — highest segment first, so a power cut part-way keeps
+        no image whose commit record, in a lower home segment, is gone —
+        and begins again with one image of each of its shard's objects
+        (:meth:`_log_base_images`), below the new mark: the log alone
+        still rebuilds any page, so a page torn later is redone like one
+        torn before any truncation.
         """
         segments = [stack.log for stack in self.shards]
         marks = [segment.last_lsn for segment in segments]
@@ -376,12 +380,32 @@ class StorageManager:
         if truncate and not active:
             for segment in reversed(segments):
                 segment.truncate()
+            marks = [self._log_base_images(stack) for stack in self.shards]
         markers = [
             segment.log_checkpoint(active, mark)
             for segment, mark in zip(segments, marks)
         ]
         move_restart_point(segments, markers)
         return markers[0]
+
+    @staticmethod
+    def _log_base_images(stack):
+        """Log every object of ``stack`` as it stands, each as a
+        redo-only image under tid 0 (no transaction owns it, nothing
+        undoes it), and return the segment's last LSN: the mark, for
+        every one of them is in the flushed page file.  Restart redo
+        reads them only under a void mark — a page was torn and reset.
+        An object already unreadable (a chunk lost, with its page, to no
+        log) has no image to keep, and stays as it is."""
+        objects, log = stack.objects, stack.log
+        for value in objects.object_ids():
+            oid = ObjectId(value)
+            try:
+                image = objects.read(oid)
+            except QuarantinedObjectError:
+                continue
+            log.log_compensation(Tid(0), oid, image)
+        return log.last_lsn
 
     def crash(self):
         """Simulate a crash: every cache and unflushed record is lost,

@@ -145,13 +145,15 @@ class TestMaintenance:
     def test_checkpoint_truncate(self, db, capsys):
         run_cli(capsys, "create", "--db", db, "x", "1")
         __, out = run_cli(capsys, "checkpoint", "--db", db, "--truncate")
-        assert "truncated; log now 1 records" in out  # just the marker
+        # The marker, behind one image of each object: the catalog, x.
+        assert "truncated; log now 3 records" in out
         # No second marker from that invocation's shutdown, nor from
         # ``log``'s: a tail that is only a marker needs no other.
         for __ in range(2):
             __, out = run_cli(capsys, "log", "--db", db)
             assert out.count("CheckpointRecord") == 1
-            assert "(1 records)" in out
+            assert out.count("CompensationRecord") == 2
+            assert "(3 records)" in out
 
     def test_recover(self, db, capsys):
         # Catalog (2 records) + x (3) + the shutdown checkpoint's marker:

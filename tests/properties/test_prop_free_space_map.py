@@ -22,7 +22,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.ids import ObjectId, Tid
@@ -157,14 +157,33 @@ def _run(stream, ops):
 _SHARDS = st.sampled_from([1, 2])
 
 
+# A chunk chain on a page torn after a truncating checkpoint: the page
+# is rebuilt from the images the compacted log keeps, so a delete or a
+# write of the object after it finds every chunk.
+_TORN_AFTER_TRUNCATION = [
+    [("create", 4100), ("commit",), ("checkpoint", True), ("tear", 0, 1),
+     ("delete", 0)],
+    [("create", 1)] * 5 + [("write", 57, 4100), ("create", 1), ("commit",),
+     ("checkpoint", True), ("tear", 0, 1), ("write", 44, 1)],
+    [("create", 1)] * 4 + [("create", 4100), ("create", 4100), ("commit",),
+     ("checkpoint", True), ("tear", 0, 32)] + [("create", 1)] * 3
+    + [("write", 59, 1)],
+]
+
+
 class TestTheMapIsTheWalk:
     @given(ops=st.lists(operation, max_size=30), n_shards=_SHARDS)
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @example(ops=_TORN_AFTER_TRUNCATION[0], n_shards=1)
+    @example(ops=_TORN_AFTER_TRUNCATION[1], n_shards=1)
+    @example(ops=_TORN_AFTER_TRUNCATION[2], n_shards=1)
     def test_in_memory(self, ops, n_shards):
         _run(_Stream(n_shards), ops)
 
     @given(ops=st.lists(operation, max_size=25), n_shards=_SHARDS)
     @settings(max_examples=MAX_EXAMPLES // 2, deadline=None)
+    @example(ops=[("create", 4100), ("commit",), ("checkpoint", True),
+                  ("tear", 0, 1), ("write", 0, 1)], n_shards=1)
     def test_on_files(self, ops, n_shards):
         with tempfile.TemporaryDirectory() as directory:
             stream = _Stream(n_shards, Path(directory))

@@ -199,10 +199,13 @@ class TestRedoIndexIsTheScan:
 
 # One history that reaches every situation the property names: a
 # partial rollback, a late update, a sharp checkpoint (truncate), a void
-# mark over a whole log and one over a prefix, and every kind of
-# restart, with the restart point moved between.
+# mark over a whole log (before any checkpoint: the base images a sharp
+# one logs lie below its mark, so the log is cut after it) and one over
+# a prefix, and every kind of restart, with the restart point moved
+# between.
 _EVERY_CASE = [
     ("write", 0, 0, b"1" * 4),
+    ("void",),
     ("write", 0, 0, b"2" * 4),
     ("rollback", 0, 1),
     ("commit", 0, None),

@@ -1,19 +1,19 @@
 """A large object whose chunk was lost with a torn page poisons the
 transaction that touches it — it does not kill the scheduler.
 
-The stream ``[('create', 4100), ('commit',), ('checkpoint', True),
-('tear', 0, 1), ('delete', 0)]`` of the free-space-map property tears,
-after a truncating checkpoint, the page that holds the second chunk of a
-4,100-byte object.  The open quarantines that page and nothing can redo
-it, so the table names the object's header but not its chunk.  Reading
-the chunk used to raise ``KeyError`` out of ``ObjectStore._read_slot``;
-through the manager that escaped ``CooperativeRuntime._step``, which
-catches only :class:`QuarantinedObjectError`, and stopped every task.
-Now the missing chunk is a :class:`QuarantinedObjectError` naming the
-object: the read or write aborts its transaction as poisoned, and the
-units after it commit.  (Rebuilding the lost page is a separate matter.)
-A chunk missing while no page was quarantined is not a lost page but a
-wrong table, and stays a loud :class:`StorageError`.
+The store below tears the page that holds the second chunk of a
+4,100-byte object after its log is gone: a truncating checkpoint keeps
+one image of every object, which rebuilds a torn page, so the log is
+then discarded outright.  The open quarantines that page and nothing can
+redo it, so the table names the object's header but not its chunk.
+Reading the chunk used to raise ``KeyError`` out of
+``ObjectStore._read_slot``; through the manager that escaped
+``CooperativeRuntime._step``, which catches only
+:class:`QuarantinedObjectError`, and stopped every task.  Now the
+missing chunk is a :class:`QuarantinedObjectError` naming the object:
+the read or write aborts its transaction as poisoned, and the units
+after it commit.  A chunk missing while no page was quarantined is not
+a lost page but a wrong table, and stays a loud :class:`StorageError`.
 """
 
 import pytest
@@ -46,6 +46,7 @@ def lose_a_chunk():
     # other holds only the second chunk: that one is torn.
     assert len(pages) == 2
     storage.checkpoint((), truncate=True)
+    shard.log.truncate()  # the history goes, the base images with it
     storage.crash()
     torn = max(pages)
     image = bytes(shard.disk.read_page(torn))
@@ -83,6 +84,14 @@ class TestTheStore:
         with pytest.raises(QuarantinedObjectError):
             storage.delete_object(Tid(99), big)
         assert storage.log.last_lsn_value == before
+
+    def test_a_truncating_checkpoint_keeps_no_image_of_it(self):
+        storage, big, counter = lose_a_chunk()
+        storage.checkpoint((), truncate=True)
+        kept = {record.oid for record in storage.log.records()[:-1]}
+        assert big not in kept and counter in kept
+        with pytest.raises(QuarantinedObjectError):
+            storage.read_object(Tid(99), big)
 
     def test_a_chunk_missing_with_no_page_quarantined_fails_loudly(self):
         storage = StorageManager()

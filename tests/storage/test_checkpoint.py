@@ -2,9 +2,16 @@
 
 import pytest
 
+from repro.common.errors import UnknownObjectError
 from repro.common.ids import Tid
-from repro.storage.log import CheckpointRecord, FileLogDevice, WriteAheadLog
+from repro.storage.log import (
+    CheckpointRecord,
+    CompensationRecord,
+    FileLogDevice,
+    WriteAheadLog,
+)
 from repro.storage.store import StorageManager
+from tests.chaos.mutations import base_images_skipped
 
 
 @pytest.fixture
@@ -18,10 +25,14 @@ class TestSharpCheckpoint:
         store.log_commit(Tid(1))
         assert len(store.log.records()) > 0
         store.checkpoint(active=(), truncate=True)
-        records = store.log.records()
-        # Only the post-truncation checkpoint marker remains.
-        assert len(records) == 1
-        assert isinstance(records[0], CheckpointRecord)
+        # The update and the commit are gone.  What remains is one
+        # redo-only image of the object, owned by no transaction, and
+        # the marker, whose mark covers the image: it is in the pages.
+        image, marker = store.log.records()
+        assert isinstance(image, CompensationRecord)
+        assert (image.tid, image.oid, image.after) == (Tid(0), oid, b"v")
+        assert isinstance(marker, CheckpointRecord)
+        assert marker.redo_lsn == image.lsn.value
 
     def test_truncate_refused_while_active(self, store):
         oid = store.create_object(Tid(1), b"v")
@@ -57,6 +68,28 @@ class TestSharpCheckpoint:
         store.crash()
         store.recover()
         assert store.read_object(Tid(0), oid) == b"v2"
+
+    def test_a_page_torn_after_truncation_is_rebuilt(self, store):
+        big = store.create_object(Tid(1), b"c" * 4100)  # two chunks
+        small = store.create_object(Tid(1), b"s")
+        store.log_commit(Tid(1))
+        store.checkpoint(active=(), truncate=True)
+        store.crash()
+        for page_id in store.disk.page_ids():  # every page, one by one
+            image = bytes(store.disk.read_page(page_id))
+            store.disk.write_page(page_id, image[:8] + bytes(len(image) - 8))
+            report = store.recover()
+            assert store.objects.damaged_pages[-1] == page_id
+            assert report.redo_from == 0  # the void mark: the whole log
+            assert store.read_object(Tid(0), big) == b"c" * 4100
+            assert store.read_object(Tid(0), small) == b"s"
+            store.checkpoint(active=(), truncate=True)
+            store.crash()
+
+    def test_a_checkpoint_that_keeps_no_image_is_caught(self, store):
+        # The first page torn holds the large object's header: it is gone.
+        with base_images_skipped(), pytest.raises(UnknownObjectError):
+            self.test_a_page_torn_after_truncation_is_rebuilt(store)
 
 
 class TestFileDeviceTruncation:
