@@ -50,29 +50,22 @@ class DependencyType(enum.Enum):
     BAD = "begin_on_abort"
     ED = "exclusion"
 
-    @property
-    def blocks_commit(self):
-        """Whether a dependent's commit must wait on the dependee."""
-        return self in (DependencyType.CD, DependencyType.AD)
 
-    @property
-    def blocks_begin(self):
-        """Whether a dependent's begin must wait on the dependee."""
-        return self in (DependencyType.BCD, DependencyType.BAD)
-
-    @property
-    def aborts_dependent(self):
-        """Whether the dependee's abort forces the dependent to abort."""
-        return self in (DependencyType.AD, DependencyType.GC)
-
-    @property
-    def aborts_dependent_on_commit(self):
-        """Whether the dependee's COMMIT forces the dependent to abort.
-
-        True for exclusion, and for begin-on-abort (the dependent waited
-        for an abort that can no longer happen).
-        """
-        return self in (DependencyType.ED, DependencyType.BAD)
+# Each member carries its flags as plain attributes, as
+# ``TransactionStatus`` does: an edge scan reads one per edge, and on
+# Python 3.11 a property is a call.
+_D = DependencyType
+for _type in _D:
+    # A dependent's commit must wait on the dependee.
+    _type.blocks_commit = _type in (_D.CD, _D.AD)
+    # A dependent's begin must wait on the dependee.
+    _type.blocks_begin = _type in (_D.BCD, _D.BAD)
+    # The dependee's abort forces the dependent to abort.
+    _type.aborts_dependent = _type in (_D.AD, _D.GC)
+    # The dependee's COMMIT forces the dependent to abort: exclusion, and
+    # begin-on-abort (the dependent waited for an abort that can no
+    # longer happen).
+    _type.aborts_dependent_on_commit = _type in (_D.ED, _D.BAD)
 
 
 @dataclass(eq=False)
@@ -100,12 +93,12 @@ class DependencyEdge:
 class DependencyGraph:
     """All dependency edges, indexed by both endpoints."""
 
-    def __init__(self, index=None):
+    def __init__(self):
         # (dependent, dependee) -> edges.  The queries are the index's own
         # probes, bound once (a scan is one call; a tid with no edges gets
         # the shared empty tuple): the edges where ``tid`` is the dependent
         # (commit-time scan), the dependee (abort-time scan), or either.
-        self._index = index if index is not None else DoubleHashIndex()
+        self._index = DoubleHashIndex()
         self.outgoing = self._index.by_left
         self.incoming = self._index.by_right
         self.edges_involving = self._index.involving

@@ -101,6 +101,7 @@ class TransactionManager:
             Tid, start=self.storage.log.max_tid_value() + 1
         )
         self._mutex = threading.RLock()
+        self._checkpointing = threading.Lock()
         self.stats = {
             "initiated": 0,
             "committed": 0,
@@ -850,9 +851,21 @@ class TransactionManager:
 
         ``truncate=True`` discards the log when the system is quiescent
         (no active transactions), bounding restart-recovery time.
+
+        Checkpoints run one at a time.  A truncating one holds the mutex
+        throughout.  Any other holds it only to read the active set and
+        the redo marks — every page change is made under the mutex, so
+        no record is then appended and not yet installed — and flushes
+        while object operations go on: the storage serializes each page
+        under its store's lock, and a page changed since the mark is
+        redone from the log.
         """
-        with self._mutex:
-            active = [
-                td.tid for td in self.table.live() if td.status.is_active
-            ]
-            return self.storage.checkpoint(active=active, truncate=truncate)
+        with self._checkpointing:
+            with self._mutex:
+                active = [
+                    td.tid for td in self.table.live() if td.status.is_active
+                ]
+                if truncate:
+                    return self.storage.checkpoint(active=active, truncate=True)
+                marks = self.storage.log_marks()
+            return self.storage.checkpoint(active=active, marks=marks)

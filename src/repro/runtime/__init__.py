@@ -1,7 +1,7 @@
 """Runtimes: executing transaction programs over the synchronous core.
 
 Transaction bodies are written once, as generator functions that yield
-*requests* (:mod:`repro.runtime.program`), and run on either runtime:
+*requests* (:mod:`repro.runtime.program`), and run on any runtime:
 
 * :class:`~repro.runtime.coop.CooperativeRuntime` — a deterministic
   scheduler that interleaves programs step by step (round-robin or
@@ -10,13 +10,14 @@ Transaction bodies are written once, as generator functions that yield
 * :class:`~repro.runtime.threaded.ThreadedRuntime` — a thread per
   transaction with real blocking, the "live" configuration;
 * :class:`~repro.runtime.sharded.ShardedRuntime` — the deterministic
-  sharded engine (striped control structures, segmented WAL), the
-  differential-replay peer of the cooperative oracle;
+  sharded engine (the one transaction manager over an N-shard store:
+  per-shard pools and WAL segments), the differential-replay peer of
+  the cooperative oracle;
 * :class:`~repro.runtime.sharded.ParallelShardedRuntime` — a worker
-  thread per shard over the same sharded manager, the throughput
+  thread per shard over the same manager, the throughput
   configuration.
 
-Both translate the paper's "blocks and retries later starting at step 1"
+All translate the paper's "blocks and retries later starting at step 1"
 into their own waiting discipline around the same core outcomes, so a
 program's semantics do not depend on the runtime that executes it.
 """

@@ -1,14 +1,15 @@
 """The sharded execution engines (ROADMAP item 1).
 
-Two runtimes over one :class:`~repro.core.sharded.ShardedTransactionManager`:
+Two runtimes over one :class:`~repro.core.sharded.ShardedTransactionManager`
+— the flat transaction manager over an N-shard
+:class:`~repro.storage.store.StorageManager`:
 
 * :class:`ShardedRuntime` — the *deterministic* sharded engine: the
-  cooperative scheduler driving the sharded manager single-threaded.
-  Same seeds, same schedule controllers, same replay guarantees as
-  :class:`~repro.runtime.coop.CooperativeRuntime`; every latch
-  acquisition is uncontended.  This is the engine the differential
-  harness replays recorded schedules on — its ACTA history must be
-  byte-identical to the single-manager oracle's.
+  cooperative scheduler driving that manager single-threaded.  Same
+  seeds, same schedule controllers, same replay guarantees as
+  :class:`~repro.runtime.coop.CooperativeRuntime`.  This is the engine
+  the differential harness replays recorded schedules on — its ACTA
+  history must be byte-identical to the single-shard oracle's.
 
 * :class:`ParallelShardedRuntime` — one worker thread per shard, each
   running the cooperative stepper over the tasks routed to it.  Tasks
@@ -17,14 +18,17 @@ Two runtimes over one :class:`~repro.core.sharded.ShardedTransactionManager`:
   workers park on a shared condition variable with a wake-generation
   token, and a daemon watchdog runs the deadlock detector — both
   inherited, with the driver API, from
-  :class:`~repro.runtime.threaded.ThreadDrivenRuntime`.  Throughput engine; per-run
-  interleavings are real races, so it is verified by *outcome*
+  :class:`~repro.runtime.threaded.ThreadDrivenRuntime`.  Every primitive
+  takes the manager's one mutex, and storage latches its own frames, so
+  the workers buy concurrency (a worker waits on a lock, a log sync or a
+  page read while another runs), not parallelism under the GIL.
+  Per-run interleavings are real races, so it is verified by *outcome*
   invariants, not history bytes.
 
 The layering follows Börger–Schewe's multi-level refinement argument
 (PAPERS.md): the deterministic runtime is the specification-level
-machine the parallel engine refines; both share every line of primitive
-semantics via the manager.
+machine the parallel engine refines.  Both drive the same manager, so
+the one obligation left to the argument is scheduling.
 """
 
 from __future__ import annotations
@@ -162,9 +166,8 @@ class ParallelShardedRuntime(ThreadDrivenRuntime):
                 self._wait_a_moment(seen=token)
 
     def _resolve_deadlock(self):
-        # The detector reads lock-wait state that object ops mutate
-        # under shard latches only; take the mutex so at least every
-        # control-path structure is stable during the scan.
+        # The detector reads lock-wait state every primitive mutates
+        # under the manager mutex: hold it for a stable scan.
         with self.manager._mutex:
             self._detector.resolve_one()
 

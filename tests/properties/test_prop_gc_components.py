@@ -4,8 +4,9 @@
 (joined at ``add(GC)``, left by ``remove_involving``, rebuilt by a
 single-edge ``remove``), so ``gc_group`` is a lookup.  Streams of
 ``form_dependency`` (all six types), completion, commit, abort with its
-cascades, and single-edge removal run on the flat manager and on the
-sharded one (4 stripes).  After every step, for every tid ever made:
+cascades, and single-edge removal run on the manager (there is one:
+the sharded engine keeps the same graph).  After every step, for every
+tid ever made:
 
 * ``gc_group(tid)`` equals a fresh walk of the GC edges from ``tid``;
 * the component map names exactly the tids that have a GC edge — no
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 from repro.common.errors import AssetError, TransactionAborted
 from repro.core.dependency import DependencyType
 from repro.core.manager import TransactionManager
-from repro.core.sharded import ShardedTransactionManager
 from tests.chaos.mutations import gc_component_outlives_abort
 
 N = 6  # transaction slots
@@ -126,12 +126,6 @@ def run(manager, steps):
 @given(st.lists(step, max_size=40))
 def test_flat_components_are_the_walk(steps):
     run(TransactionManager(), steps)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(step, max_size=40))
-def test_striped_components_are_the_walk(steps):
-    run(ShardedTransactionManager(n_shards=4), steps)
 
 
 def test_a_component_outliving_its_abort_is_seen():

@@ -1,9 +1,8 @@
-"""Unit tests for the sharded engine: routing, latches, parallel outcomes.
+"""Unit tests for the sharded engine: routing, statistics, parallel outcomes.
 
 The differential suite proves whole-history equivalence; these tests pin
-the individual mechanisms — key routing, striped control structures,
-latch hygiene, cross-shard statistics, and real-thread outcomes on the
-parallel runtime.
+the individual mechanisms — key routing, cross-shard statistics, and
+real-thread outcomes on the parallel runtime.
 """
 
 import sys
@@ -12,7 +11,6 @@ import time
 import pytest
 
 from repro.common.codec import decode_int, encode_int
-from repro.common.latch import LatchMode
 from repro.core.dependency import DependencyType
 from repro.core.outcomes import CommitStatus
 from repro.core.sharded import ShardedTransactionManager
@@ -40,65 +38,9 @@ class TestRouting:
             oid = ObjectId(value)
             assert router.place(oid) == value % 4
 
-    def test_descriptors_land_in_owning_shard_bucket(self):
-        manager = ShardedTransactionManager(n_shards=4)
-        rt = ShardedRuntime(manager=manager, seed=5)
-
-        def setup(tx):
-            oids = []
-            for index in range(8):
-                oids.append(
-                    (yield tx.create(encode_int(index), name=f"k{index}"))
-                )
-            return oids
-
-        oids = rt.run(setup).value
-        census = manager.shard_census()
-        assert sum(row["router_entries"] for row in census) >= len(oids)
-        for oid in oids:
-            shard = manager.router.shard_of(oid)
-            od = manager.registry.maybe_get(oid)
-            if od is not None:
-                assert od is manager.shards[shard].descriptors.get(oid)
-
-
-class TestLatchHygiene:
-    def test_no_latches_held_after_operations(self):
-        manager = ShardedTransactionManager(n_shards=4)
-        rt = ShardedRuntime(manager=manager, seed=3)
-
-        def program(tx):
-            a = yield tx.create(encode_int(1), name="a")
-            b = yield tx.create(encode_int(2), name="b")
-            yield tx.write(a, encode_int(10))
-            yield tx.read(b)
-
-        result = rt.run(program)
-        assert result.committed
-        # Thread-local held set is empty and every shard latch is free.
-        assert manager._held_shards() == set()
-        for shard in manager.shards:
-            assert shard.latch.try_acquire(LatchMode.EXCLUSIVE)
-            shard.latch.release(LatchMode.EXCLUSIVE)
-
-    def test_abort_and_commit_release_everything(self):
-        manager = ShardedTransactionManager(n_shards=2)
-        rt = ShardedRuntime(manager=manager, seed=3)
-
-        def writer(tx):
-            oid = yield tx.create(encode_int(0), name="w")
-            yield tx.write(oid, encode_int(1))
-            yield tx.abort()
-
-        rt.run(writer)
-        assert manager._held_shards() == set()
-        for shard in manager.shards:
-            assert shard.latch.try_acquire(LatchMode.EXCLUSIVE)
-            shard.latch.release(LatchMode.EXCLUSIVE)
-
 
 class TestCrossShardStats:
-    def test_multi_shard_commit_and_delegation_counted(self):
+    def test_multi_shard_commit_counted_across_a_delegation(self):
         manager = ShardedTransactionManager(n_shards=4)
         rt = ShardedRuntime(manager=manager, seed=9)
 
@@ -120,7 +62,6 @@ class TestCrossShardStats:
         rt.wait(t1)
         rt.wait(t2)
         manager.delegate(t1, t2)
-        assert manager.stats["cross_shard_delegations"] >= 0  # counted key
         rt.commit(t2)
         rt.commit(t1)
 

@@ -17,7 +17,10 @@ and ``from ... import``, at any nesting depth, so lazy imports count):
 * ``repro.storage`` imports nothing from ``repro.core``: placement is
   the storage manager's own;
 * the paper's chained hash table, the FIG1 reference, lives with the
-  tests, and no product module names it.
+  tests, and no product module names it;
+* there is one transaction manager: nothing under ``repro.core``
+  imports a latch (storage latches its own frames), and the striped
+  manager's structures are gone.
 """
 
 from __future__ import annotations
@@ -332,6 +335,33 @@ def test_no_exception_to_the_rule():
         isinstance(node, (ast.For, ast.While, ast.comprehension))
         for node in ast.walk(rollback)
     )
+
+
+def test_one_transaction_manager():
+    """Striping belongs to storage.  The N-shard engine is the flat
+    manager over an N-shard store: ``core/sharding.py`` is gone, no
+    module under ``repro.core`` imports a latch or keeps a thread-local,
+    and no product module names the striped registry, the striped
+    dependency index or the shard-latch discipline."""
+    assert not (SRC / "repro" / "core" / "sharding.py").exists()
+    latches = [
+        f"{_module_name(path)} imports {module}" + (f".{name}" if name else "")
+        for path in _modules("core")
+        for module, name in _imports(path)
+        if _under(module, name, "repro.common.latch") or name == "Latch"
+    ]
+    assert not latches, latches
+    gone = (
+        "StripedDependencyGraph", "_StripedIndex", "_ShardedRegistry",
+        "_latched", "_held_shards", "threading.local",
+    )
+    offenders = [
+        f"{path.relative_to(SRC)}: {word}"
+        for path in sorted(SRC.rglob("*.py"))
+        for word in gone
+        if word in path.read_text()
+    ]
+    assert not offenders, "\n".join(offenders)
 
 
 def test_one_storage_facade():
