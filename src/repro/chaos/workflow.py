@@ -219,9 +219,7 @@ def _judge_final(spec, ctx, storage, engine, violations):
     # The fold oracle: the durable log alone must tell the same story
     # the live engine does (status and per-step outcomes).  The winners
     # come from the harness's own log analysis, not the engine's.
-    log_records = list(storage.log.records())
-    winners = analyze_log(log_records).winners
-    folded = fold_all(log_records, winners).get(wid)
+    folded = _logged(storage, wid)
     if folded is None:
         violations.append(f"{spec.name}: wid {wid} vanished from the log")
     else:
@@ -237,6 +235,13 @@ def _judge_final(spec, ctx, storage, engine, violations):
                     f" {folded.status_of(name)} vs {execution.status_of(name)}"
                 )
     return status
+
+
+def _logged(storage, wid):
+    """``wid``'s execution as the whole log tells it, by the harness's
+    own analysis (``None``: no record names it)."""
+    log_records = list(storage.log.records())
+    return fold_all(log_records, analyze_log(log_records).winners).get(wid)
 
 
 def workflow_crash_sweep(spec, n_shards=None, stop_at_first=False):
@@ -387,7 +392,9 @@ def _check_signal_timeout(ctx, storage, execution):
 def _check_signal_delivered(ctx, storage, execution):
     assert _value_of(storage, ctx, "order") == 1, "place lost"
     assert _value_of(storage, ctx, "audit") == 1, "confirm lost"
-    assert execution.signals.get("approve") == "qa", (
+    # Read off the log: an image recovered for a finished execution is
+    # its ``finished`` record alone.
+    assert _logged(storage, execution.wid).signals.get("approve") == "qa", (
         "delivered signal payload lost"
     )
 

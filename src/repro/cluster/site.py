@@ -245,13 +245,12 @@ class Site:
         """Reboot: replay the log, surface in-doubt groups, resume duty.
 
         The takeover / decision / prepare evidence is the log's index
-        (``log.group_evidence()``), read once per incarnation:
-        ``storage.recover()`` began with ``drop_volatile``, so the decoded
-        tail *is* the durable view, and what recovery appended since is
-        no evidence.  Below a restart point the prefix is read from the
-        device.  Only the open votes and the decisions naming members
-        not yet acknowledged (re-sent to those) are folded here;
-        :meth:`_group` folds every other record on its first mention.
+        (``log.group_evidence()``), read once per incarnation and
+        decoding nothing: the tail's, and below it what the checkpoint
+        marker's summary carries.  Only the open votes and the decisions
+        naming members not yet acknowledged (re-sent to those) are folded
+        here; :meth:`_group` folds every other record on its first
+        mention.
         """
         if self.up:
             return self.recovery_report
@@ -260,8 +259,7 @@ class Site:
         self.incarnation += 1
         self.recovery_report = report
         *evidence, committed = self.storage.log.group_evidence()
-        # A vote below a restart point resolved there: its commit, if
-        # any, is among the prefix's winners, not the tail's.
+        # A vote below the tail resolved there: a summary carried its commit.
         winners = report.winners | committed if committed else report.winners
         self._evidence = (*evidence, winners)
         in_doubt = report.in_doubt_votes

@@ -114,25 +114,32 @@ class DelegateRecord(LogRecord):
 
 @dataclass(frozen=True)
 class CheckpointRecord(LogRecord):
-    """A checkpoint marker: the then-active transactions and the redo mark.
+    """A checkpoint marker: the then-active transactions, the redo mark,
+    and a summary of the log's history.
 
     Written *after* the buffer pool was flushed, carrying the log's last
     LSN read *before* that flush began.  A durable marker therefore
     means every after image at or below ``redo_lsn`` is in the page
-    file, and restart redo may begin above it.  ``0`` (also what a
-    record written before the field existed decodes to) means "from the
+    file, and restart redo may begin above it.  ``0`` means "from the
     start of the log".
 
-    ``max_tid`` is the highest transaction id in any record below the
-    marker: the one fact about the prefix that a log opened at its
-    restart point — above most of that prefix — cannot re-derive.
-    ``None`` (a marker from before the field) means "unknown", and a
-    log that finds no better marker in its tail opens at the start.
+    The rest is the **summary**: what the log's index knows of records a
+    log opened at its restart point, or past a truncation, cannot re-read
+    (ARIES's checkpoint carries its transaction table the same way).
+    ``max_tid`` is the highest tid; ``votes`` the open votes; ``records``
+    the newest claim, decision and vote of each global group, every
+    record of each unfinished workflow execution and the ``finished``
+    record of each finished one; ``committed`` the tids those name that
+    committed.  ``max_tid is None`` (a marker from before the summary)
+    vouches for nothing: a log with no better marker opens at the start.
     """
 
     active: tuple = ()
     redo_lsn: int = 0
     max_tid: int = None
+    committed: tuple = ()
+    votes: tuple = ()
+    records: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -143,11 +150,9 @@ class PrepareRecord(LogRecord):
     participant's VOTE-COMMIT message leaves the site.  After a crash,
     a prepared-but-undecided transaction is *in doubt* — recovery keeps
     its updates and the site asks ``coordinator`` for the verdict.
-
-    ``sites`` records the full group membership (every participant site
-    plus the coordinator) so that an in-doubt participant can run the
-    takeover poll when the coordinator is permanently gone — without it,
-    a restarted site would only know whom to *ask*, not whom to *become*.
+    ``sites`` is the full membership, so that an in-doubt participant
+    knows whom to poll — and whom to *become* — if the coordinator is
+    gone for good.
     """
 
     group: tuple = ()
@@ -188,15 +193,12 @@ class WorkflowRecord(LogRecord):
 
     ``wid`` names the workflow execution, ``kind`` the transition (the
     vocabulary lives in :mod:`repro.workflow.records`), ``payload`` an
-    opaque encoded body.  ``tid`` is the step transaction the transition
-    concerns, or ``Tid(0)`` for transitions that involve none.
-
-    Workflow records are *orchestration* state: recovery's redo/undo and
-    the attribution index ignore them entirely (they carry no images),
-    and the workflow engine folds them back into
-    ``WorkflowExecution`` state after a restart.  They are always
-    force-flushed — the engine's resume protocol depends on every logged
-    transition being durable before the action it describes.
+    opaque encoded body, ``tid`` the step transaction an attempt is
+    about to commit (``Tid(0)``: none).  Redo and undo ignore them; the
+    index keeps each unfinished execution's records and each finished
+    one's last, which the engine folds back into ``WorkflowExecution``
+    state after a restart.  Always force-flushed: the resume protocol
+    needs every transition durable before the action it describes.
     """
 
     wid: int = 0
@@ -228,6 +230,9 @@ class TakeoverRecord(LogRecord):
 
 # Group evidence: (claims, decisions, votes), gid -> newest of each kind.
 _EVIDENCE_SLOT = {TakeoverRecord: 0, DecisionRecord: 1, PrepareRecord: 2}
+# The kind of a workflow execution's last record, the one the index
+# keeps once it is there (``repro.workflow.records.FINISHED``).
+WORKFLOW_FINISHED = "finished"
 
 
 def _pack_image(image):
@@ -273,15 +278,11 @@ def _pack_tids(tids):
     return _U32.pack(len(tids)) + b"".join(_U64.pack(t) for t in tids)
 
 
-def _unpack_tids(raw, offset):
+def _unpack_tids(raw, offset, kind=Tid):
     (count,) = _U32.unpack_from(raw, offset)
     offset += _U32.size
-    tids = []
-    for __ in range(count):
-        (value,) = _U64.unpack_from(raw, offset)
-        offset += _U64.size
-        tids.append(Tid(value))
-    return tuple(tids), offset
+    values = struct.unpack_from(f"<{count}Q", raw, offset)
+    return tuple(map(kind, values)), offset + count * _U64.size
 
 
 def encode_record(record):
@@ -310,7 +311,12 @@ def encode_record(record):
     elif isinstance(record, CheckpointRecord):
         body = _pack_tids(record.active) + _U64.pack(record.redo_lsn)
         if record.max_tid is not None:
-            body += _U64.pack(record.max_tid)
+            body += (
+                _U64.pack(record.max_tid)
+                + _pack_tids(record.committed)
+                + _pack_records(record.votes)
+                + _pack_records(record.records)
+            )
         rtype = _TYPE_CHECKPOINT
     elif isinstance(record, PrepareRecord):
         body = (
@@ -368,84 +374,26 @@ def decode_record(raw):
     if rtype == _TYPE_ABORT:
         return AbortRecord(lsn=lsn, tid=tid)
     if rtype == _TYPE_DELEGATE:
-        (delegatee_value,) = _U64.unpack_from(raw, offset)
-        offset += _U64.size
-        (count,) = _U32.unpack_from(raw, offset)
-        offset += _U32.size
-        oids = []
-        for __ in range(count):
-            (value,) = _U64.unpack_from(raw, offset)
-            offset += _U64.size
-            oids.append(ObjectId(value))
-        return DelegateRecord(
-            lsn=lsn, tid=tid, delegatee=Tid(delegatee_value), oids=tuple(oids)
-        )
+        (delegatee,) = _U64.unpack_from(raw, offset)
+        oids, offset = _unpack_tids(raw, offset + _U64.size, ObjectId)
+        return DelegateRecord(lsn, tid, Tid(delegatee), oids)
     if rtype == _TYPE_CHECKPOINT:
         active, offset = _unpack_tids(raw, offset)
-        # Markers from before either trailing field: redo from the
-        # start; highest tid unknown.
-        redo_lsn, max_tid = 0, None
-        if offset < len(raw):
+        redo_lsn, fields = 0, {}
+        if offset < len(raw):  # else from before the mark: redo everything
             (redo_lsn,) = _U64.unpack_from(raw, offset)
             offset += _U64.size
-        if offset < len(raw):
-            (max_tid,) = _U64.unpack_from(raw, offset)
-        return CheckpointRecord(
-            lsn=lsn, tid=tid, active=active, redo_lsn=redo_lsn, max_tid=max_tid
-        )
-    if rtype == _TYPE_PREPARE:
-        group, offset = _unpack_tids(raw, offset)
-        (gid,) = _U64.unpack_from(raw, offset)
-        offset += _U64.size
-        coordinator, offset = _unpack_str(raw, offset)
-        sites, offset = _unpack_strs(raw, offset)
-        return PrepareRecord(
-            lsn=lsn,
-            tid=tid,
-            group=group,
-            gid=gid,
-            coordinator=coordinator,
-            sites=sites,
-        )
-    if rtype == _TYPE_DECISION:
-        (gid,) = _U64.unpack_from(raw, offset)
-        offset += _U64.size
-        verdict, offset = _unpack_str(raw, offset)
-        group, offset = _unpack_tids(raw, offset)
-        participants, offset = _unpack_strs(raw, offset)
-        return DecisionRecord(
-            lsn=lsn,
-            tid=tid,
-            gid=gid,
-            verdict=verdict,
-            group=group,
-            participants=participants,
-        )
-    if rtype == _TYPE_WORKFLOW:
-        (wid,) = _U64.unpack_from(raw, offset)
-        offset += _U64.size
-        kind, offset = _unpack_str(raw, offset)
-        payload, offset = _unpack_image(raw, offset)
-        return WorkflowRecord(
-            lsn=lsn, tid=tid, wid=wid, kind=kind, payload=payload
-        )
-    if rtype == _TYPE_TAKEOVER:
-        (gid,) = _U64.unpack_from(raw, offset)
-        offset += _U64.size
-        (epoch,) = _U64.unpack_from(raw, offset)
-        offset += _U64.size
-        old_coordinator, offset = _unpack_str(raw, offset)
-        verdict, offset = _unpack_str(raw, offset)
-        votes, offset = _unpack_strs(raw, offset)
-        return TakeoverRecord(
-            lsn=lsn,
-            tid=tid,
-            gid=gid,
-            epoch=epoch,
-            old_coordinator=old_coordinator,
-            verdict=verdict,
-            votes=votes,
-        )
+        if offset + _U64.size < len(raw):  # else vouches for nothing
+            for name, read in _SUMMARY:
+                fields[name], offset = read(raw, offset)
+        return CheckpointRecord(lsn, tid, active, redo_lsn, **fields)
+    if rtype in _FIELDS:
+        cls, readers = _FIELDS[rtype]
+        fields = []
+        for read in readers:
+            value, offset = read(raw, offset)
+            fields.append(value)
+        return cls(lsn, tid, *fields)
     if rtype in _RETIRED_TYPES:
         raise StorageError(
             f"record at LSN {lsn_value} has type byte {rtype}: this log was"
@@ -454,20 +402,60 @@ def decode_record(raw):
     raise StorageError(f"unknown record type byte: {rtype}")
 
 
+def _unpack_u64(raw, offset):
+    return _U64.unpack_from(raw, offset)[0], offset + _U64.size
+
+
+# Records no hot path decodes, read field by field in declaration order.
+_FIELDS = {
+    _TYPE_PREPARE: (
+        PrepareRecord, (_unpack_tids, _unpack_u64, _unpack_str, _unpack_strs)
+    ),
+    _TYPE_DECISION: (
+        DecisionRecord, (_unpack_u64, _unpack_str, _unpack_tids, _unpack_strs)
+    ),
+    _TYPE_WORKFLOW: (WorkflowRecord, (_unpack_u64, _unpack_str, _unpack_image)),
+    _TYPE_TAKEOVER: (
+        TakeoverRecord,
+        (_unpack_u64, _unpack_u64, _unpack_str, _unpack_str, _unpack_strs),
+    ),
+}
+
+
+def _pack_records(records):
+    encoded = [encode_record(record) for record in records]
+    return _U32.pack(len(encoded)) + b"".join(map(_pack_image, encoded))
+
+
+def _unpack_records(raw, offset, decode=decode_record):
+    """A summary's records.  ``decode`` is bound here: they are parts of
+    one marker, not records read off the device."""
+    (count,) = _U32.unpack_from(raw, offset)
+    offset += _U32.size
+    records = []
+    for __ in range(count):
+        encoded, offset = _unpack_image(raw, offset)
+        records.append(decode(encoded))
+    return tuple(records), offset
+
+
+_SUMMARY = (
+    ("max_tid", _unpack_u64), ("committed", _unpack_tids),
+    ("votes", _unpack_records), ("records", _unpack_records),
+)
+
+
 class MemoryLogDevice:
     """Log persistence in memory: a list of encoded records.
 
     A chaos ``injector`` (:mod:`repro.chaos.faults`) numbers every append
-    and flush as an I/O step; the flush step can be *lied about* (lost
-    fsync), leaving ``_durable_count`` behind while the caller believes
-    the records are safe.
-
-    ``hint`` is the restart hint (see :class:`WriteAheadLog`),
-    ``(record ordinal, LSN there)`` or ``None`` — the ordinal is the
-    list index — and ``point`` the restart point it was taken at, 0
-    without one.  Like a file log's sidecar they survive :meth:`crash`,
-    travel with :meth:`snapshot` / :meth:`restore`, and are discarded by
-    :meth:`reset`; setting them is no I/O step.
+    and flush as an I/O step; a flush can be *lied about* (lost fsync),
+    leaving ``_durable_count`` behind while the caller believes it safe.
+    ``hint`` is the restart hint, ``(record ordinal, LSN there)`` or
+    ``None``, and ``point`` the restart point it was taken at (0: none).
+    Like a file log's sidecar they survive :meth:`crash`, travel with
+    :meth:`snapshot` / :meth:`restore`, and go with :meth:`reset`;
+    setting them is no I/O step.
     """
 
     def __init__(self, injector=None):
@@ -553,22 +541,19 @@ class FileLogDevice:
 
     Opening does not walk the file.  The pass the log's ``resync`` makes
     anyway, :meth:`read_tail`, starts at the **restart hint** — ``(byte
-    offset, record ordinal, LSN there)``, kept in a small sidecar beside
-    the log (``<path>.restart``) — and teaches the device where every
-    record from there on begins (``_starts``; appends extend it), which
-    is all it needs to count records, to find what is durable, and to
-    turn the next hint's ordinal into an offset (and a segment's restart
-    ``point``, when it lies below the LSN there).  The readers yield each
-    record as a view of one reused buffer (see :meth:`_read`): good
-    until the next record is asked for.  The sidecar is
-    replaced by write-new + rename and never synced: it is written only
-    after the records it names are durable, so whichever version
-    survives a power cut names a true record boundary or fails the
-    check at open, and a version that is merely old names an earlier
-    restart point, which is only slower.  A log file created here, or
-    :meth:`reset`, discards it.  The same pass ends at the last complete
-    record and cuts a torn tail off the file, so the next append lands
-    where a restart will look for it.
+    offset, record ordinal, LSN there)``, kept in a sidecar
+    (``<path>.restart``; with a segment's restart ``point`` when it lies
+    below that LSN) — and learns where each record from there on begins
+    (``_starts``; appends extend it): enough to count records, find what
+    is durable, and turn the next hint's ordinal into an offset.  It ends
+    at the last complete record and cuts a torn tail off the file, so the
+    next append lands where a restart looks.  Readers yield views of one
+    reused buffer (:meth:`_read`).  The sidecar is replaced by write-new
+    + rename, never synced, and only after the records it names are
+    durable: any version that survives a power cut names a true record
+    boundary, fails the check at open, or is merely old — an earlier
+    point, only slower.  A log file created here, or :meth:`reset`,
+    discards it.
     """
 
     def __init__(self, path, injector=None):
@@ -753,16 +738,12 @@ class FlushCoalescer:
 
     A commit record *enrolls* instead of forcing an immediate ``fsync``;
     the batch is flushed once it holds ``max_commits`` enrolled commits
-    or once ``max_bytes`` of log have accumulated since the last flush
-    (whichever bound trips first).  Between the enrollment and the batch
-    flush the commit is *not durable*: a crash in that window loses it,
-    exactly as if the commit had never been requested — which is the
-    standard group-commit trade (§3.1.2's GC dependency makes grouped
-    durability points first-class; the coalescer is the storage-side
-    analogue).
-
-    Any explicit :meth:`WriteAheadLog.flush` (checkpoint, close, a
-    caller that needs durability *now*) drains the batch.
+    or ``max_bytes`` of log since the last flush, whichever trips first.
+    Until then the commit is *not durable*: a crash loses it as if it
+    had never been requested — the standard group-commit trade (§3.1.2's
+    GC dependency makes grouped durability points first-class; this is
+    the storage-side analogue).  Any explicit
+    :meth:`WriteAheadLog.flush` drains the batch.
     """
 
     def __init__(self, max_commits=8, max_bytes=64 * 1024, injector=None,
@@ -828,40 +809,36 @@ class FlushCoalescer:
 class WriteAheadLog:
     """Appends records, assigns LSNs, and replays for abort/recovery.
 
-    In memory the log is its **tail**: the decoded records from the
-    *restart point* on (``base`` counts the records below it), plus an
-    *attribution index* over them — per-tid lists of update records
-    with delegation re-attribution applied as records are appended, and
-    what restart needs: who committed, who finished aborting, which
-    votes are open, who wrote, the last checkpoint's redo mark, each
-    global group's newest evidence.  ``updates_by``, ``max_tid_value``,
-    :meth:`analysis` and :meth:`group_evidence` are probes on that
-    index — no full-log scan on abort, delegation, or restart (the scan
-    versions survive as test oracles, in ``tests/storage/scan_oracle.py``).
+    In memory the log is its **tail** — the decoded records from the
+    *restart point* on (``base`` counts those below it) — and one
+    **index** over its history, folded as each record is appended or
+    decoded by the handler ``_HANDLERS`` names for its type, built once:
+    attribution with delegation applied, the highest tid, winners and
+    finished aborts, each object's newest image, the open votes, each
+    global group's newest evidence, and each workflow execution.  Every
+    query — ``updates_by``, :meth:`analysis`, :meth:`redo_records`,
+    :meth:`group_evidence`, :meth:`workflows` — is a probe on it (the
+    scans they replaced are test oracles, ``tests/storage/scan_oracle.py``).
 
-    The restart point is the lowest LSN restart can still need
-    (:meth:`restart_point`).  Each checkpoint whose marker is durable
-    moves it up (:meth:`open_at`): the device is handed a *hint* naming
-    the record there, and the records and index entries below it are
-    dropped — so a running log holds exactly what :meth:`resync` builds
-    at open, and neither grows with history.  The hint is a bound, never
-    evidence: open checks it (``_load_tail``) and otherwise decodes from
-    the start through the same code; a hint that is merely old is safe,
-    because the point only ever moves up, and nothing gives it up.
-    What lies below the tail is re-read from the device only when asked
-    for: by :meth:`records` (uncached), which is also how redo under a
-    void mark (a torn page was reset) reads the prefix's images.
+    Each checkpoint marker carries a **summary** of the index
+    (:class:`CheckpointRecord`), and each durable one moves the restart
+    point up (:meth:`restart_point`, :meth:`open_at`): the device is
+    handed a *hint* naming the record there, the records below it are
+    dropped, and the index is folded again from the tail, whose marker
+    vouches for the rest — what :meth:`resync` builds at open.  The hint
+    is a bound, never evidence (``_load_tail``).  A truncation keeps the
+    summary in the index for the next marker.  Only :meth:`records`
+    re-reads the prefix, as does redo under a void mark (a torn page
+    was reset).
 
     ``group_commit`` (a :class:`FlushCoalescer`, or an int shorthand for
     ``FlushCoalescer(max_commits=n)``) defers the per-commit flush into
-    size- and count-bounded batches; ``None`` keeps the classic
-    flush-every-commit durability.
-
-    ``last_lsn`` is the LSN of the newest record and ``durable_lsn`` the
-    watermark below which every record is on stable storage *as the
-    device confirms it*: :meth:`flush` advances it, :meth:`resync` and
-    :meth:`truncate` reset it.  The buffer pool stamps dirty frames with
-    the first and gates its write-backs on the second (:meth:`force`).
+    size- and count-bounded batches; ``None`` flushes every commit.
+    ``last_lsn`` is the newest record's LSN and ``durable_lsn`` the
+    watermark below which the device confirms every record stable:
+    :meth:`flush` advances it, :meth:`resync` and :meth:`truncate` reset
+    it.  The pool stamps dirty frames with the first and gates its
+    write-backs on the second (:meth:`force`).
     """
 
     def __init__(self, device=None, group_commit=None):
@@ -896,7 +873,7 @@ class WriteAheadLog:
         sequencer.advance_to(self._next_lsn)
 
     def _reset_index(self):
-        """An empty attribution index (``_lock`` held, or at open)."""
+        """An empty index (``_lock`` held, or at open)."""
         self._updates_by_tid = {}
         self._max_tid = 0
         self._winners = set()
@@ -914,6 +891,10 @@ class WriteAheadLog:
         self._newest = {}
         self._image_lsns = []
         self.redo_lsn = 0  # the last checkpoint marker's mark
+        # wid -> {LSN: record} of each unfinished workflow execution, and
+        # wid -> the ``finished`` record of each finished one.
+        self._executions, self._finished = {}, {}
+        self._carried = set()  # tids a summary says committed
 
     def resync(self):
         """Rebuild the decoded tail and attribution index from the device.
@@ -946,13 +927,11 @@ class WriteAheadLog:
         Without a hint that is the whole log, and it stands.  With one,
         the record it names must be there under the LSN it names, no
         more records may lie below it than the device confirms durable
-        (a memory device counts them; a file device has only the
-        sidecar's word for the ordinal — see ``FileLogDevice._load_hint``
-        — and :meth:`records` checks it when it reads the prefix), and
-        — unless it names the log's first record, so that the tail *is*
-        the log — the tail must hold a marker that vouches for the
-        highest tid below it.  (A void mark is no reason to start lower:
-        redo reads the prefix through :meth:`records`.)
+        (a file device has only the sidecar's word for the ordinal, and
+        :meth:`records` checks it when it reads the prefix), and — unless
+        the tail *is* the log — it must hold a marker whose summary
+        vouches for what lies below.  A void mark is no reason to start
+        lower: redo reads the prefix through :meth:`records`.
         """
         hint = self.device.hint
         # Either device's hint ends (record ordinal, LSN there).
@@ -964,88 +943,142 @@ class WriteAheadLog:
         self._decoded = [
             decode_record(raw) for raw in self.device.read_tail()
         ]
-        for record in self._decoded:
-            self._index_record(record)
+        self._fold(self._decoded)
         return hint is None or bool(
             self._decoded
             and self._decoded[0].lsn == lsn
             and self.base <= self.device.durable_count()
-            and (
-                not self.base
-                or any(
-                    getattr(record, "max_tid", None) is not None
-                    for record in self._decoded
-                )
-            )
+            and (not self.base or any(
+                getattr(record, "max_tid", None) is not None
+                for record in self._decoded
+            ))
         )
 
-    def _index_record(self, record):
-        """Fold one appended record into the attribution index.
+    def _fold(self, records):
+        """Fold ``records`` into the index (``_lock`` held): each is
+        dispatched by type through ``_HANDLERS``, as ``_append`` does."""
+        handlers = self._HANDLERS
+        for record in records:
+            if record.tid > self._max_tid:
+                self._max_tid = int(record.tid)
+            handlers[type(record)](self, record)
 
-        Must be called with ``_lock`` held.  Delegation is applied
-        *here*, as the record arrives, so attribution queries later are
-        pure dict probes — this is what keeps abort cost linear instead
-        of quadratic in history length.
-        """
-        tid = record.tid
-        if tid > self._max_tid:
-            self._max_tid = int(tid)
-        if isinstance(record, UpdateRecord):
-            self._updates_by_tid.setdefault(tid, []).append(record)
-            self._newest[record.oid] = record
-            self._image_lsns.append(record.lsn)
-        elif isinstance(record, CompensationRecord):
-            self._newest[record.oid] = record
-            self._image_lsns.append(record.lsn)
-        elif isinstance(record, DelegateRecord):
-            self._max_tid = int(max(self._max_tid, record.delegatee))
-            self._delegation_parties.add(record.delegatee)
-            mine = self._updates_by_tid.get(record.tid)
-            if mine:
-                oids = set(record.oids)
-                moved = [r for r in mine if r.oid in oids]
-                if moved:
-                    kept = [r for r in mine if r.oid not in oids]
-                    if kept:
-                        self._updates_by_tid[tid] = kept
-                    else:  # delegated everything away: still a writer
-                        del self._updates_by_tid[tid]
-                        self._delegation_parties.add(tid)
-                    theirs = self._updates_by_tid.setdefault(
-                        record.delegatee, []
-                    )
-                    theirs.extend(moved)
-                    # Moved records interleave with the delegatee's own;
-                    # both runs are already LSN-sorted, so this is a
-                    # near-linear merge under Timsort.
-                    theirs.sort(key=lambda r: r.lsn)
-        elif isinstance(record, (CommitRecord, PrepareRecord, DecisionRecord)):
-            for member in record.group:
-                if member > self._max_tid:
-                    self._max_tid = int(member)
-            if isinstance(record, PrepareRecord):
-                self._evidence[2][record.gid] = record
-                self._open_vote(record)
-                return
-            if not isinstance(record, CommitRecord):
-                self._evidence[1][record.gid] = record
-                if record.verdict != "commit":
-                    return
-            self._winners.add(tid)
+    # -- the record handlers: one per record type, each called with
+    # ``_lock`` held.  Delegation is applied as its record arrives, so
+    # attribution queries are dict probes and abort cost stays linear.
+
+    def _on_update(self, record):
+        self._updates_by_tid.setdefault(record.tid, []).append(record)
+        self._newest[record.oid] = record
+        self._image_lsns.append(record.lsn)
+
+    def _on_compensation(self, record):
+        self._newest[record.oid] = record
+        self._image_lsns.append(record.lsn)
+
+    def _on_delegate(self, record):
+        tid, delegatee = record.tid, record.delegatee
+        self._max_tid = int(max(self._max_tid, delegatee))
+        self._delegation_parties.add(delegatee)
+        mine = self._updates_by_tid.get(tid)
+        if not mine:
+            return
+        oids = set(record.oids)
+        moved = [r for r in mine if r.oid in oids]
+        if moved:
+            kept = [r for r in mine if r.oid not in oids]
+            if kept:
+                self._updates_by_tid[tid] = kept
+            else:  # delegated everything away: still a writer
+                del self._updates_by_tid[tid]
+                self._delegation_parties.add(tid)
+            theirs = self._updates_by_tid.setdefault(delegatee, [])
+            theirs.extend(moved)
+            # Moved records interleave with the delegatee's own; both
+            # runs are already LSN-sorted: a near-linear Timsort merge.
+            theirs.sort(key=attrgetter("lsn"))
+
+    def _on_commit(self, record):
+        for member in record.group:
+            if member > self._max_tid:
+                self._max_tid = int(member)
+        self._winners.add(record.tid)
+        self._winners.update(record.group)
+        if self._votes_of:
+            self._close_votes(record.tid, *record.group)
+
+    def _on_abort(self, record):
+        self._finished_aborts.add(record.tid)
+        if self._votes_of:
+            self._close_votes(record.tid)
+
+    def _on_prepare(self, record):
+        for member in record.group:
+            if member > self._max_tid:
+                self._max_tid = int(member)
+        self._evidence[2][record.gid] = record
+        self._open_vote(record)
+
+    def _on_decision(self, record):
+        for member in record.group:
+            if member > self._max_tid:
+                self._max_tid = int(member)
+        self._evidence[1][record.gid] = record
+        if record.verdict == "commit":
+            self._winners.add(record.tid)
             self._winners.update(record.group)
             if self._votes_of:
-                self._close_votes(tid, *record.group)
-        elif isinstance(record, AbortRecord):
-            self._finished_aborts.add(tid)
-            if self._votes_of:
-                self._close_votes(tid)
-        elif isinstance(record, CheckpointRecord):
-            self._max_tid = max(self._max_tid, record.max_tid or 0)
-            for active in record.active:
-                self._max_tid = int(max(self._max_tid, active))
-            self.redo_lsn = record.redo_lsn
-        elif isinstance(record, TakeoverRecord):
-            self._evidence[0][record.gid] = record
+                self._close_votes(record.tid, *record.group)
+
+    def _on_takeover(self, record):
+        self._evidence[0][record.gid] = record
+
+    def _on_workflow(self, record):
+        wid = record.wid
+        done = self._finished.get(wid)
+        if done is not None and done.lsn >= record.lsn:
+            return  # a summary's copy of what the execution did before
+        if record.kind == WORKFLOW_FINISHED:
+            self._finished[wid] = record
+            self._executions.pop(wid, None)
+        else:
+            self._executions.setdefault(wid, {})[record.lsn] = record
+
+    def _on_checkpoint(self, record):
+        """Merge the marker's summary: it vouches for what the tail may
+        not hold.  Every part merges by LSN, so a summary of records the
+        index already holds changes nothing.  An open vote below the
+        restart point is not reopened: the point stays below every vote
+        still pending (:meth:`restart_point`)."""
+        highest = max(self._max_tid, record.max_tid or 0, *record.active)
+        self._max_tid = int(highest)
+        self.redo_lsn = record.redo_lsn
+        self._carried.update(record.committed)
+        for kept in record.records:
+            if type(kept) is WorkflowRecord:
+                self._on_workflow(kept)
+                continue
+            evidence = self._evidence[_EVIDENCE_SLOT[type(kept)]]
+            old = evidence.get(kept.gid)
+            if old is None or old.lsn < kept.lsn:  # the newer one stays
+                evidence[kept.gid] = kept
+        point = self.device.point
+        for vote in record.votes:
+            if vote.lsn >= point and vote.lsn not in self._open_votes:
+                self._open_vote(vote)
+
+    _HANDLERS = {
+        UpdateRecord: _on_update,
+        CompensationRecord: _on_compensation,
+        DelegateRecord: _on_delegate,
+        CommitRecord: _on_commit,
+        AbortRecord: _on_abort,
+        PrepareRecord: _on_prepare,
+        DecisionRecord: _on_decision,
+        WorkflowRecord: _on_workflow,
+        CheckpointRecord: _on_checkpoint,
+        TakeoverRecord: _on_takeover,
+    }
 
     def _open_vote(self, vote):
         """Keep ``vote`` open under a tid it covers with no outcome here."""
@@ -1076,7 +1109,9 @@ class WriteAheadLog:
             encoded = encode_record(record)
             self.device.append(encoded)
             self._decoded.append(record)
-            self._index_record(record)
+            if record.tid > self._max_tid:
+                self._max_tid = int(record.tid)
+            self._HANDLERS[type(record)](self, record)
             if self.group_commit is not None:
                 self.group_commit.note_append(len(encoded))
             metrics = self.metrics
@@ -1098,9 +1133,7 @@ class WriteAheadLog:
         """Write an update record — *before* the page is touched;
         returns the record."""
         return self._append(
-            lambda lsn: UpdateRecord(
-                lsn=lsn, tid=tid, oid=oid, before=before, after=after
-            )
+            lambda lsn: UpdateRecord(lsn, tid, oid, before, after)
         )
 
     def log_compensation(self, tid, oid, after):
@@ -1132,9 +1165,7 @@ class WriteAheadLog:
     def log_delegate(self, tid, delegatee, oids):
         """Write a delegation record so recovery can re-attribute undo."""
         return self._append(
-            lambda lsn: DelegateRecord(
-                lsn=lsn, tid=tid, delegatee=delegatee, oids=tuple(oids)
-            )
+            lambda lsn: DelegateRecord(lsn, tid, delegatee, tuple(oids))
         )
 
     def log_prepare(self, tid, group=(), gid=0, coordinator="", sites=()):
@@ -1147,12 +1178,7 @@ class WriteAheadLog:
         """
         record = self._append(
             lambda lsn: PrepareRecord(
-                lsn=lsn,
-                tid=tid,
-                group=tuple(group),
-                gid=gid,
-                coordinator=coordinator,
-                sites=tuple(sites),
+                lsn, tid, tuple(group), gid, coordinator, tuple(sites)
             )
         )
         self.flush()
@@ -1168,12 +1194,7 @@ class WriteAheadLog:
         """
         record = self._append(
             lambda lsn: DecisionRecord(
-                lsn=lsn,
-                tid=tid,
-                gid=gid,
-                verdict=verdict,
-                group=tuple(group),
-                participants=tuple(participants),
+                lsn, tid, gid, verdict, tuple(group), tuple(participants)
             )
         )
         self.flush()
@@ -1190,13 +1211,7 @@ class WriteAheadLog:
         """
         record = self._append(
             lambda lsn: TakeoverRecord(
-                lsn=lsn,
-                tid=Tid(0),
-                gid=gid,
-                epoch=epoch,
-                old_coordinator=old_coordinator,
-                verdict=verdict,
-                votes=tuple(votes),
+                lsn, Tid(0), gid, epoch, old_coordinator, verdict, tuple(votes)
             )
         )
         self.flush()
@@ -1213,18 +1228,15 @@ class WriteAheadLog:
         """
         record = self._append(
             lambda lsn: WorkflowRecord(
-                lsn=lsn,
-                tid=tid if tid is not None else Tid(0),
-                wid=wid,
-                kind=kind,
-                payload=bytes(payload),
+                lsn, Tid(0) if tid is None else tid, wid, kind, bytes(payload)
             )
         )
         self.flush()
         return record
 
     def log_checkpoint(self, active, redo_lsn=0):
-        """Force-write a checkpoint marker carrying the redo mark.
+        """Force-write a checkpoint marker carrying the redo mark and the
+        summary of the index (:meth:`_summary`).
 
         The storage manager then moves the restart point up, once the
         markers of every segment are durable
@@ -1233,16 +1245,31 @@ class WriteAheadLog:
         up: :meth:`redo_records` reads the prefix under it.
         """
         record = self._append(
-            lambda lsn: CheckpointRecord(
-                lsn=lsn,
-                tid=Tid(0),
-                active=tuple(active),
-                redo_lsn=redo_lsn,
-                max_tid=self._max_tid,
-            )
+            lambda lsn: self._summary(lsn, tuple(active), redo_lsn)
         )
         self.flush()
         return record
+
+    def _summary(self, lsn, active=(), redo_lsn=0, committed=()):
+        """The marker at ``lsn`` that summarises the index (``_lock``
+        held): see :class:`CheckpointRecord`.  ``committed`` names tids
+        another segment committed."""
+        kept = [*self._finished.values()]
+        for execution in self._executions.values():
+            kept += execution.values()
+        named = {record.tid for record in kept if record.tid}
+        votes = list(self._open_votes.values())
+        for vote in (*votes, *self._evidence[2].values()):
+            named.update(vote.prepared_tids())
+        for evidence in self._evidence:
+            kept += evidence.values()
+        known = (self._winners, self._carried, committed)
+        won = sorted(tid for tid in named if any(tid in k for k in known))
+        kept.sort(key=attrgetter("lsn"))
+        return CheckpointRecord(
+            lsn, Tid(0), active, redo_lsn, self._max_tid, tuple(won),
+            tuple(votes), tuple(kept),
+        )
 
     # -- the restart point -------------------------------------------------
 
@@ -1252,12 +1279,13 @@ class WriteAheadLog:
         The lowest of: the first record above the last checkpoint's
         redo mark (redo starts there); the first update, after
         delegation, of every writer without an outcome (undo installs
-        what it found); and every open vote with a tid undecided
-        elsewhere too (restart must report it in doubt).  ``finished``
-        names transactions whose outcome another segment recorded.
-        Read off the index, not the caller's list of active ones.  0 —
-        keep everything — unless the device confirms ``marker``, the
-        checkpoint's own, durable.
+        what it found); every open vote with a tid undecided elsewhere
+        too (restart must report it in doubt); and every workflow
+        attempt in the tail whose step has no outcome here (another
+        segment's commit record may decide it, and the summary carries
+        only this one's).  ``finished`` names transactions whose outcome
+        another segment recorded.  0 — keep everything — unless the
+        device confirms ``marker``, the checkpoint's own, durable.
         """
         with self._lock:
             if self.durable_lsn < marker.lsn:
@@ -1282,14 +1310,21 @@ class WriteAheadLog:
                     map(pending, vote.prepared_tids())
                 ):
                     point = int(vote.lsn)
+            start, known = self._decoded[0].lsn, self._winners | self._carried
+            for execution in self._executions.values():
+                for record in execution.values():
+                    if start <= record.lsn < point and record.tid and not (
+                        record.tid in known or record.tid in self._finished_aborts
+                    ):
+                        point = int(record.lsn)
             return point
 
     def open_at(self, point):
         """Make ``point`` (from :meth:`restart_point`; 0 moves nothing)
         where a reopen starts: hand the device the hint, then forget the
         records below it and fold the index again from the rest — what
-        :meth:`resync` would now build.  The highest tid is carried
-        over; the marker carries it for the reopen."""
+        :meth:`resync` would now build.  The tail holds the checkpoint
+        marker, whose summary vouches for the rest."""
         if not point:
             return
         with self._lock:
@@ -1298,12 +1333,9 @@ class WriteAheadLog:
                 return
             self.base += cut
             self.device.set_hint(self.base, int(self._decoded[cut].lsn), point)
-            max_tid = self._max_tid
             self._decoded = self._decoded[cut:]
             self._reset_index()
-            self._max_tid = max_tid
-            for record in self._decoded:
-                self._index_record(record)
+            self._fold(self._decoded)
 
     def _first_above(self, lsn):
         """Index in the tail of the first record above ``lsn``."""
@@ -1324,17 +1356,15 @@ class WriteAheadLog:
             return self._next_lsn - 1
 
     def flush(self):
-        """Force the log to stable storage (commit durability point).
+        """Force the log to stable storage (commit durability point),
+        draining the group-commit batch, if one is pending, with this
+        one device sync.
 
-        Drains the group-commit batch, if one is pending: everything
-        enrolled so far becomes durable with this single device sync.
-
-        When the coalescer carries a :class:`FlushHealth` breaker, every
-        flush outcome feeds it: a raised device fault is a failure (and
-        re-raises — the batch stays pending for the retry), and a
-        *silent* failure is caught by auditing the device's durable
-        record count against what was appended (a lying fsync returns
-        success while leaving records volatile).
+        A coalescer's :class:`FlushHealth` breaker hears every outcome: a
+        raised device fault is a failure (re-raised — the batch stays
+        pending for the retry), and so is a *silent* one, which auditing
+        the device's durable count against what was appended catches (a
+        lying fsync returns success while leaving records volatile).
         """
         health = self.group_commit.health if self.group_commit is not None else None
         with self._lock:
@@ -1402,30 +1432,30 @@ class WriteAheadLog:
             self.metrics.inc("wal.forces")
         return True
 
-    def truncate(self):
-        """Discard all records (LSNs keep counting upward).
+    def truncate(self, committed=()):
+        """Discard all records (LSNs keep counting upward), keeping their
+        summary in the index for the next marker to carry; ``committed``
+        names tids another segment committed.
 
         Only valid at a *sharp checkpoint*: every page flushed and no
         active transactions, so nothing in the log is still needed for
         redo or undo.  The storage manager enforces that precondition.
         """
         with self._lock:
+            summary = self._summary(Lsn(0), committed=committed)
             self.device.reset()  # the restart hint goes with the records
             self._decoded = []
             self.base = 0
             self._reset_index()
+            self._fold([summary])
             self.durable_lsn = self.last_lsn  # nothing volatile is left
 
     def records(self, durable_only=False):
-        """All records in LSN order (optionally only durable ones).
-
-        The durable view always re-reads the device (that is the whole
-        point — it is what a restart would see).  The live view is the
-        decoded tail behind whatever lies below the restart point, and
-        that prefix is re-read from the device on every call: nothing
-        on a hot path asks for it, and keeping it would be keeping the
-        history in memory after all.
-        """
+        """All records in LSN order (optionally only durable ones, as a
+        restart would see them: re-read from the device).  The live view
+        is the decoded tail behind the prefix below the restart point,
+        re-read from the device on every call: only tests, the oracles,
+        the CLI and redo under a void mark ask for it."""
         if durable_only:
             return [
                 decode_record(raw) for raw in self.device.read_all(True)
@@ -1447,38 +1477,43 @@ class WriteAheadLog:
 
     def group_evidence(self):
         """The group evidence (``_EVIDENCE_SLOT``): the index itself, not
-        a copy (a site's restart is the only reader) — over the prefix,
-        when there is one, folded the same way — and the tids the prefix
-        commits (a vote below the restart point was resolved there)."""
+        a copy (a site's restart is the only reader), and the tids a
+        summary carried as committed below the tail (a vote below the
+        restart point was resolved there)."""
         with self._lock:
-            if not self.base:
-                return (*self._evidence, frozenset())
-            evidence, committed = ({}, {}, {}), set()
-            for record in self._prefix():
-                slot = _EVIDENCE_SLOT.get(type(record))
-                if slot is not None:
-                    evidence[slot][record.gid] = record
-                if isinstance(record, CommitRecord):
-                    committed |= record.committed_tids()
-                elif slot == 1 and record.verdict == "commit":
-                    committed |= record.decided_tids()
-            for kept, tail in zip(evidence, self._evidence):
-                kept.update(tail)
-            return (*evidence, committed)
+            return (*self._evidence, frozenset(self._carried))
+
+    def workflows(self):
+        """``(records, committed)``: every record of each unfinished
+        workflow execution and the ``finished`` record of each finished
+        one, in LSN order, and which tids they name committed here."""
+        with self._lock:
+            records = [*self._finished.values()]
+            for execution in self._executions.values():
+                records += execution.values()
+        records.sort(key=attrgetter("lsn"))
+        return records, self.committed({r.tid for r in records if r.tid})
+
+    def committed(self, tids):
+        """Those of ``tids`` this log says committed."""
+        with self._lock:
+            return {t for t in tids if t in self._winners or t in self._carried}
+
+    def max_wid_value(self):
+        """The highest workflow execution id in the log (0: none): the
+        index keeps every execution, finished or not."""
+        with self._lock:
+            return max((*self._executions, *self._finished), default=0)
 
     def __len__(self):
         """Records in the decoded tail (all of them when ``base`` is 0)."""
         return len(self._decoded)
 
     def drop_volatile(self):
-        """Restart's first act: cut the log back to what is durable.
-
-        After a crash simulation or a fresh open the decoded cache *is*
-        the durable view and this does nothing.  Called with the cache
-        ahead of the device (no crash first, or a lied fsync), the
-        volatile tail is dropped — device and index — so restart
-        analyses exactly the records it would find after a power cut.
-        """
+        """Restart's first act: cut the log back to what is durable —
+        nothing after a crash or a fresh open; with the cache ahead of
+        the device (no crash first, or a lied fsync), device and index
+        drop the volatile tail, as a power cut would."""
         if self.base + len(self._decoded) > self.device.durable_count():
             self.device.crash()
             self.resync()
@@ -1495,14 +1530,12 @@ class WriteAheadLog:
             )
 
     def redo_records(self):
-        """``(records, superseded)``: the records whose ``after`` image
-        restart must reinstall, in LSN order — for each object with an
-        update or compensation above the mark, the newest one, read off
-        the index — and how many older images there those stand for.
-        An image is the whole object, so installing the newest leaves
-        what installing all of them in order would.  Under a void mark
-        redo reads every record instead: a reset page may hold what the
-        prefix wrote."""
+        """``(records, superseded)``: for each object with an update or
+        compensation above the mark, the newest, in LSN order, off the
+        index — an image is the whole object, so it leaves what all of
+        them in order would — and how many older images those stand for.
+        Under a void mark it reads every record: a reset page may hold
+        what the prefix wrote (the one product reader of the prefix)."""
         if not self.redo_lsn and self.base:
             newest, images = {}, 0
             for record in reversed(self.records()):
@@ -1532,33 +1565,16 @@ class WriteAheadLog:
             return set(self._newest)
 
     def max_tid_value(self):
-        """The highest transaction id appearing anywhere in the log.
-
-        A restarted transaction manager must allocate tids above this
-        value; reusing a logged tid would let a new transaction's abort
-        undo (or its commit revive) a previous incarnation's updates.
-
-        Served from the attribution index — maintained at append time and
-        rebuilt once by :meth:`resync` — so restart does not rescan the
-        whole history (``scan_oracle.max_tid_value_scan`` is the oracle).
-        """
+        """The highest transaction id anywhere in the log, truncated or
+        below the restart point included: a restarted manager allocates
+        above it, for a reused tid's abort would undo (or its commit
+        revive) an earlier incarnation's updates."""
         with self._lock:
             return self._max_tid
 
     def updates_by(self, tid):
-        """Update records currently attributed to ``tid``, in order.
-
-        Applies delegation records: an update whose responsibility was
-        delegated away no longer belongs to ``tid``; one delegated to
-        ``tid`` does.  This is the log-side view used by recovery; the
-        live transaction manager tracks the same attribution in memory.
-
-        Re-attribution happens incrementally as delegate records are
-        appended, so this is a dict probe plus a copy of the (usually
-        short) per-transaction list — abort and delegation cost stays
-        proportional to the transaction's own footprint, not to the full
-        log (``scan_oracle.updates_by_scan`` is the oracle the property
-        tests check against).
-        """
+        """Update records attributed to ``tid`` after delegation, in
+        order: a dict probe and a copy of its own list, so abort costs
+        the aborter's footprint, not the log's length."""
         with self._lock:
             return list(self._updates_by_tid.get(tid, ()))

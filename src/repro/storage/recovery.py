@@ -4,32 +4,25 @@ The strategy is repeat-history's-outcome + undo-losers over physical
 images, in one pass over a log that was decoded once (at open, or by
 the crash simulation's ``resync``):
 
-1. **Analysis** — read off the log's attribution index, which folded
-   every record as it was decoded: winners are transactions named by
-   commit records, the already-aborted are those with abort records, and
-   everything else that wrote is a loser.  Delegation records re-attribute
-   each update to the transaction responsible for it at the end of the log
-   (if a loser delegated its updates to a winner, those updates survive —
-   exactly the delegation semantics of section 2.2).
+1. **Analysis** — read off the log's index, which folded every record
+   as it was decoded: winners are transactions named by commit records,
+   the already-aborted those with abort records, and everything else
+   that wrote is a loser.  Delegation records re-attribute each update
+   to the transaction responsible for it at the end of the log (a
+   loser's updates delegated to a winner survive — section 2.2).
 2. **Redo** — for every object with an update or compensation record
    above the last durable checkpoint's ``redo_lsn`` (those at or below
    it are in the page file: the marker is written after the pool
    flush, the mark read before it), install the ``after`` image of the
-   *newest* one, in LSN order.  Redo's post-condition is a store that
-   holds what replaying every image in order would leave, and an image
-   is the whole object: installs of different objects commute and the
-   last install of one object wins, so the older images are dead work
-   (``RecoveryReport.superseded`` counts them; logical or partial-page
-   records would need every one).  The replay of all of them survives
-   as the test oracle, ``tests/storage/scan_oracle.replay_every_image``.
-   Undo performed before the crash was itself logged, as compensation
-   records, so history's outcome includes aborts too — completed or
-   cut short, whoever's they were.  Quarantining a torn page (it fails
-   its checksum) first voids the mark: a marker with ``redo_lsn`` 0,
-   durable before the page is reset.  Under it redo reads the whole
-   log, prefix included — an object on that page may have been written
-   last below the restart point — until a checkpoint has flushed the
-   rebuilt pages.  The point stays: analysis needs only the tail.
+   *newest* one, in LSN order.  An image is the whole object, so that
+   leaves what replaying every image in order would (the test oracle,
+   ``tests/storage/scan_oracle.replay_every_image``); the older images
+   are ``RecoveryReport.superseded``.  Undo performed before the crash
+   was logged, as compensation records, so history's outcome includes
+   aborts too.  Quarantining a torn page first voids the mark (a marker
+   with ``redo_lsn`` 0, durable before the page is reset); under it redo
+   reads the whole log, prefix included, until a checkpoint has flushed
+   the rebuilt pages.  The point stays: analysis needs only the tail.
 3. **Undo** — restore the before images of loser updates in reverse LSN
    order, each logged as a compensation record and then installed, and
    finish each loser with an abort record, which makes recovery
@@ -57,8 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-
-from repro.storage.log import CommitRecord, DecisionRecord
 
 
 @dataclass
@@ -100,24 +91,6 @@ class RecoveryReport:
             f" redo_from={self.redo_from},"
             f" redone={self.redone}{older}, undone={self.undone}{doubt})"
         )
-
-
-def commit_winners(records):
-    """The tids ``records`` commit: the winners of the analysis pass.
-
-    A transaction wins by a commit record naming it, or by the
-    coordinator's force-logged commit decision, which commits its local
-    members even if the usual commit record never made it to the device
-    before the crash.  Shared with the workflow engine, whose
-    steps are committed iff their attempt tid is one of these.
-    """
-    winners = set()
-    for record in records:
-        if isinstance(record, CommitRecord):
-            winners |= record.committed_tids()
-        elif isinstance(record, DecisionRecord) and record.verdict == "commit":
-            winners |= record.decided_tids()
-    return winners
 
 
 def undo_updates(log, install, tids, above=0):

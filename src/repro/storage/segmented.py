@@ -196,6 +196,18 @@ class SegmentedLog:
     def max_tid_value(self):
         return max(segment.max_tid_value() for segment in self.segments)
 
+    def max_wid_value(self):
+        return max(segment.max_wid_value() for segment in self.segments)
+
+    def workflows(self):
+        """Every segment's workflow records, merged, and which tids they
+        name committed in any segment (a step commits in its home)."""
+        records = self._merged(lambda segment: segment.workflows()[0])
+        named = {record.tid for record in records if record.tid}
+        return records, set().union(
+            *(segment.committed(named) for segment in self.segments)
+        )
+
     def __len__(self):
         return sum(len(segment) for segment in self.segments)
 

@@ -389,7 +389,8 @@ class StorageManager:
         and begins again with one image of each of its shard's objects
         (:meth:`_log_base_images`), below the new mark: the log alone
         still rebuilds any page, so a page torn later is redone like one
-        torn before any truncation.
+        torn before any truncation.  What restart reads of the history
+        survives in the index, and the new marker carries it.
         """
         segments = [stack.log for stack in self.shards]
         if marks is None:
@@ -397,8 +398,10 @@ class StorageManager:
         for stack in self.shards:
             stack.objects.flush()
         if truncate and not active:
+            # A record in one segment may name a tid committed in another.
+            committed = self.log.analysis()[0] if self._one is None else ()
             for segment in reversed(segments):
-                segment.truncate()
+                segment.truncate(committed)
             marks = [self._log_base_images(stack) for stack in self.shards]
         markers = [
             segment.log_checkpoint(active, mark)

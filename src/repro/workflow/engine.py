@@ -69,8 +69,8 @@ from dataclasses import dataclass
 
 from repro.common.clock import LogicalClock
 from repro.common.errors import AssetError, RetryExhausted, TransientError
+from repro.common.ids import Tid
 from repro.resilience.deadlines import DeadlineTable
-from repro.storage.recovery import commit_winners
 from repro.workflow import records as wrecords
 from repro.workflow.definition import DefinitionRegistry, WorkflowDefinition
 from repro.workflow.execution import (
@@ -257,10 +257,9 @@ class WorkflowEngine:
         return self._executions.get(wid)
 
     def _fold(self):
-        """wid → execution image, folded from the durable log alone."""
-        log_records = list(self.storage.log.records())
-        winners = commit_winners(log_records)
-        return fold_all(log_records, winners)
+        """wid → execution image, folded from the log's index alone: what
+        it keeps of each execution, and which step transactions won."""
+        return fold_all(*self.storage.log.workflows())
 
     def _record(self, execution, kind, **fields):
         """The one way an execution's image changes.
@@ -273,8 +272,10 @@ class WorkflowEngine:
         """
         wid = execution.wid
         if execution.definition:
+            # An attempt names its transaction: the log keeps its outcome.
             self.storage.log_workflow(
-                wid, kind, payload=wrecords.encode_payload(fields)
+                wid, kind, payload=wrecords.encode_payload(fields),
+                tid=Tid(fields.get("tid", 0)),
             )
             if self.leases is not None:
                 # Durable progress doubles as the ownership heartbeat.
@@ -338,8 +339,7 @@ class WorkflowEngine:
         """Create a durable execution and drive it; returns its wid."""
         definition = self.registry.get(definition_name)  # fail fast
         if self._next_wid is None:
-            logged = wrecords.workflow_records(self.storage.log.records())
-            self._next_wid = max((r.wid for r in logged), default=0) + 1
+            self._next_wid = self.storage.log.max_wid_value() + 1
         if wid is None:
             wid = self._next_wid
         if wid in self._executions:
@@ -448,13 +448,14 @@ class WorkflowEngine:
     # -- recovery ----------------------------------------------------------
 
     def recover(self):
-        """Rebuild executions from the durable log; returns in-flight wids.
+        """Rebuild executions from the log's index; returns in-flight wids.
 
         Call after storage restart recovery has run and the site's
-        definitions are re-registered.  Parked executions get their wait
-        timers re-armed with the full budget; callers then drive each
-        returned wid with :meth:`resume` / :meth:`signal` /
-        :meth:`expire_wait`.
+        definitions are re-registered.  A finished execution comes back
+        from its ``finished`` record alone: its status and outcome.
+        Parked executions get their wait timers re-armed with the full
+        budget; callers then drive each returned wid with :meth:`resume`
+        / :meth:`signal` / :meth:`expire_wait`.
         """
         recovered = []
         for wid, execution in sorted(self._fold().items()):

@@ -12,10 +12,10 @@ what lets a crashed site resume in-flight workflows.
 The one transition the workflow log cannot answer alone is "did this
 step's transaction actually commit?": the attempt record is written
 *before* the commit record, so a crash can leave a dangling attempt.
-The fold therefore takes the set of *winner* tids from the log-replay
-analysis (:func:`repro.storage.recovery.commit_winners`, the same
-reading restart recovery makes) and counts a step as committed iff one
-of its attempt tids won; the live engine, which was there when the
+The fold therefore takes the set of *winner* tids from the log's index
+(:meth:`repro.storage.log.WriteAheadLog.workflows`, the same reading
+restart recovery makes) and counts a step as committed iff one of its
+attempt tids won; the live engine, which was there when the
 commit returned, marks the step itself.  Dangling attempts name loser
 tids — recovery already undid them — so the step simply re-runs.
 """
@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.storage.log import WorkflowRecord
 from repro.workflow import records as wrecords
 
 
@@ -137,20 +138,17 @@ class WorkflowExecution:
 def fold_all(log_records, winners):
     """Rebuild every execution present in ``log_records`` (wid -> image).
 
-    ``log_records`` is the full durable record sequence (any record
-    types; non-workflow records are skipped).  ``winners`` is the set of
+    ``log_records`` is a record sequence in LSN order (any record types;
+    non-workflow records are skipped).  ``winners`` is the set of
     committed tid *values* per the log-replay analysis.
     """
     executions = {}
-    for record in wrecords.workflow_records(log_records):
-        if record.wid not in executions:
-            executions[record.wid] = WorkflowExecution(wid=record.wid)
-        apply(
-            executions[record.wid],
-            record.kind,
-            wrecords.decode_payload(record.payload),
-            winners,
-        )
+    for record in log_records:
+        if type(record) is WorkflowRecord:
+            if record.wid not in executions:
+                executions[record.wid] = WorkflowExecution(wid=record.wid)
+            payload = wrecords.decode_payload(record.payload)
+            apply(executions[record.wid], record.kind, payload, winners)
     return executions
 
 

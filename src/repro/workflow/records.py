@@ -46,6 +46,7 @@ WALs), so an acknowledged transition is never lost to a crash.
 from __future__ import annotations
 
 from repro.common.codec import decode_json, encode_json
+from repro.storage.log import WORKFLOW_FINISHED
 
 STARTED = "started"
 STEP_ATTEMPT = "step_attempt"
@@ -56,7 +57,7 @@ SIGNAL = "signal"
 SIGNAL_TIMEOUT = "signal_timeout"
 COMP_ATTEMPT = "comp_attempt"
 CANCELLED = "cancelled"
-FINISHED = "finished"
+FINISHED = WORKFLOW_FINISHED
 
 OUTCOME_COMPLETED = "completed"
 OUTCOME_COMPENSATED = "compensated"
@@ -74,12 +75,3 @@ def decode_payload(raw):
         return {}
     return decode_json(raw)
 
-
-def workflow_records(records, wid=None):
-    """Yield the WorkflowRecords in ``records`` (optionally one wid's)."""
-    from repro.storage.log import WorkflowRecord
-
-    for record in records:
-        if isinstance(record, WorkflowRecord):
-            if wid is None or record.wid == wid:
-                yield record

@@ -91,13 +91,9 @@ def redo_index_skips_compensations():
     restart reinstalls the after image the undo took away.  The
     ``checkpoint_mark`` sweeps, the restart property and the redo
     index property must catch it."""
-    index_record = WriteAheadLog._index_record
-
-    def skipping(self, record):
-        if not isinstance(record, CompensationRecord):
-            index_record(self, record)
-
-    return patch.object(WriteAheadLog, "_index_record", skipping)
+    return patch.dict(
+        WriteAheadLog._HANDLERS, {CompensationRecord: lambda self, record: None}
+    )
 
 
 def redo_mark_read_after_flush():
@@ -200,14 +196,12 @@ def restart_point_forgets_max_tid():
     """What a marker says about the highest tid below it is ignored: a
     log opened at its restart point knows only its tail's tids, and a
     restarted manager hands out one that the prefix already holds."""
-    index_record = WriteAheadLog._index_record
+    on_checkpoint = WriteAheadLog._HANDLERS[CheckpointRecord]
 
     def tail_only(self, record):
-        if isinstance(record, CheckpointRecord):
-            record = replace(record, max_tid=0)
-        index_record(self, record)
+        on_checkpoint(self, replace(record, max_tid=0))
 
-    return patch.object(WriteAheadLog, "_index_record", tail_only)
+    return patch.dict(WriteAheadLog._HANDLERS, {CheckpointRecord: tail_only})
 
 
 def wal_ordering_broken():

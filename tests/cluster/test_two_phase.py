@@ -234,6 +234,45 @@ class TestCrashRecovery:
         for ref in refs:
             assert ref.tid.value in committed_values(cluster.sites[ref.site])
 
+    def test_a_decision_owed_an_ack_survives_a_truncating_checkpoint(self):
+        # As above, but the coordinator takes a sharp checkpoint before
+        # the crash: the log it restarts from is the checkpoint's base
+        # images and marker, whose summary still holds the decision that
+        # gamma has not acknowledged.  Judged on site state: the
+        # cluster oracles read the durable logs, and a truncated one
+        # no longer shows the decision (see docs/internals.md).
+        cluster = Cluster()
+        refs = spawn_group(cluster)
+        coordinator = cluster.sites["alpha"]
+        original = coordinator._send
+
+        def send_muting_gamma_decisions(dst, kind, payload, reply_to=None):
+            if kind == "decision" and dst == "gamma":
+                return None
+            return original(dst, kind, payload, reply_to=reply_to)
+
+        coordinator._send = send_muting_gamma_decisions
+        outcome = cluster.group_commit(refs, timeout=8)
+        assert outcome
+        coordinator._send = original
+        coordinator.manager.checkpoint(truncate=True)
+        assert not any(
+            isinstance(record, DecisionRecord)
+            for record in coordinator.durable_records()
+        )
+        cluster.crash_site("alpha")
+        sent = []
+        coordinator._send = lambda dst, kind, payload, reply_to=None: (
+            sent.append((dst, kind)) or original(dst, kind, payload, reply_to)
+        )
+        cluster.restart_site("alpha")
+        assert coordinator.settled_gids == {outcome.gid: "commit"}
+        assert ("gamma", "decision") in sent
+        assert cluster.converge()
+        gamma = cluster.sites["gamma"]
+        assert gamma.settled_gids == {outcome.gid: "commit"}
+        assert refs[2].tid.value in committed_values(gamma)
+
     def test_commit_is_not_logged_until_a_witness_acks(self):
         # Mute *every* DECISION: the coordinator must park in the
         # releasing state — no DecisionRecord, no client verdict, no

@@ -13,6 +13,7 @@ from repro.common.codec import decode_int, encode_int
 from repro.core.manager import TransactionManager
 from repro.runtime.coop import CooperativeRuntime
 from repro.runtime.threaded import ThreadedRuntime
+from repro.storage.log import WorkflowRecord
 
 try:  # pragma: no cover - presence depends on the environment
     import pytest_timeout  # noqa: F401
@@ -126,3 +127,13 @@ def incrementer(oid, delta=1, fail=False):
         return value + delta
 
     return body
+
+
+def workflow_records(records, wid=None):
+    """The workflow records in ``records`` (optionally one
+    wid's), in order."""
+    return [
+        record for record in records
+        if isinstance(record, WorkflowRecord)
+        and (wid is None or record.wid == wid)
+    ]

@@ -6,9 +6,8 @@ from repro.obs import ObservabilityKit
 from repro.runtime.coop import CooperativeRuntime
 from repro.workflow.definition import DefinitionRegistry, WorkflowDefinition
 from repro.workflow.engine import WorkflowEngine
-from repro.workflow.records import workflow_records
 from repro.workflow.spec import WorkflowSpec
-from tests.conftest import incrementer, make_counters
+from tests.conftest import incrementer, make_counters, workflow_records
 
 
 def _set_value(tx, oid, value):

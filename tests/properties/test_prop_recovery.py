@@ -20,9 +20,8 @@ from tests.chaos.mutations import (
     redo_keeps_oldest_image,
 )
 from tests.storage.scan_oracle import (
-    assert_tail_analysis_matches,
     images_to_replay,
-    max_tid_value_scan,
+    named_tids,
     redo_by_replay,
 )
 
@@ -144,13 +143,12 @@ class TestRecoveryProperty:
 # with redo replaying every image above the mark (the oracle,
 # ``scan_oracle.redo_by_replay``): the product installs each object
 # touched there once, at its newest image, and must leave the same
-# store.  Each way, the analysis read off the tail's index must be
-# what the scan oracle derives from that tail and agree with a scan of
-# the whole history on every transaction the tail speaks of; the
-# recovered store — decoded from the restart point, redone from the last
-# durable marker's ``redo_lsn`` only — must be the harness's own pure
-# replay of the whole durable log; and the highest tid must be the whole
-# history's, so that none is ever handed out twice.
+# store.  Each way the recovered store — decoded from the restart
+# point, redone from the last durable marker's ``redo_lsn`` only — must
+# be the harness's own pure replay of the whole durable log, and the
+# highest tid at least the whole history's, so that none is ever handed
+# out twice.  (The index itself is held to its scans, and its analysis
+# to the history's, by ``test_prop_log_index.py``.)
 
 _N_SLOTS = 4
 _SIZES = (4, 2200, 9000)  # in-page, one per page, a three-page large object
@@ -469,7 +467,6 @@ class _History:
         marks = [segment.redo_lsn for segment in segments]
         images = images_to_replay(segments)
         report = self.storage.recover()
-        assert_tail_analysis_matches(report, tail, history)
         # In doubt or not: restart reads its tail, and redoes above the mark.
         assert (report.scanned, report.restart_from) == (
             len(tail), min(starts),
@@ -480,9 +477,9 @@ class _History:
         assert (report.redone, report.superseded) == (
             installs, len(images) - installs,
         )
-        assert self.storage.log.max_tid_value() == max(
-            max_tid_value_scan(segment) for segment in segments
-        )
+        # No tid the history names may be handed out again.
+        named = named_tids(history)
+        assert self.storage.log.max_tid_value() >= max(named, default=0)
         state = read_state(self.storage)
         assert state == expected_state(history, baseline=self.baseline)
         return state

@@ -25,8 +25,8 @@ from repro.common.events import EventKind
 from repro.runtime.coop import CooperativeRuntime
 from repro.workflow.definition import DefinitionRegistry, WorkflowDefinition
 from repro.workflow.engine import TaskStatus, WorkflowEngine
-from repro.workflow.records import workflow_records
 from repro.workflow.spec import WorkflowSpec
+from tests.conftest import workflow_records
 
 MAX_TASKS = 5
 

@@ -23,10 +23,12 @@ over :func:`redo_span`).
 
 A site's restart reads each global group's newest takeover claim,
 decision and vote, and recovery the votes still open, off the log's
-index.  The walks that found them before are kept here as their
-references: the type walk of every record (:func:`group_evidence_scan`)
-and the filter over every prepare record in the tail
-(:func:`open_votes_scan`).  After a recovery no id may be live in two
+index; a workflow engine reads what it keeps of each execution.  The
+walks that found them before are kept here as their references: type
+walks of every record, and of what the checkpoint markers summarise
+(:func:`history_scan`, :func:`group_evidence_scan`,
+:func:`workflows_scan`), and the filter over every prepare record in
+the tail (:func:`open_votes_scan`).  After a recovery no id may be live in two
 page directories (:func:`ids_live_twice`).
 
 A page keeps the bytes its live slots hold and its tombstones' slot
@@ -56,6 +58,7 @@ from repro.storage.log import (
     PrepareRecord,
     TakeoverRecord,
     UpdateRecord,
+    WorkflowRecord,
 )
 from repro.storage.objects import ObjectStore
 from repro.storage.page import (
@@ -65,15 +68,24 @@ from repro.storage.page import (
     Page,
     TornPageError,
 )
-from repro.storage.recovery import (
-    RecoveryManager,
-    RecoveryReport,
-    commit_winners,
-)
+from repro.storage.recovery import RecoveryManager, RecoveryReport
+from repro.workflow.records import FINISHED
 
 ANALYSIS_FIELDS = (
     "winners", "losers", "already_aborted", "in_doubt", "in_doubt_votes",
 )
+
+
+def commit_winners(records):
+    """The tids ``records`` commit: a commit record names them, or a
+    coordinator's commit decision names them as its local members."""
+    winners = set()
+    for record in records:
+        if isinstance(record, CommitRecord):
+            winners |= record.committed_tids()
+        elif isinstance(record, DecisionRecord) and record.verdict == "commit":
+            winners |= record.decided_tids()
+    return winners
 
 
 def analyze_scan(records):
@@ -89,6 +101,8 @@ def analyze_scan(records):
             finished_aborts.add(record.tid)
         elif isinstance(record, PrepareRecord):
             prepares.append(record)
+        elif isinstance(record, CheckpointRecord):
+            prepares += record.votes  # still open, from before a truncation
         elif isinstance(record, UpdateRecord):
             writers.add(record.tid)
             responsibility[record.lsn] = record.tid
@@ -126,14 +140,18 @@ def assert_analysis_matches(report, records):
 
 
 def named_tids(records):
-    """Every transaction a record in ``records`` speaks of."""
+    """Every transaction a record in ``records`` speaks of (tid 0, the
+    null tid of a marker or of a taker's decision, names none)."""
     named = set()
     for record in records:
         named.add(record.tid)
         named.update(getattr(record, "group", ()))
         if isinstance(record, DelegateRecord):
             named.add(record.delegatee)
-    return named
+        elif isinstance(record, CheckpointRecord):
+            for vote in record.votes:  # still open, from before a truncation
+                named |= vote.prepared_tids()
+    return named - {0}
 
 
 def assert_tail_analysis_matches(report, tail, history):
@@ -147,38 +165,81 @@ def assert_tail_analysis_matches(report, tail, history):
     assert_analysis_matches(report, tail)
     whole, named = analyze_scan(history), named_tids(tail)
     for name in ("winners", "already_aborted", "in_doubt"):
-        assert getattr(report, name) == getattr(whole, name) & named, name
+        assert getattr(report, name) - {0} == getattr(whole, name) & named, name
     assert report.losers <= whole.losers
     assert report.in_doubt_votes == whole.in_doubt_votes
 
 
+def history_scan(log):
+    """``(records, committed)``: every record of ``log``, prefix included,
+    with the records its checkpoint markers summarise — a truncation
+    discarded them, or they lie below the restart point too — in LSN
+    order, each once; and every tid those records or a marker say
+    committed."""
+    records = log.records()
+    committed = commit_winners(records)
+    by_lsn = {record.lsn: record for record in records}
+    for record in records:
+        if isinstance(record, CheckpointRecord):
+            committed.update(record.committed)
+            for kept in record.records:
+                by_lsn.setdefault(kept.lsn, kept)
+    return [by_lsn[lsn] for lsn in sorted(by_lsn)], committed
+
+
 def group_evidence_scan(log):
-    """``(claims, decisions, votes, committed)``, each gid -> its newest
-    takeover claim, decision and vote, by a type walk of every record of
-    ``log``, prefix included: how a site's restart folded its evidence
-    before the log's index kept it; and the tids the records below the
-    restart point commit."""
+    """``(claims, decisions, votes)``, each gid -> its newest takeover
+    claim, decision and vote, by a type walk of :func:`history_scan`:
+    how a site's restart folded its evidence before the log's index
+    kept it."""
     claims, decisions, votes = {}, {}, {}
     kept = {TakeoverRecord: claims, DecisionRecord: decisions, PrepareRecord: votes}
-    records = log.records()
-    for record in records:
+    for record in history_scan(log)[0]:
         latest = kept.get(type(record))
         if latest is not None:
             latest[record.gid] = record
-    return claims, decisions, votes, commit_winners(records[: log.base])
+    return claims, decisions, votes
+
+
+def workflows_scan(log):
+    """``log.workflows()`` and ``log.max_wid_value()`` by a walk of
+    :func:`history_scan`: each execution's records — its ``finished``
+    one alone once it has one — and which tids they name committed."""
+    records, committed = history_scan(log)
+    runs, highest = {}, 0
+    for record in records:
+        if isinstance(record, WorkflowRecord):
+            highest = max(highest, record.wid)
+            if record.kind == FINISHED:
+                runs[record.wid] = [record]
+            else:
+                runs.setdefault(record.wid, []).append(record)
+    kept = sorted(
+        (record for run in runs.values() for record in run),
+        key=lambda record: record.lsn,
+    )
+    named = {record.tid for record in kept if record.tid}
+    return (kept, named & committed), highest
 
 
 def open_votes_scan(log):
-    """The votes in ``log``'s tail with a tid that has no outcome there,
-    in LSN order: every prepare record, filtered the way restart once
-    filtered each of them."""
+    """The votes with a tid that has no outcome in ``log``'s tail, in
+    LSN order: every prepare record there, filtered the way restart once
+    filtered each of them — and every vote a marker there carries from
+    below the tail, past a truncation, at or above the restart point
+    (which stays below every vote still pending)."""
     tail = log.records()[log.base:]
     winners = commit_winners(tail)
     aborted = {record.tid for record in tail if isinstance(record, AbortRecord)}
+    votes = {record.lsn: record for record in tail if isinstance(record, PrepareRecord)}
+    for record in tail:
+        if isinstance(record, CheckpointRecord):
+            for vote in record.votes:
+                if vote.lsn >= log.device.point:
+                    votes.setdefault(vote.lsn, vote)
     return [
-        record for record in tail
-        if isinstance(record, PrepareRecord)
-        and record.prepared_tids() - winners - aborted
+        votes[lsn] for lsn in sorted(votes)
+        if votes[lsn].prepared_tids() - winners - aborted
     ]
 
 
@@ -203,8 +264,9 @@ def max_tid_value_scan(log):
         elif isinstance(record, DelegateRecord):
             highest = max(highest, record.delegatee.value)
         elif isinstance(record, CheckpointRecord):
-            for active in record.active:
-                highest = max(highest, active.value)
+            # The summary vouches for the records a truncation discarded.
+            for active in (*record.active, record.max_tid or 0):
+                highest = max(highest, int(active))
     return highest
 
 

@@ -57,6 +57,24 @@ class TestSharpCheckpoint:
         assert record.lsn.value > last.lsn if hasattr(last, "lsn") else True
         assert record.lsn.value > last.value
 
+    @pytest.mark.parametrize("reopen", [False, True])
+    def test_the_highest_tid_survives_truncation(self, tmp_path, reopen):
+        # Tids 1-5 are logged and truncated away; the marker carries 5,
+        # so neither the log nor a restart from it reissues one.
+        log = WriteAheadLog(FileLogDevice(tmp_path / "wal.log"))
+        store = StorageManager(log=log)
+        for value in range(1, 6):
+            store.create_object(Tid(value), b"v")
+            store.log_commit(Tid(value))
+        store.checkpoint(active=(), truncate=True)
+        if reopen:
+            log.device.close()
+            log = WriteAheadLog(FileLogDevice(tmp_path / "wal.log"))
+            store = StorageManager(disk=store.disk, log=log)
+            store.recover()
+        assert not any(record.tid == 5 for record in log.records())
+        assert log.max_tid_value() == 5
+
     def test_work_after_truncation_recovers_normally(self, store):
         oid = store.create_object(Tid(1), b"v1")
         store.log_commit(Tid(1))

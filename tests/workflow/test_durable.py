@@ -16,11 +16,11 @@ the two cannot drift (the chaos oracle compares them once, at the end).
 
 import pytest
 
-from repro.chaos.oracles import analyze_log
 from repro.common.codec import decode_int, encode_int
 from repro.common.errors import AssetError
 from repro.core.manager import TransactionManager
 from repro.runtime.coop import CooperativeRuntime
+from repro.storage.store import StorageManager
 from repro.workflow.definition import DefinitionRegistry, WorkflowDefinition
 from repro.workflow.engine import (
     ExecutionLeaseBoard,
@@ -29,13 +29,10 @@ from repro.workflow.engine import (
     _WaitToken,
 )
 from repro.workflow.execution import ExecutionStatus, fold_all
-from repro.workflow.records import (
-    FINISHED,
-    STARTED,
-    STEP_ATTEMPT,
-    workflow_records,
-)
+from repro.workflow.records import FINISHED, STARTED, STEP_ATTEMPT
 from repro.workflow.spec import WorkflowSpec
+from tests.conftest import workflow_records
+from tests.storage.scan_oracle import history_scan
 
 
 def _set_value(tx, oid, value):
@@ -76,14 +73,10 @@ def _approval_definition(name, oids, timeout=None, on_timeout="fail"):
 
 
 def _folded(engine, wid):
-    """The execution as the log alone tells it; the winners come from
-    the harness's log analysis, not the engine's."""
-    log_records = list(engine.storage.log.records())
-    winners = {
-        getattr(tid, "value", tid)
-        for tid in analyze_log(log_records).winners
-    }
-    return fold_all(log_records, winners)[wid]
+    """The execution as the log alone tells it — its records, and what
+    the checkpoint markers summarise of those a truncation discarded —
+    with the winners a scan finds, not the engine's."""
+    return fold_all(*history_scan(engine.storage.log))[wid]
 
 
 def _fold_equals_live(engine):
@@ -125,9 +118,15 @@ def _engine(runtime, *definitions):
     return _checked(runtime, registry)
 
 
-def _handover(engine):
-    """A fresh manager/runtime/engine over the same storage, recovered."""
+def _handover(engine, checkpoint=None):
+    """A fresh manager/runtime/engine over the same storage, recovered:
+    after a power cut, when a ``checkpoint`` (``"plain"`` or
+    ``"truncate"``) came first."""
     storage = engine.runtime.manager.storage
+    if checkpoint is not None:
+        engine.runtime.manager.checkpoint(truncate=checkpoint == "truncate")
+        storage.crash()
+        storage.recover()
     runtime = CooperativeRuntime(TransactionManager(storage=storage))
     successor = _checked(runtime, engine.registry)
     return successor, successor.recover()
@@ -287,14 +286,18 @@ class TestTimersAndCancel:
         assert _value(rt, oids["audit"]) == 1
 
 
+@pytest.mark.parametrize("checkpoint", [None, "plain", "truncate"])
 class TestHandover:
-    """A successor engine over the same storage picks up the pieces."""
+    """A successor engine over the same storage picks up the pieces —
+    as it stands, or after a checkpoint (one that truncates the log
+    too) and a power cut: what restart needs of the history survives
+    in the checkpoint marker's summary."""
 
-    def test_recover_parked_and_finish(self, rt):
+    def test_recover_parked_and_finish(self, rt, checkpoint):
         oids = _make_oids(rt, ("order", "audit"))
         engine = _engine(rt, _approval_definition("approval", oids))
         wid = engine.start("approval")
-        successor, recovered = _handover(engine)
+        successor, recovered = _handover(engine, checkpoint)
         assert recovered == [wid]
         image = successor.execution(wid)
         assert image.status is ExecutionStatus.WAITING_SIGNAL
@@ -304,44 +307,79 @@ class TestHandover:
         assert status is ExecutionStatus.COMPLETED
         assert _value(successor.runtime, oids["audit"]) == 1
 
-    def test_recover_rearms_timer(self, rt):
+    def test_recover_rearms_timer(self, rt, checkpoint):
         oids = _make_oids(rt, ("order", "audit"))
         engine = _engine(
             rt, _approval_definition("approval", oids, timeout=30)
         )
         wid = engine.start("approval")
-        successor, __ = _handover(engine)
+        successor, __ = _handover(engine, checkpoint)
         assert successor.deadlines.deadline_of(_WaitToken(wid)) is not None
         assert successor.expire_wait(wid) is ExecutionStatus.COMPENSATED
         assert _value(successor.runtime, oids["order"]) == 0
 
-    def test_recover_skips_terminal(self, rt):
+    def test_recover_skips_terminal(self, rt, checkpoint):
         oids = _make_oids(rt, ("order", "audit"))
         engine = _engine(rt, _approval_definition("approval", oids))
         wid = engine.start("approval")
         engine.signal(wid, "approve")
-        successor, recovered = _handover(engine)
+        successor, recovered = _handover(engine, checkpoint)
         assert recovered == []
         assert successor.status(wid) is ExecutionStatus.COMPLETED
 
-    def test_recovered_signal_not_redelivered(self, rt):
+    def test_recovered_signal_not_redelivered(self, rt, checkpoint):
         oids = _make_oids(rt, ("order", "audit"))
         engine = _engine(rt, _approval_definition("approval", oids))
         wid = engine.start("approval")
         engine.signal(wid, "approve", "qa", resume=False)
-        successor, recovered = _handover(engine)
+        successor, recovered = _handover(engine, checkpoint)
         assert recovered == [wid]
         image = successor.execution(wid)
         assert image.status is ExecutionStatus.RUNNING
         assert image.signals["approve"] == "qa"
         assert successor.resume(wid) is ExecutionStatus.COMPLETED
 
-    def test_wid_allocation_resumes_past_recovered(self, rt):
+    def test_wid_allocation_resumes_past_recovered(self, rt, checkpoint):
         oids = _make_oids(rt, ("order", "audit"))
         engine = _engine(rt, _approval_definition("approval", oids))
         engine.start("approval", wid=5)
-        successor, __ = _handover(engine)
+        successor, __ = _handover(engine, checkpoint)
         assert successor.start("approval") == 6
+
+    def test_parked_and_finished_survive_together(self, rt, checkpoint):
+        oids = _make_oids(rt, ("order", "audit"))
+        engine = _engine(rt, _approval_definition("approval", oids))
+        parked, finished = engine.start("approval"), engine.start("approval")
+        engine.signal(finished, "approve")
+        successor, recovered = _handover(engine, checkpoint)
+        assert recovered == [parked]
+        assert successor.status(finished) is ExecutionStatus.COMPLETED
+        assert successor.start("approval") == finished + 1
+
+
+@pytest.mark.parametrize("checkpoint", ["plain", "truncate"])
+def test_a_step_committed_in_another_segment_survives_a_checkpoint(
+    checkpoint,
+):
+    # On two shards a step commits in the segment its writes touched
+    # while its attempt record lies in segment 0: a plain checkpoint's
+    # restart point stays below the attempt, and a truncation carries
+    # the outcome from the other segment.
+    storage = StorageManager(n_shards=2)
+    rt = CooperativeRuntime(TransactionManager(storage=storage))
+    made = _make_oids(rt, ("audit", "b", "c", "d"))
+    order = next(
+        oid for name, oid in made.items()
+        if name != "audit" and storage.router.shard_of(oid) == 1
+    )
+    oids = {"order": order, "audit": made["audit"]}
+    engine = _engine(rt, _approval_definition("approval", oids))
+    wid = engine.start("approval")
+    rt.run(_set_value, args=(made["audit"], 0))  # the point may move past
+    successor, recovered = _handover(engine, checkpoint)
+    assert recovered == [wid]
+    assert successor.execution(wid).status_of("place") is TaskStatus.COMMITTED
+    assert successor.signal(wid, "approve") is ExecutionStatus.COMPLETED
 
 
 class TestFoldOracle:

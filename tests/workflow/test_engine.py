@@ -2,12 +2,16 @@
 
 import pytest
 
-from tests.conftest import incrementer, make_counters, read_counter
+from tests.conftest import (
+    incrementer,
+    make_counters,
+    read_counter,
+    workflow_records,
+)
 
 from repro.workflow.definition import DefinitionRegistry, WorkflowDefinition
 from repro.workflow.engine import TaskStatus, WorkflowEngine
 from repro.workflow.execution import ExecutionStatus, fold_all
-from repro.workflow.records import workflow_records
 from repro.workflow.spec import WorkflowSpec
 
 
