@@ -3,8 +3,9 @@
 The deterministic sharded engine proves *equivalence*; this module
 measures *throughput*.  Two execution models:
 
-* **In-process** — :class:`~repro.runtime.sharded.ParallelShardedRuntime`
-  drives one worker thread per shard over one shared manager.  Under
+* **In-process** — :class:`~repro.runtime.threaded.ThreadedRuntime`
+  over an N-shard manager, every transaction spawned with its key,
+  drives one worker thread per shard.  Under
   CPython's GIL the pure-Python transaction path cannot exceed one core,
   so thread counts buy concurrency (overlap of blocking) but not
   parallel speedup; the numbers are still recorded as the honest datum
@@ -109,7 +110,7 @@ def multiprocess_throughput(n_shards, txns_per_shard=64, n_objects=8, seed=11):
 
 
 def parallel_runtime_throughput(n_shards, n_txns=32):
-    """One shared :class:`ParallelShardedRuntime`, disjoint key batches.
+    """One shared :class:`ThreadedRuntime` on N shards, disjoint key batches.
 
     Each transaction owns its object (the shard-parallel workload shape:
     disjoint footprints, key-pinned to the owning shard), so every
@@ -118,9 +119,12 @@ def parallel_runtime_throughput(n_shards, n_txns=32):
 
     Returns ``(commits, wall_seconds, throughput_txn_per_s)``.
     """
-    from repro.runtime.sharded import ParallelShardedRuntime
+    from repro.core.sharded import ShardedTransactionManager
+    from repro.runtime.threaded import ThreadedRuntime
 
-    rt = ParallelShardedRuntime(n_shards=n_shards, watchdog_interval=0.01)
+    rt = ThreadedRuntime(
+        ShardedTransactionManager(n_shards=n_shards), watchdog_interval=0.01
+    )
     try:
 
         def setup(tx):

@@ -7,19 +7,20 @@ Transaction bodies are written once, as generator functions that yield
   scheduler that interleaves programs step by step (round-robin or
   seeded-random), used by tests, benchmarks, and the property suite for
   reproducible concurrency;
-* :class:`~repro.runtime.threaded.ThreadedRuntime` — a thread per
-  transaction with real blocking, the "live" configuration;
 * :class:`~repro.runtime.sharded.ShardedRuntime` — the deterministic
   sharded engine (the one transaction manager over an N-shard store:
   per-shard pools and WAL segments), the differential-replay peer of
   the cooperative oracle;
-* :class:`~repro.runtime.sharded.ParallelShardedRuntime` — a worker
-  thread per shard over the same manager, the throughput
-  configuration.
+* :class:`~repro.runtime.threaded.ThreadedRuntime` — the same stepper
+  on worker threads with real blocking, over a flat or an N-shard
+  manager: a tree spawned with a key runs on its shard's worker, any
+  other tree on a worker of its own, children on their parent's.
 
-All translate the paper's "blocks and retries later starting at step 1"
-into their own waiting discipline around the same core outcomes, so a
-program's semantics do not depend on the runtime that executes it.
+There is one program driver (``CooperativeRuntime._step``) and one
+driver API; engines differ only in what a driver call does when nothing
+moved — run a round, or wait for the next manager event — so a
+program's semantics do not depend on the runtime that executes it:
+the paper's "blocks and retries later starting at step 1".
 """
 
 from repro.runtime.coop import (
@@ -28,12 +29,11 @@ from repro.runtime.coop import (
     StalledTask,
 )
 from repro.runtime.program import TxnContext
-from repro.runtime.sharded import ParallelShardedRuntime, ShardedRuntime
+from repro.runtime.sharded import ShardedRuntime
 from repro.runtime.threaded import ThreadedRuntime
 
 __all__ = [
     "CooperativeRuntime",
-    "ParallelShardedRuntime",
     "SchedulerStalledError",
     "ShardedRuntime",
     "StalledTask",

@@ -15,6 +15,10 @@ full round makes no progress the runtime asks the deadlock detector for a
 victim; a stall with no deadlock cycle raises
 :class:`SchedulerStalledError` — in a correct program that means a
 dependency that can never resolve, which is a bug worth surfacing loudly.
+
+The driver API and the stepper here are every engine's: the thread
+engine (:mod:`repro.runtime.threaded`) runs ``_step`` on worker threads
+and replaces only ``_idle``, what a driver call does when nothing moved.
 """
 
 from __future__ import annotations
@@ -107,6 +111,10 @@ MAX_IDLE_ROUNDS = 2
 class CooperativeRuntime:
     """Deterministic scheduler over a :class:`TransactionManager`."""
 
+    # Bumped on every manager event by the thread engine, whose waits
+    # read it; nothing here ever waits, so here it stays 0.
+    _wake_gen = 0
+
     def __init__(self, manager=None, seed=None, schedule=None,
                  watchdog=None):
         self.manager = manager if manager is not None else TransactionManager()
@@ -114,6 +122,7 @@ class CooperativeRuntime:
         # a finished task leaves behind just its (result, error).
         self._tasks = {}
         self._outcomes = {}
+        self._keys = {}  # tid -> routing key, spawned but not yet begun
         self._rng = random.Random(seed) if seed is not None else None
         # An explicit schedule controller (repro.chaos.explorer) decides
         # the task order at every round — and records what it decided, so
@@ -126,7 +135,7 @@ class CooperativeRuntime:
         self.steps = 0
 
     # ------------------------------------------------------------------
-    # the paper-style driver API
+    # the paper-style driver API (every engine's: each waits in _idle)
     # ------------------------------------------------------------------
 
     def initiate(self, function, args=(), initiator=NULL_TID):
@@ -136,39 +145,42 @@ class CooperativeRuntime:
         )
 
     def begin(self, *tids):
-        """Start initiated transactions, driving the scheduler while their
-        begin dependencies are unresolved.  Returns 1 or 0: a refused
-        begin with no blockers (already begun, or terminated) never
-        succeeds."""
-        begun, blockers = self.manager.try_begin(*tids)
-        while blockers:
-            self._make_progress_or_die(lambda: f"begin of {tids!r}")
+        """Start initiated transactions, waiting while their begin
+        dependencies are unresolved.  Returns 1 or 0: a refused begin
+        with no blockers (already begun, or terminated), or of a
+        transaction aborted while it waited, never succeeds."""
+        while True:
+            seen = self._wake_gen
             begun, blockers = self.manager.try_begin(*tids)
-        if not begun:
-            return 0
-        for tid in tids:
-            self.on_begun(tid)
-        return 1
+            if begun:
+                for tid in tids:
+                    self.on_begun(tid)
+                return 1
+            if not blockers or any(map(self.manager.has_aborted, tids)):
+                return 0
+            self._idle(seen, lambda: f"begin of {tids!r}")
 
     def commit(self, tid):
-        """Commit ``tid``: block (by scheduling others) until final.  While
-        its code runs there is nothing to ask: the rounds just run."""
+        """Commit ``tid``: wait until its outcome is final.  While its
+        code runs there is nothing to ask (``commit_when_ended``'s rule,
+        read off the descriptor): the engine just moves."""
         td = self.manager.table.get(tid)
-        while td.status in CODE_RUNS:
-            self._make_progress_or_die(lambda: f"commit of {tid!r}")
         while True:
-            outcome = self.manager.try_commit(tid)
-            if outcome.is_final:
-                return 1 if outcome else 0
-            self._make_progress_or_die(lambda: f"commit of {tid!r}")
+            seen = self._wake_gen
+            if td.status not in CODE_RUNS:
+                outcome = self.manager.try_commit(tid)
+                if outcome.is_final:
+                    return 1 if outcome else 0
+            self._idle(seen, lambda: f"commit of {tid!r}")
 
     def wait(self, tid):
         """The paper's ``wait``: 1 once completed, 0 if aborted."""
         while True:
+            seen = self._wake_gen
             result = self.manager.wait_outcome(tid)
             if result is not None:
                 return 1 if result else 0
-            self._make_progress_or_die(lambda: f"wait for {tid!r}")
+            self._idle(seen, lambda: f"wait for {tid!r}")
 
     def abort(self, tid):
         """Abort ``tid``; 1 on success, 0 if already committed."""
@@ -184,6 +196,7 @@ class CooperativeRuntime:
         outcomes = {}
         pending = [self.manager.table.get(tid) for tid in tids]
         while pending:
+            seen = self._wake_gen
             waiting = []
             for td in pending:
                 outcome = commit_when_ended(self.manager, td)
@@ -192,33 +205,49 @@ class CooperativeRuntime:
                 else:
                     waiting.append(td)
             if len(waiting) == len(pending):  # nobody settled this pass
-                self._make_progress_or_die(
-                    lambda: f"commit_all of {[td.tid for td in waiting]!r}"
+                self._idle(
+                    seen,
+                    lambda: f"commit_all of {[td.tid for td in waiting]!r}",
                 )
             pending = waiting
         return outcomes
 
-    def run(self, function, args=()):
+    def run(self, function, args=(), key=None):
         """The standard transaction skeleton of section 3.1.1.
 
         ``initiate``, ``begin``, ``commit`` — and return a
-        :class:`RunResult` with the program's return value.
+        :class:`RunResult` with the program's return value.  ``key``
+        places the tree as :meth:`spawn`'s does.
         """
         tid = self.initiate(function, args=args)
         if not tid:
             return RunResult(tid=tid, committed=False)
+        if key is not None:
+            self._keys[tid] = key
         self.begin(tid)
         committed = self.commit(tid)
         return RunResult(
             tid=tid, committed=bool(committed), value=self.result_of(tid)
         )
 
-    def spawn(self, function, args=(), initiator=NULL_TID):
-        """``initiate`` + ``begin`` without committing; returns the tid."""
+    def spawn(self, function, args=(), initiator=NULL_TID, key=None):
+        """``initiate`` + ``begin`` without committing; returns the tid.
+        ``key`` is a routing key: the thread engine runs the tree on its
+        shard's worker; a single-threaded engine has one place for all."""
         tid = self.initiate(function, args=args, initiator=initiator)
         if tid:
+            if key is not None:
+                self._keys[tid] = key
             self.begin(tid)
         return tid
+
+    def poll(self):
+        """Let the system advance briefly; ``True`` if anything moved.
+
+        Used by pollers (the workflow engine's race) that wait on a
+        condition no single ``wait`` call expresses.
+        """
+        return self._idle(self._wake_gen)
 
     # ------------------------------------------------------------------
     # task management
@@ -226,6 +255,8 @@ class CooperativeRuntime:
 
     def on_begun(self, tid):
         """Create the task for a transaction that just began."""
+        if self._keys:
+            self._keys.pop(tid, None)  # one thread: a key routes nothing
         if tid in self._tasks or tid in self._outcomes:
             return
         td = self.manager.table.get(tid)
@@ -282,18 +313,6 @@ class CooperativeRuntime:
             progress |= self._step(task)
         return progress
 
-    def poll(self):
-        """Let the system advance briefly; ``True`` if anything moved.
-
-        Used by pollers (the workflow engine's race) that wait on a
-        condition no single ``wait`` call expresses.
-        """
-        if self.round():
-            return True
-        if self._detector.resolve_one() is not None:
-            return True
-        return self._watchdog_rescue()
-
     def run_until_quiescent(self):
         """Schedule until no task can move (deadlocks get resolved)."""
         while True:
@@ -309,22 +328,27 @@ class CooperativeRuntime:
             return False
         return self.watchdog.on_stall()
 
-    def _make_progress_or_die(self, why):
-        """Drive one round, or a deadlock victim, or the watchdog; raise
-        :class:`SchedulerStalledError` saying ``why()`` when none moves.
-        ``why`` is formatted only then: the loops that call this every
-        pass pay for no ``repr``."""
-        if self.round():
-            return
-        if self._detector.resolve_one() is not None:
-            return
+    def _idle(self, seen, why=None):
+        """The engine's one "nothing moved" hook, where every driver call
+        that waits, waits.  Here: drive one round, or a deadlock victim,
+        or the watchdog.  Given ``why`` (a driver call that cannot go on
+        without progress) it insists, ``MAX_IDLE_ROUNDS`` more, and then
+        raises :class:`SchedulerStalledError` saying ``why()`` — formatted
+        only then, so the loops that call this every pass pay for no
+        ``repr``.  ``seen``, the wake generation read before the caller's
+        test, is the thread engine's: a single thread has nothing to wait
+        for."""
+        if self.round() or self._detector.resolve_one() is not None:
+            return True
+        if why is None:
+            return self._watchdog_rescue()
         idle = 0
         while idle < MAX_IDLE_ROUNDS:
             if self.round() or self._detector.resolve_one() is not None:
-                return
+                return True
             idle += 1
         if self._watchdog_rescue():
-            return
+            return True
         raise SchedulerStalledError(why(), stalled=self.stall_report())
 
     def stall_report(self):
@@ -367,7 +391,9 @@ class CooperativeRuntime:
                     manager, self, task.tid, task.pending
                 )
             except QuarantinedObjectError as exc:
-                return self._poisoned(task, exc)
+                return self._fail(task, exc, f"poisoned: {exc}")
+            except TransactionAborted:  # by another thread, since the check
+                return True  # the next step delivers it
             if state is BLOCKED:
                 task.blocked_on = tuple(value) if value else ()
                 return False
@@ -395,7 +421,9 @@ class CooperativeRuntime:
         try:
             state, value = execute_request(manager, self, task.tid, request)
         except QuarantinedObjectError as exc:
-            return self._poisoned(task, exc)
+            return self._fail(task, exc, f"poisoned: {exc}")
+        except TransactionAborted:
+            return True
         if state is BLOCKED:
             task.pending = request
             task.blocked_on = tuple(value) if value else ()
@@ -409,11 +437,12 @@ class CooperativeRuntime:
             task.gen.close()
         return True
 
-    def _poisoned(self, task, exc):
-        """A quarantined-object touch poisons the transaction: fail the
-        task and abort it rather than propagate garbage (or crash the
-        scheduler loop)."""
+    def _fail(self, task, exc, reason):
+        """Fail the task with ``exc`` and abort its transaction rather
+        than propagate garbage (or crash the scheduler loop): a
+        quarantined-object touch poisons it; on a worker thread, any
+        error a request raised for it."""
         self._retire(task, error=exc)
-        self.manager.abort(task.tid, reason=f"poisoned: {exc}")
+        self.manager.abort(task.tid, reason=reason)
         task.gen.close()
         return True

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from repro.common.errors import StorageError, TransientIOError
-from repro.common.ids import Lsn, ObjectId, Tid
+from repro.common.ids import NULL_TID, Lsn, ObjectId, Tid
 
 _HEADER = struct.Struct("<BQQ")  # record type, lsn, tid
 _U32 = struct.Struct("<I")
@@ -183,8 +183,9 @@ class DecisionRecord(LogRecord):
     participants: tuple = ()
 
     def decided_tids(self):
-        """The coordinator-local tids this decision commits."""
-        return {self.tid, *self.group}
+        """The coordinator-local tids this decision commits: none named
+        by the null tid, which a taker with no local member logs."""
+        return {self.tid, *self.group} - {NULL_TID}
 
 
 @dataclass(frozen=True)
@@ -1025,7 +1026,8 @@ class WriteAheadLog:
                 self._max_tid = int(member)
         self._evidence[1][record.gid] = record
         if record.verdict == "commit":
-            self._winners.add(record.tid)
+            if record.tid:  # a taker with no local member decides no one
+                self._winners.add(record.tid)
             self._winners.update(record.group)
             if self._votes_of:
                 self._close_votes(record.tid, *record.group)

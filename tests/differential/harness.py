@@ -25,12 +25,8 @@ from repro.chaos.explorer import ScheduleController
 from repro.acta.history import HistoryRecorder
 from repro.common.codec import decode_int, encode_int
 from repro.core.dependency import DependencyType
-from repro.runtime import (
-    CooperativeRuntime,
-    ParallelShardedRuntime,
-    ShardedRuntime,
-    ThreadedRuntime,
-)
+from repro.core.sharded import ShardedTransactionManager
+from repro.runtime import CooperativeRuntime, ShardedRuntime, ThreadedRuntime
 
 RUNTIME_NAMES = ["coop", "threaded", "sharded", "parallel-sharded"]
 DETERMINISTIC = ("coop", "sharded")
@@ -49,8 +45,9 @@ def make_runtime(name, seed=None, schedule=None, n_shards=4):
         runtime = ThreadedRuntime(watchdog_interval=0.01, poll_timeout=0.002)
         return runtime, runtime.close
     if name == "parallel-sharded":
-        runtime = ParallelShardedRuntime(
-            n_shards=n_shards, watchdog_interval=0.01, poll_timeout=0.05
+        runtime = ThreadedRuntime(
+            ShardedTransactionManager(n_shards=n_shards),
+            watchdog_interval=0.01, poll_timeout=0.05,
         )
         return runtime, runtime.close
     raise ValueError(f"unknown runtime {name!r}")

@@ -2,10 +2,11 @@
 
 The model library only uses the paper-style driver API, so each
 translation scheme must produce the same outcomes whether the programs
-run under the deterministic scheduler, real threads, the deterministic
-sharded engine, or a worker thread per shard.  Runtime construction and
-the shared counter helpers live in :mod:`tests.differential.harness`, so
-the same battery is reusable by the differential suite.
+run under the deterministic scheduler, the deterministic sharded
+engine, or real threads over a flat or a 4-shard store.  Runtime
+construction and the shared counter helpers live in
+:mod:`tests.differential.harness`, so the same battery is reusable by
+the differential suite.
 """
 
 import pytest

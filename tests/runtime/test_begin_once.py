@@ -132,15 +132,15 @@ class TestThreadedBegin:
     def count_waits(monkeypatch, runtime):
         """Waits made by the calling (test) thread only."""
         waits = [0]
-        plain = runtime._wait_a_moment
+        plain = runtime._idle
         caller = threading.get_ident()
 
-        def counting(seen=None):
+        def counting(seen, why=None):
             if threading.get_ident() == caller:
                 waits[0] += 1
-            return plain(seen=seen)
+            return plain(seen, why)
 
-        monkeypatch.setattr(runtime, "_wait_a_moment", counting)
+        monkeypatch.setattr(runtime, "_idle", counting)
         return waits
 
     def test_a_blocked_tid_waits_until_its_dependee_commits(

@@ -22,16 +22,19 @@ from repro.common.codec import decode_int
 from repro.common.errors import QuarantinedObjectError, StorageError
 from repro.common.ids import Tid
 from repro.core.manager import TransactionManager
+from repro.core.sharded import ShardedTransactionManager
 from repro.runtime.coop import CooperativeRuntime
+from repro.runtime.sharded import ShardedRuntime
+from repro.runtime.threaded import ThreadedRuntime
 from repro.storage.objects import _chunk_id
 from repro.storage.store import StorageManager
 from tests.conftest import incrementer, make_counters
 
 
-def lose_a_chunk():
-    """A store whose 4,100-byte object lost its second chunk, and a
-    counter beside it; returns ``(storage, big, counter)``."""
-    storage = StorageManager(capacity=3)
+def lose_a_chunk(n_shards=1):
+    """A store of ``n_shards`` whose 4,100-byte object lost its second
+    chunk, and a counter beside it; returns ``(storage, big, counter)``."""
+    storage = StorageManager(capacity=3, n_shards=n_shards)
     runtime = CooperativeRuntime(TransactionManager(storage=storage))
 
     def setup(tx):
@@ -40,10 +43,11 @@ def lose_a_chunk():
         return big, counter
 
     big, counter = runtime.run(setup).value
-    shard = storage.shards[0]
+    shard = storage.shards[storage.router.shard_of(big)]
     pages = {page for page, __ in shard.objects._locations.values()}
-    # One page holds the header, the counter and the first chunk; the
-    # other holds only the second chunk: that one is torn.
+    # One page holds the header and the first chunk (and, on one shard,
+    # the counter); the other holds only the second chunk: that one is
+    # torn.
     assert len(pages) == 2
     storage.checkpoint((), truncate=True)
     shard.log.truncate()  # the history goes, the base images with it
@@ -110,13 +114,36 @@ class TestTheStore:
         assert "chunk 1" in str(caught.value)
 
 
+# Every engine over the poisoned store: (shard count, engine of a store).
+ENGINES = {
+    "coop": (1, lambda storage: CooperativeRuntime(
+        TransactionManager(storage=storage))),
+    "sharded": (4, lambda storage: ShardedRuntime(
+        ShardedTransactionManager(storage=storage))),
+    "threaded-flat": (1, lambda storage: ThreadedRuntime(
+        TransactionManager(storage=storage))),
+    "threaded-4-shard": (4, lambda storage: ThreadedRuntime(
+        ShardedTransactionManager(storage=storage))),
+}
+
+
+@pytest.fixture(params=list(ENGINES))
+def poisoned(request):
+    """``(runtime, big, counter)`` over a store that lost a chunk."""
+    n_shards, engine = ENGINES[request.param]
+    storage, big, counter = lose_a_chunk(n_shards)
+    runtime = engine(storage)
+    yield runtime, big, counter
+    if isinstance(runtime, ThreadedRuntime):
+        runtime.close()
+
+
 class TestTheRuntime:
     @pytest.mark.parametrize("body", [reader, writer])
     def test_the_access_aborts_as_poisoned_and_later_units_commit(
-        self, body
+        self, poisoned, body
     ):
-        storage, big, counter = lose_a_chunk()
-        runtime = CooperativeRuntime(TransactionManager(storage=storage))
+        runtime, big, counter = poisoned
         result = runtime.run(body(big))
         assert not result.committed
         td = runtime.manager.table.get(result.tid)
@@ -127,9 +154,8 @@ class TestTheRuntime:
             assert runtime.run(incrementer(counter)).committed
         assert decode_int(runtime.run(reader(counter)).value) == 3
 
-    def test_other_tasks_in_flight_keep_running(self):
-        storage, big, counter = lose_a_chunk()
-        runtime = CooperativeRuntime(TransactionManager(storage=storage))
+    def test_other_tasks_in_flight_keep_running(self, poisoned):
+        runtime, big, __ = poisoned
         others = make_counters(runtime, 2)
         doomed = runtime.spawn(reader(big))
         bystanders = [runtime.spawn(incrementer(oid)) for oid in others]

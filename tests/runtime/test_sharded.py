@@ -14,7 +14,8 @@ from repro.common.codec import decode_int, encode_int
 from repro.core.dependency import DependencyType
 from repro.core.outcomes import CommitStatus
 from repro.core.sharded import ShardedTransactionManager
-from repro.runtime.sharded import ParallelShardedRuntime, ShardedRuntime
+from repro.runtime.sharded import ShardedRuntime
+from repro.runtime.threaded import ThreadedRuntime
 from repro.storage.segmented import ShardRouter, stable_hash
 
 
@@ -106,7 +107,7 @@ class TestCrossShardStats:
 
 class TestParallelOutcomes:
     def test_disjoint_transfers_all_commit(self):
-        rt = ParallelShardedRuntime(n_shards=4)
+        rt = ThreadedRuntime(ShardedTransactionManager(n_shards=4))
         try:
 
             def setup(tx):
@@ -143,7 +144,7 @@ class TestParallelOutcomes:
             rt.close()
 
     def test_contended_counter_conserves_increments(self):
-        rt = ParallelShardedRuntime(n_shards=2)
+        rt = ThreadedRuntime(ShardedTransactionManager(n_shards=2))
         try:
 
             def setup(tx):
@@ -168,7 +169,7 @@ class TestParallelOutcomes:
             rt.close()
 
     def test_key_pins_transaction_to_shard(self):
-        rt = ParallelShardedRuntime(n_shards=4)
+        rt = ThreadedRuntime(ShardedTransactionManager(n_shards=4))
         try:
             expected = rt.manager.router.shard_for_key("tenant-42")
 
@@ -176,7 +177,7 @@ class TestParallelOutcomes:
                 yield from ()
 
             tid = rt.spawn(noop, key="tenant-42")
-            assert rt._owner[tid] == expected
+            assert list(rt._shards) == [expected]
             rt.commit(tid)
         finally:
             rt.close()
@@ -184,7 +185,9 @@ class TestParallelOutcomes:
     def test_deadlock_victims_are_resolved_not_hung(self):
         """Opposite-order writers on two objects: the watchdog picks a
         victim; the driver's commit_all completes without hanging."""
-        rt = ParallelShardedRuntime(n_shards=2, watchdog_interval=0.01)
+        rt = ThreadedRuntime(
+            ShardedTransactionManager(n_shards=2), watchdog_interval=0.01
+        )
         try:
 
             def setup(tx):
@@ -210,7 +213,9 @@ class TestParallelOutcomes:
         """Workers retire finished tasks while the driver thread reads
         ``active_tasks``/``result_of``: more workers than cores, a
         shortened switch interval, and no outcome may be lost."""
-        rt = ParallelShardedRuntime(n_shards=6, poll_timeout=0.01)
+        rt = ThreadedRuntime(
+            ShardedTransactionManager(n_shards=6), poll_timeout=0.01
+        )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -229,7 +234,7 @@ class TestParallelOutcomes:
                     assert rt.result_of(tid) in (None, tids.index(tid))
             assert rt.join_all(timeout=5.0)
             assert rt.active_tasks() == []
-            assert all(sub._tasks == {} for sub in rt._subs)
+            assert all(sub._tasks == {} for sub in rt._workers)
             assert [rt.result_of(tid) for tid in tids] == list(range(300))
             assert all(rt.commit_all(tids).values())
         finally:

@@ -1,6 +1,6 @@
 """Regression: blocked threaded waiters wake on events, not poll timeouts.
 
-The old ``_wait_a_moment`` had a lost-wakeup race: a waiter evaluated
+The old wait had a lost-wakeup race: a waiter evaluated
 its predicate (``try_commit``, ``wait_outcome``, ``execute_request`` —
 all of which took the manager mutex and could take real time), found it
 unsatisfied, and only then entered ``Condition.wait``.  An event
@@ -9,7 +9,7 @@ timeout with nothing left to wake it.  With a generous timeout the
 runtime still produced correct answers, just absurdly slowly.
 
 The fix captures a wake-generation token *before* the predicate test;
-``_wait_a_moment(seen=token)`` returns immediately if any event fired
+``_idle(seen)`` returns immediately if any event fired
 since.  These tests run with a poll timeout far longer than the test
 budget, so any reliance on polling busts the wall clock and fails.
 """
@@ -65,10 +65,10 @@ class TestEventDrivenWakeup:
         rt.begin(tid)
 
         driver = threading.current_thread()
-        real_wait = rt._wait_a_moment
+        real_wait = rt._idle
         raced = []
 
-        def wait_racing(seen=None):
+        def wait_racing(seen, why=None):
             if threading.current_thread() is driver and not raced:
                 raced.append(True)
                 # The predicate has just failed.  Release the worker and
@@ -79,15 +79,15 @@ class TestEventDrivenWakeup:
                 while rt.manager.wait_outcome(tid) is None:
                     assert time.monotonic() < deadline
                     time.sleep(0.001)
-            return real_wait(seen=seen)
+            return real_wait(seen, why)
 
-        rt._wait_a_moment = wait_racing
+        rt._idle = wait_racing
         try:
             start = time.monotonic()
             assert rt.commit(tid) == 1
             elapsed = time.monotonic() - start
         finally:
-            del rt._wait_a_moment
+            del rt._idle
 
         assert raced, "the race window was never exercised"
         assert elapsed < BUDGET, (

@@ -165,7 +165,7 @@ def assert_tail_analysis_matches(report, tail, history):
     assert_analysis_matches(report, tail)
     whole, named = analyze_scan(history), named_tids(tail)
     for name in ("winners", "already_aborted", "in_doubt"):
-        assert getattr(report, name) - {0} == getattr(whole, name) & named, name
+        assert getattr(report, name) == getattr(whole, name) & named, name
     assert report.losers <= whole.losers
     assert report.in_doubt_votes == whole.in_doubt_votes
 

@@ -15,7 +15,8 @@ import sys
 import threading
 
 from repro.common.ids import Tid
-from repro.runtime.sharded import ParallelShardedRuntime
+from repro.core.sharded import ShardedTransactionManager
+from repro.runtime.threaded import ThreadedRuntime
 from repro.storage.store import StorageManager
 
 ROUNDS = 60  # transactions per writer on the runtime
@@ -100,7 +101,9 @@ def test_relocating_writers_and_a_reader_on_the_storage_manager():
 def test_relocating_writers_and_a_reader_on_the_parallel_runtime():
     """The same meeting through transactions: three shard workers, the
     two objects on one shard's page."""
-    rt = ParallelShardedRuntime(n_shards=3, poll_timeout=0.01)
+    rt = ThreadedRuntime(
+        ShardedTransactionManager(n_shards=3), poll_timeout=0.01
+    )
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

@@ -336,9 +336,12 @@ def test_a_checkpoint_from_another_thread_never_marks_between_record_and_install
 
     from repro.chaos.oracles import expected_state
     from repro.common.codec import encode_int
-    from repro.runtime.sharded import ParallelShardedRuntime
+    from repro.core.sharded import ShardedTransactionManager
+    from repro.runtime.threaded import ThreadedRuntime
 
-    rt = ParallelShardedRuntime(n_shards=4, poll_timeout=0.01)
+    rt = ThreadedRuntime(
+        ShardedTransactionManager(n_shards=4), poll_timeout=0.01
+    )
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     done = threading.Event()

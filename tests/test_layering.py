@@ -364,6 +364,47 @@ def test_one_transaction_manager():
     assert not offenders, "\n".join(offenders)
 
 
+def test_one_thread_engine():
+    """One program driver and one thread engine.  Only
+    ``CooperativeRuntime._step`` sends into or throws into a transaction
+    program; the thread engine runs that stepper on its workers, so the
+    second driver, the second copy of the driver API and the per-shard
+    engine with its routing table are gone from the product tree."""
+    drivers = []
+    for path in _modules("runtime"):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                drivers += [
+                    f"{cls.name}.{method.name}:{node.lineno}"
+                    for node in ast.walk(method)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) in ("send", "throw")
+                ]
+    assert drivers and {d.split(":")[0] for d in drivers} == {
+        "CooperativeRuntime._step"
+    }, drivers
+    gone = (
+        "ThreadDrivenRuntime", "ParallelShardedRuntime", "_ShardWorkerRuntime",
+        "_wait_a_moment", "_make_progress_or_die",
+    )
+    offenders = [
+        f"{path.relative_to(SRC)}: {word}"
+        for path in sorted(SRC.rglob("*.py"))
+        for word in gone
+        if word in path.read_text()
+    ] + [
+        f"{path.relative_to(SRC)}: {word}"
+        for path in _modules("runtime")
+        for word in ("_owner", "_subs", "def _worker")
+        if word in path.read_text()
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
 def test_one_storage_facade():
     """Restart, checkpoints, crashes and oid allocation have one owner
     at every shard count: no class under ``repro.storage`` but
